@@ -38,14 +38,14 @@ fn bench(c: &mut Criterion) {
         group.throughput(Throughput::Elements(rules as u64));
 
         // On-lock half: a prebuilt replica arriving at one slice. The
-        // clone is setup (in `publish` it happens before the ecall), so
+        // clone is setup (in `publish_contract` it happens before the ecall), so
         // the measured window is exactly what the packet path waits on.
         let mut app = FilterEnclaveApp::new(compiled.clone(), [7u8; 32], 3, [2u8; 32]);
         group.bench_with_input(BenchmarkId::new("swap_install", rules), &rules, |b, _| {
             b.iter_batched(
                 || compiled.clone(),
                 |replica| {
-                    app.install_published(replica);
+                    app.install_published_for(0, replica, &[]);
                     black_box(app.epoch())
                 },
                 BatchSize::SmallInput,

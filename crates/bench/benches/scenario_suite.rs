@@ -13,9 +13,17 @@ use vif_core::prelude::*;
 use vif_dataplane::{FiveTuple, FlowSet, Protocol, RateShape, TrafficConfig, TrafficGenerator};
 use vif_scenario::{
     CampaignConfig, CampaignContract, CampaignHarness, FaultKind, FaultPlan, Scenario,
-    ScenarioHarness, ScenarioHarnessConfig, ThresholdPolicy, VictimPolicy,
+    ScenarioHarnessConfig, ScenarioReport, ThresholdPolicy, VictimPolicy,
 };
 use vif_sgx::{AttestationRootKey, EnclaveImage, EpcConfig, SgxPlatform};
+
+/// One single-victim run: the lone contract 0 on the campaign loop.
+fn run_single(harness: CampaignHarness) -> ScenarioReport {
+    harness
+        .run(vec![Box::new(ThresholdPolicy::default())])
+        .reports
+        .remove(0)
+}
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("scenario_suite");
@@ -59,10 +67,12 @@ fn bench(c: &mut Criterion) {
     // sharded pipeline, per-round audits, and policy-driven rule churn.
     group.bench_function("run/smoke_end_to_end", |b| {
         b.iter_batched(
-            || (Scenario::smoke(7), ThresholdPolicy::default()),
-            |(scenario, mut policy)| {
-                let report = ScenarioHarness::new(scenario, ScenarioHarnessConfig::default())
-                    .run(&mut policy);
+            || Scenario::smoke(7),
+            |scenario| {
+                let report = run_single(CampaignHarness::single(
+                    scenario,
+                    ScenarioHarnessConfig::default(),
+                ));
                 black_box((report.rounds, report.rules_installed))
             },
             BatchSize::LargeInput,
@@ -113,17 +123,18 @@ fn bench(c: &mut Criterion) {
     // clean end-to-end run above.
     group.bench_function("chaos/recovery", |b| {
         b.iter_batched(
-            || (Scenario::smoke(7), ThresholdPolicy::default()),
-            |(scenario, mut policy)| {
-                let report = ScenarioHarness::new(
-                    scenario,
-                    ScenarioHarnessConfig {
-                        workers: 4,
-                        ..Default::default()
-                    },
-                )
-                .with_faults(FaultPlan::new().at(4, FaultKind::WorkerCrash { worker: 2 }))
-                .run(&mut policy);
+            || Scenario::smoke(7),
+            |scenario| {
+                let report = run_single(
+                    CampaignHarness::single(
+                        scenario,
+                        ScenarioHarnessConfig {
+                            workers: 4,
+                            ..Default::default()
+                        },
+                    )
+                    .with_faults(FaultPlan::new().at(4, FaultKind::WorkerCrash { worker: 2 })),
+                );
                 black_box((report.rounds, report.recovery_rounds))
             },
             BatchSize::LargeInput,
@@ -138,21 +149,22 @@ fn bench(c: &mut Criterion) {
     // `rejoin_rounds` is the MTTR in rounds.
     group.bench_function("chaos/rejoin", |b| {
         b.iter_batched(
-            || (Scenario::smoke(7), ThresholdPolicy::default()),
-            |(scenario, mut policy)| {
-                let report = ScenarioHarness::new(
-                    scenario,
-                    ScenarioHarnessConfig {
-                        workers: 4,
-                        ..Default::default()
-                    },
-                )
-                .with_faults(
-                    FaultPlan::new()
-                        .at(4, FaultKind::WorkerCrash { worker: 2 })
-                        .at(6, FaultKind::WorkerRecover { worker: 2 }),
-                )
-                .run(&mut policy);
+            || Scenario::smoke(7),
+            |scenario| {
+                let report = run_single(
+                    CampaignHarness::single(
+                        scenario,
+                        ScenarioHarnessConfig {
+                            workers: 4,
+                            ..Default::default()
+                        },
+                    )
+                    .with_faults(
+                        FaultPlan::new()
+                            .at(4, FaultKind::WorkerCrash { worker: 2 })
+                            .at(6, FaultKind::WorkerRecover { worker: 2 }),
+                    ),
+                );
                 assert_eq!(report.rejoin_rounds, Some(3), "MTTR in rounds");
                 black_box((report.rounds, report.recovered_slices.len()))
             },

@@ -1,7 +1,7 @@
 //! Sharded live-pipeline throughput vs. worker count.
 //!
-//! [`vif_dataplane::run_sharded`] over the Fig. 14 hash-filter workload at
-//! burst 32, sweeping filter workers {1, 2, 4, 8}. Each worker is an
+//! One round of [`vif_dataplane::DataplaneService`] over the Fig. 14
+//! hash-filter workload at burst 32, sweeping filter workers {1, 2, 4, 8}. Each worker is an
 //! [`EnclaveFilterStage`] over its own slice of an RSS-replicated enclave
 //! cluster; the RX thread steers flows with the public RSS hash and a
 //! single TX thread drains the shared egress ring. Throughput is reported
@@ -15,7 +15,9 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use std::hint::black_box;
 use vif_bench::experiments::dataplane::{shard_stages, SHARD_BURST, SHARD_WORKER_COUNTS};
 use vif_bench::experiments::victim_ip;
-use vif_dataplane::{run_sharded, FlowSet, Packet, TrafficConfig, TrafficGenerator};
+use vif_dataplane::{
+    shard_of, DataplaneService, FlowSet, Packet, ServiceConfig, TrafficConfig, TrafficGenerator,
+};
 
 fn workload() -> Vec<Packet> {
     let flows = FlowSet::random_toward_victim(2000, victim_ip(), 5);
@@ -39,8 +41,18 @@ fn bench(c: &mut Criterion) {
             b.iter_batched(
                 || (traffic.clone(), shard_stages(n)),
                 |(traffic, stages)| {
-                    let report = run_sharded(traffic, stages, |_, _| {}, 16_384, SHARD_BURST);
-                    black_box(report.total().forwarded)
+                    let service = DataplaneService::new(ServiceConfig {
+                        ring_capacity: 16_384,
+                        burst: SHARD_BURST,
+                        ..Default::default()
+                    });
+                    let forwarded = service.run(
+                        stages,
+                        |_, _| {},
+                        move |t| shard_of(t, n),
+                        |svc| svc.round(&traffic).total().forwarded,
+                    );
+                    black_box(forwarded)
                 },
                 BatchSize::LargeInput,
             );

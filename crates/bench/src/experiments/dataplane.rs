@@ -6,7 +6,8 @@ use std::sync::Arc;
 use vif_core::cost::FilterMode;
 use vif_core::prelude::*;
 use vif_dataplane::{
-    pipeline, run_sharded, FlowSet, PipelineConfig, TrafficConfig, TrafficGenerator,
+    pipeline, shard_of, DataplaneService, FlowSet, PipelineConfig, ServiceConfig, TrafficConfig,
+    TrafficGenerator,
 };
 use vif_sgx::{AttestationRootKey, EnclaveImage, EpcConfig, SgxPlatform};
 use vif_trie::{Ipv4Prefix, MultiBitTrie};
@@ -336,7 +337,7 @@ pub fn shard_stages(workers: usize) -> Vec<EnclaveFilterStage> {
 }
 
 /// The sharded live-pipeline throughput trajectory: wall-clock packet rate
-/// of [`run_sharded`] over worker counts {1, 2, 4, 8} at burst 32 on the
+/// of one [`DataplaneService`] round over worker counts {1, 2, 4, 8} at burst 32 on the
 /// Fig. 14 hash-filter workload.
 ///
 /// Unlike the simulated sweeps, this measures *real threads* moving
@@ -353,9 +354,18 @@ pub fn shard(duration_ms: u64) -> String {
             let traffic = saturating_traffic(&flows, 64, duration_ms, 11);
             let offered = traffic.len() as f64;
             let start = std::time::Instant::now();
-            let report = run_sharded(traffic, stages, |_, _| {}, 16_384, SHARD_BURST);
+            let service = DataplaneService::new(ServiceConfig {
+                ring_capacity: 16_384,
+                burst: SHARD_BURST,
+                ..Default::default()
+            });
+            let total = service.run(
+                stages,
+                |_, _| {},
+                move |t| shard_of(t, workers),
+                |svc| svc.round(&traffic).total(),
+            );
             let secs = start.elapsed().as_secs_f64();
-            let total = report.total();
             let mpps = offered / secs / 1e6;
             if workers == 1 {
                 baseline_mpps = mpps;

@@ -7,7 +7,7 @@
 //! on mid-scenario to show the audit's detection latency.
 
 use vif_scenario::{
-    Scenario, ScenarioAdversary, ScenarioHarness, ScenarioHarnessConfig, ThresholdPolicy,
+    CampaignHarness, Scenario, ScenarioAdversary, ScenarioHarnessConfig, ThresholdPolicy,
 };
 
 /// Renders the scenario experiment at the given scale (`quick` = the
@@ -22,20 +22,21 @@ pub fn scenario(quick: bool) -> String {
         }
     };
 
-    let honest = ScenarioHarness::new(build(), ScenarioHarnessConfig::default())
-        .run(&mut ThresholdPolicy::default());
+    let run = |config| {
+        CampaignHarness::single(build(), config)
+            .run(vec![Box::new(ThresholdPolicy::default())])
+            .reports
+            .remove(0)
+    };
+    let honest = run(ScenarioHarnessConfig::default());
     let onset = build().total_rounds() / 2;
-    let attacked = ScenarioHarness::new(
-        build(),
-        ScenarioHarnessConfig {
-            adversary: Some(ScenarioAdversary {
-                from_round: onset,
-                drop_after_worker: 1,
-            }),
-            ..Default::default()
-        },
-    )
-    .run(&mut ThresholdPolicy::default());
+    let attacked = run(ScenarioHarnessConfig {
+        adversary: Some(ScenarioAdversary {
+            from_round: onset,
+            drop_after_worker: 1,
+        }),
+        ..Default::default()
+    });
 
     let mut out = String::new();
     out.push_str(

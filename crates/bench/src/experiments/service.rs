@@ -100,7 +100,7 @@ fn measure(bg: usize, duration_ms: u64) -> (f64, u64, u64, u64, u64, u64) {
             ));
             let start = std::time::Instant::now();
             cluster.enclaves()[0].ecall(move |app| app.queue_edits([RuleEdit::Install(rule)]));
-            cluster.publish(0);
+            cluster.publish_contract(0, 0);
             let publish_us = start.elapsed().as_secs_f64() * 1e6;
 
             svc.offer(&traffic[mid..]);

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 use vif_crypto::Sha256;
 use vif_scenario::{
-    FaultKind, FaultPlan, Scenario, ScenarioHarness, ScenarioHarnessConfig, ThresholdPolicy,
+    CampaignHarness, FaultKind, FaultPlan, Scenario, ScenarioHarnessConfig, ThresholdPolicy,
 };
 use vif_telemetry::{TelemetryHub, TelemetrySnapshot};
 
@@ -29,7 +29,7 @@ fn run_once(seed: u64, quick: bool, workers: usize) -> (TelemetrySnapshot, Vec<u
     };
     let crash_round = if quick { 4 } else { 8 };
     let hub = Arc::new(TelemetryHub::new(workers, &[0], 4096));
-    ScenarioHarness::new(
+    CampaignHarness::single(
         scenario,
         ScenarioHarnessConfig {
             workers,
@@ -48,7 +48,7 @@ fn run_once(seed: u64, quick: bool, workers: usize) -> (TelemetrySnapshot, Vec<u
             ),
     )
     .with_telemetry(Arc::clone(&hub))
-    .run(&mut ThresholdPolicy::default());
+    .run(vec![Box::new(ThresholdPolicy::default())]);
     let snap = hub.snapshot(EVENT_TAIL);
     let trace = hub.trace_bytes();
     (snap, trace)

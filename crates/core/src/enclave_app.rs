@@ -29,8 +29,8 @@ use vif_trie::Ipv4Prefix;
 /// rule queue, publish epoch, installed rule ids — is namespaced by this id
 /// inside [`FilterEnclaveApp`], so one tenant's churn and audit rounds never
 /// touch another's. Contract `0` is the default contract every app starts
-/// with: single-victim deployments (and every pre-tenancy API) operate on
-/// it implicitly.
+/// with: unscoped, it absorbs traffic no tenant's prefix claims, and a
+/// single-victim deployment is simply the one-contract case that names it.
 pub type ContractId = u32;
 
 /// Aggregate counters of an enclave filter.
@@ -49,13 +49,13 @@ pub struct FilterStats {
 
 /// A queued rule mutation awaiting epoch publication.
 ///
-/// The deferred churn path ([`FilterEnclaveApp::receive_rules_deferred`],
-/// [`FilterEnclaveApp::receive_rule_withdrawal_deferred`]) accepts and
+/// The deferred churn path ([`FilterEnclaveApp::receive_rules_deferred_for`],
+/// [`FilterEnclaveApp::receive_rule_withdrawal_deferred_for`]) accepts and
 /// authorizes edits without touching the live rule set; they sit in this
 /// form until the cluster's publisher drains them with
-/// [`FilterEnclaveApp::take_publish_snapshot`], rebuilds off the hot path,
-/// and swaps the result in with
-/// [`FilterEnclaveApp::install_published`].
+/// [`FilterEnclaveApp::take_publish_snapshot_for`], rebuilds off the hot
+/// path, and swaps the result in with
+/// [`FilterEnclaveApp::install_published_for`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RuleEdit {
     /// Install a new rule (id assigned at publication, in queue order).
@@ -250,18 +250,11 @@ impl FilterEnclaveApp {
     }
 
     /// Handshake step 1 (inside the enclave): generate a DH key pair bound
-    /// to the victim's challenge nonce; return the public value. The
-    /// caller then quotes `report_binding(public, nonce)`. Operates on the
-    /// default contract 0.
-    pub fn begin_handshake(&mut self, nonce: [u8; 32]) -> Vec<u8> {
-        self.begin_handshake_for(0, nonce)
-    }
-
-    /// [`begin_handshake`](FilterEnclaveApp::begin_handshake) for one
-    /// contract: the DH key is additionally bound to the contract id, so
-    /// two tenants challenging with the same nonce derive distinct keys,
-    /// and concurrent handshakes of different contracts do not clobber
-    /// each other's state.
+    /// to the victim's challenge nonce and the contract id — two tenants
+    /// challenging with the same nonce derive distinct keys, and
+    /// concurrent handshakes of different contracts do not clobber each
+    /// other's state — and return the public value. The caller then quotes
+    /// `report_binding(public, nonce)`.
     pub fn begin_handshake_for(&mut self, contract: ContractId, nonce: [u8; 32]) -> Vec<u8> {
         // Deterministic per (enclave secret, contract, nonce): the host
         // cannot predict it without the enclave secret.
@@ -279,23 +272,9 @@ impl FilterEnclaveApp {
         public
     }
 
-    /// Handshake step 2: derive the channel, audit key, and sketch seed
-    /// from the victim's public value. Operates on the default contract 0.
-    ///
-    /// # Errors
-    ///
-    /// [`DhError::InvalidPeerPublic`] for degenerate peer values.
-    pub fn complete_handshake(
-        &mut self,
-        victim_public: &[u8],
-        nonce: &[u8; 32],
-    ) -> Result<(), DhError> {
-        self.complete_handshake_for(0, victim_public, nonce)
-    }
-
-    /// [`complete_handshake`](FilterEnclaveApp::complete_handshake) for one
-    /// contract: the derived channel, audit key, and freshly seeded sketch
-    /// pair land in that contract's slot only.
+    /// Handshake step 2: derive the channel, audit key, and freshly seeded
+    /// sketch pair from the victim's public value; they land in
+    /// `contract`'s slot only.
     ///
     /// # Errors
     ///
@@ -320,26 +299,11 @@ impl FilterEnclaveApp {
         Ok(())
     }
 
-    /// Receives an encrypted rule submission: decrypt, decode, authorize
-    /// against RPKI, install, and return an authenticated acknowledgement.
-    /// Operates on the default contract 0.
-    ///
-    /// # Errors
-    ///
-    /// See [`SessionError`]; nothing is installed on any failure.
-    pub fn receive_rules(
-        &mut self,
-        frame: &[u8],
-        requester: &OwnerId,
-        rpki: &RpkiRegistry,
-    ) -> Result<Vec<u8>, SessionError> {
-        self.receive_rules_for(0, frame, requester, rpki)
-    }
-
-    /// [`receive_rules`](FilterEnclaveApp::receive_rules) for one contract:
-    /// the frame is opened with that contract's channel, its in-frame
-    /// contract id is checked against the slot, and the installed rule ids
-    /// are recorded as owned by the contract.
+    /// Receives an encrypted rule submission: decrypt with `contract`'s
+    /// channel, decode, check the in-frame contract id against the slot,
+    /// authorize against RPKI, install, and return an authenticated
+    /// acknowledgement. The installed rule ids are recorded as owned by
+    /// the contract.
     ///
     /// # Errors
     ///
@@ -382,31 +346,17 @@ impl FilterEnclaveApp {
         Ok(ack)
     }
 
-    /// The deferred form of [`receive_rules`](FilterEnclaveApp::receive_rules):
-    /// decrypt, decode, and authorize exactly as the immediate path does,
-    /// but **queue** the installs instead of mutating the live rule set —
-    /// the rules take force only at the next epoch publication
-    /// ([`take_publish_snapshot`](FilterEnclaveApp::take_publish_snapshot) /
-    /// [`install_published`](FilterEnclaveApp::install_published)), so the
-    /// data path never observes a rebuild in progress. The acknowledgement
-    /// carries the number of rules queued. Operates on the default
-    /// contract 0.
-    ///
-    /// # Errors
-    ///
-    /// See [`SessionError`]; nothing is queued on any failure.
-    pub fn receive_rules_deferred(
-        &mut self,
-        frame: &[u8],
-        requester: &OwnerId,
-        rpki: &RpkiRegistry,
-    ) -> Result<Vec<u8>, SessionError> {
-        self.receive_rules_deferred_for(0, frame, requester, rpki)
-    }
-
-    /// [`receive_rules_deferred`](FilterEnclaveApp::receive_rules_deferred)
-    /// for one contract: the installs land in that contract's own deferred
-    /// queue, so publishing one tenant never flushes another's churn.
+    /// The deferred form of
+    /// [`receive_rules_for`](FilterEnclaveApp::receive_rules_for): decrypt,
+    /// decode, and authorize exactly as the immediate path does, but
+    /// **queue** the installs in `contract`'s own deferred queue instead of
+    /// mutating the live rule set — the rules take force only at the
+    /// contract's next epoch publication
+    /// ([`take_publish_snapshot_for`](FilterEnclaveApp::take_publish_snapshot_for) /
+    /// [`install_published_for`](FilterEnclaveApp::install_published_for)),
+    /// so the data path never observes a rebuild in progress and publishing
+    /// one tenant never flushes another's churn. The acknowledgement
+    /// carries the number of rules queued.
     ///
     /// # Errors
     ///
@@ -445,26 +395,16 @@ impl FilterEnclaveApp {
     }
 
     /// Receives an encrypted rule withdrawal (§VI-B churn, the removal
-    /// counterpart of [`receive_rules`](FilterEnclaveApp::receive_rules)):
-    /// decrypt, withdraw each listed [`RuleId`],
-    /// and return an authenticated acknowledgement carrying the number of
-    /// rules actually taken out of force. Operates on the default
-    /// contract 0.
+    /// counterpart of
+    /// [`receive_rules_for`](FilterEnclaveApp::receive_rules_for)): decrypt,
+    /// withdraw each listed [`RuleId`], and return an authenticated
+    /// acknowledgement carrying the number of rules actually taken out of
+    /// force.
     ///
     /// Withdrawal is scoped to ownership: only ids the contract installed
     /// over this same attested channel are unlinked; foreign or unknown ids
     /// are skipped (withdrawal stays idempotent), so no tenant can take
     /// another's rules out of force.
-    ///
-    /// # Errors
-    ///
-    /// See [`SessionError`]; nothing is withdrawn on any failure.
-    pub fn receive_rule_withdrawal(&mut self, frame: &[u8]) -> Result<Vec<u8>, SessionError> {
-        self.receive_rule_withdrawal_for(0, frame)
-    }
-
-    /// [`receive_rule_withdrawal`](FilterEnclaveApp::receive_rule_withdrawal)
-    /// for one contract.
     ///
     /// # Errors
     ///
@@ -501,27 +441,14 @@ impl FilterEnclaveApp {
     }
 
     /// The deferred form of
-    /// [`receive_rule_withdrawal`](FilterEnclaveApp::receive_rule_withdrawal):
+    /// [`receive_rule_withdrawal_for`](FilterEnclaveApp::receive_rule_withdrawal_for):
     /// decrypt and decode as the immediate path does, but queue the
-    /// withdrawals for the next epoch publication instead of unlinking the
-    /// rules now. Because the edits have not been applied yet, the
-    /// acknowledgement carries the number of ids *queued* (the immediate
-    /// path acks the number actually in force — that count exists only
-    /// after publication; the publisher enforces ownership when it applies
-    /// the queue). Operates on the default contract 0.
-    ///
-    /// # Errors
-    ///
-    /// See [`SessionError`]; nothing is queued on any failure.
-    pub fn receive_rule_withdrawal_deferred(
-        &mut self,
-        frame: &[u8],
-    ) -> Result<Vec<u8>, SessionError> {
-        self.receive_rule_withdrawal_deferred_for(0, frame)
-    }
-
-    /// [`receive_rule_withdrawal_deferred`](FilterEnclaveApp::receive_rule_withdrawal_deferred)
-    /// for one contract.
+    /// withdrawals for the contract's next epoch publication instead of
+    /// unlinking the rules now. Because the edits have not been applied
+    /// yet, the acknowledgement carries the number of ids *queued* (the
+    /// immediate path acks the number actually in force — that count exists
+    /// only after publication; the publisher enforces ownership when it
+    /// applies the queue).
     ///
     /// # Errors
     ///
@@ -600,7 +527,7 @@ impl FilterEnclaveApp {
 
     /// Installs additional rules directly (control-plane ECall for tests
     /// and master-driven provisioning; session-driven installs go through
-    /// [`receive_rules`](FilterEnclaveApp::receive_rules)). Existing rule
+    /// [`receive_rules_for`](FilterEnclaveApp::receive_rules_for)). Existing rule
     /// ids are preserved; the hybrid cache flushes as on any rule churn.
     /// The new ids are recorded as owned by the default contract 0.
     pub fn insert_rules<I: IntoIterator<Item = FilterRule>>(&mut self, rules: I) {
@@ -612,7 +539,7 @@ impl FilterEnclaveApp {
 
     /// Withdraws rules directly (control-plane ECall for redistribution
     /// and tests; session-driven churn goes through
-    /// [`receive_rule_withdrawal`](FilterEnclaveApp::receive_rule_withdrawal)).
+    /// [`receive_rule_withdrawal_for`](FilterEnclaveApp::receive_rule_withdrawal_for)).
     /// Returns how many were in force.
     pub fn remove_rules(&mut self, ids: &[crate::ruleset::RuleId]) -> usize {
         self.filter.remove_rules(ids)
@@ -742,18 +669,6 @@ impl FilterEnclaveApp {
         self.contracts.iter().map(|s| s.pending.len()).sum()
     }
 
-    /// Number of queued installs across all contracts — with the live slot
-    /// count ([`ruleset().len()`](RuleSet::len)) this names the id the
-    /// *next* queued install will get at publication, so callers can
-    /// pre-compute ids for withdrawals of not-yet-published rules.
-    pub fn pending_installs(&self) -> usize {
-        self.contracts
-            .iter()
-            .flat_map(|s| s.pending.iter())
-            .filter(|e| matches!(e, RuleEdit::Install(_)))
-            .count()
-    }
-
     /// Number of queued installs in one contract's deferred queue.
     pub fn pending_installs_for(&self, contract: ContractId) -> usize {
         match self.slot_index(contract) {
@@ -768,23 +683,12 @@ impl FilterEnclaveApp {
 
     /// Epoch-publication step 1 (a brief ECall): hand the publisher a clone
     /// of the live rule set — cheap, the compiled classifier rides along as
-    /// a shared [`Arc`] handle — plus the drained pending-edit queue. The
-    /// publisher applies the edits and rebuilds **outside** the enclave
-    /// lock, then re-enters with
-    /// [`install_published`](FilterEnclaveApp::install_published).
-    /// Drains the default contract 0's queue.
-    pub fn take_publish_snapshot(&mut self) -> (RuleSet, Vec<RuleEdit>) {
-        (
-            self.filter.inner().ruleset().clone(),
-            std::mem::take(&mut self.contracts[0].pending),
-        )
-    }
-
-    /// [`take_publish_snapshot`](FilterEnclaveApp::take_publish_snapshot)
-    /// for one contract: drains only that contract's deferred queue —
-    /// other tenants' pending churn stays queued — and additionally hands
-    /// the publisher the contract's owned-rule set, so it can enforce that
-    /// queued withdrawals only ever unlink rules the contract installed.
+    /// a shared [`Arc`] handle — plus `contract`'s drained deferred queue
+    /// (other tenants' pending churn stays queued) and the contract's
+    /// owned-rule set, so the publisher can enforce that queued withdrawals
+    /// only ever unlink rules the contract installed. The publisher applies
+    /// the edits and rebuilds **outside** the enclave lock, then re-enters
+    /// with [`install_published_for`](FilterEnclaveApp::install_published_for).
     ///
     /// # Errors
     ///
@@ -804,20 +708,11 @@ impl FilterEnclaveApp {
     /// Epoch-publication step 2 (a brief ECall): swap in a rule set the
     /// publisher rebuilt off the hot path. Identical observable semantics
     /// to a redistribution install — the hybrid cache flushes and the rule
-    /// telemetry counters restart — plus an epoch bump, so concurrent
-    /// readers can tell exactly which rule generation a burst was decided
-    /// under. Credits the epoch to the default contract 0.
-    pub fn install_published(&mut self, ruleset: RuleSet) {
-        self.install_ruleset(ruleset);
-        self.reset_rule_counters();
-        self.publish_epoch += 1;
-        self.contracts[0].epoch += 1;
-    }
-
-    /// [`install_published`](FilterEnclaveApp::install_published) for one
-    /// contract: bumps only that contract's epoch (plus the app-wide
-    /// counter) and records `new_owned` — the ids the publisher assigned
-    /// to the contract's deferred installs — into its ownership set.
+    /// telemetry counters restart — plus an epoch bump (the contract's and
+    /// the app-wide counter), so concurrent readers can tell exactly which
+    /// rule generation a burst was decided under. `new_owned` — the ids the
+    /// publisher assigned to the contract's deferred installs — joins the
+    /// contract's ownership set.
     pub fn install_published_for(
         &mut self,
         contract: ContractId,
@@ -883,11 +778,6 @@ impl FilterEnclaveApp {
         self.stats
     }
 
-    /// The packet logs of the default contract 0.
-    pub fn logs(&self) -> &PacketLogs {
-        &self.contracts[0].logs
-    }
-
     /// The packet logs of one contract.
     ///
     /// # Panics
@@ -906,13 +796,6 @@ impl FilterEnclaveApp {
     /// Runs one hybrid rule-update period (Appendix F).
     pub fn apply_update_period(&mut self) -> usize {
         self.filter.apply_update_period()
-    }
-
-    /// Exports an authenticated log for the default contract 0.
-    pub fn export_log(&self, direction: LogDirection) -> AuthenticatedSketch {
-        self.contracts[0]
-            .logs
-            .export(direction, &self.contracts[0].audit_key)
     }
 
     /// Exports an authenticated log for one contract, keyed with that
@@ -1121,8 +1004,8 @@ mod tests {
         assert_eq!(s.processed, 20);
         assert_eq!(s.forwarded, 10);
         assert_eq!(s.dropped, 10);
-        assert_eq!(a.logs().incoming().total(), 20);
-        assert_eq!(a.logs().outgoing().total(), 10);
+        assert_eq!(a.logs_of(0).incoming().total(), 20);
+        assert_eq!(a.logs_of(0).outgoing().total(), 10);
     }
 
     #[test]
@@ -1189,7 +1072,7 @@ mod tests {
     fn exported_logs_verify() {
         let mut a = app();
         a.process(&benign_tuple(1), 64);
-        let export = a.export_log(LogDirection::Outgoing);
+        let export = a.export_log_for(0, LogDirection::Outgoing);
         assert!(export.verify(&[2u8; 32]).is_ok());
         assert!(export.verify(&[9u8; 32]).is_err());
     }

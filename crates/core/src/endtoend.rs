@@ -163,10 +163,10 @@ impl FilteringRun {
 
         let outgoing = self
             .enclave
-            .ecall(|app| app.export_log(LogDirection::Outgoing));
+            .ecall(|app| app.export_log_for(0, LogDirection::Outgoing));
         let incoming = self
             .enclave
-            .ecall(|app| app.export_log(LogDirection::Incoming));
+            .ecall(|app| app.export_log_for(0, LogDirection::Incoming));
 
         let victim_audit = self
             .victim_verifier
@@ -226,7 +226,7 @@ impl ShardedRunReport {
 ///
 /// The §IV architecture on real threads, wired to the control plane: the
 /// RX thread RSS-shards flows across one [`EnclaveFilterStage`] per
-/// enclave slice ([`vif_dataplane::run_sharded`]), forwarded packets drain
+/// enclave slice ([`vif_dataplane::DataplaneService`]), forwarded packets drain
 /// through the shared TX path into per-slice victim verifiers, and a
 /// [`ClusterRoundDriver`] closes the round by auditing every slice's
 /// authenticated logs. Neighbor and victim verifiers both attribute
@@ -299,7 +299,7 @@ impl ShardedRun {
     /// [`round`](ShardedSession::round) the body executes, so rounds and
     /// audits are messages to a running dataplane rather than fresh
     /// harness invocations. Rule churn published into the enclaves between
-    /// rounds (`EnclaveCluster::publish`) takes effect mid-service without
+    /// rounds (`EnclaveCluster::publish_contract`) takes effect mid-service without
     /// the workers ever stopping.
     ///
     /// [`execute`](ShardedRun::execute) is the one-round special case.
@@ -397,7 +397,7 @@ pub type SessionSteer = Box<dyn FnMut(&FiveTuple) -> usize>;
 /// the packets flow through the live workers, the round barrier flushes,
 /// victim verifiers observe what actually arrived, and the cluster driver
 /// audits every slice. Between rounds the caller may churn rules
-/// (`EnclaveCluster::publish`) or re-aim the adversary; the workers never
+/// (`EnclaveCluster::publish_contract`) or re-aim the adversary; the workers never
 /// stop.
 pub struct ShardedSession<'h, 'scope, 'env> {
     handle: &'h mut ServiceHandle<'scope, 'env, SessionSteer>,

@@ -79,8 +79,7 @@ pub mod prelude {
     pub use crate::logs::{AuthenticatedSketch, PacketLogs};
     pub use crate::retry::RetryPolicy;
     pub use crate::rounds::{
-        ClusterRoundDriver, ClusterRoundOutcome, ContractState, RoundDriver, RoundOutcome,
-        RoundPolicy,
+        ClusterRoundDriver, ClusterRoundOutcome, ContractState, RoundOutcome, RoundPolicy,
     };
     pub use crate::rpki::RpkiRegistry;
     pub use crate::rules::{FilterRule, FlowPattern, PortRange, RuleAction, RuleDecision};

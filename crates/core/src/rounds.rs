@@ -4,11 +4,12 @@
 //! time duration for each filtering round so that victim networks can
 //! abort any further request quickly when it detects any bypass attempts."
 //!
-//! [`RoundDriver`] runs that loop for the victim: at the end of each round
-//! it pulls the enclave's authenticated logs, audits them against the
-//! verifiers' local sketches, records the outcome, and decides whether the
-//! contract continues — aborting permanently after
-//! [`RoundPolicy::max_strikes`] dirty rounds.
+//! [`ClusterRoundDriver`] runs that loop for the victim: at the end of each
+//! round it pulls every enclave slice's authenticated logs, audits them
+//! against the verifiers' local sketches, records the outcome, and decides
+//! whether the contract continues — aborting permanently after
+//! [`RoundPolicy::max_strikes`] dirty rounds. A single enclave is the
+//! one-slice case.
 
 use crate::enclave_app::{ContractId, FilterEnclaveApp};
 use crate::logs::LogDirection;
@@ -131,70 +132,6 @@ pub enum ContractState {
     },
 }
 
-/// Drives audited filtering rounds for one victim session.
-///
-/// The single-enclave case of [`ClusterRoundDriver`]: one slice, one
-/// verifier pair, the same strike/abort policy and the same audit-failure
-/// handling — there is exactly one implementation of the contract-ending
-/// rules.
-pub struct RoundDriver {
-    inner: ClusterRoundDriver,
-}
-
-impl RoundDriver {
-    /// Creates a driver over an established session's verifiers.
-    pub fn new(
-        enclave: Arc<Enclave<FilterEnclaveApp>>,
-        victim: VictimVerifier,
-        neighbor: NeighborVerifier,
-        policy: RoundPolicy,
-    ) -> Self {
-        RoundDriver {
-            inner: ClusterRoundDriver::with_verifiers(
-                vec![enclave],
-                vec![victim],
-                vec![neighbor],
-                policy,
-            ),
-        }
-    }
-
-    /// The victim-side verifier (observe received packets here).
-    pub fn victim_verifier_mut(&mut self) -> &mut VictimVerifier {
-        self.inner.victim_verifier_mut(0)
-    }
-
-    /// The neighbor-side verifier (observe handed-over packets here).
-    pub fn neighbor_verifier_mut(&mut self) -> &mut NeighborVerifier {
-        self.inner.neighbor_verifier_mut(0)
-    }
-
-    /// Current contract state.
-    pub fn state(&self) -> ContractState {
-        self.inner.state()
-    }
-
-    /// Audited round history (derived from the inner driver's — one
-    /// source of truth).
-    pub fn history(&self) -> Vec<RoundOutcome> {
-        self.inner.history().iter().map(|o| o.slices[0]).collect()
-    }
-
-    /// Closes the current round: audit, record, rotate sketches, decide.
-    ///
-    /// # Errors
-    ///
-    /// Audit failures (forged exports, config mismatch) are contract-ending
-    /// events: the contract is aborted *before* the error is returned, and
-    /// the enclave and verifier sketches are still rotated so no stale
-    /// state survives into an (invalid) next round. The error is
-    /// propagated so the caller knows the abort was for a bad export, not
-    /// a dirty-but-authentic round.
-    pub fn close_round(&mut self) -> Result<RoundOutcome, AuditError> {
-        Ok(self.inner.close_round()?.slices[0])
-    }
-}
-
 /// Outcome of one audited round over a whole enclave cluster.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterRoundOutcome {
@@ -237,9 +174,9 @@ impl ClusterRoundOutcome {
 /// Drives audited filtering rounds for a victim whose contract spans a
 /// whole enclave cluster (§IV).
 ///
-/// Where [`RoundDriver`] audits one enclave, this driver exports and
-/// audits **every** enclave's incoming and outgoing logs each round, with
-/// one victim- and one neighbor-side verifier per slice. Packets are
+/// The driver exports and audits **every** enclave's incoming and outgoing
+/// logs each round, with one victim- and one neighbor-side verifier per
+/// slice (a single-enclave contract is the one-slice case). Packets are
 /// attributed to slices by the public deterministic steering
 /// ([`vif_dataplane::shard_of`] for the RSS-sharded live pipeline), so
 /// verifiers recompute the attribution from traffic they already observe —
@@ -369,7 +306,8 @@ impl ClusterRoundDriver {
         self
     }
 
-    /// The contract this driver audits (0 for legacy single-victim use).
+    /// The contract this driver audits (the default contract 0 unless
+    /// scoped with [`with_contract`](ClusterRoundDriver::with_contract)).
     pub fn contract(&self) -> ContractId {
         self.contract
     }
@@ -561,10 +499,13 @@ impl ClusterRoundDriver {
     ///
     /// # Errors
     ///
-    /// As with [`RoundDriver::close_round`], a slice export that still
-    /// fails to audit after retries (forged, wrong config) aborts the
-    /// contract *before* the error is returned, with every live slice's
-    /// sketches rotated — unless the policy says
+    /// Audit failures are contract-ending events: a slice export that
+    /// still fails to audit after retries (forged, wrong config) aborts
+    /// the contract *before* the error is returned, with every live
+    /// slice's sketches rotated so no stale state survives into an
+    /// (invalid) next round — the error is propagated so the caller knows
+    /// the abort was for a bad export, not a dirty-but-authentic round —
+    /// unless the policy says
     /// [`ExportFailurePolicy::QuarantineSlice`], in which case only the
     /// failing slice is excised and the round completes on the survivors.
     pub fn close_round(&mut self) -> Result<ClusterRoundOutcome, AuditError> {
@@ -841,7 +782,7 @@ mod tests {
     const SEED: u64 = 31;
     const KEY: [u8; 32] = [14u8; 32];
 
-    fn setup(policy: RoundPolicy) -> (Arc<Enclave<FilterEnclaveApp>>, RoundDriver) {
+    fn setup(policy: RoundPolicy) -> (Arc<Enclave<FilterEnclaveApp>>, ClusterRoundDriver) {
         let root = AttestationRootKey::new([8u8; 32]);
         let platform = SgxPlatform::new(2, EpcConfig::paper_default(), &root);
         let rules = RuleSet::from_rules(vec![FilterRule::drop(FlowPattern::prefixes(
@@ -850,10 +791,10 @@ mod tests {
         ))]);
         let app = FilterEnclaveApp::new(rules, [1u8; 32], SEED, KEY);
         let enclave = Arc::new(platform.launch(EnclaveImage::new("vif", 1, vec![]), app));
-        let driver = RoundDriver::new(
-            Arc::clone(&enclave),
-            VictimVerifier::new(SEED, KEY, 0),
-            NeighborVerifier::new(SEED, KEY, 0),
+        let driver = ClusterRoundDriver::with_verifiers(
+            vec![Arc::clone(&enclave)],
+            vec![VictimVerifier::new(SEED, KEY, 0)],
+            vec![NeighborVerifier::new(SEED, KEY, 0)],
             policy,
         );
         (enclave, driver)
@@ -870,13 +811,17 @@ mod tests {
     }
 
     /// One honest round of traffic through enclave + verifiers.
-    fn honest_round(enclave: &Arc<Enclave<FilterEnclaveApp>>, driver: &mut RoundDriver, n: u32) {
+    fn honest_round(
+        enclave: &Arc<Enclave<FilterEnclaveApp>>,
+        driver: &mut ClusterRoundDriver,
+        n: u32,
+    ) {
         for i in 0..n {
             let t = benign(i);
-            driver.neighbor_verifier_mut().observe(&t);
+            driver.neighbor_verifier_mut(0).observe(&t);
             let v = enclave.in_enclave_thread(|app| app.process(&t, 64));
             if v.action == RuleAction::Allow {
-                driver.victim_verifier_mut().observe(&t);
+                driver.victim_verifier_mut(0).observe(&t);
             }
         }
     }
@@ -900,10 +845,10 @@ mod tests {
         // Filtering network steals 10 packets after the filter.
         for i in 0..100 {
             let t = benign(i);
-            driver.neighbor_verifier_mut().observe(&t);
+            driver.neighbor_verifier_mut(0).observe(&t);
             enclave.in_enclave_thread(|app| app.process(&t, 64));
             if i >= 10 {
-                driver.victim_verifier_mut().observe(&t);
+                driver.victim_verifier_mut(0).observe(&t);
             }
         }
         let outcome = driver.close_round().unwrap();
@@ -920,10 +865,10 @@ mod tests {
         for round in 0..2 {
             for i in 0..50 {
                 let t = benign(i);
-                driver.neighbor_verifier_mut().observe(&t);
+                driver.neighbor_verifier_mut(0).observe(&t);
                 enclave.in_enclave_thread(|app| app.process(&t, 64));
                 if i > 0 {
-                    driver.victim_verifier_mut().observe(&t); // one packet short
+                    driver.victim_verifier_mut(0).observe(&t); // one packet short
                 }
             }
             let outcome = driver.close_round().unwrap();
@@ -932,7 +877,7 @@ mod tests {
         }
         // Third strike aborts.
         honest_round(&enclave, &mut driver, 10);
-        driver.victim_verifier_mut().observe(&benign(9999)); // injected
+        driver.victim_verifier_mut(0).observe(&benign(9999)); // injected
         driver.close_round().unwrap();
         assert_eq!(driver.state(), ContractState::Aborted { strikes: 3 });
     }
@@ -946,10 +891,10 @@ mod tests {
         // state would poison the comparison.
         for i in 1000..1100 {
             let t = benign(i);
-            driver.neighbor_verifier_mut().observe(&t);
+            driver.neighbor_verifier_mut(0).observe(&t);
             let v = enclave.in_enclave_thread(|app| app.process(&t, 64));
             if v.action == RuleAction::Allow {
-                driver.victim_verifier_mut().observe(&t);
+                driver.victim_verifier_mut(0).observe(&t);
             }
         }
         let outcome = driver.close_round().unwrap();
@@ -961,19 +906,19 @@ mod tests {
     #[should_panic(expected = "already aborted")]
     fn closed_contract_rejects_rounds() {
         let (_, mut driver) = setup(RoundPolicy::default());
-        driver.victim_verifier_mut().observe(&benign(1)); // injection
+        driver.victim_verifier_mut(0).observe(&benign(1)); // injection
         driver.close_round().unwrap();
         let _ = driver.close_round();
     }
 
     /// Builds a driver whose verifiers hold a *different* audit key than
     /// the enclave — every export then looks forged (tampered) to them.
-    fn setup_tampered() -> (Arc<Enclave<FilterEnclaveApp>>, RoundDriver) {
+    fn setup_tampered() -> (Arc<Enclave<FilterEnclaveApp>>, ClusterRoundDriver) {
         let (enclave, _) = setup(RoundPolicy::default());
-        let driver = RoundDriver::new(
-            Arc::clone(&enclave),
-            VictimVerifier::new(SEED, [0xEE; 32], 0),
-            NeighborVerifier::new(SEED, [0xEE; 32], 0),
+        let driver = ClusterRoundDriver::with_verifiers(
+            vec![Arc::clone(&enclave)],
+            vec![VictimVerifier::new(SEED, [0xEE; 32], 0)],
+            vec![NeighborVerifier::new(SEED, [0xEE; 32], 0)],
             RoundPolicy::default(),
         );
         (enclave, driver)
@@ -995,7 +940,7 @@ mod tests {
         );
         // State is left consistent: the enclave rotated into round 1, so
         // nothing of the poisoned round can smear into a later comparison.
-        let export = enclave.ecall(|app| app.export_log(LogDirection::Outgoing));
+        let export = enclave.ecall(|app| app.export_log_for(0, LogDirection::Outgoing));
         assert_eq!(export.round, 1);
     }
 
@@ -1097,7 +1042,7 @@ mod tests {
         assert_eq!(driver.state(), ContractState::Aborted { strikes: 1 });
         // Every slice rotated, not just the one that failed.
         for enclave in &enclaves {
-            let export = enclave.ecall(|app| app.export_log(LogDirection::Incoming));
+            let export = enclave.ecall(|app| app.export_log_for(0, LogDirection::Incoming));
             assert_eq!(export.round, 1);
         }
     }
@@ -1125,7 +1070,7 @@ mod tests {
         // Rotation count pinned: every enclave is in round 1, not 2 — a
         // double rotation would desync the cluster from its verifiers.
         for enclave in &enclaves {
-            let export = enclave.ecall(|app| app.export_log(LogDirection::Outgoing));
+            let export = enclave.ecall(|app| app.export_log_for(0, LogDirection::Outgoing));
             assert_eq!(export.round, 1, "rotated exactly once");
         }
         // And the next round still audits clean off the rotated state.
@@ -1390,7 +1335,7 @@ mod tests {
         // The dead enclave's sketches are frozen (round 0), survivors
         // rotated to round 1.
         for (s, enclave) in enclaves.iter().enumerate() {
-            let export = enclave.ecall(|app| app.export_log(LogDirection::Outgoing));
+            let export = enclave.ecall(|app| app.export_log_for(0, LogDirection::Outgoing));
             let expect = if s == 2 { 0 } else { 1 };
             assert_eq!(export.round, expect, "slice {s}");
         }

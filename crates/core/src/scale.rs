@@ -20,6 +20,7 @@ use crate::enclave_app::{ContractId, FilterEnclaveApp, RuleEdit};
 use crate::retry::RetryPolicy;
 use crate::rules::RuleAction;
 use crate::ruleset::{RuleId, RuleSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use vif_dataplane::FiveTuple;
 use vif_optimizer::{
@@ -197,7 +198,7 @@ pub struct RedistributionReport {
     pub solve_time: std::time::Duration,
 }
 
-/// Report of one epoch publication ([`EnclaveCluster::publish`]).
+/// Report of one epoch publication ([`EnclaveCluster::publish_contract`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PublishReport {
     /// Queued edits drained from the master.
@@ -340,8 +341,8 @@ impl EnclaveCluster {
     /// Launches an RSS-sharded cluster: `n` identical enclaves, each
     /// holding the **full** rule set.
     ///
-    /// This is the deployment shape behind the live sharded pipeline
-    /// ([`vif_dataplane::run_sharded`]): flows are steered to workers by a
+    /// This is the deployment shape behind the live sharded service
+    /// ([`vif_dataplane::DataplaneService`]): flows are steered to workers by a
     /// public hash of the five tuple ([`vif_dataplane::shard_of`]) rather
     /// than by matched rule, so every slice must be able to decide any
     /// flow — replication trades EPC headroom for steering that verifiers
@@ -363,36 +364,18 @@ impl EnclaveCluster {
         sketch_seed: u64,
         audit_key: [u8; 32],
     ) -> Self {
-        assert!(n > 0, "at least one shard");
-        // An allocation with n enclaves and no pinned rules: every
-        // dispatch falls through to the fingerprint hash over n.
-        let allocation = Allocation {
-            enclaves: vec![Vec::<RuleShare>::new(); n],
-        };
-        let lb = LoadBalancer::new(ruleset.len(), &allocation, n, LoadBalancerBehavior::Honest);
-        let all_ids: Vec<RuleId> = (0..ruleset.len() as RuleId).collect();
-        let enclaves: Vec<Arc<Enclave<FilterEnclaveApp>>> = (0..n)
-            .map(|_| {
-                let app = FilterEnclaveApp::new(ruleset.clone(), secret, sketch_seed, audit_key);
-                Arc::new(platform.launch(image.clone(), app))
-            })
-            .collect();
-        EnclaveCluster {
-            enclaves,
-            slices: vec![all_ids; n],
-            lb,
-            full_ruleset: ruleset,
+        let app = FilterEnclaveApp::new(ruleset.clone(), secret, sketch_seed, audit_key);
+        let master = Arc::new(platform.launch(image.clone(), app));
+        Self::launch_rss_with(
             platform,
             image,
+            master,
+            ruleset,
+            n,
             secret,
             sketch_seed,
             audit_key,
-            round: 0,
-            replicated: true,
-            quarantined: vec![false; n],
-            publish_ack_loss: None,
-            telemetry: None,
-        }
+        )
     }
 
     /// Launches an RSS-replicated cluster around an **existing master
@@ -400,9 +383,9 @@ impl EnclaveCluster {
     /// harness's control loop: the victim attests the master and installs
     /// rules through its §VI-B session; the master then provisions `n - 1`
     /// slave replicas over attested channels (modeled by fresh launches
-    /// holding the same rule set and session keys), and replicated
-    /// [`redistribute`](EnclaveCluster::redistribute) rounds keep them in
-    /// sync with the master through live churn.
+    /// holding the same rule set and session keys), and epoch publications
+    /// ([`publish_contract`](EnclaveCluster::publish_contract)) keep them
+    /// in sync with the master through live churn.
     ///
     /// `ruleset` must be the master's currently installed rule set (the
     /// caller typically just cloned it out of the master);
@@ -424,6 +407,8 @@ impl EnclaveCluster {
         audit_key: [u8; 32],
     ) -> Self {
         assert!(n > 0, "at least one shard");
+        // An allocation with n enclaves and no pinned rules: every
+        // dispatch falls through to the fingerprint hash over n.
         let allocation = Allocation {
             enclaves: vec![Vec::<RuleShare>::new(); n],
         };
@@ -879,11 +864,30 @@ impl EnclaveCluster {
         bytes_per_rule
     }
 
-    /// Publishes one rule epoch: drains the master's deferred-edit queue
-    /// (accepted through the session's `*_deferred` calls or
-    /// [`FilterEnclaveApp::queue_edits`]), applies the whole set with
-    /// **one** classifier rebuild *outside* any enclave lock, then swaps
-    /// the prebuilt rule set into every slice with a brief install ECall.
+    /// Matched bytes per in-force rule `contract` owns, summed over the
+    /// live slices — the victim-side view of which of its rules still
+    /// bite. RSS steering lands each flow on exactly one slice, so a rule
+    /// matched only off the master is invisible in the master's counters
+    /// alone; quarantined slices are skipped (unreachable and stale).
+    pub fn contract_rule_bytes(&self, contract: ContractId) -> BTreeMap<RuleId, u64> {
+        let mut bytes = BTreeMap::new();
+        for (i, enclave) in self.enclaves.iter().enumerate() {
+            if self.quarantined[i] {
+                continue;
+            }
+            for (id, b) in enclave.ecall(move |app| app.contract_rule_bytes(contract)) {
+                *bytes.entry(id).or_insert(0) += b;
+            }
+        }
+        bytes
+    }
+
+    /// Publishes one rule epoch for one contract: drains that contract's
+    /// deferred-edit queue on the master (accepted through the session's
+    /// `*_deferred` calls or [`FilterEnclaveApp::queue_edits`]), applies the
+    /// whole set with **one** classifier rebuild *outside* any enclave
+    /// lock, then swaps the prebuilt rule set into every live slice with a
+    /// brief install ECall.
     ///
     /// This is the churn path of the always-on dataplane: the expensive
     /// work (trie/classifier recompile, linear in the rule count) happens
@@ -898,72 +902,24 @@ impl EnclaveCluster {
     /// on the identical rule set, hybrid caches flush, and rule telemetry
     /// counters restart.
     ///
+    /// Other tenants' queued churn stays queued and their epochs do not
+    /// move, and ownership is enforced on the way through: a queued
+    /// withdrawal only takes force if the id belongs to the contract
+    /// (installed by it earlier, or by an install earlier in this same
+    /// queue). Foreign ids are dropped silently, mirroring
+    /// idempotent-withdrawal semantics, so one tenant can never unlink
+    /// another tenant's rules no matter what it queues. The default
+    /// contract 0 owns every rule installed outside a tenant session
+    /// (launch-time rules, [`FilterEnclaveApp::insert_rules`]), so a
+    /// single-victim cluster publishes as `publish_contract(master, 0)`.
+    ///
     /// Returns what was published; with an empty queue this still swaps
     /// (bumping the epoch) so callers can use it as a barrier.
     ///
     /// # Panics
     ///
     /// Panics on a partitioned cluster (publication re-replicates the
-    /// master's rules) or an out-of-range master index.
-    pub fn publish(&mut self, master: usize) -> PublishReport {
-        assert!(master < self.enclaves.len(), "master index out of range");
-        assert!(self.replicated, "epoch publication is replicated-only");
-        assert!(!self.quarantined[master], "master slice is quarantined");
-        // Step 1 — brief ECall: snapshot the master's live rule set (the
-        // compiled classifier rides along as a shared Arc) and drain the
-        // pending queue.
-        let (mut rs, edits) = self.enclaves[master].ecall(|app| app.take_publish_snapshot());
-        // Step 2 — off the lock: apply every edit with one rebuild.
-        let mut withdrawals = 0usize;
-        let mut new_rule_ids = Vec::new();
-        rs.batch_edit(|edit| {
-            for e in &edits {
-                match e {
-                    RuleEdit::Install(rule) => {
-                        new_rule_ids.push(edit.insert(*rule));
-                    }
-                    RuleEdit::Withdraw(id) => {
-                        withdrawals += usize::from(edit.remove(*id));
-                    }
-                }
-            }
-        });
-        // Step 3 — brief ECall per live slice: swap the prebuilt set in,
-        // re-sending while the (injected) network eats the ack.
-        let (ack_retries, ack_lost_slices) = self.install_on_live(0, &rs, &new_rule_ids);
-        let epoch = self.enclaves[master].ecall(|app| app.epoch());
-        if let Some(hub) = &self.telemetry {
-            hub.record_event(
-                EventKind::EpochPublish,
-                master as u32,
-                epoch,
-                rs.active_len() as u64,
-            );
-        }
-        self.finish_publication(rs);
-        PublishReport {
-            edits: edits.len(),
-            installs: new_rule_ids.len(),
-            withdrawals,
-            epoch,
-            new_rule_ids,
-            ack_retries,
-            ack_lost_slices,
-        }
-    }
-
-    /// [`publish`](EnclaveCluster::publish) for one contract: drains only
-    /// that contract's deferred-edit queue — other tenants' queued churn
-    /// stays queued and their epochs do not move — and enforces ownership
-    /// on the way through: a queued withdrawal only takes force if the id
-    /// belongs to the contract (installed by it earlier, or by an install
-    /// earlier in this same queue). Foreign ids are dropped silently,
-    /// mirroring idempotent-withdrawal semantics, so one tenant can never
-    /// unlink another tenant's rules no matter what it queues.
-    ///
-    /// # Panics
-    ///
-    /// As [`publish`](EnclaveCluster::publish); additionally panics if the
+    /// master's rules), an out-of-range or quarantined master, or if the
     /// master has no slot for `contract`.
     pub fn publish_contract(&mut self, master: usize, contract: ContractId) -> PublishReport {
         assert!(master < self.enclaves.len(), "master index out of range");
@@ -1310,8 +1266,8 @@ mod tests {
         // Same per-enclave log state: batching only regroups the work.
         for (a, b) in batched.enclaves().iter().zip(single.enclaves()) {
             assert_eq!(
-                a.ecall(|app| app.logs().incoming().total()),
-                b.ecall(|app| app.logs().incoming().total())
+                a.ecall(|app| app.logs_of(0).incoming().total()),
+                b.ecall(|app| app.logs_of(0).incoming().total())
             );
             assert_eq!(a.ecall(|app| app.stats()), b.ecall(|app| app.stats()));
         }
@@ -1350,7 +1306,7 @@ mod tests {
         let logged: u64 = c
             .enclaves()
             .iter()
-            .map(|e| e.ecall(|a| a.logs().incoming().total()))
+            .map(|e| e.ecall(|a| a.logs_of(0).incoming().total()))
             .sum();
         assert_eq!(logged, total - lb_dropped);
     }
@@ -1542,7 +1498,7 @@ mod tests {
             victim(),
         ));
         c.enclaves()[0].ecall(move |app| app.queue_edits([RuleEdit::Install(new_rule)]));
-        let report = c.publish(0);
+        let report = c.publish_contract(0, 0);
         assert_eq!(report.installs, 1);
         assert_eq!(report.ack_retries, 0);
         assert!(report.ack_lost_slices.is_empty());
@@ -1597,14 +1553,14 @@ mod tests {
         // Transient: slice 1 eats two acks, then the network heals — the
         // publisher re-sends and nobody is quarantined.
         c.set_publish_ack_loss(Box::new(|slice, attempt| slice == 1 && attempt < 2));
-        let report = c.publish(0);
+        let report = c.publish_contract(0, 0);
         assert_eq!(report.ack_retries, 2);
         assert!(report.ack_lost_slices.is_empty());
         assert_eq!(c.live_len(), 3);
         // Permanent: slice 2 never acks — the retry budget runs out and
         // the publisher excises it mid-publication.
         c.set_publish_ack_loss(Box::new(|slice, _| slice == 2));
-        let report = c.publish(0);
+        let report = c.publish_contract(0, 0);
         assert_eq!(
             report.ack_retries,
             u64::from(EnclaveCluster::PUBLISH_ACK_RETRY.attempts)
@@ -1613,7 +1569,7 @@ mod tests {
         assert_eq!(c.quarantined(), &[false, false, true]);
         // Subsequent publications skip the quarantined slice entirely: the
         // still-lossy hook for slice 2 is never consulted again.
-        let report = c.publish(0);
+        let report = c.publish_contract(0, 0);
         assert_eq!(report.ack_retries, 0);
         assert!(report.ack_lost_slices.is_empty());
     }
@@ -1629,7 +1585,7 @@ mod tests {
             victim(),
         ));
         c.enclaves()[0].ecall(move |app| app.queue_edits([RuleEdit::Install(new_rule)]));
-        c.publish(0);
+        c.publish_contract(0, 0);
 
         let report = c.rejoin_slice(0, 2);
         assert_eq!(report.slice, 2);
@@ -1675,7 +1631,7 @@ mod tests {
             victim(),
         ));
         c.enclaves()[0].ecall(move |app| app.queue_edits([RuleEdit::Install(late_rule)]));
-        c.publish(0);
+        c.publish_contract(0, 0);
         let late_hit = FiveTuple::new(
             0x0d000001,
             u32::from_be_bytes([203, 0, 113, 1]),
@@ -1745,7 +1701,7 @@ mod tests {
     fn quarantined_master_cannot_publish() {
         let mut c = rss_cluster(2, 2);
         c.quarantine_slice(0);
-        c.publish(0);
+        c.publish_contract(0, 0);
     }
 
     #[test]

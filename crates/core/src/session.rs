@@ -182,30 +182,17 @@ impl VictimClient {
     }
 
     /// Runs the full attestation + key-agreement handshake against an
-    /// enclave, via the (untrusted) controller and the IAS.
+    /// enclave, via the (untrusted) controller and the IAS, under a named
+    /// contract: the handshake lands in that contract's enclave slot, and
+    /// every frame the resulting session sends is tagged with (and checked
+    /// against) the contract id. Multiple victims can hold concurrent
+    /// sessions on one enclave without sharing rules, sketches, or audit
+    /// keys; a single victim names the default contract 0.
     ///
     /// # Errors
     ///
     /// Any verification failure aborts with the corresponding
     /// [`SessionError`].
-    pub fn establish(
-        &self,
-        enclave: Arc<Enclave<FilterEnclaveApp>>,
-        ias: &AttestationService,
-        nonce: [u8; 32],
-    ) -> Result<FilteringSession, SessionError> {
-        self.establish_contract(enclave, ias, nonce, 0)
-    }
-
-    /// [`establish`](VictimClient::establish) under a named contract: the
-    /// handshake lands in that contract's enclave slot, and every frame the
-    /// resulting session sends is tagged with (and checked against) the
-    /// contract id. Multiple victims can hold concurrent sessions on one
-    /// enclave without sharing rules, sketches, or audit keys.
-    ///
-    /// # Errors
-    ///
-    /// As [`establish`](VictimClient::establish).
     pub fn establish_contract(
         &self,
         enclave: Arc<Enclave<FilterEnclaveApp>>,
@@ -272,8 +259,7 @@ impl FilteringSession {
         &self.enclave
     }
 
-    /// The contract this session operates under (0 for legacy
-    /// single-victim sessions).
+    /// The contract this session operates under.
     pub fn contract(&self) -> ContractId {
         self.contract
     }
@@ -321,7 +307,7 @@ impl FilteringSession {
     /// The deferred form of [`submit_rules`](FilteringSession::submit_rules):
     /// the enclave decrypts and RPKI-authorizes the rules now but only
     /// **queues** them — they take force at the cluster's next epoch
-    /// publication (`EnclaveCluster::publish`), never stalling the data
+    /// publication (`EnclaveCluster::publish_contract`), never stalling the data
     /// path mid-round. Same wire format, same authorization; the ack counts
     /// rules queued.
     ///
@@ -508,7 +494,7 @@ mod tests {
     fn full_handshake_and_rule_install() {
         let (enclave, ias, victim, rpki) = setup();
         let mut session = victim
-            .establish(Arc::clone(&enclave), &ias, [0x11; 32])
+            .establish_contract(Arc::clone(&enclave), &ias, [0x11; 32], 0)
             .unwrap();
         let n = session.submit_rules(&rules(), &rpki).unwrap();
         assert_eq!(n, 1);
@@ -520,7 +506,7 @@ mod tests {
         use vif_dataplane::{FiveTuple, Protocol};
         let (enclave, ias, victim, rpki) = setup();
         let mut session = victim
-            .establish(Arc::clone(&enclave), &ias, [0x77; 32])
+            .establish_contract(Arc::clone(&enclave), &ias, [0x77; 32], 0)
             .unwrap();
         session.submit_rules(&rules(), &rpki).unwrap();
         let t = FiveTuple::new(
@@ -548,7 +534,7 @@ mod tests {
     #[test]
     fn withdrawal_requires_established_session() {
         let mut app = FilterEnclaveApp::fresh([9u8; 32]);
-        let err = app.receive_rule_withdrawal(&[0u8; 16]).unwrap_err();
+        let err = app.receive_rule_withdrawal_for(0, &[0u8; 16]).unwrap_err();
         assert_eq!(err, SessionError::NotEstablished);
     }
 
@@ -571,7 +557,9 @@ mod tests {
                 tolerance: 0,
             },
         );
-        let err = victim.establish(enclave, &ias, [0x22; 32]).unwrap_err();
+        let err = victim
+            .establish_contract(enclave, &ias, [0x22; 32], 0)
+            .unwrap_err();
         assert!(matches!(
             err,
             SessionError::Attestation(AttestationError::MeasurementMismatch { .. })
@@ -596,7 +584,9 @@ mod tests {
                 tolerance: 0,
             },
         );
-        let err = victim.establish(enclave, &ias, [0x33; 32]).unwrap_err();
+        let err = victim
+            .establish_contract(enclave, &ias, [0x33; 32], 0)
+            .unwrap_err();
         assert_eq!(
             err,
             SessionError::Attestation(AttestationError::BadPlatformSignature)
@@ -606,7 +596,9 @@ mod tests {
     #[test]
     fn rpki_blocks_filtering_others_space() {
         let (enclave, ias, victim, rpki) = setup();
-        let mut session = victim.establish(enclave, &ias, [0x44; 32]).unwrap();
+        let mut session = victim
+            .establish_contract(enclave, &ias, [0x44; 32], 0)
+            .unwrap();
         let foreign = vec![FilterRule::drop(FlowPattern::http_to(
             "198.51.100.0/24".parse().unwrap(),
         ))];
@@ -618,7 +610,9 @@ mod tests {
     #[test]
     fn verifiers_share_session_keys() {
         let (enclave, ias, victim, rpki) = setup();
-        let mut session = victim.establish(enclave, &ias, [0x55; 32]).unwrap();
+        let mut session = victim
+            .establish_contract(enclave, &ias, [0x55; 32], 0)
+            .unwrap();
         session.submit_rules(&rules(), &rpki).unwrap();
         // Process a packet and audit: an honest run is clean end to end.
         use vif_dataplane::{FiveTuple, Protocol};
@@ -636,7 +630,7 @@ mod tests {
         victim_verifier.observe(&t);
         let export = session
             .enclave()
-            .ecall(|app| app.export_log(crate::logs::LogDirection::Outgoing));
+            .ecall(|app| app.export_log_for(0, crate::logs::LogDirection::Outgoing));
         let report = victim_verifier.audit(&export).unwrap();
         assert!(!report.bypass_detected());
     }
@@ -644,7 +638,9 @@ mod tests {
     #[test]
     fn attestation_latency_modeled() {
         let (enclave, ias, victim, _) = setup();
-        let session = victim.establish(enclave, &ias, [0x66; 32]).unwrap();
+        let session = victim
+            .establish_contract(enclave, &ias, [0x66; 32], 0)
+            .unwrap();
         let s = session.attestation_latency_ns() as f64 / 1e9;
         assert!((2.5..3.5).contains(&s), "attestation latency {s}s");
     }

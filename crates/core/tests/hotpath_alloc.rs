@@ -176,7 +176,7 @@ fn decide_batch_is_allocation_free_at_steady_state() {
     app.process_batch(&pkts, &mut verdicts);
     app.apply_update_period();
     app.process_batch(&pkts, &mut verdicts);
-    assert!(app.logs().incoming().total() > 0, "logging is enabled");
+    assert!(app.logs_of(0).incoming().total() > 0, "logging is enabled");
     let before = allocations();
     for _ in 0..10 {
         app.process_batch(&pkts, &mut verdicts);
@@ -189,7 +189,7 @@ fn decide_batch_is_allocation_free_at_steady_state() {
         after - before
     );
     assert_eq!(verdicts.len(), pkts.len());
-    assert_eq!(app.logs().incoming().total(), 12 * pkts.len() as u64);
+    assert_eq!(app.logs_of(0).incoming().total(), 12 * pkts.len() as u64);
 
     // --- service mode -----------------------------------------------------
     // The always-on dataplane holds the same guarantee end to end: once the

@@ -360,8 +360,8 @@ proptest! {
         }
         prop_assert_eq!(batched.stats(), sequential.stats());
         for dir in [LogDirection::Incoming, LogDirection::Outgoing] {
-            let b = batched.export_log(dir);
-            let s = sequential.export_log(dir);
+            let b = batched.export_log_for(0, dir);
+            let s = sequential.export_log_for(0, dir);
             prop_assert_eq!(b.payload, s.payload, "{:?} payload diverged", dir);
             prop_assert_eq!(b.tag, s.tag, "{:?} tag diverged", dir);
         }

@@ -1,6 +1,7 @@
 //! Satellite stress property of epoch publication: a publisher thread
-//! continuously churns the rule set (deferred queue + [`EnclaveCluster::
-//! publish`]) while the always-on service's workers are live. Two
+//! continuously churns the rule set (deferred queue +
+//! [`EnclaveCluster::publish_contract`]) while the always-on service's
+//! workers are live. Two
 //! complementary **sentinel flows** make torn classifier reads visible:
 //! each published epoch drops exactly one of them, alternating, so within
 //! any single filtered burst (the atomicity unit — one enclave-thread
@@ -24,13 +25,21 @@ use vif_core::scale::EnclaveCluster;
 use vif_core::session::{SessionConfig, VictimClient};
 use vif_dataplane::{
     shard_of, shard_of_fingerprint, DataplaneService, FiveTuple, Packet, PacketStage, Protocol,
-    ServiceConfig, StageOutcome, StageVerdict,
+    ServiceConfig, StageOutcome, StageVerdict, ThreadedReport,
 };
 use vif_sgx::{AttestationRootKey, AttestationService, EnclaveImage, EpcConfig, SgxPlatform};
 use vif_trie::Ipv4Prefix;
 
 const WORKERS: usize = 2;
 const TOTAL_PACKETS: usize = 60_000;
+const RING_CAPACITY: usize = 1 << 14;
+/// Packets offered between two `flush_round` barriers. Both sentinels
+/// share one worker, so a window is that worker's whole load: keeping it
+/// under the ring capacity makes overflow impossible by construction,
+/// whatever the scheduler does to the worker threads.
+const WINDOW: usize = RING_CAPACITY / 2;
+/// Packets replayed per keep-hot pass.
+const KEEP_HOT: usize = 4096;
 
 /// Per-sentinel verdict tallies plus the torn-read flag, shared between
 /// the worker-side detectors and the test body.
@@ -129,7 +138,7 @@ fn continuous_publish_churn_never_tears_a_burst() {
     let mut rpki = RpkiRegistry::new();
     rpki.register(victim_prefix, owner);
     let mut session = client
-        .establish(Arc::clone(&master), &ias, [0x11; 32])
+        .establish_contract(Arc::clone(&master), &ias, [0x11; 32], 0)
         .unwrap();
     let keys = session.keys().clone();
     let mut cluster = EnclaveCluster::launch_rss_with(
@@ -188,7 +197,7 @@ fn continuous_publish_churn_never_tears_a_burst() {
 
     // Publisher thread: flip the dropped sentinel every epoch, as fast as
     // the publication path allows, until the dataplane has drained.
-    let (report, epochs, extra_passes) = std::thread::scope(|scope| {
+    let (total, epochs, extra_passes) = std::thread::scope(|scope| {
         let publisher = scope.spawn(|| {
             // Let epoch 0 forward both sentinels before the first publish
             // lands, so the forwarded-baseline assertions below cannot
@@ -203,25 +212,22 @@ fn continuous_publish_churn_never_tears_a_burst() {
             let mut last_rule: Option<RuleId> = None;
             while !done.load(Ordering::Acquire) {
                 let target = if epochs.is_multiple_of(2) { a } else { b };
-                let next_id = cluster.enclaves()[0]
-                    .ecall(|app| app.ruleset().len() + app.pending_installs())
-                    as RuleId;
                 if let Some(old) = last_rule {
                     session.withdraw_rules_deferred(&[old]).unwrap();
                 }
                 session
                     .submit_rules_deferred(&[sentinel_rule(target, victim_prefix)], &rpki)
                     .unwrap();
-                let report = cluster.publish(0);
+                let report = cluster.publish_contract(0, 0);
                 assert_eq!(report.installs, 1);
-                last_rule = Some(next_id);
+                last_rule = Some(report.new_rule_ids[0]);
                 epochs += 1;
             }
             epochs
         });
 
         let service = DataplaneService::new(ServiceConfig {
-            ring_capacity: 1 << 14,
+            ring_capacity: RING_CAPACITY,
             burst: 32,
             ..Default::default()
         });
@@ -230,8 +236,16 @@ fn continuous_publish_churn_never_tears_a_burst() {
             |_, pkt| forwarded.lock().unwrap().push(pkt.tuple),
             |t: &FiveTuple| shard_of(t, WORKERS),
             |svc| {
-                for chunk in traffic.chunks(1024) {
-                    svc.offer(chunk);
+                let mut total = ThreadedReport::default();
+                let mut window = |pkts: &[Packet]| {
+                    let round = svc.round(pkts).total();
+                    total.received += round.received;
+                    total.forwarded += round.forwarded;
+                    total.filtered += round.filtered;
+                    total.overflow += round.overflow;
+                };
+                for pkts in traffic.chunks(WINDOW) {
+                    window(pkts);
                 }
                 // Keep the dataplane hot until each sentinel's published
                 // rule has bitten at least once — the churn assertions
@@ -242,18 +256,16 @@ fn continuous_publish_churn_never_tears_a_burst() {
                     && (ledger.drop_a.load(Ordering::Relaxed) == 0
                         || ledger.drop_b.load(Ordering::Relaxed) == 0)
                 {
-                    for chunk in traffic.chunks(1024).take(4) {
-                        svc.offer(chunk);
-                    }
+                    window(&traffic[..KEEP_HOT]);
                     extra_passes += 1;
                 }
-                (svc.flush_round().clone(), extra_passes)
+                (total, extra_passes)
             },
         );
         done.store(true, Ordering::Release);
-        let (report, extra_passes) = report;
+        let (total, extra_passes) = report;
         (
-            report,
+            total,
             publisher.join().expect("publisher thread"),
             extra_passes,
         )
@@ -263,9 +275,9 @@ fn continuous_publish_churn_never_tears_a_burst() {
     // handover is on the neighbor record like everyone else's.
     for pkt in traffic
         .iter()
-        .take(4096)
+        .take(KEEP_HOT)
         .cycle()
-        .take(4096 * extra_passes as usize)
+        .take(KEEP_HOT * extra_passes as usize)
     {
         let fp = PacketFingerprints::of(&pkt.tuple);
         driver
@@ -275,9 +287,11 @@ fn continuous_publish_churn_never_tears_a_burst() {
 
     // The workers never stopped forwarding: every offered packet was
     // received and fully accounted, no ring overflow, across many epochs.
-    let total = report.total();
-    assert_eq!(total.overflow, 0, "ring sized for the run");
-    assert_eq!(total.received, TOTAL_PACKETS as u64 + 4096 * extra_passes);
+    assert_eq!(total.overflow, 0, "a window never exceeds the ring");
+    assert_eq!(
+        total.received,
+        TOTAL_PACKETS as u64 + KEEP_HOT as u64 * extra_passes
+    );
     assert_eq!(total.forwarded + total.filtered, total.received);
     assert!(epochs >= 2, "publisher only completed {epochs} epochs");
 

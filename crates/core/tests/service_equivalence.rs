@@ -3,7 +3,7 @@
 //! [`DataplaneService`], rounds as messages, churn via deferred queue +
 //! epoch publication) produces **identical** verdicts, per-round dataplane
 //! reports, forwarded packet sets, and audited log exports to the
-//! tear-down-per-round path (fresh `run_sharded` threads every round,
+//! tear-down-per-round reference (a fresh one-round service every round,
 //! immediate session churn + replicated redistribute) on the same seed.
 //!
 //! This is the contract that lets the scenario engine ride the service:
@@ -20,8 +20,8 @@ use vif_core::ruleset::{RuleId, RuleSet};
 use vif_core::scale::EnclaveCluster;
 use vif_core::session::{FilteringSession, SessionConfig, VictimClient};
 use vif_dataplane::{
-    run_sharded, shard_of, shard_of_fingerprint, DataplaneService, FiveTuple, FlowSet, Packet,
-    Protocol, ServiceConfig, ShardedReport, TrafficConfig, TrafficGenerator,
+    shard_of, shard_of_fingerprint, DataplaneService, FiveTuple, FlowSet, Packet, Protocol,
+    ServiceConfig, ShardedReport, TrafficConfig, TrafficGenerator,
 };
 use vif_sgx::{AttestationRootKey, AttestationService, EnclaveImage, EpcConfig, SgxPlatform};
 use vif_trie::Ipv4Prefix;
@@ -71,7 +71,7 @@ fn build_env(n: usize, seed: u64) -> Env {
     let mut rpki = RpkiRegistry::new();
     rpki.register(victim_prefix, owner);
     let session = client
-        .establish(Arc::clone(&master), &ias, [0x11; 32])
+        .establish_contract(Arc::clone(&master), &ias, [0x11; 32], 0)
         .unwrap();
     let keys = session.keys().clone();
     let cluster = EnclaveCluster::launch_rss_with(
@@ -171,7 +171,15 @@ fn close_round(
     (outcome, driver.state())
 }
 
-/// Tear-down-per-round baseline: fresh sharded threads every round,
+fn service_config() -> ServiceConfig {
+    ServiceConfig {
+        ring_capacity: 1 << 14,
+        burst: 32,
+        ..Default::default()
+    }
+}
+
+/// Tear-down-per-round baseline: fresh service threads every round,
 /// immediate churn + replicated redistribute between rounds.
 fn run_baseline(n: usize, seed: u64) -> Vec<RoundRecord> {
     let mut env = build_env(n, seed);
@@ -187,12 +195,11 @@ fn run_baseline(n: usize, seed: u64) -> Vec<RoundRecord> {
             .map(|e| EnclaveFilterStage::new(Arc::clone(e), FilterMode::SgxNearZeroCopy))
             .collect();
         let sink: Mutex<Vec<FiveTuple>> = Mutex::new(Vec::new());
-        let dataplane = run_sharded(
-            traffic,
+        let dataplane = DataplaneService::new(service_config()).run(
             stages,
-            |_, pkt| sink.lock().unwrap().push(pkt.tuple),
-            1 << 14,
-            32,
+            |_, pkt: &Packet| sink.lock().unwrap().push(pkt.tuple),
+            move |t: &FiveTuple| shard_of(t, n),
+            |svc| svc.round(&traffic).clone(),
         );
         let mut forwarded = sink.into_inner().unwrap();
         let (outcome, state) = close_round(&mut env.driver, &forwarded, n);
@@ -231,12 +238,7 @@ fn run_service(n: usize, seed: u64) -> Vec<RoundRecord> {
         .map(|e| EnclaveFilterStage::new(Arc::clone(e), FilterMode::SgxNearZeroCopy))
         .collect();
     let sink: Mutex<Vec<FiveTuple>> = Mutex::new(Vec::new());
-    let service = DataplaneService::new(ServiceConfig {
-        ring_capacity: 1 << 14,
-        burst: 32,
-        ..Default::default()
-    });
-    service.run(
+    DataplaneService::new(service_config()).run(
         stages,
         |_, pkt| sink.lock().unwrap().push(pkt.tuple),
         move |t: &FiveTuple| shard_of(t, n),
@@ -268,7 +270,7 @@ fn run_service(n: usize, seed: u64) -> Vec<RoundRecord> {
                     env.session
                         .submit_rules_deferred(&churn_rules(env.victim_prefix, round), &env.rpki)
                         .unwrap();
-                    let report = env.cluster.publish(0);
+                    let report = env.cluster.publish_contract(0, 0);
                     assert_eq!(report.installs, 4);
                     assert_eq!(report.withdrawals, if round >= 1 { 2 } else { 0 });
                 }
@@ -278,10 +280,11 @@ fn run_service(n: usize, seed: u64) -> Vec<RoundRecord> {
     )
 }
 
-/// The satellite property: service ≡ tear-down-per-round, for N ∈
-/// {1, 2, 4} workers, under mid-stream churn, on the same seed.
+/// The satellite property: deferred queue + epoch publication on one
+/// always-on service ≡ immediate churn + redistribute on a service torn
+/// down every round, for N ∈ {1, 2, 4} workers, on the same seed.
 #[test]
-fn service_equals_run_sharded() {
+fn epoch_publication_equals_immediate_churn() {
     for n in [1usize, 2, 4] {
         let seed = 0xe9_u64 ^ (n as u64);
         let baseline = run_baseline(n, seed);

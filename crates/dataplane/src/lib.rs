@@ -16,13 +16,13 @@
 //! - [`pipeline`]: the RX → filter → TX tandem pipeline run in *simulated
 //!   time*: per-stage costs advance a virtual clock, reproducing
 //!   saturation, batching, and queueing behavior deterministically,
-//! - [`threaded`]: the same pipeline run *live* on real threads (one
-//!   filter worker),
-//! - [`sharded`]: the scale-out variant — RSS-hashed flows across N filter
-//!   workers that share one TX path (§IV on real threads),
-//! - [`service`]: the always-on form of the sharded pipeline — persistent
-//!   workers on persistent rings, rounds as in-band flush messages,
-//!   spin-then-park idling (the one-shot runners are one-round services),
+//! - [`service`]: the same pipeline run *live* on real threads — RSS-hashed
+//!   flows across N always-on filter workers that share one TX path (§IV),
+//!   persistent rings, rounds as in-band flush messages, spin-then-park
+//!   idling; a one-shot run is one round of the service,
+//! - [`sharded`]: the sharding model the service and the audit layer
+//!   share — the public RSS steering hash and the per-worker round
+//!   counters,
 //! - [`fault`]: seeded, deterministic fault plans (worker crashes/stalls,
 //!   export corruption, publish-ack loss, overflow storms) that harnesses
 //!   inject into the service for reproducible chaos runs,
@@ -55,7 +55,6 @@ pub mod pktgen;
 pub mod ring;
 pub mod service;
 pub mod sharded;
-pub mod threaded;
 
 pub use clock::SimClock;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
@@ -70,7 +69,4 @@ pub use ring::Ring;
 pub use service::{
     ContractMap, ContractRoundDelta, DataplaneService, DegradedMode, ServiceConfig, ServiceHandle,
 };
-pub use sharded::{
-    run_sharded, run_sharded_with_steering, shard_of, shard_of_fingerprint, ShardedReport,
-};
-pub use threaded::{run_threaded, ThreadedReport};
+pub use sharded::{shard_of, shard_of_fingerprint, ShardedReport, ThreadedReport};

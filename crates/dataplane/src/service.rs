@@ -1,13 +1,11 @@
 //! The always-on sharded dataplane service.
 //!
-//! [`crate::sharded::run_sharded`] spawns RX/worker/TX threads, drains one
-//! traffic vector, and tears everything down. That is the right shape for a
-//! one-shot experiment, but the paper's filtering contract is a *service*:
-//! rounds, audits, and rule churn arrive continuously while the same worker
-//! threads keep forwarding. This module provides that long-lived form —
-//! [`DataplaneService`] keeps N filter workers and one TX thread alive on
-//! persistent rings, and the caller drives them through a
-//! [`ServiceHandle`]:
+//! The paper's filtering contract is a *service*: rounds, audits, and rule
+//! churn arrive continuously while the same worker threads keep forwarding
+//! (a one-shot experiment is simply one round). [`DataplaneService`] keeps
+//! N filter workers and one TX thread alive on persistent rings — the
+//! sharding model is described in [`crate::sharded`] — and the caller
+//! drives them through a [`ServiceHandle`]:
 //!
 //! - [`ServiceHandle::offer`] steers packets onto the per-worker RX rings
 //!   (the caller thread *is* the RX stage, so offering composes with any
@@ -65,17 +63,15 @@
 //!
 //! # Panic safety
 //!
-//! Worker and TX threads signal liveness through drop guards exactly like
-//! the one-shot pipeline: a stage or sink that panics mid-round unblocks
-//! everything spinning on its rings, the handle's round wait notices the
-//! death, and the panic propagates from the scope join (`"worker thread"`
-//! / `"tx thread"`, same messages as [`crate::sharded`]).
+//! Worker and TX threads signal liveness through drop guards: a stage or
+//! sink that panics mid-round unblocks everything spinning on its rings,
+//! the handle's round wait notices the death, and the panic propagates
+//! from the scope join (`"worker thread"` / `"tx thread"`).
 
 use crate::packet::{FiveTuple, Packet};
 use crate::pipeline::{PacketStage, StageVerdict};
 use crate::ring::Ring;
-use crate::sharded::ShardedReport;
-use crate::threaded::ThreadedReport;
+use crate::sharded::{ShardedReport, ThreadedReport};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -2169,5 +2165,181 @@ mod tests {
         });
         let msg = *result.unwrap_err().downcast::<&str>().unwrap();
         assert_eq!(msg, "body exploded");
+    }
+
+    fn sized(ring_capacity: usize, burst: usize) -> ServiceConfig {
+        ServiceConfig {
+            ring_capacity,
+            burst,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn accounting_adds_up_per_worker() {
+        let t = traffic(8_000, 2);
+        let stages: Vec<_> = (0..4).map(|_| parity_stage()).collect();
+        let report = DataplaneService::new(sized(16_384, 32)).run(
+            stages,
+            |_, _| {},
+            |t| shard_of(t, 4),
+            |svc| svc.round(&t).clone(),
+        );
+        assert_eq!(report.workers(), 4);
+        for (w, r) in report.per_worker.iter().enumerate() {
+            assert_eq!(
+                r.forwarded + r.filtered + r.overflow,
+                r.received,
+                "worker {w} leaks packets"
+            );
+        }
+        let total = report.total();
+        assert_eq!(total.received, 8_000);
+        assert_eq!(total.overflow, 0, "ring holds the whole round");
+    }
+
+    #[test]
+    fn steering_is_deterministic_and_balanced() {
+        let t = traffic(10_000, 2);
+        let n = 4;
+        // Every packet must land on the worker shard_of names.
+        let seen = std::sync::Mutex::new(Vec::new());
+        let stages: Vec<_> = (0..n).map(|_| parity_stage()).collect();
+        DataplaneService::new(sized(16_384, 32)).run(
+            stages,
+            |w, p: &Packet| seen.lock().unwrap().push((w, p.tuple)),
+            |t| shard_of(t, n),
+            |svc| {
+                svc.round(&t);
+            },
+        );
+        let seen = seen.into_inner().unwrap();
+        assert!(!seen.is_empty());
+        for (w, tuple) in &seen {
+            assert_eq!(*w, shard_of(tuple, n), "flow moved shards");
+        }
+        // All workers get some share of a 64-flow mix.
+        let mut counts = [0u64; 4];
+        for p in &t {
+            counts[shard_of(&p.tuple, n)] += 1;
+        }
+        assert!(counts.iter().all(|&c| c > 0), "unbalanced: {counts:?}");
+    }
+
+    #[test]
+    fn custom_steering_is_clamped_and_applied() {
+        let t = traffic(1_000, 2);
+        let stages: Vec<_> = (0..2).map(|_| parity_stage()).collect();
+        // Everything to (out-of-range) worker 5 → clamped to 5 % 2 = 1.
+        let report = DataplaneService::new(sized(4_096, 16)).run(
+            stages,
+            |_, _| {},
+            |_| 5usize,
+            |svc| svc.round(&t).clone(),
+        );
+        assert_eq!(report.per_worker[0].received, 0);
+        assert_eq!(report.per_worker[1].received, 1_000);
+    }
+
+    #[test]
+    fn single_worker_alternating_stage_forwards_half_in_fifo_order() {
+        // The Fig. 6 shape: one filter worker between RX and TX.
+        let mut flip = false;
+        let stage = move |_p: &Packet| {
+            flip = !flip;
+            StageOutcome {
+                verdict: if flip {
+                    StageVerdict::Forward
+                } else {
+                    StageVerdict::Drop
+                },
+                cost_ns: 0,
+            }
+        };
+        let t = traffic(10_000, 1);
+        let seen = std::sync::Mutex::new(Vec::new());
+        let total = DataplaneService::new(sized(16_384, 32))
+            .run(
+                vec![stage],
+                |_, p: &Packet| seen.lock().unwrap().push(p.id),
+                |_| 0,
+                |svc| svc.round(&t).clone(),
+            )
+            .total();
+        assert_eq!(total.received, 10_000);
+        assert_eq!(total.overflow, 0, "ring holds the whole round");
+        assert_eq!(total.forwarded, 5_000);
+        assert_eq!(total.filtered, 5_000);
+        let seen = seen.into_inner().unwrap();
+        assert_eq!(seen.len() as u64, total.forwarded);
+        // FIFO within the pipeline: ids arrive in order.
+        assert!(seen.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn forward_all_drops_nothing() {
+        let stage = |_p: &Packet| StageOutcome {
+            verdict: StageVerdict::Forward,
+            cost_ns: 0,
+        };
+        let t = traffic(2_000, 1);
+        let total = DataplaneService::new(sized(256, 8))
+            .run(vec![stage], |_, _| {}, |_| 0, |svc| svc.round(&t).clone())
+            .total();
+        assert_eq!(total.forwarded, 2_000 - total.overflow);
+        assert_eq!(total.filtered, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one worker")]
+    fn empty_stage_set_rejected() {
+        let stages: Vec<fn(&Packet) -> StageOutcome> = Vec::new();
+        DataplaneService::new(sized(64, 8)).run(stages, |_, _| {}, |_| 0, |_| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "worker thread")]
+    fn panicking_stage_propagates_instead_of_deadlocking() {
+        // A stage that dies mid-run must surface as a panic from the scope
+        // join, not leave RX/TX spinning on its rings forever.
+        let stages: Vec<_> = (0..2)
+            .map(|_| {
+                let mut seen = 0usize;
+                move |_p: &Packet| {
+                    seen += 1;
+                    assert!(seen <= 100, "stage blew up");
+                    StageOutcome {
+                        verdict: StageVerdict::Forward,
+                        cost_ns: 0,
+                    }
+                }
+            })
+            .collect();
+        let t = traffic(2_000, 2);
+        DataplaneService::new(sized(64, 8)).run(
+            stages,
+            |_, _| {},
+            |t| shard_of(t, 2),
+            |svc| {
+                svc.round(&t);
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "tx thread")]
+    fn panicking_sink_propagates_instead_of_deadlocking() {
+        // A sink that dies must not leave the workers spinning on a full
+        // TX ring: the tx_live flag is cleared on unwind and they bail.
+        let stages: Vec<_> = (0..2).map(|_| parity_stage()).collect();
+        let t = traffic(5_000, 2);
+        DataplaneService::new(sized(64, 8)).run(
+            stages,
+            |_, _| panic!("sink died"),
+            |t| shard_of(t, 2),
+            |svc| {
+                svc.round(&t);
+            },
+        );
     }
 }

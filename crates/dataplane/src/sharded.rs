@@ -1,18 +1,16 @@
-//! A sharded multi-worker live pipeline: RX → N filter workers → TX.
+//! The sharding model of the live pipeline: RX → N filter workers → TX.
 //!
-//! [`crate::threaded`] runs the paper's Fig. 6 pipeline with exactly one
-//! filter thread; this module runs the §IV scale-out architecture on real
-//! threads. One RX thread RSS-hashes each flow onto one of `N` per-worker
-//! rings — the same [`fingerprint`](vif_sketch::hash::fingerprint)-based
-//! steering the scale-out load
-//! balancer uses for split rules, so flow → worker assignment is
-//! deterministic and connection preserving. Each worker owns its own
-//! [`PacketStage`] (in deployments, one enclave slice of an
-//! `EnclaveCluster`), drains its ring in bursts, and pushes forwarded
-//! packets onto a shared TX ring that a single TX thread drains into the
-//! caller's sink.
-//!
-//! # Sharding model
+//! The paper's Fig. 6 pipeline has one filter thread; the §IV scale-out
+//! architecture runs `N` of them on real threads
+//! ([`crate::service::DataplaneService`]). One RX thread RSS-hashes each
+//! flow onto one of `N` per-worker rings — the same
+//! [`fingerprint`](vif_sketch::hash::fingerprint)-based steering the
+//! scale-out load balancer uses for split rules, so flow → worker
+//! assignment is deterministic and connection preserving. Each worker owns
+//! its own [`PacketStage`](crate::pipeline::PacketStage) (in deployments,
+//! one enclave slice of an `EnclaveCluster`), drains its ring in bursts,
+//! and pushes forwarded packets onto a shared TX ring that a single TX
+//! thread drains into the caller's sink.
 //!
 //! Flow-hash (RSS) steering sends a flow to a worker *independently of
 //! which rules it matches*, so each worker's stage must be able to decide
@@ -25,20 +23,9 @@
 //! what lets bypass *and* misroute detection work per worker over this
 //! live path (see `vif-core`'s `ClusterRoundDriver`).
 //!
-//! # One-shot runs are one-round services
-//!
-//! Since the always-on service landed ([`crate::service`]), this module no
-//! longer owns any thread machinery: [`run_sharded_with_steering`] starts a
-//! [`DataplaneService`], offers the whole
-//! traffic vector as a single round, flushes it, and shuts the service
-//! down. There is exactly one copy of the ring/backoff/panic-propagation
-//! logic, and the tear-down-per-call behavior survives purely as a
-//! convenience API for tests and experiments.
-
-use crate::packet::Packet;
-use crate::pipeline::PacketStage;
-use crate::service::{DataplaneService, ServiceConfig};
-use crate::threaded::ThreadedReport;
+//! The threads, rings and round barrier live in [`crate::service`]; this
+//! module holds what the audit layer shares with it: the public steering
+//! hash and the per-worker round counters.
 
 /// RSS steering: the worker that owns `t`'s flow in an `n`-way shard.
 ///
@@ -73,7 +60,24 @@ pub fn shard_of_fingerprint(tuple_fp: u64, n: usize) -> usize {
     (tuple_fp % n as u64) as usize
 }
 
-/// Counters from a sharded run: one [`ThreadedReport`] per worker.
+/// One worker's counters for one flushed round.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ThreadedReport {
+    /// Packets steered to the worker by the RX stage.
+    pub received: u64,
+    /// Packets forwarded to the TX thread.
+    pub forwarded: u64,
+    /// Packets dropped by filter verdict.
+    pub filtered: u64,
+    /// Packets lost to RX-ring overflow (backpressure).
+    pub overflow: u64,
+    /// Packets that bypassed filtering because their worker was dead or
+    /// quarantined — the degraded-mode accountability counter. Zero on
+    /// every healthy run.
+    pub uncovered: u64,
+}
+
+/// Counters from a sharded round: one [`ThreadedReport`] per worker.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardedReport {
     /// Per-worker counters, indexed by worker id.
@@ -113,200 +117,30 @@ impl ShardedReport {
     }
 }
 
-/// Runs `traffic` through a live RX → N×filter → TX sharded pipeline with
-/// the default [`shard_of`] RSS steering.
-///
-/// One worker thread is spawned per element of `stages`; forwarded packets
-/// reach `sink` on the TX thread as `(worker, packet)`. Returns when every
-/// packet has been drained.
-pub fn run_sharded<S, F>(
-    traffic: Vec<Packet>,
-    stages: Vec<S>,
-    sink: F,
-    ring_capacity: usize,
-    burst: usize,
-) -> ShardedReport
-where
-    S: PacketStage + Send,
-    F: FnMut(usize, &Packet) + Send,
-{
-    let n = stages.len();
-    run_sharded_with_steering(traffic, stages, sink, ring_capacity, burst, move |t| {
-        shard_of(t, n)
-    })
-}
-
-/// [`run_sharded`] with caller-supplied steering.
-///
-/// `steer` maps each packet's five tuple to a worker index (reduced modulo
-/// the worker count for safety). Production steering is [`shard_of`]; tests
-/// inject faulty steering here to exercise misroute detection — the audit
-/// layer attributes flows by [`shard_of`], so a steering function that
-/// disagrees with it shows up as dirty slices.
-///
-/// # Panics
-///
-/// Panics if `stages` is empty or `ring_capacity`/`burst` is zero.
-pub fn run_sharded_with_steering<S, F, R>(
-    traffic: Vec<Packet>,
-    stages: Vec<S>,
-    sink: F,
-    ring_capacity: usize,
-    burst: usize,
-    steer: R,
-) -> ShardedReport
-where
-    S: PacketStage + Send,
-    F: FnMut(usize, &Packet) + Send,
-    R: FnMut(&crate::packet::FiveTuple) -> usize + Send,
-{
-    let config = ServiceConfig {
-        ring_capacity,
-        burst,
-        ..Default::default()
-    };
-    DataplaneService::new(config).run(stages, sink, steer, |svc| svc.round(&traffic).clone())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{StageOutcome, StageVerdict};
     use crate::pktgen::{FlowSet, TrafficConfig, TrafficGenerator};
-
-    fn traffic(count: usize) -> Vec<Packet> {
-        let flows = FlowSet::random_toward_victim(64, 7, 3);
-        TrafficGenerator::new(2).generate(
-            &flows,
-            TrafficConfig {
-                packet_size: 64,
-                offered_gbps: 5.0,
-                count,
-            },
-        )
-    }
-
-    fn parity_stage() -> impl FnMut(&Packet) -> StageOutcome + Send {
-        |p: &Packet| StageOutcome {
-            verdict: if p.tuple.src_ip.is_multiple_of(2) {
-                StageVerdict::Forward
-            } else {
-                StageVerdict::Drop
-            },
-            cost_ns: 0,
-        }
-    }
-
-    #[test]
-    fn sharded_accounting_adds_up_per_worker() {
-        let t = traffic(8_000);
-        let stages: Vec<_> = (0..4).map(|_| parity_stage()).collect();
-        let report = run_sharded(t, stages, |_, _| {}, 16_384, 32);
-        assert_eq!(report.workers(), 4);
-        for (w, r) in report.per_worker.iter().enumerate() {
-            assert_eq!(
-                r.forwarded + r.filtered + r.overflow,
-                r.received,
-                "worker {w} leaks packets"
-            );
-        }
-        let total = report.total();
-        assert_eq!(total.received, 8_000);
-        assert_eq!(total.overflow, 0, "ring sized for the whole run");
-    }
-
-    #[test]
-    fn steering_is_deterministic_and_balanced() {
-        let t = traffic(10_000);
-        let n = 4;
-        // Every packet must land on the worker shard_of names.
-        let seen = std::sync::Mutex::new(Vec::new());
-        let stages: Vec<_> = (0..n).map(|_| parity_stage()).collect();
-        run_sharded(
-            t.clone(),
-            stages,
-            |w, p| seen.lock().unwrap().push((w, p.tuple)),
-            16_384,
-            32,
-        );
-        let seen = seen.into_inner().unwrap();
-        assert!(!seen.is_empty());
-        for (w, tuple) in &seen {
-            assert_eq!(*w, shard_of(tuple, n), "flow moved shards");
-        }
-        // All workers get some share of a 64-flow mix.
-        let mut counts = [0u64; 4];
-        for p in &t {
-            counts[shard_of(&p.tuple, n)] += 1;
-        }
-        assert!(counts.iter().all(|&c| c > 0), "unbalanced: {counts:?}");
-    }
 
     #[test]
     fn fingerprint_variant_matches_shard_of() {
         // The fingerprint-once path must name the same worker as the
         // encoding path for every flow and worker count — a divergence
         // would let steering and audit attribution disagree.
-        for p in traffic(500) {
+        let flows = FlowSet::random_toward_victim(64, 7, 3);
+        let traffic = TrafficGenerator::new(2).generate(
+            &flows,
+            TrafficConfig {
+                packet_size: 64,
+                offered_gbps: 5.0,
+                count: 500,
+            },
+        );
+        for p in traffic {
             let fp = p.tuple.tuple_fingerprint();
             for n in [1usize, 2, 3, 4, 7, 16] {
                 assert_eq!(shard_of(&p.tuple, n), shard_of_fingerprint(fp, n));
             }
         }
-    }
-
-    #[test]
-    fn custom_steering_is_clamped_and_applied() {
-        let t = traffic(1_000);
-        let stages: Vec<_> = (0..2).map(|_| parity_stage()).collect();
-        // Everything to (out-of-range) worker 5 → clamped to 5 % 2 = 1.
-        let report = run_sharded_with_steering(t, stages, |_, _| {}, 4_096, 16, |_| 5usize);
-        assert_eq!(report.per_worker[0].received, 0);
-        assert_eq!(report.per_worker[1].received, 1_000);
-    }
-
-    #[test]
-    fn single_worker_matches_threaded_semantics() {
-        let t = traffic(5_000);
-        let sharded = run_sharded(t.clone(), vec![parity_stage()], |_, _| {}, 8_192, 32);
-        let threaded = crate::threaded::run_threaded(t, parity_stage(), |_| {}, 8_192, 32);
-        assert_eq!(sharded.total(), threaded);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn empty_stage_set_rejected() {
-        let stages: Vec<fn(&Packet) -> StageOutcome> = Vec::new();
-        run_sharded(traffic(10), stages, |_, _| {}, 64, 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "worker thread")]
-    fn panicking_stage_propagates_instead_of_deadlocking() {
-        // A stage that dies mid-run must surface as a panic from the scope
-        // join, not leave RX/TX spinning on its rings forever.
-        let stages: Vec<_> = (0..2)
-            .map(|_| {
-                let mut seen = 0usize;
-                move |_p: &Packet| {
-                    seen += 1;
-                    assert!(seen <= 100, "stage blew up");
-                    StageOutcome {
-                        verdict: StageVerdict::Forward,
-                        cost_ns: 0,
-                    }
-                }
-            })
-            .collect();
-        run_sharded(traffic(2_000), stages, |_, _| {}, 64, 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "tx thread")]
-    fn panicking_sink_propagates_instead_of_deadlocking() {
-        // A sink that dies must not leave the workers spinning on a full
-        // TX ring: the tx_live flag is cleared on unwind and they bail.
-        let stages: Vec<_> = (0..2).map(|_| parity_stage()).collect();
-        run_sharded(traffic(5_000), stages, |_, _| panic!("sink died"), 64, 8);
     }
 }

@@ -4,8 +4,8 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use vif_dataplane::pipeline::{self, PipelineConfig, StageOutcome, StageVerdict};
 use vif_dataplane::{
-    run_sharded, run_threaded, shard_of, FiveTuple, FlowSet, LineRate, Packet, Protocol, Ring,
-    TrafficConfig, TrafficGenerator,
+    shard_of, DataplaneService, FiveTuple, FlowSet, LineRate, Packet, Protocol, Ring,
+    ServiceConfig, TrafficConfig, TrafficGenerator,
 };
 
 proptest! {
@@ -97,11 +97,11 @@ proptest! {
         prop_assert!((reconstructed - 10e9).abs() < 1.0);
     }
 
-    /// The sharded pipeline is verdict- and accounting-equivalent to the
-    /// single-worker threaded pipeline at any worker count, and its
-    /// flow → worker steering is stable and equal to the public RSS hash.
+    /// The N-worker service is verdict- and accounting-equivalent to the
+    /// 1-worker service at any worker count, and its flow → worker
+    /// steering is stable and equal to the public RSS hash.
     #[test]
-    fn sharded_equals_threaded(
+    fn sharded_equals_single_worker(
         workers in prop::sample::select(vec![1usize, 2, 4]),
         burst in prop::sample::select(vec![8usize, 32]),
         seed in 0u64..32,
@@ -121,30 +121,35 @@ proptest! {
             },
             cost_ns: 0,
         };
-        // Rings sized for the whole run: overflow would be scheduling-
+        // Rings hold the whole round: overflow would be scheduling-
         // dependent, everything else is deterministic.
-        let t_seen = std::sync::Mutex::new(Vec::new());
-        let threaded = run_threaded(
-            traffic.clone(),
-            stage,
-            |p| t_seen.lock().unwrap().push(p.id),
-            4096,
+        let service = DataplaneService::new(ServiceConfig {
+            ring_capacity: 4096,
             burst,
-        );
+            ..Default::default()
+        });
+        let one_seen = std::sync::Mutex::new(Vec::new());
+        let single = service
+            .run(
+                vec![stage],
+                |_, p: &Packet| one_seen.lock().unwrap().push(p.id),
+                |_| 0,
+                |svc| svc.round(&traffic).clone(),
+            )
+            .total();
         let s_seen = std::sync::Mutex::new(Vec::new());
-        let sharded = run_sharded(
-            traffic.clone(),
+        let sharded = service.run(
             vec![stage; workers],
-            |w, p| s_seen.lock().unwrap().push((w, p.id, p.tuple)),
-            4096,
-            burst,
+            |w, p: &Packet| s_seen.lock().unwrap().push((w, p.id, p.tuple)),
+            |t| shard_of(t, workers),
+            |svc| svc.round(&traffic).clone(),
         );
 
         // Aggregate accounting matches the single-worker reference.
         let total = sharded.total();
         prop_assert_eq!(total.overflow, 0);
-        prop_assert_eq!(threaded.overflow, 0);
-        prop_assert_eq!(total, threaded);
+        prop_assert_eq!(single.overflow, 0);
+        prop_assert_eq!(total, single);
         // Per-worker conservation and steering-derived received counts.
         let mut expected_rx = vec![0u64; workers];
         for p in &traffic {
@@ -156,7 +161,7 @@ proptest! {
         }
         // Identical per-packet verdicts: the exact same packet ids were
         // forwarded (ids are unique, so set equality pins every verdict).
-        let mut t_ids = t_seen.into_inner().unwrap();
+        let mut t_ids = one_seen.into_inner().unwrap();
         let s_tagged = s_seen.into_inner().unwrap();
         let mut s_ids: Vec<u64> = s_tagged.iter().map(|&(_, id, _)| id).collect();
         t_ids.sort_unstable();

@@ -1,43 +1,60 @@
-//! Multi-victim campaign mode: many tenant contracts, one live cluster.
+//! The scenario round loop: tenant contracts on one live cluster.
 //!
-//! Where [`crate::harness::ScenarioHarness`] scripts one victim's closed
-//! loop, a [`CampaignHarness`] runs several victims' scenarios
-//! *simultaneously* against a single always-on service — the paper's
-//! actual deployment shape, a transit ISP/IXP selling verifiable
-//! filtering to many customers at once:
+//! A [`CampaignHarness`] runs victims' scenarios against a single
+//! always-on service — the paper's deployment shape, a transit ISP/IXP
+//! selling verifiable filtering to many customers at once. One victim is
+//! the n = 1 case: [`CampaignHarness::single`] runs a lone scenario as the
+//! cluster's default contract 0 through exactly the same loop.
 //!
 //! 1. **Admission**: each declared contract's projected per-rule demand
 //!    goes through [`vif_optimizer::arbitrate`]; contracts that do not fit
 //!    the shared enclave pool (rule slots, EPC memory, bandwidth) are
 //!    rejected up front with a per-resource reason and never get a
 //!    session.
-//! 2. **Attestation**: each admitted contract runs the full §VI-B
-//!    handshake under its own [`ContractId`]
+//! 2. **Attestation**: a master enclave is launched and an RSS-replicated
+//!    [`EnclaveCluster`] built around it; each admitted contract runs the
+//!    full §VI-B handshake under its own [`ContractId`]
 //!    ([`VictimClient::establish_contract`]), landing its channel, audit
 //!    key, and sketch pair in its own enclave slot on every slice
 //!    ([`EnclaveCluster::provision_contract`]).
-//! 3. **Execution**: every virtual round merges all active scenarios'
-//!    packet schedules onto one [`DataplaneService`] (per-contract round
-//!    deltas split by destination prefix), then each contract
-//!    independently audits its round with its own
-//!    [`ClusterRoundDriver`], reacts through its own [`VictimPolicy`],
-//!    and publishes its own epoch
-//!    ([`EnclaveCluster::publish_contract`]) — one tenant's churn,
-//!    rotation, and strikes never touch another tenant's slot.
+//! 3. **Execution**: the **always-on** [`DataplaneService`] is started
+//!    once — persistent RX/worker/TX threads over persistent lock-free
+//!    rings — and every virtual round is a message exchange with it: fire
+//!    the round's scheduled faults, attempt due slice rejoins, merge all
+//!    active scenarios' packet schedules into one offer, flush the round
+//!    barrier, mirror any quarantine into the audit and control planes.
+//!    Then each contract independently audits its round with its own
+//!    [`ClusterRoundDriver`], hands the outcome, victim-side sketch
+//!    heavy-hitter estimates and its rules' matched bytes to its own
+//!    [`VictimPolicy`], and applies the decisions **mid-service**: churn
+//!    is queued through the session protocol
+//!    ([`submit_rules_deferred`](FilteringSession::submit_rules_deferred) /
+//!    [`withdraw_rules_deferred`](FilteringSession::withdraw_rules_deferred))
+//!    and published as the contract's own epoch
+//!    ([`EnclaveCluster::publish_contract`]) — the classifier rebuild
+//!    happens off the hot path and each slice swaps to the shared compiled
+//!    table atomically, so the worker threads never stop or block on
+//!    churn, and one tenant's churn, rotation, and strikes never touch
+//!    another tenant's slot.
 //! 4. **Scoring**: every contract ends with its own [`ScenarioReport`]
 //!    (goodput, leakage, collateral, churn), collected in a
-//!    [`CampaignReport`] together with the admission verdicts.
+//!    [`CampaignReport`] together with the admission verdicts. Reports are
+//!    deterministic in the scenario seeds and harness configuration (see
+//!    the crate docs for the argument).
 
-use crate::harness::{attribute_slice, ScenarioHarnessConfig};
+use crate::harness::{attribute_slice, ScenarioAdversary, ScenarioHarnessConfig};
 use crate::policy::{HeavyHitter, InstalledRule, PolicyAction, PolicyObservation, VictimPolicy};
 use crate::report::{PhaseReport, ScenarioReport};
 use crate::timeline::{RoundTraffic, Scenario};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use vif_core::cost::FilterMode;
 use vif_core::enclave_app::{ContractId, EnclaveFilterStage, FilterEnclaveApp};
 use vif_core::logs::PacketFingerprints;
-use vif_core::rounds::{ClusterRoundDriver, ContractState, ExportFailurePolicy, RoundPolicy};
+use vif_core::rounds::{
+    ClusterRoundDriver, ContractState, ExportFailurePolicy, ExportFault, RoundPolicy,
+};
 use vif_core::rpki::RpkiRegistry;
 use vif_core::rules::FilterRule;
 use vif_core::ruleset::RuleId;
@@ -51,13 +68,18 @@ use vif_optimizer::{arbitrate, AdmissionVerdict, ArbiterConfig, ContractDemand};
 use vif_sgx::{AttestationRootKey, AttestationService, EnclaveImage, EpcConfig, SgxPlatform};
 use vif_sketch::{CountMinSketch, SketchConfig};
 use vif_telemetry::{fault, EventKind, TelemetryHub};
+use vif_trie::Ipv4Prefix;
+
+/// Sentinel for "no worker's output is stolen" in the adversary atomic.
+const NO_DROP_WORKER: usize = usize::MAX;
 
 /// One tenant's entry in a campaign: who it is, what traffic it will see,
 /// and what filtering capacity it asks the arbiter for.
 #[derive(Debug, Clone)]
 pub struct CampaignContract {
     /// The tenant's contract id. Must be nonzero (0 is the cluster's
-    /// default slot) and unique within the campaign.
+    /// unscoped default slot, reserved for [`CampaignHarness::single`])
+    /// and unique within the campaign.
     pub contract: ContractId,
     /// The tenant's scripted workload; its `victim` prefix doubles as the
     /// contract's traffic scope (destination-prefix attribution), so
@@ -120,6 +142,9 @@ impl CampaignReport {
 /// Per-contract live state inside the campaign round loop.
 struct Tenant {
     contract: ContractId,
+    /// Destination prefix attributing traffic to this contract; `None`
+    /// for the lone default contract, which owns everything.
+    scope: Option<Ipv4Prefix>,
     scenario: Scenario,
     rounds: Vec<RoundTraffic>,
     session: FilteringSession,
@@ -133,6 +158,7 @@ struct Tenant {
     prev_rule_bytes: BTreeMap<RuleId, u64>,
     phases: Vec<PhaseReport>,
     dirty_rounds: u32,
+    detection_latency: Option<u64>,
     rounds_run: u64,
     total_installed: u32,
     total_withdrawn: u32,
@@ -144,8 +170,9 @@ struct Tenant {
     recovered_at: Option<u64>,
 }
 
-/// Drives several victims' scenarios concurrently over one live cluster,
-/// with optimizer-arbitrated admission.
+/// Drives victims' scenarios concurrently over one live cluster, with
+/// optimizer-arbitrated admission and an adaptive [`VictimPolicy`] per
+/// contract in the loop.
 pub struct CampaignHarness {
     contracts: Vec<CampaignContract>,
     config: CampaignConfig,
@@ -164,12 +191,42 @@ impl CampaignHarness {
     /// contract ids, or a degenerate harness configuration.
     pub fn new(contracts: Vec<CampaignContract>, config: CampaignConfig) -> Self {
         assert!(!contracts.is_empty(), "campaign needs contracts");
-        assert!(config.harness.workers > 0, "at least one worker");
         let mut seen = BTreeSet::new();
         for c in &contracts {
             assert!(c.contract != 0, "contract 0 is the default slot");
             assert!(seen.insert(c.contract), "duplicate contract id");
         }
+        Self::over(contracts, config)
+    }
+
+    /// A single-victim run: `scenario` as the cluster's default contract
+    /// 0 — unscoped (every packet is its traffic), no per-tenant routing,
+    /// nothing asked of the arbiter — through the same round loop, so the
+    /// enclaves keep their one-contract batched logging path. The run's
+    /// only report is `reports[0]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a degenerate harness configuration.
+    pub fn single(scenario: Scenario, config: ScenarioHarnessConfig) -> Self {
+        let lone = CampaignContract {
+            contract: 0,
+            scenario,
+            demand_gbps_per_rule: Vec::new(),
+        };
+        Self::over(
+            vec![lone],
+            CampaignConfig {
+                harness: config,
+                arbiter: ArbiterConfig::default(),
+            },
+        )
+    }
+
+    fn over(contracts: Vec<CampaignContract>, config: CampaignConfig) -> Self {
+        let h = &config.harness;
+        assert!(h.workers > 0, "at least one worker");
+        assert!(h.ring_capacity > 0 && h.burst > 0, "degenerate ring/burst");
         CampaignHarness {
             contracts,
             config,
@@ -184,22 +241,29 @@ impl CampaignHarness {
     /// land in the flight recorder as [`EventKind::ContractAdmit`] /
     /// [`EventKind::ContractReject`] events, every tenant's round driver
     /// records its audit events, the shared cluster records epoch
-    /// publications and rejoins, the service records per-worker metrics,
-    /// and the campaign loop drives the hub's virtual clock. Build the
-    /// hub with the campaign's contract ids
-    /// ([`TelemetryHub::new`]) so per-contract counters are labeled.
+    /// publications and rejoins, the service records per-worker metrics
+    /// and fault/quarantine events, and the round loop drives the hub's
+    /// virtual clock (`global_round × round_ns`) and records seeded
+    /// publish-ack-loss and recover-intent injections. Everything recorded
+    /// is seed-deterministic: two runs of the same contracts + faults + hub
+    /// shape produce byte-identical snapshots and traces. Build the hub
+    /// with the run's contract ids ([`TelemetryHub::new`]; `&[0]` for a
+    /// [`single`](CampaignHarness::single) run) so per-contract counters
+    /// are labeled.
     pub fn with_telemetry(mut self, hub: Arc<TelemetryHub>) -> Self {
         self.telemetry = Some(hub);
         self
     }
 
     /// Attaches a seeded fault schedule shared by the whole campaign
-    /// (faults hit infrastructure, not tenants). Worker crashes, stalls,
-    /// overflow storms, and publish-ack loss all fire; export-fault events
-    /// are ignored in campaign mode — each tenant audits with its own
-    /// driver and the injection point is per driver (use
-    /// [`crate::harness::ScenarioHarness::with_faults`] to exercise
-    /// those).
+    /// (faults hit infrastructure, not tenants): each event fires at the
+    /// start of its global round, translated into the matching injection
+    /// hook — worker crash/stall/overflow on the service, ack loss on the
+    /// cluster, and export corruption/timeouts on **every** tenant's round
+    /// driver (one slice's export path fails for all who audit it). A
+    /// non-empty plan also switches the drivers' export-failure policy to
+    /// [`ExportFailurePolicy::QuarantineSlice`] so chaos runs degrade
+    /// instead of aborting.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self
@@ -249,6 +313,7 @@ impl CampaignHarness {
         let stale_rejoin = self.stale_rejoin;
         let telemetry = self.telemetry.clone();
         let n = config.harness.workers;
+        let adversary = config.harness.adversary;
         let seed = self.contracts[0].scenario.seed;
 
         // --- admission: the arbiter speaks first ------------------------
@@ -299,8 +364,9 @@ impl CampaignHarness {
         let master = Arc::new(platform.launch(image.clone(), FilterEnclaveApp::fresh(secret)));
         let ias = AttestationService::new(root);
 
-        // The cluster's default slot 0 gets throwaway keys — campaign
-        // tenants each provision their own slot below.
+        // The cluster launches with throwaway keys in its default slot 0;
+        // every contract (the lone contract 0 included) keys its own slot
+        // on every slice below.
         let mut cluster = EnclaveCluster::launch_rss_with(
             platform,
             image.clone(),
@@ -343,18 +409,14 @@ impl CampaignHarness {
                 .expect("campaign session handshake");
             let keys = session.keys().clone();
             // Land the contract's scope + keys on every slice (the
-            // handshake itself only touched the master).
-            cluster.provision_contract(
-                c.contract,
-                Some(c.scenario.victim),
-                keys.sketch_seed,
-                keys.audit_key,
-            );
-            contract_map.assign(
-                c.scenario.victim.addr(),
-                c.scenario.victim.len(),
-                c.contract,
-            );
+            // handshake itself only touched the master). Tenants are
+            // scoped to their victim prefix; the lone default contract
+            // stays unscoped and unrouted.
+            let scope = (c.contract != 0).then_some(c.scenario.victim);
+            cluster.provision_contract(c.contract, scope, keys.sketch_seed, keys.audit_key);
+            if let Some(prefix) = scope {
+                contract_map.assign(prefix.addr(), prefix.len(), c.contract);
+            }
             let mut driver = ClusterRoundDriver::new(
                 cluster.enclaves().to_vec(),
                 keys.sketch_seed,
@@ -374,6 +436,30 @@ impl CampaignHarness {
             .with_contract(c.contract);
             if let Some(hub) = &telemetry {
                 driver.set_telemetry(Arc::clone(hub));
+            }
+            // Export faults are injected on each driver's export path; the
+            // hook is keyed by (slice, round, attempt), where the driver's
+            // internal round counter stays aligned with the global round.
+            if !faults.is_empty() {
+                let plan = faults.clone();
+                driver.set_export_fault(Box::new(move |slice, round, attempt| {
+                    for e in plan.due(round) {
+                        match e.kind {
+                            FaultKind::ExportCorrupt { slice: s, attempts }
+                                if s == slice && attempt < attempts =>
+                            {
+                                return ExportFault::Corrupt;
+                            }
+                            FaultKind::ExportTimeout { slice: s, attempts }
+                                if s == slice && attempt < attempts =>
+                            {
+                                return ExportFault::Timeout;
+                            }
+                            _ => {}
+                        }
+                    }
+                    ExportFault::None
+                }));
             }
             let rounds = c.scenario.compile();
             let phases = c
@@ -395,6 +481,7 @@ impl CampaignHarness {
                 .collect();
             tenants.push(Tenant {
                 contract: c.contract,
+                scope,
                 hh_sketch: CountMinSketch::new(SketchConfig::small(
                     c.scenario.seed ^ 0x6ea7 ^ c.contract as u64,
                 )),
@@ -408,6 +495,7 @@ impl CampaignHarness {
                 prev_rule_bytes: BTreeMap::new(),
                 phases,
                 dirty_rounds: 0,
+                detection_latency: None,
                 rounds_run: 0,
                 total_installed: 0,
                 total_withdrawn: 0,
@@ -437,7 +525,6 @@ impl CampaignHarness {
 
         // --- fault/recovery bookkeeping ---------------------------------
         let mut stall_until = vec![0u64; n];
-        let mut seen_q = vec![false; n];
         let mut quarantined_order: Vec<usize> = Vec::new();
         let mut failover_rejected: Vec<RejectedContract> = Vec::new();
         let mut readmitted: Vec<ContractId> = Vec::new();
@@ -472,12 +559,17 @@ impl CampaignHarness {
         }
 
         // --- the one always-on service every tenant shares --------------
+        // Stages, rings, and worker threads are built ONCE; every round
+        // below is a message exchange with this running service. The
+        // adversary is re-aimed between rounds through an atomic the TX
+        // sink reads per delivery (the round barrier orders the store).
         let stages: Vec<EnclaveFilterStage> = cluster
             .enclaves()
             .iter()
             .map(|e| EnclaveFilterStage::new(Arc::clone(e), FilterMode::SgxNearZeroCopy))
             .collect();
         let forwarded: Mutex<Vec<FiveTuple>> = Mutex::new(Vec::new());
+        let adversary_drop = AtomicUsize::new(NO_DROP_WORKER);
         let mut service = DataplaneService::new(ServiceConfig {
             ring_capacity: config.harness.ring_capacity,
             burst: config.harness.burst,
@@ -490,7 +582,11 @@ impl CampaignHarness {
 
         let reports = service.run(
             stages,
-            |_, pkt| forwarded.lock().unwrap().push(pkt.tuple),
+            |worker, pkt| {
+                if adversary_drop.load(Ordering::Relaxed) != worker {
+                    forwarded.lock().unwrap().push(pkt.tuple);
+                }
+            },
             move |t: &FiveTuple| shard_of(t, n),
             |svc| {
                 let mut merged: Vec<Packet> = Vec::new();
@@ -500,7 +596,16 @@ impl CampaignHarness {
                     if let Some(hub) = &telemetry {
                         hub.set_time(global_round * round_ns_max);
                     }
-                    // Fire this round's scheduled infrastructure faults.
+                    adversary_drop.store(
+                        adversary
+                            .filter(|a| global_round >= a.from_round)
+                            .map_or(NO_DROP_WORKER, |a| a.drop_after_worker % n),
+                        Ordering::Relaxed,
+                    );
+                    // Fire this round's scheduled infrastructure faults
+                    // (crashes take effect at the coming barrier;
+                    // stalls/storms shape the offer window; ack loss arms
+                    // the cluster's install hook).
                     for ev in faults.due(global_round) {
                         match ev.kind {
                             FaultKind::WorkerCrash { worker } => svc.inject_crash(worker % n),
@@ -533,8 +638,7 @@ impl CampaignHarness {
                                     );
                                 }
                             }
-                            // Per-driver injection point: not wired in
-                            // campaign mode (see `with_faults`).
+                            // Export faults fire inside the driver hooks.
                             FaultKind::ExportCorrupt { .. } | FaultKind::ExportTimeout { .. } => {}
                         }
                     }
@@ -673,8 +777,7 @@ impl CampaignHarness {
                         }
                         mirrored_q[w] = true;
                         new_quarantine = true;
-                        if !seen_q[w] {
-                            seen_q[w] = true;
+                        if !quarantined_order.contains(&w) {
                             quarantined_order.push(w);
                         }
                         if !cluster.quarantined()[w] && cluster.live_len() > 1 {
@@ -722,7 +825,7 @@ impl CampaignHarness {
                     // tenant consumes only its own deliveries.
                     for tuple in forwarded.lock().unwrap().drain(..) {
                         for t in tenants.iter_mut() {
-                            if t.scenario.victim.contains(tuple.dst_ip) {
+                            if t.scope.is_none_or(|p| p.contains(tuple.dst_ip)) {
                                 t.received.push(tuple);
                                 break;
                             }
@@ -754,7 +857,31 @@ impl CampaignHarness {
                             &pre_live,
                             &pre_prob,
                             uncovered,
+                            adversary,
                         );
+                    }
+
+                    // Export-failure quarantines originate in a driver
+                    // (exhausted retries under QuarantineSlice) while the
+                    // worker itself is still live: the slice is unauditable
+                    // for everyone, so mirror it into every tenant's driver
+                    // and into the cluster, where churn and rule telemetry
+                    // skip it.
+                    for w in 0..n {
+                        if svc.quarantined()[w]
+                            || !tenants.iter().any(|t| t.driver.quarantined()[w])
+                        {
+                            continue;
+                        }
+                        for t in tenants.iter_mut() {
+                            t.driver.quarantine_slice(w);
+                        }
+                        if !cluster.quarantined()[w] && cluster.live_len() > 1 {
+                            cluster.quarantine_slice(w);
+                        }
+                        if !quarantined_order.contains(&w) {
+                            quarantined_order.push(w);
+                        }
                     }
 
                     // Probation verdicts, coordinated across tenants: ANY
@@ -823,6 +950,13 @@ impl CampaignHarness {
                             }
                         });
                     }
+
+                    if tenants
+                        .iter()
+                        .all(|t| t.driver.state() != ContractState::Active)
+                    {
+                        break; // every victim aborted its contract
+                    }
                 }
 
                 tenants
@@ -836,7 +970,7 @@ impl CampaignHarness {
                         rounds: t.rounds_run,
                         dirty_rounds: t.dirty_rounds,
                         final_state: t.driver.state(),
-                        detection_latency_rounds: None,
+                        detection_latency_rounds: t.detection_latency,
                         rules_installed: t.total_installed,
                         rules_withdrawn: t.total_withdrawn,
                         quarantined_slices: quarantined_order.clone(),
@@ -875,6 +1009,7 @@ fn step_tenant(
     pre_live: &[usize],
     pre_prob: &[bool],
     uncovered: u64,
+    adversary: Option<ScenarioAdversary>,
 ) {
     let round = &t.rounds[round_idx];
     let phase = &mut t.phases[round.phase];
@@ -921,15 +1056,17 @@ fn step_tenant(
     if outcome.dirty() {
         t.dirty_rounds += 1;
         phase.dirty_rounds += 1;
+        if let Some(a) = adversary.filter(|a| round.global_round >= a.from_round) {
+            t.detection_latency
+                .get_or_insert(round.global_round - a.from_round + 1);
+        }
     }
 
-    // Per-contract rule telemetry: matched bytes of the tenant's own
-    // rules on the master, diffed against the last round's snapshot.
-    let contract = t.contract;
-    let cur_rule_bytes: BTreeMap<RuleId, u64> = cluster.enclaves()[0]
-        .ecall(move |app| app.contract_rule_bytes(contract))
-        .into_iter()
-        .collect();
+    // Per-contract rule telemetry (the B_i exchange): matched bytes of the
+    // tenant's own rules summed over the live slices — RSS steering lands
+    // a flow on one slice, so the master alone cannot tell a biting rule
+    // from an idle one — diffed against the last round's snapshot.
+    let cur_rule_bytes = cluster.contract_rule_bytes(t.contract);
     for rule in &mut t.installed {
         let cur = cur_rule_bytes.get(&rule.id).copied().unwrap_or(0);
         let prev = t.prev_rule_bytes.get(&rule.id).copied().unwrap_or(0);
@@ -1006,14 +1143,15 @@ fn step_tenant(
                 rounds_idle: 0,
             });
         }
-        // Publication resets every rule's byte counters on the master.
+        // Publication resets every rule's byte counters on every slice.
         t.prev_rule_bytes = BTreeMap::new();
     } else {
         t.prev_rule_bytes = cur_rule_bytes;
     }
 }
 
-/// Expands a seed into deterministic 32-byte key material (domain-tagged).
+/// Expands a seed into deterministic 32-byte key material, domain-tagged
+/// (one [`vif_sketch::hash::splitmix64`] output per word).
 fn derive32(seed: u64, tag: u8) -> [u8; 32] {
     let mut out = [0u8; 32];
     let base = seed ^ (tag as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);

@@ -1,60 +1,9 @@
-//! Runs a compiled scenario through the real VIF stack, end to end.
-//!
-//! Per scenario run, the harness:
-//!
-//! 1. launches a **master enclave** and establishes the full §VI-B
-//!    session against it (attestation, DH channel, derived audit key and
-//!    sketch seed), registering the victim's /16 in RPKI;
-//! 2. builds an RSS-replicated [`EnclaveCluster`] around the master
-//!    ([`EnclaveCluster::launch_rss_with`]) and a [`ClusterRoundDriver`]
-//!    with one verifier pair per slice, all bound to the session keys;
-//! 3. starts the **always-on** [`DataplaneService`] once — persistent
-//!    RX/worker/TX threads over persistent lock-free rings — and drives
-//!    every virtual round as a message exchange with the running service:
-//!    offer the round's packets, flush the round barrier, observe
-//!    handed-over and received traffic through the per-slice verifiers,
-//!    close an audited round;
-//! 4. hands the audited outcome, victim-side sketch heavy-hitter
-//!    estimates, and aggregated enclave rule telemetry to the
-//!    [`VictimPolicy`], then applies its decisions **mid-service**: churn
-//!    is queued through the session protocol
-//!    ([`submit_rules_deferred`](vif_core::session::FilteringSession::submit_rules_deferred)
-//!    / [`withdraw_rules_deferred`](vif_core::session::FilteringSession::withdraw_rules_deferred))
-//!    and published to every slice in one epoch
-//!    ([`EnclaveCluster::publish`]) — the classifier rebuild happens off
-//!    the hot path and each slice swaps to the shared compiled table
-//!    atomically, so the worker threads never stop or block on churn.
-//!
-//! The resulting [`ScenarioReport`] is deterministic in the scenario seed
-//! and harness configuration (see the crate docs for the argument).
+//! Knobs and steering attribution shared by every run of the scenario
+//! round loop ([`crate::campaign`]): the dataplane/audit configuration, the
+//! optional mid-scenario adversary, and the verifier-side recomputation of
+//! packet → slice steering under quarantine.
 
-use crate::policy::{HeavyHitter, InstalledRule, PolicyAction, PolicyObservation, VictimPolicy};
-use crate::report::{PhaseReport, ScenarioReport};
-use crate::timeline::Scenario;
-use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use vif_core::cost::FilterMode;
-use vif_core::enclave_app::{EnclaveFilterStage, FilterEnclaveApp};
-use vif_core::logs::PacketFingerprints;
-use vif_core::rounds::{
-    ClusterRoundDriver, ContractState, ExportFailurePolicy, ExportFault, RoundPolicy,
-};
-use vif_core::rpki::RpkiRegistry;
-use vif_core::rules::FilterRule;
-use vif_core::ruleset::RuleId;
-use vif_core::scale::EnclaveCluster;
-use vif_core::session::{SessionConfig, VictimClient};
-use vif_dataplane::{
-    shard_of, shard_of_fingerprint, DataplaneService, FaultKind, FaultPlan, FiveTuple,
-    ServiceConfig,
-};
-use vif_sgx::{AttestationRootKey, AttestationService, EnclaveImage, EpcConfig, SgxPlatform};
-use vif_sketch::{CountMinSketch, SketchConfig};
-use vif_telemetry::{fault, EventKind, TelemetryHub};
-
-/// Sentinel for "no worker's output is stolen" in the adversary atomic.
-const NO_DROP_WORKER: usize = usize::MAX;
+use vif_dataplane::shard_of_fingerprint;
 
 /// A malicious filtering network inside a scenario (the per-slice variant
 /// of §III-B's attack 2, switched on mid-scenario so detection latency is
@@ -70,7 +19,7 @@ pub struct ScenarioAdversary {
 /// Harness knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ScenarioHarnessConfig {
-    /// Filter workers (= enclave slices) in the sharded pipeline.
+    /// Filter workers (= enclave slices) of the always-on service.
     pub workers: usize,
     /// Per-worker RX ring capacity. Must exceed the largest round's packet
     /// count for loss-free runs (ring overflow audits as drop-before at
@@ -84,7 +33,10 @@ pub struct ScenarioHarnessConfig {
     /// Scenario runs default to "never" so the full report is collected;
     /// lower it to study abort behavior.
     pub max_strikes: u32,
-    /// Optional scenario adversary.
+    /// Optional scenario adversary: from its onset round the filtering
+    /// network steals one worker's post-filter output, for every tenant
+    /// with traffic on that worker; each affected contract's report
+    /// carries its own detection latency.
     pub adversary: Option<ScenarioAdversary>,
 }
 
@@ -98,656 +50,6 @@ impl Default for ScenarioHarnessConfig {
             max_strikes: u32::MAX,
             adversary: None,
         }
-    }
-}
-
-/// Drives one [`Scenario`] through the live sharded data plane with an
-/// adaptive [`VictimPolicy`] in the loop.
-pub struct ScenarioHarness {
-    scenario: Scenario,
-    config: ScenarioHarnessConfig,
-    faults: FaultPlan,
-    telemetry: Option<Arc<TelemetryHub>>,
-}
-
-impl ScenarioHarness {
-    /// Creates a harness.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a degenerate configuration (zero workers, ring, or burst).
-    pub fn new(scenario: Scenario, config: ScenarioHarnessConfig) -> Self {
-        assert!(config.workers > 0, "at least one worker");
-        assert!(
-            config.ring_capacity > 0 && config.burst > 0,
-            "degenerate ring/burst"
-        );
-        ScenarioHarness {
-            scenario,
-            config,
-            faults: FaultPlan::new(),
-            telemetry: None,
-        }
-    }
-
-    /// Attaches a seeded fault schedule: each event fires at the start of
-    /// its global round, translated into the matching injection hook
-    /// (worker crash/stall/overflow on the service, export faults on the
-    /// round driver, ack loss on the cluster). A non-empty plan also
-    /// switches the driver's export-failure policy to
-    /// [`ExportFailurePolicy::QuarantineSlice`] so chaos runs degrade
-    /// instead of aborting.
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Attaches a telemetry hub to the whole stack the run builds: the
-    /// dataplane service records per-worker packet metrics and
-    /// fault/quarantine events, the round driver records audit verdicts
-    /// and probation transitions, the cluster records epoch publications
-    /// and rejoins, and the harness itself drives the hub's virtual clock
-    /// (`global_round × round_ns`) and records seeded publish-ack-loss
-    /// and recover-intent injections. Everything recorded is
-    /// seed-deterministic: two runs of the same scenario + faults + hub
-    /// shape produce byte-identical snapshots and traces.
-    pub fn with_telemetry(mut self, hub: Arc<TelemetryHub>) -> Self {
-        self.telemetry = Some(hub);
-        self
-    }
-
-    /// Runs the scenario to completion (or contract abort) and scores it.
-    pub fn run(self, policy: &mut dyn VictimPolicy) -> ScenarioReport {
-        let scenario = &self.scenario;
-        let config = self.config;
-        let faults = self.faults.clone();
-        let telemetry = self.telemetry.clone();
-        let n = config.workers;
-        let seed = scenario.seed;
-
-        // --- §VI-B session against the master enclave -------------------
-        let secret = derive32(seed, 0x01);
-        let root = AttestationRootKey::new(derive32(seed, 0x02));
-        let platform = SgxPlatform::new(seed ^ 0x51ce, EpcConfig::paper_default(), &root);
-        let image = EnclaveImage::new("vif-scenario", 1, vec![0x90; 1 << 16]);
-        let master = Arc::new(platform.launch(image.clone(), FilterEnclaveApp::fresh(secret)));
-        let ias = AttestationService::new(root);
-        let owner = derive32(seed, 0x03);
-        let victim_client = VictimClient::new(
-            owner,
-            &derive32(seed, 0x04),
-            ias.verifier(),
-            SessionConfig {
-                expected_measurement: image.measurement(),
-                tolerance: config.tolerance,
-            },
-        );
-        let mut rpki = RpkiRegistry::new();
-        rpki.register(scenario.victim, owner);
-        let mut session = victim_client
-            .establish(Arc::clone(&master), &ias, derive32(seed, 0x05))
-            .expect("scenario session handshake");
-        let keys = session.keys().clone();
-
-        // --- replicated cluster + audited round driver ------------------
-        let mut cluster = EnclaveCluster::launch_rss_with(
-            platform,
-            image,
-            master,
-            vif_core::ruleset::RuleSet::new(),
-            n,
-            secret,
-            keys.sketch_seed,
-            keys.audit_key,
-        );
-        let mut driver = ClusterRoundDriver::new(
-            cluster.enclaves().to_vec(),
-            keys.sketch_seed,
-            keys.audit_key,
-            config.tolerance,
-            RoundPolicy {
-                round_duration_ns: scenario.round_ns(),
-                max_strikes: config.max_strikes,
-                export_failure: if faults.is_empty() {
-                    ExportFailurePolicy::AbortContract
-                } else {
-                    ExportFailurePolicy::QuarantineSlice
-                },
-                ..Default::default()
-            },
-        );
-        if let Some(hub) = &telemetry {
-            driver.set_telemetry(Arc::clone(hub));
-            cluster.set_telemetry(Arc::clone(hub));
-        }
-
-        // Export faults are injected on the driver's export path; the hook
-        // is keyed by (slice, round, attempt), where the driver's internal
-        // round counter stays aligned with the compiled global round.
-        if faults.events().iter().any(|e| {
-            matches!(
-                e.kind,
-                FaultKind::ExportCorrupt { .. } | FaultKind::ExportTimeout { .. }
-            )
-        }) {
-            let plan = faults.clone();
-            driver.set_export_fault(Box::new(move |slice, round, attempt| {
-                for e in plan.due(round) {
-                    match e.kind {
-                        FaultKind::ExportCorrupt { slice: s, attempts }
-                            if s == slice && attempt < attempts =>
-                        {
-                            return ExportFault::Corrupt;
-                        }
-                        FaultKind::ExportTimeout { slice: s, attempts }
-                            if s == slice && attempt < attempts =>
-                        {
-                            return ExportFault::Timeout;
-                        }
-                        _ => {}
-                    }
-                }
-                ExportFault::None
-            }));
-        }
-
-        // Publish-ack loss is armed per round by the fault loop below and
-        // consumed by the cluster's install path (shared countdown).
-        let ack_loss: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(vec![0u32; n]));
-        if faults
-            .events()
-            .iter()
-            .any(|e| matches!(e.kind, FaultKind::PublishAckLoss { .. }))
-        {
-            let counts = Arc::clone(&ack_loss);
-            cluster.set_publish_ack_loss(Box::new(move |slice, _attempt| {
-                let mut counts = counts.lock().unwrap();
-                if counts[slice] > 0 {
-                    counts[slice] -= 1;
-                    true
-                } else {
-                    false
-                }
-            }));
-        }
-
-        // --- victim-side state ------------------------------------------
-        // Heavy-hitter estimation over received traffic: a bounded sketch
-        // (not an exact table), cleared per round so estimates are rates.
-        let mut hh_sketch = CountMinSketch::new(SketchConfig::small(seed ^ 0x6ea7));
-        let mut candidates: BTreeSet<u32> = BTreeSet::new();
-        let mut installed: Vec<InstalledRule> = Vec::new();
-        let mut prev_rule_bytes: Vec<u64> = Vec::new();
-
-        // --- report accumulators ----------------------------------------
-        let mut phases: Vec<PhaseReport> = scenario
-            .phases
-            .iter()
-            .map(|p| PhaseReport {
-                name: p.name.clone(),
-                // Counts rounds actually run — an early contract abort
-                // leaves later phases at 0, not their planned length.
-                rounds: 0,
-                offered_legit: 0,
-                offered_attack: 0,
-                delivered_legit: 0,
-                delivered_attack: 0,
-                rules_installed: 0,
-                rules_withdrawn: 0,
-                dirty_rounds: 0,
-                uncovered: 0,
-            })
-            .collect();
-        let mut dirty_rounds = 0u32;
-        let mut detection_latency = None;
-        let mut rounds_run = 0u64;
-        let (mut total_installed, mut total_withdrawn) = (0u32, 0u32);
-
-        // --- fault/recovery bookkeeping ---------------------------------
-        // Stall windows (exclusive end round) re-asserted every round of
-        // the window: the round barrier force-releases a stall, so a
-        // multi-round stall is |rounds| single-round stalls.
-        let mut stall_until = vec![0u64; n];
-        // Quarantines already mirrored into the driver/cluster/report.
-        let mut seen_q = vec![false; n];
-        let mut quarantined_order: Vec<usize> = Vec::new();
-        // First round any traffic went uncovered, and the first later
-        // round with zero uncovered (recovery).
-        let mut outage_start: Option<u64> = None;
-        let mut recovered_at: Option<u64> = None;
-        // Slices a seeded WorkerRecover wants back in. The attempt is made
-        // at the start of the first eligible round (crash fully mirrored,
-        // backoff elapsed, rejoin budget left); a failed probation re-arms
-        // the flag with exponential backoff until the budget runs out
-        // (flap damping).
-        let mut want_rejoin = vec![false; n];
-        let mut next_rejoin_round = vec![0u64; n];
-        let mut crash_round: Vec<Option<u64>> = vec![None; n];
-        let mut recovered_order: Vec<usize> = Vec::new();
-        let mut rejoin_rounds: Option<u64> = None;
-
-        // --- the always-on dataplane service ----------------------------
-        // Stages, rings, and worker threads are built ONCE; every round
-        // below is a message exchange with this running service. The
-        // adversary is re-aimed between rounds through an atomic the TX
-        // sink reads per delivery (the round barrier orders the store).
-        let stages: Vec<EnclaveFilterStage> = cluster
-            .enclaves()
-            .iter()
-            .map(|e| EnclaveFilterStage::new(Arc::clone(e), FilterMode::SgxNearZeroCopy))
-            .collect();
-        let forwarded: Mutex<Vec<FiveTuple>> = Mutex::new(Vec::new());
-        let adversary_drop = AtomicUsize::new(NO_DROP_WORKER);
-        let mut service = DataplaneService::new(ServiceConfig {
-            ring_capacity: config.ring_capacity,
-            burst: config.burst,
-            ..Default::default()
-        });
-        if let Some(hub) = &telemetry {
-            service = service.with_telemetry(Arc::clone(hub));
-        }
-        let service_report = service.run(
-            stages,
-            |worker, pkt| {
-                if adversary_drop.load(Ordering::Relaxed) != worker {
-                    forwarded.lock().unwrap().push(pkt.tuple);
-                }
-            },
-            move |t: &FiveTuple| shard_of(t, n),
-            |svc| {
-                let compiled = scenario.compile();
-                for round in &compiled {
-                    // Drive the hub's virtual clock: every event and
-                    // snapshot this round is stamped with the round's
-                    // deterministic start time, never wall time.
-                    if let Some(hub) = &telemetry {
-                        hub.set_time(round.global_round * scenario.round_ns());
-                    }
-                    adversary_drop.store(
-                        config
-                            .adversary
-                            .filter(|a| round.global_round >= a.from_round)
-                            .map(|a| a.drop_after_worker % n)
-                            .unwrap_or(NO_DROP_WORKER),
-                        Ordering::Relaxed,
-                    );
-
-                    // Fire this round's scheduled faults (crashes take effect
-                    // at the coming barrier; stalls/storms shape the offer
-                    // window; ack loss arms the cluster's install hook).
-                    for ev in faults.due(round.global_round) {
-                        match ev.kind {
-                            FaultKind::WorkerCrash { worker } => svc.inject_crash(worker % n),
-                            FaultKind::WorkerRecover { worker } => {
-                                want_rejoin[worker % n] = true;
-                                if let Some(hub) = &telemetry {
-                                    hub.record_event(
-                                        EventKind::FaultInjected,
-                                        (worker % n) as u32,
-                                        fault::RECOVER,
-                                        0,
-                                    );
-                                }
-                            }
-                            FaultKind::WorkerStall { worker, rounds } => {
-                                let w = worker % n;
-                                stall_until[w] = stall_until[w].max(round.global_round + rounds);
-                            }
-                            FaultKind::RingOverflowStorm { worker, packets } => {
-                                svc.inject_overflow_storm(worker % n, packets);
-                            }
-                            FaultKind::PublishAckLoss { slice, count } => {
-                                ack_loss.lock().unwrap()[slice % n] += count;
-                                if let Some(hub) = &telemetry {
-                                    hub.record_event(
-                                        EventKind::FaultInjected,
-                                        (slice % n) as u32,
-                                        fault::ACK_LOSS,
-                                        count as u64,
-                                    );
-                                }
-                            }
-                            // Export faults fire inside the driver hook.
-                            FaultKind::ExportCorrupt { .. } | FaultKind::ExportTimeout { .. } => {}
-                        }
-                    }
-                    for (w, &until) in stall_until.iter().enumerate() {
-                        if until > round.global_round && !svc.quarantined()[w] {
-                            svc.stall_worker(w, true);
-                        }
-                    }
-
-                    // Attempt scheduled rejoins: relaunch the slice on a
-                    // fresh enclave, re-attest a NEW session (fresh channel,
-                    // audit key, and sketch seed — pre-crash keys are never
-                    // reused), replay rule/contract state from the master,
-                    // and respawn the worker into probation. Live steering
-                    // is untouched until the driver promotes the slice.
-                    for w in 1..n {
-                        if !want_rejoin[w]
-                            || !svc.quarantined()[w]
-                            || svc.probation()[w]
-                            || !driver.quarantined()[w]
-                            || !driver.rejoin_allowed(w)
-                            || round.global_round < next_rejoin_round[w]
-                            || cluster.quarantined()[0]
-                        {
-                            continue;
-                        }
-                        want_rejoin[w] = false;
-                        cluster.relaunch_slice(w);
-                        let fresh = victim_client
-                            .establish(
-                                Arc::clone(&cluster.enclaves()[w]),
-                                &ias,
-                                derive32(seed ^ round.global_round, 0x40 ^ w as u8),
-                            )
-                            .expect("rejoin re-attestation handshake");
-                        cluster.resync_slice(0, w);
-                        driver.start_probation(
-                            w,
-                            Arc::clone(&cluster.enclaves()[w]),
-                            fresh.victim_verifier(),
-                            fresh.neighbor_verifier(),
-                        );
-                        svc.respawn_worker(
-                            w,
-                            EnclaveFilterStage::new(
-                                Arc::clone(&cluster.enclaves()[w]),
-                                FilterMode::SgxNearZeroCopy,
-                            ),
-                        );
-                    }
-
-                    // Quarantine state as the round *starts*: a worker that
-                    // crashes this round still forwarded part of the offer, so
-                    // this round's packets are attributed with the pre-round
-                    // state; re-steer attribution kicks in next round, exactly
-                    // like the handle's own requarget.
-                    let pre_q = svc.quarantined().to_vec();
-                    let pre_live = svc.live_workers().to_vec();
-                    let pre_prob = svc.probation().to_vec();
-
-                    // Neighbor ASes observe what they hand over, attributed by the
-                    // public steering hash (fingerprint-once per packet). A
-                    // probation slice additionally shadows its home shard —
-                    // the mirrored copy reaches its fresh enclave logs, so
-                    // its new neighbor verifier must observe the handover
-                    // too (the live re-steered slice still gets its own).
-                    for pkt in &round.packets {
-                        let fp = PacketFingerprints::of(&pkt.tuple);
-                        driver
-                            .neighbor_verifier_mut(attribute_slice(fp.tuple, &pre_q, &pre_live))
-                            .observe_fingerprint(fp.src_ip);
-                        let home = shard_of_fingerprint(fp.tuple, n);
-                        if pre_prob[home] {
-                            driver
-                                .neighbor_verifier_mut(home)
-                                .observe_fingerprint(fp.src_ip);
-                        }
-                    }
-
-                    // Offer the round to the live service and flush its barrier:
-                    // same persistent threads and rings, round after round.
-                    let round_uncovered = svc.round(&round.packets).total().uncovered;
-
-                    // Mirror service-detected quarantines (crash at the
-                    // barrier) into the audit and control planes *before*
-                    // closing the round: the dead slice's audit is excised
-                    // and future rule churn skips it. A probation worker
-                    // (quarantined *and* probation in the service) is left
-                    // alone here — the driver audits it off its shadow logs.
-                    for w in 0..n {
-                        if svc.quarantined()[w] && !svc.probation()[w] {
-                            if driver.probation()[w] {
-                                // The probation worker flapped (crashed
-                                // mid-probation): the service already flap-
-                                // demoted it; mirror the demotion into the
-                                // audit plane and do the backoff bookkeeping
-                                // here, since close_round clears the
-                                // demotion drain.
-                                driver.demote_slice(w);
-                                next_rejoin_round[w] =
-                                    round.global_round + 1 + driver.rejoin_backoff_rounds(w);
-                                want_rejoin[w] = driver.rejoin_allowed(w);
-                            } else if !driver.quarantined()[w] {
-                                driver.quarantine_slice(w);
-                            }
-                            if !cluster.quarantined()[w] && cluster.live_len() > 1 {
-                                cluster.quarantine_slice(w);
-                            }
-                            if crash_round[w].is_none() {
-                                crash_round[w] = Some(round.global_round);
-                            }
-                        }
-                    }
-
-                    // The victim consumes what actually arrived: verifier
-                    // observation, exact delivery scoring, heavy-hitter counting.
-                    candidates.clear();
-                    hh_sketch.clear();
-                    let phase = &mut phases[round.phase];
-                    phase.rounds += 1;
-                    phase.offered_legit += round.offered_legit;
-                    phase.offered_attack += round.offered_attack;
-                    phase.uncovered += round_uncovered;
-                    if round_uncovered > 0 {
-                        if outage_start.is_none() {
-                            outage_start = Some(round.global_round);
-                        }
-                        recovered_at = None;
-                    } else if outage_start.is_some() && recovered_at.is_none() {
-                        recovered_at = Some(round.global_round);
-                    }
-                    for t in forwarded.lock().unwrap().drain(..) {
-                        let fp = PacketFingerprints::of(&t);
-                        driver
-                            .victim_verifier_mut(attribute_slice(fp.tuple, &pre_q, &pre_live))
-                            .observe_fingerprint(fp.tuple);
-                        // The stateless filter is deterministic, so the
-                        // shadow copy of every sink-delivered home-shard
-                        // packet was forwarded (and logged outgoing) by the
-                        // probation slice too.
-                        let home = shard_of_fingerprint(fp.tuple, n);
-                        if pre_prob[home] {
-                            driver
-                                .victim_verifier_mut(home)
-                                .observe_fingerprint(fp.tuple);
-                        }
-                        if round.attack_sources.contains(&t.src_ip) {
-                            phase.delivered_attack += 1;
-                        } else {
-                            phase.delivered_legit += 1;
-                        }
-                        hh_sketch.add(&t.src_ip.to_be_bytes(), 1);
-                        candidates.insert(t.src_ip);
-                    }
-
-                    // Close the audited round.
-                    let outcome = driver.close_round().expect("authentic slice exports");
-                    rounds_run += 1;
-
-                    // Export-failure quarantines originate in the driver
-                    // (exhausted retries under QuarantineSlice); mirror them
-                    // into the cluster so churn skips the unauditable slice,
-                    // and record every new quarantine in discovery order.
-                    for (w, seen) in seen_q.iter_mut().enumerate().take(n) {
-                        if driver.quarantined()[w]
-                            && !cluster.quarantined()[w]
-                            && cluster.live_len() > 1
-                        {
-                            cluster.quarantine_slice(w);
-                        }
-                        if (svc.quarantined()[w] || driver.quarantined()[w]) && !*seen {
-                            *seen = true;
-                            quarantined_order.push(w);
-                        }
-                    }
-
-                    // Probation verdicts: a dirty (or unauditable) probation
-                    // audit demoted the slice in the driver — mirror the
-                    // demotion into the dataplane and cluster and schedule
-                    // the next attempt after exponential backoff; a full
-                    // clean streak promoted it — restore the worker into
-                    // the steering hash, byte-identical to pre-crash.
-                    for w in driver.take_demoted() {
-                        if svc.probation()[w] {
-                            svc.demote_worker(w);
-                        }
-                        if !cluster.quarantined()[w] && cluster.live_len() > 1 {
-                            cluster.quarantine_slice(w);
-                        }
-                        next_rejoin_round[w] =
-                            round.global_round + 1 + driver.rejoin_backoff_rounds(w);
-                        want_rejoin[w] = driver.rejoin_allowed(w);
-                    }
-                    for w in driver.take_promoted() {
-                        svc.restore_worker(w);
-                        recovered_order.push(w);
-                        if rejoin_rounds.is_none() {
-                            rejoin_rounds = crash_round[w].map(|c| round.global_round - c);
-                        }
-                    }
-                    if outcome.dirty() {
-                        dirty_rounds += 1;
-                        phase.dirty_rounds += 1;
-                        if detection_latency.is_none() {
-                            if let Some(a) = config.adversary {
-                                if round.global_round >= a.from_round {
-                                    detection_latency = Some(round.global_round - a.from_round + 1);
-                                }
-                            }
-                        }
-                    }
-
-                    // Enclave rule telemetry (the B_i exchange): aggregate matched
-                    // bytes across the replicas, diff against the last snapshot.
-                    let cur_rule_bytes = cluster.replicated_rule_bytes();
-                    for rule in &mut installed {
-                        let idx = rule.id as usize;
-                        let cur = cur_rule_bytes.get(idx).copied().unwrap_or(0);
-                        let prev = prev_rule_bytes.get(idx).copied().unwrap_or(0);
-                        if cur == prev {
-                            rule.rounds_idle += 1;
-                        } else {
-                            rule.rounds_idle = 0;
-                        }
-                    }
-
-                    // Heavy hitters: estimate every candidate source, sorted by
-                    // estimate descending (ties by address — fully deterministic).
-                    let mut heavy: Vec<HeavyHitter> = candidates
-                        .iter()
-                        .map(|&src| HeavyHitter {
-                            src_ip: src,
-                            estimated_packets: hh_sketch.estimate(&src.to_be_bytes()),
-                        })
-                        .collect();
-                    heavy.sort_by(|a, b| {
-                        b.estimated_packets
-                            .cmp(&a.estimated_packets)
-                            .then(a.src_ip.cmp(&b.src_ip))
-                    });
-
-                    // The victim reacts.
-                    let mut actions = Vec::new();
-                    policy.react(
-                        &PolicyObservation {
-                            round: round.global_round,
-                            outcome: &outcome,
-                            heavy_hitters: &heavy,
-                            installed: &installed,
-                            victim: scenario.victim,
-                        },
-                        &mut actions,
-                    );
-
-                    // Queue the churn through the session protocol against the
-                    // master, then publish one epoch: the churned rule set is
-                    // compiled ONCE off the hot path and every slice swaps to the
-                    // shared table atomically — the workers never stop.
-                    let mut installs: Vec<FilterRule> = Vec::new();
-                    let mut withdrawals: Vec<RuleId> = Vec::new();
-                    for action in actions {
-                        match action {
-                            PolicyAction::Install(rule) => installs.push(rule),
-                            PolicyAction::Withdraw(id) => withdrawals.push(id),
-                        }
-                    }
-                    // With the master slice quarantined the §VI-B control
-                    // channel is down: churn is dropped on the floor until
-                    // the operator re-homes the session (out of scope here);
-                    // the run keeps scoring the frozen rule set.
-                    let master_live = !cluster.quarantined()[0];
-                    let churned = master_live && (!installs.is_empty() || !withdrawals.is_empty());
-                    if !withdrawals.is_empty() && master_live {
-                        let removed = session
-                            .withdraw_rules_deferred(&withdrawals)
-                            .expect("withdrawal over the session channel");
-                        installed.retain(|r| !withdrawals.contains(&r.id));
-                        phase.rules_withdrawn += removed as u32;
-                        total_withdrawn += removed as u32;
-                    }
-                    if !installs.is_empty() && master_live {
-                        // Withdrawals tombstone in place, so the id the next
-                        // install receives is the current length plus whatever
-                        // installs are already queued for this epoch (none here —
-                        // one publish per round — but stated for correctness).
-                        let base = cluster.enclaves()[0]
-                            .ecall(|app| app.ruleset().len() + app.pending_installs())
-                            as RuleId;
-                        session
-                            .submit_rules_deferred(&installs, &rpki)
-                            .expect("install over the session channel");
-                        for (i, rule) in installs.iter().enumerate() {
-                            installed.push(InstalledRule {
-                                id: base + i as RuleId,
-                                rule: *rule,
-                                installed_round: round.global_round,
-                                rounds_idle: 0,
-                            });
-                        }
-                        phase.rules_installed += installs.len() as u32;
-                        total_installed += installs.len() as u32;
-                    }
-                    if churned {
-                        // Epoch publication (the lock-free successor to Fig. 5's
-                        // replicated redistribute): rebuild off-path, swap per
-                        // slice, reset telemetry.
-                        cluster.publish(0);
-                        prev_rule_bytes = vec![0; cluster.ruleset().len()];
-                    } else {
-                        prev_rule_bytes = cur_rule_bytes;
-                    }
-
-                    if driver.state() != ContractState::Active {
-                        break; // the victim aborted the contract
-                    }
-                }
-
-                ScenarioReport {
-                    scenario: scenario.name.clone(),
-                    contract: 0,
-                    seed,
-                    workers: n,
-                    phases,
-                    rounds: rounds_run,
-                    dirty_rounds,
-                    final_state: driver.state(),
-                    detection_latency_rounds: detection_latency,
-                    rules_installed: total_installed,
-                    rules_withdrawn: total_withdrawn,
-                    quarantined_slices: quarantined_order,
-                    recovery_rounds: outage_start.and_then(|start| recovered_at.map(|r| r - start)),
-                    recovered_slices: recovered_order,
-                    rejoin_rounds,
-                    probation_rounds: driver.probation_rounds_used(),
-                }
-            },
-        );
-        let report = service_report;
-        policy.finish(&report);
-        report
     }
 }
 
@@ -765,18 +67,4 @@ pub(crate) fn attribute_slice(tuple_fp: u64, quarantined: &[bool], live: &[usize
     } else {
         w0
     }
-}
-
-/// Expands a seed into deterministic 32-byte key material, domain-tagged
-/// (one [`vif_sketch::hash::splitmix64`] output per word).
-fn derive32(seed: u64, tag: u8) -> [u8; 32] {
-    let mut out = [0u8; 32];
-    let base = seed ^ (tag as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    for (word, chunk) in out.chunks_mut(8).enumerate() {
-        let z = vif_sketch::hash::splitmix64(
-            base.wrapping_add((word as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-        );
-        chunk.copy_from_slice(&z.to_le_bytes());
-    }
-    out
 }

@@ -20,29 +20,32 @@
 //!   and withdrawals. [`ThresholdPolicy`] is the default: drop sources
 //!   whose estimated per-round rate crosses a threshold, withdraw rules
 //!   once they go idle.
-//! - [`harness`]: the [`ScenarioHarness`] wires a scenario through the
-//!   real machinery — an attested §VI-B session against a master enclave,
-//!   an RSS-replicated [`EnclaveCluster`](vif_core::scale::EnclaveCluster)
-//!   behind the live `run_sharded` pipeline, a
-//!   [`ClusterRoundDriver`](vif_core::rounds::ClusterRoundDriver) closing
-//!   an audited round per virtual round, and live rule churn (session
-//!   install/withdraw + replicated `redistribute`) between rounds while
-//!   the same enclaves keep filtering.
-//! - [`campaign`]: the multi-tenant mode — a [`CampaignHarness`] runs
-//!   several victims' scenarios *simultaneously* as independent contracts
-//!   on one shared cluster and one always-on service: optimizer-arbitrated
-//!   admission ([`vif_optimizer::arbitrate`]), per-contract attested
-//!   sessions/audit sketches/epochs, per-contract publication, and one
-//!   [`ScenarioReport`] per tenant.
-//! - **chaos**: both harnesses take a seeded
-//!   [`FaultPlan`] (`with_faults`) of worker
-//!   crashes/stalls, export corruption/timeouts, publish-ack loss, and
-//!   ring-overflow storms. A crashed worker is quarantined at the next
-//!   round barrier, its flows re-steer to the survivors, and traffic
-//!   caught in the outage is charged to a per-contract `uncovered`
-//!   counter under that contract's
-//!   [`DegradedMode`] — reports then score
-//!   recovery (quarantine order, rounds-to-recover) with the same
+//! - [`campaign`]: the one round loop. A [`CampaignHarness`] wires
+//!   scenarios through the real machinery — optimizer-arbitrated admission
+//!   ([`vif_optimizer::arbitrate`]), an attested §VI-B session per
+//!   contract against a master enclave, an RSS-replicated
+//!   [`EnclaveCluster`](vif_core::scale::EnclaveCluster) behind the
+//!   always-on [`DataplaneService`](vif_dataplane::DataplaneService), a
+//!   [`ClusterRoundDriver`](vif_core::rounds::ClusterRoundDriver) per
+//!   contract closing an audited round per virtual round, and live rule
+//!   churn (deferred session install/withdraw + per-contract epoch
+//!   publication) between rounds while the same enclaves keep filtering.
+//!   Several victims run *simultaneously* as independent contracts with
+//!   their own sessions, audit sketches, epochs and [`ScenarioReport`]s; a
+//!   single victim is [`CampaignHarness::single`], the lone default
+//!   contract 0 on the same loop.
+//! - [`harness`]: the knobs every run shares ([`ScenarioHarnessConfig`],
+//!   the mid-scenario [`ScenarioAdversary`]) and the verifier-side steering
+//!   attribution under quarantine.
+//! - **chaos**: a run takes a seeded [`FaultPlan`] (`with_faults`) of
+//!   worker crashes/stalls/recoveries, export corruption/timeouts,
+//!   publish-ack loss, and ring-overflow storms. A crashed worker is
+//!   quarantined at the next round barrier, its flows re-steer to the
+//!   survivors, and traffic caught in the outage is charged to a
+//!   per-contract `uncovered` counter under that contract's
+//!   [`DegradedMode`]; a seeded recover rejoins the slice through fresh
+//!   attestation, state replay and a probation window — reports then score
+//!   recovery (quarantine order, rounds-to-recover, MTTR) with the same
 //!   seed-determinism as clean runs.
 //! - [`report`]: per-phase metrics — goodput, malicious leakage,
 //!   collateral damage on legitimate flows, bypass-detection latency in
@@ -74,7 +77,7 @@ pub mod timeline;
 pub use campaign::{
     CampaignConfig, CampaignContract, CampaignHarness, CampaignReport, RejectedContract,
 };
-pub use harness::{ScenarioAdversary, ScenarioHarness, ScenarioHarnessConfig};
+pub use harness::{ScenarioAdversary, ScenarioHarnessConfig};
 pub use policy::{
     HeavyHitter, InstalledRule, PolicyAction, PolicyObservation, ThresholdPolicy, VictimPolicy,
 };

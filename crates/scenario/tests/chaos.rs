@@ -6,8 +6,8 @@
 
 use vif_scenario::{
     CampaignConfig, CampaignContract, CampaignHarness, CampaignReport, DegradedMode, FaultKind,
-    FaultPlan, LegitProfile, Phase, PhaseKind, Scenario, ScenarioHarness, ScenarioHarnessConfig,
-    ThresholdPolicy, VictimPolicy,
+    FaultPlan, LegitProfile, Phase, PhaseKind, Scenario, ScenarioHarnessConfig, ThresholdPolicy,
+    VictimPolicy,
 };
 use vif_trie::Ipv4Prefix;
 
@@ -196,7 +196,7 @@ fn chaos_campaign_is_deterministic() {
 #[test]
 fn single_victim_crash_with_transient_export_timeout() {
     let run = |seed: u64| {
-        ScenarioHarness::new(
+        CampaignHarness::single(
             scenario_a(seed),
             ScenarioHarnessConfig {
                 workers: 4,
@@ -214,7 +214,9 @@ fn single_victim_crash_with_transient_export_timeout() {
                     },
                 ),
         )
-        .run(&mut ThresholdPolicy::default())
+        .run(vec![Box::new(ThresholdPolicy::default())])
+        .reports
+        .remove(0)
     };
     let report = run(1117);
     assert_eq!(

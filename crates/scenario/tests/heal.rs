@@ -13,8 +13,8 @@
 use std::sync::OnceLock;
 use vif_scenario::{
     ArbiterConfig, CampaignConfig, CampaignContract, CampaignHarness, CampaignReport, DegradedMode,
-    FaultKind, FaultPlan, LegitProfile, Phase, PhaseKind, Scenario, ScenarioHarness,
-    ScenarioHarnessConfig, ThresholdPolicy, VictimPolicy,
+    FaultKind, FaultPlan, LegitProfile, Phase, PhaseKind, Scenario, ScenarioHarnessConfig,
+    ThresholdPolicy, VictimPolicy,
 };
 use vif_trie::Ipv4Prefix;
 
@@ -292,8 +292,9 @@ fn heal_campaign_is_deterministic() {
     }
 }
 
-/// The single-victim harness runs the same lifecycle: seeded crash,
-/// seeded recover, probation, promotion — and reports it.
+/// A single-victim run (the lone contract 0) goes through the same
+/// lifecycle: seeded crash, seeded recover, probation, promotion — and
+/// reports it.
 #[test]
 fn single_victim_crash_then_recover_heals() {
     let scenario = |seed: u64| Scenario {
@@ -332,7 +333,7 @@ fn single_victim_crash_then_recover_heals() {
         packet_size: 128,
     };
     let run = |seed: u64| {
-        ScenarioHarness::new(
+        CampaignHarness::single(
             scenario(seed),
             ScenarioHarnessConfig {
                 workers: 4,
@@ -344,7 +345,9 @@ fn single_victim_crash_then_recover_heals() {
                 .at(CRASH_ROUND, FaultKind::WorkerCrash { worker: DEAD })
                 .at(RECOVER_ROUND, FaultKind::WorkerRecover { worker: DEAD }),
         )
-        .run(&mut ThresholdPolicy::default())
+        .run(vec![Box::new(ThresholdPolicy::default())])
+        .reports
+        .remove(0)
     };
 
     let report = run(7215);

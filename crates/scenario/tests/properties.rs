@@ -15,19 +15,26 @@ use vif_core::ruleset::{RuleId, RuleSet};
 use vif_core::scale::EnclaveCluster;
 use vif_core::session::{SessionConfig, VictimClient};
 use vif_dataplane::{
-    run_sharded, shard_of_fingerprint, FiveTuple, FlowSet, Protocol, TrafficConfig,
-    TrafficGenerator,
+    shard_of, shard_of_fingerprint, DataplaneService, FiveTuple, FlowSet, Packet, Protocol,
+    ServiceConfig, ThreadedReport, TrafficConfig, TrafficGenerator,
 };
 use vif_scenario::{
-    Scenario, ScenarioAdversary, ScenarioHarness, ScenarioHarnessConfig, ScenarioReport,
+    CampaignHarness, Scenario, ScenarioAdversary, ScenarioHarnessConfig, ScenarioReport,
     ThresholdPolicy,
 };
 use vif_sgx::{AttestationRootKey, AttestationService, EnclaveImage, EpcConfig, SgxPlatform};
 use vif_trie::Ipv4Prefix;
 
+/// One single-victim run (the lone contract 0) under the default policy.
+fn run_single(scenario: Scenario, config: ScenarioHarnessConfig) -> ScenarioReport {
+    CampaignHarness::single(scenario, config)
+        .run(vec![Box::new(ThresholdPolicy::default())])
+        .reports
+        .remove(0)
+}
+
 fn run_smoke(seed: u64) -> ScenarioReport {
-    ScenarioHarness::new(Scenario::smoke(seed), ScenarioHarnessConfig::default())
-        .run(&mut ThresholdPolicy::default())
+    run_single(Scenario::smoke(seed), ScenarioHarnessConfig::default())
 }
 
 /// A scenario run is a pure function of its seed: live threads, lock-free
@@ -67,8 +74,7 @@ proptest! {
 #[test]
 fn pulse_and_carpet_acceptance() {
     let scenario = Scenario::pulse_and_carpet(42);
-    let report = ScenarioHarness::new(scenario.clone(), ScenarioHarnessConfig::default())
-        .run(&mut ThresholdPolicy::default());
+    let report = run_single(scenario.clone(), ScenarioHarnessConfig::default());
 
     // Ran to completion, audited every round, zero false strikes.
     assert_eq!(report.rounds, scenario.total_rounds());
@@ -126,7 +132,7 @@ fn pulse_and_carpet_acceptance() {
 /// mid-scenario round on) is caught by the audit in that very round.
 #[test]
 fn scenario_adversary_is_detected_with_round_latency() {
-    let report = ScenarioHarness::new(
+    let report = run_single(
         Scenario::smoke(42),
         ScenarioHarnessConfig {
             adversary: Some(ScenarioAdversary {
@@ -135,8 +141,7 @@ fn scenario_adversary_is_detected_with_round_latency() {
             }),
             ..Default::default()
         },
-    )
-    .run(&mut ThresholdPolicy::default());
+    );
     assert!(report.dirty_rounds >= 1);
     assert_eq!(
         report.detection_latency_rounds,
@@ -145,7 +150,7 @@ fn scenario_adversary_is_detected_with_round_latency() {
     );
 }
 
-/// Live rule churn **while the sharded pipeline is processing**: a control
+/// Live rule churn **while the sharded service is processing**: a control
 /// thread drives §VI-B installs/withdrawals plus replicated redistributes
 /// against the same enclaves the worker threads are filtering through.
 /// The audit must stay clean — the enclave's logs describe what it
@@ -155,6 +160,7 @@ fn scenario_adversary_is_detected_with_round_latency() {
 #[test]
 fn mid_run_redistribute_keeps_audit_clean() {
     const N: usize = 2;
+    const RING_CAPACITY: usize = 1 << 14;
     let secret = [7u8; 32];
     let root = AttestationRootKey::new([8u8; 32]);
     let platform = SgxPlatform::new(77, EpcConfig::paper_default(), &root);
@@ -175,7 +181,7 @@ fn mid_run_redistribute_keeps_audit_clean() {
     let mut rpki = RpkiRegistry::new();
     rpki.register(victim_prefix, owner);
     let mut session = client
-        .establish(Arc::clone(&master), &ias, [0x11; 32])
+        .establish_contract(Arc::clone(&master), &ias, [0x11; 32], 0)
         .unwrap();
     let keys = session.keys().clone();
     let mut cluster = EnclaveCluster::launch_rss_with(
@@ -254,12 +260,29 @@ fn mid_run_redistribute_keeps_audit_clean() {
 
     let churn_rounds = std::thread::scope(|scope| {
         let dataplane = scope.spawn(|| {
-            run_sharded(
-                traffic,
+            DataplaneService::new(ServiceConfig {
+                ring_capacity: RING_CAPACITY,
+                burst: 32,
+                ..Default::default()
+            })
+            .run(
                 stages,
-                |_, pkt| forwarded.lock().unwrap().push(pkt.tuple),
-                1 << 14,
-                32,
+                |_, pkt: &Packet| forwarded.lock().unwrap().push(pkt.tuple),
+                |t: &FiveTuple| shard_of(t, N),
+                |svc| {
+                    // A window between two barriers is smaller than one
+                    // worker's ring, so no scheduling of the worker
+                    // threads can make a ring overflow.
+                    let mut total = ThreadedReport::default();
+                    for window in traffic.chunks(RING_CAPACITY / 2) {
+                        let round = svc.round(window).total();
+                        total.received += round.received;
+                        total.forwarded += round.forwarded;
+                        total.filtered += round.filtered;
+                        total.overflow += round.overflow;
+                    }
+                    total
+                },
             )
         });
         // Control thread (this one): churn rules through the session and
@@ -289,9 +312,9 @@ fn mid_run_redistribute_keeps_audit_clean() {
                 break;
             }
         }
-        let report = dataplane.join().expect("dataplane thread");
-        let total = report.total();
-        assert_eq!(total.overflow, 0, "ring sized for the run");
+        let total = dataplane.join().expect("dataplane thread");
+        assert_eq!(total.overflow, 0, "a window never exceeds a ring");
+        assert_eq!(total.received, 60_000);
         assert_eq!(total.forwarded + total.filtered, total.received);
         assert!(total.filtered > 0, "churned rules dropped something");
         rounds

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use vif_scenario::{
     CampaignConfig, CampaignContract, CampaignHarness, FaultKind, FaultPlan, Scenario,
-    ScenarioHarness, ScenarioHarnessConfig, ThresholdPolicy, VictimPolicy,
+    ScenarioHarnessConfig, ScenarioReport, ThresholdPolicy, VictimPolicy,
 };
 use vif_telemetry::{EventKind, TelemetryHub};
 
@@ -25,20 +25,28 @@ fn chaos_plan() -> FaultPlan {
         )
 }
 
-/// One seeded single-victim chaos run with a fresh hub; returns the three
-/// exported artifacts.
-fn run_scenario(seed: u64) -> (String, String, Vec<u8>) {
-    let hub = Arc::new(TelemetryHub::new(WORKERS, &[0], 4096));
-    ScenarioHarness::new(
-        Scenario::smoke(seed),
+/// One seeded single-victim run (the lone contract 0) under `faults` with
+/// `hub` attached.
+fn run_single(scenario: Scenario, faults: FaultPlan, hub: &Arc<TelemetryHub>) -> ScenarioReport {
+    CampaignHarness::single(
+        scenario,
         ScenarioHarnessConfig {
             workers: WORKERS,
             ..Default::default()
         },
     )
-    .with_faults(chaos_plan())
-    .with_telemetry(Arc::clone(&hub))
-    .run(&mut ThresholdPolicy::default());
+    .with_faults(faults)
+    .with_telemetry(Arc::clone(hub))
+    .run(vec![Box::new(ThresholdPolicy::default())])
+    .reports
+    .remove(0)
+}
+
+/// One seeded single-victim chaos run with a fresh hub; returns the three
+/// exported artifacts.
+fn run_scenario(seed: u64) -> (String, String, Vec<u8>) {
+    let hub = Arc::new(TelemetryHub::new(WORKERS, &[0], 4096));
+    run_single(Scenario::smoke(seed), chaos_plan(), &hub);
     let snap = hub.snapshot(128);
     (snap.to_json(), snap.to_prometheus(), hub.trace_bytes())
 }
@@ -104,6 +112,33 @@ fn seeded_scenario_telemetry_is_byte_identical() {
     assert_ne!(trace_a, trace_c, "the trace is a function of the seed");
 }
 
+/// The single-victim run is the lone contract 0 on the campaign loop:
+/// with or without chaos, the same seed reproduces the same report and
+/// the same observability artifacts, byte for byte.
+#[test]
+fn single_contract_run_reproduces_report_and_telemetry() {
+    for faults in [FaultPlan::new(), chaos_plan()] {
+        let run = || {
+            let hub = Arc::new(TelemetryHub::new(WORKERS, &[0], 4096));
+            let report = run_single(Scenario::smoke(515), faults.clone(), &hub);
+            (report, hub.snapshot(128).to_json(), hub.trace_bytes())
+        };
+        let (report_a, json_a, trace_a) = run();
+        let (report_b, json_b, trace_b) = run();
+        assert_eq!(report_a.contract, 0, "the default contract");
+        assert_eq!(report_a.rounds, Scenario::smoke(515).total_rounds());
+        assert_eq!(report_a, report_b, "same seed, same report");
+        assert_eq!(json_a, json_b, "same seed, same snapshot");
+        assert_eq!(trace_a, trace_b, "same seed, same trace");
+        assert!(json_a.contains("\"contract\":0"), "{json_a}");
+        assert_eq!(
+            report_a.quarantined_slices.is_empty(),
+            faults.is_empty(),
+            "only the chaos plan quarantines a slice"
+        );
+    }
+}
+
 #[test]
 fn seeded_campaign_telemetry_is_byte_identical() {
     let (json_a, trace_a) = run_campaign(77);
@@ -122,16 +157,7 @@ fn scenario_events_are_stamped_from_the_virtual_clock() {
     let hub = Arc::new(TelemetryHub::new(WORKERS, &[0], 4096));
     let scenario = Scenario::smoke(9);
     let round_ns = scenario.round_ns();
-    ScenarioHarness::new(
-        scenario,
-        ScenarioHarnessConfig {
-            workers: WORKERS,
-            ..Default::default()
-        },
-    )
-    .with_faults(chaos_plan())
-    .with_telemetry(Arc::clone(&hub))
-    .run(&mut ThresholdPolicy::default());
+    run_single(scenario, chaos_plan(), &hub);
     assert!(hub.events_recorded() > 0, "chaos run records events");
     for ev in hub.events_last(4096) {
         assert_eq!(

@@ -76,7 +76,7 @@ fn main() {
     );
     let enclave = Arc::new(platform.launch(image.clone(), FilterEnclaveApp::fresh([5u8; 32])));
     let mut session = victim
-        .establish(Arc::clone(&enclave), &ias, [0x33; 32])
+        .establish_contract(Arc::clone(&enclave), &ias, [0x33; 32], 0)
         .expect("attestation succeeds for the genuine image");
     println!(
         "attestation: measurement {} verified, ~{:.2}s end-to-end (Appendix G model)",

@@ -59,7 +59,7 @@ fn main() {
     // --- verification ----------------------------------------------------
     // The enclave exports its authenticated outgoing log; the victim
     // compares it with what it actually received.
-    let export = app.export_log(LogDirection::Outgoing);
+    let export = app.export_log_for(0, LogDirection::Outgoing);
     let report = victim_verifier.audit(&export).expect("authentic log");
     println!(
         "victim audit: bypass detected = {} (verdict {:?})",

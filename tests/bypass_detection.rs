@@ -131,8 +131,8 @@ fn round_rotation_resets_audits() {
         Protocol::Tcp,
     );
     e.in_enclave_thread(|app| app.process(&t, 64));
-    assert!(e.ecall(|app| app.logs().incoming().total()) > 0);
+    assert!(e.ecall(|app| app.logs_of(0).incoming().total()) > 0);
     e.ecall(|app| app.new_round());
-    assert_eq!(e.ecall(|app| app.logs().incoming().total()), 0);
-    assert_eq!(e.ecall(|app| app.logs().round()), 1);
+    assert_eq!(e.ecall(|app| app.logs_of(0).incoming().total()), 0);
+    assert_eq!(e.ecall(|app| app.logs_of(0).round()), 1);
 }

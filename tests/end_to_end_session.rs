@@ -55,7 +55,7 @@ fn establish_submit_filter_audit() {
     let w = world();
     let enclave = launch(&w);
     let mut session = client(&w)
-        .establish(Arc::clone(&enclave), &w.ias, [1u8; 32])
+        .establish_contract(Arc::clone(&enclave), &w.ias, [1u8; 32], 0)
         .expect("handshake");
 
     let rules = vec![FilterRule::drop(
@@ -97,8 +97,8 @@ fn establish_submit_filter_audit() {
     assert_eq!(stats.dropped, 100);
     assert_eq!(stats.forwarded, 100);
 
-    let out = enclave.ecall(|app| app.export_log(vif::core::logs::LogDirection::Outgoing));
-    let inc = enclave.ecall(|app| app.export_log(vif::core::logs::LogDirection::Incoming));
+    let out = enclave.ecall(|app| app.export_log_for(0, vif::core::logs::LogDirection::Outgoing));
+    let inc = enclave.ecall(|app| app.export_log_for(0, vif::core::logs::LogDirection::Incoming));
     assert!(!victim_verifier.audit(&out).unwrap().bypass_detected());
     assert!(!neighbor_verifier.audit(&inc).unwrap().bypass_detected());
 }
@@ -108,13 +108,13 @@ fn tampered_rule_frame_rejected_by_enclave() {
     let w = world();
     let enclave = launch(&w);
     let session = client(&w)
-        .establish(Arc::clone(&enclave), &w.ias, [2u8; 32])
+        .establish_contract(Arc::clone(&enclave), &w.ias, [2u8; 32], 0)
         .expect("handshake");
     // The untrusted network forges a rule frame without the channel key.
     let forged = vec![0u8; 64];
     let identity = w.victim_identity;
     let rpki = w.rpki.clone();
-    let result = enclave.ecall(move |app| app.receive_rules(&forged, &identity, &rpki));
+    let result = enclave.ecall(move |app| app.receive_rules_for(0, &forged, &identity, &rpki));
     assert!(result.is_err());
     assert_eq!(session.enclave().ecall(|app| app.ruleset().len()), 0);
 }
@@ -125,7 +125,7 @@ fn nonce_binding_prevents_quote_reuse() {
     let w = world();
     let enclave = launch(&w);
     let nonce_a = [0xAA; 32];
-    let enclave_pub = enclave.ecall(|app| app.begin_handshake(nonce_a));
+    let enclave_pub = enclave.ecall(|app| app.begin_handshake_for(0, nonce_a));
     let quote = enclave.quote(vif::core::session::report_binding(&enclave_pub, &nonce_a));
     let report = w.ias.verify_quote(&quote).unwrap();
     // Validating against a different nonce's binding fails.
@@ -142,8 +142,8 @@ fn two_sessions_have_independent_keys() {
     let e1 = launch(&w);
     let e2 = launch(&w);
     let c = client(&w);
-    let s1 = c.establish(e1, &w.ias, [1u8; 32]).unwrap();
-    let s2 = c.establish(e2, &w.ias, [2u8; 32]).unwrap();
+    let s1 = c.establish_contract(e1, &w.ias, [1u8; 32], 0).unwrap();
+    let s2 = c.establish_contract(e2, &w.ias, [2u8; 32], 0).unwrap();
     assert_ne!(s1.keys().audit_key, s2.keys().audit_key);
     assert_ne!(s1.keys().sketch_seed, s2.keys().sketch_seed);
 }
@@ -153,7 +153,7 @@ fn control_plane_uses_ecalls_data_plane_does_not() {
     let w = world();
     let enclave = launch(&w);
     let mut session = client(&w)
-        .establish(Arc::clone(&enclave), &w.ias, [4u8; 32])
+        .establish_contract(Arc::clone(&enclave), &w.ias, [4u8; 32], 0)
         .unwrap();
     let before = enclave.counters().ecalls;
     // Data path: a million... well, a thousand packets, zero ECalls.

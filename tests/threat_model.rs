@@ -64,7 +64,7 @@ fn goal1_neighbor_discrimination_detected_and_localized() {
         enclave.in_enclave_thread(|app| app.process(&tb, 64));
     }
 
-    let incoming = enclave.ecall(|app| app.export_log(LogDirection::Incoming));
+    let incoming = enclave.ecall(|app| app.export_log_for(0, LogDirection::Incoming));
     let report_a = verifier_a.audit(&incoming).unwrap();
     let report_b = verifier_b.audit(&incoming).unwrap();
     assert!(
@@ -119,7 +119,7 @@ fn goal2_resource_saving_bypass_detected() {
             victim.observe(&t);
         }
     }
-    let outgoing = enclave.ecall(|app| app.export_log(LogDirection::Outgoing));
+    let outgoing = enclave.ecall(|app| app.export_log_for(0, LogDirection::Outgoing));
     let report = victim.audit(&outgoing).unwrap();
     assert!(report.bypass_detected(), "wholesale bypass must be visible");
 }
@@ -137,7 +137,7 @@ fn goal2_wholesale_drop_detected_by_neighbor() {
             enclave.in_enclave_thread(|app| app.process(&t, 64));
         } // else: dropped at the IXP edge, never filtered
     }
-    let incoming = enclave.ecall(|app| app.export_log(LogDirection::Incoming));
+    let incoming = enclave.ecall(|app| app.export_log_for(0, LogDirection::Incoming));
     assert!(neighbor.audit(&incoming).unwrap().bypass_detected());
 }
 
@@ -165,7 +165,7 @@ fn stale_log_replay_rejected() {
     let enclave = enclave_with_half_drop();
     let t = flow_from(0x0a00_0000, 1);
     enclave.in_enclave_thread(|app| app.process(&t, 64));
-    let stale = enclave.ecall(|app| app.export_log(LogDirection::Outgoing));
+    let stale = enclave.ecall(|app| app.export_log_for(0, LogDirection::Outgoing));
     enclave.ecall(|app| app.new_round());
 
     // Present the round-0 export as if it covered round 1.
