@@ -237,13 +237,7 @@ fn continuous_publish_churn_never_tears_a_burst() {
             |t: &FiveTuple| shard_of(t, WORKERS),
             |svc| {
                 let mut total = ThreadedReport::default();
-                let mut window = |pkts: &[Packet]| {
-                    let round = svc.round(pkts).total();
-                    total.received += round.received;
-                    total.forwarded += round.forwarded;
-                    total.filtered += round.filtered;
-                    total.overflow += round.overflow;
-                };
+                let mut window = |pkts: &[Packet]| total += svc.round(pkts).total();
                 for pkts in traffic.chunks(WINDOW) {
                     window(pkts);
                 }

@@ -77,6 +77,16 @@ pub struct ThreadedReport {
     pub uncovered: u64,
 }
 
+impl std::ops::AddAssign for ThreadedReport {
+    fn add_assign(&mut self, rhs: Self) {
+        self.received += rhs.received;
+        self.forwarded += rhs.forwarded;
+        self.filtered += rhs.filtered;
+        self.overflow += rhs.overflow;
+        self.uncovered += rhs.uncovered;
+    }
+}
+
 /// Counters from a sharded round: one [`ThreadedReport`] per worker.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardedReport {
@@ -106,12 +116,8 @@ impl ShardedReport {
     /// Aggregate counters across all workers.
     pub fn total(&self) -> ThreadedReport {
         let mut total = ThreadedReport::default();
-        for w in &self.per_worker {
-            total.received += w.received;
-            total.forwarded += w.forwarded;
-            total.filtered += w.filtered;
-            total.overflow += w.overflow;
-            total.uncovered += w.uncovered;
+        for &w in &self.per_worker {
+            total += w;
         }
         total
     }

@@ -17,25 +17,16 @@
 //!    ([`VictimClient::establish_contract`]), landing its channel, audit
 //!    key, and sketch pair in its own enclave slot on every slice
 //!    ([`EnclaveCluster::provision_contract`]).
-//! 3. **Execution**: the **always-on** [`DataplaneService`] is started
-//!    once — persistent RX/worker/TX threads over persistent lock-free
-//!    rings — and every virtual round is a message exchange with it: fire
-//!    the round's scheduled faults, attempt due slice rejoins, merge all
-//!    active scenarios' packet schedules into one offer, flush the round
-//!    barrier, mirror any quarantine into the audit and control planes.
-//!    Then each contract independently audits its round with its own
-//!    [`ClusterRoundDriver`], hands the outcome, victim-side sketch
-//!    heavy-hitter estimates and its rules' matched bytes to its own
-//!    [`VictimPolicy`], and applies the decisions **mid-service**: churn
-//!    is queued through the session protocol
-//!    ([`submit_rules_deferred`](FilteringSession::submit_rules_deferred) /
-//!    [`withdraw_rules_deferred`](FilteringSession::withdraw_rules_deferred))
-//!    and published as the contract's own epoch
-//!    ([`EnclaveCluster::publish_contract`]) — the classifier rebuild
-//!    happens off the hot path and each slice swaps to the shared compiled
-//!    table atomically, so the worker threads never stop or block on
-//!    churn, and one tenant's churn, rotation, and strikes never touch
-//!    another tenant's slot.
+//! 3. **Execution**: the always-on [`DataplaneService`] is started once
+//!    and every virtual round is a message exchange with it: all active
+//!    scenarios' packet schedules are merged into one offer and split
+//!    back by destination prefix on delivery. Each contract then audits
+//!    its round with its own [`ClusterRoundDriver`], reacts through its
+//!    own [`VictimPolicy`], and publishes its own epoch
+//!    ([`EnclaveCluster::publish_contract`]) — one tenant's churn,
+//!    rotation, and strikes never touch another tenant's slot. Faults,
+//!    quarantine, and slice rejoin are infrastructure-wide and mirrored
+//!    into every tenant still auditing.
 //! 4. **Scoring**: every contract ends with its own [`ScenarioReport`]
 //!    (goodput, leakage, collateral, churn), collected in a
 //!    [`CampaignReport`] together with the admission verdicts. Reports are
@@ -174,7 +165,9 @@ struct Tenant {
 /// optimizer-arbitrated admission and an adaptive [`VictimPolicy`] per
 /// contract in the loop.
 pub struct CampaignHarness {
-    contracts: Vec<CampaignContract>,
+    /// Each declared contract with its traffic scope: the destination
+    /// prefix it owns, or `None` for the lone contract that owns it all.
+    contracts: Vec<(CampaignContract, Option<Ipv4Prefix>)>,
     config: CampaignConfig,
     faults: FaultPlan,
     degraded: Vec<(ContractId, DegradedMode)>,
@@ -196,7 +189,14 @@ impl CampaignHarness {
             assert!(c.contract != 0, "contract 0 is the default slot");
             assert!(seen.insert(c.contract), "duplicate contract id");
         }
-        Self::over(contracts, config)
+        let scoped = contracts
+            .into_iter()
+            .map(|c| {
+                let scope = Some(c.scenario.victim);
+                (c, scope)
+            })
+            .collect();
+        Self::over(scoped, config)
     }
 
     /// A single-victim run: `scenario` as the cluster's default contract
@@ -215,7 +215,7 @@ impl CampaignHarness {
             demand_gbps_per_rule: Vec::new(),
         };
         Self::over(
-            vec![lone],
+            vec![(lone, None)],
             CampaignConfig {
                 harness: config,
                 arbiter: ArbiterConfig::default(),
@@ -223,7 +223,10 @@ impl CampaignHarness {
         )
     }
 
-    fn over(contracts: Vec<CampaignContract>, config: CampaignConfig) -> Self {
+    fn over(
+        contracts: Vec<(CampaignContract, Option<Ipv4Prefix>)>,
+        config: CampaignConfig,
+    ) -> Self {
         let h = &config.harness;
         assert!(h.workers > 0, "at least one worker");
         assert!(h.ring_capacity > 0 && h.burst > 0, "degenerate ring/burst");
@@ -314,21 +317,21 @@ impl CampaignHarness {
         let telemetry = self.telemetry.clone();
         let n = config.harness.workers;
         let adversary = config.harness.adversary;
-        let seed = self.contracts[0].scenario.seed;
+        let seed = self.contracts[0].0.scenario.seed;
 
         // --- admission: the arbiter speaks first ------------------------
         let demands: Vec<ContractDemand> = self
             .contracts
             .iter()
-            .map(|c| ContractDemand {
+            .map(|(c, _)| ContractDemand {
                 contract: c.contract,
                 rule_bandwidths_gbps: c.demand_gbps_per_rule.clone(),
             })
             .collect();
         let arbitration = arbitrate(&config.arbiter, &demands);
         let mut rejected = Vec::new();
-        let mut admitted: Vec<(CampaignContract, Box<dyn VictimPolicy>)> = Vec::new();
-        for (c, policy) in self.contracts.into_iter().zip(policies.drain(..)) {
+        let mut admitted = Vec::new();
+        for ((c, scope), policy) in self.contracts.into_iter().zip(policies.drain(..)) {
             match arbitration.verdict(c.contract) {
                 Some(AdmissionVerdict::Rejected { reason }) => {
                     if let Some(hub) = &telemetry {
@@ -343,7 +346,7 @@ impl CampaignHarness {
                     if let Some(hub) = &telemetry {
                         hub.record_event(EventKind::ContractAdmit, 0, c.contract as u64, 0);
                     }
-                    admitted.push((c, policy));
+                    admitted.push((c, scope, policy));
                 }
             }
         }
@@ -385,7 +388,7 @@ impl CampaignHarness {
         let mut tenants: Vec<Tenant> = Vec::with_capacity(admitted.len());
         let mut contract_map = ContractMap::new();
         let mut policies: Vec<Box<dyn VictimPolicy>> = Vec::with_capacity(admitted.len());
-        for (idx, (c, policy)) in admitted.into_iter().enumerate() {
+        for (idx, (c, scope, policy)) in admitted.into_iter().enumerate() {
             let tag = 0x20 + idx as u8;
             let owner = derive32(c.scenario.seed, tag);
             let client = VictimClient::new(
@@ -409,10 +412,8 @@ impl CampaignHarness {
                 .expect("campaign session handshake");
             let keys = session.keys().clone();
             // Land the contract's scope + keys on every slice (the
-            // handshake itself only touched the master). Tenants are
-            // scoped to their victim prefix; the lone default contract
-            // stays unscoped and unrouted.
-            let scope = (c.contract != 0).then_some(c.scenario.victim);
+            // handshake itself only touched the master); an unscoped
+            // contract is not routed either.
             cluster.provision_contract(c.contract, scope, keys.sketch_seed, keys.audit_key);
             if let Some(prefix) = scope {
                 contract_map.assign(prefix.addr(), prefix.len(), c.contract);
@@ -864,16 +865,22 @@ impl CampaignHarness {
                     // Export-failure quarantines originate in a driver
                     // (exhausted retries under QuarantineSlice) while the
                     // worker itself is still live: the slice is unauditable
-                    // for everyone, so mirror it into every tenant's driver
-                    // and into the cluster, where churn and rule telemetry
-                    // skip it.
+                    // for everyone, so mirror it into every auditing
+                    // tenant's driver and into the cluster, where churn and
+                    // rule telemetry skip it. An aborted tenant's flags are
+                    // history, not evidence: it sat out the slice's rejoin,
+                    // so its driver still names the slice quarantined after
+                    // everyone else promoted it.
+                    let auditing = |t: &Tenant| t.driver.state() == ContractState::Active;
                     for w in 0..n {
                         if svc.quarantined()[w]
-                            || !tenants.iter().any(|t| t.driver.quarantined()[w])
+                            || !tenants
+                                .iter()
+                                .any(|t| auditing(t) && t.driver.quarantined()[w])
                         {
                             continue;
                         }
-                        for t in tenants.iter_mut() {
+                        for t in tenants.iter_mut().filter(|t| auditing(t)) {
                             t.driver.quarantine_slice(w);
                         }
                         if !cluster.quarantined()[w] && cluster.live_len() > 1 {

@@ -8,13 +8,17 @@
 //! state: probation catches the desync, demotes the slice back to
 //! quarantine, and the flap-damping backoff spaces the retries until the
 //! rejoin budget outlives the run. The same seed reproduces every report
-//! byte-for-byte.
+//! byte-for-byte. A tenant that aborted before the crash takes no part in
+//! the rejoin and must not drag the healed slice back into quarantine.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock};
+use vif_core::rounds::ContractState;
+use vif_core::rules::{FilterRule, FlowPattern};
+use vif_dataplane::shard_of;
 use vif_scenario::{
     ArbiterConfig, CampaignConfig, CampaignContract, CampaignHarness, CampaignReport, DegradedMode,
-    FaultKind, FaultPlan, LegitProfile, Phase, PhaseKind, Scenario, ScenarioHarnessConfig,
-    ThresholdPolicy, VictimPolicy,
+    FaultKind, FaultPlan, LegitProfile, Phase, PhaseKind, PolicyAction, PolicyObservation,
+    Scenario, ScenarioAdversary, ScenarioHarnessConfig, ThresholdPolicy, VictimPolicy,
 };
 use vif_trie::Ipv4Prefix;
 
@@ -361,4 +365,186 @@ fn single_victim_crash_then_recover_heals() {
 
     let again = run(7215);
     assert_eq!(report, again, "single-victim heal is seed-deterministic");
+}
+
+/// What [`Forewarned`] saw in one round: whether its driver sat the
+/// watched slice out, and every installed rule's idle count.
+struct Seen {
+    round: u64,
+    slice_audited: bool,
+    idle: Vec<u32>,
+}
+
+/// A victim that knows its attackers in advance: installs a drop per
+/// source in round 0, then only records what each round shows it.
+struct Forewarned {
+    sources: Vec<u32>,
+    slice: usize,
+    seen: Arc<Mutex<Vec<Seen>>>,
+}
+
+impl VictimPolicy for Forewarned {
+    fn react(&mut self, obs: &PolicyObservation<'_>, actions: &mut Vec<PolicyAction>) {
+        let verdict = &obs.outcome.slices[self.slice];
+        self.seen.lock().unwrap().push(Seen {
+            round: obs.round,
+            slice_audited: !verdict.quarantined && !verdict.probation,
+            idle: obs.installed.iter().map(|r| r.rounds_idle).collect(),
+        });
+        for src in self.sources.drain(..) {
+            actions.push(PolicyAction::Install(FilterRule::drop(
+                FlowPattern::prefixes(Ipv4Prefix::host(src), obs.victim),
+            )));
+        }
+    }
+}
+
+/// Regression: a tenant that aborted before a crash sits out the slice's
+/// rejoin, so its driver names the slice quarantined forever. That stale
+/// flag must not read as a fresh export-failure quarantine once the
+/// survivors have promoted the slice — it used to re-quarantine the slice
+/// in the surviving tenant's driver (no more audits of a live slice) and
+/// in the cluster (no churn, no rule telemetry) every round to the end.
+#[test]
+fn aborted_tenants_stale_quarantine_does_not_requarantine_a_promoted_slice() {
+    const WORKERS: usize = 4;
+    /// Robbed from round 1, crashed at `CRASH_ROUND`, promoted at 7.
+    const SLICE: usize = 1;
+    /// First round after the promotion; B's attack wave starts here.
+    const HEALED: u64 = 8;
+    let victim_b = Ipv4Prefix::new(u32::from_be_bytes([198, 18, 0, 0]), 16);
+    // A keeps legitimate flows on every worker, so the thief on `SLICE`
+    // dirties rounds 1 and 2 and A aborts on its second strike.
+    let scenario_a = Scenario::smoke(4105);
+    // B's one legitimate flow stays off `SLICE`, and its attackers are
+    // dropped by rules in force since round 0: the thief never gets a
+    // packet of B's, so B lives to see the slice heal.
+    let scenario_b = Scenario {
+        name: "victim-b".into(),
+        seed: 4105 ^ 0xb,
+        victim: victim_b,
+        legit: LegitProfile {
+            sources: 1,
+            gbps: 0.05,
+        },
+        phases: vec![
+            Phase {
+                name: "calm".into(),
+                kind: PhaseKind::Ramp {
+                    from_gbps: 0.0,
+                    to_gbps: 0.0,
+                },
+                rounds: HEALED as u32,
+                attack_gbps: 0.0,
+                attack_sources: 0,
+                zipf_exponent: 0.0,
+            },
+            Phase {
+                name: "wave".into(),
+                kind: PhaseKind::Ramp {
+                    from_gbps: 1.0,
+                    to_gbps: 1.0,
+                },
+                rounds: ROUNDS - HEALED as u32,
+                attack_gbps: 1.0,
+                attack_sources: 16,
+                zipf_exponent: 0.0,
+            },
+        ],
+        round_ms: 1,
+        packet_size: 128,
+    };
+    let compiled_b = scenario_b.compile();
+    let on_slice = |p: &vif_dataplane::Packet| shard_of(&p.tuple, WORKERS) == SLICE;
+    assert!(
+        !compiled_b[0].packets.iter().any(on_slice),
+        "B's legitimate flow must stay off the robbed slice"
+    );
+    assert!(
+        compiled_b[HEALED as usize + 2..]
+            .iter()
+            .any(|r| r.packets.iter().any(on_slice)),
+        "B's attackers never land on the healed slice"
+    );
+    assert!(
+        scenario_a.compile()[1].packets.iter().any(on_slice),
+        "A has nothing on the robbed slice to lose"
+    );
+
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let report = CampaignHarness::new(
+        vec![
+            CampaignContract {
+                contract: 1,
+                scenario: scenario_a,
+                demand_gbps_per_rule: Vec::new(),
+            },
+            CampaignContract {
+                contract: 2,
+                scenario: scenario_b,
+                demand_gbps_per_rule: Vec::new(),
+            },
+        ],
+        CampaignConfig {
+            harness: ScenarioHarnessConfig {
+                workers: WORKERS,
+                max_strikes: 2,
+                adversary: Some(ScenarioAdversary {
+                    from_round: 1,
+                    drop_after_worker: SLICE,
+                }),
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    )
+    .with_faults(
+        FaultPlan::new()
+            .at(CRASH_ROUND, FaultKind::WorkerCrash { worker: SLICE })
+            .at(RECOVER_ROUND, FaultKind::WorkerRecover { worker: SLICE }),
+    )
+    .run(vec![
+        Box::new(ThresholdPolicy::default()),
+        Box::new(Forewarned {
+            sources: compiled_b[HEALED as usize]
+                .attack_sources
+                .iter()
+                .copied()
+                .collect(),
+            slice: SLICE,
+            seen: Arc::clone(&seen),
+        }),
+    ]);
+
+    let a = report.report(1).expect("contract 1 report");
+    assert_eq!(a.final_state, ContractState::Aborted { strikes: 2 });
+    assert_eq!(a.rounds, 3, "A aborted two rounds before the crash");
+
+    let b = report.report(2).expect("contract 2 report");
+    assert_eq!(b.final_state, ContractState::Active);
+    assert_eq!(b.rounds, ROUNDS as u64);
+    assert_eq!(b.dirty_rounds, 0);
+    assert_eq!(b.quarantined_slices, vec![SLICE]);
+    assert_eq!(b.recovered_slices, vec![SLICE], "promoted by B alone");
+    assert_eq!(b.rules_installed, 16);
+
+    let seen = seen.lock().unwrap();
+    for s in seen.iter().filter(|s| s.round >= HEALED) {
+        // B's driver: the healed slice is audited as a trusted slice in
+        // every round to the end of the run.
+        assert!(
+            s.slice_audited,
+            "round {}: B's driver sat the healed slice out",
+            s.round
+        );
+        // The cluster: every rule bites somewhere each round; reading one
+        // idle means the slice its flow landed on was skipped.
+        assert!(
+            s.idle.iter().all(|&idle| idle == 0),
+            "round {}: the cluster skipped the healed slice's rule telemetry: {:?}",
+            s.round,
+            s.idle
+        );
+    }
+    assert_eq!(seen.len(), ROUNDS as usize);
 }

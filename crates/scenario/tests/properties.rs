@@ -275,11 +275,7 @@ fn mid_run_redistribute_keeps_audit_clean() {
                     // threads can make a ring overflow.
                     let mut total = ThreadedReport::default();
                     for window in traffic.chunks(RING_CAPACITY / 2) {
-                        let round = svc.round(window).total();
-                        total.received += round.received;
-                        total.forwarded += round.forwarded;
-                        total.filtered += round.filtered;
-                        total.overflow += round.overflow;
+                        total += svc.round(window).total();
                     }
                     total
                 },
