@@ -2,15 +2,14 @@
 //!
 //! [`RuleSet::classify`](crate::ruleset::RuleSet::classify) must answer,
 //! for every packet: *which installed rule decides this five tuple?* The
-//! reference implementation walks the authoritative coarse-rule trie with
-//! [`MultiBitTrie::lookup_path`](vif_trie::MultiBitTrie::lookup_path) —
-//! up to 33 ordered-map probes plus a `Vec` allocation per packet, which
-//! is orders of magnitude away from the paper's §V line-rate budget
-//! (two linear hashes and one table walk per packet).
+//! reference implementation probes the authoritative coarse-rule store
+//! once per covering prefix length — up to 33 ordered-set probes per
+//! packet, which is orders of magnitude away from the paper's §V
+//! line-rate budget (two linear hashes and one table walk per packet).
 //!
-//! [`CompiledClassifier`] is the read-only compiled form, rebuilt whenever
-//! the rule set changes (the enclave's copy-on-write table swap at rule
-//! install time, Appendix F):
+//! [`CompiledClassifier`] is the read-only compiled form, built once per
+//! rule epoch (the enclave's copy-on-write table swap at rule install
+//! time, Appendix F):
 //!
 //! - the coarse rules are compiled into a [`CompiledTrie`] stride walk
 //!   whose per-slot candidate lists are pre-sorted longest-prefix-first
@@ -24,13 +23,13 @@
 //! Candidate order reproduces the reference precedence exactly: prefixes
 //! longest-first, and within one prefix the bucket's insertion order —
 //! the property test `compiled_classifier_matches_reference` pins
-//! bit-identical verdicts against the `lookup_path` reference.
+//! bit-identical verdicts against the reference probe.
 
 use crate::filter::allow_threshold;
 use crate::rules::{FilterRule, RuleDecision};
 use crate::ruleset::RuleId;
 use vif_dataplane::{FiveTuple, Protocol};
-use vif_trie::{CompiledTrie, Ipv4Prefix, MultiBitTrie};
+use vif_trie::{CompiledTrie, Ipv4Prefix};
 
 /// One coarse rule, flattened for the hot path: the full `FlowPattern`
 /// constraint set as plain words, plus the rule id to report on a match.
@@ -102,11 +101,13 @@ impl CompiledCandidate {
 /// Span into the flat candidate array (start index, length).
 type CandSpan = (u32, u32);
 
+/// Stride of the coarse-rule trie (§V-A's multi-bit trie: four levels).
+pub(crate) const COARSE_STRIDE: u8 = 8;
+
 /// The compiled coarse-rule classifier (see the [module docs](self)).
 ///
 /// Read-only: compiled from the authoritative rule structures by
-/// [`compile`](CompiledClassifier::compile), replaced wholesale on every
-/// rule-set mutation.
+/// [`compile`](CompiledClassifier::compile), once per rule epoch.
 #[derive(Debug, Clone)]
 pub struct CompiledClassifier {
     trie: CompiledTrie<CandSpan>,
@@ -120,25 +121,24 @@ pub struct CompiledClassifier {
 }
 
 impl CompiledClassifier {
-    /// Compiles the coarse side of a rule set: `coarse` maps each source
-    /// prefix to its bucket of rule ids (insertion order), `rules` is the
-    /// full rule array the ids index into.
-    pub fn compile(coarse: &MultiBitTrie<Vec<RuleId>>, rules: &[FilterRule]) -> Self {
+    /// Compiles the coarse side of a rule set: `coarse` lists the coarse
+    /// rules in force as `(source prefix, rule id)`, sorted — each prefix's
+    /// run is its bucket in precedence order; `rules` is the full rule
+    /// array the ids index into.
+    pub fn compile(
+        coarse: impl IntoIterator<Item = (Ipv4Prefix, RuleId)>,
+        rules: &[FilterRule],
+    ) -> Self {
         let mut candidates = Vec::new();
-        // Straight into the compiled form (`from_entries`): no
-        // intermediate expanded trie is built and thrown away.
-        let trie = CompiledTrie::from_entries(
-            coarse.stride(),
-            coarse.iter().map(|(prefix, bucket)| {
-                let start = candidates.len() as u32;
-                candidates.extend(
-                    bucket
-                        .iter()
-                        .map(|&id| CompiledCandidate::compile(id, &rules[id as usize])),
-                );
-                (*prefix, (start, bucket.len() as u32))
-            }),
-        );
+        let mut buckets: Vec<(Ipv4Prefix, CandSpan)> = Vec::new();
+        for (prefix, id) in coarse {
+            match buckets.last_mut() {
+                Some((last, (_, len))) if *last == prefix => *len += 1,
+                _ => buckets.push((prefix, (candidates.len() as u32, 1))),
+            }
+            candidates.push(CompiledCandidate::compile(id, &rules[id as usize]));
+        }
+        let trie = CompiledTrie::from_entries(COARSE_STRIDE, buckets);
         let thresholds = rules
             .iter()
             .map(|r| match r.decision() {
@@ -177,6 +177,18 @@ impl CompiledClassifier {
             }
         }
         None
+    }
+
+    /// Nodes of the compiled trie — the same node structure a
+    /// [`MultiBitTrie`](vif_trie::MultiBitTrie) over the coarse prefixes
+    /// would allocate.
+    pub fn node_count(&self) -> usize {
+        self.trie.node_count()
+    }
+
+    /// Distinct coarse source prefixes compiled in.
+    pub fn prefixes(&self) -> usize {
+        self.trie.len()
     }
 
     /// Estimated memory footprint of the compiled structures, in bytes.

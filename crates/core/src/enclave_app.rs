@@ -13,7 +13,7 @@ use crate::hybrid::HybridFilter;
 use crate::logs::{AuthenticatedSketch, LogDirection, PacketFingerprints, PacketLogs};
 use crate::rpki::{OwnerId, RpkiRegistry};
 use crate::rules::{FilterRule, RuleAction};
-use crate::ruleset::{RuleId, RuleSet};
+use crate::ruleset::{RuleId, RuleSet, RuleTables};
 use crate::session::{derive_session_keys, SessionError};
 use std::sync::Arc;
 use vif_crypto::channel::SecureChannel;
@@ -53,15 +53,30 @@ pub struct FilterStats {
 /// [`FilterEnclaveApp::receive_rule_withdrawal_deferred_for`]) accepts and
 /// authorizes edits without touching the live rule set; they sit in this
 /// form until the cluster's publisher drains them with
-/// [`FilterEnclaveApp::take_publish_snapshot_for`], rebuilds off the hot
+/// [`FilterEnclaveApp::take_publish_snapshot_for`], compiles off the hot
 /// path, and swaps the result in with
-/// [`FilterEnclaveApp::install_published_for`].
+/// [`FilterEnclaveApp::install_epoch_for`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RuleEdit {
     /// Install a new rule (id assigned at publication, in queue order).
     Install(FilterRule),
     /// Withdraw the rule with this id.
     Withdraw(RuleId),
+}
+
+/// What [`FilterEnclaveApp::take_publish_snapshot_for`] hands the
+/// publisher: a shared handle and the drained queue, nothing copied.
+#[derive(Debug)]
+pub struct PublishSnapshot {
+    /// The live rule epoch, by reference.
+    pub tables: Arc<RuleTables>,
+    /// The contract's drained deferred queue, in submission order, less
+    /// the withdrawals of ids the contract does not own (dropped inside
+    /// the enclave, so every edit here is the contract's to make).
+    pub edits: Vec<RuleEdit>,
+    /// The contract's epoch at snapshot time; the publication installs
+    /// `epoch + 1`.
+    pub epoch: u64,
 }
 
 /// Per-contract enclave state: everything one victim's tenancy owns.
@@ -82,12 +97,14 @@ struct ContractSlot {
     channel: Option<SecureChannel>,
     /// Accepted-but-unpublished rule edits (this contract's deferred queue).
     pending: Vec<RuleEdit>,
-    /// Epochs published *for this contract* (one per
-    /// [`install_published_for`](FilterEnclaveApp::install_published_for)).
+    /// The epoch published *for this contract* that this enclave is on
+    /// (see [`install_epoch_for`](FilterEnclaveApp::install_epoch_for)).
     epoch: u64,
-    /// Rule ids installed through this contract; withdrawal frames may only
-    /// unlink ids recorded here (ids never alias between contracts — the
-    /// rule set tombstones slots, never renumbers).
+    /// Rule ids installed through this contract and not withdrawn by a
+    /// publication since; withdrawal frames may only unlink ids recorded
+    /// here (ids never alias between contracts — the rule set tombstones
+    /// slots, never renumbers). Ascending — ids are assigned ascending, so
+    /// appends keep it sorted.
     owned: Vec<RuleId>,
 }
 
@@ -112,7 +129,7 @@ impl ContractSlot {
     }
 
     fn owns(&self, id: RuleId) -> bool {
-        self.owned.contains(&id)
+        self.owned.binary_search(&id).is_ok()
     }
 }
 
@@ -225,8 +242,8 @@ impl FilterEnclaveApp {
         self.contracts.iter().map(|s| s.id).collect()
     }
 
-    /// Rule ids installed through `contract` (deferred installs appear once
-    /// published).
+    /// Rule ids installed through `contract`, ascending (deferred installs
+    /// appear, and deferred withdrawals disappear, once published).
     pub fn owned_rules(&self, contract: ContractId) -> Vec<RuleId> {
         match self.slot_index(contract) {
             Some(i) => self.contracts[i].owned.clone(),
@@ -353,7 +370,7 @@ impl FilterEnclaveApp {
     /// mutating the live rule set — the rules take force only at the
     /// contract's next epoch publication
     /// ([`take_publish_snapshot_for`](FilterEnclaveApp::take_publish_snapshot_for) /
-    /// [`install_published_for`](FilterEnclaveApp::install_published_for)),
+    /// [`install_epoch_for`](FilterEnclaveApp::install_epoch_for)),
     /// so the data path never observes a rebuild in progress and publishing
     /// one tenant never flushes another's churn. The acknowledgement
     /// carries the number of rules queued.
@@ -447,8 +464,8 @@ impl FilterEnclaveApp {
     /// unlinking the rules now. Because the edits have not been applied
     /// yet, the acknowledgement carries the number of ids *queued* (the
     /// immediate path acks the number actually in force — that count exists
-    /// only after publication; the publisher enforces ownership when it
-    /// applies the queue).
+    /// only after publication; ownership is enforced when the queue is
+    /// drained for it).
     ///
     /// # Errors
     ///
@@ -650,10 +667,11 @@ impl FilterEnclaveApp {
 
     /// Installs a new rule set (redistribution round). Resets the hybrid
     /// cache — promoted exact-match entries derive from the old rules.
-    pub fn install_ruleset(&mut self, ruleset: RuleSet) {
-        let secret = *self.filter.secret();
-        let max = self.filter.max_cached_flows();
-        self.filter = HybridFilter::new(StatelessFilter::new(ruleset, secret), max);
+    /// Returns the displaced rule set: a caller inside an ECall passes it
+    /// out, so that the last reference to an old epoch's tables is dropped
+    /// by the control plane, never while the enclave lock is held.
+    pub fn install_ruleset(&mut self, ruleset: RuleSet) -> RuleSet {
+        self.filter.install_ruleset(ruleset)
     }
 
     /// Queues rule edits directly (control-plane ECall; session-driven
@@ -681,14 +699,18 @@ impl FilterEnclaveApp {
         }
     }
 
-    /// Epoch-publication step 1 (a brief ECall): hand the publisher a clone
-    /// of the live rule set — cheap, the compiled classifier rides along as
-    /// a shared [`Arc`] handle — plus `contract`'s drained deferred queue
-    /// (other tenants' pending churn stays queued) and the contract's
-    /// owned-rule set, so the publisher can enforce that queued withdrawals
-    /// only ever unlink rules the contract installed. The publisher applies
-    /// the edits and rebuilds **outside** the enclave lock, then re-enters
-    /// with [`install_published_for`](FilterEnclaveApp::install_published_for).
+    /// Epoch-publication step 1 (a brief ECall): hand the publisher the
+    /// live rule epoch by reference plus `contract`'s drained deferred
+    /// queue (other tenants' pending churn stays queued). Ownership is
+    /// enforced here, on the way out: a queued withdrawal survives only if
+    /// the contract installed the id — earlier, or by an install earlier
+    /// in this same queue (queued installs take the next slot ids in queue
+    /// order) — so the publisher never sees an edit that is not the
+    /// contract's to make. On-lock work is a reference-count bump and one
+    /// pass over the queue (a binary search per withdrawal) — independent
+    /// of the rule count. The publisher applies the edits and compiles
+    /// **outside** the enclave lock, then re-enters with
+    /// [`install_epoch_for`](FilterEnclaveApp::install_epoch_for).
     ///
     /// # Errors
     ///
@@ -696,35 +718,88 @@ impl FilterEnclaveApp {
     pub fn take_publish_snapshot_for(
         &mut self,
         contract: ContractId,
-    ) -> Result<(RuleSet, Vec<RuleEdit>, Vec<RuleId>), SessionError> {
+    ) -> Result<PublishSnapshot, SessionError> {
         let idx = self.slot_index_or_err(contract)?;
-        Ok((
-            self.filter.inner().ruleset().clone(),
-            std::mem::take(&mut self.contracts[idx].pending),
-            self.contracts[idx].owned.clone(),
-        ))
+        let tables = Arc::clone(self.ruleset().tables());
+        let first_new = self.ruleset().len() as RuleId;
+        let slot = &mut self.contracts[idx];
+        let mut edits = std::mem::take(&mut slot.pending);
+        let mut next_new = first_new;
+        edits.retain(|edit| match *edit {
+            RuleEdit::Install(_) => {
+                next_new += 1;
+                true
+            }
+            RuleEdit::Withdraw(id) => slot.owns(id) || (first_new..next_new).contains(&id),
+        });
+        Ok(PublishSnapshot {
+            tables,
+            edits,
+            epoch: slot.epoch,
+        })
     }
 
-    /// Epoch-publication step 2 (a brief ECall): swap in a rule set the
-    /// publisher rebuilt off the hot path. Identical observable semantics
-    /// to a redistribution install — the hybrid cache flushes and the rule
-    /// telemetry counters restart — plus an epoch bump (the contract's and
-    /// the app-wide counter), so concurrent readers can tell exactly which
-    /// rule generation a burst was decided under. `new_owned` — the ids the
-    /// publisher assigned to the contract's deferred installs — joins the
-    /// contract's ownership set.
+    /// Epoch-publication step 2 (a brief ECall): swap in the rule set the
+    /// publisher built off the hot path as `contract`'s epoch `epoch`.
+    /// Identical observable semantics to a redistribution install — the
+    /// hybrid cache flushes and rule telemetry restarts — plus the epoch
+    /// move (the contract's, and one tick of the app-wide counter), so
+    /// concurrent readers can tell exactly which rule generation a burst
+    /// was decided under. `installed` — the ids the publisher assigned to
+    /// the contract's deferred installs, ascending — joins the contract's
+    /// ownership set and `withdrawn` (ascending) leaves it.
+    ///
+    /// `ruleset` must arrive with zeroed counters (the publisher builds
+    /// each slice's handle with [`RuleSet::from_tables`] before entering):
+    /// that is how telemetry restarts with no on-lock pass over the rules.
+    /// A rule set of unknown history goes through
+    /// [`install_published_for`](FilterEnclaveApp::install_published_for),
+    /// which zeroes it. On-lock work is then a pointer swap and two table
+    /// clears, independent of the rule count, plus the ownership edit (an
+    /// append; one pass over the contract's ids if the epoch withdraws
+    /// any). Nothing is freed.
+    ///
+    /// Idempotent per epoch: a re-delivery of an epoch this enclave is
+    /// already on (the publisher re-sends when an ack is lost) is
+    /// acknowledged without being applied. Either way the rule set that is
+    /// *not* installed afterwards — the displaced one, or the redundant
+    /// delivery — is returned, so its tables are released off-lock.
+    pub fn install_epoch_for(
+        &mut self,
+        contract: ContractId,
+        epoch: u64,
+        ruleset: RuleSet,
+        installed: &[RuleId],
+        withdrawn: &[RuleId],
+    ) -> RuleSet {
+        if self.epoch_of(contract) >= epoch {
+            return ruleset;
+        }
+        let displaced = self.install_ruleset(ruleset);
+        self.publish_epoch += 1;
+        let slot = self.slot_mut_or_create(contract);
+        slot.epoch = epoch;
+        slot.owned.extend_from_slice(installed);
+        if !withdrawn.is_empty() {
+            slot.owned.retain(|id| withdrawn.binary_search(id).is_err());
+        }
+        displaced
+    }
+
+    /// [`install_epoch_for`](FilterEnclaveApp::install_epoch_for) the
+    /// contract's *next* epoch, whatever this enclave is on — for callers
+    /// that publish to one enclave directly and have no withdrawals to
+    /// report. Takes any rule set: whatever its counters hold is zeroed
+    /// first (in place, no allocation), so telemetry restarts here too.
     pub fn install_published_for(
         &mut self,
         contract: ContractId,
-        ruleset: RuleSet,
+        mut ruleset: RuleSet,
         new_owned: &[RuleId],
-    ) {
-        self.install_ruleset(ruleset);
-        self.reset_rule_counters();
-        self.publish_epoch += 1;
-        let slot = self.slot_mut_or_create(contract);
-        slot.epoch += 1;
-        slot.owned.extend_from_slice(new_owned);
+    ) -> RuleSet {
+        ruleset.reset_counters();
+        let next = self.epoch_of(contract) + 1;
+        self.install_epoch_for(contract, next, ruleset, new_owned, &[])
     }
 
     /// Epochs published into this enclave since launch (all contracts).
@@ -732,7 +807,7 @@ impl FilterEnclaveApp {
         self.publish_epoch
     }
 
-    /// Epochs published for one contract since launch.
+    /// The epoch one contract is on (publications since launch).
     pub fn epoch_of(&self, contract: ContractId) -> u64 {
         match self.slot_index(contract) {
             Some(i) => self.contracts[i].epoch,

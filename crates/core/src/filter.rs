@@ -111,9 +111,10 @@ impl StatelessFilter {
     }
 
     /// Replaces the rule set (a redistribution round installing a new
-    /// configuration, Fig. 5).
-    pub fn install_ruleset(&mut self, ruleset: RuleSet) {
-        self.ruleset = ruleset;
+    /// configuration, Fig. 5), returning the displaced one so the caller
+    /// chooses where its tables are released.
+    pub fn install_ruleset(&mut self, ruleset: RuleSet) -> RuleSet {
+        std::mem::replace(&mut self.ruleset, ruleset)
     }
 
     /// The enclave secret (never leaves the enclave in the real system).

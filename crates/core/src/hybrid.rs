@@ -173,6 +173,17 @@ impl HybridFilter {
         self.flush_cache();
     }
 
+    /// Swaps in a whole new rule set and restarts the fast path: cached
+    /// and pending verdicts derive from the old rules, and the execution
+    /// statistics describe them. The tables keep their capacity, so the
+    /// swap frees nothing; the displaced rule set is returned for the
+    /// caller to drop where it likes.
+    pub fn install_ruleset(&mut self, ruleset: crate::ruleset::RuleSet) -> crate::ruleset::RuleSet {
+        self.flush_cache();
+        self.stats = HybridStats::default();
+        self.inner.install_ruleset(ruleset)
+    }
+
     /// Withdraws rules from the wrapped rule set (one classifier rebuild
     /// via [`RuleSet::batch_edit`](crate::ruleset::RuleSet::batch_edit))
     /// and invalidates the exact-match cache and promotion queue, for the

@@ -1,8 +1,8 @@
 //! Rule sets with the enclave's lookup structures.
 //!
 //! Exact-match five-tuple rules live in a hash table; coarse rules are
-//! bucketed by source prefix in a multi-bit trie (§V-A's "Filter Rule
-//! Lookup Table: multi-bit tries"). Classification precedence:
+//! bucketed by source prefix (§V-A's "Filter Rule Lookup Table: multi-bit
+//! tries"). Classification precedence:
 //!
 //! 1. an exact five-tuple rule, if one matches,
 //! 2. the coarse rule with the longest matching source prefix whose port
@@ -11,19 +11,25 @@
 //! 3. no match — the filter's default applies (ALLOW: VIF only drops what
 //!    the victim asked it to drop).
 //!
-//! Classification runs on two compiled hot-path structures, rebuilt on
-//! every rule mutation (the install-time table swap of Appendix F): the
-//! exact-match table keyed by the deterministic fast hasher
-//! ([`crate::fasthash`], replacing std's per-byte SipHash) and the
-//! [`CompiledClassifier`] stride walk (replacing per-packet
-//! `lookup_path` map probes and their `Vec` allocation). The original
-//! trie-map path survives as [`RuleSet::classify_reference`], the oracle
-//! the property tests compare the compiled path against.
+//! A [`RuleSet`] is a handle on one **immutable rule epoch** — the
+//! [`RuleTables`]: rule array, tombstones, the exact-match table keyed by
+//! the deterministic fast hasher ([`crate::fasthash`]), the ordered
+//! `(source prefix, rule id)` store of the coarse rules, and the
+//! [`CompiledClassifier`] stride walk compiled from it — plus the
+//! holder's own per-rule counters. The tables are never mutated once
+//! built: every mutation builds the next epoch (copy the flat arrays,
+//! apply the edits, compile once — the install-time table swap of
+//! Appendix F) and repoints this handle, so cloning a rule set, handing
+//! one to every cluster slice, or keeping one across a publication is a
+//! reference-count bump, and whoever still holds the old tables keeps
+//! classifying against a frozen epoch. The authoritative-store probe
+//! survives as [`RuleSet::classify_reference`], the oracle the property
+//! tests compare the compiled walk against.
 
-use crate::classifier::CompiledClassifier;
+use crate::classifier::{CompiledClassifier, COARSE_STRIDE};
 use crate::fasthash::FxHashMap;
 use crate::rules::FilterRule;
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use vif_dataplane::FiveTuple;
 use vif_trie::{Ipv4Prefix, MultiBitTrie};
@@ -43,6 +49,9 @@ pub struct RuleCounters {
 
 /// An ordered set of filter rules with classification indexes.
 ///
+/// Cloning shares the rule tables (an [`Arc`] bump) and copies only the
+/// counter vector; see the [module docs](self).
+///
 /// # Example
 ///
 /// ```
@@ -54,27 +63,92 @@ pub struct RuleCounters {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RuleSet {
-    rules: Vec<FilterRule>,
+    tables: Arc<RuleTables>,
+    /// This holder's rule telemetry, indexed by [`RuleId`] — one slot per
+    /// rule slot of `tables`. Plain memory owned by the holder: the packet
+    /// path bumps it with an indexed add, and no other holder of the same
+    /// tables sees it.
     counters: Vec<RuleCounters>,
+}
+
+/// One immutable rule epoch, shared by reference between every
+/// [`RuleSet`] cloned from (or built on, [`RuleSet::from_tables`]) the
+/// same publication. Opaque: read it through a [`RuleSet`].
+#[derive(Debug)]
+pub struct RuleTables {
+    index: RuleIndex,
+    /// The hot-path classifier compiled from `index`, with every rule's
+    /// precomputed allow threshold.
+    compiled: CompiledClassifier,
+    /// Compiles in this epoch's lineage (see [`RuleSet::rebuilds`]).
+    rebuilds: u64,
+}
+
+/// The authoritative rule structures — what a mutation copies and edits
+/// before the next epoch is compiled from it.
+#[derive(Debug, Clone, Default)]
+struct RuleIndex {
+    rules: Vec<FilterRule>,
     /// Tombstones: `removed[id]` is true once the rule was withdrawn.
     /// Slots are never compacted, so [`RuleId`]s stay stable across
     /// removals — rule telemetry and cluster slice mappings keep indexing
     /// by the same ids through arbitrary churn.
     removed: Vec<bool>,
     exact: FxHashMap<FiveTuple, RuleId>,
-    /// Authoritative coarse-rule store (rebuilds, memory model, and the
-    /// reference classifier); the hot path runs on `compiled`.
-    coarse: MultiBitTrie<Vec<RuleId>>,
-    /// Read-only compiled classifier, rebuilt on every mutation. Behind an
-    /// [`Arc`] so cloning a rule set (the epoch-publication path: one
-    /// prebuilt rule set cloned into every cluster slice) shares the
-    /// compiled table instead of deep-copying it — the publish ecall stays
-    /// O(rules) for the metadata vectors, not O(trie).
-    compiled: Arc<CompiledClassifier>,
-    /// Classifier rebuilds performed since construction (regression
-    /// telemetry: bulk churn through [`batch_edit`](RuleSet::batch_edit)
-    /// must coalesce to one).
-    rebuilds: u64,
+    /// Coarse rules in force, ordered by source prefix then id. Ids are
+    /// assigned ascending, so each prefix's run is its bucket in insertion
+    /// order — the precedence among rules sharing a prefix.
+    coarse: BTreeSet<(Ipv4Prefix, RuleId)>,
+}
+
+impl RuleIndex {
+    fn in_force(&self, id: RuleId) -> bool {
+        self.removed.get(id as usize) == Some(&false)
+    }
+
+    fn insert(&mut self, rule: FilterRule) -> RuleId {
+        let id = self.rules.len() as RuleId;
+        match rule.pattern().as_tuple() {
+            Some(t) => {
+                self.exact.insert(t, id);
+            }
+            None => {
+                self.coarse.insert((rule.pattern().src, id));
+            }
+        }
+        self.rules.push(rule);
+        self.removed.push(false);
+        id
+    }
+
+    /// Tombstones and unlinks rule `id`, which must be in force.
+    fn remove(&mut self, id: RuleId) {
+        let idx = id as usize;
+        self.removed[idx] = true;
+        let rule = self.rules[idx];
+        match rule.pattern().as_tuple() {
+            // Only unlink if the table still points at this rule — a later
+            // duplicate exact rule owns the entry otherwise. If this rule
+            // owned it, the youngest surviving duplicate (if any) takes
+            // over, matching what re-indexing from scratch would produce.
+            Some(t) if self.exact.get(&t) == Some(&id) => {
+                self.exact.remove(&t);
+                let survivor = self
+                    .rules
+                    .iter()
+                    .enumerate()
+                    .rev()
+                    .find(|&(i, r)| !self.removed[i] && r.pattern().as_tuple() == Some(t));
+                if let Some((i, _)) = survivor {
+                    self.exact.insert(t, i as RuleId);
+                }
+            }
+            Some(_) => {}
+            None => {
+                self.coarse.remove(&(rule.pattern().src, id));
+            }
+        }
+    }
 }
 
 impl Default for RuleSet {
@@ -86,34 +160,51 @@ impl Default for RuleSet {
 impl RuleSet {
     /// Creates an empty rule set.
     pub fn new() -> Self {
-        let coarse = MultiBitTrie::new(8);
         RuleSet {
-            rules: Vec::new(),
+            tables: Arc::new(RuleTables {
+                index: RuleIndex::default(),
+                compiled: CompiledClassifier::compile([], &[]),
+                rebuilds: 0,
+            }),
             counters: Vec::new(),
-            removed: Vec::new(),
-            exact: FxHashMap::default(),
-            compiled: Arc::new(CompiledClassifier::compile(&coarse, &[])),
-            coarse,
-            rebuilds: 0,
         }
     }
 
-    /// Builds a rule set from rules (batch: one trie rebuild).
+    /// Builds a rule set from rules (batch: one compile).
     pub fn from_rules<I: IntoIterator<Item = FilterRule>>(rules: I) -> Self {
         let mut rs = RuleSet::new();
         rs.insert_batch(rules);
         rs
     }
 
+    /// A rule set on an existing epoch's tables, with zeroed counters —
+    /// how a published epoch reaches another holder without a copy.
+    pub fn from_tables(tables: Arc<RuleTables>) -> Self {
+        let counters = vec![RuleCounters::default(); tables.index.rules.len()];
+        RuleSet { tables, counters }
+    }
+
+    /// The shared handle to this rule set's epoch.
+    ///
+    /// Rule sets cloned from one another (and not mutated since) return
+    /// pointer-equal handles — the property the cluster's epoch publication
+    /// relies on: one compile, N slices sharing the same tables. Any
+    /// mutation replaces the handle wholesale (never edits in place), so a
+    /// reader holding a clone observes a frozen epoch.
+    pub fn tables(&self) -> &Arc<RuleTables> {
+        &self.tables
+    }
+
     /// Number of rule slots (installed rules including withdrawn
     /// tombstones — the valid [`RuleId`] range).
     pub fn len(&self) -> usize {
-        self.rules.len()
+        self.tables.index.rules.len()
     }
 
     /// Number of rules currently in force (slots minus tombstones).
     pub fn active_len(&self) -> usize {
-        self.rules.len() - self.removed.iter().filter(|&&r| r).count()
+        let index = &self.tables.index;
+        index.rules.len() - index.removed.iter().filter(|&&r| r).count()
     }
 
     /// True if rule `id` was withdrawn.
@@ -122,190 +213,107 @@ impl RuleSet {
     ///
     /// Panics if `id` is out of range.
     pub fn is_removed(&self, id: RuleId) -> bool {
-        self.removed[id as usize]
+        self.tables.index.removed[id as usize]
     }
 
-    /// Classifier rebuilds performed since construction. Each `insert`,
-    /// `remove`, `insert_batch`, and dirty [`batch_edit`] scope counts
-    /// one; reads never rebuild.
+    /// Classifier compiles performed since construction. Each `insert`,
+    /// effective `remove`, non-empty `insert_batch`, and dirty
+    /// [`batch_edit`] scope counts one; reads never compile.
     ///
     /// [`batch_edit`]: RuleSet::batch_edit
     pub fn rebuilds(&self) -> u64 {
-        self.rebuilds
+        self.tables.rebuilds
     }
 
     /// True if no rule slots exist.
     pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
+        self.tables.index.rules.is_empty()
     }
 
     /// The rules in insertion order.
     pub fn rules(&self) -> &[FilterRule] {
-        &self.rules
+        &self.tables.index.rules
     }
 
     /// The rule with the given id.
     pub fn rule(&self, id: RuleId) -> &FilterRule {
-        &self.rules[id as usize]
+        &self.tables.index.rules[id as usize]
     }
 
     /// Inserts one rule, returning its id.
     ///
-    /// Recompiles the hot-path classifier, which is linear in the number
-    /// of coarse rules — bulk loads should use
-    /// [`insert_batch`](RuleSet::insert_batch) (one recompile total), as
+    /// Builds and compiles a whole new epoch, which is linear in the
+    /// number of rules — bulk loads should use
+    /// [`insert_batch`](RuleSet::insert_batch) (one compile total), as
     /// the enclave's batched rule update does.
     pub fn insert(&mut self, rule: FilterRule) -> RuleId {
-        let id = self.insert_unindexed(rule);
-        self.recompile();
-        id
+        self.batch_edit(|edit| edit.insert(rule))
     }
 
     /// Withdraws rule `id`, returning whether it was in force.
     ///
     /// The slot is tombstoned, never compacted: ids of the surviving rules
     /// are unchanged and the withdrawn rule's telemetry slot stays
-    /// addressable (cluster slice mappings index by id). The exact table /
-    /// coarse trie entry is unlinked and the hot-path classifier
-    /// recompiled, so [`classify`](RuleSet::classify) and
+    /// addressable (cluster slice mappings index by id). The next epoch
+    /// lacks its exact-table / coarse-store entry, so
+    /// [`classify`](RuleSet::classify) and
     /// [`classify_reference`](RuleSet::classify_reference) both stop
     /// matching it atomically. Removing an already-withdrawn or
-    /// out-of-range id is a no-op (no rebuild).
+    /// out-of-range id is a no-op (no new epoch).
     ///
     /// Bulk withdrawals should go through
-    /// [`batch_edit`](RuleSet::batch_edit) (one recompile total).
+    /// [`batch_edit`](RuleSet::batch_edit) (one compile total).
     pub fn remove(&mut self, id: RuleId) -> bool {
-        if self.remove_unindexed(id) {
-            self.recompile();
-            true
-        } else {
-            false
-        }
+        self.batch_edit(|edit| edit.remove(id))
     }
 
-    /// Inserts many rules with a single trie rebuild (the enclave's batched
+    /// Inserts many rules with a single compile (the enclave's batched
     /// rule update, Appendix F / Table II).
+    ///
+    /// An empty batch is deliberately a no-op — no new epoch, and
+    /// [`rebuilds`](RuleSet::rebuilds) does not count the call: an epoch
+    /// identical to the one it replaces would only unshare this handle
+    /// from every other holder of the tables.
     pub fn insert_batch<I: IntoIterator<Item = FilterRule>>(&mut self, rules: I) {
-        let mut coarse_batch: HashMap<Ipv4Prefix, Vec<RuleId>> = HashMap::new();
-        for rule in rules {
-            let id = self.rules.len() as RuleId;
-            if rule.pattern().is_exact() {
-                self.exact
-                    .insert(rule.pattern().as_tuple().expect("exact"), id);
-            } else {
-                let prefix = rule.pattern().src;
-                coarse_batch
-                    .entry(prefix)
-                    .or_insert_with(|| self.coarse.get(&prefix).cloned().unwrap_or_default())
-                    .push(id);
+        self.batch_edit(|edit| {
+            for rule in rules {
+                edit.insert(rule);
             }
-            self.rules.push(rule);
-            self.counters.push(RuleCounters::default());
-            self.removed.push(false);
-        }
-        if !coarse_batch.is_empty() {
-            self.coarse.batch_insert(coarse_batch);
-        }
-        self.recompile();
+        });
     }
 
-    /// Runs a bulk-churn scope with **one** classifier rebuild.
+    /// Runs a bulk-churn scope that ends in **one** new epoch.
     ///
-    /// Every [`insert`](RuleSetEdit::insert) / [`remove`](RuleSetEdit::remove)
-    /// inside the scope mutates the authoritative structures immediately
-    /// but defers the compiled-classifier rebuild; the rebuild happens
-    /// exactly once when the scope ends (and not at all if the scope made
-    /// no effective change). This is the install-time analogue of the
-    /// Appendix F batched rule update for mixed install/withdraw churn —
-    /// a victim policy reacting to a round can apply its whole decision
-    /// set for the cost of one table swap.
+    /// The first effective [`insert`](RuleSetEdit::insert) /
+    /// [`remove`](RuleSetEdit::remove) inside the scope copies the
+    /// authoritative structures and later ones edit that copy; when the
+    /// scope ends the classifier is compiled from it exactly once and this
+    /// handle moves to the new tables (a scope that made no effective
+    /// change copies and compiles nothing). This is the install-time
+    /// analogue of the Appendix F batched rule update for mixed
+    /// install/withdraw churn — a victim policy reacting to a round can
+    /// apply its whole decision set for the cost of one table swap. A
+    /// withdrawal costs one ordered-set removal, not a structure rebuild.
     ///
-    /// Note: `classify` must not be called *inside* the scope (the editor
-    /// holds the only reference, so the borrow checker already prevents
-    /// it); the compiled view is stale until the scope closes.
+    /// Other holders of the previous tables are unaffected; this holder's
+    /// counters carry over, with zeroed slots for the new rules.
     pub fn batch_edit<R>(&mut self, f: impl FnOnce(&mut RuleSetEdit<'_>) -> R) -> R {
         let mut edit = RuleSetEdit {
-            rs: self,
-            dirty: false,
+            base: &self.tables.index,
+            draft: None,
         };
         let out = f(&mut edit);
-        let dirty = edit.dirty;
-        if dirty {
-            self.recompile();
+        if let Some(index) = edit.draft {
+            let compiled = CompiledClassifier::compile(index.coarse.iter().copied(), &index.rules);
+            self.counters
+                .resize(index.rules.len(), RuleCounters::default());
+            self.tables = Arc::new(RuleTables {
+                index,
+                compiled,
+                rebuilds: self.tables.rebuilds + 1,
+            });
         }
         out
-    }
-
-    /// Rebuilds the compiled hot-path classifier from the authoritative
-    /// structures (the install-time table swap).
-    fn recompile(&mut self) {
-        self.compiled = Arc::new(CompiledClassifier::compile(&self.coarse, &self.rules));
-        self.rebuilds += 1;
-    }
-
-    /// Inserts into the authoritative structures without recompiling.
-    fn insert_unindexed(&mut self, rule: FilterRule) -> RuleId {
-        let id = self.rules.len() as RuleId;
-        self.index_rule(id, &rule);
-        self.rules.push(rule);
-        self.counters.push(RuleCounters::default());
-        self.removed.push(false);
-        id
-    }
-
-    /// Unlinks rule `id` from the authoritative structures without
-    /// recompiling; returns whether anything changed.
-    fn remove_unindexed(&mut self, id: RuleId) -> bool {
-        let idx = id as usize;
-        if idx >= self.rules.len() || self.removed[idx] {
-            return false;
-        }
-        self.removed[idx] = true;
-        let rule = self.rules[idx];
-        if rule.pattern().is_exact() {
-            let t = rule.pattern().as_tuple().expect("exact");
-            // Only unlink if the table still points at this rule — a later
-            // duplicate exact rule owns the entry otherwise. If this rule
-            // owned it, the youngest surviving duplicate (if any) takes
-            // over, matching what re-indexing from scratch would produce.
-            if self.exact.get(&t) == Some(&id) {
-                self.exact.remove(&t);
-                for (i, r) in self.rules.iter().enumerate().rev() {
-                    if i != idx
-                        && !self.removed[i]
-                        && r.pattern().is_exact()
-                        && r.pattern().as_tuple() == Some(t)
-                    {
-                        self.exact.insert(t, i as RuleId);
-                        break;
-                    }
-                }
-            }
-        } else {
-            let prefix = rule.pattern().src;
-            if let Some(bucket) = self.coarse.get(&prefix) {
-                let mut bucket = bucket.clone();
-                bucket.retain(|&r| r != id);
-                if bucket.is_empty() {
-                    self.coarse.remove(&prefix);
-                } else {
-                    self.coarse.insert(prefix, bucket);
-                }
-            }
-        }
-        true
-    }
-
-    fn index_rule(&mut self, id: RuleId, rule: &FilterRule) {
-        if rule.pattern().is_exact() {
-            self.exact
-                .insert(rule.pattern().as_tuple().expect("exact"), id);
-        } else {
-            let prefix = rule.pattern().src;
-            let mut bucket = self.coarse.get(&prefix).cloned().unwrap_or_default();
-            bucket.push(id);
-            self.coarse.insert(prefix, bucket);
-        }
     }
 
     /// Classifies a five tuple, returning the matching rule id (see module
@@ -318,12 +326,13 @@ impl RuleSet {
     /// by the `compiled_classifier_matches_reference` property test).
     #[inline]
     pub fn classify(&self, t: &FiveTuple) -> Option<RuleId> {
-        if !self.exact.is_empty() {
-            if let Some(&id) = self.exact.get(t) {
+        let tables = &*self.tables;
+        if !tables.index.exact.is_empty() {
+            if let Some(&id) = tables.index.exact.get(t) {
                 return Some(id);
             }
         }
-        self.compiled.classify_coarse(t)
+        tables.compiled.classify_coarse(t)
     }
 
     /// The install-time allow threshold (`p_allow · 2⁶⁴`) of rule `id` —
@@ -336,39 +345,29 @@ impl RuleSet {
     /// Panics if `id` is out of range.
     #[inline]
     pub fn allow_threshold(&self, id: RuleId) -> u128 {
-        self.compiled.allow_threshold(id)
+        self.tables.compiled.allow_threshold(id)
     }
 
-    /// The shared handle to the compiled hot-path classifier.
-    ///
-    /// Rule sets cloned from one another (and not mutated since) return
-    /// pointer-equal handles — the property the cluster's epoch publication
-    /// relies on: one rebuild, N slices sharing the same compiled table.
-    /// Any mutation replaces the handle wholesale (never edits in place),
-    /// so a reader holding a clone of the `Arc` observes a frozen epoch.
-    pub fn compiled_handle(&self) -> &Arc<CompiledClassifier> {
-        &self.compiled
-    }
-
-    /// The reference classifier: the exact-match probe followed by a
-    /// [`MultiBitTrie::lookup_path`] scan over the authoritative trie.
+    /// The reference classifier: the exact-match probe, then one probe of
+    /// the authoritative coarse store per covering prefix length, longest
+    /// first — independent of the compiled walk.
     ///
     /// Kept as the oracle the compiled hot path is property-tested
-    /// against; allocates per call, so not for the data path.
+    /// against; up to 33 ordered-set probes per call, so not for the data
+    /// path.
     pub fn classify_reference(&self, t: &FiveTuple) -> Option<RuleId> {
-        if let Some(&id) = self.exact.get(t) {
+        let index = &self.tables.index;
+        if let Some(&id) = index.exact.get(t) {
             return Some(id);
         }
-        // Longest-prefix first: take matches along the trie path in
-        // reverse (longest prefix last in `lookup_path`).
-        for hit in self.coarse.lookup_path(t.src_ip).into_iter().rev() {
-            for &id in hit.value {
-                if self.rules[id as usize].pattern().matches(t) {
-                    return Some(id);
-                }
-            }
-        }
-        None
+        (0..=32u8).rev().find_map(|len| {
+            let prefix = Ipv4Prefix::new(t.src_ip & Ipv4Prefix::mask(len), len);
+            index
+                .coarse
+                .range((prefix, RuleId::MIN)..=(prefix, RuleId::MAX))
+                .map(|&(_, id)| id)
+                .find(|&id| index.rules[id as usize].pattern().matches(t))
+        })
     }
 
     /// Records telemetry for a packet that matched `id`.
@@ -388,19 +387,32 @@ impl RuleSet {
         self.counters.fill(RuleCounters::default());
     }
 
-    /// Estimated enclave memory held by the rule structures, in bytes.
+    /// Modelled enclave memory of the rule structures, in bytes — the
+    /// working-set input to the cost model (`CostModel::packet_cost_ns`,
+    /// Fig. 3b's linearly growing footprint), **not** an allocator
+    /// reading.
     ///
-    /// Includes the trie, the compiled classifier, the exact-match table,
-    /// the rule array, and the per-rule telemetry the redistribution
-    /// protocol needs. This is the working-set input to the cost model
-    /// (Fig. 3b's linearly growing footprint).
+    /// The model charges what an enclave holding the paper's lookup table
+    /// would: the expanded multi-bit trie over the coarse prefixes
+    /// ([`MultiBitTrie::modeled_bytes`] — this process does not build one;
+    /// the compiled walk links the identical node structure, so its node
+    /// and prefix counts feed the same formula), the compiled
+    /// classifier, the exact-match table, the rule array, and the per-rule
+    /// telemetry the redistribution protocol needs. It is a function of
+    /// (node count, prefixes, rules) only, so sharing tables between
+    /// holders does not change it; what the process really allocates shows
+    /// in its resident set.
     pub fn memory_bytes(&self) -> usize {
+        let tables = &*self.tables;
         let exact_entry = std::mem::size_of::<FiveTuple>() + std::mem::size_of::<RuleId>() + 48;
         let rule_entry = std::mem::size_of::<FilterRule>() + std::mem::size_of::<RuleCounters>();
-        self.coarse.memory_bytes()
-            + self.compiled.memory_bytes()
-            + self.exact.len() * exact_entry
-            + self.rules.len() * rule_entry
+        MultiBitTrie::<Vec<RuleId>>::modeled_bytes(
+            COARSE_STRIDE,
+            tables.compiled.node_count(),
+            tables.compiled.prefixes(),
+        ) + tables.compiled.memory_bytes()
+            + tables.index.exact.len() * exact_entry
+            + tables.index.rules.len() * rule_entry
     }
 
     /// Extracts the sub-ruleset with the given ids (rule redistribution:
@@ -409,44 +421,54 @@ impl RuleSet {
     pub fn subset(&self, ids: &[RuleId]) -> RuleSet {
         RuleSet::from_rules(
             ids.iter()
-                .filter(|&&id| !self.removed[id as usize])
-                .map(|&id| self.rules[id as usize]),
+                .filter(|&&id| !self.is_removed(id))
+                .map(|&id| *self.rule(id)),
         )
     }
 }
 
 /// Mutation scope handed out by [`RuleSet::batch_edit`]: inserts and
-/// removals apply immediately to the authoritative structures, while the
-/// compiled classifier rebuild is deferred to the end of the scope.
+/// removals edit a private copy of the authoritative structures, from
+/// which the next epoch is compiled when the scope ends.
 #[derive(Debug)]
 pub struct RuleSetEdit<'a> {
-    rs: &'a mut RuleSet,
-    dirty: bool,
+    base: &'a RuleIndex,
+    /// The edited copy; `None` until the first effective change.
+    draft: Option<RuleIndex>,
 }
 
 impl RuleSetEdit<'_> {
-    /// Inserts one rule (no rebuild until the scope closes); returns its id.
-    pub fn insert(&mut self, rule: FilterRule) -> RuleId {
-        self.dirty = true;
-        self.rs.insert_unindexed(rule)
+    fn index(&self) -> &RuleIndex {
+        self.draft.as_ref().unwrap_or(self.base)
     }
 
-    /// Withdraws rule `id` (no rebuild until the scope closes); returns
+    fn draft(&mut self) -> &mut RuleIndex {
+        self.draft.get_or_insert_with(|| self.base.clone())
+    }
+
+    /// Inserts one rule (no compile until the scope closes); returns its id.
+    pub fn insert(&mut self, rule: FilterRule) -> RuleId {
+        self.draft().insert(rule)
+    }
+
+    /// Withdraws rule `id` (no compile until the scope closes); returns
     /// whether it was in force. See [`RuleSet::remove`].
     pub fn remove(&mut self, id: RuleId) -> bool {
-        let changed = self.rs.remove_unindexed(id);
-        self.dirty |= changed;
-        changed
+        let in_force = self.index().in_force(id);
+        if in_force {
+            self.draft().remove(id);
+        }
+        in_force
     }
 
     /// Number of rule slots (grows as the scope inserts).
     pub fn len(&self) -> usize {
-        self.rs.len()
+        self.index().rules.len()
     }
 
     /// True if no rule slots exist.
     pub fn is_empty(&self) -> bool {
-        self.rs.is_empty()
+        self.index().rules.is_empty()
     }
 }
 

@@ -16,18 +16,14 @@
 //! master recomputes the partition with the greedy allocator, and every
 //! enclave installs its new slice.
 
-use crate::enclave_app::{ContractId, FilterEnclaveApp, RuleEdit};
+use crate::enclave_app::{ContractId, FilterEnclaveApp, PublishSnapshot, RuleEdit};
 use crate::retry::RetryPolicy;
 use crate::rules::RuleAction;
 use crate::ruleset::{RuleId, RuleSet};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use vif_dataplane::FiveTuple;
-use vif_optimizer::{
-    greedy::GreedySolver,
-    ilp::{Instance, RuleShare},
-    Allocation,
-};
+use vif_optimizer::{greedy::GreedySolver, ilp::Instance, Allocation};
 use vif_sgx::{Enclave, EnclaveImage, SgxPlatform};
 use vif_sketch::hash::fingerprint;
 use vif_telemetry::{EventKind, TelemetryHub};
@@ -131,6 +127,18 @@ impl LoadBalancer {
         }
     }
 
+    /// The balancer of an RSS-replicated pool: no rule is pinned to a
+    /// subset of enclaves, so every dispatch falls through to the
+    /// fingerprint hash over `n_enclaves` — whatever the rule count, which
+    /// is why rule churn never rebuilds it.
+    fn rss(n_enclaves: usize) -> Self {
+        LoadBalancer {
+            assignment: Vec::new(),
+            behavior: LoadBalancerBehavior::Honest,
+            n_enclaves,
+        }
+    }
+
     /// Dispatches a flow that matched `rule` (or none) to an enclave.
     ///
     /// Split rules hash the flow across their hosting enclaves
@@ -201,7 +209,8 @@ pub struct RedistributionReport {
 /// Report of one epoch publication ([`EnclaveCluster::publish_contract`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PublishReport {
-    /// Queued edits drained from the master.
+    /// Queued edits drained from the master (withdrawals of ids the
+    /// contract does not own are discarded at the drain, uncounted).
     pub edits: usize,
     /// Installs among them (ids assigned in queue order from the
     /// pre-publication slot count).
@@ -407,12 +416,6 @@ impl EnclaveCluster {
         audit_key: [u8; 32],
     ) -> Self {
         assert!(n > 0, "at least one shard");
-        // An allocation with n enclaves and no pinned rules: every
-        // dispatch falls through to the fingerprint hash over n.
-        let allocation = Allocation {
-            enclaves: vec![Vec::<RuleShare>::new(); n],
-        };
-        let lb = LoadBalancer::new(ruleset.len(), &allocation, n, LoadBalancerBehavior::Honest);
         let all_ids: Vec<RuleId> = (0..ruleset.len() as RuleId).collect();
         let mut enclaves = Vec::with_capacity(n);
         enclaves.push(master);
@@ -423,7 +426,7 @@ impl EnclaveCluster {
         EnclaveCluster {
             enclaves,
             slices: vec![all_ids; n],
-            lb,
+            lb: LoadBalancer::rss(n),
             full_ruleset: ruleset,
             platform,
             image,
@@ -567,15 +570,16 @@ impl EnclaveCluster {
         assert!(!self.quarantined[master], "master slice is quarantined");
         assert!(self.quarantined[i], "resync targets a quarantined slice");
 
-        // Snapshot the master: its live rule set is authoritative (the
+        // Snapshot the master: its live rule epoch is authoritative (the
         // victim's session churn lands there), and its contract slots
         // carry the scope/epoch/ownership a rejoined slice must agree on.
-        let master_rules = self.enclaves[master].ecall(|app| app.ruleset().clone());
+        // The replay is a reference to the master's tables, not a copy.
+        let master_rules = self.master_epoch(master);
         let contracts = self.enclaves[master].ecall(|app| app.contract_ids());
         let epoch = self.enclaves[master].ecall(|app| app.epoch());
 
         let replica = master_rules.clone();
-        self.enclaves[i].ecall(move |app| app.install_ruleset(replica));
+        drop(self.enclaves[i].ecall(move |app| app.install_ruleset(replica)));
         for &contract in &contracts {
             let scope = self.enclaves[master].ecall(move |app| app.contract_scope(contract));
             let c_epoch = self.enclaves[master].ecall(move |app| app.epoch_of(contract));
@@ -882,20 +886,23 @@ impl EnclaveCluster {
         bytes
     }
 
-    /// Publishes one rule epoch for one contract: drains that contract's
-    /// deferred-edit queue on the master (accepted through the session's
-    /// `*_deferred` calls or [`FilterEnclaveApp::queue_edits`]), applies the
-    /// whole set with **one** classifier rebuild *outside* any enclave
-    /// lock, then swaps the prebuilt rule set into every live slice with a
-    /// brief install ECall.
+    /// Publishes one rule epoch for one contract: takes a reference to the
+    /// master's live tables and drains that contract's deferred-edit queue
+    /// (accepted through the session's `*_deferred` calls or
+    /// [`FilterEnclaveApp::queue_edits`]), applies the whole set and
+    /// compiles **once**, *outside* any enclave lock, then swaps the new
+    /// epoch into every live slice with a brief install ECall.
     ///
-    /// This is the churn path of the always-on dataplane: the expensive
-    /// work (trie/classifier recompile, linear in the rule count) happens
-    /// on the publisher's thread while workers keep deciding packets
-    /// against the old epoch; each slice's swap is an O(1)-ish pointer
-    /// publication because every [`RuleSet`] clone shares the compiled
-    /// classifier behind an `Arc`
-    /// ([`RuleSet::compiled_handle`](crate::ruleset::RuleSet::compiled_handle)).
+    /// This is the churn path of the always-on dataplane: the one step
+    /// that is linear in the rule count — copying the flat rule arrays and
+    /// compiling the classifier — happens on the publisher's thread while
+    /// workers keep deciding packets against the old epoch. Everything
+    /// else is independent of it: the snapshot and each slice's install
+    /// move [`Arc`] handles on one set of immutable tables
+    /// ([`RuleSet::tables`](crate::ruleset::RuleSet::tables)) shared by
+    /// every slice and the cluster, the on-lock window is a pointer swap
+    /// plus a cache restart (fresh counters ride in with the handle), and
+    /// the displaced epoch is handed back out of the lock to be freed here.
     /// Observable rule semantics match an immediate-churn + replicated
     /// [`redistribute`](EnclaveCluster::redistribute) round: edits apply
     /// in queue order (installs take the next slot ids), every slice ends
@@ -903,12 +910,12 @@ impl EnclaveCluster {
     /// counters restart.
     ///
     /// Other tenants' queued churn stays queued and their epochs do not
-    /// move, and ownership is enforced on the way through: a queued
-    /// withdrawal only takes force if the id belongs to the contract
-    /// (installed by it earlier, or by an install earlier in this same
-    /// queue). Foreign ids are dropped silently, mirroring
-    /// idempotent-withdrawal semantics, so one tenant can never unlink
-    /// another tenant's rules no matter what it queues. The default
+    /// move, and ownership is enforced where the queue is drained, inside
+    /// the master enclave: a queued withdrawal only takes force if the id
+    /// belongs to the contract (installed by it earlier, or by an install
+    /// earlier in this same queue). Foreign ids are dropped silently,
+    /// mirroring idempotent-withdrawal semantics, so one tenant can never
+    /// unlink another tenant's rules no matter what it queues. The default
     /// contract 0 owns every rule installed outside a tenant session
     /// (launch-time rules, [`FilterEnclaveApp::insert_rules`]), so a
     /// single-victim cluster publishes as `publish_contract(master, 0)`.
@@ -925,26 +932,31 @@ impl EnclaveCluster {
         assert!(master < self.enclaves.len(), "master index out of range");
         assert!(self.replicated, "epoch publication is replicated-only");
         assert!(!self.quarantined[master], "master slice is quarantined");
-        let (mut rs, edits, owned) = self.enclaves[master]
+        let PublishSnapshot {
+            tables,
+            edits,
+            epoch,
+        } = self.enclaves[master]
             .ecall(move |app| app.take_publish_snapshot_for(contract))
             .expect("unknown contract");
-        let mut withdrawals = 0usize;
+        let mut rs = RuleSet::from_tables(tables);
         let mut new_rule_ids: Vec<RuleId> = Vec::new();
+        let mut withdrawn: Vec<RuleId> = Vec::new();
         rs.batch_edit(|edit| {
             for e in &edits {
-                match e {
-                    RuleEdit::Install(rule) => {
-                        new_rule_ids.push(edit.insert(*rule));
-                    }
+                match *e {
+                    RuleEdit::Install(rule) => new_rule_ids.push(edit.insert(rule)),
                     RuleEdit::Withdraw(id) => {
-                        if owned.contains(id) || new_rule_ids.contains(id) {
-                            withdrawals += usize::from(edit.remove(*id));
+                        if edit.remove(id) {
+                            withdrawn.push(id);
                         }
                     }
                 }
             }
         });
-        let (ack_retries, ack_lost_slices) = self.install_on_live(contract, &rs, &new_rule_ids);
+        withdrawn.sort_unstable();
+        let (ack_retries, ack_lost_slices) =
+            self.install_on_live(contract, epoch + 1, &rs, &new_rule_ids, &withdrawn);
         let epoch = self.enclaves[master].ecall(move |app| app.epoch_of(contract));
         if let Some(hub) = &self.telemetry {
             hub.record_event(
@@ -958,7 +970,7 @@ impl EnclaveCluster {
         PublishReport {
             edits: edits.len(),
             installs: new_rule_ids.len(),
-            withdrawals,
+            withdrawals: withdrawn.len(),
             epoch,
             new_rule_ids,
             ack_retries,
@@ -966,18 +978,23 @@ impl EnclaveCluster {
         }
     }
 
-    /// The slice-install leg of publication: installs `(rs, ids)` on every
-    /// live slice for `contract`, re-sending while the publish ack is lost
-    /// (per the injected [`PublishAckHook`]). A slice whose ack never
-    /// arrives within [`PUBLISH_ACK_RETRY`](Self::PUBLISH_ACK_RETRY)
-    /// re-sends is quarantined: the publisher cannot distinguish "installed
-    /// but mute" from "dead", and a possibly-stale slice must not keep
-    /// deciding flows. Returns `(total re-sends, slices quarantined)`.
+    /// The slice-install leg of publication: installs `rs` as `contract`'s
+    /// epoch `epoch` on every live slice — each gets a handle on the same
+    /// tables and its own zeroed counters — re-sending while the publish
+    /// ack is lost (per the injected [`PublishAckHook`]); a slice already
+    /// on `epoch` acknowledges a re-send without applying it again. A slice
+    /// whose ack never arrives within
+    /// [`PUBLISH_ACK_RETRY`](Self::PUBLISH_ACK_RETRY) re-sends is
+    /// quarantined: the publisher cannot distinguish "installed but mute"
+    /// from "dead", and a possibly-stale slice must not keep deciding
+    /// flows. Returns `(total re-sends, slices quarantined)`.
     fn install_on_live(
         &mut self,
         contract: ContractId,
+        epoch: u64,
         rs: &RuleSet,
-        ids: &[RuleId],
+        installed: &[RuleId],
+        withdrawn: &[RuleId],
     ) -> (u64, Vec<usize>) {
         let mut ack_retries = 0u64;
         let mut lost = Vec::new();
@@ -988,9 +1005,11 @@ impl EnclaveCluster {
             let mut attempt = 0u32;
             loop {
                 let replica = rs.clone();
-                let idv = ids.to_vec();
-                self.enclaves[i]
-                    .ecall(move |app| app.install_published_for(contract, replica, &idv));
+                // The displaced epoch comes back out of the ECall: if this
+                // was its last holder, the tables die here, off-lock.
+                drop(self.enclaves[i].ecall(move |app| {
+                    app.install_epoch_for(contract, epoch, replica, installed, withdrawn)
+                }));
                 let dropped = match self.publish_ack_loss.as_mut() {
                     Some(hook) => hook(i, attempt),
                     None => false,
@@ -1012,20 +1031,21 @@ impl EnclaveCluster {
     }
 
     /// Post-publication bookkeeping shared by the epoch-swap paths: every
-    /// slice now replicates `rs`, and the balancer spreads flows evenly.
+    /// slice now replicates `rs`, so each slice's id list grows by the new
+    /// slots (nothing to do when the epoch installed none) and the cluster
+    /// keeps one more handle on the shared tables.
     fn finish_publication(&mut self, rs: RuleSet) {
-        let n = self.enclaves.len();
-        let all_ids: Vec<RuleId> = (0..rs.len() as RuleId).collect();
-        self.slices = vec![all_ids; n];
+        let len = rs.len() as RuleId;
+        for slice in &mut self.slices {
+            slice.extend(slice.len() as RuleId..len);
+        }
         self.full_ruleset = rs;
-        self.lb = LoadBalancer::new(
-            self.full_ruleset.len(),
-            &Allocation {
-                enclaves: vec![Vec::<RuleShare>::new(); n],
-            },
-            n,
-            LoadBalancerBehavior::Honest,
-        );
+    }
+
+    /// A handle on the master's live rule epoch (shared tables, zeroed
+    /// counters) — what resync and re-replication install elsewhere.
+    fn master_epoch(&self, master: usize) -> RuleSet {
+        RuleSet::from_tables(self.enclaves[master].ecall(|app| Arc::clone(app.ruleset().tables())))
     }
 
     /// Provisions a contract slot (scope + audit keys) on **every** slice,
@@ -1084,13 +1104,12 @@ impl EnclaveCluster {
     fn redistribute_replicated(&mut self, master: usize) -> RedistributionReport {
         // The master's rule set is authoritative: it is where the victim's
         // session installs and withdrawals land.
-        let master_rules = self.enclaves[master].ecall(|app| app.ruleset().clone());
+        let master_rules = self.master_epoch(master);
         let mut bytes_per_rule = self.replicated_rule_bytes();
         if bytes_per_rule.len() < master_rules.len() {
             bytes_per_rule.resize(master_rules.len(), 0);
         }
 
-        let n = self.enclaves.len();
         for (i, enclave) in self.enclaves.iter().enumerate() {
             if self.quarantined[i] {
                 // An excised slice receives no installs; its stale rules
@@ -1101,24 +1120,11 @@ impl EnclaveCluster {
                 enclave.ecall(|app| app.reset_rule_counters());
             } else {
                 let replica = master_rules.clone();
-                enclave.ecall(move |app| {
-                    app.install_ruleset(replica);
-                    app.reset_rule_counters();
-                });
+                drop(enclave.ecall(move |app| app.install_ruleset(replica)));
             }
         }
-        let all_ids: Vec<RuleId> = (0..master_rules.len() as RuleId).collect();
         let installations = master_rules.active_len() * self.live_len();
-        self.slices = vec![all_ids; n];
-        self.full_ruleset = master_rules;
-        self.lb = LoadBalancer::new(
-            self.full_ruleset.len(),
-            &Allocation {
-                enclaves: vec![Vec::<RuleShare>::new(); n],
-            },
-            n,
-            LoadBalancerBehavior::Honest,
-        );
+        self.finish_publication(master_rules);
 
         RedistributionReport {
             master,
@@ -1547,6 +1553,14 @@ mod tests {
         assert_eq!(live_bytes, survivor_bytes);
     }
 
+    /// Per live slice: contract 0's epoch and owned ids.
+    fn epochs_and_ownership(c: &EnclaveCluster) -> Vec<(u64, Vec<RuleId>)> {
+        c.live_slices()
+            .into_iter()
+            .map(|i| c.enclaves()[i].ecall(|app| (app.epoch_of(0), app.owned_rules(0))))
+            .collect()
+    }
+
     #[test]
     fn publish_ack_loss_retries_then_quarantines() {
         let mut c = rss_cluster(4, 3);
@@ -1557,6 +1571,32 @@ mod tests {
         assert_eq!(report.ack_retries, 2);
         assert!(report.ack_lost_slices.is_empty());
         assert_eq!(c.live_len(), 3);
+        // The re-sends were acknowledged, not applied again: every slice
+        // is on the one epoch that was published.
+        assert_eq!(epochs_and_ownership(&c), vec![(1, vec![0, 1, 2, 3]); 3]);
+        // Same with installs and a withdrawal in the lossy publication: a
+        // re-delivered epoch must not re-extend ownership either.
+        let rule = |octet: u8| {
+            FilterRule::drop(FlowPattern::prefixes(
+                Ipv4Prefix::new(u32::from(octet) << 24, 8),
+                victim(),
+            ))
+        };
+        c.enclaves()[0].ecall(|app| {
+            app.queue_edits([
+                RuleEdit::Install(rule(12)),
+                RuleEdit::Withdraw(1),
+                RuleEdit::Install(rule(13)),
+            ])
+        });
+        let report = c.publish_contract(0, 0);
+        assert_eq!(report.ack_retries, 2);
+        assert_eq!(report.new_rule_ids, vec![4, 5]);
+        assert_eq!(report.withdrawals, 1);
+        assert_eq!(epochs_and_ownership(&c), vec![(2, vec![0, 2, 3, 4, 5]); 3]);
+        for e in c.enclaves() {
+            assert_eq!(e.ecall(|app| app.epoch()), 2, "app-wide epoch ticks once");
+        }
         // Permanent: slice 2 never acks — the retry budget runs out and
         // the publisher excises it mid-publication.
         c.set_publish_ack_loss(Box::new(|slice, _| slice == 2));
@@ -1572,6 +1612,7 @@ mod tests {
         let report = c.publish_contract(0, 0);
         assert_eq!(report.ack_retries, 0);
         assert!(report.ack_lost_slices.is_empty());
+        assert_eq!(epochs_and_ownership(&c), vec![(4, vec![0, 2, 3, 4, 5]); 2]);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!    the id is *never* reassigned by a later publish epoch, of any
 //!    contract. A victim's references to its own rule ids (telemetry,
 //!    withdrawals) stay valid across arbitrary interleaved churn.
-//! 2. **No cross-contract aliasing**: a rule id belongs to exactly one
-//!    contract, ever. Ownership sets stay pairwise disjoint across
+//! 2. **No cross-contract aliasing**: a rule id belongs to at most one
+//!    contract, ever — exactly the one it was assigned to while in force,
+//!    nobody once withdrawn. Ownership sets stay pairwise disjoint across
 //!    arbitrary publish interleavings.
 
 use proptest::collection::vec;
@@ -181,17 +182,18 @@ proptest! {
             prev_table_len = table_len;
         }
 
-        // Endgame: per-contract ownership covers everything ever assigned
-        // to that contract, and no id is owned by two contracts.
+        // Endgame: per-contract ownership is exactly what the contract was
+        // assigned and has not withdrawn (a published withdrawal releases
+        // the id — to nobody: the freshness check above means it is never
+        // handed out again), and no id is owned by two contracts.
         let mut owned_sets: Vec<BTreeSet<RuleId>> = Vec::new();
         for (i, &contract) in CONTRACTS.iter().enumerate() {
-            let owned: BTreeSet<RuleId> = cluster.enclaves()[0]
-                .ecall(move |app| app.owned_rules(contract))
-                .into_iter()
-                .collect();
-            for &id in &assigned[i] {
-                prop_assert!(owned.contains(&id), "contract {} lost id {}", contract, id);
-            }
+            let owned = cluster.enclaves()[0].ecall(move |app| app.owned_rules(contract));
+            prop_assert!(owned.windows(2).all(|w| w[0] < w[1]), "owned ids not ascending");
+            let owned: BTreeSet<RuleId> = owned.into_iter().collect();
+            let in_force: BTreeSet<RuleId> = alive[i].iter().copied().collect();
+            prop_assert_eq!(&owned, &in_force, "contract {} ownership drifted", contract);
+            prop_assert!(owned.iter().all(|id| assigned[i].contains(id)));
             owned_sets.push(owned);
         }
         for i in 0..owned_sets.len() {

@@ -9,7 +9,9 @@
 //! heap allocations. The same counter then pins the whole always-on
 //! service (persistent workers, rings, TX, round barriers) and the
 //! per-worker mbuf caches: entire steady-state rounds allocate nothing,
-//! on any thread.
+//! on any thread. Last, it pins the on-lock half of an epoch publication:
+//! what the snapshot and the install allocate does not depend on the rule
+//! count.
 //!
 //! Kept to a single `#[test]` on purpose: the test harness runs multiple
 //! tests concurrently, and any other thread's allocations would pollute
@@ -21,24 +23,29 @@ use vif_core::backend::FilterBackend;
 use vif_core::prelude::*;
 use vif_core::sketch_backend::SketchAcceleratedFilter;
 
-/// Passes every call through to [`System`], counting allocation events.
+/// Passes every call through to [`System`], counting allocation events
+/// and the bytes they ask for.
 struct CountingAllocator;
 
 static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -52,6 +59,10 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn allocations() -> u64 {
     ALLOC_EVENTS.load(Ordering::Relaxed)
+}
+
+fn allocated_bytes() -> u64 {
+    ALLOC_BYTES.load(Ordering::Relaxed)
 }
 
 /// A rule set exercising every decide flavor: overlapping coarse drops,
@@ -360,4 +371,36 @@ fn decide_batch_is_allocation_free_at_steady_state() {
         after - before
     );
     assert_eq!(pool.in_use(), 0);
+
+    // --- epoch publication, the on-lock half ------------------------------
+    // The two calls a publication makes while holding the enclave lock move
+    // handles on shared tables; whatever is linear in the rule count (the
+    // copy, the compile, the replica's counter vector) is the publisher's,
+    // off-lock. So the bytes they allocate are the same at 256 and at
+    // 4,096 rules — none, in fact.
+    let on_lock_bytes = |rules: u32| {
+        let victim: Ipv4Prefix = "203.0.113.0/24".parse().unwrap();
+        let ruleset = RuleSet::from_rules((0..rules).map(|i| {
+            FilterRule::drop(FlowPattern::prefixes(
+                Ipv4Prefix::host(0x0a00_0000 + i * 4_099),
+                victim,
+            ))
+        }));
+        let mut app =
+            vif_core::enclave_app::FilterEnclaveApp::new(ruleset.clone(), [7u8; 32], 3, [2u8; 32]);
+        let replica = ruleset.clone();
+        let before = allocated_bytes();
+        let snapshot = app.take_publish_snapshot_for(0).expect("default contract");
+        let displaced = app.install_published_for(0, replica, &[]);
+        let bytes = allocated_bytes() - before;
+        assert!(std::sync::Arc::ptr_eq(&snapshot.tables, displaced.tables()));
+        assert_eq!((app.epoch_of(0), app.ruleset().len()), (1, rules as usize));
+        bytes
+    };
+    let (small, large) = (on_lock_bytes(256), on_lock_bytes(4096));
+    assert_eq!(
+        small, large,
+        "on-lock publication bytes depend on the rule count"
+    );
+    assert_eq!(large, 0, "on-lock publication allocated");
 }

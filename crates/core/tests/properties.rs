@@ -282,6 +282,98 @@ proptest! {
         }
     }
 
+    /// Any interleaving of `insert` / `remove` / `insert_batch` /
+    /// `batch_edit` leaves a consistent epoch: ids are stable (a slot keeps
+    /// its rule, a tombstone stays one), exactly one compile per dirty
+    /// scope, the compiled walk agrees with the reference probe, and the
+    /// whole set classifies like `from_rules` of the surviving rules, up
+    /// to the renumbering that compaction implies.
+    #[test]
+    fn mutation_interleavings_yield_a_consistent_epoch(
+        (pool, probes) in arb_mixed_workload(),
+        ops in vec(
+            (0u8..4, any::<u16>(), vec((any::<bool>(), any::<u16>()), 0..6)),
+            1..12,
+        ),
+    ) {
+        prop_assume!(!pool.is_empty());
+        let mut next_rule = pool.iter().cycle().copied();
+        let mut rs = RuleSet::new();
+        // By id: the rule while in force, `None` once withdrawn.
+        let mut model: Vec<Option<FilterRule>> = Vec::new();
+        let mut rules_by_id: Vec<FilterRule> = Vec::new();
+        let withdraw = |model: &mut Vec<Option<FilterRule>>, id: RuleId| {
+            model.get_mut(id as usize).and_then(Option::take).is_some()
+        };
+        for (kind, arg, scope) in ops {
+            let before = rs.rebuilds();
+            let dirty = match kind {
+                0 => {
+                    let rule = next_rule.next().unwrap();
+                    prop_assert_eq!(rs.insert(rule) as usize, model.len());
+                    model.push(Some(rule));
+                    rules_by_id.push(rule);
+                    true
+                }
+                1 => {
+                    // Sometimes out of range, sometimes already withdrawn.
+                    let id = RuleId::from(arg) % (model.len() as RuleId + 2);
+                    let was_in_force = withdraw(&mut model, id);
+                    prop_assert_eq!(rs.remove(id), was_in_force);
+                    was_in_force
+                }
+                2 => {
+                    let batch: Vec<FilterRule> =
+                        next_rule.by_ref().take(usize::from(arg % 5)).collect();
+                    rs.insert_batch(batch.iter().copied());
+                    model.extend(batch.iter().copied().map(Some));
+                    rules_by_id.extend(&batch);
+                    !batch.is_empty()
+                }
+                _ => rs.batch_edit(|edit| {
+                    let mut dirty = false;
+                    for &(insert, pick) in &scope {
+                        if insert {
+                            let rule = next_rule.next().unwrap();
+                            assert_eq!(edit.insert(rule) as usize, model.len());
+                            model.push(Some(rule));
+                            rules_by_id.push(rule);
+                            dirty = true;
+                        } else {
+                            let id = RuleId::from(pick) % (model.len() as RuleId + 2);
+                            let was_in_force = withdraw(&mut model, id);
+                            assert_eq!(edit.remove(id), was_in_force);
+                            dirty |= was_in_force;
+                        }
+                        assert_eq!(edit.len(), model.len());
+                    }
+                    dirty
+                }),
+            };
+            prop_assert_eq!(rs.rebuilds() - before, u64::from(dirty), "op kind {}", kind);
+            prop_assert_eq!(rs.len(), model.len());
+            prop_assert_eq!(rs.counters().len(), model.len());
+            prop_assert_eq!(rs.active_len(), model.iter().flatten().count());
+            prop_assert_eq!(rs.rules(), &rules_by_id[..]);
+            for (id, slot) in model.iter().enumerate() {
+                prop_assert_eq!(rs.is_removed(id as RuleId), slot.is_none(), "id {}", id);
+            }
+        }
+        let survivors: Vec<RuleId> = (0..model.len() as RuleId)
+            .filter(|&id| model[id as usize].is_some())
+            .collect();
+        let compacted = RuleSet::from_rules(model.iter().flatten().copied());
+        for t in &probes {
+            let got = rs.classify(t);
+            prop_assert_eq!(got, rs.classify_reference(t), "probe {}", t);
+            prop_assert_eq!(
+                got,
+                compacted.classify(t).map(|fresh| survivors[fresh as usize]),
+                "probe {} against the compacted set", t
+            );
+        }
+    }
+
     /// The fingerprint-threading burst path is verdict-identical to both
     /// the plain batch path and the per-packet path, for every backend:
     /// pre-computed [`PacketFingerprints`] are a pure re-derivation of the

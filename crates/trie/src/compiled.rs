@@ -35,7 +35,6 @@
 
 use crate::prefix::Ipv4Prefix;
 use crate::trie::{MultiBitTrie, RuleMatch};
-use std::collections::HashMap;
 
 /// Sentinel for "no child" / "no entry list" in the flat arrays.
 const NONE: u32 = u32::MAX;
@@ -77,27 +76,21 @@ impl<T: Clone> MultiBitTrie<T> {
     }
 }
 
-/// Mutable node under construction: child links plus the per-slot list of
-/// `(prefix length, value index)` pairs terminating over that slot.
-struct BuildNode {
-    children: Vec<u32>,
-    slot_lists: Vec<Vec<(u8, u32)>>,
-}
-
-impl BuildNode {
-    fn new(fanout: usize) -> Self {
-        BuildNode {
-            children: vec![NONE; fanout],
-            slot_lists: (0..fanout).map(|_| Vec::new()).collect(),
-        }
-    }
+/// Where one prefix terminates in the node structure: its node, and the
+/// run of slots controlled prefix expansion spreads it over.
+struct Termination {
+    node: u32,
+    first_slot: u32,
+    span: u32,
+    len: u8,
 }
 
 impl<T: Clone> CompiledTrie<T> {
     /// Compiles directly from `(prefix, value)` entries — the prefixes
     /// must be distinct (as produced by [`MultiBitTrie::iter`]). This is
     /// the cheap path for callers that already hold an authoritative
-    /// prefix map: no intermediate expanded trie is built.
+    /// prefix map: no intermediate expanded trie is built, the node
+    /// structure is linked straight into the flat arrays.
     ///
     /// # Panics
     ///
@@ -109,66 +102,89 @@ impl<T: Clone> CompiledTrie<T> {
         );
         let stride_bits = stride as u32;
         let fanout = 1usize << stride_bits;
-        let mut values = Vec::new();
-        let mut nodes = vec![BuildNode::new(fanout)];
+        let slot_of = |addr: u32, consumed: u32| {
+            (addr >> (32 - stride_bits - consumed)) as usize & (fanout - 1)
+        };
 
-        // Controlled prefix expansion, but recording *every* terminating
-        // prefix per slot (MultiBitTrie's expanded nodes keep only the
-        // longest — correct for LPM, lossy for covering-prefix walks).
+        // Link the nodes (in creation order, root first) and note where
+        // each prefix terminates; `terms` is indexed like `values`.
+        let mut values = Vec::new();
+        let mut terms: Vec<Termination> = Vec::new();
+        let mut children = vec![NONE; fanout];
         for (prefix, value) in entries {
-            let value_idx = values.len() as u32;
             values.push(value);
             let plen = prefix.len() as u32;
             let mut node = 0usize;
             let mut consumed = 0u32;
             while plen > consumed + stride_bits {
-                let idx = ((prefix.addr() >> (32 - stride_bits - consumed))
-                    & ((1 << stride_bits) - 1)) as usize;
-                if nodes[node].children[idx] == NONE {
-                    nodes[node].children[idx] = nodes.len() as u32;
-                    nodes.push(BuildNode::new(fanout));
+                let link = node * fanout + slot_of(prefix.addr(), consumed);
+                if children[link] == NONE {
+                    children[link] = (children.len() / fanout) as u32;
+                    children.resize(children.len() + fanout, NONE);
                 }
-                node = nodes[node].children[idx] as usize;
+                node = children[link] as usize;
                 consumed += stride_bits;
             }
             let rem = plen - consumed; // 0..=stride
+            let span = fanout >> rem;
             let base = if rem == 0 {
                 0
             } else {
-                ((prefix.addr() >> (32 - stride_bits - consumed)) & ((1 << stride_bits) - 1))
-                    as usize
-                    & !((1usize << (stride_bits - rem)) - 1)
+                slot_of(prefix.addr(), consumed) & !(span - 1)
             };
-            let span = 1usize << (stride_bits - rem);
-            for slot in base..base + span {
-                nodes[node].slot_lists[slot].push((prefix.len(), value_idx));
-            }
+            terms.push(Termination {
+                node: node as u32,
+                first_slot: (node * fanout + base) as u32,
+                span: span as u32,
+                len: prefix.len(),
+            });
         }
 
-        // Flatten: sort each slot list longest-prefix-first (two distinct
-        // prefixes terminating over one slot always differ in length —
-        // equal-length prefixes expand to disjoint spans) and deduplicate
-        // identical lists, which expansion produces in long runs.
-        let mut children = Vec::with_capacity(nodes.len() * fanout);
-        let mut slots = Vec::with_capacity(nodes.len() * fanout);
+        // Controlled prefix expansion, recording *every* terminating prefix
+        // per slot (MultiBitTrie's expanded nodes keep only the longest —
+        // correct for LPM, lossy for covering-prefix walks). Per node, paint
+        // the terminating prefixes shortest-first: each slot ends up holding
+        // its longest one, and `shorter` chains every prefix to the next
+        // one out that covers it in the same node (prefixes nest or are
+        // disjoint, so all of a prefix's slots agree on it). A slot's list,
+        // longest-first, is its occupant's chain — equal lists ⇔ equal
+        // occupant, which deduplicates the long runs expansion produces
+        // without comparing or hashing list contents.
+        let mut order: Vec<u32> = (0..terms.len() as u32).collect();
+        order.sort_unstable_by_key(|&v| (terms[v as usize].node, terms[v as usize].len));
+        let mut slots = vec![NONE; children.len()];
+        let mut shorter = vec![NONE; terms.len()];
+        let mut list_of = vec![NONE; terms.len()];
         let mut lists: Vec<(u32, u32)> = Vec::new();
         let mut path_data: Vec<(u8, u32)> = Vec::new();
-        let mut dedup: HashMap<Vec<(u8, u32)>, u32> = HashMap::new();
-        for node in &mut nodes {
-            children.extend_from_slice(&node.children);
-            for list in &mut node.slot_lists {
-                if list.is_empty() {
-                    slots.push(NONE);
+        for node_terms in order.chunk_by(|&a, &b| terms[a as usize].node == terms[b as usize].node)
+        {
+            let (mut lo, mut hi) = (usize::MAX, 0);
+            for &v in node_terms {
+                let t = &terms[v as usize];
+                let run = t.first_slot as usize..(t.first_slot + t.span) as usize;
+                shorter[v as usize] = slots[run.start];
+                lo = lo.min(run.start);
+                hi = hi.max(run.end);
+                slots[run].fill(v);
+            }
+            // Swap occupants for list ids, numbered by first appearance.
+            for slot in &mut slots[lo..hi] {
+                if *slot == NONE {
                     continue;
                 }
-                list.sort_unstable_by_key(|&(len, _)| std::cmp::Reverse(len));
-                let id = *dedup.entry(std::mem::take(list)).or_insert_with_key(|key| {
-                    let offset = path_data.len() as u32;
-                    path_data.extend_from_slice(key);
-                    lists.push((offset, key.len() as u32));
-                    (lists.len() - 1) as u32
-                });
-                slots.push(id);
+                let occupant = *slot as usize;
+                if list_of[occupant] == NONE {
+                    let offset = path_data.len();
+                    let mut v = *slot;
+                    while v != NONE {
+                        path_data.push((terms[v as usize].len, v));
+                        v = shorter[v as usize];
+                    }
+                    list_of[occupant] = lists.len() as u32;
+                    lists.push((offset as u32, (path_data.len() - offset) as u32));
+                }
+                *slot = list_of[occupant];
             }
         }
 
@@ -196,6 +212,13 @@ impl<T: Clone> CompiledTrie<T> {
     /// True if no prefixes were compiled in.
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
+    }
+
+    /// Number of trie nodes — equal to [`MultiBitTrie::node_count`] over
+    /// the same prefixes (both link a child only where a prefix extends
+    /// past a node's stride window).
+    pub fn node_count(&self) -> usize {
+        self.children.len() / self.fanout
     }
 
     /// Estimated memory footprint of the compiled arrays in bytes.
@@ -404,6 +427,33 @@ mod tests {
         assert_eq!(before.path(ip(10, 1, 0, 1)).count(), 1);
         assert_eq!(after.path(ip(10, 1, 0, 1)).count(), 2);
         assert_eq!(*after.lookup(ip(10, 1, 0, 1)).unwrap().value, 2);
+    }
+
+    #[test]
+    fn one_list_per_longest_prefix_in_first_appearance_order() {
+        // Root node at stride 8: a /6 over slots 0..4 whose run a /8 on
+        // slot 1 splits, and a /7 over slots 8..10 that two /8s shadow
+        // completely.
+        let c = CompiledTrie::from_entries(
+            8,
+            [
+                (p("0.0.0.0/6"), 'a'),
+                (p("1.0.0.0/8"), 'b'),
+                (p("8.0.0.0/7"), 'c'),
+                (p("8.0.0.0/8"), 'd'),
+                (p("9.0.0.0/8"), 'e'),
+            ],
+        );
+        // [a], [b a], then [a] again on both sides of the split: one list.
+        assert_eq!(c.slots[..4], [0, 1, 0, 0]);
+        // [d c] and [e c]; the /7 alone heads no slot, so it gets no list.
+        assert_eq!(c.slots[8..10], [2, 3]);
+        assert_eq!(c.lists, [(0, 1), (1, 2), (3, 2), (5, 2)]);
+        assert_eq!(
+            c.path_data,
+            [(6, 0), (8, 1), (6, 0), (8, 3), (7, 2), (8, 4), (7, 2)]
+        );
+        assert_eq!(c.slots.iter().filter(|&&s| s != NONE).count(), 6);
     }
 
     #[test]

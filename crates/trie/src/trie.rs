@@ -104,13 +104,21 @@ impl<T: Clone> MultiBitTrie<T> {
     /// map. This is the quantity that grows linearly with the number of
     /// rules in the paper's Fig. 3b and is compared against the EPC limit.
     pub fn memory_bytes(&self) -> usize {
-        let fanout = 1usize << self.stride;
+        Self::modeled_bytes(self.stride, self.node_count, self.rules.len())
+    }
+
+    /// [`memory_bytes`](MultiBitTrie::memory_bytes) of a trie with this
+    /// shape, without building it — for holders of an equivalent structure
+    /// (a [`CompiledTrie`](crate::CompiledTrie) links the same nodes) that
+    /// feed the same EPC model.
+    pub fn modeled_bytes(stride: u8, node_count: usize, prefixes: usize) -> usize {
+        let fanout = 1usize << stride;
         let per_node = fanout
             * (std::mem::size_of::<Option<(u8, T)>>()
                 + std::mem::size_of::<Option<Box<Node<T>>>>())
             + std::mem::size_of::<Node<T>>();
         let map_entry = std::mem::size_of::<(Ipv4Prefix, T)>() + 32; // BTree overhead
-        self.node_count * per_node + self.rules.len() * map_entry
+        node_count * per_node + prefixes * map_entry
     }
 
     /// Inserts a prefix, returning the previously stored value if any.

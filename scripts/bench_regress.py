@@ -36,8 +36,9 @@ Set ``BENCH_REGRESS_JSON=<path>`` to also write the full comparison as
 JSON: ``{"default_factor", "overrides", "compared", "failures",
 "results": [{"group", "bench", "smoke_ns", "baseline_ns", "ratio",
 "factor", "status"}]}`` where ``status`` is ``ok``, ``fail``,
-``missing-smoke``, or ``missing-baseline``. CI archives it so regression
-history can be graphed without scraping logs.
+``missing-smoke``, or ``missing-baseline``; compared benches also carry
+``oldest_ns``, ``oldest_commit`` and ``drift_vs_oldest`` (see Trajectory).
+CI archives it so regression history can be graphed without scraping logs.
 
 A benchmark present in only one of the two files FAILS the check, in
 both directions: a baseline entry that was never smoked means the gate
@@ -51,6 +52,19 @@ hot-path section).
 Every compared bench prints its smoke/baseline speed ratio, pass or fail,
 so a green run still shows where the time went (creeping 1.4x drift is
 visible in the log well before it trips its gate).
+
+Trajectory
+----------
+The baselines hold one overwritten row per bench; ``BENCH_history.jsonl``
+(beside them, skipped if absent) keeps the trajectory: one
+``{date, commit, group, bench, ns_per_iter}`` line per bench a
+hot-path-touching PR measured, before and after, appended and never
+rewritten (``commit`` is a short hash, or ``pr<N>`` for the rows a
+PR writes about itself). Beside the latest baseline, each compared bench
+also prints its drift against its **oldest** history row, so a bench that
+lost 10 % in each of five PRs reads 1.6x here while every single gate
+stayed green. Informational: history never fails the check, and rows of
+retired benches stay in the file as the record of what they cost.
 """
 
 import json
@@ -83,6 +97,18 @@ def load_overrides():
     return overrides
 
 
+def load_history():
+    """Oldest history row per (group, bench): {key: (ns_per_iter, commit)}."""
+    path = os.path.join(os.path.dirname(__file__), "..", "BENCH_history.jsonl")
+    oldest = {}
+    if os.path.exists(path):
+        with open(path) as f:
+            for row in map(json.loads, filter(str.strip, f)):
+                key = (row["group"], row["bench"])
+                oldest.setdefault(key, (row["ns_per_iter"], row["commit"]))
+    return oldest
+
+
 def factor_for(key, default, overrides):
     group, bench = key
     full = f"{group}/{bench}"
@@ -91,7 +117,7 @@ def factor_for(key, default, overrides):
     return overrides.get(group, default)
 
 
-def gate(smoke_path, baseline_path, default_factor, overrides, results):
+def gate(smoke_path, baseline_path, default_factor, overrides, history, results):
     smoke, baseline = load(smoke_path), load(baseline_path)
     failures = []
     compared = 0
@@ -123,9 +149,12 @@ def gate(smoke_path, baseline_path, default_factor, overrides, results):
         ratio = smoke_ns / base_ns if base_ns > 0 else float("inf")
         failed = base_ns > 0 and smoke_ns > base_ns * factor
         flag = "FAIL" if failed else "ok"
+        oldest_ns, oldest_commit = history.get(key, (None, None))
+        drift = smoke_ns / oldest_ns if oldest_ns else None
+        since = f"; {drift:.3g}x vs oldest {oldest_ns:.1f} ns @ {oldest_commit}" if drift else ""
         print(
             f"  {flag:>4} {name}: {smoke_ns:.1f} ns vs baseline "
-            f"{base_ns:.1f} ns ({ratio:.2f}x, limit {factor}x)"
+            f"{base_ns:.1f} ns ({ratio:.2f}x, limit {factor}x){since}"
         )
         if failed:
             failures.append(
@@ -141,6 +170,9 @@ def gate(smoke_path, baseline_path, default_factor, overrides, results):
                 "ratio": None if base_ns <= 0 else round(ratio, 4),
                 "factor": factor,
                 "status": "fail" if failed else "ok",
+                "oldest_ns": oldest_ns,
+                "oldest_commit": oldest_commit,
+                "drift_vs_oldest": None if drift is None else round(drift, 4),
             }
         )
     for key in sorted(set(smoke) - set(baseline)):
@@ -176,10 +208,13 @@ def main():
         sys.exit(__doc__)
     default_factor = float(os.environ.get("BENCH_REGRESS_FACTOR", "2.0"))
     overrides = load_overrides()
+    history = load_history()
     failures = []
     results = []
     for smoke_path, baseline_path in zip(args[::2], args[1::2]):
-        failures.extend(gate(smoke_path, baseline_path, default_factor, overrides, results))
+        failures.extend(
+            gate(smoke_path, baseline_path, default_factor, overrides, history, results)
+        )
     summary_path = os.environ.get("BENCH_REGRESS_JSON")
     if summary_path:
         summary = {
