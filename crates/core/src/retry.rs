@@ -1,11 +1,10 @@
 //! One retry vocabulary for every recovery path.
 //!
-//! The cluster grew three independent retry knobs as its failure handling
-//! grew: publish-ack retries in [`scale`](crate::scale), export-audit
-//! retries with exponential backoff in [`rounds`](crate::rounds), and the
-//! rejoin/flap-damping backoff of the self-healing lifecycle. They are the
-//! same shape — a bounded attempt budget and a geometric backoff — so they
-//! share this one [`RetryPolicy`].
+//! Publish-ack retries in [`scale`](crate::scale) and export-audit retries
+//! with exponential backoff in [`rounds`](crate::rounds) are the same
+//! shape — a bounded attempt budget and a geometric backoff — so they share
+//! this one [`RetryPolicy`]. (The rejoin flap-damping schedule is a
+//! constant of `vif_dataplane::lifecycle`, not a policy.)
 
 /// A bounded-retry schedule with geometric backoff.
 ///
@@ -14,9 +13,7 @@
 /// with `attempts = 2` tries three times in total). The backoff charged
 /// before retry `k` (0-based) is `backoff_ns * multiplier^k`.
 ///
-/// The backoff unit is the caller's: nanoseconds of simulated wall time on
-/// the export and publish paths, *rounds* on the rejoin path (where flap
-/// damping is measured against the audit cadence, not the clock).
+/// The backoff unit is nanoseconds of simulated wall time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Retries permitted after the first attempt fails.
@@ -37,7 +34,7 @@ impl RetryPolicy {
         }
     }
 
-    /// A doubling-backoff policy (the export-retry and rejoin shape).
+    /// A doubling-backoff policy (the export-retry shape).
     pub const fn doubling(attempts: u32, backoff_ns: u64) -> Self {
         RetryPolicy {
             attempts,

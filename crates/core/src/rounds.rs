@@ -16,6 +16,7 @@ use crate::logs::LogDirection;
 use crate::retry::RetryPolicy;
 use crate::verify::{AuditError, BypassVerdict, NeighborVerifier, VictimVerifier};
 use std::sync::Arc;
+use vif_dataplane::{SliceEvent, SliceLifecycle, SliceState};
 use vif_sgx::Enclave;
 use vif_telemetry::{EventKind, TelemetryHub};
 
@@ -27,9 +28,9 @@ pub enum ExportFailurePolicy {
     /// reading of the paper: an unauditable slice poisons the round).
     #[default]
     AbortContract,
-    /// Excise only the failing slice: mark it quarantined, keep auditing
-    /// the survivors, keep the contract active. Pair with the dataplane's
-    /// quarantine/re-steer so the slice also stops seeing traffic.
+    /// Excise only the failing slice from the audit loop (the driver
+    /// votes it `Unauditable` in the lifecycle table, for every tenant),
+    /// keep auditing the survivors, keep the contract active.
     QuarantineSlice,
 }
 
@@ -49,13 +50,6 @@ pub struct RoundPolicy {
     pub export_retry: RetryPolicy,
     /// What happens when export retries are exhausted.
     pub export_failure: ExportFailurePolicy,
-    /// Consecutive clean probation audits a rejoined slice must pass
-    /// before [`ClusterRoundDriver`] promotes it back to full trust.
-    pub probation_rounds: u32,
-    /// Flap damping for slice rejoins: `attempts` bounds how many times a
-    /// demoted slice may try again, and the backoff (measured in *rounds*,
-    /// not nanoseconds) grows per failed attempt.
-    pub rejoin: RetryPolicy,
 }
 
 impl Default for RoundPolicy {
@@ -65,12 +59,6 @@ impl Default for RoundPolicy {
             max_strikes: 1,
             export_retry: RetryPolicy::doubling(2, 1_000_000), // 1 ms, 2 ms
             export_failure: ExportFailurePolicy::AbortContract,
-            probation_rounds: 2,
-            rejoin: RetryPolicy {
-                attempts: 2,
-                backoff_ns: 2, // rounds, not ns: wait 2 then 4 rounds
-                multiplier: 2,
-            },
         }
     }
 }
@@ -84,13 +72,13 @@ pub struct RoundOutcome {
     pub victim_verdict: BypassVerdict,
     /// Neighbor-side verdict on the incoming log.
     pub neighbor_verdict: BypassVerdict,
-    /// True if this slice sat out the round under quarantine: it logged
-    /// nothing (its traffic was re-steered or counted `uncovered`), so no
-    /// audit ran and the verdicts are vacuously clean.
+    /// True if this slice sat out the round (its lifecycle state is not
+    /// `audited`, or its export could not be audited): no audit ran and
+    /// the verdicts are vacuously clean.
     pub quarantined: bool,
     /// True if this slice was audited *on probation*: the verdicts are
     /// real (shadow-fed logs against fresh verifiers) but never strike the
-    /// contract — a dirty probation audit demotes the slice instead.
+    /// contract — a dirty probation audit votes the slice down instead.
     pub probation: bool,
 }
 
@@ -160,7 +148,7 @@ impl ClusterRoundOutcome {
     }
 
     /// Indices of probation slices whose audit came back dirty this round
-    /// (each was demoted back to quarantine by the driver).
+    /// (each was voted back to quarantine).
     pub fn dirty_probation_slices(&self) -> Vec<usize> {
         self.slices
             .iter()
@@ -194,22 +182,11 @@ pub struct ClusterRoundDriver {
     history: Vec<ClusterRoundOutcome>,
     state: ContractState,
     contract: ContractId,
-    /// Slices excised from the audit loop (dead workers / failed exports).
-    quarantined: Vec<bool>,
-    /// Slices back from quarantine but not yet trusted: audited every
-    /// round off shadow-fed logs, verdicts never strike the contract.
-    probation: Vec<bool>,
-    /// Consecutive clean probation audits per slice.
-    probation_streak: Vec<u32>,
-    /// Failed rejoin attempts per slice (drives the flap-damping backoff).
-    rejoin_attempts: Vec<u32>,
-    /// Slices promoted to full trust at the last `close_round` (drained by
-    /// [`take_promoted`](ClusterRoundDriver::take_promoted)).
-    promoted: Vec<usize>,
-    /// Slices demoted back to quarantine at the last `close_round`
-    /// (drained by [`take_demoted`](ClusterRoundDriver::take_demoted)).
-    demoted: Vec<usize>,
-    /// Total slice-rounds spent on probation (report telemetry).
+    /// Where each slice stands — read to choose skip / probation audit /
+    /// trusted audit, written only by posting this tenant's verdict as a
+    /// vote. An aborted tenant thus has nothing stale to be wrong about.
+    lifecycle: Arc<SliceLifecycle>,
+    /// Slice-rounds this tenant audited on probation (report telemetry).
     probation_rounds_used: u64,
     /// Rounds closed so far — names the round for quarantined placeholder
     /// outcomes, which have no export to read a round number from.
@@ -220,9 +197,9 @@ pub struct ClusterRoundDriver {
     audit_retries_used: u64,
     /// Virtual-clock nanoseconds charged to retry backoff.
     backoff_ns: u64,
-    /// Optional telemetry hub: audit verdicts, strikes, probation
-    /// transitions, and export retries land in its flight recorder and
-    /// per-slice counters; closed rounds feed its latency histogram.
+    /// Optional telemetry hub: audit verdicts, strikes, and export retries
+    /// land in its flight recorder and per-slice counters; closed rounds
+    /// feed its latency histogram.
     telemetry: Option<Arc<TelemetryHub>>,
 }
 
@@ -281,12 +258,7 @@ impl ClusterRoundDriver {
             history: Vec::new(),
             state: ContractState::Active,
             contract: 0,
-            quarantined: vec![false; n],
-            probation: vec![false; n],
-            probation_streak: vec![0; n],
-            rejoin_attempts: vec![0; n],
-            promoted: Vec::new(),
-            demoted: Vec::new(),
+            lifecycle: Arc::new(SliceLifecycle::new(n)),
             probation_rounds_used: 0,
             rounds_closed: 0,
             export_fault: None,
@@ -345,115 +317,47 @@ impl ClusterRoundDriver {
         &self.history
     }
 
-    /// Excises slice `i` from the audit loop: no exports are pulled from
-    /// it, no audits run against it, its round outcomes are quarantined
-    /// placeholders, and its enclave sketches stop rotating. Call when the
-    /// dataplane quarantines the matching worker, *before* closing the
-    /// outage round — the dead slice logged nothing for traffic its
-    /// neighbors observed, so auditing it would manufacture false drops.
-    pub fn quarantine_slice(&mut self, i: usize) {
-        self.quarantined[i] = true;
+    /// Shares the deployment's lifecycle table (`EnclaveCluster::lifecycle`,
+    /// one entry per audited slice). Without one the driver keeps a
+    /// private all-`Live` table.
+    pub fn with_lifecycle(mut self, table: Arc<SliceLifecycle>) -> Self {
+        assert_eq!(table.slices(), self.enclaves.len(), "one entry per slice");
+        self.lifecycle = table;
+        self
     }
 
-    /// Per-slice quarantine flags.
-    pub fn quarantined(&self) -> &[bool] {
-        &self.quarantined
+    /// The lifecycle table this driver reads and votes in.
+    pub fn lifecycle(&self) -> &Arc<SliceLifecycle> {
+        &self.lifecycle
     }
 
-    /// Re-admits quarantined slice `i` on *probation*, replacing both the
-    /// slice's enclave handle (the crashed enclave was relaunched fresh —
-    /// exports must come from the new one) and its verifier pair with
-    /// fresh ones built from the rejoined slice's new attested session
-    /// keys (pre-crash keys are never reused). The slice is audited every
-    /// round off its shadow-fed logs; after
-    /// [`RoundPolicy::probation_rounds`] consecutive clean audits it is
-    /// promoted ([`take_promoted`](ClusterRoundDriver::take_promoted)),
-    /// while any dirty audit demotes it straight back to quarantine and
-    /// charges a rejoin attempt
-    /// ([`take_demoted`](ClusterRoundDriver::take_demoted)).
+    /// Points slice `i` at a relaunched enclave: replaces its enclave
+    /// handle (exports must come from the new one) and its verifier pair
+    /// with ones built from the rejoined slice's new attested session keys
+    /// (pre-crash keys are never reused), before the cluster resyncs it.
     ///
     /// # Panics
     ///
-    /// Panics if slice `i` is not quarantined.
-    pub fn start_probation(
+    /// Panics if slice `i` is under audit (its verifiers hold a round's
+    /// observations).
+    pub fn replace_slice(
         &mut self,
         i: usize,
         enclave: Arc<Enclave<FilterEnclaveApp>>,
         victim: VictimVerifier,
         neighbor: NeighborVerifier,
     ) {
-        assert!(self.quarantined[i], "probation starts from quarantine");
-        self.quarantined[i] = false;
-        self.probation[i] = true;
-        self.probation_streak[i] = 0;
+        assert!(
+            !self.lifecycle.state(i).audited(),
+            "replace targets a slice out of the audit loop"
+        );
         self.enclaves[i] = enclave;
         self.victims[i] = victim;
         self.neighbors[i] = neighbor;
-        if let Some(hub) = &self.telemetry {
-            hub.record_event(
-                EventKind::Probation,
-                i as u32,
-                self.rejoin_attempts[i] as u64,
-                0,
-            );
-            if let Some(s) = hub.slice(i) {
-                s.note_probation();
-            }
-        }
     }
 
-    /// Per-slice probation flags.
-    pub fn probation(&self) -> &[bool] {
-        &self.probation
-    }
-
-    /// Demotes probation slice `i` back to quarantine from *outside* the
-    /// audit loop — the mirror for a probation worker that crashed (or
-    /// was flap-demoted by the dataplane) mid-round, before its audit
-    /// could run. Charges a rejoin attempt exactly like a dirty probation
-    /// audit; the caller owns the backoff bookkeeping
-    /// ([`rejoin_backoff_rounds`](ClusterRoundDriver::rejoin_backoff_rounds)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice `i` is not on probation.
-    pub fn demote_slice(&mut self, i: usize) {
-        assert!(self.probation[i], "demote targets a probation slice");
-        self.demote(i);
-    }
-
-    /// Failed rejoin attempts charged against slice `i` so far.
-    pub fn rejoin_attempts(&self, i: usize) -> u32 {
-        self.rejoin_attempts[i]
-    }
-
-    /// Whether slice `i` still has rejoin budget under
-    /// [`RoundPolicy::rejoin`] (flap damping: a slice that keeps failing
-    /// probation is eventually left quarantined for good).
-    pub fn rejoin_allowed(&self, i: usize) -> bool {
-        self.rejoin_attempts[i] == 0 || self.policy.rejoin.allows(self.rejoin_attempts[i] - 1)
-    }
-
-    /// Backoff (in rounds) before slice `i`'s next rejoin attempt.
-    pub fn rejoin_backoff_rounds(&self, i: usize) -> u64 {
-        match self.rejoin_attempts[i] {
-            0 => 0,
-            k => self.policy.rejoin.backoff_for(k - 1),
-        }
-    }
-
-    /// Slices promoted to full trust at the last closed round (drains).
-    pub fn take_promoted(&mut self) -> Vec<usize> {
-        std::mem::take(&mut self.promoted)
-    }
-
-    /// Slices demoted back to quarantine at the last closed round
-    /// (drains).
-    pub fn take_demoted(&mut self) -> Vec<usize> {
-        std::mem::take(&mut self.demoted)
-    }
-
-    /// Total slice-rounds spent on probation across the contract.
+    /// Slice-rounds this tenant audited on probation (clean and failed
+    /// audits both count).
     pub fn probation_rounds_used(&self) -> u64 {
         self.probation_rounds_used
     }
@@ -465,8 +369,8 @@ impl ClusterRoundDriver {
     }
 
     /// Attaches a telemetry hub: each closed round records per-slice
-    /// [`EventKind::AuditVerdict`] events (plus strikes, probation
-    /// transitions, export retries, and aborts) in the hub's flight
+    /// [`EventKind::AuditVerdict`] events (plus strikes, export retries,
+    /// and aborts) in the hub's flight
     /// recorder, bumps the per-slice audit counters, and feeds the round
     /// latency histogram with the round's virtual duration including any
     /// export-retry backoff.
@@ -484,18 +388,19 @@ impl ClusterRoundDriver {
         self.backoff_ns
     }
 
-    /// Closes the round cluster-wide: audit every non-quarantined slice,
-    /// record, rotate all live sketches, decide the aggregate contract
-    /// state. Failed exports are retried under
-    /// [`RoundPolicy::export_retry`] with exponential virtual-clock
+    /// Closes the round cluster-wide: audit every slice the lifecycle
+    /// table says is `audited`, record, rotate those slices' sketches,
+    /// decide the aggregate contract state. Failed exports are retried
+    /// under [`RoundPolicy::export_retry`] with exponential virtual-clock
     /// backoff before the failure is acted on.
     ///
     /// Probation slices are audited like trusted ones — off the shadow
     /// traffic mirrored to them — but their verdicts never strike the
-    /// contract: a dirty (or unauditable) probation audit demotes the
-    /// slice back to quarantine and charges a rejoin attempt, while
-    /// [`RoundPolicy::probation_rounds`] consecutive clean audits promote
-    /// it to full trust.
+    /// contract: they are posted to the table as this tenant's *vote*. A
+    /// dirty (or unauditable) vote sends the slice back to quarantine at
+    /// once, for every tenant, and charges a rejoin attempt; clean votes
+    /// are settled once per round (`SliceLifecycle::settle_round`), and
+    /// `PROBATION_ROUNDS` unanimous rounds promote the slice.
     ///
     /// # Errors
     ///
@@ -506,29 +411,32 @@ impl ClusterRoundDriver {
     /// (invalid) next round — the error is propagated so the caller knows
     /// the abort was for a bad export, not a dirty-but-authentic round —
     /// unless the policy says
-    /// [`ExportFailurePolicy::QuarantineSlice`], in which case only the
-    /// failing slice is excised and the round completes on the survivors.
+    /// [`ExportFailurePolicy::QuarantineSlice`], in which case the failing
+    /// slice is voted `Unauditable` and the round completes on the
+    /// survivors.
     pub fn close_round(&mut self) -> Result<ClusterRoundOutcome, AuditError> {
         assert_eq!(
             self.state,
             ContractState::Active,
             "contract already aborted"
         );
-        self.promoted.clear();
-        self.demoted.clear();
         let mut slices = Vec::with_capacity(self.enclaves.len());
         let mut round = self.rounds_closed;
         let contract = self.contract;
         let backoff_before = self.backoff_ns;
         'slices: for i in 0..self.enclaves.len() {
-            if self.quarantined[i] {
-                slices.push(RoundOutcome {
-                    round,
-                    victim_verdict: BypassVerdict::Clean,
-                    neighbor_verdict: BypassVerdict::Clean,
-                    quarantined: true,
-                    probation: false,
-                });
+            let state = self.lifecycle.state(i);
+            let on_probation = state == SliceState::Probation;
+            // Placeholder outcome of a slice that sat the round out.
+            let skipped = |round| RoundOutcome {
+                round,
+                victim_verdict: BypassVerdict::Clean,
+                neighbor_verdict: BypassVerdict::Clean,
+                quarantined: true,
+                probation: on_probation,
+            };
+            if !state.audited() {
+                slices.push(skipped(round));
                 continue 'slices;
             }
             let enclave = Arc::clone(&self.enclaves[i]);
@@ -574,21 +482,15 @@ impl ClusterRoundDriver {
                             attempt += 1;
                             continue;
                         }
-                        if self.probation[i] {
-                            // A probation slice that cannot even be
-                            // audited fails its probation: demote it,
-                            // never strike or abort the contract for it.
-                            self.demote(i);
-                            slices.push(RoundOutcome {
-                                round,
-                                victim_verdict: BypassVerdict::Clean,
-                                neighbor_verdict: BypassVerdict::Clean,
-                                quarantined: true,
-                                probation: true,
-                            });
-                            continue 'slices;
-                        }
-                        match self.policy.export_failure {
+                        // A probation slice that cannot even be audited
+                        // fails its probation: never a strike or abort.
+                        let policy = if on_probation {
+                            self.probation_rounds_used += 1;
+                            ExportFailurePolicy::QuarantineSlice
+                        } else {
+                            self.policy.export_failure
+                        };
+                        match policy {
                             ExportFailurePolicy::AbortContract => {
                                 // One unauditable slice poisons the cluster
                                 // round: abort the whole contract, leave
@@ -615,41 +517,21 @@ impl ClusterRoundDriver {
                                 return Err(e);
                             }
                             ExportFailurePolicy::QuarantineSlice => {
-                                self.quarantined[i] = true;
-                                // `a = 1` marks export-failure origin,
-                                // distinct from the service's fault-driven
-                                // quarantine (`a = 0`).
-                                if let Some(hub) = &self.telemetry {
-                                    hub.record_event(EventKind::Quarantine, i as u32, 1, 0);
-                                    if let Some(s) = hub.slice(i) {
-                                        s.note_quarantine();
-                                    }
-                                }
-                                slices.push(RoundOutcome {
-                                    round,
-                                    victim_verdict: BypassVerdict::Clean,
-                                    neighbor_verdict: BypassVerdict::Clean,
-                                    quarantined: true,
-                                    probation: false,
-                                });
+                                self.vote(i, SliceEvent::Unauditable);
+                                slices.push(skipped(round));
                                 continue 'slices;
                             }
                         }
                     }
                 }
             };
-            let on_probation = self.probation[i];
             if !on_probation {
                 // A rejoined slice's fresh logs restart at round 0; only
                 // trusted slices name the cluster round.
                 round = victim_report.round;
             }
             let outcome = RoundOutcome {
-                round: if on_probation {
-                    round
-                } else {
-                    victim_report.round
-                },
+                round,
                 victim_verdict: victim_report.verdict,
                 neighbor_verdict: neighbor_report.verdict,
                 quarantined: false,
@@ -669,27 +551,15 @@ impl ClusterRoundDriver {
                 }
             }
             if on_probation {
-                if outcome.dirty() {
-                    self.demote(i);
-                } else {
-                    self.probation_rounds_used += 1;
-                    self.probation_streak[i] += 1;
-                    if self.probation_streak[i] >= self.policy.probation_rounds {
-                        self.probation[i] = false;
-                        self.promoted.push(i);
-                        if let Some(hub) = &self.telemetry {
-                            hub.record_event(
-                                EventKind::Promote,
-                                i as u32,
-                                self.probation_streak[i] as u64,
-                                0,
-                            );
-                            if let Some(s) = hub.slice(i) {
-                                s.note_promotion();
-                            }
-                        }
-                    }
-                }
+                self.probation_rounds_used += 1;
+                self.vote(
+                    i,
+                    if outcome.dirty() {
+                        SliceEvent::ProbationDirty
+                    } else {
+                        SliceEvent::ProbationClean
+                    },
+                );
             }
             slices.push(outcome);
         }
@@ -728,39 +598,22 @@ impl ClusterRoundDriver {
         Ok(outcome)
     }
 
-    /// Demotes probation slice `i` back to quarantine: a failed rejoin
-    /// attempt is charged (flap damping) and the caller learns about it
-    /// via [`take_demoted`](ClusterRoundDriver::take_demoted).
-    fn demote(&mut self, i: usize) {
-        self.probation[i] = false;
-        self.quarantined[i] = true;
-        self.probation_streak[i] = 0;
-        self.rejoin_attempts[i] += 1;
-        self.probation_rounds_used += 1;
-        self.demoted.push(i);
-        if let Some(hub) = &self.telemetry {
-            hub.record_event(
-                EventKind::Demote,
-                i as u32,
-                self.rejoin_attempts[i] as u64,
-                0,
-            );
-            if let Some(s) = hub.slice(i) {
-                s.note_demotion();
-            }
-        }
+    /// Posts this tenant's audit verdict on slice `i`.
+    fn vote(&self, i: usize, verdict: SliceEvent) {
+        self.lifecycle
+            .advance(i, verdict)
+            .expect("an audited slice accepts its auditor's vote");
     }
 
-    /// Rotates every live slice's enclave and verifier sketches (this
-    /// contract's slot only). Quarantined enclaves are left untouched —
-    /// they are out of the pool and their frozen logs audit nothing.
+    /// Rotates the enclave sketches (this contract's slot only) of every
+    /// slice still under audit, and every verifier. Slices out of the
+    /// audit loop are left untouched — their frozen logs audit nothing.
     fn rotate(&mut self) {
         let contract = self.contract;
         for (i, enclave) in self.enclaves.iter().enumerate() {
-            if self.quarantined[i] {
-                continue;
+            if self.lifecycle.state(i).audited() {
+                enclave.ecall(move |app| app.new_round_for(contract));
             }
-            enclave.ecall(move |app| app.new_round_for(contract));
         }
         for v in &mut self.victims {
             v.new_round();
@@ -776,6 +629,7 @@ mod tests {
     use super::*;
     use crate::rules::{FilterRule, FlowPattern, RuleAction};
     use crate::ruleset::RuleSet;
+    use vif_dataplane::lifecycle::PROBATION_ROUNDS;
     use vif_dataplane::{FiveTuple, Protocol};
     use vif_sgx::{AttestationRootKey, EnclaveImage, EpcConfig, SgxPlatform};
 
@@ -1126,7 +980,8 @@ mod tests {
         assert_eq!(driver.state(), ContractState::Active);
         assert!(outcome.slices[2].quarantined);
         assert!(!outcome.dirty(), "quarantined slice must not dirty");
-        assert_eq!(driver.quarantined(), &[false, false, true]);
+        assert_eq!(driver.lifecycle().state(2), SliceState::Unauditable);
+        assert_eq!(driver.lifecycle().quarantined_slices(), vec![2]);
         // Next round: the quarantined slice is skipped outright (no
         // export, no retries) and survivors stay clean. Its verifiers saw
         // no slice-2 traffic because the harness re-steers it, modeled
@@ -1150,6 +1005,22 @@ mod tests {
             retries_before,
             "skipped slice must not burn retries"
         );
+    }
+
+    /// Rejoins quarantined slice `i` onto probation the way the harness
+    /// does: fresh verifier pair first, then the resync.
+    fn rejoin(
+        enclaves: &[Arc<Enclave<FilterEnclaveApp>>],
+        driver: &mut ClusterRoundDriver,
+        i: usize,
+    ) {
+        driver.replace_slice(
+            i,
+            Arc::clone(&enclaves[i]),
+            VictimVerifier::new(SEED, KEY, 0),
+            NeighborVerifier::new(SEED, KEY, 0),
+        );
+        driver.lifecycle().advance(i, SliceEvent::Resync).unwrap();
     }
 
     /// Drives `per_slice` benign packets through the given slices only
@@ -1179,30 +1050,27 @@ mod tests {
     #[test]
     fn probation_promotes_after_consecutive_clean_audits() {
         let (enclaves, mut driver) = cluster_setup(3);
-        driver.quarantine_slice(1);
+        let table = Arc::clone(driver.lifecycle());
+        table.advance(1, SliceEvent::Excise).unwrap();
         partial_round(&enclaves, &mut driver, 20, 1);
         driver.close_round().unwrap();
+        table.settle_round(1);
 
-        // Rejoin on probation: fresh verifier pair, default K = 2 window.
-        driver.start_probation(
-            1,
-            Arc::clone(&enclaves[1]),
-            VictimVerifier::new(SEED, KEY, 0),
-            NeighborVerifier::new(SEED, KEY, 0),
-        );
-        assert!(driver.probation()[1]);
-        assert!(!driver.quarantined()[1]);
-        for k in 0..2u32 {
+        // Rejoin on probation: fresh verifier pair, the K = 2 window.
+        rejoin(&enclaves, &mut driver, 1);
+        assert_eq!(table.state(1), SliceState::Probation);
+        for k in 0..PROBATION_ROUNDS {
+            assert_eq!(table.state(1), SliceState::Probation, "round {k}");
             cluster_round(&enclaves, &mut driver, 20, None);
             let outcome = driver.close_round().unwrap();
             assert!(!outcome.dirty(), "probation round {k}: {outcome:?}");
             assert!(outcome.slices[1].probation, "probation round {k}");
             assert!(!outcome.slices[1].quarantined, "probation round {k}");
+            table.settle_round(1);
         }
-        assert_eq!(driver.take_promoted(), vec![1]);
-        assert!(driver.take_demoted().is_empty());
-        assert!(!driver.probation()[1], "promoted to full trust");
-        assert_eq!(driver.quarantined(), &[false, false, false]);
+        assert_eq!(table.state(1), SliceState::Live, "promoted to full trust");
+        assert_eq!(table.recovered_slices(), vec![1]);
+        assert_eq!(table.rejoin_attempts(1), 0);
         assert_eq!(driver.probation_rounds_used(), 2);
         assert_eq!(driver.state(), ContractState::Active);
 
@@ -1216,56 +1084,30 @@ mod tests {
     #[test]
     fn dirty_probation_audit_demotes_without_striking() {
         let (enclaves, mut driver) = cluster_setup(3);
-        driver.quarantine_slice(1);
+        let table = Arc::clone(driver.lifecycle());
+        table.advance(1, SliceEvent::Excise).unwrap();
         partial_round(&enclaves, &mut driver, 20, 1);
         driver.close_round().unwrap();
+        table.settle_round(1);
 
-        // Probation attempt 1: the operator steals the probation slice's
-        // would-be output — the shadow audit must catch it.
-        driver.start_probation(
-            1,
-            Arc::clone(&enclaves[1]),
-            VictimVerifier::new(SEED, KEY, 0),
-            NeighborVerifier::new(SEED, KEY, 0),
-        );
-        cluster_round(&enclaves, &mut driver, 20, Some(1));
-        let outcome = driver.close_round().expect("demote, not abort");
-        assert!(!outcome.dirty(), "probation failures never dirty the round");
-        assert_eq!(outcome.dirty_probation_slices(), vec![1]);
-        assert_eq!(driver.take_demoted(), vec![1]);
-        assert!(driver.take_promoted().is_empty());
-        assert!(driver.quarantined()[1], "demoted back to quarantine");
-        assert!(!driver.probation()[1]);
-        assert_eq!(driver.state(), ContractState::Active, "no strike charged");
-        assert_eq!(driver.rejoin_attempts(1), 1);
-        assert!(driver.rejoin_allowed(1));
-        // Default flap damping: wait 2 rounds, then 4, then give up.
-        assert_eq!(driver.rejoin_backoff_rounds(1), 2);
-
-        // Attempt 2 fails the same way: backoff doubles.
-        driver.start_probation(
-            1,
-            Arc::clone(&enclaves[1]),
-            VictimVerifier::new(SEED, KEY, 0),
-            NeighborVerifier::new(SEED, KEY, 0),
-        );
-        cluster_round(&enclaves, &mut driver, 20, Some(1));
-        driver.close_round().unwrap();
-        assert_eq!(driver.rejoin_attempts(1), 2);
-        assert!(driver.rejoin_allowed(1));
-        assert_eq!(driver.rejoin_backoff_rounds(1), 4);
-
-        // Attempt 3 exhausts the budget: the slice stays out for good.
-        driver.start_probation(
-            1,
-            Arc::clone(&enclaves[1]),
-            VictimVerifier::new(SEED, KEY, 0),
-            NeighborVerifier::new(SEED, KEY, 0),
-        );
-        cluster_round(&enclaves, &mut driver, 20, Some(1));
-        driver.close_round().unwrap();
-        assert_eq!(driver.rejoin_attempts(1), 3);
-        assert!(!driver.rejoin_allowed(1), "flap damping budget exhausted");
+        // Every attempt, the operator steals the probation slice's would-be
+        // output and the shadow audit catches it. Flap damping: wait 2
+        // rounds, then 4, then the budget is exhausted for good.
+        for (attempt, backoff) in [(1, Some(2)), (2, Some(4)), (3, None)] {
+            let round = u64::from(attempt);
+            rejoin(&enclaves, &mut driver, 1);
+            cluster_round(&enclaves, &mut driver, 20, Some(1));
+            let outcome = driver.close_round().expect("demote, not abort");
+            assert!(!outcome.dirty(), "probation failures never dirty the round");
+            assert_eq!(outcome.dirty_probation_slices(), vec![1]);
+            // Demoted at once, before the round settles; no strike charged.
+            assert_eq!(table.state(1), SliceState::Quarantined);
+            assert_eq!(driver.state(), ContractState::Active);
+            assert_eq!(table.rejoin_attempts(1), attempt);
+            assert_eq!(table.rejoin_not_before(1), backoff.map(|b| round + 1 + b));
+            table.settle_round(1);
+        }
+        assert!(table.recovered_slices().is_empty());
         // The trusted survivors were never affected.
         assert_eq!(driver.state(), ContractState::Active);
         assert_eq!(driver.probation_rounds_used(), 3);
@@ -1274,16 +1116,12 @@ mod tests {
     #[test]
     fn unauditable_probation_slice_is_demoted_not_contract_ending() {
         let (enclaves, mut driver) = cluster_setup(2);
-        driver.quarantine_slice(1);
+        let table = Arc::clone(driver.lifecycle());
+        table.advance(1, SliceEvent::Excise).unwrap();
         partial_round(&enclaves, &mut driver, 10, 1);
         driver.close_round().unwrap();
 
-        driver.start_probation(
-            1,
-            Arc::clone(&enclaves[1]),
-            VictimVerifier::new(SEED, KEY, 0),
-            NeighborVerifier::new(SEED, KEY, 0),
-        );
+        rejoin(&enclaves, &mut driver, 1);
         // The probation slice's export never arrives. Under the default
         // AbortContract policy this would end the contract for a trusted
         // slice — for a probation slice it only fails the probation.
@@ -1299,9 +1137,9 @@ mod tests {
         assert!(!outcome.dirty());
         assert!(outcome.slices[1].quarantined);
         assert!(outcome.slices[1].probation);
-        assert_eq!(driver.take_demoted(), vec![1]);
+        assert_eq!(table.state(1), SliceState::Quarantined);
         assert_eq!(driver.state(), ContractState::Active);
-        assert_eq!(driver.rejoin_attempts(1), 1);
+        assert_eq!(table.rejoin_attempts(1), 1);
     }
 
     #[test]
@@ -1310,7 +1148,7 @@ mod tests {
         // Slice 2's worker died: its neighbors observed round traffic the
         // enclave never logged. Quarantining before close_round prevents
         // the false DropDetected.
-        driver.quarantine_slice(2);
+        driver.lifecycle().advance(2, SliceEvent::Excise).unwrap();
         for (s, enclave) in enclaves.iter().enumerate() {
             for i in 0..25 {
                 let t = benign(s as u32 * 10_000 + i);

@@ -22,7 +22,7 @@ use crate::rules::RuleAction;
 use crate::ruleset::{RuleId, RuleSet};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use vif_dataplane::FiveTuple;
+use vif_dataplane::{FiveTuple, SliceEvent, SliceLifecycle, SliceState};
 use vif_optimizer::{greedy::GreedySolver, ilp::Instance, Allocation};
 use vif_sgx::{Enclave, EnclaveImage, SgxPlatform};
 use vif_sketch::hash::fingerprint;
@@ -225,7 +225,7 @@ pub struct PublishReport {
     /// [`EnclaveCluster::set_publish_ack_loss`]); zero on healthy runs.
     pub ack_retries: u64,
     /// Slices whose ack never arrived within the retry budget — the
-    /// publisher quarantined them during this publication.
+    /// publisher posted `AckLost` for them during this publication.
     pub ack_lost_slices: Vec<usize>,
 }
 
@@ -269,10 +269,10 @@ pub struct EnclaveCluster {
     /// live sharded data path, whose public-hash steering assumes any
     /// slice can decide any flow.
     replicated: bool,
-    /// Per-slice quarantine flags: a quarantined slice is excised from
-    /// publication, telemetry, and (replicated) dispatch until the pool is
-    /// rebuilt. Mirrors the dataplane service's worker quarantine.
-    quarantined: Vec<bool>,
+    /// Where each slice stands: the cluster reads `published` (who gets
+    /// epochs, provisioning, telemetry) and `steer` (dispatch) from it; the
+    /// deployment's service and round drivers share it by handle.
+    lifecycle: Arc<SliceLifecycle>,
     /// Optional publish-ack fault hook (test/bench injection only).
     publish_ack_loss: Option<PublishAckHook>,
     /// Optional telemetry hub: epoch publications and slice rejoins land
@@ -281,8 +281,8 @@ pub struct EnclaveCluster {
 }
 
 impl EnclaveCluster {
-    /// Install re-sends a slice gets before its lost publish acks
-    /// quarantine it (initial send + `attempts` re-sends). Flat: the
+    /// Install re-sends a slice gets before its lost publish acks turn it
+    /// `Mute` (initial send + `attempts` re-sends). Flat: the
     /// publisher re-sends back-to-back; backoff lives in the transport
     /// model, not here.
     pub const PUBLISH_ACK_RETRY: RetryPolicy = RetryPolicy::flat(3);
@@ -328,7 +328,7 @@ impl EnclaveCluster {
             })
             .collect();
 
-        let quarantined = vec![false; enclaves.len()];
+        let lifecycle = Arc::new(SliceLifecycle::new(enclaves.len()));
         EnclaveCluster {
             enclaves,
             slices,
@@ -341,7 +341,7 @@ impl EnclaveCluster {
             audit_key,
             round: 0,
             replicated: false,
-            quarantined,
+            lifecycle,
             publish_ack_loss: None,
             telemetry: None,
         }
@@ -435,7 +435,7 @@ impl EnclaveCluster {
             audit_key,
             round: 0,
             replicated: true,
-            quarantined: vec![false; n],
+            lifecycle: Arc::new(SliceLifecycle::new(n)),
             publish_ack_loss: None,
             telemetry: None,
         }
@@ -478,49 +478,45 @@ impl EnclaveCluster {
         self.round
     }
 
-    /// Per-slice quarantine flags, indexed like
-    /// [`enclaves`](EnclaveCluster::enclaves).
-    pub fn quarantined(&self) -> &[bool] {
-        &self.quarantined
+    /// The deployment's slice-lifecycle table, one entry per enclave (for
+    /// `DataplaneService::with_lifecycle`, `ClusterRoundDriver::with_lifecycle`).
+    pub fn lifecycle(&self) -> &Arc<SliceLifecycle> {
+        &self.lifecycle
     }
 
-    /// Indices of live (non-quarantined) slices, ascending.
+    /// Indices of the slices publication reaches, ascending.
     pub fn live_slices(&self) -> Vec<usize> {
-        (0..self.enclaves.len())
-            .filter(|&i| !self.quarantined[i])
-            .collect()
+        self.lifecycle.slices_where(SliceState::published)
     }
 
-    /// Number of live (non-quarantined) slices.
+    /// Number of slices publication reaches.
     pub fn live_len(&self) -> usize {
-        self.quarantined.iter().filter(|&&q| !q).count()
+        self.live_slices().len()
     }
 
-    /// Excises slice `i` from the pool: it no longer receives epoch
-    /// publications, contract provisioning, or redistribution installs,
-    /// its telemetry is ignored, and replicated dispatch re-steers its
-    /// flows onto the survivors with the same public hash the live
-    /// dataplane uses
-    /// ([`ServiceHandle::requarget_fingerprint`](vif_dataplane::ServiceHandle::requarget_fingerprint)),
-    /// so verifier attribution stays recomputable. Idempotent.
+    /// Excises slice `i` from the pool (posts `Excise`): no more epoch
+    /// publications, provisioning or redistribution installs, telemetry
+    /// ignored, not audited, and dispatch re-steers its flows onto the
+    /// survivors with the one public failover hash
+    /// ([`SliceLifecycle::steer`]). Idempotent. Excising the last live
+    /// slice is legal — what then refuses is every operation that needs a
+    /// live master.
     ///
     /// # Panics
     ///
     /// Panics on a partitioned cluster (a dead slice there loses rules, it
     /// cannot fail over by re-steering; run
-    /// [`redistribute`](EnclaveCluster::redistribute) instead), if `i` is
-    /// out of range, or if quarantining `i` would leave no live slice.
+    /// [`redistribute`](EnclaveCluster::redistribute) instead) or if `i`
+    /// is out of range.
     pub fn quarantine_slice(&mut self, i: usize) {
         assert!(
             self.replicated,
             "quarantine is replicated-only: partitioned pools must re-partition"
         );
         assert!(i < self.enclaves.len(), "slice index out of range");
-        if self.quarantined[i] {
-            return;
-        }
-        assert!(self.live_len() > 1, "cannot quarantine the last live slice");
-        self.quarantined[i] = true;
+        self.lifecycle
+            .advance(i, SliceEvent::Excise)
+            .expect("any slice can be excised");
     }
 
     /// Replaces quarantined slice `i` with a **freshly launched** enclave:
@@ -541,14 +537,17 @@ impl EnclaveCluster {
     pub fn relaunch_slice(&mut self, i: usize) {
         assert!(self.replicated, "rejoin is replicated-only");
         assert!(i < self.enclaves.len(), "slice index out of range");
-        assert!(self.quarantined[i], "relaunch targets a quarantined slice");
+        assert!(
+            self.lifecycle.state(i) == SliceState::Quarantined,
+            "relaunch targets a quarantined slice"
+        );
         let app = FilterEnclaveApp::fresh(self.secret);
         self.enclaves[i] = Arc::new(self.platform.launch(self.image.clone(), app));
         self.slices[i] = Vec::new();
     }
 
     /// Replays the master's published state onto relaunched slice `i` and
-    /// returns it to the live pool: the master's current rule set is
+    /// puts it on probation (posts `Resync`): the master's current rule set is
     /// installed wholesale, then every contract slot is mirrored —
     /// victim scope, per-contract epoch, rule ownership — via
     /// [`FilterEnclaveApp::resync_contract`], which deliberately leaves
@@ -560,15 +559,18 @@ impl EnclaveCluster {
     /// # Panics
     ///
     /// Panics on a partitioned cluster, if `master == i`, if either index
-    /// is out of range, if the master is quarantined (no authoritative
+    /// is out of range, if the master is not live (no authoritative
     /// replay source), or if `i` is not quarantined.
     pub fn resync_slice(&mut self, master: usize, i: usize) -> ResyncReport {
         assert!(self.replicated, "rejoin is replicated-only");
         assert!(master < self.enclaves.len(), "master index out of range");
         assert!(i < self.enclaves.len(), "slice index out of range");
         assert!(master != i, "a slice cannot resync from itself");
-        assert!(!self.quarantined[master], "master slice is quarantined");
-        assert!(self.quarantined[i], "resync targets a quarantined slice");
+        self.assert_master_live(master);
+        assert!(
+            self.lifecycle.state(i) == SliceState::Quarantined,
+            "resync targets a quarantined slice"
+        );
 
         // Snapshot the master: its live rule epoch is authoritative (the
         // victim's session churn lands there), and its contract slots
@@ -590,10 +592,12 @@ impl EnclaveCluster {
         }
         self.enclaves[i].ecall(move |app| app.resync_epoch(epoch));
 
-        // Back in the pool: publication, provisioning, telemetry, and
-        // replicated dispatch include the slice again.
+        // On probation: publication, provisioning and telemetry include
+        // the slice again; dispatch does once it is promoted.
         self.slices[i] = (0..master_rules.len() as RuleId).collect();
-        self.quarantined[i] = false;
+        self.lifecycle
+            .advance(i, SliceEvent::Resync)
+            .expect("a quarantined slice can be resynced");
         if let Some(hub) = &self.telemetry {
             hub.record_event(EventKind::Rejoin, i as u32, epoch, contracts.len() as u64);
         }
@@ -620,8 +624,8 @@ impl EnclaveCluster {
     /// acknowledged, the hook decides whether that ack is lost
     /// (`(slice, attempt) -> true`), forcing the publisher to re-send.
     /// A slice that exhausts the retry budget
-    /// ([`PUBLISH_ACK_RETRY`](EnclaveCluster::PUBLISH_ACK_RETRY)) is
-    /// quarantined mid-publication. Test/bench injection only.
+    /// ([`PUBLISH_ACK_RETRY`](EnclaveCluster::PUBLISH_ACK_RETRY)) goes
+    /// `Mute` mid-publication. Test/bench injection only.
     pub fn set_publish_ack_loss(&mut self, hook: PublishAckHook) {
         self.publish_ack_loss = Some(hook);
     }
@@ -629,19 +633,19 @@ impl EnclaveCluster {
     /// Attaches a telemetry hub: every epoch publication records an
     /// [`EventKind::EpochPublish`] event and every slice resync an
     /// [`EventKind::Rejoin`] event in the hub's flight recorder, stamped
-    /// from its virtual clock.
+    /// from its virtual clock, and the lifecycle table records its
+    /// quarantine / probation / promote / demote transitions there.
     pub fn set_telemetry(&mut self, hub: Arc<TelemetryHub>) {
+        self.lifecycle.set_telemetry(Arc::clone(&hub));
         self.telemetry = Some(hub);
     }
 
-    /// Re-steers a dispatch target away from a quarantined slice on a
-    /// replicated cluster, mirroring the live service's failover hash.
-    fn resteer(&self, i: usize, t: &FiveTuple) -> usize {
-        if !self.quarantined.get(i).copied().unwrap_or(false) {
-            return i;
-        }
-        let live = self.live_slices();
-        live[vif_dataplane::shard_of_fingerprint(t.tuple_fingerprint(), live.len())]
+    /// Operations that replay or publish the master's state need it live.
+    fn assert_master_live(&self, master: usize) {
+        assert!(
+            self.lifecycle.state(master).published(),
+            "master slice is quarantined"
+        );
     }
 
     /// Processes one packet through LB dispatch and the target enclave.
@@ -654,7 +658,7 @@ impl EnclaveCluster {
         match self.lb.dispatch(rule, t) {
             Dispatch::Dropped => (RuleAction::Drop, None),
             Dispatch::To(i) => {
-                let i = self.resteer(i, t);
+                let i = self.lifecycle.steer(t.tuple_fingerprint(), i);
                 let action =
                     self.enclaves[i].in_enclave_thread(|app| app.process(t, wire_bytes).action);
                 (action, Some(i))
@@ -683,7 +687,7 @@ impl EnclaveCluster {
             let rule = self.full_ruleset.classify(t);
             match self.lb.dispatch(rule, t) {
                 Dispatch::Dropped => results[i] = (RuleAction::Drop, None),
-                Dispatch::To(e) => routed.push((self.resteer(e, t), i)),
+                Dispatch::To(e) => routed.push((self.lifecycle.steer(t.tuple_fingerprint(), e), i)),
             }
         }
         routed.sort_unstable();
@@ -740,7 +744,7 @@ impl EnclaveCluster {
     /// Returns the round report.
     pub fn redistribute(&mut self, master: usize) -> RedistributionReport {
         assert!(master < self.enclaves.len(), "master index out of range");
-        assert!(!self.quarantined[master], "master slice is quarantined");
+        self.assert_master_live(master);
         self.round += 1;
         if self.replicated {
             return self.redistribute_replicated(master);
@@ -820,9 +824,11 @@ impl EnclaveCluster {
             n,
             LoadBalancerBehavior::Honest,
         );
-        // The pool was rebuilt from attested launches: every slice in the
-        // new partition is live again.
-        self.quarantined = vec![false; n];
+        // Rebuilt from attested launches: a fresh table of the new size.
+        self.lifecycle = Arc::new(SliceLifecycle::new(n));
+        if let Some(hub) = &self.telemetry {
+            self.lifecycle.set_telemetry(Arc::clone(hub));
+        }
 
         RedistributionReport {
             master,
@@ -852,12 +858,9 @@ impl EnclaveCluster {
             "positional telemetry aggregation is replicated-only"
         );
         let mut bytes_per_rule: Vec<u64> = Vec::new();
-        for (i, enclave) in self.enclaves.iter().enumerate() {
-            if self.quarantined[i] {
-                // A dead slice's counters are unreachable (and stale).
-                continue;
-            }
-            let report = enclave.ecall(|app| app.rule_bandwidth_report());
+        // An unpublished slice's counters are unreachable (and stale).
+        for i in self.live_slices() {
+            let report = self.enclaves[i].ecall(|app| app.rule_bandwidth_report());
             if report.len() > bytes_per_rule.len() {
                 bytes_per_rule.resize(report.len(), 0);
             }
@@ -872,13 +875,11 @@ impl EnclaveCluster {
     /// live slices — the victim-side view of which of its rules still
     /// bite. RSS steering lands each flow on exactly one slice, so a rule
     /// matched only off the master is invisible in the master's counters
-    /// alone; quarantined slices are skipped (unreachable and stale).
+    /// alone; unpublished slices are skipped (unreachable and stale).
     pub fn contract_rule_bytes(&self, contract: ContractId) -> BTreeMap<RuleId, u64> {
         let mut bytes = BTreeMap::new();
-        for (i, enclave) in self.enclaves.iter().enumerate() {
-            if self.quarantined[i] {
-                continue;
-            }
+        for i in self.live_slices() {
+            let enclave = &self.enclaves[i];
             for (id, b) in enclave.ecall(move |app| app.contract_rule_bytes(contract)) {
                 *bytes.entry(id).or_insert(0) += b;
             }
@@ -926,12 +927,12 @@ impl EnclaveCluster {
     /// # Panics
     ///
     /// Panics on a partitioned cluster (publication re-replicates the
-    /// master's rules), an out-of-range or quarantined master, or if the
+    /// master's rules), an out-of-range or unpublished master, or if the
     /// master has no slot for `contract`.
     pub fn publish_contract(&mut self, master: usize, contract: ContractId) -> PublishReport {
         assert!(master < self.enclaves.len(), "master index out of range");
         assert!(self.replicated, "epoch publication is replicated-only");
-        assert!(!self.quarantined[master], "master slice is quarantined");
+        self.assert_master_live(master);
         let PublishSnapshot {
             tables,
             edits,
@@ -984,10 +985,11 @@ impl EnclaveCluster {
     /// ack is lost (per the injected [`PublishAckHook`]); a slice already
     /// on `epoch` acknowledges a re-send without applying it again. A slice
     /// whose ack never arrives within
-    /// [`PUBLISH_ACK_RETRY`](Self::PUBLISH_ACK_RETRY) re-sends is
-    /// quarantined: the publisher cannot distinguish "installed but mute"
-    /// from "dead", and a possibly-stale slice must not keep deciding
-    /// flows. Returns `(total re-sends, slices quarantined)`.
+    /// [`PUBLISH_ACK_RETRY`](Self::PUBLISH_ACK_RETRY) re-sends gets
+    /// `AckLost` posted: the publisher cannot distinguish "installed but
+    /// mute" from "dead", so it stops publishing to the slice (`Mute`; a
+    /// probation slice fails its probation). Returns `(total re-sends,
+    /// slices lost)`.
     fn install_on_live(
         &mut self,
         contract: ContractId,
@@ -998,10 +1000,7 @@ impl EnclaveCluster {
     ) -> (u64, Vec<usize>) {
         let mut ack_retries = 0u64;
         let mut lost = Vec::new();
-        for i in 0..self.enclaves.len() {
-            if self.quarantined[i] {
-                continue;
-            }
+        for i in self.live_slices() {
             let mut attempt = 0u32;
             loop {
                 let replica = rs.clone();
@@ -1018,7 +1017,9 @@ impl EnclaveCluster {
                     break;
                 }
                 if !Self::PUBLISH_ACK_RETRY.allows(attempt) {
-                    self.quarantined[i] = true;
+                    self.lifecycle
+                        .advance(i, SliceEvent::AckLost)
+                        .expect("a published slice can lose its acks");
                     lost.push(i);
                     break;
                 }
@@ -1059,11 +1060,8 @@ impl EnclaveCluster {
         sketch_seed: u64,
         audit_key: [u8; 32],
     ) {
-        for (i, enclave) in self.enclaves.iter().enumerate() {
-            if self.quarantined[i] {
-                continue;
-            }
-            enclave.ecall(move |app| {
+        for i in self.live_slices() {
+            self.enclaves[i].ecall(move |app| {
                 app.provision_contract(contract, scope, sketch_seed, audit_key);
             });
         }
@@ -1110,12 +1108,9 @@ impl EnclaveCluster {
             bytes_per_rule.resize(master_rules.len(), 0);
         }
 
-        for (i, enclave) in self.enclaves.iter().enumerate() {
-            if self.quarantined[i] {
-                // An excised slice receives no installs; its stale rules
-                // never decide a flow because dispatch re-steers past it.
-                continue;
-            }
+        // An unpublished slice receives no installs.
+        for i in self.live_slices() {
+            let enclave = &self.enclaves[i];
             if i == master {
                 enclave.ecall(|app| app.reset_rule_counters());
             } else {
@@ -1146,7 +1141,7 @@ impl EnclaveCluster {
     ///
     /// # Panics
     ///
-    /// Panics if the master is quarantined or out of range.
+    /// Panics if the master is not live or out of range.
     pub fn rearbitrate(
         &self,
         master: usize,
@@ -1155,7 +1150,7 @@ impl EnclaveCluster {
         mut config: vif_optimizer::ArbiterConfig,
     ) -> vif_optimizer::Arbitration {
         assert!(master < self.enclaves.len(), "master index out of range");
-        assert!(!self.quarantined[master], "master slice is quarantined");
+        self.assert_master_live(master);
         config.max_enclaves = config.max_enclaves.min(self.live_len());
         let demands = self.contract_demands(master, window_secs, floor_gbps);
         vif_optimizer::arbitrate(&config, &demands)
@@ -1166,6 +1161,7 @@ impl EnclaveCluster {
 mod tests {
     use super::*;
     use crate::rules::{FilterRule, FlowPattern};
+    use vif_dataplane::lifecycle::PROBATION_ROUNDS;
     use vif_dataplane::Protocol;
     use vif_sgx::{AttestationRootKey, EpcConfig};
     use vif_trie::Ipv4Prefix;
@@ -1606,8 +1602,12 @@ mod tests {
             u64::from(EnclaveCluster::PUBLISH_ACK_RETRY.attempts)
         );
         assert_eq!(report.ack_lost_slices, vec![2]);
-        assert_eq!(c.quarantined(), &[false, false, true]);
-        // Subsequent publications skip the quarantined slice entirely: the
+        // Mute: no longer published to, still steered and audited.
+        assert_eq!(c.lifecycle().state(2), SliceState::Mute);
+        assert_eq!(c.live_slices(), vec![0, 1]);
+        let t = attack_tuple(0, 1);
+        assert_eq!(c.lifecycle().steer(t.tuple_fingerprint(), 2), 2);
+        // Subsequent publications skip the mute slice entirely: the
         // still-lossy hook for slice 2 is never consulted again.
         let report = c.publish_contract(0, 0);
         assert_eq!(report.ack_retries, 0);
@@ -1632,8 +1632,8 @@ mod tests {
         assert_eq!(report.slice, 2);
         assert_eq!(report.rules, 7, "6 seeded rules + 1 published install");
         assert_eq!(report.contracts, 1, "default contract slot");
-        assert_eq!(c.quarantined(), &[false, false, false]);
-        assert_eq!(c.live_len(), 3);
+        assert_eq!(c.lifecycle().state(2), SliceState::Probation);
+        assert_eq!(c.live_len(), 3, "a probation slice is published to");
 
         // The fresh slice decides the epoch it missed...
         let new_hit = FiveTuple::new(
@@ -1652,8 +1652,21 @@ mod tests {
             "epoch counters must agree after resync"
         );
 
-        // ...dispatch steers home shards onto it again, byte-identical to
-        // the pre-crash assignment...
+        // ...dispatch keeps failing over while it serves its probation...
+        for r in 0..6 {
+            let t = attack_tuple(r, 0);
+            assert_ne!(c.process(&t, 64).1, Some(2), "probation slice steered");
+        }
+        // ...and once every auditing tenant has voted it clean for the
+        // whole window, steers home shards onto it again, byte-identical
+        // to the pre-crash assignment...
+        for _ in 0..PROBATION_ROUNDS {
+            c.lifecycle()
+                .advance(2, SliceEvent::ProbationClean)
+                .unwrap();
+            c.lifecycle().settle_round(1);
+        }
+        assert_eq!(c.lifecycle().state(2), SliceState::Live);
         for r in 0..6 {
             for f in 0..8 {
                 let t = attack_tuple(r, f);
@@ -1729,12 +1742,21 @@ mod tests {
         assert!(shrunk.allocation.enclaves.len() <= 2);
     }
 
+    /// Every slice down is a legal state (the service can lose every
+    /// worker) and dispatch stays total; what refuses is each operation
+    /// that needs a live master — resync here, publication below.
     #[test]
-    #[should_panic(expected = "last live slice")]
-    fn cannot_quarantine_every_slice() {
+    #[should_panic(expected = "master slice is quarantined")]
+    fn every_slice_down_is_legal_but_nothing_resyncs_without_a_master() {
         let mut c = rss_cluster(2, 2);
         c.quarantine_slice(0);
         c.quarantine_slice(1);
+        assert_eq!(c.live_len(), 0);
+        let t = attack_tuple(0, 1);
+        let home = vif_dataplane::shard_of(&t, 2);
+        assert_eq!(c.process(&t, 64).1, Some(home), "steering stays total");
+        c.relaunch_slice(1);
+        c.resync_slice(0, 1);
     }
 
     #[test]

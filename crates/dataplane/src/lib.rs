@@ -23,6 +23,10 @@
 //! - [`sharded`]: the sharding model the service and the audit layer
 //!   share — the public RSS steering hash and the per-worker round
 //!   counters,
+//! - [`lifecycle`]: the one place a slice's lifecycle state lives — a
+//!   `SliceState` per slice, one checked transition function, and the
+//!   failover steering hash the service, the cluster and the verifiers
+//!   all read,
 //! - [`fault`]: seeded, deterministic fault plans (worker crashes/stalls,
 //!   export corruption, publish-ack loss, overflow storms) that harnesses
 //!   inject into the service for reproducible chaos runs,
@@ -47,6 +51,7 @@
 
 pub mod clock;
 pub mod fault;
+pub mod lifecycle;
 pub mod mbuf;
 pub mod nic;
 pub mod packet;
@@ -58,6 +63,7 @@ pub mod sharded;
 
 pub use clock::SimClock;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
+pub use lifecycle::{SliceEvent, SliceLifecycle, SliceState};
 pub use mbuf::{LocalMemPool, Mbuf, MemPool};
 pub use nic::LineRate;
 pub use packet::{FiveTuple, Packet, Protocol};

@@ -45,21 +45,19 @@
 //!
 //! # Recovery lifecycle
 //!
-//! Fault injection gives the service the full `live → quarantined →
-//! rejoining → probation → live` lifecycle. A cleanly-crashed worker is
-//! quarantined at the round barrier and its flows re-steer to the
-//! survivors ([`ServiceHandle::requarget_fingerprint`]);
-//! [`ServiceHandle::respawn_worker`] later spawns a fresh worker thread
-//! for the slot on its recycled ring. The respawned worker starts on
-//! *probation*: steering still avoids it, but every packet whose home
-//! shard it is gets mirrored onto its ring as shadow traffic — processed
-//! by the stage (so a rejoined enclave's logs and sketches can be
-//! audited) yet never counted and never delivered. Once the caller's
-//! audit layer is satisfied, [`ServiceHandle::restore_worker`] returns
-//! the slot to the steering hash — exactly inverting the re-steer, so
-//! shard assignment is byte-identical to pre-crash — while a dirty
-//! probation audit demotes the slot straight back to quarantine
-//! ([`ServiceHandle::demote_worker`]).
+//! Where each worker's slice stands lives in the deployment's
+//! [`SliceLifecycle`] table ([`crate::lifecycle`] has the state ×
+//! predicate table); the handle keeps no flag of its own. It does the
+//! physical half and posts what it sees: [`ServiceHandle::inject_crash`]
+//! posts `Crash`, the round barrier posts `Reaped` when it finds a worker
+//! thread gone (and reaps a live thread left in a slot the table no longer
+//! steers or shadows), [`ServiceHandle::respawn_worker`] starts a fresh
+//! thread on the recycled ring. [`ServiceHandle::offer`] reads one state
+//! byte per packet: a steered home shard gets the packet, anything else
+//! re-hashes over the steered slices, and a shadowed (probation) home
+//! shard also gets a mirror copy — processed, so the rejoined enclave's
+//! logs can be audited, yet never counted or delivered. Promotion is a
+//! table transition and nothing else, exactly inverting the re-steer.
 //!
 //! # Panic safety
 //!
@@ -68,6 +66,7 @@
 //! the handle's round wait notices the death, and the panic propagates
 //! from the scope join (`"worker thread"` / `"tx thread"`).
 
+use crate::lifecycle::{SliceEvent, SliceLifecycle, SliceState};
 use crate::packet::{FiveTuple, Packet};
 use crate::pipeline::{PacketStage, StageVerdict};
 use crate::ring::Ring;
@@ -439,6 +438,7 @@ pub struct DataplaneService {
     config: ServiceConfig,
     contracts: ContractMap,
     telemetry: Option<Arc<TelemetryHub>>,
+    lifecycle: Option<Arc<SliceLifecycle>>,
 }
 
 impl DataplaneService {
@@ -448,7 +448,16 @@ impl DataplaneService {
             config,
             contracts: ContractMap::new(),
             telemetry: None,
+            lifecycle: None,
         }
+    }
+
+    /// Shares the deployment's lifecycle table (one entry per worker,
+    /// typically `EnclaveCluster::lifecycle`). Without one the service
+    /// keeps a private all-`Live` table.
+    pub fn with_lifecycle(mut self, table: Arc<SliceLifecycle>) -> Self {
+        self.lifecycle = Some(table);
+        self
     }
 
     /// Attaches a telemetry hub: workers merge per-round packet counts and
@@ -504,6 +513,14 @@ impl DataplaneService {
             "degenerate ring/burst"
         );
         assert!(self.config.spin_limit > 0, "spin_limit must be positive");
+        let lifecycle = self.lifecycle.clone().unwrap_or_else(|| {
+            let private = SliceLifecycle::new(n);
+            if let Some(hub) = &self.telemetry {
+                private.set_telemetry(Arc::clone(hub));
+            }
+            Arc::new(private)
+        });
+        assert_eq!(lifecycle.slices(), n, "one lifecycle entry per worker");
         let config = self.config;
         let shared = Shared::new(n, &config, self.contracts.clone(), self.telemetry.clone());
         let c = shared.contracts.contracts().len();
@@ -533,10 +550,7 @@ impl DataplaneService {
                 received: vec![0; n],
                 overflow: vec![0; n],
                 uncovered: vec![0; n],
-                crashed: vec![false; n],
-                quarantined: vec![false; n],
-                probation: vec![false; n],
-                live: (0..n).collect(),
+                lifecycle,
                 prev: vec![ThreadedReport::default(); n],
                 report: ShardedReport {
                     per_worker: vec![ThreadedReport::default(); n],
@@ -607,17 +621,9 @@ pub struct ServiceHandle<'scope, 'env, R> {
     /// Per-worker uncovered counters for the round in progress: ring
     /// residue drained from a dead worker's ring at the barrier.
     uncovered: Vec<u64>,
-    /// Workers with an injected crash pending quarantine (the crash token
-    /// is in their ring; the next `flush_round` reaps them).
-    crashed: Vec<bool>,
-    /// Workers excised from steering after a detected death.
-    quarantined: Vec<bool>,
-    /// Respawned workers still earning trust back: alive and fed mirrored
-    /// shadow traffic, but excised from steering (their `quarantined` flag
-    /// stays set) until [`restore_worker`](ServiceHandle::restore_worker).
-    probation: Vec<bool>,
-    /// Non-quarantined worker indices, ascending — the re-steer targets.
-    live: Vec<usize>,
+    /// Where each worker's slice stands; read per packet, written only
+    /// through [`SliceLifecycle::advance`].
+    lifecycle: Arc<SliceLifecycle>,
     /// Cumulative forwarded/filtered snapshot at the last flush, so each
     /// round's report is a delta with no per-round counter reset on the
     /// worker side.
@@ -639,6 +645,13 @@ pub struct ServiceHandle<'scope, 'env, R> {
 /// and exit before its ring is reaped for quarantine. Generous: the worker
 /// only has to decide the packets enqueued ahead of its crash token.
 const QUARANTINE_WAIT: Duration = Duration::from_secs(10);
+
+/// Re-tries `offer` grants a packet whose live worker's ring is full
+/// before counting it `overflow`.
+const OFFER_RETRIES: u32 = 64;
+/// Retry budget of a control token: it waits for ring space for as long as
+/// the worker lives.
+const UNTIL_DEAD: u32 = u32::MAX;
 
 impl<'scope, 'env, R> ServiceHandle<'scope, 'env, R>
 where
@@ -666,18 +679,23 @@ where
     /// one-shot pipeline's RX thread; a ring whose worker is *dead* gives
     /// up immediately — overflow-while-dead is counted, never spun on.
     ///
-    /// Quarantined workers are excised from steering: their flows are
-    /// re-hashed over the surviving workers (see
-    /// [`requarget_fingerprint`](ServiceHandle::requarget_fingerprint)).
-    /// A worker on probation additionally receives a *shadow* copy of
-    /// every packet whose home shard it is — processed by its stage but
-    /// never counted or delivered — so the caller's audit layer can
-    /// compare the rejoined slice's logs against its would-be share.
+    /// Flows whose home shard is not steered re-hash over the steered
+    /// slices ([`retarget_fingerprint`](ServiceHandle::retarget_fingerprint));
+    /// a shadowed (probation) home shard additionally receives a *shadow*
+    /// copy — processed by its stage but never counted or delivered — so
+    /// the audit layer can compare the rejoined slice's logs against its
+    /// would-be share.
     pub fn offer(&mut self, packets: &[Packet]) {
         let multi = self.c_received.len() > 1;
         for pkt in packets {
             let w0 = (self.steer)(&pkt.tuple) % self.n;
-            let w = self.requarget_fingerprint(pkt.tuple.tuple_fingerprint(), w0);
+            let home = self.lifecycle.state(w0);
+            let (w, target) = if home.steered() {
+                (w0, home)
+            } else {
+                let w = self.lifecycle.steer(pkt.tuple.tuple_fingerprint(), w0);
+                (w, self.lifecycle.state(w))
+            };
             self.received[w] += 1;
             let slot = if multi {
                 self.shared.contracts.slot_of(pkt.tuple.dst_ip)
@@ -685,198 +703,104 @@ where
                 0
             };
             self.c_received[slot] += 1;
-            if self.crashed[w] || self.quarantined[w] {
-                // Dead target (crash pending quarantine, or nowhere left
-                // to re-steer): one attempt, no spinning on a ring nobody
-                // drains. Residue becomes `uncovered` at the barrier; a
-                // full ring counts `overflow` right away.
-                if self.shared.rx_rings[w]
-                    .enqueue(WorkerMsg::Pkt(*pkt))
-                    .is_err()
-                {
-                    self.overflow[w] += 1;
-                    self.c_overflow[slot] += 1;
-                }
-            } else {
-                let mut item = WorkerMsg::Pkt(*pkt);
-                let mut retries = 0;
-                loop {
-                    match self.shared.rx_rings[w].enqueue(item) {
-                        Ok(()) => {
-                            Shared::wake(&self.shared.worker_parked[w], &self.worker_threads[w]);
-                            break;
-                        }
-                        Err(back) => {
-                            item = back;
-                            if !self.shared.worker_alive[w].load(Ordering::Acquire) {
-                                // The worker died under us: bounded wait,
-                                // not a spin-until-panic — the loss is
-                                // accounted.
-                                self.overflow[w] += 1;
-                                self.c_overflow[slot] += 1;
-                                break;
-                            }
-                            retries += 1;
-                            if retries > 64 {
-                                self.overflow[w] += 1;
-                                self.c_overflow[slot] += 1;
-                                break;
-                            }
-                            // Full ring: make sure the worker is draining
-                            // it.
-                            Shared::wake(&self.shared.worker_parked[w], &self.worker_threads[w]);
-                            std::thread::yield_now();
-                        }
-                    }
-                }
+            // A dead target (crash pending its reap, or nowhere left to
+            // re-steer) gets one attempt, no spinning on a ring nobody
+            // drains: residue becomes `uncovered` at the barrier, a full
+            // ring counts `overflow` right away.
+            let dead = target == SliceState::Crashed || !target.steered();
+            let retries = if dead { 0 } else { OFFER_RETRIES };
+            if !self.push_rx(w, WorkerMsg::Pkt(*pkt), retries) {
+                self.overflow[w] += 1;
+                self.c_overflow[slot] += 1;
             }
-            if self.probation[w0] && w != w0 {
-                self.shadow(w0, pkt);
+            if home.shadowed() && w != w0 {
+                // Shadows take the same bounded-retry path as live packets
+                // so the mirrored share is deterministic under test loads,
+                // but one lost to sustained backpressure is dropped without
+                // any counter: the real copy was accounted at its target.
+                self.push_rx(w0, WorkerMsg::Shadow(*pkt), OFFER_RETRIES);
             }
         }
     }
 
-    /// Mirrors `pkt` onto probation worker `w`'s ring as shadow traffic.
-    /// Shadows take the same bounded-retry path as live packets so the
-    /// mirrored share is deterministic under test loads, but a shadow lost
-    /// to sustained backpressure is dropped without any counter: the real
-    /// copy was already accounted at its re-steer target.
-    fn shadow(&mut self, w: usize, pkt: &Packet) {
-        let mut item = WorkerMsg::Shadow(*pkt);
-        let mut retries = 0;
+    /// Enqueues `msg` on worker `w`'s ring and wakes the worker; while the
+    /// ring is full, the worker alive and `retries` left, yields and tries
+    /// again. `false` hands the loss back to the caller to account — a
+    /// bounded wait, never a spin on a dead ring.
+    #[inline]
+    fn push_rx(&self, w: usize, mut msg: WorkerMsg, mut retries: u32) -> bool {
         loop {
-            match self.shared.rx_rings[w].enqueue(item) {
-                Ok(()) => {
-                    Shared::wake(&self.shared.worker_parked[w], &self.worker_threads[w]);
-                    return;
-                }
-                Err(back) => {
-                    item = back;
-                    if !self.shared.worker_alive[w].load(Ordering::Acquire) {
-                        // Died mid-probation: the barrier reaps the ring.
-                        return;
-                    }
-                    retries += 1;
-                    if retries > 64 {
-                        return;
-                    }
-                    Shared::wake(&self.shared.worker_parked[w], &self.worker_threads[w]);
-                    std::thread::yield_now();
-                }
+            let enqueued = self.shared.rx_rings[w].enqueue(msg);
+            Shared::wake(&self.shared.worker_parked[w], &self.worker_threads[w]);
+            match enqueued {
+                Ok(()) => return true,
+                Err(back) => msg = back,
             }
+            if retries == 0 || !self.shared.worker_alive[w].load(Ordering::Acquire) {
+                return false;
+            }
+            retries -= 1;
+            std::thread::yield_now();
         }
     }
 
-    /// The worker that will actually handle a flow this round: `w0` (the
-    /// RSS shard) unless `w0` is quarantined, in which case the flow is
-    /// re-hashed deterministically over the surviving workers.
-    ///
-    /// Public so verifiers can recompute packet → slice attribution during
-    /// degraded operation exactly as they do for [`crate::shard_of`] in
-    /// healthy operation.
-    pub fn requarget_fingerprint(&self, tuple_fp: u64, w0: usize) -> usize {
-        let w0 = w0 % self.n;
-        if self.quarantined[w0] && !self.live.is_empty() {
-            self.live[crate::sharded::shard_of_fingerprint(tuple_fp, self.live.len())]
-        } else {
-            w0
-        }
+    /// The worker that will actually handle a flow whose RSS shard is
+    /// `w0`: [`SliceLifecycle::steer`], the one failover hash verifiers
+    /// recompute attribution with.
+    pub fn retarget_fingerprint(&self, tuple_fp: u64, w0: usize) -> usize {
+        self.lifecycle.steer(tuple_fp, w0 % self.n)
     }
 
-    /// Per-worker quarantine flags (`true` = excised from steering).
-    /// A probation worker still reads as quarantined here: it is alive
-    /// and shadow-fed, but carries no live flows until restored.
-    pub fn quarantined(&self) -> &[bool] {
-        &self.quarantined
-    }
-
-    /// Per-worker probation flags (`true` = respawned, shadow-fed, not
-    /// yet back in the steering hash).
-    pub fn probation(&self) -> &[bool] {
-        &self.probation
-    }
-
-    /// Surviving (non-quarantined) worker indices, ascending.
-    pub fn live_workers(&self) -> &[usize] {
-        &self.live
+    /// The lifecycle table this service steers by.
+    pub fn lifecycle(&self) -> &Arc<SliceLifecycle> {
+        &self.lifecycle
     }
 
     /// Fault injection: asks worker `w` to crash *cleanly* via an in-band
     /// crash token. The worker decides everything enqueued before the
     /// token, then exits; everything offered after becomes `uncovered`
     /// residue and the next [`flush_round`](ServiceHandle::flush_round)
-    /// quarantines the slice. Idempotent; no-op on a quarantined worker.
-    /// Crashing a *probation* worker (a flap) demotes it back to
-    /// quarantine immediately — see
-    /// [`demote_worker`](ServiceHandle::demote_worker).
+    /// reaps the ring and quarantines the slice. Idempotent; no-op on a
+    /// quarantined worker. Crashing a *probation* worker (a flap) fails
+    /// its probation on the spot; the barrier reaps the thread, which
+    /// carried only shadow traffic.
     pub fn inject_crash(&mut self, w: usize) {
         let w = w % self.n;
-        if self.probation[w] {
-            // The slice is alive again but untrusted: a crash here is a
-            // flap, handled as a demotion rather than a fresh outage.
-            self.demote_worker(w);
-            return;
-        }
-        if self.crashed[w] || self.quarantined[w] {
-            return;
-        }
-        self.crashed[w] = true;
-        if let Some(hub) = &self.shared.telemetry {
-            hub.record_event(EventKind::FaultInjected, w as u32, fault::CRASH, 0);
-        }
-        self.send_crash(w);
-    }
-
-    /// Enqueues the in-band crash token for worker `w`.
-    fn send_crash(&mut self, w: usize) {
-        let mut item = WorkerMsg::Crash;
-        loop {
-            match self.shared.rx_rings[w].enqueue(item) {
-                Ok(()) => {
-                    Shared::wake(&self.shared.worker_parked[w], &self.worker_threads[w]);
-                    break;
-                }
-                Err(back) => {
-                    item = back;
-                    if !self.shared.worker_alive[w].load(Ordering::Acquire) {
-                        // Already dead (e.g. crashed twice in one plan):
-                        // the barrier reap handles the residue.
-                        break;
-                    }
-                    Shared::wake(&self.shared.worker_parked[w], &self.worker_threads[w]);
-                    std::thread::yield_now();
-                }
+        let t = self
+            .lifecycle
+            .advance(w, SliceEvent::Crash)
+            .expect("a crash can hit a slice in any state");
+        if t.to == SliceState::Crashed && t.changed() {
+            if let Some(hub) = &self.shared.telemetry {
+                hub.record_event(EventKind::FaultInjected, w as u32, fault::CRASH, 0);
             }
+            self.push_rx(w, WorkerMsg::Crash, UNTIL_DEAD);
         }
     }
 
-    /// Rejoining, step one: spawns a fresh worker thread for quarantined
-    /// slot `w` on its recycled ring, entering *probation*. The slot stays
-    /// out of the steering hash — live flows keep re-steering to the
-    /// survivors — but [`offer`](ServiceHandle::offer) mirrors its home
-    /// shard's packets onto the new worker as shadow traffic, so `stage`
-    /// (typically a freshly attested, state-resynced enclave slice) can be
-    /// audited against real load before it is trusted again.
+    /// Rejoining: spawns a fresh worker thread for slot `w` on its
+    /// recycled ring and posts `Resync` (a no-op if the cluster already
+    /// resynced the slice onto probation; the slot must be there or
+    /// quarantined). It stays out of the steering hash, shadow-fed
+    /// by [`offer`](ServiceHandle::offer), so `stage` (typically a freshly
+    /// attested, state-resynced enclave slice) can be audited against real
+    /// load before the table promotes it.
     ///
     /// # Panics
     ///
-    /// Panics if `w` is not quarantined or its previous thread has not
-    /// fully exited.
+    /// Panics if `w` is neither quarantined nor on probation.
     pub fn respawn_worker<S>(&mut self, w: usize, stage: S)
     where
         S: PacketStage + Send + 'scope,
     {
         let w = w % self.n;
-        assert!(self.quarantined[w], "respawn targets a quarantined worker");
-        assert!(
-            !self.shared.worker_alive[w].load(Ordering::Acquire),
-            "worker {w} has not exited"
-        );
         // The ring is recycled, not replaced: reap anything that landed
-        // after the quarantine sweep so the fresh worker starts clean
-        // (charged to this round's `uncovered`, like the sweep itself).
-        self.reap_ring(w);
-        self.crashed[w] = false;
+        // after the last sweep so the fresh worker starts clean (charged
+        // to this round's `uncovered`, like the sweep itself).
+        self.retire(w);
+        self.lifecycle
+            .advance(w, SliceEvent::Resync)
+            .expect("respawn targets a quarantined worker");
         self.shared.worker_stalled[w].store(false, Ordering::SeqCst);
         self.shared.worker_parked[w].store(false, Ordering::SeqCst);
         self.shared.workers_live.fetch_add(1, Ordering::AcqRel);
@@ -888,44 +812,6 @@ where
             .scope
             .spawn(move || worker_loop(shared, w, stage, &config, tx_thread));
         self.worker_threads[w] = spawned.thread().clone();
-        self.probation[w] = true;
-    }
-
-    /// Rejoining, final step: promotes probation worker `w` back to full
-    /// service. The slot re-enters the steering hash, exactly inverting
-    /// the [`requarget_fingerprint`](ServiceHandle::requarget_fingerprint)
-    /// re-steer — post-rejoin shard assignment is byte-identical to
-    /// pre-crash.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is not on probation.
-    pub fn restore_worker(&mut self, w: usize) {
-        let w = w % self.n;
-        assert!(self.probation[w], "restore targets a probation worker");
-        self.probation[w] = false;
-        self.quarantined[w] = false;
-        self.live = (0..self.n).filter(|&i| !self.quarantined[i]).collect();
-    }
-
-    /// Re-quarantines probation worker `w` after a dirty audit: the fresh
-    /// worker is crashed cleanly and reaped on the spot (it carried only
-    /// shadow traffic, so nothing of the round is lost), leaving the slot
-    /// quarantined exactly as before the rejoin attempt. Steering never
-    /// changes — a probation slice carries no live flows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is not on probation.
-    pub fn demote_worker(&mut self, w: usize) {
-        let w = w % self.n;
-        assert!(self.probation[w], "demote targets a probation worker");
-        self.probation[w] = false;
-        self.crashed[w] = true;
-        self.send_crash(w);
-        // Wait out the clean exit and drop the shadow residue now, so the
-        // next barrier sees an ordinary quarantined slot.
-        self.quarantine(w);
     }
 
     /// Fault injection: stalls (or releases) worker `w`. A stalled worker
@@ -974,11 +860,13 @@ where
     /// offered before the tokens, and returns this round's per-worker
     /// counters.
     ///
-    /// A worker found cleanly dead (injected crash) is *quarantined* here:
-    /// the handle performs a bounded-wait health check for the exit, reaps
-    /// the dead ring's residue into `uncovered`, excises the worker from
-    /// steering, and the round completes on the survivors. The report's
-    /// `quarantined` flags record the excision.
+    /// A worker found cleanly dead (injected crash) is reaped here:
+    /// bounded wait for the exit, `Reaped` posted (the table quarantines
+    /// the slice), ring residue charged to `uncovered`, round completed on
+    /// the survivors. A live thread in a slot the table no longer steers
+    /// or shadows (a demoted probation worker) is crashed and reaped the
+    /// same way, silently. The report's `quarantined` flags record which
+    /// slots sat out of steering.
     ///
     /// The returned reference points at reused storage — clone it to keep
     /// a round's numbers past the next flush.
@@ -999,51 +887,30 @@ where
                 self.worker_threads[w].unpark();
             }
         }
-        'workers: for w in 0..self.n {
-            if self.quarantined[w] && !self.probation[w] {
-                // Already excised: reap any stray residue (offers land
-                // here only when every worker is gone) and stand in for
-                // the dead worker at the barrier. A probation worker is
-                // alive and falls through to a real token — it forwards
-                // the barrier itself, keeping the TX count at exactly one
-                // token per worker per round.
-                self.reap_ring(w);
-                push_tx(self.shared, TxMsg::Flush(self.seq), &self.tx_thread);
-                continue 'workers;
+        for w in 0..self.n {
+            let state = self.lifecycle.state(w);
+            let serving = state != SliceState::Crashed && (state.steered() || state.shadowed());
+            // A serving worker forwards the barrier itself, keeping the TX
+            // count at exactly one token per worker per round.
+            if serving
+                && self.shared.worker_alive[w].load(Ordering::Acquire)
+                && self.push_rx(w, WorkerMsg::Flush(self.seq), UNTIL_DEAD)
+            {
+                continue;
             }
-            if self.crashed[w] {
-                self.quarantine(w);
-                push_tx(self.shared, TxMsg::Flush(self.seq), &self.tx_thread);
-                continue 'workers;
-            }
-            let mut item = WorkerMsg::Flush(self.seq);
-            loop {
-                match self.shared.rx_rings[w].enqueue(item) {
-                    Ok(()) => {
-                        Shared::wake(&self.shared.worker_parked[w], &self.worker_threads[w]);
-                        continue 'workers;
-                    }
-                    Err(back) => {
-                        item = back;
-                        if !self.shared.worker_alive[w].load(Ordering::Acquire) {
-                            if self.shared.workers_panicked.load(Ordering::Acquire) > 0 {
-                                panic!("worker thread {w} died mid-round");
-                            }
-                            // Cleanly dead without a pending crash mark
-                            // (crash token raced the barrier): same
-                            // quarantine path. A dying probation worker
-                            // loses its probation with its life.
-                            self.crashed[w] = true;
-                            self.probation[w] = false;
-                            self.quarantine(w);
-                            push_tx(self.shared, TxMsg::Flush(self.seq), &self.tx_thread);
-                            continue 'workers;
-                        }
-                        Shared::wake(&self.shared.worker_parked[w], &self.worker_threads[w]);
-                        std::thread::yield_now();
-                    }
+            // Dead, dying, or excised: reap the ring (stray residue lands
+            // on an excised slot only when every worker is gone) and stand
+            // in for the worker at the barrier.
+            self.retire(w);
+            if state != SliceState::Quarantined {
+                if self.shared.workers_panicked.load(Ordering::Acquire) > 0 {
+                    panic!("worker thread {w} died mid-round");
                 }
+                self.lifecycle
+                    .advance(w, SliceEvent::Reaped)
+                    .expect("a dead worker's slice can be quarantined");
             }
+            push_tx(self.shared, TxMsg::Flush(self.seq), &self.tx_thread);
         }
         Shared::wake(&self.shared.tx_parked, &self.tx_thread);
 
@@ -1078,7 +945,7 @@ where
                 overflow: self.overflow[w],
                 uncovered: self.uncovered[w],
             };
-            self.report.quarantined[w] = self.quarantined[w];
+            self.report.quarantined[w] = !self.lifecycle.state(w).steered();
             self.prev[w].forwarded = fwd;
             self.prev[w].filtered = fil;
             self.received[w] = 0;
@@ -1140,11 +1007,16 @@ where
         &self.report
     }
 
-    /// Bounded-wait health check and excision of a cleanly-crashed worker:
-    /// waits for the thread to finish deciding its pre-crash backlog and
-    /// exit, marks the slice quarantined, rebuilds the survivor list, and
-    /// reaps the dead ring into `uncovered`.
-    fn quarantine(&mut self, w: usize) {
+    /// Takes slot `w`'s worker thread out of service: crashes it if it
+    /// still runs (a crashed slot's token is already in its ring), waits
+    /// (bounded) for it to finish deciding its backlog and exit, and reaps
+    /// the ring into `uncovered`.
+    fn retire(&mut self, w: usize) {
+        if self.lifecycle.state(w) != SliceState::Crashed
+            && self.shared.worker_alive[w].load(Ordering::Acquire)
+        {
+            self.push_rx(w, WorkerMsg::Crash, UNTIL_DEAD);
+        }
         let deadline = std::time::Instant::now() + QUARANTINE_WAIT;
         while self.shared.worker_alive[w].load(Ordering::Acquire) {
             if self.shared.workers_panicked.load(Ordering::Acquire) > 0 {
@@ -1156,14 +1028,6 @@ where
             );
             self.worker_threads[w].unpark();
             std::thread::yield_now();
-        }
-        self.quarantined[w] = true;
-        self.live = (0..self.n).filter(|&i| !self.quarantined[i]).collect();
-        if let Some(hub) = &self.shared.telemetry {
-            hub.record_event(EventKind::Quarantine, w as u32, 0, 0);
-            if let Some(s) = hub.slice(w) {
-                s.note_quarantine();
-            }
         }
         self.reap_ring(w);
     }
@@ -1551,6 +1415,7 @@ fn tx_loop<F: FnMut(usize, &Packet)>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lifecycle::PROBATION_ROUNDS;
     use crate::pipeline::StageOutcome;
     use crate::pktgen::{FlowSet, TrafficConfig, TrafficGenerator};
     use crate::sharded::shard_of;
@@ -1565,6 +1430,16 @@ mod tests {
                 count,
             },
         )
+    }
+
+    /// Serves probation slice `w`'s window out with one clean-voting
+    /// tenant: what an audit layer does over [`PROBATION_ROUNDS`] rounds.
+    fn promote(lifecycle: &SliceLifecycle, w: usize) {
+        for _ in 0..PROBATION_ROUNDS {
+            lifecycle.advance(w, SliceEvent::ProbationClean).unwrap();
+            lifecycle.settle_round(1);
+        }
+        assert_eq!(lifecycle.state(w), SliceState::Live);
     }
 
     fn parity_stage() -> impl FnMut(&Packet) -> StageOutcome + Send {
@@ -1824,17 +1699,19 @@ mod tests {
 
                 // Next round: the dead shard is re-steered to survivors —
                 // zero uncovered, zero loss, and attribution matches the
-                // public requarget function.
+                // public retarget function.
                 let report = svc.round(&t).clone();
                 assert_eq!(report.total().uncovered, 0);
                 assert_eq!(report.total().overflow, 0);
                 assert_eq!(report.total().received, t.len() as u64);
                 assert_eq!(report.per_worker[2].received, 0);
-                assert_eq!(svc.live_workers(), &[0, 1, 3]);
+                let lifecycle = Arc::clone(svc.lifecycle());
+                assert_eq!(lifecycle.slices_where(SliceState::steered), [0, 1, 3]);
                 for p in &t {
                     let fp = p.tuple.tuple_fingerprint();
-                    let w = svc.requarget_fingerprint(fp, shard_of(&p.tuple, n));
+                    let w = svc.retarget_fingerprint(fp, shard_of(&p.tuple, n));
                     assert_ne!(w, 2, "flow still steered at the quarantined worker");
+                    assert_eq!(w, lifecycle.steer(fp, shard_of(&p.tuple, n)));
                 }
             },
         );
@@ -2052,7 +1929,9 @@ mod tests {
                 assert_eq!(clean.total().uncovered, 0);
                 svc.inject_crash(2);
                 svc.round(&t);
-                assert_eq!(svc.quarantined(), &[false, false, true, false]);
+                let lifecycle = Arc::clone(svc.lifecycle());
+                assert_eq!(lifecycle.slices_where(SliceState::steered), [0, 1, 3]);
+                assert_eq!(lifecycle.state(2), SliceState::Quarantined);
 
                 // Rejoin on probation: a fresh worker thread on the
                 // recycled ring, shadow-fed but still out of steering.
@@ -2068,9 +1947,10 @@ mod tests {
                     }
                 };
                 svc.respawn_worker(2, probe);
-                assert!(svc.probation()[2]);
-                assert!(svc.quarantined()[2], "probation is still excised");
+                assert_eq!(lifecycle.state(2), SliceState::Probation);
+                assert!(!lifecycle.state(2).steered(), "probation is still excised");
                 let report = svc.round(&t).clone();
+                assert_eq!(report.quarantined_workers(), vec![2]);
                 assert_eq!(report.per_worker[2].received, 0);
                 assert_eq!(report.total().received, t.len() as u64);
                 assert_eq!(report.total().uncovered, 0);
@@ -2087,12 +1967,12 @@ mod tests {
                 assert_eq!(shadowed.load(Ordering::SeqCst), home2);
 
                 // Promote: steering is byte-identical to pre-crash.
-                svc.restore_worker(2);
-                assert_eq!(svc.live_workers(), &[0, 1, 2, 3]);
+                promote(&lifecycle, 2);
+                assert_eq!(lifecycle.slices_where(SliceState::steered), [0, 1, 2, 3]);
                 for p in &t {
                     let w0 = shard_of(&p.tuple, n);
                     assert_eq!(
-                        svc.requarget_fingerprint(p.tuple.tuple_fingerprint(), w0),
+                        svc.retarget_fingerprint(p.tuple.tuple_fingerprint(), w0),
                         w0,
                         "restored steering differs from pre-crash"
                     );
@@ -2103,49 +1983,6 @@ mod tests {
                 // The shadow feed stopped at promotion: the stage now sees
                 // its real share instead.
                 assert_eq!(shadowed.load(Ordering::SeqCst), 2 * home2);
-            },
-        );
-    }
-
-    #[test]
-    fn flapping_probation_worker_is_demoted_and_can_rejoin() {
-        let n = 4;
-        let stages: Vec<_> = (0..n).map(|_| parity_stage()).collect();
-        DataplaneService::new(ServiceConfig::default()).run(
-            stages,
-            |_, _| {},
-            |t| shard_of(t, n),
-            |svc| {
-                let t = traffic(1_500, 2);
-                svc.round(&t);
-                svc.inject_crash(2);
-                svc.round(&t);
-                assert_eq!(svc.quarantined(), &[false, false, true, false]);
-
-                // First rejoin attempt flaps: crashing mid-probation
-                // demotes the slot straight back to quarantine, and
-                // steering never changed in between.
-                svc.respawn_worker(2, parity_stage());
-                svc.round(&t);
-                assert!(svc.probation()[2]);
-                svc.inject_crash(2);
-                assert!(!svc.probation()[2]);
-                assert!(svc.quarantined()[2]);
-                let report = svc.round(&t).clone();
-                assert_eq!(report.per_worker[2].received, 0);
-                assert_eq!(report.total().uncovered, 0);
-                assert_eq!(svc.live_workers(), &[0, 1, 3]);
-
-                // The second attempt sticks and restores full service.
-                svc.respawn_worker(2, parity_stage());
-                svc.round(&t);
-                svc.restore_worker(2);
-                let report = svc.round(&t).clone();
-                assert_eq!(report.total().uncovered, 0);
-                assert_eq!(
-                    report.per_worker[2].received,
-                    t.iter().filter(|p| shard_of(&p.tuple, n) == 2).count() as u64
-                );
             },
         );
     }

@@ -6,11 +6,23 @@
 //! including a flapping worker that re-crashes mid-probation.
 
 use std::sync::Mutex;
+use vif_dataplane::lifecycle::PROBATION_ROUNDS;
 use vif_dataplane::pipeline::{StageOutcome, StageVerdict};
 use vif_dataplane::{
     shard_of, DataplaneService, FiveTuple, FlowSet, Packet, ServiceConfig, ServiceHandle,
-    ThreadedReport, TrafficConfig, TrafficGenerator,
+    SliceEvent, SliceLifecycle, SliceState, ThreadedReport, TrafficConfig, TrafficGenerator,
 };
+
+/// Serves probation slice `w`'s window out with one clean-voting tenant —
+/// what the audit layer does over the next `PROBATION_ROUNDS` rounds. The
+/// promotion is a table transition only: nothing is asked of the service.
+fn promote(lifecycle: &SliceLifecycle, w: usize) {
+    for _ in 0..PROBATION_ROUNDS {
+        lifecycle.advance(w, SliceEvent::ProbationClean).unwrap();
+        lifecycle.settle_round(1);
+    }
+    assert_eq!(lifecycle.state(w), SliceState::Live);
+}
 
 fn traffic(count: usize, seed: u64) -> Vec<Packet> {
     let flows = FlowSet::random_toward_victim(64, 7, seed);
@@ -43,7 +55,7 @@ fn parity_stage() -> impl FnMut(&Packet) -> StageOutcome + Send {
 }
 
 /// Quarantine-then-rejoin restores the original `shard_of` steering
-/// exactly: after `restore_worker`, every delivery comes from the worker
+/// exactly: after the promotion, every delivery comes from the worker
 /// the public RSS hash names — the same (worker, tuple) set as before the
 /// crash — at worker counts 2, 4, and 8.
 #[test]
@@ -95,8 +107,15 @@ fn rejoin_restores_original_steering_exactly() {
                     "{n} workers: probation leaves live steering untouched"
                 );
 
-                // Restore: shard assignment is byte-identical to pre-crash.
-                svc.restore_worker(dead);
+                // Verifier-side attribution is the service's steering: the
+                // table's failover hash names the worker that delivered.
+                for &(w, tuple) in &degraded {
+                    let home = shard_of(&tuple, n);
+                    assert_eq!(svc.lifecycle().steer(tuple.tuple_fingerprint(), home), w);
+                }
+
+                // Promote: shard assignment is byte-identical to pre-crash.
+                promote(svc.lifecycle(), dead);
                 svc.round(&t);
                 let healed = drain(&seen);
                 assert_eq!(
@@ -147,20 +166,26 @@ fn conservation_holds_through_crash_probation_flap_and_restore() {
             check(svc, &t, "quarantined");
 
             svc.respawn_worker(dead, parity_stage());
-            assert!(svc.probation()[dead]);
+            assert_eq!(svc.lifecycle().state(dead), SliceState::Probation);
             check(svc, &t, "probation");
 
             // The flap: re-crash mid-probation. The worker is demoted on
             // the spot; only shadow traffic (never counted) is lost.
             svc.inject_crash(dead);
-            assert!(!svc.probation()[dead] && svc.quarantined()[dead]);
+            assert_eq!(svc.lifecycle().state(dead), SliceState::Quarantined);
+            assert_eq!(svc.lifecycle().rejoin_attempts(dead), 1, "a failed attempt");
             let flap = check(svc, &t, "after flap");
             assert_eq!(flap.uncovered, 0, "a flap loses only shadow traffic");
+            // Steering never changed in between: the slot carries nothing.
+            assert_ne!(svc.retarget_fingerprint(0, dead), dead);
+            assert_eq!(svc.lifecycle().slices_where(SliceState::steered), [0, 1, 3]);
 
             svc.respawn_worker(dead, parity_stage());
             check(svc, &t, "second probation");
 
-            svc.restore_worker(dead);
+            promote(svc.lifecycle(), dead);
+            let share = t.iter().filter(|p| shard_of(&p.tuple, n) == dead).count() as u64;
+            assert_eq!(svc.round(&t).per_worker[dead].received, share);
             let healed = check(svc, &t, "restored");
             assert_eq!(healed.uncovered, 0, "full coverage after rejoin");
             assert_eq!(healed.received, t.len() as u64);

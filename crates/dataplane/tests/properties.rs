@@ -2,10 +2,11 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use vif_dataplane::lifecycle::{PROBATION_ROUNDS, REJOIN_RETRIES};
 use vif_dataplane::pipeline::{self, PipelineConfig, StageOutcome, StageVerdict};
 use vif_dataplane::{
     shard_of, DataplaneService, FiveTuple, FlowSet, LineRate, Packet, Protocol, Ring,
-    ServiceConfig, TrafficConfig, TrafficGenerator,
+    ServiceConfig, SliceEvent, SliceLifecycle, SliceState, TrafficConfig, TrafficGenerator,
 };
 
 proptest! {
@@ -172,6 +173,82 @@ proptest! {
         for (w, _, tuple) in &s_tagged {
             prop_assert_eq!(*w, shard_of(tuple, workers));
         }
+    }
+
+    /// The slice lifecycle under arbitrary event sequences and 1–3 voting
+    /// tenants: refused events change nothing, the log replays to the
+    /// table, no slice is both steered and shadowed, `Live` is reached
+    /// from quarantine only through a probation whose window settled clean
+    /// for every tenant, rejoin attempts and backoff only grow, and
+    /// steering stays total — with every slice down too.
+    #[test]
+    fn lifecycle_invariants_hold_under_any_event_sequence(
+        tenants in 1usize..4,
+        ops in vec((0usize..4, 0usize..11), 1..200),
+    ) {
+        const N: usize = 4;
+        use SliceEvent::*;
+        #[rustfmt::skip]
+        let events = [Crash, Reaped, AckLost, Excise, Resync, Unauditable, ProbationDirty, ProbationClean, Promote];
+        let states = |lc: &SliceLifecycle| (0..N).map(|w| lc.state(w)).collect::<Vec<_>>();
+        let lc = SliceLifecycle::new(N);
+        // Model of the probation window: clean votes since the last
+        // settle, and consecutive unanimous settles, per slice.
+        let (mut votes, mut streak) = ([0usize; N], [0u32; N]);
+        let (mut attempts, mut not_before) = ([0u32; N], [0u64; N]);
+        for (slice, code) in ops {
+            let before = lc.snapshot();
+            if let Some(&event) = events.get(code) {
+                match lc.advance(slice, event) {
+                    Ok(t) => {
+                        prop_assert_eq!(Some(t.to), t.from.on(event));
+                        prop_assert_ne!(event, Promote, "only a settle promotes");
+                        votes[slice] += usize::from(event == ProbationClean);
+                    }
+                    Err(_) => prop_assert_eq!(states(&lc), states(&before)),
+                }
+            } else {
+                // A round closes: every tenant votes every probation slice
+                // clean (code 9) or nobody votes (code 10), then settle.
+                for w in lc.slices_where(SliceState::shadowed) {
+                    for _ in 0..if code == 9 { tenants } else { 0 } {
+                        lc.advance(w, ProbationClean).unwrap();
+                        votes[w] += 1;
+                    }
+                    streak[w] += u32::from(votes[w] >= tenants);
+                }
+                lc.settle_round(tenants);
+                votes = [0; N];
+            }
+            for w in 0..N {
+                let (was, now) = (before.state(w), lc.state(w));
+                prop_assert!(!(now.steered() && now.shadowed()));
+                if now == SliceState::Probation && was != now {
+                    (votes[w], streak[w]) = (0, 0);
+                }
+                if now == SliceState::Live && was != now {
+                    prop_assert_eq!(was, SliceState::Probation);
+                    prop_assert!(streak[w] >= PROBATION_ROUNDS, "window not served");
+                }
+                prop_assert!(lc.rejoin_attempts(w) >= attempts[w]);
+                attempts[w] = lc.rejoin_attempts(w);
+                if let Some(at) = lc.rejoin_not_before(w) {
+                    prop_assert!(at >= not_before[w] && attempts[w] <= REJOIN_RETRIES);
+                    not_before[w] = at;
+                }
+                for fp in [0u64, 7, 0xdead_beef] {
+                    let to = lc.steer(fp, w);
+                    let none_steered = lc.slices_where(SliceState::steered).is_empty();
+                    prop_assert!(lc.state(to).steered() || (none_steered && to == w));
+                }
+            }
+        }
+        let mut replay = [SliceState::Live; N];
+        for t in lc.log() {
+            prop_assert_eq!(replay[t.slice], t.from);
+            replay[t.slice] = t.to;
+        }
+        prop_assert_eq!(replay.to_vec(), states(&lc));
     }
 
     /// Five-tuple encoding is injective across field changes.

@@ -25,15 +25,17 @@
 //!    own [`VictimPolicy`], and publishes its own epoch
 //!    ([`EnclaveCluster::publish_contract`]) — one tenant's churn,
 //!    rotation, and strikes never touch another tenant's slot. Faults,
-//!    quarantine, and slice rejoin are infrastructure-wide and mirrored
-//!    into every tenant still auditing.
+//!    quarantine, and slice rejoin are infrastructure-wide: the service,
+//!    the cluster and every tenant's driver share the cluster's one
+//!    [`SliceLifecycle`] table, so there
+//!    is nothing to mirror — the loop only reacts to its transitions.
 //! 4. **Scoring**: every contract ends with its own [`ScenarioReport`]
 //!    (goodput, leakage, collateral, churn), collected in a
 //!    [`CampaignReport`] together with the admission verdicts. Reports are
 //!    deterministic in the scenario seeds and harness configuration (see
 //!    the crate docs for the argument).
 
-use crate::harness::{attribute_slice, ScenarioAdversary, ScenarioHarnessConfig};
+use crate::harness::{ScenarioAdversary, ScenarioHarnessConfig};
 use crate::policy::{HeavyHitter, InstalledRule, PolicyAction, PolicyObservation, VictimPolicy};
 use crate::report::{PhaseReport, ScenarioReport};
 use crate::timeline::{RoundTraffic, Scenario};
@@ -53,7 +55,7 @@ use vif_core::scale::EnclaveCluster;
 use vif_core::session::{FilteringSession, SessionConfig, VictimClient};
 use vif_dataplane::{
     shard_of, shard_of_fingerprint, ContractMap, DataplaneService, DegradedMode, FaultKind,
-    FaultPlan, FiveTuple, Packet, ServiceConfig,
+    FaultPlan, FiveTuple, Packet, ServiceConfig, SliceLifecycle, SliceState,
 };
 use vif_optimizer::{arbitrate, AdmissionVerdict, ArbiterConfig, ContractDemand};
 use vif_sgx::{AttestationRootKey, AttestationService, EnclaveImage, EpcConfig, SgxPlatform};
@@ -284,12 +286,13 @@ impl CampaignHarness {
 
     /// Test/bench-only adversarial knob: every rejoin of worker `worker`
     /// comes back with an *empty* rule set (the operator "restored" a
-    /// stale snapshot instead of replaying the master's state). The
-    /// slice's shadow verdicts then disagree with its live re-steered
-    /// peer — its outgoing log carries attack packets the victim never
-    /// received — so the victim's probation audit flags the slice and it
-    /// is demoted straight back to quarantine with backoff, proving the
-    /// probation window actually gates re-trust.
+    /// stale snapshot instead of replaying the master's state) and, like
+    /// a stale replica would, drops every epoch published to it while on
+    /// probation. The slice's shadow verdicts then disagree with its live
+    /// re-steered peer — its outgoing log carries attack packets the
+    /// victim never received — so the victim's probation audit flags the
+    /// slice and it is demoted straight back to quarantine with backoff,
+    /// proving the probation window actually gates re-trust.
     pub fn with_stale_rejoin(mut self, worker: usize) -> Self {
         self.stale_rejoin = Some(worker);
         self
@@ -383,6 +386,8 @@ impl CampaignHarness {
         if let Some(hub) = &telemetry {
             cluster.set_telemetry(Arc::clone(hub));
         }
+        // The one lifecycle table the service, drivers and loop share.
+        let lifecycle = Arc::clone(cluster.lifecycle());
 
         // --- per-contract attested sessions + audit drivers -------------
         let mut tenants: Vec<Tenant> = Vec::with_capacity(admitted.len());
@@ -434,7 +439,8 @@ impl CampaignHarness {
                     ..Default::default()
                 },
             )
-            .with_contract(c.contract);
+            .with_contract(c.contract)
+            .with_lifecycle(Arc::clone(&lifecycle));
             if let Some(hub) = &telemetry {
                 driver.set_telemetry(Arc::clone(hub));
             }
@@ -526,21 +532,8 @@ impl CampaignHarness {
 
         // --- fault/recovery bookkeeping ---------------------------------
         let mut stall_until = vec![0u64; n];
-        let mut quarantined_order: Vec<usize> = Vec::new();
         let mut failover_rejected: Vec<RejectedContract> = Vec::new();
         let mut readmitted: Vec<ContractId> = Vec::new();
-        // Crashes already mirrored into every tenant's driver and the
-        // cluster; cleared when the slice re-enters probation so a flap
-        // (re-crash mid-probation) mirrors again.
-        let mut mirrored_q = vec![false; n];
-        // Slices a seeded WorkerRecover wants back in (re-armed with
-        // exponential backoff after each failed probation, until every
-        // tenant's rejoin budget is spent — flap damping).
-        let mut want_rejoin = vec![false; n];
-        let mut next_rejoin_round = vec![0u64; n];
-        let mut crash_round: Vec<Option<u64>> = vec![None; n];
-        let mut recovered_order: Vec<usize> = Vec::new();
-        let mut rejoin_rounds: Option<u64> = None;
         let ack_loss: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(vec![0u32; n]));
         if faults
             .events()
@@ -576,7 +569,8 @@ impl CampaignHarness {
             burst: config.harness.burst,
             ..Default::default()
         })
-        .with_contracts(contract_map);
+        .with_contracts(contract_map)
+        .with_lifecycle(Arc::clone(&lifecycle));
         if let Some(hub) = &telemetry {
             service = service.with_telemetry(Arc::clone(hub));
         }
@@ -611,7 +605,7 @@ impl CampaignHarness {
                         match ev.kind {
                             FaultKind::WorkerCrash { worker } => svc.inject_crash(worker % n),
                             FaultKind::WorkerRecover { worker } => {
-                                want_rejoin[worker % n] = true;
+                                lifecycle.request_rejoin(worker % n);
                                 if let Some(hub) = &telemetry {
                                     hub.record_event(
                                         EventKind::FaultInjected,
@@ -644,47 +638,32 @@ impl CampaignHarness {
                         }
                     }
                     for (w, &until) in stall_until.iter().enumerate() {
-                        if until > global_round && !svc.quarantined()[w] {
+                        if until > global_round && lifecycle.state(w).steered() {
                             svc.stall_worker(w, true);
                         }
                     }
 
-                    // Attempt scheduled rejoins: relaunch the slice on a
-                    // fresh enclave, re-attest a NEW session *per tenant*
-                    // (fresh channels, audit keys, and sketch seeds —
-                    // pre-crash keys are never reused), replay rule and
-                    // contract state from the master, and respawn the
-                    // worker into probation. Live steering is untouched
-                    // until every tenant has promoted the slice.
+                    // Start the rejoins the table says are due: relaunch
+                    // the slice on a fresh enclave, re-attest a NEW session
+                    // *per tenant* (pre-crash keys are never reused), replay
+                    // rule and contract state from the master (which puts
+                    // the slice on probation), and respawn the worker.
+                    let active = |t: &Tenant| t.driver.state() == ContractState::Active;
+                    let can_rejoin = lifecycle.state(0).published() && tenants.iter().any(active);
                     for w in 1..n {
-                        if !want_rejoin[w]
-                            || !svc.quarantined()[w]
-                            || svc.probation()[w]
-                            || global_round < next_rejoin_round[w]
-                            || cluster.quarantined()[0]
-                            || !tenants
-                                .iter()
-                                .any(|t| t.driver.state() == ContractState::Active)
-                        {
+                        if !can_rejoin || !lifecycle.take_due_rejoin(w) {
                             continue;
                         }
-                        if !tenants
-                            .iter()
-                            .all(|t| t.driver.quarantined()[w] && t.driver.rejoin_allowed(w))
-                        {
-                            want_rejoin[w] = false;
-                            continue;
-                        }
-                        want_rejoin[w] = false;
                         cluster.relaunch_slice(w);
+                        let enclave = Arc::clone(&cluster.enclaves()[w]);
                         for (idx, t) in tenants.iter_mut().enumerate() {
-                            if t.driver.state() != ContractState::Active {
+                            if !active(t) {
                                 continue;
                             }
                             let fresh = t
                                 .client
                                 .establish_contract(
-                                    Arc::clone(&cluster.enclaves()[w]),
+                                    Arc::clone(&enclave),
                                     &ias,
                                     derive32(
                                         t.scenario.seed ^ global_round,
@@ -693,63 +672,53 @@ impl CampaignHarness {
                                     t.contract,
                                 )
                                 .expect("rejoin re-attestation handshake");
-                            t.driver.start_probation(
+                            t.driver.replace_slice(
                                 w,
-                                Arc::clone(&cluster.enclaves()[w]),
+                                Arc::clone(&enclave),
                                 fresh.victim_verifier(),
                                 fresh.neighbor_verifier(),
                             );
                         }
                         cluster.resync_slice(0, w);
-                        if stale_rejoin == Some(w) {
-                            // Adversarial variant (see `with_stale_rejoin`):
-                            // wipe the replayed rules and keep the slice out
-                            // of the control plane so churn cannot heal it —
-                            // probation must catch the desync on its own.
-                            cluster.enclaves()[w].ecall(move |app| {
-                                app.install_ruleset(vif_core::ruleset::RuleSet::new())
-                            });
-                            cluster.quarantine_slice(w);
-                        }
                         svc.respawn_worker(
                             w,
-                            EnclaveFilterStage::new(
-                                Arc::clone(&cluster.enclaves()[w]),
-                                FilterMode::SgxNearZeroCopy,
-                            ),
+                            EnclaveFilterStage::new(enclave, FilterMode::SgxNearZeroCopy),
                         );
-                        mirrored_q[w] = false;
+                    }
+                    // Adversarial variant (see `with_stale_rejoin`): the
+                    // replica discards whatever was replayed or published
+                    // to it, so churn cannot heal it — probation must
+                    // catch the desync on its own.
+                    if let Some(w) = stale_rejoin.filter(|&w| lifecycle.state(w).shadowed()) {
+                        cluster.enclaves()[w].ecall(move |app| {
+                            app.install_ruleset(vif_core::ruleset::RuleSet::new())
+                        });
                     }
 
-                    // Attribution state as the round starts (see
-                    // `attribute_slice`): a worker dying this round still
-                    // forwarded part of the offer under the old steering.
-                    let pre_q = svc.quarantined().to_vec();
-                    let pre_live = svc.live_workers().to_vec();
-                    let pre_prob = svc.probation().to_vec();
+                    // Attribution state as the round starts: a worker
+                    // dying this round still forwarded part of the offer
+                    // under the old steering.
+                    let pre = lifecycle.snapshot();
 
                     // Merge every active tenant's schedule for this round
                     // into one offered burst (arrival order per tenant is
                     // preserved; cross-tenant interleaving is irrelevant —
                     // verdicts are per packet and sketch updates commute).
                     merged.clear();
-                    for t in tenants.iter_mut() {
-                        if t.driver.state() != ContractState::Active {
-                            continue;
-                        }
+                    for t in tenants.iter_mut().filter(|t| active(t)) {
                         let Some(round) = t.rounds.get(global_round as usize) else {
                             continue;
                         };
                         for pkt in &round.packets {
                             let fp = PacketFingerprints::of(&pkt.tuple);
+                            let home = shard_of_fingerprint(fp.tuple, n);
                             t.driver
-                                .neighbor_verifier_mut(attribute_slice(fp.tuple, &pre_q, &pre_live))
+                                .neighbor_verifier_mut(pre.steer(fp.tuple, home))
                                 .observe_fingerprint(fp.src_ip);
                             // A probation slice shadows its home shard; its
                             // fresh neighbor verifier observes the handover
                             // too (the live re-steered slice keeps its own).
-                            let home = shard_of_fingerprint(fp.tuple, n);
-                            if pre_prob[home] {
+                            if pre.state(home).shadowed() {
                                 t.driver
                                     .neighbor_verifier_mut(home)
                                     .observe_fingerprint(fp.src_ip);
@@ -762,50 +731,13 @@ impl CampaignHarness {
                     // degraded-mode accountability counters).
                     let deltas = svc.contract_deltas().to_vec();
 
-                    // Mirror newly service-quarantined workers into every
-                    // tenant's audit driver and the cluster *before* any
-                    // tenant closes its round, then re-run admission over
-                    // the shrunken pool (rule-failover budget check). A
-                    // worker on probation (quarantined *and* probation in
-                    // the service) is left alone — the drivers audit it off
-                    // its shadow logs; a worker that crashed *mid-probation*
-                    // (a flap) is flap-demoted here for every tenant, with
-                    // the rejoin attempt charged and backoff scheduled.
-                    let mut new_quarantine = false;
-                    for w in 0..n {
-                        if !svc.quarantined()[w] || svc.probation()[w] || mirrored_q[w] {
-                            continue;
-                        }
-                        mirrored_q[w] = true;
-                        new_quarantine = true;
-                        if !quarantined_order.contains(&w) {
-                            quarantined_order.push(w);
-                        }
-                        if !cluster.quarantined()[w] && cluster.live_len() > 1 {
-                            cluster.quarantine_slice(w);
-                        }
-                        let mut flap = false;
-                        let mut backoff = 0u64;
-                        let mut allowed = true;
-                        for t in tenants.iter_mut() {
-                            if t.driver.probation()[w] {
-                                t.driver.demote_slice(w);
-                                flap = true;
-                            } else if !t.driver.quarantined()[w] {
-                                t.driver.quarantine_slice(w);
-                            }
-                            backoff = backoff.max(t.driver.rejoin_backoff_rounds(w));
-                            allowed = allowed && t.driver.rejoin_allowed(w);
-                        }
-                        if flap {
-                            next_rejoin_round[w] = global_round + 1 + backoff;
-                            want_rejoin[w] = allowed;
-                        }
-                        if crash_round[w].is_none() {
-                            crash_round[w] = Some(global_round);
-                        }
-                    }
-                    if new_quarantine && !cluster.quarantined()[0] {
+                    // A slice that started the round steered was reaped at
+                    // this barrier: re-run admission over the shrunken pool
+                    // before any tenant closes its round.
+                    let shrank = (0..n).any(|w| {
+                        pre.state(w).steered() && lifecycle.state(w) == SliceState::Quarantined
+                    });
+                    if shrank && lifecycle.state(0).published() {
                         let window_secs = (global_round + 1) as f64 * round_secs;
                         let arb = cluster.rearbitrate(0, window_secs, 0.1, config.arbiter);
                         for t in tenants.iter() {
@@ -837,11 +769,9 @@ impl CampaignHarness {
                     // reacts; its churn publishes its own epoch before the
                     // next tenant is processed, so deferred install ids
                     // are assigned contract by contract, deterministically.
+                    let mut closed = 0;
                     for (t, policy) in tenants.iter_mut().zip(policies.iter_mut()) {
-                        if t.driver.state() != ContractState::Active {
-                            continue;
-                        }
-                        if (global_round as usize) >= t.rounds.len() {
+                        if !active(t) || (global_round as usize) >= t.rounds.len() {
                             continue;
                         }
                         let uncovered = deltas
@@ -854,95 +784,17 @@ impl CampaignHarness {
                             policy.as_mut(),
                             global_round as usize,
                             &mut cluster,
-                            &pre_q,
-                            &pre_live,
-                            &pre_prob,
+                            &pre,
                             uncovered,
                             adversary,
                         );
+                        closed += 1;
                     }
 
-                    // Export-failure quarantines originate in a driver
-                    // (exhausted retries under QuarantineSlice) while the
-                    // worker itself is still live: the slice is unauditable
-                    // for everyone, so mirror it into every auditing
-                    // tenant's driver and into the cluster, where churn and
-                    // rule telemetry skip it. An aborted tenant's flags are
-                    // history, not evidence: it sat out the slice's rejoin,
-                    // so its driver still names the slice quarantined after
-                    // everyone else promoted it.
-                    let auditing = |t: &Tenant| t.driver.state() == ContractState::Active;
-                    for w in 0..n {
-                        if svc.quarantined()[w]
-                            || !tenants
-                                .iter()
-                                .any(|t| auditing(t) && t.driver.quarantined()[w])
-                        {
-                            continue;
-                        }
-                        for t in tenants.iter_mut().filter(|t| auditing(t)) {
-                            t.driver.quarantine_slice(w);
-                        }
-                        if !cluster.quarantined()[w] && cluster.live_len() > 1 {
-                            cluster.quarantine_slice(w);
-                        }
-                        if !quarantined_order.contains(&w) {
-                            quarantined_order.push(w);
-                        }
-                    }
-
-                    // Probation verdicts, coordinated across tenants: ANY
-                    // tenant's dirty (or unauditable) probation audit
-                    // demotes the slice for everyone, with the next attempt
-                    // scheduled after exponential backoff; the worker is
-                    // restored into the steering hash only once EVERY
-                    // tenant still auditing has promoted it.
-                    let mut demoted_ws: BTreeSet<usize> = BTreeSet::new();
-                    let mut promoted_ws: BTreeSet<usize> = BTreeSet::new();
-                    for t in tenants.iter_mut() {
-                        demoted_ws.extend(t.driver.take_demoted());
-                        promoted_ws.extend(t.driver.take_promoted());
-                    }
-                    for &w in &demoted_ws {
-                        promoted_ws.remove(&w);
-                        if svc.probation()[w] {
-                            svc.demote_worker(w);
-                        }
-                        if !cluster.quarantined()[w] && cluster.live_len() > 1 {
-                            cluster.quarantine_slice(w);
-                        }
-                        mirrored_q[w] = true;
-                        let mut backoff = 0u64;
-                        let mut allowed = true;
-                        for t in tenants.iter_mut() {
-                            if t.driver.probation()[w] {
-                                t.driver.demote_slice(w);
-                            } else if !t.driver.quarantined()[w] {
-                                t.driver.quarantine_slice(w);
-                            }
-                            backoff = backoff.max(t.driver.rejoin_backoff_rounds(w));
-                            allowed = allowed && t.driver.rejoin_allowed(w);
-                        }
-                        next_rejoin_round[w] = global_round + 1 + backoff;
-                        want_rejoin[w] = allowed;
-                    }
-                    for &w in &promoted_ws {
-                        let all_clear = tenants.iter().all(|t| {
-                            t.driver.state() != ContractState::Active
-                                || (global_round as usize) >= t.rounds.len()
-                                || (!t.driver.probation()[w] && !t.driver.quarantined()[w])
-                        });
-                        if !all_clear {
-                            continue;
-                        }
-                        svc.restore_worker(w);
-                        recovered_order.push(w);
-                        if rejoin_rounds.is_none() {
-                            rejoin_rounds = crash_round[w].map(|c| global_round - c);
-                        }
-                        // The pool grew back: re-run admission over the
-                        // restored slices and re-admit failover-rejected
-                        // contracts that fit again.
+                    // Settle the tenants' probation votes. A promotion
+                    // grows the pool back: re-admit failover-rejected
+                    // contracts that fit again.
+                    for _promoted in lifecycle.settle_round(closed) {
                         let window_secs = (global_round + 1) as f64 * round_secs;
                         let arb = cluster.rearbitrate(0, window_secs, 0.1, config.arbiter);
                         failover_rejected.retain(|r| {
@@ -958,10 +810,7 @@ impl CampaignHarness {
                         });
                     }
 
-                    if tenants
-                        .iter()
-                        .all(|t| t.driver.state() != ContractState::Active)
-                    {
+                    if !tenants.iter().any(active) {
                         break; // every victim aborted its contract
                     }
                 }
@@ -980,12 +829,12 @@ impl CampaignHarness {
                         detection_latency_rounds: t.detection_latency,
                         rules_installed: t.total_installed,
                         rules_withdrawn: t.total_withdrawn,
-                        quarantined_slices: quarantined_order.clone(),
+                        quarantined_slices: lifecycle.quarantined_slices(),
                         recovery_rounds: t
                             .outage_start
                             .and_then(|start| t.recovered_at.map(|r| r - start)),
-                        recovered_slices: recovered_order.clone(),
-                        rejoin_rounds,
+                        recovered_slices: lifecycle.recovered_slices(),
+                        rejoin_rounds: lifecycle.rejoin_rounds(),
                         probation_rounds: t.driver.probation_rounds_used(),
                     })
                     .collect::<Vec<_>>()
@@ -1006,15 +855,12 @@ impl CampaignHarness {
 
 /// One tenant's end-of-round step: score deliveries, audit, react,
 /// publish its epoch.
-#[allow(clippy::too_many_arguments)]
 fn step_tenant(
     t: &mut Tenant,
     policy: &mut dyn VictimPolicy,
     round_idx: usize,
     cluster: &mut EnclaveCluster,
-    pre_q: &[bool],
-    pre_live: &[usize],
-    pre_prob: &[bool],
+    pre: &SliceLifecycle,
     uncovered: u64,
     adversary: Option<ScenarioAdversary>,
 ) {
@@ -1037,14 +883,14 @@ fn step_tenant(
     let mut candidates: BTreeSet<u32> = BTreeSet::new();
     for tuple in t.received.drain(..) {
         let fp = PacketFingerprints::of(&tuple);
+        let home = shard_of_fingerprint(fp.tuple, t.driver.len());
         t.driver
-            .victim_verifier_mut(attribute_slice(fp.tuple, pre_q, pre_live))
+            .victim_verifier_mut(pre.steer(fp.tuple, home))
             .observe_fingerprint(fp.tuple);
         // The stateless filter is deterministic, so the shadow copy of
         // every sink-delivered home-shard packet was forwarded (and
         // logged outgoing) by a probation slice too.
-        let home = shard_of_fingerprint(fp.tuple, pre_q.len());
-        if pre_prob[home] {
+        if pre.state(home).shadowed() {
             t.driver
                 .victim_verifier_mut(home)
                 .observe_fingerprint(fp.tuple);
@@ -1117,10 +963,10 @@ fn step_tenant(
             PolicyAction::Withdraw(id) => withdrawals.push(id),
         }
     }
-    // With the master slice quarantined the control channel is down:
+    // With the master slice unpublished the control channel is down:
     // churn is dropped until failover, and the tenant keeps running on
     // its frozen rule set.
-    let master_live = !cluster.quarantined()[0];
+    let master_live = cluster.lifecycle().state(0).published();
     if !withdrawals.is_empty() && master_live {
         let removed = t
             .session

@@ -1,9 +1,6 @@
-//! Knobs and steering attribution shared by every run of the scenario
-//! round loop ([`crate::campaign`]): the dataplane/audit configuration, the
-//! optional mid-scenario adversary, and the verifier-side recomputation of
-//! packet → slice steering under quarantine.
-
-use vif_dataplane::shard_of_fingerprint;
+//! Knobs shared by every run of the scenario round loop
+//! ([`crate::campaign`]): the dataplane/audit configuration and the
+//! optional mid-scenario adversary.
 
 /// A malicious filtering network inside a scenario (the per-slice variant
 /// of §III-B's attack 2, switched on mid-scenario so detection latency is
@@ -50,21 +47,5 @@ impl Default for ScenarioHarnessConfig {
             max_strikes: u32::MAX,
             adversary: None,
         }
-    }
-}
-
-/// Recomputes packet → slice attribution under (possibly empty)
-/// quarantine, exactly as the service handle steers: the RSS shard of the
-/// fingerprint, unless that worker is quarantined, in which case the flow
-/// re-hashes deterministically over the `live` survivors. Verifiers use
-/// this with the quarantine state *at the start of the round*, since a
-/// worker that dies mid-round still forwarded part of the offer under the
-/// old steering.
-pub(crate) fn attribute_slice(tuple_fp: u64, quarantined: &[bool], live: &[usize]) -> usize {
-    let w0 = shard_of_fingerprint(tuple_fp, quarantined.len());
-    if quarantined[w0] && !live.is_empty() {
-        live[shard_of_fingerprint(tuple_fp, live.len())]
-    } else {
-        w0
     }
 }

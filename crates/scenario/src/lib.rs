@@ -35,8 +35,7 @@
 //!   single victim is [`CampaignHarness::single`], the lone default
 //!   contract 0 on the same loop.
 //! - [`harness`]: the knobs every run shares ([`ScenarioHarnessConfig`],
-//!   the mid-scenario [`ScenarioAdversary`]) and the verifier-side steering
-//!   attribution under quarantine.
+//!   the mid-scenario [`ScenarioAdversary`]).
 //! - **chaos**: a run takes a seeded [`FaultPlan`] (`with_faults`) of
 //!   worker crashes/stalls/recoveries, export corruption/timeouts,
 //!   publish-ack loss, and ring-overflow storms. A crashed worker is

@@ -20,6 +20,7 @@ use vif_scenario::{
     FaultKind, FaultPlan, LegitProfile, Phase, PhaseKind, PolicyAction, PolicyObservation,
     Scenario, ScenarioAdversary, ScenarioHarnessConfig, ThresholdPolicy, VictimPolicy,
 };
+use vif_telemetry::{EventKind, TelemetryHub};
 use vif_trie::Ipv4Prefix;
 
 /// The worker the plan kills and later recovers. Not slice 0: the master
@@ -129,7 +130,25 @@ fn policies() -> Vec<Box<dyn VictimPolicy>> {
     ]
 }
 
-fn run_heal_campaign(seed: u64, stale_rejoin: bool) -> CampaignReport {
+/// A heal run with its telemetry hub still attached.
+struct HealRun {
+    report: CampaignReport,
+    hub: Arc<TelemetryHub>,
+}
+
+impl HealRun {
+    /// Flight-recorder events of `kind` about slice `DEAD`.
+    fn events(&self, kind: EventKind) -> usize {
+        let events = self.hub.events_last(usize::MAX);
+        assert_eq!(self.hub.events_dropped(), 0, "trace wrapped");
+        events
+            .iter()
+            .filter(|e| e.kind == kind && e.slice == DEAD as u32)
+            .count()
+    }
+}
+
+fn run_heal_campaign(seed: u64, stale_rejoin: bool) -> HealRun {
     let contracts = vec![
         CampaignContract {
             contract: 1,
@@ -155,7 +174,9 @@ fn run_heal_campaign(seed: u64, stale_rejoin: bool) -> CampaignReport {
             ..Default::default()
         },
     };
+    let hub = Arc::new(TelemetryHub::new(4, &[1, 2], 1 << 14));
     let mut harness = CampaignHarness::new(contracts, config)
+        .with_telemetry(Arc::clone(&hub))
         .with_faults(
             FaultPlan::new()
                 .at(CRASH_ROUND, FaultKind::WorkerCrash { worker: DEAD })
@@ -167,19 +188,23 @@ fn run_heal_campaign(seed: u64, stale_rejoin: bool) -> CampaignReport {
     if stale_rejoin {
         harness = harness.with_stale_rejoin(DEAD);
     }
-    harness.run(policies())
+    HealRun {
+        report: harness.run(policies()),
+        hub,
+    }
 }
 
 /// The happy-path run, shared between the acceptance assertions and the
 /// determinism check (a full campaign is expensive in debug builds).
-fn happy_report() -> &'static CampaignReport {
-    static REPORT: OnceLock<CampaignReport> = OnceLock::new();
-    REPORT.get_or_init(|| run_heal_campaign(4105, false))
+fn happy_run() -> &'static HealRun {
+    static RUN: OnceLock<HealRun> = OnceLock::new();
+    RUN.get_or_init(|| run_heal_campaign(4105, false))
 }
 
 #[test]
 fn recover_rejoins_through_probation_and_readmits_the_bumped_contract() {
-    let report = happy_report();
+    let run = happy_run();
+    let report = &run.report;
     assert!(
         report.rejected.is_empty(),
         "both contracts fit at admission"
@@ -234,6 +259,16 @@ fn recover_rejoins_through_probation_and_readmits_the_bumped_contract() {
     let rendered = a.to_string();
     assert!(rendered.contains("slices [2] rejoined"), "{rendered}");
     assert!(rendered.contains("MTTR 3 round(s)"), "{rendered}");
+
+    // One recovery is one probation and one promotion on the record,
+    // however many tenants audited the slice.
+    let slice = run.hub.slice(DEAD).expect("slice telemetry");
+    assert_eq!((slice.quarantines(), slice.probations()), (1, 1));
+    assert_eq!((slice.promotions(), slice.demotions()), (1, 0));
+    assert_eq!(run.events(EventKind::Quarantine), 1);
+    assert_eq!(run.events(EventKind::Probation), 1);
+    assert_eq!(run.events(EventKind::Promote), 1);
+    assert_eq!(run.events(EventKind::Demote), 0);
 }
 
 /// The adversarial rejoin: the slice comes back attested but with wiped
@@ -244,7 +279,8 @@ fn recover_rejoins_through_probation_and_readmits_the_bumped_contract() {
 /// retries until the attempt budget outlives the run.
 #[test]
 fn stale_rejoin_fails_probation_and_is_requarantined_with_backoff() {
-    let report = run_heal_campaign(4105, true);
+    let run = run_heal_campaign(4105, true);
+    let report = &run.report;
 
     let a = report.report(1).expect("contract 1 report");
     let b = report.report(2).expect("contract 2 report");
@@ -277,14 +313,29 @@ fn stale_rejoin_fails_probation_and_is_requarantined_with_backoff() {
     assert!(report.readmitted.is_empty());
     assert_eq!(report.failover_rejected.len(), 1);
     assert_eq!(report.failover_rejected[0].contract, 1);
+
+    // Two failed attempts are two probations and two demotions on the
+    // record — per slice, not per auditing tenant.
+    let slice = run.hub.slice(DEAD).expect("slice telemetry");
+    assert_eq!((slice.probations(), slice.demotions()), (2, 2));
+    assert_eq!(slice.promotions(), 0);
+    assert_eq!(run.events(EventKind::Probation), 2);
+    assert_eq!(run.events(EventKind::Demote), 2);
+    assert_eq!(run.events(EventKind::Promote), 0);
 }
 
 /// Heal runs reproduce byte-for-byte from the seed: same crash, same
 /// rejoin, same probation outcome, same admission flips, same rendering.
 #[test]
 fn heal_campaign_is_deterministic() {
-    let a = happy_report();
-    let b = run_heal_campaign(4105, false);
+    let a = &happy_run().report;
+    let second = run_heal_campaign(4105, false);
+    let b = &second.report;
+    assert_eq!(
+        happy_run().hub.trace_bytes(),
+        second.hub.trace_bytes(),
+        "byte-for-byte flight-recorder trace"
+    );
     assert_eq!(a.reports, b.reports);
     assert_eq!(a.readmitted, b.readmitted);
     assert_eq!(
