@@ -35,6 +35,9 @@ fn main() {
         },
     };
 
+    // stderr only: reports on stdout are same-seed ⇒ same-bytes across
+    // machines, and which kernel the CPU offers is not.
+    eprintln!("sha256 kernel: {}", vif_crypto::sha256::kernel());
     for id in targets {
         let start = std::time::Instant::now();
         let report = run_experiment(id, scale);

@@ -293,6 +293,38 @@ mod tests {
     }
 
     #[test]
+    fn hash_threshold_known_answers() {
+        // `H(5T ‖ secret)[..8]` as a little-endian u64, pinned as
+        // constants: the Appendix-A verdict of every flow rests on these
+        // bytes whichever SHA-256 kernel the CPU offers.
+        let ramp: [u8; 32] = std::array::from_fn(|i| i as u8);
+        let cases: [(FiveTuple, [u8; 32], u64); 5] = [
+            (tuple(1), [7; 32], 0x2d28_8545_3688_87f1),
+            (tuple(77_777), [7; 32], 0x4433_6a5b_8520_a0c5),
+            (
+                FiveTuple::new(0, 0, 0, 0, Protocol::Tcp),
+                [0; 32],
+                0x8736_016b_0859_6744,
+            ),
+            (
+                FiveTuple::new(u32::MAX, u32::MAX, u16::MAX, u16::MAX, Protocol::Icmp),
+                [0xff; 32],
+                0xe0f9_c157_deb5_aff2,
+            ),
+            (
+                FiveTuple::new(0xc0a8_0101, 0xcb00_7105, 443, 51_515, Protocol::Tcp),
+                ramp,
+                0x89b9_903b_ea7b_acac,
+            ),
+        ];
+        for (t, secret, want) in cases {
+            let f = StatelessFilter::new(RuleSet::from_rules(vec![]), secret);
+            assert_eq!(f.hash_threshold(&t), want, "{t:?}");
+            assert_eq!(f.hash_threshold_streaming(&t), want, "{t:?}");
+        }
+    }
+
+    #[test]
     fn default_is_allow() {
         let f = filter(vec![]);
         let v = f.decide(&tuple(1));

@@ -429,6 +429,26 @@ mod tests {
     }
 
     #[test]
+    fn export_tag_known_answer() {
+        // "Byte-identical exports" rests on this constant, not on two
+        // paths agreeing with each other: seed 7, round 1, 100 tuples
+        // logged both ways, key 0xAB…AB.
+        let mut logs = PacketLogs::new(7);
+        logs.new_round();
+        for i in 0..100 {
+            logs.log_incoming(&tuple(i));
+            logs.log_outgoing(&tuple(i));
+        }
+        let export = logs.export(LogDirection::Outgoing, &key());
+        assert_eq!(export.round, 1);
+        assert_eq!(
+            vif_crypto::hex::encode(&export.tag),
+            "9ab181adc9c1c0a40f094a6db20cae86cda5798d0bfcc778732d6fd1552dc13c"
+        );
+        assert!(export.verify(&key()).is_ok());
+    }
+
+    #[test]
     fn log_batch_equals_sequential_logging() {
         use crate::filter::DecisionPath;
         let verdict = |action| Verdict {

@@ -161,8 +161,11 @@ impl SecureChannel {
 
 /// XORs `buf` with a keystream generated as `HMAC(key, seq ‖ block_index)`.
 fn apply_keystream(key: &[u8; 32], seq: u64, buf: &mut [u8]) {
+    // Keyed once: each block clones the state that has absorbed the key
+    // pad instead of compressing it again.
+    let keyed = HmacSha256::new(key);
     for (block_index, chunk) in buf.chunks_mut(DIGEST_LEN).enumerate() {
-        let mut h = HmacSha256::new(key);
+        let mut h = keyed.clone();
         h.update(&seq.to_be_bytes());
         h.update(&(block_index as u64).to_be_bytes());
         let ks = h.finalize();
@@ -175,6 +178,7 @@ fn apply_keystream(key: &[u8; 32], seq: u64, buf: &mut [u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hex;
 
     fn pair() -> (SecureChannel, SecureChannel) {
         SecureChannel::pair_from_secret(b"secret", b"test")
@@ -263,6 +267,28 @@ mod tests {
         let frame = a.seal(&msg);
         assert_eq!(b.open(&frame).unwrap(), msg);
     }
+
+    #[test]
+    fn sealed_frame_known_answer() {
+        // Fixed secret, label, sequence number 1 and a 70-byte plaintext
+        // (three keystream blocks, the last one partial): the wire bytes
+        // must not depend on how the keystream's HMAC state is keyed,
+        // cloned or compressed.
+        let (mut a, mut b) = SecureChannel::pair_from_secret(b"pinned dh secret", b"pinned label");
+        let first = a.seal(b"");
+        let plaintext: Vec<u8> = (0..70u8).collect();
+        let frame = a.seal(&plaintext);
+        assert_eq!(hex::encode(&frame), SEALED_FRAME_SEQ1);
+        b.open(&first).unwrap();
+        assert_eq!(b.open(&frame).unwrap(), plaintext);
+    }
+
+    const SEALED_FRAME_SEQ1: &str = concat!(
+        "000000000000000128d83c4a6feb949f47492d333a47e7da54678713f244bfa3",
+        "24124826f948d4b3653da1a567fd0b00ca2c5275fbe272e9e8b064a1eef3d7bd",
+        "bfba1337d5f7932c62e4e9852121373b76c85ad1c992bd613ca1980868fa1e60",
+        "59bdadb73b81fb99e527b1a1eddf",
+    );
 
     #[test]
     fn counters_track() {

@@ -19,7 +19,9 @@ use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 #[derive(Debug, Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    opad_key: [u8; BLOCK_LEN],
+    /// The outer hash with the `opad` key block already absorbed, so a
+    /// `clone()` of a keyed instance costs no compression.
+    outer: Sha256,
 }
 
 impl HmacSha256 {
@@ -42,10 +44,9 @@ impl HmacSha256 {
         }
         let mut inner = Sha256::new();
         inner.update(&ipad);
-        HmacSha256 {
-            inner,
-            opad_key: opad,
-        }
+        let mut outer = Sha256::new();
+        outer.update(&opad);
+        HmacSha256 { inner, outer }
     }
 
     /// Absorbs message bytes.
@@ -54,12 +55,9 @@ impl HmacSha256 {
     }
 
     /// Produces the authentication tag, consuming the instance.
-    pub fn finalize(self) -> [u8; DIGEST_LEN] {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad_key);
-        outer.update(&inner_digest);
-        outer.finalize()
+    pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
+        self.outer.update(&self.inner.finalize());
+        self.outer.finalize()
     }
 
     /// One-shot MAC of `data` under `key`.
@@ -92,49 +90,62 @@ pub fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
 mod tests {
     use super::*;
     use crate::hex;
+    use crate::sha256::tests::{digest_with, Kernel, KERNELS};
 
-    // RFC 4231 test vectors.
-    #[test]
-    fn rfc4231_case1() {
-        let key = [0x0b; 20];
-        let tag = HmacSha256::mac(&key, b"Hi There");
-        assert_eq!(
-            hex::encode(&tag),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-        );
+    /// RFC 4231 test cases 1, 2, 3 and 6 (key longer than a block).
+    fn rfc4231() -> [(Vec<u8>, Vec<u8>, &'static str); 4] {
+        [
+            (
+                vec![0x0b; 20],
+                b"Hi There".to_vec(),
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            (
+                b"Jefe".to_vec(),
+                b"what do ya want for nothing?".to_vec(),
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+            (
+                vec![0xaa; 20],
+                vec![0xdd; 50],
+                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+            ),
+            (
+                vec![0xaa; 131],
+                b"Test Using Larger Than Block-Size Key - Hash Key First".to_vec(),
+                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+            ),
+        ]
     }
 
     #[test]
-    fn rfc4231_case2() {
-        let tag = HmacSha256::mac(b"Jefe", b"what do ya want for nothing?");
-        assert_eq!(
-            hex::encode(&tag),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-        );
+    fn rfc4231_vectors() {
+        for (key, data, want) in rfc4231() {
+            assert_eq!(hex::encode(&HmacSha256::mac(&key, &data)), want);
+        }
+    }
+
+    /// RFC 2104 spelled out over one compression kernel, with no
+    /// `Sha256` / `HmacSha256` in the path.
+    fn hmac_with(kernel: Kernel, key: &[u8], data: &[u8]) -> [u8; DIGEST_LEN] {
+        let mut k = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            k[..DIGEST_LEN].copy_from_slice(&digest_with(kernel, key));
+        } else {
+            k[..key.len()].copy_from_slice(key);
+        }
+        let inner = [&k.map(|b| b ^ 0x36)[..], data].concat();
+        let outer = [&k.map(|b| b ^ 0x5c)[..], &digest_with(kernel, &inner)].concat();
+        digest_with(kernel, &outer)
     }
 
     #[test]
-    fn rfc4231_case3() {
-        let key = [0xaa; 20];
-        let data = [0xdd; 50];
-        let tag = HmacSha256::mac(&key, &data);
-        assert_eq!(
-            hex::encode(&tag),
-            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
-        );
-    }
-
-    #[test]
-    fn rfc4231_case6_long_key() {
-        let key = [0xaa; 131];
-        let tag = HmacSha256::mac(
-            &key,
-            b"Test Using Larger Than Block-Size Key - Hash Key First",
-        );
-        assert_eq!(
-            hex::encode(&tag),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-        );
+    fn rfc4231_vectors_on_both_kernels() {
+        for (name, kernel) in KERNELS {
+            for (key, data, want) in rfc4231() {
+                assert_eq!(hex::encode(&hmac_with(kernel, &key, &data)), want, "{name}");
+            }
+        }
     }
 
     #[test]

@@ -27,6 +27,26 @@
 //! side channels beyond constant-time tag comparison. The paper itself
 //! declares side-channel attacks out of scope (§II-D).
 //!
+//! # `unsafe` policy
+//!
+//! The crate is `deny(unsafe_code)` with exactly one `allow`: the call in
+//! `sha256::compress_blocks` that enters the SHA-extension kernel. That
+//! kernel is itself a *safe* `#[target_feature]` fn — it moves words in and
+//! out of vector registers by value and touches no pointer — so the only
+//! thing the `unsafe` asserts is that the CPU has the features, and the
+//! `is_x86_feature_detected!` check on the line above it is that proof.
+//! It is the same audited-helper exception `vif_sketch` makes for
+//! `_mm_prefetch`. Selection is automatic (no cargo feature, no
+//! environment variable); [`sha256::kernel`] names the kernel in use, and
+//! the scalar rounds remain both the path on every other CPU and the
+//! oracle the hardware path is tested against.
+//!
+//! `sha256rnds2` / `sha256msg1` / `sha256msg2` are ordinary user-mode
+//! instructions and legal inside an SGX enclave. Server parts have them
+//! from Ice Lake-SP on (every SGX-capable Xeon since); the paper's own
+//! testbed CPU, the Skylake i7-6700, and the other client SGX parts of
+//! that era (Skylake to Coffee Lake) do not, and run the scalar rounds.
+//!
 //! # Example
 //!
 //! ```
@@ -38,7 +58,7 @@
 //! );
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bignum;

@@ -7,6 +7,10 @@
 //! connection-preserving filter (paper Appendix A — its 45-byte
 //! `5-tuple ‖ secret` message takes the one-block path) and the count-min
 //! sketch's keyed hash seeding.
+//!
+//! All of them run one compression entry, which uses the x86 SHA
+//! extensions when the CPU has them and the scalar rounds otherwise
+//! ([`kernel`] says which); the bytes are the same either way.
 
 /// Number of bytes in a SHA-256 digest.
 pub const DIGEST_LEN: usize = 32;
@@ -101,15 +105,14 @@ impl Sha256 {
         block[data.len()] = 0x80;
         block[BLOCK_LEN - 8..].copy_from_slice(&((data.len() as u64) * 8).to_be_bytes());
         let mut state = H0;
-        compress(&mut state, &block);
-        let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        compress_blocks(&mut state, &block);
+        state_bytes(&state)
     }
 
     /// Absorbs `data` into the hash state.
+    ///
+    /// Whole blocks are compressed straight from `data`; only a trailing
+    /// partial block is copied into the hasher.
     pub fn update(&mut self, mut data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         if self.buffered > 0 {
@@ -117,180 +120,335 @@ impl Sha256 {
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
             self.buffered += take;
             data = &data[take..];
-            if self.buffered == BLOCK_LEN {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
+            if self.buffered < BLOCK_LEN {
+                return;
             }
+            compress_blocks(&mut self.state, &self.buffer);
         }
-        while data.len() >= BLOCK_LEN {
-            let (block, rest) = data.split_at(BLOCK_LEN);
-            let mut buf = [0u8; BLOCK_LEN];
-            buf.copy_from_slice(block);
-            self.compress(&buf);
-            data = rest;
+        let (blocks, tail) = data.split_at(data.len() - data.len() % BLOCK_LEN);
+        if !blocks.is_empty() {
+            compress_blocks(&mut self.state, blocks);
         }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffered = data.len();
-        }
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffered = tail.len();
     }
 
     /// Finishes the computation and returns the digest, consuming the hasher.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Append 0x80, pad with zeros to 56 mod 64, then the 64-bit length.
-        self.raw_update(&[0x80]);
-        while self.buffered != 56 {
-            self.raw_update(&[0]);
+        // The buffered tail, 0x80, zeros to 56 mod 64, then the 64-bit
+        // length: one block, or two when the tail leaves no room for the
+        // nine bytes of padding.
+        let mut pad = [0u8; 2 * BLOCK_LEN];
+        pad[..self.buffered].copy_from_slice(&self.buffer[..self.buffered]);
+        pad[self.buffered] = 0x80;
+        let end = if self.buffered <= Self::ONE_BLOCK_MAX {
+            BLOCK_LEN
+        } else {
+            2 * BLOCK_LEN
+        };
+        pad[end - 8..end].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        compress_blocks(&mut self.state, &pad[..end]);
+        state_bytes(&self.state)
+    }
+}
+
+/// The big-endian serialisation of the eight state words.
+fn state_bytes(state: &[u32; 8]) -> [u8; DIGEST_LEN] {
+    let mut out = [0u8; DIGEST_LEN];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// Whether [`ni::compress_blocks`] may run here: every target feature it
+/// is compiled with (`sse2` is part of the x86-64 baseline). Detection is
+/// cached by `std` — one relaxed load per call.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn ni_available() -> bool {
+    is_x86_feature_detected!("sha")
+        && is_x86_feature_detected!("ssse3")
+        && is_x86_feature_detected!("sse4.1")
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+#[inline]
+fn ni_available() -> bool {
+    false
+}
+
+/// Which compression kernel this process runs: `"sha-ni"` on a CPU with
+/// the x86 SHA extensions, `"portable"` otherwise. The two produce the
+/// same bytes; the name only explains a timing.
+pub fn kernel() -> &'static str {
+    if ni_available() {
+        "sha-ni"
+    } else {
+        "portable"
+    }
+}
+
+/// The FIPS 180-4 compression function over every 64-byte block of
+/// `blocks` in turn — the one entry every hasher in this crate goes
+/// through. `blocks.len()` is a multiple of [`BLOCK_LEN`].
+#[inline]
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % BLOCK_LEN, 0);
+    #[cfg(target_arch = "x86_64")]
+    if ni_available() {
+        // SAFETY: `ni::compress_blocks` is a safe fn whose only
+        // requirement is the CPU features it is compiled for, and
+        // `ni_available` on the line above just confirmed each of them.
+        #[allow(unsafe_code)]
+        unsafe {
+            ni::compress_blocks(state, blocks)
+        };
+        return;
+    }
+    portable::compress_blocks(state, blocks);
+}
+
+/// The scalar rounds: the path on CPUs without the SHA extensions, and the
+/// oracle the hardware kernel is tested against.
+mod portable {
+    use super::{BLOCK_LEN, K};
+
+    pub(super) fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+        for block in blocks.chunks_exact(BLOCK_LEN) {
+            compress(state, block);
         }
-        self.raw_update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buffered, 0);
-        let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
     }
 
-    /// `update` without advancing `total_len` (used only for padding).
-    fn raw_update(&mut self, data: &[u8]) {
-        for &b in data {
-            self.buffer[self.buffered] = b;
-            self.buffered += 1;
-            if self.buffered == BLOCK_LEN {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
+    fn compress(state: &mut [u32; 8], block: &[u8]) {
+        let mut w = [0u32; 64];
+        for (i, chunk) in block.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        }
+        for i in 16..64 {
+            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+            w[i] = w[i - 16]
+                .wrapping_add(s0)
+                .wrapping_add(w[i - 7])
+                .wrapping_add(s1);
+        }
+
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+        for i in 0..64 {
+            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+            let ch = (e & f) ^ ((!e) & g);
+            let t1 = h
+                .wrapping_add(s1)
+                .wrapping_add(ch)
+                .wrapping_add(K[i])
+                .wrapping_add(w[i]);
+            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+            let maj = (a & b) ^ (a & c) ^ (b & c);
+            let t2 = s0.wrapping_add(maj);
+            h = g;
+            g = f;
+            f = e;
+            e = d.wrapping_add(t1);
+            d = c;
+            c = b;
+            b = a;
+            a = t1.wrapping_add(t2);
+        }
+
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+}
+
+/// The same function on the x86 SHA extensions: `sha256rnds2` runs two
+/// rounds on the state held as the word quads `ABEF` / `CDGH`,
+/// `sha256msg1` / `sha256msg2` extend the message schedule four words at
+/// a time.
+///
+/// Every intrinsic here is a safe call inside a fn compiled for its
+/// target features, and words enter and leave vector registers by value
+/// (`_mm_set_epi32` / `_mm_extract_epi32`), so the module holds no
+/// `unsafe` — the one obligation, that the CPU has the features, sits
+/// with the caller.
+#[cfg(target_arch = "x86_64")]
+mod ni {
+    use super::{BLOCK_LEN, K};
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+    };
+
+    /// Words `4i..4i + 4` of `words`, word `4i` in the low lane.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn quad(words: impl Fn(usize) -> u32, i: usize) -> __m128i {
+        let w = |j| words(4 * i + j) as i32;
+        _mm_set_epi32(w(3), w(2), w(1), w(0))
+    }
+
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+        let [a, b, c, d, e, f, g, h] = state.map(|w| w as i32);
+        let mut abef = _mm_set_epi32(a, b, e, f);
+        let mut cdgh = _mm_set_epi32(c, d, g, h);
+        for block in blocks.chunks_exact(BLOCK_LEN) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let be = |j: usize| {
+                u32::from_be_bytes([
+                    block[4 * j],
+                    block[4 * j + 1],
+                    block[4 * j + 2],
+                    block[4 * j + 3],
+                ])
+            };
+            // The last four schedule quads, oldest first.
+            let mut w = [quad(be, 0), quad(be, 1), quad(be, 2), quad(be, 3)];
+            for i in 0..16 {
+                let wi = if i < 4 {
+                    w[i]
+                } else {
+                    let partial = _mm_add_epi32(
+                        _mm_sha256msg1_epu32(w[0], w[1]),
+                        _mm_alignr_epi8::<4>(w[3], w[2]),
+                    );
+                    let next = _mm_sha256msg2_epu32(partial, w[3]);
+                    w = [w[1], w[2], w[3], next];
+                    next
+                };
+                let wk = _mm_add_epi32(wi, quad(|j| K[j], i));
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0E>(wk));
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+        *state = [
+            _mm_extract_epi32::<3>(abef),
+            _mm_extract_epi32::<2>(abef),
+            _mm_extract_epi32::<3>(cdgh),
+            _mm_extract_epi32::<2>(cdgh),
+            _mm_extract_epi32::<1>(abef),
+            _mm_extract_epi32::<0>(abef),
+            _mm_extract_epi32::<1>(cdgh),
+            _mm_extract_epi32::<0>(cdgh),
+        ]
+        .map(|w| w as u32);
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::hex;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// A compression kernel, as the tests drive one.
+    pub(crate) type Kernel = fn(&mut [u32; 8], &[u8]);
+
+    /// Both kernels under test: the dispatching entry (the hardware kernel
+    /// where the CPU has one) and the scalar rounds called directly, so a
+    /// box without the SHA extensions still tests the portable path and a
+    /// box with them tests both.
+    pub(crate) const KERNELS: [(&str, Kernel); 2] = [
+        ("dispatch", compress_blocks),
+        ("portable", portable::compress_blocks),
+    ];
+
+    /// SHA-256 of `data` on `kernel` alone: the padded message is built
+    /// here and handed over in one call, independent of `Sha256`.
+    pub(crate) fn digest_with(kernel: Kernel, data: &[u8]) -> [u8; DIGEST_LEN] {
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        msg.resize((data.len() + 9).next_multiple_of(BLOCK_LEN) - 8, 0);
+        msg.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        kernel(&mut state, &msg);
+        state_bytes(&state)
+    }
+
+    /// FIPS 180-4 / NIST CAVP example messages and their digests.
+    const NIST_VECTORS: [(&[u8], &str); 4] = [
+        (
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ),
+        (
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+        ),
+        (
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+        ),
+        (
+            b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+        ),
+    ];
+
+    #[test]
+    fn nist_vectors_on_the_hasher() {
+        for (msg, want) in NIST_VECTORS {
+            assert_eq!(hex::encode(&Sha256::digest(msg)), want);
+        }
+    }
+
+    #[test]
+    fn nist_vectors_on_both_kernels() {
+        for (name, kernel) in KERNELS {
+            for (msg, want) in NIST_VECTORS {
+                assert_eq!(hex::encode(&digest_with(kernel, msg)), want, "{name}");
             }
         }
     }
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        compress(&mut self.state, block);
-    }
-}
-
-/// The FIPS 180-4 compression function, shared by the streaming hasher and
-/// the one-shot single-block path.
-fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
-    let mut w = [0u32; 64];
-    for (i, chunk) in block.chunks_exact(4).enumerate() {
-        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-    }
-    for i in 16..64 {
-        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-        w[i] = w[i - 16]
-            .wrapping_add(s0)
-            .wrapping_add(w[i - 7])
-            .wrapping_add(s1);
-    }
-
-    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
-    for i in 0..64 {
-        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-        let ch = (e & f) ^ ((!e) & g);
-        let t1 = h
-            .wrapping_add(s1)
-            .wrapping_add(ch)
-            .wrapping_add(K[i])
-            .wrapping_add(w[i]);
-        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-        let maj = (a & b) ^ (a & c) ^ (b & c);
-        let t2 = s0.wrapping_add(maj);
-        h = g;
-        g = f;
-        f = e;
-        e = d.wrapping_add(t1);
-        d = c;
-        c = b;
-        b = a;
-        a = t1.wrapping_add(t2);
-    }
-
-    state[0] = state[0].wrapping_add(a);
-    state[1] = state[1].wrapping_add(b);
-    state[2] = state[2].wrapping_add(c);
-    state[3] = state[3].wrapping_add(d);
-    state[4] = state[4].wrapping_add(e);
-    state[5] = state[5].wrapping_add(f);
-    state[6] = state[6].wrapping_add(g);
-    state[7] = state[7].wrapping_add(h);
-}
-
-/// Returns the first 8 bytes of `SHA-256(data)` as a little-endian `u64`.
-///
-/// Convenience used by the hash-based filter (Appendix A) where the decision
-/// threshold is compared against a 64-bit prefix of the digest.
-pub fn digest_prefix_u64(data: &[u8]) -> u64 {
-    let d = Sha256::digest(data);
-    u64::from_le_bytes([d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7]])
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::hex;
-
-    fn hx(data: &[u8]) -> String {
-        hex::encode(&Sha256::digest(data))
-    }
-
-    #[test]
-    fn nist_empty() {
-        assert_eq!(
-            hx(b""),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-    }
-
-    #[test]
-    fn nist_abc() {
-        assert_eq!(
-            hx(b"abc"),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-    }
-
-    #[test]
-    fn nist_448_bits() {
-        assert_eq!(
-            hx(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
-    }
-
-    #[test]
-    fn nist_896_bits() {
-        assert_eq!(
-            hx(b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"),
-            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
-        );
-    }
-
     #[test]
     fn million_a() {
+        const WANT: &str = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
         let mut h = Sha256::new();
         let chunk = [b'a'; 1000];
         for _ in 0..1000 {
             h.update(&chunk);
         }
-        assert_eq!(
-            hex::encode(&h.finalize()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+        assert_eq!(hex::encode(&h.finalize()), WANT);
+        for (name, kernel) in KERNELS {
+            let got = digest_with(kernel, &vec![b'a'; 1_000_000]);
+            assert_eq!(hex::encode(&got), WANT, "{name}");
+        }
+    }
+
+    #[test]
+    fn kernel_name_follows_detection() {
+        let want = if ni_available() { "sha-ni" } else { "portable" };
+        assert_eq!(kernel(), want);
     }
 
     #[test]
     fn streaming_equals_oneshot_for_all_split_points() {
         let data: Vec<u8> = (0..255u8).collect();
-        let reference = Sha256::digest(&data);
+        let reference = digest_with(portable::compress_blocks, &data);
         for split in 0..data.len() {
             let mut h = Sha256::new();
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), reference, "split at {split}");
+        }
+    }
+
+    #[test]
+    fn every_padding_length_matches_the_scalar_oracle() {
+        // 0..=200 covers the one- and two-block padding boundaries (55/56,
+        // 119/120) and the block edges (63/64/65, 127/128/129).
+        let data: Vec<u8> = (0..=200u8).map(|i| i ^ 0x5A).collect();
+        for n in 0..=data.len() {
+            assert_eq!(
+                Sha256::digest(&data[..n]),
+                digest_with(portable::compress_blocks, &data[..n]),
+                "length {n}"
+            );
         }
     }
 
@@ -308,14 +466,9 @@ mod tests {
 
     #[test]
     fn one_block_nist_vectors() {
-        assert_eq!(
-            hex::encode(&Sha256::digest_one_block(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-        assert_eq!(
-            hex::encode(&Sha256::digest_one_block(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
+        for (msg, want) in &NIST_VECTORS[..2] {
+            assert_eq!(hex::encode(&Sha256::digest_one_block(msg)), *want);
+        }
     }
 
     #[test]
@@ -324,10 +477,28 @@ mod tests {
         let _ = Sha256::digest_one_block(&[0u8; 56]);
     }
 
-    #[test]
-    fn prefix_u64_is_prefix() {
-        let d = Sha256::digest(b"vif");
-        let p = digest_prefix_u64(b"vif");
-        assert_eq!(p.to_le_bytes(), d[..8]);
+    proptest! {
+        /// The hardware kernel, fed through `update` at random split
+        /// points, produces the scalar rounds' digest.
+        #[test]
+        fn hardware_equals_scalar(
+            data in vec(any::<u8>(), 0..4096),
+            splits in vec(any::<prop::sample::Index>(), 0..6),
+        ) {
+            if !ni_available() {
+                eprintln!("hardware_equals_scalar: no SHA extensions on this CPU, skipped");
+                return Ok(());
+            }
+            let mut cuts: Vec<usize> = splits.iter().map(|s| s.index(data.len() + 1)).collect();
+            cuts.sort_unstable();
+            let mut h = Sha256::new();
+            let mut from = 0;
+            for cut in cuts {
+                h.update(&data[from..cut]);
+                from = cut;
+            }
+            h.update(&data[from..]);
+            prop_assert_eq!(h.finalize(), digest_with(portable::compress_blocks, &data));
+        }
     }
 }

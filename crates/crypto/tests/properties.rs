@@ -9,14 +9,25 @@ use vif_crypto::sha256::Sha256;
 use vif_crypto::{hex, kdf};
 
 proptest! {
-    /// Streaming SHA-256 equals one-shot for arbitrary chunkings.
+    /// Streaming SHA-256 equals one-shot for arbitrary chunkings — at a
+    /// random length up to 4 KiB, and at one of the lengths where the
+    /// padding changes shape (one block or two, either side of a block
+    /// edge).
     #[test]
-    fn sha256_streaming_equivalence(data in vec(any::<u8>(), 0..2048), split in any::<prop::sample::Index>()) {
-        let cut = split.index(data.len() + 1);
-        let mut h = Sha256::new();
-        h.update(&data[..cut]);
-        h.update(&data[cut..]);
-        prop_assert_eq!(h.finalize(), Sha256::digest(&data));
+    fn sha256_streaming_equivalence(
+        data in vec(any::<u8>(), 0..4096),
+        edge in prop::sample::select(vec![55usize, 56, 63, 64, 65, 119, 120]),
+        split in any::<prop::sample::Index>(),
+    ) {
+        let mut at_edge = data.clone();
+        at_edge.resize(edge, 0xA5);
+        for msg in [&data, &at_edge] {
+            let cut = split.index(msg.len() + 1);
+            let mut h = Sha256::new();
+            h.update(&msg[..cut]);
+            h.update(&msg[cut..]);
+            prop_assert_eq!(h.finalize(), Sha256::digest(msg));
+        }
     }
 
     /// The single-block fast path is bit-identical to the streaming hasher

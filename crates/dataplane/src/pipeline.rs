@@ -1,5 +1,11 @@
 //! The RX → filter → TX pipeline, simulated in virtual time.
 //!
+//! This is **the paper-figure model, not a serving path**: [`run`] advances
+//! a virtual clock by modelled costs to reproduce the paper's throughput
+//! and latency figures deterministically. Packets are actually served,
+//! on real threads and in wall-clock time, by
+//! [`DataplaneService`](crate::DataplaneService).
+//!
 //! Models the paper's three-core DPDK pipeline (§V-A, Fig. 6): an RX thread
 //! polls the NIC in bursts, a filter thread consumes the RX ring and pushes
 //! verdicts, a TX thread serializes allowed packets back onto the wire.

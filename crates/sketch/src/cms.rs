@@ -359,13 +359,20 @@ impl CountMinSketch {
     /// little-endian counters. Used for authenticated export (HMAC computed
     /// by the enclave over exactly these bytes).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.counters.len() * 8);
-        out.extend_from_slice(&(self.config.width as u64).to_le_bytes());
-        out.extend_from_slice(&(self.config.depth as u64).to_le_bytes());
-        out.extend_from_slice(&self.config.seed.to_le_bytes());
-        out.extend_from_slice(&self.total.to_le_bytes());
-        for c in &self.counters {
-            out.extend_from_slice(&c.to_le_bytes());
+        let header = [
+            self.config.width as u64,
+            self.config.depth as u64,
+            self.config.seed,
+            self.total,
+        ];
+        // One pre-sized buffer filled through fixed-width zips, which the
+        // compiler turns into a vector copy.
+        let mut out = vec![0u8; (header.len() + self.counters.len()) * 8];
+        let (head, body) = out.split_at_mut(header.len() * 8);
+        for (words, dst) in [(&header[..], head), (&self.counters[..], body)] {
+            for (bytes, word) in dst.chunks_exact_mut(8).zip(words) {
+                bytes.copy_from_slice(&word.to_le_bytes());
+            }
         }
         out
     }
@@ -394,11 +401,9 @@ impl CountMinSketch {
         if bytes.len() != expected {
             return Err(SketchDecodeError::Malformed);
         }
-        let mut counters = Vec::with_capacity(width * depth);
-        for i in 0..width * depth {
-            counters.push(u64::from_le_bytes(
-                bytes[32 + i * 8..40 + i * 8].try_into().unwrap(),
-            ));
+        let mut counters = vec![0u64; width * depth];
+        for (counter, word) in counters.iter_mut().zip(bytes[32..].chunks_exact(8)) {
+            *counter = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
         }
         let config = SketchConfig { width, depth, seed };
         let rows = (0..depth).map(|r| LinearHash::from_seed(seed, r)).collect();
@@ -514,6 +519,32 @@ mod tests {
         let back = CountMinSketch::decode(&bytes).unwrap();
         assert_eq!(s, back);
     }
+
+    #[test]
+    fn wire_format_known_answer() {
+        // `width ‖ depth ‖ seed ‖ total ‖ counters`, all little-endian u64.
+        let mut s = CountMinSketch::new(SketchConfig {
+            width: 8,
+            depth: 2,
+            seed: 0x0123_4567_89ab_cdef,
+        });
+        for i in 0..64u64 {
+            s.add(&i.to_le_bytes(), i * 0x0101_0101 + 1);
+        }
+        let bytes = s.encode();
+        assert_eq!(bytes.len(), 32 + 16 * 8);
+        assert_eq!(bytes[..32], WIRE_HEADER);
+        assert_eq!(bytes[32..40], WIRE_FIRST_COUNTER);
+        assert_eq!(bytes[bytes.len() - 8..], WIRE_LAST_COUNTER);
+        assert_eq!(CountMinSketch::decode(&bytes).unwrap(), s);
+    }
+
+    const WIRE_HEADER: [u8; 32] = [
+        8, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23,
+        0x01, 32, 232, 231, 231, 7, 0, 0, 0,
+    ];
+    const WIRE_FIRST_COUNTER: [u8; 8] = [75, 67, 67, 67, 1, 0, 0, 0];
+    const WIRE_LAST_COUNTER: [u8; 8] = [104, 94, 94, 94, 1, 0, 0, 0];
 
     #[test]
     fn decode_rejects_garbage() {
