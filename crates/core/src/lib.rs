@@ -84,9 +84,7 @@ pub mod prelude {
     pub use crate::rpki::RpkiRegistry;
     pub use crate::rules::{FilterRule, FlowPattern, PortRange, RuleAction, RuleDecision};
     pub use crate::ruleset::{RuleId, RuleSet};
-    pub use crate::scale::{
-        EnclaveCluster, LoadBalancer, LoadBalancerBehavior, PublishReport, ResyncReport,
-    };
+    pub use crate::scale::{EnclaveCluster, PublishReport, ResyncReport};
     pub use crate::session::{FilteringSession, SessionConfig, SessionError};
     pub use crate::sketch_backend::SketchAcceleratedFilter;
     pub use crate::verify::{BypassVerdict, NeighborVerifier, VictimVerifier};

@@ -1,31 +1,30 @@
-//! Scale-out: many enclaves behind an untrusted load balancer (§IV).
+//! Scale-out: many enclaves behind an untrusted balancer (§IV).
 //!
-//! A single enclave saturates at ≈10 Gb/s and ≈EPC-bounded rule counts, so
-//! VIF parallelizes: the IXP's switching fabric load-balances flows to `n`
-//! enclaves, each holding a slice of the rule set. The components outside
-//! the enclaves (controller, load balancer) are *untrusted*; the design
-//! makes their misbehavior detectable:
+//! **Serving.** [`EnclaveCluster`] is the pool the live service runs: `n`
+//! enclave slices that each hold the **full** rule set, with every flow
+//! steered by a public hash of its five tuple
+//! ([`vif_dataplane::shard_of`], failing over through
+//! [`SliceLifecycle::steer`]). Verifiers recompute the steering, so no
+//! slice needs strict scope. The master (slice 0) takes the victims'
+//! sessions, and epoch publication, provisioning, quarantine and rejoin
+//! keep every live slice on the master's rules.
 //!
-//! - a load balancer that routes a flow to an enclave holding no matching
-//!   rule is caught by that enclave's strict-scope counter (§IV-B),
-//! - a load balancer that *drops* flows is caught by the ordinary bypass
-//!   detection (the enclaves' incoming logs stay short, §III-B).
-//!
-//! Rule redistribution follows the Fig. 5 master–slave protocol: slaves
-//! upload `(R_i, B_i)` — their rule sets and per-rule byte counts — the
-//! master recomputes the partition with the greedy allocator, and every
-//! enclave installs its new slice.
+//! **The Fig. 5 model.** [`partitioned::PartitionedPool`] is the paper's
+//! rule-partitioned alternative: the greedy allocator gives each enclave a
+//! slice of the rules, an untrusted load balancer routes by matched rule,
+//! strict scope catches misrouting (§IV-B), and a master–slave round
+//! repartitions from measured bytes. It is a paper experiment, not a
+//! serving path.
+
+pub mod partitioned;
 
 use crate::enclave_app::{ContractId, FilterEnclaveApp, PublishSnapshot, RuleEdit};
 use crate::retry::RetryPolicy;
-use crate::rules::RuleAction;
 use crate::ruleset::{RuleId, RuleSet};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use vif_dataplane::{FiveTuple, SliceEvent, SliceLifecycle, SliceState};
-use vif_optimizer::{greedy::GreedySolver, ilp::Instance, Allocation};
+use vif_dataplane::{SliceEvent, SliceLifecycle, SliceState};
 use vif_sgx::{Enclave, EnclaveImage, SgxPlatform};
-use vif_sketch::hash::fingerprint;
 use vif_telemetry::{EventKind, TelemetryHub};
 
 /// The §VI-D back-of-envelope deployment plan: how many commodity SGX
@@ -75,119 +74,9 @@ impl DeploymentPlan {
     }
 }
 
-/// How the untrusted load balancer behaves (failure injection for tests).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LoadBalancerBehavior {
-    /// Follows the assignment faithfully.
-    Honest,
-    /// Sends this fraction of flows to the wrong enclave.
-    MisrouteFraction(f64),
-    /// Silently drops this fraction of flows (never reaches any enclave).
-    DropFraction(f64),
-}
-
-/// The untrusted flow → enclave dispatcher.
-#[derive(Debug, Clone)]
-pub struct LoadBalancer {
-    /// Per rule: the enclaves hosting it with their bandwidth shares.
-    assignment: Vec<Vec<(usize, f64)>>,
-    behavior: LoadBalancerBehavior,
-    n_enclaves: usize,
-}
-
-/// Dispatch outcome for one flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Dispatch {
-    /// Deliver to enclave `i`.
-    To(usize),
-    /// The (malicious) LB dropped the flow.
-    Dropped,
-}
-
-impl LoadBalancer {
-    /// Builds a balancer from an allocation over `ruleset`.
-    pub fn new(
-        ruleset_len: usize,
-        allocation: &Allocation,
-        n_enclaves: usize,
-        behavior: LoadBalancerBehavior,
-    ) -> Self {
-        let mut assignment: Vec<Vec<(usize, f64)>> = vec![Vec::new(); ruleset_len];
-        for (enclave, shares) in allocation.enclaves.iter().enumerate() {
-            for share in shares {
-                if share.rule < ruleset_len {
-                    assignment[share.rule].push((enclave, share.bandwidth.max(1e-9)));
-                }
-            }
-        }
-        LoadBalancer {
-            assignment,
-            behavior,
-            n_enclaves,
-        }
-    }
-
-    /// The balancer of an RSS-replicated pool: no rule is pinned to a
-    /// subset of enclaves, so every dispatch falls through to the
-    /// fingerprint hash over `n_enclaves` — whatever the rule count, which
-    /// is why rule churn never rebuilds it.
-    fn rss(n_enclaves: usize) -> Self {
-        LoadBalancer {
-            assignment: Vec::new(),
-            behavior: LoadBalancerBehavior::Honest,
-            n_enclaves,
-        }
-    }
-
-    /// Dispatches a flow that matched `rule` (or none) to an enclave.
-    ///
-    /// Split rules hash the flow across their hosting enclaves
-    /// proportionally to the allocated bandwidth shares, so a flow always
-    /// lands on the same enclave (connection preserving).
-    pub fn dispatch(&self, rule: Option<RuleId>, t: &FiveTuple) -> Dispatch {
-        let fp = fingerprint(&t.encode());
-        match self.behavior {
-            LoadBalancerBehavior::DropFraction(f) => {
-                if unit_hash(fp ^ 0xD0D0) < f {
-                    return Dispatch::Dropped;
-                }
-            }
-            LoadBalancerBehavior::MisrouteFraction(f) => {
-                if unit_hash(fp ^ 0xBAD) < f {
-                    // Send to a pseudo-random (likely wrong) enclave.
-                    return Dispatch::To((fp % self.n_enclaves as u64) as usize);
-                }
-            }
-            LoadBalancerBehavior::Honest => {}
-        }
-        let hosts = rule
-            .and_then(|r| self.assignment.get(r as usize))
-            .filter(|h| !h.is_empty());
-        match hosts {
-            // Unmatched traffic goes to a hash-picked enclave (it will be
-            // default-allowed wherever it lands).
-            None => Dispatch::To((fp % self.n_enclaves as u64) as usize),
-            Some(hosts) => {
-                let total: f64 = hosts.iter().map(|(_, w)| w).sum();
-                let mut x = unit_hash(fp) * total;
-                for &(enclave, w) in hosts {
-                    if x < w {
-                        return Dispatch::To(enclave);
-                    }
-                    x -= w;
-                }
-                Dispatch::To(hosts.last().expect("non-empty").0)
-            }
-        }
-    }
-}
-
-/// Maps a 64-bit hash to `[0, 1)`.
-fn unit_hash(x: u64) -> f64 {
-    (x >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// Report of one redistribution round (Fig. 5).
+/// Report of one redistribution round (Fig. 5):
+/// [`EnclaveCluster::redistribute`] or
+/// [`PartitionedPool::repartition`](partitioned::PartitionedPool::repartition).
 #[derive(Debug, Clone)]
 pub struct RedistributionReport {
     /// Which enclave acted as master.
@@ -197,12 +86,11 @@ pub struct RedistributionReport {
     /// Total `(rule, enclave)` installations after the round.
     pub installations: usize,
     /// Measured bytes per *global* rule id this round — the aggregated
-    /// `B_i` the master fed to the allocator. Attribution follows the
-    /// slice → global id mapping the master tracked at install time, so
-    /// identical rules installed under different global ids keep their own
-    /// measurements.
+    /// `B_i` the master collected. Identical rules installed under
+    /// different global ids keep their own measurements.
     pub bytes_per_rule: Vec<u64>,
-    /// Greedy solve time.
+    /// Greedy solve time (zero for a replicated round, which solves
+    /// nothing).
     pub solve_time: std::time::Duration,
 }
 
@@ -246,32 +134,18 @@ pub struct ResyncReport {
     pub epoch: u64,
 }
 
-/// A pool of filter enclaves with its load balancer.
+/// The replicated serving pool: `n` enclave slices that each hold the
+/// full rule set, steered by the public RSS hash (see the module docs).
 pub struct EnclaveCluster {
     enclaves: Vec<Arc<Enclave<FilterEnclaveApp>>>,
-    /// Per enclave: the *global* ids of the rules installed there, in the
-    /// slice's local rule order. This is the master's source of truth for
-    /// mapping slave telemetry back to global rules — matching by rule
-    /// equality would alias duplicate rules onto the first copy.
-    slices: Vec<Vec<RuleId>>,
-    lb: LoadBalancer,
     full_ruleset: RuleSet,
     platform: SgxPlatform,
     image: EnclaveImage,
     secret: [u8; 32],
-    sketch_seed: u64,
-    audit_key: [u8; 32],
     round: u64,
-    /// RSS-replicated deployment: every slice holds the full rule set and
-    /// redistribution must *re-replicate* (propagate the master's churned
-    /// rules to every slice) instead of re-partitioning. Converting a
-    /// replicated cluster to a partitioned one would silently break the
-    /// live sharded data path, whose public-hash steering assumes any
-    /// slice can decide any flow.
-    replicated: bool,
     /// Where each slice stands: the cluster reads `published` (who gets
-    /// epochs, provisioning, telemetry) and `steer` (dispatch) from it; the
-    /// deployment's service and round drivers share it by handle.
+    /// epochs, provisioning, telemetry) from it; the deployment's service
+    /// and round drivers share it by handle and steer with it.
     lifecycle: Arc<SliceLifecycle>,
     /// Optional publish-ack fault hook (test/bench injection only).
     publish_ack_loss: Option<PublishAckHook>,
@@ -287,66 +161,6 @@ impl EnclaveCluster {
     /// model, not here.
     pub const PUBLISH_ACK_RETRY: RetryPolicy = RetryPolicy::flat(3);
 
-    /// Launches a cluster for `ruleset`, sized by the greedy allocator
-    /// under the given per-rule bandwidth estimates (Gb/s).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the allocator cannot place the rules (pathological
-    /// estimates).
-    #[allow(clippy::too_many_arguments)] // deliberate: every key is distinct session state
-    pub fn launch(
-        platform: SgxPlatform,
-        image: EnclaveImage,
-        ruleset: RuleSet,
-        bandwidth_estimates: Vec<f64>,
-        secret: [u8; 32],
-        sketch_seed: u64,
-        audit_key: [u8; 32],
-        behavior: LoadBalancerBehavior,
-    ) -> Self {
-        assert_eq!(ruleset.len(), bandwidth_estimates.len());
-        let instance = Instance::paper_defaults(bandwidth_estimates, 0.2);
-        let allocation = GreedySolver::default()
-            .solve(&instance)
-            .expect("initial allocation feasible");
-        let n = allocation.enclaves.len();
-        let lb = LoadBalancer::new(ruleset.len(), &allocation, n, behavior);
-
-        let slices: Vec<Vec<RuleId>> = allocation
-            .enclaves
-            .iter()
-            .map(|shares| shares.iter().map(|s| s.rule as RuleId).collect())
-            .collect();
-        let enclaves: Vec<Arc<Enclave<FilterEnclaveApp>>> = slices
-            .iter()
-            .map(|ids| {
-                let subset = ruleset.subset(ids);
-                let mut app = FilterEnclaveApp::new(subset, secret, sketch_seed, audit_key);
-                app.set_strict_scope(true);
-                Arc::new(platform.launch(image.clone(), app))
-            })
-            .collect();
-
-        let lifecycle = Arc::new(SliceLifecycle::new(enclaves.len()));
-        EnclaveCluster {
-            enclaves,
-            slices,
-            lb,
-            full_ruleset: ruleset,
-            platform,
-            image,
-            secret,
-            sketch_seed,
-            audit_key,
-            round: 0,
-            replicated: false,
-            lifecycle,
-            publish_ack_loss: None,
-            telemetry: None,
-        }
-    }
-
     /// Launches an RSS-sharded cluster: `n` identical enclaves, each
     /// holding the **full** rule set.
     ///
@@ -355,11 +169,9 @@ impl EnclaveCluster {
     /// public hash of the five tuple ([`vif_dataplane::shard_of`]) rather
     /// than by matched rule, so every slice must be able to decide any
     /// flow — replication trades EPC headroom for steering that verifiers
-    /// can recompute without trusting the balancer. The cluster's own
-    /// dispatcher degenerates to the same `fingerprint % n` hash (no rule
-    /// is pinned to a subset of enclaves), and strict scoping stays off:
-    /// with every rule everywhere, an unmatched flow is default-allowed
-    /// benign traffic, not evidence of misrouting.
+    /// can recompute without trusting the balancer. Strict scoping stays
+    /// off: with every rule everywhere, an unmatched flow is
+    /// default-allowed benign traffic, not evidence of misrouting.
     ///
     /// # Panics
     ///
@@ -404,7 +216,7 @@ impl EnclaveCluster {
     /// # Panics
     ///
     /// Panics if `n` is zero.
-    #[allow(clippy::too_many_arguments)] // deliberate: distinct session state, like `launch`
+    #[allow(clippy::too_many_arguments)] // deliberate: every key is distinct session state
     pub fn launch_rss_with(
         platform: SgxPlatform,
         image: EnclaveImage,
@@ -416,7 +228,6 @@ impl EnclaveCluster {
         audit_key: [u8; 32],
     ) -> Self {
         assert!(n > 0, "at least one shard");
-        let all_ids: Vec<RuleId> = (0..ruleset.len() as RuleId).collect();
         let mut enclaves = Vec::with_capacity(n);
         enclaves.push(master);
         enclaves.extend((1..n).map(|_| {
@@ -425,16 +236,11 @@ impl EnclaveCluster {
         }));
         EnclaveCluster {
             enclaves,
-            slices: vec![all_ids; n],
-            lb: LoadBalancer::rss(n),
             full_ruleset: ruleset,
             platform,
             image,
             secret,
-            sketch_seed,
-            audit_key,
             round: 0,
-            replicated: true,
             lifecycle: Arc::new(SliceLifecycle::new(n)),
             publish_ack_loss: None,
             telemetry: None,
@@ -444,13 +250,6 @@ impl EnclaveCluster {
     /// Number of enclaves.
     pub fn len(&self) -> usize {
         self.enclaves.len()
-    }
-
-    /// True if this is an RSS-replicated cluster (every slice holds the
-    /// full rule set; redistribution re-replicates instead of
-    /// re-partitioning).
-    pub fn replicated(&self) -> bool {
-        self.replicated
     }
 
     /// True if the cluster has no enclaves.
@@ -463,12 +262,8 @@ impl EnclaveCluster {
         &self.enclaves
     }
 
-    /// Per enclave: the global rule ids installed there, in local order.
-    pub fn slices(&self) -> &[Vec<RuleId>] {
-        &self.slices
-    }
-
-    /// The full victim-submitted rule set.
+    /// The rule set every slice replicates (the master's, as of the last
+    /// publication or redistribution).
     pub fn ruleset(&self) -> &RuleSet {
         &self.full_ruleset
     }
@@ -504,15 +299,8 @@ impl EnclaveCluster {
     ///
     /// # Panics
     ///
-    /// Panics on a partitioned cluster (a dead slice there loses rules, it
-    /// cannot fail over by re-steering; run
-    /// [`redistribute`](EnclaveCluster::redistribute) instead) or if `i`
-    /// is out of range.
+    /// Panics if `i` is out of range.
     pub fn quarantine_slice(&mut self, i: usize) {
-        assert!(
-            self.replicated,
-            "quarantine is replicated-only: partitioned pools must re-partition"
-        );
         assert!(i < self.enclaves.len(), "slice index out of range");
         self.lifecycle
             .advance(i, SliceEvent::Excise)
@@ -531,11 +319,9 @@ impl EnclaveCluster {
     ///
     /// # Panics
     ///
-    /// Panics on a partitioned cluster, if `i` is out of range, or if the
-    /// slice is not quarantined (relaunching a live slice would drop
-    /// in-force rules on the floor).
+    /// Panics if `i` is out of range or the slice is not quarantined
+    /// (relaunching a live slice would drop in-force rules on the floor).
     pub fn relaunch_slice(&mut self, i: usize) {
-        assert!(self.replicated, "rejoin is replicated-only");
         assert!(i < self.enclaves.len(), "slice index out of range");
         assert!(
             self.lifecycle.state(i) == SliceState::Quarantined,
@@ -543,7 +329,6 @@ impl EnclaveCluster {
         );
         let app = FilterEnclaveApp::fresh(self.secret);
         self.enclaves[i] = Arc::new(self.platform.launch(self.image.clone(), app));
-        self.slices[i] = Vec::new();
     }
 
     /// Replays the master's published state onto relaunched slice `i` and
@@ -558,11 +343,10 @@ impl EnclaveCluster {
     ///
     /// # Panics
     ///
-    /// Panics on a partitioned cluster, if `master == i`, if either index
-    /// is out of range, if the master is not live (no authoritative
-    /// replay source), or if `i` is not quarantined.
+    /// Panics if `master == i`, if either index is out of range, if the
+    /// master is not live (no authoritative replay source), or if `i` is
+    /// not quarantined.
     pub fn resync_slice(&mut self, master: usize, i: usize) -> ResyncReport {
-        assert!(self.replicated, "rejoin is replicated-only");
         assert!(master < self.enclaves.len(), "master index out of range");
         assert!(i < self.enclaves.len(), "slice index out of range");
         assert!(master != i, "a slice cannot resync from itself");
@@ -594,7 +378,6 @@ impl EnclaveCluster {
 
         // On probation: publication, provisioning and telemetry include
         // the slice again; dispatch does once it is promoted.
-        self.slices[i] = (0..master_rules.len() as RuleId).collect();
         self.lifecycle
             .advance(i, SliceEvent::Resync)
             .expect("a quarantined slice can be resynced");
@@ -648,197 +431,6 @@ impl EnclaveCluster {
         );
     }
 
-    /// Processes one packet through LB dispatch and the target enclave.
-    ///
-    /// Returns `(action, enclave)` — `None` enclave if the LB dropped it.
-    pub fn process(&self, t: &FiveTuple, wire_bytes: u64) -> (RuleAction, Option<usize>) {
-        // The LB classifies against the full rule map it was programmed
-        // with (it is untrusted but needs the mapping to route).
-        let rule = self.full_ruleset.classify(t);
-        match self.lb.dispatch(rule, t) {
-            Dispatch::Dropped => (RuleAction::Drop, None),
-            Dispatch::To(i) => {
-                let i = self.lifecycle.steer(t.tuple_fingerprint(), i);
-                let action =
-                    self.enclaves[i].in_enclave_thread(|app| app.process(t, wire_bytes).action);
-                (action, Some(i))
-            }
-        }
-    }
-
-    /// Processes a burst of `(five tuple, wire bytes)` packets through LB
-    /// dispatch and the target enclaves, returning `(action, enclave)` per
-    /// packet in input order (`None` enclave if the LB dropped it).
-    ///
-    /// Packets are grouped by target enclave so each enclave slice is
-    /// entered once per burst and decides its sub-batch via the backend's
-    /// [`decide_batch`](crate::backend::FilterBackend::decide_batch) path
-    /// — the multi-enclave analogue of the single-enclave burst pipeline.
-    /// Verdict-equivalent to per-packet [`process`](EnclaveCluster::process)
-    /// because dispatch is per-flow deterministic and verdicts are
-    /// stateless (§III-A).
-    pub fn process_batch(&self, pkts: &[(FiveTuple, u64)]) -> Vec<(RuleAction, Option<usize>)> {
-        let mut results = vec![(RuleAction::Drop, None); pkts.len()];
-        // Route each packet; sorting (enclave, input idx) groups the burst
-        // by target while preserving input order within each enclave —
-        // no per-enclave Vec allocations on the burst path.
-        let mut routed: Vec<(usize, usize)> = Vec::with_capacity(pkts.len());
-        for (i, (t, _)) in pkts.iter().enumerate() {
-            let rule = self.full_ruleset.classify(t);
-            match self.lb.dispatch(rule, t) {
-                Dispatch::Dropped => results[i] = (RuleAction::Drop, None),
-                Dispatch::To(e) => routed.push((self.lifecycle.steer(t.tuple_fingerprint(), e), i)),
-            }
-        }
-        routed.sort_unstable();
-        // One enclave entry per target: the slice decides its sub-burst.
-        let mut sub: Vec<(FiveTuple, u64)> = Vec::new();
-        let mut verdicts = Vec::new();
-        let mut k = 0;
-        while k < routed.len() {
-            let enclave = routed[k].0;
-            let end = k + routed[k..]
-                .iter()
-                .take_while(|(e, _)| *e == enclave)
-                .count();
-            sub.clear();
-            sub.extend(routed[k..end].iter().map(|&(_, i)| pkts[i]));
-            self.enclaves[enclave].in_enclave_thread(|app| {
-                app.process_batch(&sub, &mut verdicts);
-            });
-            for (&(_, i), verdict) in routed[k..end].iter().zip(&verdicts) {
-                results[i] = (verdict.action, Some(enclave));
-            }
-            k = end;
-        }
-        results
-    }
-
-    /// Total misrouted-packet count across enclaves (LB misbehavior
-    /// evidence, §IV-B).
-    pub fn misrouted_total(&self) -> u64 {
-        self.enclaves
-            .iter()
-            .map(|e| e.ecall(|app| app.stats().misrouted))
-            .sum()
-    }
-
-    /// Runs the Fig. 5 master–slave redistribution round.
-    ///
-    /// **Partitioned clusters** ([`launch`](EnclaveCluster::launch)):
-    /// `master` collects every enclave's `(R_i, B_i)`, recomputes the
-    /// partition from measured byte counts, grows/shrinks the pool, and
-    /// installs the new slices.
-    ///
-    /// **Replicated clusters** ([`launch_rss`](EnclaveCluster::launch_rss)
-    /// / [`launch_rss_with`](EnclaveCluster::launch_rss_with)): the same
-    /// master–slave exchange with a replication payoff — byte telemetry is
-    /// aggregated across the replicas, then the *master's* current rule
-    /// set (the one the victim's session churns) is re-installed on every
-    /// slave, so live-dataplane steering invariants hold: any slice keeps
-    /// deciding any flow, strict scoping stays off, and the pool size
-    /// never changes. (Before this branch existed, calling `redistribute`
-    /// on an RSS cluster silently re-partitioned it, breaking the public
-    /// RSS-hash steering of the live sharded path.)
-    ///
-    /// Returns the round report.
-    pub fn redistribute(&mut self, master: usize) -> RedistributionReport {
-        assert!(master < self.enclaves.len(), "master index out of range");
-        self.assert_master_live(master);
-        self.round += 1;
-        if self.replicated {
-            return self.redistribute_replicated(master);
-        }
-
-        // Slaves (and the master itself) report per-rule byte counts over
-        // their attested channels. Local rule order matches the slice's
-        // global-id list recorded at install time, so counts map straight
-        // back to global ids — duplicate rules in the full set each keep
-        // their own bytes instead of aliasing onto the first equal copy.
-        let mut bytes_per_rule = vec![0u64; self.full_ruleset.len()];
-        for (enclave, slice) in self.enclaves.iter().zip(&self.slices) {
-            let report = enclave.ecall(|app| app.rule_bandwidth_report());
-            debug_assert_eq!(report.len(), slice.len(), "slice mapping out of sync");
-            for (&global, bytes) in slice.iter().zip(report.iter()) {
-                bytes_per_rule[global as usize] += bytes;
-            }
-        }
-
-        // Convert byte counts to relative bandwidth (Gb/s scale; absolute
-        // calibration does not change the partition shape).
-        let total_bytes: u64 = bytes_per_rule.iter().sum();
-        let estimates: Vec<f64> = if total_bytes == 0 {
-            vec![1.0; self.full_ruleset.len()]
-        } else {
-            bytes_per_rule
-                .iter()
-                .map(|&b| (b as f64 / total_bytes as f64) * 50.0 + 1e-6)
-                .collect()
-        };
-
-        let instance = Instance::paper_defaults(estimates, 0.2);
-        let start = std::time::Instant::now();
-        let allocation = GreedySolver::default()
-            .solve(&instance)
-            .expect("redistribution feasible");
-        let solve_time = start.elapsed();
-
-        // Grow or shrink the pool (new enclaves must be attested before
-        // receiving rules — modeled by fresh launches).
-        let n = allocation.enclaves.len();
-        while self.enclaves.len() < n {
-            let mut app = FilterEnclaveApp::new(
-                RuleSet::new(),
-                self.secret,
-                self.sketch_seed,
-                self.audit_key,
-            );
-            app.set_strict_scope(true);
-            self.enclaves
-                .push(Arc::new(self.platform.launch(self.image.clone(), app)));
-        }
-        self.enclaves.truncate(n);
-
-        // Install the new slices and reset telemetry, re-recording each
-        // slice's global-id mapping for the next round's aggregation.
-        self.slices = allocation
-            .enclaves
-            .iter()
-            .map(|shares| shares.iter().map(|s| s.rule as RuleId).collect())
-            .collect();
-        for (i, ids) in self.slices.iter().enumerate() {
-            let subset = self.full_ruleset.subset(ids);
-            self.enclaves[i].ecall(|app| {
-                app.install_ruleset(subset.clone());
-                app.reset_rule_counters();
-                // A redistributed cluster is rule-partitioned: the LB must
-                // send each slice only matching flows, so strict scoping
-                // applies to every slice — including ones that started in
-                // an RSS-replicated cluster with scoping off.
-                app.set_strict_scope(true);
-            });
-        }
-        self.lb = LoadBalancer::new(
-            self.full_ruleset.len(),
-            &allocation,
-            n,
-            LoadBalancerBehavior::Honest,
-        );
-        // Rebuilt from attested launches: a fresh table of the new size.
-        self.lifecycle = Arc::new(SliceLifecycle::new(n));
-        if let Some(hub) = &self.telemetry {
-            self.lifecycle.set_telemetry(Arc::clone(hub));
-        }
-
-        RedistributionReport {
-            master,
-            enclaves_used: allocation.used_enclaves(),
-            installations: allocation.installations(),
-            bytes_per_rule,
-            solve_time,
-        }
-    }
-
     /// Aggregates per-rule matched bytes positionally across every
     /// enclave — the replicated cluster's `B_i` view, where every slice's
     /// local rule order is an identity mapping onto the master's global
@@ -847,16 +439,7 @@ impl EnclaveCluster {
     /// behind the master's churn. Victim-side control loops read this
     /// between redistribution rounds to see which rules still match
     /// traffic.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a partitioned cluster, where positional aggregation
-    /// would alias different global rules onto one index.
     pub fn replicated_rule_bytes(&self) -> Vec<u64> {
-        assert!(
-            self.replicated,
-            "positional telemetry aggregation is replicated-only"
-        );
         let mut bytes_per_rule: Vec<u64> = Vec::new();
         // An unpublished slice's counters are unreachable (and stale).
         for i in self.live_slices() {
@@ -904,7 +487,7 @@ impl EnclaveCluster {
     /// every slice and the cluster, the on-lock window is a pointer swap
     /// plus a cache restart (fresh counters ride in with the handle), and
     /// the displaced epoch is handed back out of the lock to be freed here.
-    /// Observable rule semantics match an immediate-churn + replicated
+    /// Observable rule semantics match an immediate-churn +
     /// [`redistribute`](EnclaveCluster::redistribute) round: edits apply
     /// in queue order (installs take the next slot ids), every slice ends
     /// on the identical rule set, hybrid caches flush, and rule telemetry
@@ -926,12 +509,10 @@ impl EnclaveCluster {
     ///
     /// # Panics
     ///
-    /// Panics on a partitioned cluster (publication re-replicates the
-    /// master's rules), an out-of-range or unpublished master, or if the
-    /// master has no slot for `contract`.
+    /// Panics on an out-of-range or unpublished master, or if the master
+    /// has no slot for `contract`.
     pub fn publish_contract(&mut self, master: usize, contract: ContractId) -> PublishReport {
         assert!(master < self.enclaves.len(), "master index out of range");
-        assert!(self.replicated, "epoch publication is replicated-only");
         self.assert_master_live(master);
         let PublishSnapshot {
             tables,
@@ -967,7 +548,8 @@ impl EnclaveCluster {
                 rs.active_len() as u64,
             );
         }
-        self.finish_publication(rs);
+        // The cluster keeps one more handle on the shared tables.
+        self.full_ruleset = rs;
         PublishReport {
             edits: edits.len(),
             installs: new_rule_ids.len(),
@@ -1031,18 +613,6 @@ impl EnclaveCluster {
         (ack_retries, lost)
     }
 
-    /// Post-publication bookkeeping shared by the epoch-swap paths: every
-    /// slice now replicates `rs`, so each slice's id list grows by the new
-    /// slots (nothing to do when the epoch installed none) and the cluster
-    /// keeps one more handle on the shared tables.
-    fn finish_publication(&mut self, rs: RuleSet) {
-        let len = rs.len() as RuleId;
-        for slice in &mut self.slices {
-            slice.extend(slice.len() as RuleId..len);
-        }
-        self.full_ruleset = rs;
-    }
-
     /// A handle on the master's live rule epoch (shared tables, zeroed
     /// counters) — what resync and re-replication install elsewhere.
     fn master_epoch(&self, master: usize) -> RuleSet {
@@ -1097,9 +667,19 @@ impl EnclaveCluster {
             .collect()
     }
 
-    /// The replicated-mode redistribution round (see
-    /// [`redistribute`](EnclaveCluster::redistribute)).
-    fn redistribute_replicated(&mut self, master: usize) -> RedistributionReport {
+    /// Runs the Fig. 5 master–slave exchange on the replicated pool: byte
+    /// telemetry is aggregated across the live replicas, then the
+    /// *master's* current rule set (the one the victims' sessions churn)
+    /// is re-installed on every live slave. Any slice keeps deciding any
+    /// flow, strict scoping stays off, and the pool size never changes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `master` is out of range or not live.
+    pub fn redistribute(&mut self, master: usize) -> RedistributionReport {
+        assert!(master < self.enclaves.len(), "master index out of range");
+        self.assert_master_live(master);
+        self.round += 1;
         // The master's rule set is authoritative: it is where the victim's
         // session installs and withdrawals land.
         let master_rules = self.master_epoch(master);
@@ -1119,7 +699,7 @@ impl EnclaveCluster {
             }
         }
         let installations = master_rules.active_len() * self.live_len();
-        self.finish_publication(master_rules);
+        self.full_ruleset = master_rules;
 
         RedistributionReport {
             master,
@@ -1160,9 +740,9 @@ impl EnclaveCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::{FilterRule, FlowPattern};
+    use crate::rules::{FilterRule, FlowPattern, RuleAction};
     use vif_dataplane::lifecycle::PROBATION_ROUNDS;
-    use vif_dataplane::Protocol;
+    use vif_dataplane::{FiveTuple, Protocol};
     use vif_sgx::{AttestationRootKey, EpcConfig};
     use vif_trie::Ipv4Prefix;
 
@@ -1179,20 +759,22 @@ mod tests {
         }))
     }
 
-    fn cluster(k: usize, behavior: LoadBalancerBehavior) -> EnclaveCluster {
-        let root = AttestationRootKey::new([1u8; 32]);
-        let platform = SgxPlatform::new(1, EpcConfig::paper_default(), &root);
-        let image = EnclaveImage::new("vif", 1, vec![0; 256]);
-        EnclaveCluster::launch(
-            platform,
-            image,
-            ruleset(k),
-            vec![50.0 / k as f64; k],
-            [7u8; 32],
-            99,
-            [8u8; 32],
-            behavior,
-        )
+    /// Decides one packet where the service would: the public RSS hash,
+    /// re-steered by the lifecycle if its home slice is not steered.
+    fn dispatch(c: &EnclaveCluster, t: &FiveTuple, wire_bytes: u64) -> (RuleAction, usize) {
+        let home = vif_dataplane::shard_of(t, c.len());
+        let i = c.lifecycle().steer(t.tuple_fingerprint(), home);
+        let action = c.enclaves()[i].in_enclave_thread(|app| app.process(t, wire_bytes).action);
+        (action, i)
+    }
+
+    /// Strict-scope misroutes across every slice (always zero here: the
+    /// replicated pool runs with strict scope off).
+    fn misrouted(c: &EnclaveCluster) -> u64 {
+        c.enclaves()
+            .iter()
+            .map(|e| e.ecall(|app| app.stats().misrouted))
+            .sum()
     }
 
     fn attack_tuple(rule: u32, flow: u32) -> FiveTuple {
@@ -1223,179 +805,6 @@ mod tests {
     }
 
     #[test]
-    fn cluster_sized_by_bandwidth() {
-        // 50 Gb/s over 10 Gb/s enclaves: at least 5 (λ=0.2 -> 6).
-        let c = cluster(100, LoadBalancerBehavior::Honest);
-        assert!(c.len() >= 5, "only {} enclaves", c.len());
-    }
-
-    #[test]
-    fn honest_lb_no_misroutes_and_drops_matching_flows() {
-        let c = cluster(50, LoadBalancerBehavior::Honest);
-        for r in 0..50 {
-            for f in 0..4 {
-                let (action, enclave) = c.process(&attack_tuple(r, f), 500);
-                assert_eq!(action, RuleAction::Drop, "rule {r} flow {f}");
-                assert!(enclave.is_some());
-            }
-        }
-        assert_eq!(c.misrouted_total(), 0);
-    }
-
-    #[test]
-    fn connection_preserving_dispatch() {
-        let c = cluster(20, LoadBalancerBehavior::Honest);
-        for r in 0..20 {
-            let t = attack_tuple(r, 1);
-            let (_, first) = c.process(&t, 64);
-            for _ in 0..5 {
-                let (_, again) = c.process(&t, 64);
-                assert_eq!(first, again, "flow moved enclaves");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_process_matches_per_packet() {
-        let batched = cluster(30, LoadBalancerBehavior::Honest);
-        let single = cluster(30, LoadBalancerBehavior::Honest);
-        let pkts: Vec<(FiveTuple, u64)> = (0..30)
-            .flat_map(|r| (0..5).map(move |f| (attack_tuple(r, f), 64u64)))
-            .collect();
-        let got = batched.process_batch(&pkts);
-        let want: Vec<_> = pkts.iter().map(|(t, w)| single.process(t, *w)).collect();
-        assert_eq!(got, want);
-        // Same per-enclave log state: batching only regroups the work.
-        for (a, b) in batched.enclaves().iter().zip(single.enclaves()) {
-            assert_eq!(
-                a.ecall(|app| app.logs_of(0).incoming().total()),
-                b.ecall(|app| app.logs_of(0).incoming().total())
-            );
-            assert_eq!(a.ecall(|app| app.stats()), b.ecall(|app| app.stats()));
-        }
-    }
-
-    #[test]
-    fn misrouting_lb_detected() {
-        let c = cluster(50, LoadBalancerBehavior::MisrouteFraction(0.5));
-        for r in 0..50 {
-            for f in 0..10 {
-                c.process(&attack_tuple(r, f), 64);
-            }
-        }
-        assert!(
-            c.misrouted_total() > 0,
-            "strict-scope enclaves should catch misrouted flows"
-        );
-    }
-
-    #[test]
-    fn dropping_lb_starves_enclave_logs() {
-        let c = cluster(20, LoadBalancerBehavior::DropFraction(0.5));
-        let mut lb_dropped = 0;
-        let total = 400;
-        for r in 0..20 {
-            for f in 0..20 {
-                let (_, enclave) = c.process(&attack_tuple(r, f), 64);
-                if enclave.is_none() {
-                    lb_dropped += 1;
-                }
-            }
-        }
-        assert!(lb_dropped > total / 5, "only {lb_dropped} LB drops");
-        // The enclaves' incoming logs saw fewer packets than offered —
-        // exactly what neighbor verifiers detect as drop-before-filter.
-        let logged: u64 = c
-            .enclaves()
-            .iter()
-            .map(|e| e.ecall(|a| a.logs_of(0).incoming().total()))
-            .sum();
-        assert_eq!(logged, total - lb_dropped);
-    }
-
-    #[test]
-    fn redistribution_rebalances_by_measured_load() {
-        let mut c = cluster(40, LoadBalancerBehavior::Honest);
-        // Rule 0 carries almost all traffic.
-        for f in 0..2000 {
-            c.process(&attack_tuple(0, f), 1500);
-        }
-        for r in 1..40 {
-            c.process(&attack_tuple(r, 0), 64);
-        }
-        let report = c.redistribute(0);
-        assert_eq!(c.round(), 1);
-        assert!(report.enclaves_used >= 1);
-        assert!(report.installations >= 40, "every rule must stay installed");
-        // All rules still enforced after redistribution.
-        for r in 0..40 {
-            let (action, _) = c.process(&attack_tuple(r, 7), 64);
-            assert_eq!(action, RuleAction::Drop, "rule {r} lost in redistribution");
-        }
-        assert_eq!(
-            c.misrouted_total(),
-            0,
-            "post-redistribution routing consistent"
-        );
-    }
-
-    #[test]
-    fn duplicate_rules_keep_separate_byte_counts() {
-        // Two *identical* drop rules whose bandwidth forces them onto
-        // different enclaves (6 + 6 Gb/s over 10 Gb/s slices).
-        let dup = FilterRule::drop(FlowPattern::prefixes(
-            "10.0.0.0/24".parse().unwrap(),
-            victim(),
-        ));
-        let root = AttestationRootKey::new([1u8; 32]);
-        let platform = SgxPlatform::new(1, EpcConfig::paper_default(), &root);
-        let image = EnclaveImage::new("vif", 1, vec![0; 64]);
-        let mut c = EnclaveCluster::launch(
-            platform,
-            image,
-            RuleSet::from_rules(vec![dup, dup]),
-            vec![6.0, 6.0],
-            [7u8; 32],
-            99,
-            [8u8; 32],
-            LoadBalancerBehavior::Honest,
-        );
-        // Find the enclave whose slice is exactly the *second* copy and
-        // deliver matching traffic straight to it (a first-match balancer
-        // never routes there on its own — only slice tracking can
-        // attribute its measurements correctly).
-        let holder = c
-            .slices()
-            .iter()
-            .position(|s| s == &vec![1 as RuleId])
-            .expect("second copy on its own enclave");
-        let t = FiveTuple::new(
-            0x0a000007,
-            u32::from_be_bytes([203, 0, 113, 1]),
-            5,
-            80,
-            Protocol::Udp,
-        );
-        for _ in 0..4 {
-            c.enclaves()[holder].in_enclave_thread(|app| app.process(&t, 1000));
-        }
-        let report = c.redistribute(0);
-        // Regression: equality-based id recovery credited these bytes to
-        // the first copy (global id 0), starving the copy that actually
-        // carried the traffic at re-partition time.
-        assert_eq!(report.bytes_per_rule, vec![0, 4000]);
-        // Both copies stay installed after the re-partition.
-        assert_eq!(
-            c.slices().iter().flatten().count(),
-            report.installations,
-            "slice mapping tracks the new allocation"
-        );
-        let installed: std::collections::HashSet<RuleId> =
-            c.slices().iter().flatten().copied().collect();
-        assert!(installed.contains(&0) && installed.contains(&1));
-    }
-
-    #[test]
     fn rss_cluster_replicates_rules_and_preserves_connections() {
         let root = AttestationRootKey::new([3u8; 32]);
         let platform = SgxPlatform::new(2, EpcConfig::paper_default(), &root);
@@ -1403,21 +812,16 @@ mod tests {
         let c =
             EnclaveCluster::launch_rss(platform, image, ruleset(10), 4, [7u8; 32], 99, [8u8; 32]);
         assert_eq!(c.len(), 4);
-        // Every slice holds the full rule set.
-        for slice in c.slices() {
-            assert_eq!(slice.len(), 10);
+        // Every slice holds the full rule set, so matching traffic is
+        // dropped wherever the public RSS hash lands it.
+        for e in c.enclaves() {
+            assert_eq!(e.ecall(|app| app.ruleset().len()), 10);
         }
-        // Matching traffic is dropped wherever it lands, and dispatch is
-        // flow-stable and consistent with the public RSS hash.
         for r in 0..10 {
-            let t = attack_tuple(r, 1);
-            let (action, enclave) = c.process(&t, 64);
+            let (action, _) = dispatch(&c, &attack_tuple(r, 1), 64);
             assert_eq!(action, RuleAction::Drop);
-            assert_eq!(enclave, Some(vif_dataplane::shard_of(&t, 4)));
-            let (_, again) = c.process(&t, 64);
-            assert_eq!(enclave, again);
         }
-        assert_eq!(c.misrouted_total(), 0);
+        assert_eq!(misrouted(&c), 0);
     }
 
     #[test]
@@ -1427,11 +831,10 @@ mod tests {
         let image = EnclaveImage::new("vif", 1, vec![0; 64]);
         let mut c =
             EnclaveCluster::launch_rss(platform, image, ruleset(4), 3, [7u8; 32], 99, [8u8; 32]);
-        assert!(c.replicated());
         // Traffic lands on every replica; telemetry aggregates across them.
         for r in 0..4 {
             for f in 0..6 {
-                let (action, _) = c.process(&attack_tuple(r, f), 100);
+                let (action, _) = dispatch(&c, &attack_tuple(r, f), 100);
                 assert_eq!(action, RuleAction::Drop);
             }
         }
@@ -1474,10 +877,10 @@ mod tests {
             assert_eq!(nd, RuleAction::Drop, "new rule missing on a replica");
         }
         // Replication invariants: full slices, no strict-scope misroutes.
-        for slice in c.slices() {
-            assert_eq!(slice.len(), c.ruleset().len());
+        for e in c.enclaves() {
+            assert_eq!(e.ecall(|app| app.ruleset().len()), c.ruleset().len());
         }
-        assert_eq!(c.misrouted_total(), 0);
+        assert_eq!(misrouted(&c), 0);
     }
 
     fn rss_cluster(rules: usize, n: usize) -> EnclaveCluster {
@@ -1525,14 +928,14 @@ mod tests {
         for r in 0..6 {
             for f in 0..8 {
                 let t = attack_tuple(r, f);
-                let (_, enclave) = c.process(&t, 64);
+                let (_, enclave) = dispatch(&c, &t, 64);
                 let home = vif_dataplane::shard_of(&t, 3);
                 let expect = if home == 2 {
                     [0, 1][vif_dataplane::shard_of_fingerprint(t.tuple_fingerprint(), 2)]
                 } else {
                     home
                 };
-                assert_eq!(enclave, Some(expect), "rule {r} flow {f}");
+                assert_eq!(enclave, expect, "rule {r} flow {f}");
             }
         }
         // Telemetry aggregation ignores the dead slice's stale counters.
@@ -1655,7 +1058,7 @@ mod tests {
         // ...dispatch keeps failing over while it serves its probation...
         for r in 0..6 {
             let t = attack_tuple(r, 0);
-            assert_ne!(c.process(&t, 64).1, Some(2), "probation slice steered");
+            assert_ne!(dispatch(&c, &t, 64).1, 2, "probation slice steered");
         }
         // ...and once every auditing tenant has voted it clean for the
         // whole window, steers home shards onto it again, byte-identical
@@ -1670,10 +1073,10 @@ mod tests {
         for r in 0..6 {
             for f in 0..8 {
                 let t = attack_tuple(r, f);
-                let (_, enclave) = c.process(&t, 64);
+                let (_, enclave) = dispatch(&c, &t, 64);
                 assert_eq!(
                     enclave,
-                    Some(vif_dataplane::shard_of(&t, 3)),
+                    vif_dataplane::shard_of(&t, 3),
                     "rule {r} flow {f} not steered home"
                 );
             }
@@ -1754,7 +1157,7 @@ mod tests {
         assert_eq!(c.live_len(), 0);
         let t = attack_tuple(0, 1);
         let home = vif_dataplane::shard_of(&t, 2);
-        assert_eq!(c.process(&t, 64).1, Some(home), "steering stays total");
+        assert_eq!(dispatch(&c, &t, 64).1, home, "steering stays total");
         c.relaunch_slice(1);
         c.resync_slice(0, 1);
     }
@@ -1765,20 +1168,5 @@ mod tests {
         let mut c = rss_cluster(2, 2);
         c.quarantine_slice(0);
         c.publish_contract(0, 0);
-    }
-
-    #[test]
-    fn unmatched_traffic_default_allowed() {
-        let c = cluster(10, LoadBalancerBehavior::Honest);
-        let benign = FiveTuple::new(
-            u32::from_be_bytes([9, 9, 9, 9]),
-            u32::from_be_bytes([203, 0, 113, 1]),
-            1,
-            80,
-            Protocol::Tcp,
-        );
-        let (action, enclave) = c.process(&benign, 64);
-        assert_eq!(action, RuleAction::Allow);
-        assert!(enclave.is_some());
     }
 }

@@ -3,25 +3,25 @@
 //! The paper's Fig. 6 pipeline has one filter thread; the §IV scale-out
 //! architecture runs `N` of them on real threads
 //! ([`crate::service::DataplaneService`]). One RX thread RSS-hashes each
-//! flow onto one of `N` per-worker rings — the same
-//! [`fingerprint`](vif_sketch::hash::fingerprint)-based steering the
-//! scale-out load balancer uses for split rules, so flow → worker
-//! assignment is deterministic and connection preserving. Each worker owns
-//! its own [`PacketStage`](crate::pipeline::PacketStage) (in deployments,
-//! one enclave slice of an `EnclaveCluster`), drains its ring in bursts,
-//! and pushes forwarded packets onto a shared TX ring that a single TX
-//! thread drains into the caller's sink.
+//! flow onto one of `N` per-worker rings with the public
+//! [`fingerprint`](vif_sketch::hash::fingerprint)-based [`shard_of`], so
+//! flow → worker assignment is deterministic and connection preserving.
+//! Each worker owns its own [`PacketStage`](crate::pipeline::PacketStage)
+//! (in deployments, one enclave slice of `vif-core`'s replicated
+//! `EnclaveCluster`), drains its ring in bursts, and pushes forwarded
+//! packets onto a shared TX ring that a single TX thread drains into the
+//! caller's sink.
 //!
 //! Flow-hash (RSS) steering sends a flow to a worker *independently of
 //! which rules it matches*, so each worker's stage must be able to decide
 //! any flow — in enclave terms, every slice holds the full rule set
-//! (replication trades EPC for steering simplicity; contrast with the
-//! rule-partitioned steering of `vif-core`'s `LoadBalancer`, which needs
-//! the full rule map to route). Because steering is a public deterministic
-//! function of the five tuple ([`shard_of`]), verifiers can attribute every
-//! packet to its slice and audit each slice's logs independently — which is
-//! what lets bypass *and* misroute detection work per worker over this
-//! live path (see `vif-core`'s `ClusterRoundDriver`).
+//! (replication trades EPC for steering simplicity). Because steering is a
+//! public deterministic function of the five tuple, verifiers can attribute
+//! every packet to its slice and audit each slice's logs independently —
+//! which is what lets bypass *and* misroute detection work per worker over
+//! this live path (see `vif-core`'s `ClusterRoundDriver`). Failover
+//! re-steers through [`SliceLifecycle::steer`](crate::SliceLifecycle::steer),
+//! the one steering function for slices that are not steered.
 //!
 //! The threads, rings and round barrier live in [`crate::service`]; this
 //! module holds what the audit layer shares with it: the public steering
@@ -29,9 +29,8 @@
 
 /// RSS steering: the worker that owns `t`'s flow in an `n`-way shard.
 ///
-/// Deterministic in the five tuple (connection preserving) and identical to
-/// the hash the untrusted load balancer applies to unpinned flows, so a
-/// verifier can recompute the packet → slice attribution offline.
+/// Deterministic in the five tuple (connection preserving) and public, so
+/// a verifier can recompute the packet → slice attribution offline.
 ///
 /// Exactly [`shard_of_fingerprint`] over
 /// [`FiveTuple::tuple_fingerprint`](crate::packet::FiveTuple::tuple_fingerprint);

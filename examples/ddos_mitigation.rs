@@ -21,10 +21,24 @@ use std::sync::{Arc, Mutex};
 use vif::core::logs::PacketFingerprints;
 use vif::core::prelude::*;
 use vif::dataplane::{
-    shard_of, shard_of_fingerprint, DataplaneService, FlowSet, ServiceConfig, TrafficConfig,
-    TrafficGenerator,
+    shard_of, shard_of_fingerprint, DataplaneService, FlowSet, ServiceConfig, ServiceHandle,
+    ThreadedReport, TrafficConfig, TrafficGenerator,
 };
 use vif::sgx::{AttestationRootKey, AttestationService, EnclaveImage, EpcConfig, SgxPlatform};
+
+/// Offers `packets` as one audit round, at most half a ring per flush. A
+/// ring that fills counts the packet as `overflow`, which the neighbor
+/// audit reads as a drop before the filter: an honest round must have none.
+fn offer_round<R: FnMut(&FiveTuple) -> usize>(
+    svc: &mut ServiceHandle<'_, '_, R>,
+    packets: &[Packet],
+) -> ThreadedReport {
+    let mut total = ThreadedReport::default();
+    for chunk in packets.chunks(ServiceConfig::default().ring_capacity / 2) {
+        total += svc.round(chunk).total();
+    }
+    total
+}
 
 fn main() {
     // --- the world -------------------------------------------------------
@@ -141,7 +155,7 @@ fn main() {
                     .neighbor_verifier_mut(shard_of_fingerprint(fp.tuple, 1))
                     .observe_fingerprint(fp.src_ip);
             }
-            let honest = svc.round(&traffic).total();
+            let honest = offer_round(svc, &traffic);
             for t in delivered.lock().unwrap().drain(..) {
                 let fp = PacketFingerprints::of(&t);
                 driver
@@ -150,11 +164,13 @@ fn main() {
             }
             let outcome = driver.close_round().expect("authentic logs");
             println!(
-                "honest round: {} filtered, {} reached victim, bypass detected = {}",
+                "honest round: {} filtered, {} reached victim, {} overflow, bypass detected = {}",
                 honest.filtered,
                 honest.forwarded,
+                honest.overflow,
                 outcome.dirty()
             );
+            assert_eq!(honest.overflow, 0, "the honest round filled a ring");
             assert!(!outcome.dirty());
 
             // --- round 2: malicious operator ------------------------------
@@ -177,7 +193,7 @@ fn main() {
                 .filter(|(i, _)| i % 10 >= 3)
                 .map(|(_, p)| *p)
                 .collect();
-            svc.round(&presented);
+            offer_round(svc, &presented);
             // Injection around the filter: spoofed packets appear at the
             // victim without ever transiting the enclave.
             let spoofed = FiveTuple::new(

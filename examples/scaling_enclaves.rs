@@ -1,16 +1,17 @@
 //! Scale-out: filtering 100 Gb/s with a pool of 10 Gb/s enclaves (§IV).
 //!
-//! Shows the multi-enclave architecture end to end: greedy rule
+//! Shows the paper's rule-partitioned pool end to end: greedy rule
 //! distribution, connection-preserving dispatch through the untrusted load
 //! balancer, detection of a misbehaving load balancer, and a Fig. 5
-//! master–slave redistribution round after the traffic mix shifts.
+//! master–slave repartition round after the traffic mix shifts. (The live
+//! service runs the replicated `EnclaveCluster` instead.)
 //!
 //! ```text
 //! cargo run --release --example scaling_enclaves
 //! ```
 
 use vif::core::prelude::*;
-use vif::core::scale::Dispatch;
+use vif::core::scale::partitioned::{LoadBalancerBehavior, PartitionedPool};
 use vif::sgx::{AttestationRootKey, EnclaveImage, EpcConfig, SgxPlatform};
 
 fn attack_tuple(rule: u32, flow: u32) -> FiveTuple {
@@ -39,7 +40,7 @@ fn main() {
     let platform = SgxPlatform::new(2002, EpcConfig::paper_default(), &root);
     let image = EnclaveImage::new("vif-filter", 1, vec![0x90; 1 << 20]);
 
-    let cluster = EnclaveCluster::launch(
+    let mut cluster = PartitionedPool::launch(
         platform,
         image,
         ruleset,
@@ -51,7 +52,7 @@ fn main() {
     );
     println!(
         "cluster: {} enclaves for {k} rules / 100 Gb/s (per-enclave caps: 10 Gb/s, EPC 92 MB)",
-        cluster.len()
+        cluster.enclaves().len()
     );
 
     // --- steady state ------------------------------------------------------
@@ -68,11 +69,10 @@ fn main() {
     assert_eq!(cluster.misrouted_total(), 0);
 
     // --- the traffic mix shifts: rule 0 becomes an elephant -----------------
-    let mut cluster = cluster;
     for f in 0..5000u32 {
         cluster.process(&attack_tuple(0, f), 1500);
     }
-    let report = cluster.redistribute(0);
+    let report = cluster.repartition(0);
     println!(
         "redistribution (Fig. 5): master=E{}, {} enclaves in use, {} installations, solved in {:?}",
         report.master, report.enclaves_used, report.installations, report.solve_time
@@ -98,7 +98,7 @@ fn main() {
             victim,
         ))
     }));
-    let evil = EnclaveCluster::launch(
+    let evil = PartitionedPool::launch(
         platform,
         image,
         ruleset,
@@ -118,6 +118,5 @@ fn main() {
         evil.misrouted_total()
     );
     assert!(evil.misrouted_total() > 0);
-    let _ = Dispatch::Dropped; // (re-exported type used in library tests)
     println!("OK: untrusted-component misbehavior is detectable from inside the enclaves.");
 }
