@@ -12,10 +12,10 @@
 //! - `record_off/32`: one full service round (offer → shard → filter →
 //!   TX → barrier, burst 32, 2 workers) with no telemetry hub attached —
 //!   the baseline the overhead is priced against;
-//! - `record_on/32`: the identical round with a [`TelemetryHub`] wired
-//!   end to end — per-packet `WorkerScratch` recording in the workers,
-//!   per-batch cost histograms through [`RecordingStage`], counter
-//!   merges and a flight-recorder event at every flush barrier;
+//! - `record_on/32`: the identical round with a [`TelemetryHub`]
+//!   attached to the service — per-packet `WorkerScratch` recording in
+//!   the workers, counter merges and a flight-recorder event at every
+//!   flush barrier; the stages are the same plain enclave stages;
 //! - `flight_event`: one [`FlightRecorder::record`] (ring write, no
 //!   allocation) — the unit cost of a control-plane event;
 //! - `histogram_record`: one [`Histogram::record`] (log2 bucket add) —
@@ -28,7 +28,7 @@ use vif_bench::experiments::host_rules;
 use vif_core::cost::FilterMode;
 use vif_core::enclave_app::{EnclaveFilterStage, FilterEnclaveApp};
 use vif_core::ruleset::RuleSet;
-use vif_dataplane::{shard_of, DataplaneService, FiveTuple, Packet, RecordingStage, ServiceConfig};
+use vif_dataplane::{shard_of, DataplaneService, FiveTuple, Packet, ServiceConfig};
 use vif_sgx::{AttestationRootKey, EnclaveImage, EpcConfig, SgxPlatform};
 use vif_telemetry::{Event, EventKind, FlightRecorder, Histogram, TelemetryHub};
 
@@ -91,19 +91,12 @@ fn bench(c: &mut Criterion) {
         },
     );
 
-    // --- recording ON: identical round, hub wired end to end ------------
+    // --- recording ON: identical round, hub attached to the service -----
     let (_platform, encl) = enclaves(&rs);
     let hub = Arc::new(TelemetryHub::for_workers(WORKERS));
-    let stages: Vec<RecordingStage<EnclaveFilterStage>> = encl
+    let stages: Vec<EnclaveFilterStage> = encl
         .iter()
-        .enumerate()
-        .map(|(w, e)| {
-            RecordingStage::new(
-                EnclaveFilterStage::new(Arc::clone(e), FilterMode::SgxNearZeroCopy),
-                Arc::clone(&hub),
-                w,
-            )
-        })
+        .map(|e| EnclaveFilterStage::new(Arc::clone(e), FilterMode::SgxNearZeroCopy))
         .collect();
     let service = DataplaneService::new(ServiceConfig {
         ring_capacity: 1 << 12,

@@ -1,9 +1,9 @@
 //! Ablations of the design choices DESIGN.md calls out.
 
 use super::{host_rules, launch_filter, render_table, saturating_traffic, victim_prefix};
-use vif_core::cost::{CostModel, FilterMode};
+use crate::model::{run_enclave, CostModel};
+use vif_core::cost::FilterMode;
 use vif_core::prelude::*;
-use vif_dataplane::{pipeline, PipelineConfig};
 use vif_optimizer::greedy::GreedySolver;
 use vif_optimizer::instances::lognormal_instance;
 use vif_sketch::{compare, CountMinSketch, SketchConfig};
@@ -44,8 +44,8 @@ pub fn ablation_copy(duration_ms: u64) -> String {
             let (ruleset, flows) = host_rules(3000, 42);
             let enclave = launch_filter(ruleset);
             let traffic = saturating_traffic(&flows, 64, duration_ms, 17);
-            let mut stage = EnclaveFilterStage::new(enclave, mode).with_cost_model(cost);
-            let report = pipeline::run(&traffic, &mut stage, &PipelineConfig::default());
+            let mut stage = EnclaveFilterStage::new(enclave, mode);
+            let report = run_enclave(&traffic, &mut stage, &cost);
             vec![
                 name.to_string(),
                 format!("{:.2}", report.throughput_mpps()),

@@ -2,12 +2,12 @@
 //! Table II.
 
 use super::{host_rules, launch_filter, render_table, saturating_traffic, victim_prefix};
+use crate::model::{run_enclave, CostModel};
 use std::sync::Arc;
 use vif_core::cost::FilterMode;
 use vif_core::prelude::*;
 use vif_dataplane::{
-    pipeline, shard_of, DataplaneService, FlowSet, PipelineConfig, ServiceConfig, TrafficConfig,
-    TrafficGenerator,
+    shard_of, DataplaneService, FlowSet, ServiceConfig, TrafficConfig, TrafficGenerator,
 };
 use vif_sgx::{AttestationRootKey, EnclaveImage, EpcConfig, SgxPlatform};
 use vif_trie::{Ipv4Prefix, MultiBitTrie};
@@ -42,7 +42,7 @@ pub fn fig3_sweep(duration_ms: u64) -> Vec<Fig3Point> {
                 enclave.in_enclave_thread(|app| app.table_bytes()) as f64 / (1 << 20) as f64;
             let traffic = saturating_traffic(&flows, 64, duration_ms, 7);
             let mut stage = EnclaveFilterStage::new(enclave, FilterMode::SgxNearZeroCopy);
-            let report = pipeline::run(&traffic, &mut stage, &PipelineConfig::default());
+            let report = run_enclave(&traffic, &mut stage, &CostModel::paper_default());
             Fig3Point {
                 rules: k,
                 throughput_mpps: report.throughput_mpps(),
@@ -107,7 +107,7 @@ pub fn fig8_sweep(duration_ms: u64) -> Vec<ThroughputPoint> {
             let enclave = launch_filter(ruleset);
             let traffic = saturating_traffic(&flows, size, duration_ms, 9);
             let mut stage = EnclaveFilterStage::new(enclave, mode);
-            let report = pipeline::run(&traffic, &mut stage, &PipelineConfig::default());
+            let report = run_enclave(&traffic, &mut stage, &CostModel::paper_default());
             out.push(ThroughputPoint {
                 size,
                 mode,
@@ -189,7 +189,7 @@ pub fn latency(duration_ms: u64) -> String {
             let traffic = TrafficGenerator::new(3)
                 .generate(&flows, TrafficConfig::at_rate(size, 8.0, duration_ms));
             let mut stage = EnclaveFilterStage::new(enclave, FilterMode::SgxNearZeroCopy);
-            let report = pipeline::run(&traffic, &mut stage, &PipelineConfig::default());
+            let report = run_enclave(&traffic, &mut stage, &CostModel::paper_default());
             vec![
                 size.to_string(),
                 format!("{:.1}", report.mean_latency_ns() / 1e3),
@@ -235,7 +235,7 @@ pub fn fig14(duration_ms: u64) -> String {
             });
             let traffic = saturating_traffic(&flows, size, duration_ms, 11);
             let mut stage = EnclaveFilterStage::new(enclave, FilterMode::SgxNearZeroCopy);
-            let report = pipeline::run(&traffic, &mut stage, &PipelineConfig::default());
+            let report = run_enclave(&traffic, &mut stage, &CostModel::paper_default());
             row.push(format!("{:.2}", report.wire_throughput_gbps()));
         }
         rows.push(row);

@@ -10,11 +10,15 @@
 //! `ablation-lambda`, `ablation-sketch`, or `all`. Each report prints the measured values
 //! next to the paper's where the paper states them; see the repository
 //! `README.md` for how the experiments map onto the crates.
+//!
+//! The throughput and latency figures run the calibrated testbed model of
+//! [`model`] in virtual time; the serving crates carry no part of it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
 pub mod harness;
+pub mod model;
 
 pub use harness::{run_experiment, ExperimentId, ALL_EXPERIMENTS};

@@ -3,11 +3,11 @@
 //! [`FilterEnclaveApp`] is the protected state of a
 //! [`vif_sgx::Enclave`]`<FilterEnclaveApp>`: rules, packet logs, channel
 //! secrets, and counters. [`EnclaveFilterStage`] adapts it to the
-//! data-plane pipeline with the calibrated cost model, standing in for the
-//! filter thread pinned to a CPU core in the paper's Fig. 6.
+//! dataplane's [`PacketStage`] seam, standing in for the filter thread
+//! pinned to a CPU core in the paper's Fig. 6.
 
 use crate::backend::FilterBackend;
-use crate::cost::{CostModel, FilterMode};
+use crate::cost::FilterMode;
 use crate::filter::{DecisionPath, StatelessFilter, Verdict};
 use crate::hybrid::HybridFilter;
 use crate::logs::{AuthenticatedSketch, LogDirection, PacketFingerprints, PacketLogs};
@@ -20,7 +20,7 @@ use vif_crypto::channel::SecureChannel;
 use vif_crypto::dh::{DhError, DhGroup, DhKeyPair};
 use vif_crypto::hmac::HmacSha256;
 use vif_dataplane::{FiveTuple, Packet, PacketStage, StageOutcome, StageVerdict};
-use vif_sgx::{Enclave, EpcConfig};
+use vif_sgx::Enclave;
 use vif_trie::Ipv4Prefix;
 
 /// Identifies one victim's filtering contract within a shared deployment.
@@ -929,16 +929,15 @@ impl FilterEnclaveApp {
     }
 }
 
-/// Adapts an enclave-hosted filter app to the data-plane pipeline.
+/// Adapts an enclave-hosted filter app to the dataplane's [`PacketStage`]
+/// seam.
 ///
-/// Each call models the in-enclave filter thread taking one packet from
-/// the RX ring (no per-packet ECalls/OCalls, §V-A); the simulated cost
-/// comes from the calibrated [`CostModel`].
+/// Each burst models the in-enclave filter thread taking packets from the
+/// RX ring (no per-packet ECalls/OCalls, §V-A). The stage returns verdicts
+/// and whether each took the hash path; it prices nothing.
 pub struct EnclaveFilterStage {
     enclave: Arc<Enclave<FilterEnclaveApp>>,
     mode: FilterMode,
-    cost: CostModel,
-    epc: EpcConfig,
     /// Reused burst buffers (tuples in, verdicts out).
     scratch: Vec<(FiveTuple, u64)>,
     verdicts: Vec<Verdict>,
@@ -947,32 +946,32 @@ pub struct EnclaveFilterStage {
 impl EnclaveFilterStage {
     /// Creates the stage.
     pub fn new(enclave: Arc<Enclave<FilterEnclaveApp>>, mode: FilterMode) -> Self {
-        let epc = EpcConfig::paper_default();
         EnclaveFilterStage {
             enclave,
             mode,
-            cost: CostModel::paper_default(),
-            epc,
             scratch: Vec::new(),
             verdicts: Vec::new(),
         }
     }
 
-    /// Overrides the cost model.
-    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    /// Overrides the EPC configuration.
-    pub fn with_epc(mut self, epc: EpcConfig) -> Self {
-        self.epc = epc;
-        self
+    /// The filter implementation variant this stage stands for.
+    pub fn mode(&self) -> FilterMode {
+        self.mode
     }
 
     /// The wrapped enclave.
     pub fn enclave(&self) -> &Arc<Enclave<FilterEnclaveApp>> {
         &self.enclave
+    }
+}
+
+fn outcome(verdict: &Verdict) -> StageOutcome {
+    StageOutcome {
+        verdict: match verdict.action {
+            RuleAction::Allow => StageVerdict::Forward,
+            RuleAction::Drop => StageVerdict::Drop,
+        },
+        hashed: verdict.path == DecisionPath::HashBased,
     }
 }
 
@@ -987,42 +986,16 @@ impl PacketStage for EnclaveFilterStage {
             .extend(pkts.iter().map(|p| (p.tuple, p.wire_size as u64)));
         let scratch = &self.scratch;
         let verdicts = &mut self.verdicts;
-        let table_bytes = self.enclave.in_enclave_thread(|app| {
-            app.process_batch(scratch, verdicts);
-            app.table_bytes()
-        });
-        out.reserve(pkts.len());
-        for (pkt, verdict) in pkts.iter().zip(&self.verdicts) {
-            let hashed = verdict.path == DecisionPath::HashBased;
-            let cost_ns =
-                self.cost
-                    .packet_cost_ns(self.mode, pkt.wire_size, table_bytes, hashed, &self.epc);
-            out.push(StageOutcome {
-                verdict: match verdict.action {
-                    RuleAction::Allow => StageVerdict::Forward,
-                    RuleAction::Drop => StageVerdict::Drop,
-                },
-                cost_ns,
-            });
-        }
+        self.enclave
+            .in_enclave_thread(|app| app.process_batch(scratch, verdicts));
+        out.extend(self.verdicts.iter().map(outcome));
     }
 
     fn process(&mut self, pkt: &Packet) -> StageOutcome {
-        let (verdict, table_bytes) = self.enclave.in_enclave_thread(|app| {
-            let v = app.process(&pkt.tuple, pkt.wire_size as u64);
-            (v, app.table_bytes())
-        });
-        let hashed = verdict.path == DecisionPath::HashBased;
-        let cost_ns =
-            self.cost
-                .packet_cost_ns(self.mode, pkt.wire_size, table_bytes, hashed, &self.epc);
-        StageOutcome {
-            verdict: match verdict.action {
-                RuleAction::Allow => StageVerdict::Forward,
-                RuleAction::Drop => StageVerdict::Drop,
-            },
-            cost_ns,
-        }
+        let verdict = self
+            .enclave
+            .in_enclave_thread(|app| app.process(&pkt.tuple, pkt.wire_size as u64));
+        outcome(&verdict)
     }
 
     fn name(&self) -> &str {
@@ -1035,7 +1008,7 @@ mod tests {
     use super::*;
     use crate::rules::{FilterRule, FlowPattern};
     use vif_dataplane::Protocol;
-    use vif_sgx::{AttestationRootKey, EnclaveImage, SgxPlatform};
+    use vif_sgx::{AttestationRootKey, EnclaveImage, EpcConfig, SgxPlatform};
 
     fn victim_rules() -> RuleSet {
         RuleSet::from_rules(vec![FilterRule::drop(FlowPattern::prefixes(
@@ -1107,7 +1080,7 @@ mod tests {
     }
 
     #[test]
-    fn stage_charges_costs_and_maps_verdicts() {
+    fn stage_maps_verdicts_without_ecalls() {
         let root = AttestationRootKey::new([0u8; 32]);
         let platform = SgxPlatform::new(1, EpcConfig::paper_default(), &root);
         let enclave = Arc::new(platform.launch(EnclaveImage::new("vif", 1, vec![0; 1024]), app()));
@@ -1118,21 +1091,9 @@ mod tests {
         let out_allow = stage.process(&allow_pkt);
         assert_eq!(out_drop.verdict, StageVerdict::Drop);
         assert_eq!(out_allow.verdict, StageVerdict::Forward);
-        assert!(out_drop.cost_ns > 0);
+        assert!(!out_drop.hashed && !out_allow.hashed, "deterministic rule");
         // No per-packet ECalls on the data path.
         assert_eq!(enclave.counters().ecalls, 0);
-    }
-
-    #[test]
-    fn full_copy_costs_more_than_near_zero_copy() {
-        let root = AttestationRootKey::new([0u8; 32]);
-        let platform = SgxPlatform::new(1, EpcConfig::paper_default(), &root);
-        let e1 = Arc::new(platform.launch(EnclaveImage::new("vif", 1, vec![]), app()));
-        let e2 = Arc::new(platform.launch(EnclaveImage::new("vif", 1, vec![]), app()));
-        let mut nzc = EnclaveFilterStage::new(e1, FilterMode::SgxNearZeroCopy);
-        let mut full = EnclaveFilterStage::new(e2, FilterMode::SgxFullCopy);
-        let pkt = Packet::new(benign_tuple(1), 1500, 0, 0);
-        assert!(full.process(&pkt).cost_ns > nzc.process(&pkt).cost_ns);
     }
 
     #[test]

@@ -17,9 +17,12 @@
 //! 3. the enclave keeps count-min-sketch packet logs ([`logs`]) that the
 //!    victim and neighbor ASes compare against their own observations to
 //!    detect all three bypass attacks ([`verify`], §III-B),
-//! 4. capacity scales across many enclaves behind an untrusted load
-//!    balancer, with greedy rule redistribution and in-enclave detection of
-//!    load-balancer misbehavior ([`scale`], §IV),
+//! 4. capacity scales across a pool of replicated enclave slices fed by
+//!    RSS steering, with failover, quarantine and probation decided by the
+//!    audits ([`scale`], [`rounds`], §IV); the paper's rule-partitioned
+//!    model behind an untrusted load balancer, with greedy rule
+//!    redistribution and in-enclave misroute detection, is
+//!    [`scale::partitioned`],
 //! 5. rule requests are authorized against RPKI so victims can only filter
 //!    traffic addressed to their own prefixes ([`rpki`], §VII).
 //!
@@ -37,11 +40,12 @@
 //! so steady-state classification performs no heap allocation, no
 //! SipHash, and no ordered-map probes.
 //!
-//! The [`cost`] module carries the calibrated data-plane cost model
-//! (near-zero-copy vs. full-copy, EPC paging, hash-based filtering) that
-//! reproduces the paper's performance envelope on the simulated testbed,
-//! and [`endtoend`] wires everything into a single-call filtering run with
-//! optional adversarial behavior for tests and examples.
+//! [`enclave_app::EnclaveFilterStage`] plugs the enclave into the
+//! dataplane service's stage seam and reports verdicts only; it prices no
+//! packet. The [`cost`] module keeps just the [`cost::FilterMode`] the
+//! paper compares; the calibrated per-packet model that reproduces the
+//! paper's §V performance envelope in virtual time lives beside the
+//! figures that use it, in `vif-bench`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,7 +54,6 @@ pub mod backend;
 pub mod classifier;
 pub mod cost;
 pub mod enclave_app;
-pub mod endtoend;
 pub mod fasthash;
 pub mod filter;
 pub mod hybrid;
@@ -68,12 +71,8 @@ pub mod verify;
 /// Convenient re-exports of the crate's primary types.
 pub mod prelude {
     pub use crate::backend::FilterBackend;
-    pub use crate::cost::{CostModel, FilterMode};
+    pub use crate::cost::FilterMode;
     pub use crate::enclave_app::{EnclaveFilterStage, FilterEnclaveApp, RuleEdit};
-    pub use crate::endtoend::{
-        AdversaryBehavior, FilteringRun, RunReport, SessionSteer, ShardAdversary, ShardedRun,
-        ShardedRunReport, ShardedSession,
-    };
     pub use crate::filter::StatelessFilter;
     pub use crate::hybrid::HybridFilter;
     pub use crate::logs::{AuthenticatedSketch, PacketLogs};

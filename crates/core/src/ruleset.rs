@@ -388,9 +388,9 @@ impl RuleSet {
     }
 
     /// Modelled enclave memory of the rule structures, in bytes — the
-    /// working-set input to the cost model (`CostModel::packet_cost_ns`,
-    /// Fig. 3b's linearly growing footprint), **not** an allocator
-    /// reading.
+    /// working-set input to the paper-figure model in `vif-bench`
+    /// (Fig. 3b's linearly growing footprint, Fig. 3a's EPC cliff),
+    /// **not** an allocator reading.
     ///
     /// The model charges what an enclave holding the paper's lookup table
     /// would: the expanded multi-bit trie over the coarse prefixes

@@ -280,22 +280,15 @@ fn decide_batch_is_allocation_free_at_steady_state() {
     // --- service mode with telemetry recording ----------------------------
     // The guarantee must survive observability: the same always-on service
     // with a telemetry hub attached on every thread — per-packet scratch
-    // recording in the workers, per-batch cost histograms through
-    // `RecordingStage`, flush-barrier counter merges and flight-recorder
-    // events on the handle thread — still allocates nothing at steady
-    // state. (The hub's histograms are fixed arrays, the scratch lives on
-    // the worker's stack, and the recorder's ring was reserved up front.)
+    // recording in the workers, flush-barrier counter merges and
+    // flight-recorder events on the handle thread — still allocates
+    // nothing at steady state. (The hub's histograms are fixed arrays, the
+    // scratch lives on the worker's stack, and the recorder's ring was
+    // reserved up front.)
     let hub = std::sync::Arc::new(vif_telemetry::TelemetryHub::for_workers(2));
-    let stages: Vec<vif_dataplane::RecordingStage<EnclaveFilterStage>> = enclaves
+    let stages: Vec<EnclaveFilterStage> = enclaves
         .iter()
-        .enumerate()
-        .map(|(w, e)| {
-            vif_dataplane::RecordingStage::new(
-                EnclaveFilterStage::new(std::sync::Arc::clone(e), FilterMode::SgxNearZeroCopy),
-                std::sync::Arc::clone(&hub),
-                w,
-            )
-        })
+        .map(|e| EnclaveFilterStage::new(std::sync::Arc::clone(e), FilterMode::SgxNearZeroCopy))
         .collect();
     let service = vif_dataplane::DataplaneService::new(vif_dataplane::ServiceConfig {
         ring_capacity: 1 << 12,
@@ -328,14 +321,14 @@ fn decide_batch_is_allocation_free_at_steady_state() {
     );
     assert_eq!(received, 5 * traffic.len() as u64);
     // The recording actually happened: every offered packet landed in the
-    // per-worker counters and cost histograms, and every barrier left a
+    // per-worker counters and size histograms, and every barrier left a
     // flush event on the flight recorder.
     let snap = hub.snapshot(16);
     let recorded: u64 = snap.workers.iter().map(|w| w.packets).sum();
     assert_eq!(recorded, 7 * traffic.len() as u64, "all rounds recorded");
     assert!(
-        snap.workers.iter().all(|w| w.cost_ns.count() > 0),
-        "per-batch stage costs recorded on every worker"
+        snap.workers.iter().all(|w| w.sizes.count() > 0),
+        "wire sizes recorded on every worker"
     );
     assert_eq!(snap.events_recorded, 7, "one flush event per barrier");
 

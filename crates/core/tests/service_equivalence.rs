@@ -314,3 +314,47 @@ fn epoch_publication_equals_immediate_churn() {
         );
     }
 }
+
+/// A misprogrammed (or compromised) RSS stage that rotates 30 % of flows
+/// to the next worker loses no packet, yet the verifiers — attributing by
+/// the public steering hash — see every affected slice's logs disagree:
+/// steering integrity is enforced by the audit alone.
+#[test]
+fn misrouting_steering_dirties_the_audit() {
+    let n = 4;
+    let mut env = build_env(n, 0x5e);
+    let traffic = round_traffic(0x5e, 0);
+    observe_neighbors(&mut env.driver, &traffic, n);
+    let stages: Vec<EnclaveFilterStage> = env
+        .cluster
+        .enclaves()
+        .iter()
+        .map(|e| EnclaveFilterStage::new(Arc::clone(e), FilterMode::SgxNearZeroCopy))
+        .collect();
+    let misroute = move |t: &FiveTuple| {
+        let fp = t.tuple_fingerprint();
+        let honest = shard_of_fingerprint(fp, n);
+        // A different slice of the hash than steering reduces: ~30 % of
+        // flows, deterministically.
+        if (fp >> 17) % 10 < 3 {
+            (honest + 1) % n
+        } else {
+            honest
+        }
+    };
+    let sink: Mutex<Vec<FiveTuple>> = Mutex::new(Vec::new());
+    let dataplane = DataplaneService::new(service_config()).run(
+        stages,
+        |_, pkt: &Packet| sink.lock().unwrap().push(pkt.tuple),
+        misroute,
+        |svc| svc.round(&traffic).clone(),
+    );
+    let (outcome, state) = close_round(&mut env.driver, &sink.into_inner().unwrap(), n);
+    assert!(outcome.dirty(), "misrouted slices must audit dirty");
+    assert_eq!(state, ContractState::Aborted { strikes: 1 });
+    // No packet was lost in the data plane itself.
+    let total = dataplane.total();
+    assert_eq!(total.received, PACKETS_PER_ROUND as u64);
+    assert_eq!(total.overflow, 0);
+    assert_eq!(total.forwarded + total.filtered, total.received);
+}

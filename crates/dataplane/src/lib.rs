@@ -1,7 +1,7 @@
 //! # vif-dataplane
 //!
-//! A DPDK-style packet-processing substrate, replacing the paper's
-//! DPDK 17.05 + 10 GbE testbed (§V-A/V-B) with a deterministic simulation:
+//! A DPDK-style packet-processing substrate standing in for the paper's
+//! DPDK 17.05 + 10 GbE testbed (§V-A/V-B), run on real threads:
 //!
 //! - [`packet`]: five-tuples, protocols, and lightweight packets — the
 //!   "5T + size" representation at the heart of the near-zero-copy design,
@@ -13,12 +13,11 @@
 //!   inter-frame gap (why 64 B line rate is 14.88 Mpps),
 //! - [`pktgen`]: a pktgen-dpdk-style traffic generator (constant bit rate,
 //!   weighted flow mixes, lognormal flow sizes),
-//! - [`pipeline`]: the RX → filter → TX tandem pipeline run in *simulated
-//!   time*: per-stage costs advance a virtual clock, reproducing
-//!   saturation, batching, and queueing behavior deterministically,
-//! - [`service`]: the same pipeline run *live* on real threads — RSS-hashed
-//!   flows across N always-on filter workers that share one TX path (§IV),
-//!   persistent rings, rounds as in-band flush messages, spin-then-park
+//! - [`stage`]: the filter-stage seam — [`PacketStage`] takes an RX
+//!   burst and returns one [`StageOutcome`] per packet,
+//! - [`service`]: the RX → filter → TX pipeline — RSS-hashed flows across
+//!   N always-on filter workers that share one TX path (§IV), persistent
+//!   rings, rounds as in-band flush messages, spin-then-park
 //!   idling; a one-shot run is one round of the service,
 //! - [`sharded`]: the sharding model the service and the audit layer
 //!   share — the public RSS steering hash and the per-worker round
@@ -29,13 +28,10 @@
 //!   all read,
 //! - [`fault`]: seeded, deterministic fault plans (worker crashes/stalls,
 //!   export corruption, publish-ack loss, overflow storms) that harnesses
-//!   inject into the service for reproducible chaos runs,
-//! - [`clock`]: the simulated clock.
+//!   inject into the service for reproducible chaos runs.
 //!
-//! The per-packet *costs* that drive the pipeline are supplied by the
-//! caller (see `vif-core`'s cost model, which combines SGX transition
-//! costs, EPC paging, sketch updates, and rule lookup): this crate is
-//! policy-free.
+//! The filter itself is supplied by the caller as a [`PacketStage`] (in
+//! VIF, `vif-core`'s enclave filter stage): this crate is policy-free.
 //!
 //! # Example
 //!
@@ -49,30 +45,26 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod clock;
 pub mod fault;
 pub mod lifecycle;
 pub mod mbuf;
 pub mod nic;
 pub mod packet;
-pub mod pipeline;
 pub mod pktgen;
 pub mod ring;
 pub mod service;
 pub mod sharded;
+pub mod stage;
 
-pub use clock::SimClock;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use lifecycle::{SliceEvent, SliceLifecycle, SliceState};
 pub use mbuf::{LocalMemPool, Mbuf, MemPool};
 pub use nic::LineRate;
 pub use packet::{FiveTuple, Packet, Protocol};
-pub use pipeline::{
-    PacketStage, PipelineConfig, PipelineReport, RecordingStage, StageOutcome, StageVerdict,
-};
 pub use pktgen::{FlowSet, RateShape, TrafficConfig, TrafficGenerator};
 pub use ring::Ring;
 pub use service::{
     ContractMap, ContractRoundDelta, DataplaneService, DegradedMode, ServiceConfig, ServiceHandle,
 };
 pub use sharded::{shard_of, shard_of_fingerprint, ShardedReport, ThreadedReport};
+pub use stage::{PacketStage, StageOutcome, StageVerdict};

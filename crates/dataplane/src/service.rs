@@ -68,9 +68,9 @@
 
 use crate::lifecycle::{SliceEvent, SliceLifecycle, SliceState};
 use crate::packet::{FiveTuple, Packet};
-use crate::pipeline::{PacketStage, StageVerdict};
 use crate::ring::Ring;
 use crate::sharded::{ShardedReport, ThreadedReport};
+use crate::stage::{PacketStage, StageVerdict};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -365,8 +365,7 @@ impl Shared {
 
 /// Clears a liveness flag *and wakes every waiter* when dropped —
 /// including on unwind, so a panicking stage or sink can never strand the
-/// round waiter or a sibling thread. The service analogue of the one-shot
-/// pipeline's `LiveFlag`.
+/// round waiter or a sibling thread.
 struct AliveGuard<'a> {
     shared: &'a Shared,
     /// `Some(w)` for worker `w`, `None` for the TX thread.
@@ -409,7 +408,7 @@ impl Drop for AliveGuard<'_> {
 /// # Example
 ///
 /// ```
-/// use vif_dataplane::pipeline::{StageOutcome, StageVerdict};
+/// use vif_dataplane::stage::{StageOutcome, StageVerdict};
 /// use vif_dataplane::service::{DataplaneService, ServiceConfig};
 /// use vif_dataplane::{shard_of, Packet};
 ///
@@ -417,7 +416,7 @@ impl Drop for AliveGuard<'_> {
 ///     .map(|_| {
 ///         |_p: &Packet| StageOutcome {
 ///             verdict: StageVerdict::Forward,
-///             cost_ns: 0,
+///             hashed: false,
 ///         }
 ///     })
 ///     .collect();
@@ -675,9 +674,9 @@ where
 
     /// Steers `packets` onto the per-worker rings (the caller thread is
     /// the RX stage). A ring that stays full through bounded retries
-    /// counts the packet as that worker's `overflow`, exactly like the
-    /// one-shot pipeline's RX thread; a ring whose worker is *dead* gives
-    /// up immediately — overflow-while-dead is counted, never spun on.
+    /// counts the packet as that worker's `overflow`; a ring whose worker
+    /// is *dead* gives up immediately — overflow-while-dead is counted,
+    /// never spun on.
     ///
     /// Flows whose home shard is not steered re-hash over the steered
     /// slices ([`retarget_fingerprint`](ServiceHandle::retarget_fingerprint));
@@ -1251,7 +1250,7 @@ fn worker_loop<S: PacketStage>(
 fn shadow_run<S: PacketStage>(
     stage: &mut S,
     pkts: &mut Vec<Packet>,
-    outcomes: &mut Vec<crate::pipeline::StageOutcome>,
+    outcomes: &mut Vec<crate::stage::StageOutcome>,
 ) {
     if pkts.is_empty() {
         return;
@@ -1269,7 +1268,7 @@ fn process_run<S: PacketStage>(
     w: usize,
     stage: &mut S,
     pkts: &mut Vec<Packet>,
-    outcomes: &mut Vec<crate::pipeline::StageOutcome>,
+    outcomes: &mut Vec<crate::stage::StageOutcome>,
     c_counts: &mut [(u64, u64)],
     scratch: &mut WorkerScratch,
     tx_thread: &Thread,
@@ -1416,9 +1415,9 @@ fn tx_loop<F: FnMut(usize, &Packet)>(
 mod tests {
     use super::*;
     use crate::lifecycle::PROBATION_ROUNDS;
-    use crate::pipeline::StageOutcome;
     use crate::pktgen::{FlowSet, TrafficConfig, TrafficGenerator};
     use crate::sharded::shard_of;
+    use crate::stage::StageOutcome;
 
     fn traffic(count: usize, seed: u64) -> Vec<Packet> {
         let flows = FlowSet::random_toward_victim(64, 7, 3);
@@ -1449,7 +1448,7 @@ mod tests {
             } else {
                 StageVerdict::Drop
             },
-            cost_ns: 0,
+            hashed: false,
         }
     }
 
@@ -1943,7 +1942,7 @@ mod tests {
                         } else {
                             StageVerdict::Drop
                         },
-                        cost_ns: 0,
+                        hashed: false,
                     }
                 };
                 svc.respawn_worker(2, probe);
@@ -2090,7 +2089,7 @@ mod tests {
                 } else {
                     StageVerdict::Drop
                 },
-                cost_ns: 0,
+                hashed: false,
             }
         };
         let t = traffic(10_000, 1);
@@ -2117,7 +2116,7 @@ mod tests {
     fn forward_all_drops_nothing() {
         let stage = |_p: &Packet| StageOutcome {
             verdict: StageVerdict::Forward,
-            cost_ns: 0,
+            hashed: false,
         };
         let t = traffic(2_000, 1);
         let total = DataplaneService::new(sized(256, 8))
@@ -2147,7 +2146,7 @@ mod tests {
                     assert!(seen <= 100, "stage blew up");
                     StageOutcome {
                         verdict: StageVerdict::Forward,
-                        cost_ns: 0,
+                        hashed: false,
                     }
                 }
             })

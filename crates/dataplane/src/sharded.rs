@@ -6,7 +6,7 @@
 //! flow onto one of `N` per-worker rings with the public
 //! [`fingerprint`](vif_sketch::hash::fingerprint)-based [`shard_of`], so
 //! flow → worker assignment is deterministic and connection preserving.
-//! Each worker owns its own [`PacketStage`](crate::pipeline::PacketStage)
+//! Each worker owns its own [`PacketStage`](crate::stage::PacketStage)
 //! (in deployments, one enclave slice of `vif-core`'s replicated
 //! `EnclaveCluster`), drains its ring in bursts, and pushes forwarded
 //! packets onto a shared TX ring that a single TX thread drains into the

@@ -7,11 +7,11 @@
 
 use std::sync::Mutex;
 use vif_dataplane::lifecycle::PROBATION_ROUNDS;
-use vif_dataplane::pipeline::{StageOutcome, StageVerdict};
 use vif_dataplane::{
     shard_of, DataplaneService, FiveTuple, FlowSet, Packet, ServiceConfig, ServiceHandle,
     SliceEvent, SliceLifecycle, SliceState, ThreadedReport, TrafficConfig, TrafficGenerator,
 };
+use vif_dataplane::{StageOutcome, StageVerdict};
 
 /// Serves probation slice `w`'s window out with one clean-voting tenant —
 /// what the audit layer does over the next `PROBATION_ROUNDS` rounds. The
@@ -39,7 +39,7 @@ fn traffic(count: usize, seed: u64) -> Vec<Packet> {
 fn forward_all() -> impl FnMut(&Packet) -> StageOutcome + Send {
     |_p: &Packet| StageOutcome {
         verdict: StageVerdict::Forward,
-        cost_ns: 0,
+        hashed: false,
     }
 }
 
@@ -50,7 +50,7 @@ fn parity_stage() -> impl FnMut(&Packet) -> StageOutcome + Send {
         } else {
             StageVerdict::Drop
         },
-        cost_ns: 0,
+        hashed: false,
     }
 }
 

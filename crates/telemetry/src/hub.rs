@@ -10,9 +10,9 @@
 //! worker per round.
 //!
 //! Everything the hub aggregates is *deterministic* under a fixed seed:
-//! packet counts, wire sizes, simulated stage costs, and virtual-clock
-//! timestamps. Scheduling-dependent values (park events, spin counts,
-//! burst sizes) deliberately stay out — they live on the service handle —
+//! packet counts, wire sizes, and virtual-clock timestamps.
+//! Scheduling-dependent values (park events, spin counts, burst sizes)
+//! deliberately stay out — they live on the service handle —
 //! so a [`TelemetrySnapshot`](crate::TelemetrySnapshot) is byte-identical
 //! across re-runs of the same seed.
 
@@ -33,7 +33,6 @@ pub struct WorkerTelemetry {
     overflow: AtomicU64,
     uncovered: AtomicU64,
     sizes: AtomicHistogram,
-    cost_ns: AtomicHistogram,
 }
 
 impl WorkerTelemetry {
@@ -49,11 +48,6 @@ impl WorkerTelemetry {
         if n > 0 {
             self.uncovered.fetch_add(n, Ordering::Relaxed);
         }
-    }
-
-    /// Merges a batch's worth of simulated stage costs (nanoseconds).
-    pub fn record_cost(&self, h: &Histogram) {
-        self.cost_ns.merge_from(h);
     }
 
     /// Total packets processed (forwarded + filtered).
@@ -84,11 +78,6 @@ impl WorkerTelemetry {
     /// Wire-size distribution of processed packets.
     pub fn sizes(&self) -> Histogram {
         self.sizes.load()
-    }
-
-    /// Simulated per-packet stage-cost distribution (nanoseconds).
-    pub fn cost_ns(&self) -> Histogram {
-        self.cost_ns.load()
     }
 }
 
@@ -445,7 +434,6 @@ impl TelemetryHub {
                     overflow: w.overflow(),
                     uncovered: w.uncovered(),
                     sizes: w.sizes(),
-                    cost_ns: w.cost_ns(),
                 })
                 .collect(),
             slices: self

@@ -30,8 +30,8 @@
 //!   expositions labeled per worker, per slice, and per contract.
 //!
 //! Everything exported is seed-deterministic: timestamps come from the
-//! harness-driven virtual clock, values are simulated costs and exact
-//! packet counts, and scheduling-dependent numbers (park events, spin
+//! harness-driven virtual clock, values are exact packet counts and wire
+//! sizes, and scheduling-dependent numbers (park events, spin
 //! counts, burst sizes) are deliberately excluded. Same seed ⇒
 //! byte-identical snapshot JSON and flight-recorder trace.
 

@@ -29,8 +29,6 @@ pub struct WorkerSnapshot {
     pub uncovered: u64,
     /// Wire-size distribution of processed packets (bytes).
     pub sizes: Histogram,
-    /// Simulated per-packet stage-cost distribution (nanoseconds).
-    pub cost_ns: Histogram,
 }
 
 /// One audit slice's control-plane counters.
@@ -467,8 +465,6 @@ impl TelemetrySnapshot {
                 w.worker, w.packets, w.forwarded, w.filtered, w.overflow, w.uncovered,
             ));
             json_histogram(&mut out, &w.sizes);
-            out.push_str(",\"cost_ns\":");
-            json_histogram(&mut out, &w.cost_ns);
             out.push('}');
         }
         out.push_str("],");

@@ -30,4 +30,5 @@ pub use vif_optimizer as optimizer;
 pub use vif_scenario as scenario;
 pub use vif_sgx as sgx;
 pub use vif_sketch as sketch;
+pub use vif_telemetry as telemetry;
 pub use vif_trie as trie;
