@@ -341,7 +341,7 @@ pub fn shard_stages(workers: usize) -> Vec<EnclaveFilterStage> {
 /// Fig. 14 hash-filter workload.
 ///
 /// Unlike the simulated sweeps, this measures *real threads* moving
-/// packets over lock-free rings, so the trajectory reflects the host's
+/// packets over burst rings, so the trajectory reflects the host's
 /// actual core count — on a single-core machine it stays flat, on a
 /// many-core box it climbs toward the §IV linear-scaling story.
 pub fn shard(duration_ms: u64) -> String {

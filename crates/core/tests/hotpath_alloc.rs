@@ -9,7 +9,8 @@
 //! heap allocations. The same counter then pins the whole always-on
 //! service (persistent workers, rings, TX, round barriers) and the
 //! per-worker mbuf caches: entire steady-state rounds allocate nothing,
-//! on any thread. Last, it pins the on-lock half of an epoch publication:
+//! on any thread — and neither does a full ring, whether a burst is
+//! partially accepted or `offer` runs into a stalled worker. Last, it pins the on-lock half of an epoch publication:
 //! what the snapshot and the install allocate does not depend on the rule
 //! count.
 //!
@@ -335,8 +336,8 @@ fn decide_batch_is_allocation_free_at_steady_state() {
     // --- per-worker mbuf caches -------------------------------------------
     // The packet-buffer pool's fast path is a per-worker free list over
     // preallocated slots: steady-state alloc/free cycles (including batch
-    // refill from and spill back to the shared lock-free queue) never touch
-    // the heap.
+    // refill from and spill back to the shared free-index ring) never
+    // touch the heap.
     let pool = vif_dataplane::MemPool::new(256);
     let mut local = vif_dataplane::LocalMemPool::new(&pool, 32);
     let template = vif_dataplane::Mbuf::header_only(tuples[0], 64);
@@ -364,6 +365,50 @@ fn decide_batch_is_allocation_free_at_steady_state() {
         after - before
     );
     assert_eq!(pool.in_use(), 0);
+
+    // --- burst hand-offs under backpressure --------------------------------
+    // A full ring is the loaded case, so it must not allocate either: a
+    // partially accepted burst keeps its tail in the caller's buffer, in
+    // place, and `offer` into a stalled worker stages, hands off and counts
+    // its overflow in buffers the handle allocated once.
+    let ring: vif_dataplane::Ring<u64> = vif_dataplane::Ring::new(64);
+    let mut items: Vec<u64> = (0..100).collect();
+    let before = allocated_bytes();
+    let accepted = ring.enqueue_burst(&mut items);
+    let bytes = allocated_bytes() - before;
+    assert_eq!((accepted, items.len()), (64, 36));
+    assert_eq!(
+        bytes, 0,
+        "a partially accepted burst allocated {bytes} bytes"
+    );
+
+    let forward = |_p: &Packet| vif_dataplane::StageOutcome {
+        verdict: vif_dataplane::StageVerdict::Forward,
+        hashed: false,
+    };
+    let service = vif_dataplane::DataplaneService::new(vif_dataplane::ServiceConfig {
+        ring_capacity: 256,
+        burst: 32,
+        ..Default::default()
+    });
+    let (bytes, overflow) = service.run(
+        vec![forward],
+        |_, _| {},
+        |_: &FiveTuple| 0,
+        |svc| {
+            svc.round(&traffic[..256]);
+            svc.stall_worker(0, true);
+            let before = allocated_bytes();
+            svc.offer(&traffic);
+            let bytes = allocated_bytes() - before;
+            (bytes, svc.flush_round().total().overflow)
+        },
+    );
+    assert!(overflow > 0, "the stalled ring never filled");
+    assert_eq!(
+        bytes, 0,
+        "offer into a stalled worker allocated {bytes} bytes"
+    );
 
     // --- epoch publication, the on-lock half ------------------------------
     // The two calls a publication makes while holding the enclave lock move

@@ -7,8 +7,9 @@
 //!   "5T + size" representation at the heart of the near-zero-copy design,
 //! - [`mbuf`]: message buffers and a fixed-capacity packet memory pool
 //!   (the untrusted host-side pool of Fig. 7),
-//! - [`ring`]: bounded lock-free rings with DPDK-style burst enqueue /
-//!   dequeue (RX ring, DROP ring, TX ring),
+//! - [`ring`]: bounded rings with DPDK-style burst enqueue / dequeue —
+//!   a mutex ring that costs one lock per burst, not a lock-free queue
+//!   (the RX and TX rings of the service, the mbuf pool's free list),
 //! - [`nic`]: 10 GbE line-rate arithmetic including Ethernet preamble and
 //!   inter-frame gap (why 64 B line rate is 14.88 Mpps),
 //! - [`pktgen`]: a pktgen-dpdk-style traffic generator (constant bit rate,

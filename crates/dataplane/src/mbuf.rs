@@ -8,25 +8,23 @@
 //!
 //! # Concurrency model
 //!
-//! The pool used to serialize every operation on one `Mutex<PoolInner>`;
-//! with persistent workers that lock became the allocation bottleneck.
-//! Free slot *indices* now live on a bounded MPMC queue (the same
-//! lock-free `ArrayQueue` the packet rings wrap), so returning a buffer is
-//! a single queue push with no pool-wide lock — any thread can hand a
-//! buffer back without stalling the allocating workers. Each slot guards
-//! its own contents with a tiny per-slot lock, touched only by the current
-//! owner of that slot's index.
+//! Free slot *indices* live on a [`Ring`] — the same bounded mutex ring
+//! the packet pipeline uses — so returning a buffer is one short ring push
+//! that never touches slot contents. Each slot guards its own contents
+//! with a tiny per-slot lock, touched only by the current owner of that
+//! slot's index.
 //!
 //! On top of the shared pool, [`LocalMemPool`] gives each worker a private
 //! free-index cache in DPDK mempool-cache style: steady-state alloc/free
-//! cycles hit only the worker's own `Vec`, refilled from / spilled to the
-//! shared queue in batches. All index storage is preallocated at
-//! construction, so steady-state operation performs zero heap allocations
-//! (pinned by `hotpath_alloc.rs` in `vif-core`).
+//! cycles hit only the worker's own `Vec`, refilled from the shared ring
+//! with one burst dequeue (one lock) and spilled back in batches. All
+//! index storage is preallocated at construction, so steady-state
+//! operation performs zero heap allocations (pinned by `hotpath_alloc.rs`
+//! in `vif-core`).
 
 use crate::packet::FiveTuple;
+use crate::ring::Ring;
 use bytes::Bytes;
-use crossbeam::queue::ArrayQueue;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -83,12 +81,12 @@ impl std::error::Error for PoolError {}
 #[derive(Debug)]
 struct PoolShared {
     /// Slot contents, each behind its own lock; a slot is only touched by
-    /// whoever holds its index (from the free queue or a local cache), so
+    /// whoever holds its index (from the free ring or a local cache), so
     /// these locks are never contended — they exist to keep the API safe
     /// against stale references.
     slots: Vec<Mutex<Option<Mbuf>>>,
-    /// Free slot indices: the lock-free handoff point between threads.
-    free: ArrayQueue<usize>,
+    /// Free slot indices: the handoff point between threads.
+    free: Ring<usize>,
     /// Currently allocated buffers (capacity − free − locally cached).
     in_use: AtomicUsize,
     /// Peak simultaneous allocation observed.
@@ -147,10 +145,8 @@ impl MemPool {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "pool capacity must be positive");
-        let free = ArrayQueue::new(capacity);
-        for idx in 0..capacity {
-            let _ = free.push(idx);
-        }
+        let free = Ring::new(capacity);
+        free.enqueue_burst(&mut (0..capacity).collect());
         MemPool {
             shared: Arc::new(PoolShared {
                 slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
@@ -183,7 +179,7 @@ impl MemPool {
     ///
     /// [`PoolError::Exhausted`] when all slots are in use.
     pub fn alloc(&self, buf: Mbuf) -> Result<MbufRef, PoolError> {
-        let idx = self.shared.free.pop().ok_or(PoolError::Exhausted)?;
+        let idx = self.shared.free.dequeue().ok_or(PoolError::Exhausted)?;
         Ok(self.shared.store(idx, buf))
     }
 
@@ -201,16 +197,16 @@ impl MemPool {
     }
 
     /// Frees a slot, returning its buffer (TX after ALLOW, or reclamation
-    /// after DROP). The slot's index goes back on the shared free queue —
-    /// a single lock-free push, safe from any thread.
+    /// after DROP). The slot's index goes back on the shared free ring —
+    /// one ring push, safe from any thread.
     ///
     /// # Errors
     ///
     /// [`PoolError::InvalidRef`] on double free or a stale reference.
     pub fn free(&self, r: MbufRef) -> Result<Mbuf, PoolError> {
         let (idx, buf) = self.shared.take(r)?;
-        // The queue holds every index at most once, so this cannot fail.
-        let _ = self.shared.free.push(idx);
+        // The ring holds every index at most once, so this cannot fail.
+        let _ = self.shared.free.enqueue(idx);
         Ok(buf)
     }
 }
@@ -219,12 +215,12 @@ impl MemPool {
 /// (DPDK's per-lcore mempool cache).
 ///
 /// Steady-state alloc/free cycles touch only this worker's preallocated
-/// `Vec`: an empty cache refills from the shared queue in a batch, an
-/// overfull one spills half back in a batch, so the shared queue is hit
+/// `Vec`: an empty cache refills from the shared ring in a batch, an
+/// overfull one spills half back in a batch, so the shared ring is hit
 /// once per `cache_size` operations instead of once per packet — and
 /// buffers freed by *other* threads (e.g. TX returning this worker's
 /// forwarded packets through [`MemPool::free`]) flow back through the
-/// shared queue without ever blocking this worker.
+/// shared ring.
 ///
 /// References issued here are plain [`MbufRef`]s: any holder of the
 /// shared pool can `get`/`free` them.
@@ -259,30 +255,27 @@ impl LocalMemPool {
     }
 
     /// Allocates from the local cache, refilling a batch from the shared
-    /// queue when empty.
+    /// ring when empty.
     ///
     /// # Errors
     ///
-    /// [`PoolError::Exhausted`] when both the cache and the shared queue
+    /// [`PoolError::Exhausted`] when both the cache and the shared ring
     /// are empty.
     pub fn alloc(&mut self, buf: Mbuf) -> Result<MbufRef, PoolError> {
         let idx = match self.cache.pop() {
             Some(idx) => idx,
             None => {
-                // Batch refill: one queue hit buys cache_size allocations.
-                for _ in 0..self.cache_size {
-                    match self.shared.free.pop() {
-                        Some(i) => self.cache.push(i),
-                        None => break,
-                    }
-                }
+                // Batch refill: one ring lock buys cache_size allocations.
+                self.shared
+                    .free
+                    .dequeue_burst(&mut self.cache, self.cache_size);
                 self.cache.pop().ok_or(PoolError::Exhausted)?
             }
         };
         Ok(self.shared.store(idx, buf))
     }
 
-    /// Frees into the local cache, spilling a batch to the shared queue
+    /// Frees into the local cache, spilling a batch to the shared ring
     /// when the cache is full.
     ///
     /// # Errors
@@ -294,7 +287,7 @@ impl LocalMemPool {
             // Spill half: keeps indices circulating to other workers
             // instead of pooling on one (the DPDK cache flush threshold).
             for i in self.cache.drain(self.cache_size..) {
-                let _ = self.shared.free.push(i);
+                let _ = self.shared.free.enqueue(i);
             }
         }
         self.cache.push(idx);
@@ -306,9 +299,7 @@ impl Drop for LocalMemPool {
     fn drop(&mut self) {
         // Parked indices go back to the shared pool; a dropped worker
         // never leaks capacity.
-        for idx in self.cache.drain(..) {
-            let _ = self.shared.free.push(idx);
-        }
+        self.shared.free.enqueue_burst(&mut self.cache);
     }
 }
 
@@ -402,7 +393,7 @@ mod tests {
     #[test]
     fn cross_thread_handoff_returns_capacity() {
         // A worker allocates from its local cache, TX frees through the
-        // shared pool (the lock-free handoff), and nothing leaks: every
+        // shared pool (the ring handoff), and nothing leaks: every
         // slot is allocatable again afterwards.
         let pool = MemPool::new(8);
         let mut local = LocalMemPool::new(&pool, 2);

@@ -1,13 +1,16 @@
-//! Bounded lock-free rings with DPDK-style burst operations.
+//! Bounded rings with DPDK-style burst operations.
 //!
 //! The paper's pipeline passes packets between the RX, filter, and TX
-//! threads over DPDK lockless rings (§V-A, Fig. 6). This wraps a lock-free
-//! MPMC array queue with the burst enqueue/dequeue API that DPDK code is
-//! written against.
+//! threads in bursts over DPDK rings (§V-A, Fig. 6). [`Ring`] is the same
+//! hand-off with the same burst API, built as a mutex around a bounded
+//! `VecDeque` — not lock-free. Its cost is one lock per *burst*: a burst
+//! enqueue or dequeue takes the lock once and moves every item that fits,
+//! so a 32-packet burst pays for one lock round-trip, not 32.
 
-use crossbeam::queue::ArrayQueue;
+use parking_lot::Mutex;
+use std::collections::VecDeque;
 
-/// A bounded lock-free ring.
+/// A bounded FIFO ring; every operation takes its one lock once.
 ///
 /// # Example
 ///
@@ -23,7 +26,9 @@ use crossbeam::queue::ArrayQueue;
 /// ```
 #[derive(Debug)]
 pub struct Ring<T> {
-    queue: ArrayQueue<T>,
+    /// Preallocated to `capacity`, so no operation ever reallocates it.
+    slots: Mutex<VecDeque<T>>,
+    capacity: usize,
 }
 
 impl<T> Ring<T> {
@@ -33,82 +38,63 @@ impl<T> Ring<T> {
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "ring capacity must be non-zero");
         Ring {
-            queue: ArrayQueue::new(capacity),
+            slots: Mutex::new(VecDeque::with_capacity(capacity)),
+            capacity,
         }
     }
 
     /// Capacity of the ring.
     pub fn capacity(&self) -> usize {
-        self.queue.capacity()
+        self.capacity
     }
 
     /// Current number of queued items.
     pub fn len(&self) -> usize {
-        self.queue.len()
+        self.slots.lock().len()
     }
 
     /// True if empty.
     pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+        self.slots.lock().is_empty()
     }
 
     /// Enqueues one item; returns it back if the ring is full.
     pub fn enqueue(&self, item: T) -> Result<(), T> {
-        self.queue.push(item)
+        let mut slots = self.slots.lock();
+        if slots.len() == self.capacity {
+            return Err(item);
+        }
+        slots.push_back(item);
+        Ok(())
     }
 
     /// Dequeues one item.
     pub fn dequeue(&self) -> Option<T> {
-        self.queue.pop()
+        self.slots.lock().pop_front()
     }
 
     /// Enqueues as many items from the front of `items` as fit; returns how
     /// many were accepted (the DPDK `rte_ring_enqueue_burst` contract).
     ///
     /// Accepted items are removed from `items`; everything that did not fit
-    /// — including the first rejected item — stays with the caller, in
-    /// order, so a full ring never destroys packets: the producer retries
-    /// or accounts the leftovers as explicit drops.
+    /// stays with the caller, in order, so a full ring never destroys
+    /// packets: the producer retries or accounts the leftovers as explicit
+    /// drops. One lock, and no allocation even on a partial accept.
     pub fn enqueue_burst(&self, items: &mut Vec<T>) -> usize {
-        let mut n = 0;
-        let mut leftover = Vec::new();
-        {
-            let mut drained = items.drain(..);
-            while let Some(item) = drained.next() {
-                match self.queue.push(item) {
-                    Ok(()) => n += 1,
-                    Err(back) => {
-                        // Push rejected: hand the item (and the rest of the
-                        // burst) back instead of letting the drain drop it.
-                        leftover.push(back);
-                        leftover.extend(drained);
-                        break;
-                    }
-                }
-            }
-        }
-        // `items` is empty (the drain ran to completion or was consumed by
-        // `extend`); append keeps the caller's buffer allocation alive so
-        // the full-accept hot path never reallocates on the next burst.
-        if !leftover.is_empty() {
-            items.append(&mut leftover);
-        }
+        let mut slots = self.slots.lock();
+        let n = (self.capacity - slots.len()).min(items.len());
+        slots.extend(items.drain(..n));
         n
     }
 
     /// Dequeues up to `max` items into `out`; returns how many were moved.
+    /// One lock.
     pub fn dequeue_burst(&self, out: &mut Vec<T>, max: usize) -> usize {
-        let mut n = 0;
-        while n < max {
-            match self.queue.pop() {
-                Some(item) => {
-                    out.push(item);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
+        let mut slots = self.slots.lock();
+        let n = max.min(slots.len());
+        out.extend(slots.drain(..n));
         n
     }
 }
@@ -134,7 +120,7 @@ mod tests {
 
     #[test]
     fn full_ring_burst_loses_nothing_non_copy() {
-        // Regression: the old iterator-based enqueue_burst consumed the
+        // Regression: an iterator-based enqueue_burst once consumed the
         // first item that failed to push and dropped it on the floor. With
         // a non-Copy payload the loss was unrecoverable.
         let ring: Ring<String> = Ring::new(4);

@@ -31,12 +31,23 @@
 //! `vif-core`'s publication path), so the data plane's control protocol
 //! stays three messages big.
 //!
+//! # Hand-offs
+//!
+//! Every ring hop moves a burst under one lock. `offer` walks its packets
+//! in [`ServiceConfig::burst`]-sized chunks, stages each chunk per target
+//! worker, and hands each worker its share with one burst enqueue and at
+//! most one wakeup; a worker dequeues a burst, decides it, and pushes the
+//! forwarded packets to TX with one burst enqueue; the TX thread dequeues
+//! a burst. A forwarded packet therefore costs a share of four locks per
+//! burst rather than four locks of its own, and no packet waits for a
+//! later one: a chunk leaves `offer` as soon as it is staged.
+//!
 //! # Idle behavior
 //!
 //! Between rounds the rings are empty and a busy-poll loop would pin every
 //! core at 100%. Consumers instead spin for a bounded number of polls
 //! ([`ServiceConfig::spin_limit`]), then *park* after publishing a parked
-//! flag; producers check the flag after every enqueue and unpark the
+//! flag; producers check the flag after every burst enqueue and unpark the
 //! consumer. The flag is re-checked against the ring between publishing
 //! and parking, which closes the sleep/wake race; a bounded
 //! [`ServiceConfig::park_timeout`] bounds the cost of any missed wakeup.
@@ -255,7 +266,8 @@ pub struct ContractRoundDelta {
 pub struct ServiceConfig {
     /// Per-worker RX ring capacity (also the shared TX ring capacity).
     pub ring_capacity: usize,
-    /// Burst size of the worker/TX dequeue loops.
+    /// Burst size of every ring hand-off: `offer`'s chunks and the
+    /// worker/TX dequeue loops.
     pub burst: usize,
     /// Empty polls a consumer spins (yielding) before it parks.
     pub spin_limit: u32,
@@ -559,6 +571,9 @@ impl DataplaneService {
                 c_overflow: vec![0; c],
                 c_uncovered: vec![0; c],
                 c_prev: vec![(0, 0); c],
+                staged: (0..n).map(|_| Vec::with_capacity(config.burst)).collect(),
+                shadows: (0..n).map(|_| Vec::with_capacity(config.burst)).collect(),
+                tx_out: Vec::with_capacity(config.burst),
                 contract_report: shared
                     .contracts
                     .contracts()
@@ -637,6 +652,14 @@ pub struct ServiceHandle<'scope, 'env, R> {
     c_uncovered: Vec<u64>,
     c_prev: Vec<(u64, u64)>,
     contract_report: Vec<ContractRoundDelta>,
+    /// Per-worker staging for one `burst`-sized chunk of an offer: the
+    /// packets steered at each worker, and the shadow copies mirrored to
+    /// each probation slice. Allocated once; every hand-off drains them.
+    staged: Vec<Vec<WorkerMsg>>,
+    shadows: Vec<Vec<WorkerMsg>>,
+    /// TX messages the handle sends itself (barrier tokens it delivers for
+    /// a dead worker, fail-open residue), pushed a burst at a time.
+    tx_out: Vec<TxMsg>,
     seq: u64,
 }
 
@@ -645,12 +668,10 @@ pub struct ServiceHandle<'scope, 'env, R> {
 /// only has to decide the packets enqueued ahead of its crash token.
 const QUARANTINE_WAIT: Duration = Duration::from_secs(10);
 
-/// Re-tries `offer` grants a packet whose live worker's ring is full
-/// before counting it `overflow`.
+/// Re-tries that take nothing, in a row after a first attempt that took
+/// nothing, `offer` grants a live worker's full ring before counting the
+/// burst's leftovers `overflow`.
 const OFFER_RETRIES: u32 = 64;
-/// Retry budget of a control token: it waits for ring space for as long as
-/// the worker lives.
-const UNTIL_DEAD: u32 = u32::MAX;
 
 impl<'scope, 'env, R> ServiceHandle<'scope, 'env, R>
 where
@@ -673,9 +694,12 @@ where
     }
 
     /// Steers `packets` onto the per-worker rings (the caller thread is
-    /// the RX stage). A ring that stays full through bounded retries
-    /// counts the packet as that worker's `overflow`; a ring whose worker
-    /// is *dead* gives up immediately — overflow-while-dead is counted,
+    /// the RX stage), one [`ServiceConfig::burst`]-sized chunk at a time:
+    /// each worker's share of a chunk goes over in one burst enqueue with
+    /// at most one wakeup. A live worker's ring is retried while it keeps
+    /// taking packets; whatever is left once an attempt and 64 re-tries in
+    /// a row take nothing counts as that worker's `overflow`. A ring whose
+    /// worker is *dead* gets one attempt — overflow-while-dead is counted,
     /// never spun on.
     ///
     /// Flows whose home shard is not steered re-hash over the steered
@@ -686,48 +710,67 @@ where
     /// would-be share.
     pub fn offer(&mut self, packets: &[Packet]) {
         let multi = self.c_received.len() > 1;
-        for pkt in packets {
-            let w0 = (self.steer)(&pkt.tuple) % self.n;
-            let home = self.lifecycle.state(w0);
-            let (w, target) = if home.steered() {
-                (w0, home)
-            } else {
-                let w = self.lifecycle.steer(pkt.tuple.tuple_fingerprint(), w0);
-                (w, self.lifecycle.state(w))
-            };
-            self.received[w] += 1;
-            let slot = if multi {
-                self.shared.contracts.slot_of(pkt.tuple.dst_ip)
-            } else {
-                0
-            };
-            self.c_received[slot] += 1;
-            // A dead target (crash pending its reap, or nowhere left to
-            // re-steer) gets one attempt, no spinning on a ring nobody
-            // drains: residue becomes `uncovered` at the barrier, a full
-            // ring counts `overflow` right away.
-            let dead = target == SliceState::Crashed || !target.steered();
-            let retries = if dead { 0 } else { OFFER_RETRIES };
-            if !self.push_rx(w, WorkerMsg::Pkt(*pkt), retries) {
-                self.overflow[w] += 1;
-                self.c_overflow[slot] += 1;
+        for chunk in packets.chunks(self.config.burst) {
+            for pkt in chunk {
+                let w0 = (self.steer)(&pkt.tuple) % self.n;
+                let home = self.lifecycle.state(w0);
+                let w = if home.steered() {
+                    w0
+                } else {
+                    self.lifecycle.steer(pkt.tuple.tuple_fingerprint(), w0)
+                };
+                self.received[w] += 1;
+                let slot = if multi {
+                    self.shared.contracts.slot_of(pkt.tuple.dst_ip)
+                } else {
+                    0
+                };
+                self.c_received[slot] += 1;
+                self.staged[w].push(WorkerMsg::Pkt(*pkt));
+                if home.shadowed() && w != w0 {
+                    self.shadows[w0].push(WorkerMsg::Shadow(*pkt));
+                }
             }
-            if home.shadowed() && w != w0 {
-                // Shadows take the same bounded-retry path as live packets
-                // so the mirrored share is deterministic under test loads,
-                // but one lost to sustained backpressure is dropped without
-                // any counter: the real copy was accounted at its target.
-                self.push_rx(w0, WorkerMsg::Shadow(*pkt), OFFER_RETRIES);
+            for w in 0..self.n {
+                if !self.staged[w].is_empty() {
+                    // A dead target (crash pending its reap, or nowhere
+                    // left to re-steer) gets one attempt, no spinning on a
+                    // ring nobody drains: residue becomes `uncovered` at
+                    // the barrier, a full ring counts `overflow` right away.
+                    let target = self.lifecycle.state(w);
+                    let live = target != SliceState::Crashed && target.steered();
+                    let worker = &self.worker_threads[w];
+                    push_rx(self.shared, w, worker, &mut self.staged[w], live);
+                    for msg in self.staged[w].drain(..) {
+                        if let WorkerMsg::Pkt(p) = msg {
+                            let slot = if multi {
+                                self.shared.contracts.slot_of(p.tuple.dst_ip)
+                            } else {
+                                0
+                            };
+                            self.overflow[w] += 1;
+                            self.c_overflow[slot] += 1;
+                        }
+                    }
+                }
+                if !self.shadows[w].is_empty() {
+                    // Shadows take the same bounded-retry path as live
+                    // packets so the mirrored share is deterministic under
+                    // test loads, but one lost to sustained backpressure is
+                    // dropped without any counter: the real copy was
+                    // accounted at its target.
+                    let worker = &self.worker_threads[w];
+                    push_rx(self.shared, w, worker, &mut self.shadows[w], true);
+                    self.shadows[w].clear();
+                }
             }
         }
     }
 
-    /// Enqueues `msg` on worker `w`'s ring and wakes the worker; while the
-    /// ring is full, the worker alive and `retries` left, yields and tries
-    /// again. `false` hands the loss back to the caller to account — a
-    /// bounded wait, never a spin on a dead ring.
-    #[inline]
-    fn push_rx(&self, w: usize, mut msg: WorkerMsg, mut retries: u32) -> bool {
+    /// Enqueues one control token on worker `w`'s ring and wakes the
+    /// worker, waiting for ring space for as long as the worker lives.
+    /// `false`: the worker died first.
+    fn push_token(&self, w: usize, mut msg: WorkerMsg) -> bool {
         loop {
             let enqueued = self.shared.rx_rings[w].enqueue(msg);
             Shared::wake(&self.shared.worker_parked[w], &self.worker_threads[w]);
@@ -735,10 +778,9 @@ where
                 Ok(()) => return true,
                 Err(back) => msg = back,
             }
-            if retries == 0 || !self.shared.worker_alive[w].load(Ordering::Acquire) {
+            if !self.shared.worker_alive[w].load(Ordering::Acquire) {
                 return false;
             }
-            retries -= 1;
             std::thread::yield_now();
         }
     }
@@ -773,7 +815,7 @@ where
             if let Some(hub) = &self.shared.telemetry {
                 hub.record_event(EventKind::FaultInjected, w as u32, fault::CRASH, 0);
             }
-            self.push_rx(w, WorkerMsg::Crash, UNTIL_DEAD);
+            self.push_token(w, WorkerMsg::Crash);
         }
     }
 
@@ -893,7 +935,7 @@ where
             // count at exactly one token per worker per round.
             if serving
                 && self.shared.worker_alive[w].load(Ordering::Acquire)
-                && self.push_rx(w, WorkerMsg::Flush(self.seq), UNTIL_DEAD)
+                && self.push_token(w, WorkerMsg::Flush(self.seq))
             {
                 continue;
             }
@@ -909,7 +951,8 @@ where
                     .advance(w, SliceEvent::Reaped)
                     .expect("a dead worker's slice can be quarantined");
             }
-            push_tx(self.shared, TxMsg::Flush(self.seq), &self.tx_thread);
+            self.tx_out.push(TxMsg::Flush(self.seq));
+            push_tx(self.shared, &mut self.tx_out, &self.tx_thread);
         }
         Shared::wake(&self.shared.tx_parked, &self.tx_thread);
 
@@ -1014,7 +1057,7 @@ where
         if self.lifecycle.state(w) != SliceState::Crashed
             && self.shared.worker_alive[w].load(Ordering::Acquire)
         {
-            self.push_rx(w, WorkerMsg::Crash, UNTIL_DEAD);
+            self.push_token(w, WorkerMsg::Crash);
         }
         let deadline = std::time::Instant::now() + QUARANTINE_WAIT;
         while self.shared.worker_alive[w].load(Ordering::Acquire) {
@@ -1038,7 +1081,7 @@ where
     fn reap_ring(&mut self, w: usize) {
         let multi = self.c_received.len() > 1;
         while let Some(msg) = self.shared.rx_rings[w].dequeue() {
-            match msg {
+            let out = match msg {
                 WorkerMsg::Pkt(p) => {
                     let slot = if multi {
                         self.shared.contracts.slot_of(p.tuple.dst_ip)
@@ -1047,9 +1090,10 @@ where
                     };
                     self.uncovered[w] += 1;
                     self.c_uncovered[slot] += 1;
-                    if self.shared.contracts.mode_of_slot(slot) == DegradedMode::FailOpen {
-                        push_tx(self.shared, TxMsg::Pkt(w, p), &self.tx_thread);
+                    if self.shared.contracts.mode_of_slot(slot) != DegradedMode::FailOpen {
+                        continue;
                     }
+                    TxMsg::Pkt(w, p)
                 }
                 WorkerMsg::Flush(s) => {
                     // Unreachable in practice (tokens for closed rounds
@@ -1057,14 +1101,19 @@ where
                     // worker); replaying preserves token conservation all
                     // the same.
                     debug_assert!(s < self.seq, "future token in a dead ring");
-                    push_tx(self.shared, TxMsg::Flush(s), &self.tx_thread);
+                    TxMsg::Flush(s)
                 }
                 // Shadow residue is dropped without any counter: the
                 // mirrored packets' originals were accounted at their
                 // re-steer targets.
-                WorkerMsg::Crash | WorkerMsg::Noise | WorkerMsg::Shadow(_) => {}
+                WorkerMsg::Crash | WorkerMsg::Noise | WorkerMsg::Shadow(_) => continue,
+            };
+            self.tx_out.push(out);
+            if self.tx_out.len() == self.config.burst {
+                push_tx(self.shared, &mut self.tx_out, &self.tx_thread);
             }
         }
+        push_tx(self.shared, &mut self.tx_out, &self.tx_thread);
     }
 
     /// The last flushed round's counters split per tenant contract
@@ -1128,6 +1177,9 @@ fn worker_loop<S: PacketStage>(
     let mut pkts: Vec<Packet> = Vec::with_capacity(config.burst);
     let mut shadows: Vec<Packet> = Vec::with_capacity(config.burst);
     let mut outcomes = Vec::with_capacity(config.burst);
+    // Forwarded packets (and a trailing barrier token) bound for TX: one
+    // burst never forwards more than it dequeued.
+    let mut tx_out: Vec<TxMsg> = Vec::with_capacity(config.burst);
     // Reused per-contract (forwarded, filtered) scratch for one run.
     let mut c_counts: Vec<(u64, u64)> = vec![(0, 0); shared.contracts.contracts().len()];
     // Stack-resident telemetry scratch, merged into the hub only at round
@@ -1178,6 +1230,7 @@ fn worker_loop<S: PacketStage>(
                         &mut outcomes,
                         &mut c_counts,
                         &mut scratch,
+                        &mut tx_out,
                         &tx_thread,
                     );
                     shadow_run(&mut stage, &mut shadows, &mut outcomes);
@@ -1186,7 +1239,8 @@ fn worker_loop<S: PacketStage>(
                     if let Some(hub) = &shared.telemetry {
                         scratch.flush_into(hub.worker(w));
                     }
-                    push_tx(shared, TxMsg::Flush(seq), &tx_thread);
+                    tx_out.push(TxMsg::Flush(seq));
+                    push_tx(shared, &mut tx_out, &tx_thread);
                 }
                 WorkerMsg::Noise => {}
                 WorkerMsg::Crash => {
@@ -1202,22 +1256,17 @@ fn worker_loop<S: PacketStage>(
                         &mut outcomes,
                         &mut c_counts,
                         &mut scratch,
+                        &mut tx_out,
                         &tx_thread,
                     );
                     shadow_run(&mut stage, &mut shadows, &mut outcomes);
                     if let Some(hub) = &shared.telemetry {
                         scratch.flush_into(hub.worker(w));
                     }
-                    for msg in batch.drain(i + 1..) {
-                        let mut item = msg;
-                        loop {
-                            match ring.enqueue(item) {
-                                Ok(()) => break,
-                                Err(back) => {
-                                    item = back;
-                                    std::thread::yield_now();
-                                }
-                            }
+                    batch.drain(..=i);
+                    while !batch.is_empty() {
+                        if ring.enqueue_burst(&mut batch) == 0 {
+                            std::thread::yield_now();
                         }
                     }
                     break 'outer;
@@ -1232,6 +1281,7 @@ fn worker_loop<S: PacketStage>(
             &mut outcomes,
             &mut c_counts,
             &mut scratch,
+            &mut tx_out,
             &tx_thread,
         );
         shadow_run(&mut stage, &mut shadows, &mut outcomes);
@@ -1260,8 +1310,8 @@ fn shadow_run<S: PacketStage>(
     pkts.clear();
 }
 
-/// Runs one packet run through the stage, pushing forwarded packets to TX
-/// and charging the per-worker counters. Clears `pkts`.
+/// Runs one packet run through the stage, pushing its forwarded packets to
+/// TX in one burst and charging the per-worker counters. Clears `pkts`.
 #[allow(clippy::too_many_arguments)] // worker-loop locals threaded by ref; grouping them would allocate
 fn process_run<S: PacketStage>(
     shared: &Shared,
@@ -1271,6 +1321,7 @@ fn process_run<S: PacketStage>(
     outcomes: &mut Vec<crate::stage::StageOutcome>,
     c_counts: &mut [(u64, u64)],
     scratch: &mut WorkerScratch,
+    tx_out: &mut Vec<TxMsg>,
     tx_thread: &Thread,
 ) {
     if pkts.is_empty() {
@@ -1306,13 +1357,11 @@ fn process_run<S: PacketStage>(
                 if telemetry {
                     scratch.record(pkt.wire_size as u64, true);
                 }
-                if !push_tx(shared, TxMsg::Pkt(w, *pkt), tx_thread) {
-                    // TX died (sink panicked): keep draining so shutdown
-                    // can proceed, the panic propagates at scope exit.
-                }
+                tx_out.push(TxMsg::Pkt(w, *pkt));
             }
         }
     }
+    push_tx(shared, tx_out, tx_thread);
     // Relaxed is enough: round readers are ordered behind the flush token
     // these adds precede (see `Shared::forwarded`).
     shared.forwarded[w].fetch_add(forwarded, Ordering::Relaxed);
@@ -1331,24 +1380,49 @@ fn process_run<S: PacketStage>(
     pkts.clear();
 }
 
-/// Enqueues one message to the TX ring, waking a parked TX thread.
-/// Returns `false` (dropping the message) only if the TX thread is dead.
-fn push_tx(shared: &Shared, mut msg: TxMsg, tx_thread: &Thread) -> bool {
+/// Enqueues `msgs` on worker `w`'s ring, one lock per attempt, and wakes
+/// the worker. A `live` target's ring is retried (yielding) while the
+/// worker lives, until an attempt and [`OFFER_RETRIES`] re-tries in a row
+/// take nothing — the budget a lone packet meeting a full ring gets —
+/// and any attempt that takes something restarts the count; any other
+/// target gets one attempt.
+/// What did not fit stays in `msgs`, in order, for the caller to account.
+fn push_rx(shared: &Shared, w: usize, worker: &Thread, msgs: &mut Vec<WorkerMsg>, live: bool) {
+    let mut fruitless = 0;
     loop {
-        match shared.tx_ring.enqueue(msg) {
-            Ok(()) => {
-                Shared::wake(&shared.tx_parked, tx_thread);
-                return true;
-            }
-            Err(back) => {
-                if !shared.tx_alive.load(Ordering::Acquire) {
-                    return false;
-                }
-                msg = back;
-                Shared::wake(&shared.tx_parked, tx_thread);
-                std::thread::yield_now();
-            }
+        if shared.rx_rings[w].enqueue_burst(msgs) > 0 {
+            fruitless = 0;
+        } else {
+            fruitless += 1;
         }
+        Shared::wake(&shared.worker_parked[w], worker);
+        if msgs.is_empty()
+            || !live
+            || fruitless > OFFER_RETRIES
+            || !shared.worker_alive[w].load(Ordering::Acquire)
+        {
+            return;
+        }
+        std::thread::yield_now();
+    }
+}
+
+/// Enqueues `msgs` on the TX ring, one lock per attempt, waking a parked
+/// TX thread; retries while TX lives. Leaves `msgs` empty: what is left
+/// is dropped only if the TX thread died (its sink panicked — the panic
+/// propagates at scope exit, and dropping lets shutdown proceed).
+fn push_tx(shared: &Shared, msgs: &mut Vec<TxMsg>, tx_thread: &Thread) {
+    while !msgs.is_empty() {
+        shared.tx_ring.enqueue_burst(msgs);
+        Shared::wake(&shared.tx_parked, tx_thread);
+        if msgs.is_empty() {
+            break;
+        }
+        if !shared.tx_alive.load(Ordering::Acquire) {
+            msgs.clear();
+            break;
+        }
+        std::thread::yield_now();
     }
 }
 
@@ -1793,6 +1867,97 @@ mod tests {
                     assert_eq!(b.overflow, 0, "round {round}: collateral overflow");
                     assert_eq!(b.received, 10, "round {round}");
                 }
+            },
+        );
+    }
+
+    #[test]
+    fn one_offer_past_a_stalled_ring_decides_exactly_a_ring() {
+        // A single `offer` of more than a ring toward a stalled worker:
+        // the burst hand-off fills the ring exactly, charges every leftover
+        // to the worker and to its packet's contract, and leaves the other
+        // worker's share untouched. Worker 0 stalls inside its stage on a
+        // primer packet, so it provably drains nothing during the offer.
+        use crate::packet::Protocol;
+        use std::sync::mpsc;
+        let cap = 64;
+        let a_net = u32::from_be_bytes([203, 0, 0, 0]);
+        let b_net = u32::from_be_bytes([198, 18, 0, 0]);
+        let mut map = ContractMap::new();
+        map.assign(a_net, 16, 7);
+        map.assign(b_net, 16, 9);
+        let config = ServiceConfig {
+            ring_capacity: cap,
+            ..Default::default()
+        };
+        let mk = |net: u32, id: u64| {
+            Packet::new(
+                FiveTuple::new(4 + id as u32, net | 1, 999, 80, Protocol::Tcp),
+                64,
+                0,
+                id,
+            )
+        };
+        const PRIMER: u64 = 1_000;
+        let primer = mk(a_net, PRIMER);
+        // Every 21st packet goes to contract 9 (worker 1), the rest to
+        // contract 7 (worker 0); 220 packets span seven 32-packet chunks.
+        let t: Vec<Packet> = (0..220u64)
+            .map(|i| mk(if i % 21 == 0 { b_net } else { a_net }, i))
+            .collect();
+        let to_b = t
+            .iter()
+            .filter(|p| p.tuple.dst_ip & 0xffff_0000 == b_net)
+            .count() as u64;
+        let to_a = t.len() as u64 - to_b;
+        assert!(to_a > cap as u64);
+
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel::<()>();
+        let stage = |gate: Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>| {
+            let mut parity = parity_stage();
+            move |p: &Packet| {
+                if let (Some((entered, release)), PRIMER) = (&gate, p.id) {
+                    entered.send(()).unwrap();
+                    // A dropped sender (the body panicked) also releases.
+                    let _ = release.recv();
+                }
+                parity(p)
+            }
+        };
+        let stages = vec![stage(Some((entered_tx, release_rx))), stage(None)];
+        DataplaneService::new(config).with_contracts(map).run(
+            stages,
+            |_, _| {},
+            |t| usize::from(t.dst_ip & 0xffff_0000 != a_net),
+            move |svc| {
+                svc.offer(&[primer]);
+                entered.recv().unwrap();
+                svc.offer(&t);
+                release.send(()).unwrap();
+                let report = svc.flush_round().clone();
+                let (w0, w1) = (report.per_worker[0], report.per_worker[1]);
+                assert_eq!(w0.received, to_a + 1);
+                assert_eq!(w0.overflow, to_a - cap as u64);
+                assert_eq!(
+                    w0.forwarded + w0.filtered,
+                    1 + cap as u64,
+                    "the primer and exactly one ring decided"
+                );
+                assert_eq!((w1.received, w1.overflow), (to_b, 0));
+                assert_eq!(w1.forwarded + w1.filtered, to_b);
+                let deltas = svc.contract_deltas();
+                let a = deltas.iter().find(|d| d.contract == 7).unwrap();
+                let b = deltas.iter().find(|d| d.contract == 9).unwrap();
+                assert_eq!((a.received, a.overflow), (to_a + 1, w0.overflow));
+                assert_eq!(a.forwarded + a.filtered + a.overflow, a.received);
+                assert_eq!((b.received, b.overflow), (to_b, 0));
+                assert_eq!(b.forwarded + b.filtered, b.received);
+                let total = report.total();
+                assert_eq!(
+                    total.forwarded + total.filtered + total.overflow + total.uncovered,
+                    total.received
+                );
             },
         );
     }

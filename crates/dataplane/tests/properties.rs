@@ -2,6 +2,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::collections::VecDeque;
 use vif_dataplane::lifecycle::{PROBATION_ROUNDS, REJOIN_RETRIES};
 use vif_dataplane::{
     shard_of, DataplaneService, FiveTuple, FlowSet, LineRate, Packet, Protocol, Ring,
@@ -10,33 +11,50 @@ use vif_dataplane::{
 };
 
 proptest! {
-    /// Rings preserve FIFO order under arbitrary burst interleavings, and
-    /// a rejected burst tail is returned intact (no silent item loss).
+    /// A ring is a capacity-bounded `VecDeque` under any mix of burst and
+    /// single operations: the same FIFO order and length, a partial
+    /// accept takes exactly what fits and hands the rejected tail back
+    /// intact and in order, and a burst dequeue appends to what the
+    /// caller's buffer already held.
     #[test]
-    fn ring_fifo(ops in vec((any::<bool>(), 1usize..20), 1..60)) {
-        let ring: Ring<u64> = Ring::new(64);
-        let mut next_in = 0u64;
-        let mut next_out = 0u64;
-        for (is_push, n) in ops {
-            if is_push {
-                let mut items: Vec<u64> = (next_in..next_in + n as u64).collect();
-                let accepted = ring.enqueue_burst(&mut items);
-                // Everything not accepted comes back, in order.
-                prop_assert_eq!(items.len(), n - accepted);
-                if let Some(&first_left) = items.first() {
-                    prop_assert_eq!(first_left, next_in + accepted as u64);
+    fn ring_fifo(capacity in 1usize..48, ops in vec((0u8..4, 0usize..40), 1..120)) {
+        let ring: Ring<u64> = Ring::new(capacity);
+        let mut model: VecDeque<u64> = VecDeque::new();
+        let mut next = 0u64;
+        for (op, n) in ops {
+            match op {
+                0 => {
+                    let burst: Vec<u64> = (next..next + n as u64).collect();
+                    next += n as u64;
+                    let fits = n.min(capacity - model.len());
+                    let mut items = burst.clone();
+                    prop_assert_eq!(ring.enqueue_burst(&mut items), fits);
+                    model.extend(&burst[..fits]);
+                    prop_assert_eq!(&items[..], &burst[fits..]);
                 }
-                next_in += accepted as u64;
-            } else {
-                let mut out = Vec::new();
-                ring.dequeue_burst(&mut out, n);
-                for v in out {
-                    prop_assert_eq!(v, next_out);
-                    next_out += 1;
+                1 => {
+                    let accepted = ring.enqueue(next);
+                    if model.len() < capacity {
+                        prop_assert_eq!(accepted, Ok(()));
+                        model.push_back(next);
+                    } else {
+                        prop_assert_eq!(accepted, Err(next));
+                    }
+                    next += 1;
                 }
+                2 => {
+                    let mut out = vec![u64::MAX];
+                    let taken = n.min(model.len());
+                    prop_assert_eq!(ring.dequeue_burst(&mut out, n), taken);
+                    let mut expected = vec![u64::MAX];
+                    expected.extend(model.drain(..taken));
+                    prop_assert_eq!(out, expected);
+                }
+                _ => prop_assert_eq!(ring.dequeue(), model.pop_front()),
             }
+            prop_assert_eq!(ring.len(), model.len());
+            prop_assert_eq!(ring.is_empty(), model.is_empty());
         }
-        prop_assert!(next_out <= next_in);
     }
 
     /// Line-rate arithmetic: pps × (size + overhead) × 8 == rate.

@@ -37,7 +37,7 @@ fn run_smoke(seed: u64) -> ScenarioReport {
     run_single(Scenario::smoke(seed), ScenarioHarnessConfig::default())
 }
 
-/// A scenario run is a pure function of its seed: live threads, lock-free
+/// A scenario run is a pure function of its seed: live threads, shared
 /// rings, and mid-run churn may reorder *work*, but every observable
 /// count in the report is identical run to run.
 #[test]
