@@ -8,7 +8,7 @@
 //! - `compiled_classify`: the compiled stride walk (`RuleSet::classify`),
 //! - `reference_classify`: the pre-compilation map-probe path
 //!   (`RuleSet::classify_reference`),
-//! - `decide_batch`: the full verdict path through the stateless backend
+//! - `decide_batch`: the full verdict path through the stateless filter
 //!   (classification + one-block SHA-256 for hash-decided flows).
 //!
 //! Run with `VIF_BENCH_JSON=BENCH_hotpath.json` to refresh the checked-in
@@ -104,7 +104,6 @@ fn bench(c: &mut Criterion) {
                     });
                 },
             );
-            let mut backend = filter.clone();
             let mut verdicts = Vec::with_capacity(burst);
             let mut i = 0usize;
             group.bench_with_input(BenchmarkId::new("decide_batch", burst), &burst, |b, &n| {
@@ -112,11 +111,7 @@ fn bench(c: &mut Criterion) {
                     let start = (i * n) % (tuples.len() - n);
                     i += 1;
                     verdicts.clear();
-                    FilterBackend::decide_batch(
-                        &mut backend,
-                        black_box(&tuples[start..start + n]),
-                        &mut verdicts,
-                    );
+                    filter.decide_batch(black_box(&tuples[start..start + n]), &mut verdicts);
                     black_box(verdicts.len())
                 });
             });

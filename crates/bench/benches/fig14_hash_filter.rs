@@ -1,10 +1,11 @@
 //! Fig. 14 micro-benchmark: the real cost of the hash-based decision path
 //! (our from-scratch SHA-256) vs. deterministic and exact-match paths,
-//! plus the burst path of every [`FilterBackend`].
+//! plus the burst path of the reference and the hybrid filter.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use vif_bench::experiments::{victim_ip, victim_prefix};
+use vif_core::filter::Verdict;
 use vif_core::prelude::*;
 use vif_dataplane::FlowSet;
 
@@ -70,8 +71,8 @@ fn bench(c: &mut Criterion) {
 
     group.finish();
 
-    // Burst path: every backend decides the same workload through
-    // FilterBackend::decide_batch, 32 tuples per burst (the RX burst size).
+    // Burst path: both filters decide the same workload through
+    // decide_batch, 32 tuples per burst (the RX burst size).
     let mut group = c.benchmark_group("fig14_decide_batch32");
     group.sample_size(30);
     let prob_rule = || {
@@ -81,18 +82,15 @@ fn bench(c: &mut Criterion) {
         )
     };
     let stateless = StatelessFilter::new(RuleSet::from_rules([prob_rule()]), [7u8; 32]);
-    let mut backends: Vec<(&str, Box<dyn FilterBackend>)> = vec![
-        ("stateless", Box::new(stateless.clone())),
-        (
-            "hybrid",
-            Box::new(HybridFilter::new(stateless.clone(), 10_000)),
-        ),
-        (
-            "sketch_accelerated",
-            Box::new(SketchAcceleratedFilter::new(stateless, 10_000)),
-        ),
+    let mut hybrid = HybridFilter::new(stateless.clone(), 10_000);
+    type DecideBatch<'a> = &'a mut dyn FnMut(&[FiveTuple], &mut Vec<Verdict>);
+    let filters: [(&str, DecideBatch); 2] = [
+        ("stateless", &mut |burst, out| {
+            stateless.decide_batch(burst, out)
+        }),
+        ("hybrid", &mut |burst, out| hybrid.decide_batch(burst, out)),
     ];
-    for (label, backend) in &mut backends {
+    for (label, decide_batch) in filters {
         let mut verdicts = Vec::with_capacity(32);
         group.bench_with_input(BenchmarkId::new("decide_batch", label), &(), |b, _| {
             let mut i = 0;
@@ -100,7 +98,7 @@ fn bench(c: &mut Criterion) {
                 let start = (i * 32) % (tuples.len() - 32);
                 i += 1;
                 verdicts.clear();
-                backend.decide_batch(black_box(&tuples[start..start + 32]), &mut verdicts);
+                decide_batch(black_box(&tuples[start..start + 32]), &mut verdicts);
                 black_box(verdicts.len())
             });
         });

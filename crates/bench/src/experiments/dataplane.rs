@@ -5,6 +5,7 @@ use super::{host_rules, launch_filter, render_table, saturating_traffic, victim_
 use crate::model::{run_enclave, CostModel};
 use std::sync::Arc;
 use vif_core::cost::FilterMode;
+use vif_core::filter::Verdict;
 use vif_core::prelude::*;
 use vif_dataplane::{
     shard_of, DataplaneService, FlowSet, ServiceConfig, TrafficConfig, TrafficGenerator,
@@ -259,49 +260,74 @@ pub fn fig14(duration_ms: u64) -> String {
 pub const BATCH_SIZES: [usize; 3] = [1, 32, 256];
 
 /// Per-packet vs. batched filtering throughput over the Fig. 14
-/// hash-filter workload, for every [`FilterBackend`].
+/// hash-filter workload, for the reference and the hybrid filter.
 ///
 /// Wall-clock (not simulated): each cell decides `decisions` packets
 /// through `decide_batch` at the given batch size; the `single` column is
-/// the per-packet `decide` loop the pipeline used before the backend
-/// refactor. Backends are measured in steady state (hybrid promoted,
-/// sketch heavy hitters hot).
+/// the per-packet `decide` loop. Both filters are measured in steady
+/// state (hybrid promoted).
 pub fn batch(decisions: usize) -> String {
-    let (stateless, tuples) = super::fig14_hash_workload();
-    let mut backends = super::steady_state_backends(&stateless, &tuples);
+    let (mut stateless, tuples) = super::fig14_hash_workload();
+    let mut hybrid = super::steady_state_hybrid(&stateless, &tuples);
+    let rows = vec![
+        batch_row(
+            "stateless",
+            &mut stateless,
+            |f, t| f.decide(t),
+            |f, burst, out| f.decide_batch(burst, out),
+            &tuples,
+            decisions,
+        ),
+        batch_row(
+            "hybrid",
+            &mut hybrid,
+            HybridFilter::decide,
+            HybridFilter::decide_batch,
+            &tuples,
+            decisions,
+        ),
+    ];
+    render_table(
+        "Batch path — filter throughput (Mpps, wall-clock) vs. batch size, Fig. 14 hash workload",
+        &["filter", "single", "batch=1", "batch=32", "batch=256"],
+        &rows,
+    )
+}
 
-    let mut rows = Vec::new();
-    for (_, backend) in &mut backends {
+/// One row of [`batch`]: `filter`'s per-packet rate, then its rate at each
+/// of [`BATCH_SIZES`].
+fn batch_row<F>(
+    name: &str,
+    filter: &mut F,
+    decide: impl Fn(&mut F, &FiveTuple) -> Verdict,
+    decide_batch: impl Fn(&mut F, &[FiveTuple], &mut Vec<Verdict>),
+    tuples: &[FiveTuple],
+    decisions: usize,
+) -> Vec<String> {
+    let start = std::time::Instant::now();
+    let mut done = 0usize;
+    while done < decisions {
+        for t in tuples.iter().take(decisions - done) {
+            std::hint::black_box(decide(filter, t));
+            done += 1;
+        }
+    }
+    let mpps_single = done as f64 / start.elapsed().as_secs_f64() / 1e6;
+    let mut row = vec![name.to_string(), format!("{mpps_single:.2}")];
+    for &batch in &BATCH_SIZES {
+        let mut verdicts = Vec::with_capacity(batch);
         let start = std::time::Instant::now();
         let mut done = 0usize;
         while done < decisions {
-            for t in tuples.iter().take(decisions - done) {
-                std::hint::black_box(backend.decide(t));
-                done += 1;
-            }
+            let i = done % (tuples.len() - batch);
+            verdicts.clear();
+            decide_batch(filter, &tuples[i..i + batch], &mut verdicts);
+            done += batch;
         }
-        let mpps_single = done as f64 / start.elapsed().as_secs_f64() / 1e6;
-        let mut row = vec![backend.name().to_string(), format!("{mpps_single:.2}")];
-        for &batch in &BATCH_SIZES {
-            let mut verdicts = Vec::with_capacity(batch);
-            let start = std::time::Instant::now();
-            let mut done = 0usize;
-            while done < decisions {
-                let i = done % (tuples.len() - batch);
-                verdicts.clear();
-                backend.decide_batch(&tuples[i..i + batch], &mut verdicts);
-                done += batch;
-            }
-            let mpps = done as f64 / start.elapsed().as_secs_f64() / 1e6;
-            row.push(format!("{mpps:.2}"));
-        }
-        rows.push(row);
+        let mpps = done as f64 / start.elapsed().as_secs_f64() / 1e6;
+        row.push(format!("{mpps:.2}"));
     }
-    render_table(
-        "Batch path — filter throughput (Mpps, wall-clock) vs. batch size, Fig. 14 hash workload",
-        &["backend", "single", "batch=1", "batch=32", "batch=256"],
-        &rows,
-    )
+    row
 }
 
 /// Worker counts swept by the shard-scaling experiment and bench.

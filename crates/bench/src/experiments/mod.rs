@@ -72,32 +72,17 @@ pub fn fig14_hash_workload() -> (StatelessFilter, Vec<FiveTuple>) {
     (filter, flows.flows().to_vec())
 }
 
-/// Every shipped [`FilterBackend`] over `stateless`, warmed to steady
-/// state on `tuples`: the hybrid has promoted the working set to
-/// exact-match entries, the sketch backend has seen every flow cross its
-/// hot threshold. Steady state is what the paper's Fig. 14 sweep measures
-/// and where batch effects matter at line rate.
-pub fn steady_state_backends(
-    stateless: &StatelessFilter,
-    tuples: &[FiveTuple],
-) -> Vec<(&'static str, Box<dyn FilterBackend>)> {
-    use vif_core::sketch_backend::SketchAcceleratedFilter;
+/// The hybrid filter over `stateless`, warmed to steady state on
+/// `tuples`: it has promoted the working set to exact-match entries.
+/// Steady state is what the paper's Fig. 14 sweep measures and where
+/// batch effects matter at line rate.
+pub fn steady_state_hybrid(stateless: &StatelessFilter, tuples: &[FiveTuple]) -> HybridFilter {
     let mut hybrid = HybridFilter::new(stateless.clone(), 100_000);
     for t in tuples {
         hybrid.decide(t);
     }
     hybrid.apply_update_period();
-    let mut sketch = SketchAcceleratedFilter::new(stateless.clone(), 100_000);
-    for _ in 0..=SketchAcceleratedFilter::DEFAULT_HOT_THRESHOLD {
-        for t in tuples {
-            sketch.decide(t);
-        }
-    }
-    vec![
-        ("stateless", Box::new(stateless.clone())),
-        ("hybrid", Box::new(hybrid)),
-        ("sketch-accelerated", Box::new(sketch)),
-    ]
+    hybrid
 }
 
 /// Launches a single filter enclave preloaded with `ruleset`.

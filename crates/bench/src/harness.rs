@@ -29,7 +29,7 @@ pub enum ExperimentId {
     Fig9,
     /// Table II: batch insertion.
     Tab2,
-    /// Per-packet vs. batched filter throughput per backend.
+    /// Per-packet vs. batched throughput of the reference and hybrid filters.
     Batch,
     /// Sharded live-pipeline throughput vs. worker count.
     Shard,

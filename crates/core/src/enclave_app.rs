@@ -6,7 +6,6 @@
 //! dataplane's [`PacketStage`] seam, standing in for the filter thread
 //! pinned to a CPU core in the paper's Fig. 6.
 
-use crate::backend::FilterBackend;
 use crate::cost::FilterMode;
 use crate::filter::{DecisionPath, StatelessFilter, Verdict};
 use crate::hybrid::HybridFilter;
@@ -572,7 +571,7 @@ impl FilterEnclaveApp {
     pub fn process(&mut self, t: &FiveTuple, wire_bytes: u64) -> Verdict {
         let si = slot_for_dst(&self.contracts, t.dst_ip);
         self.contracts[si].logs.log_incoming(t);
-        let verdict = FilterBackend::decide(&mut self.filter, t);
+        let verdict = self.filter.decide(t);
         if verdict.action == RuleAction::Allow {
             self.contracts[si].logs.log_outgoing(t);
         }
@@ -589,16 +588,18 @@ impl FilterEnclaveApp {
     /// Equivalent to calling [`process`](FilterEnclaveApp::process) per
     /// packet: verdicts are order-independent (§III-A) and the sketch/
     /// telemetry updates commute, so regrouping them around one
-    /// [`FilterBackend::decide_batch_fingerprints`] call and one
+    /// [`HybridFilter::decide_batch`] call and one
     /// [`PacketLogs::log_batch_fingerprints`] call changes cost, never
     /// state — exports after a burst are byte-identical to per-packet
     /// processing (the `burst_logging_audit_equivalence` property test).
     /// This is the in-enclave half of the pipeline's burst path — one
     /// enclave-thread entry covers the whole RX burst, and it is a
     /// **fingerprint-once** single pass: each 5-tuple is encoded once,
-    /// its tuple and source-IP fingerprints derived once, and the filter,
-    /// both sketch logs, and (upstream) RSS steering all consume those
-    /// same values.
+    /// its tuple and source-IP fingerprints derived once, and both sketch
+    /// logs and (upstream) RSS steering consume those same values. The
+    /// filter takes the tuples: its exact-match cache hashes the tuple
+    /// words directly, which is cheaper than going through the 13-byte
+    /// key fingerprint.
     pub fn process_batch(&mut self, pkts: &[(FiveTuple, u64)], out: &mut Vec<Verdict>) {
         out.clear();
         self.scratch.clear();
@@ -609,8 +610,7 @@ impl FilterEnclaveApp {
             self.scratch.push(*t);
             self.fp_scratch.push(PacketFingerprints::of(t));
         }
-        self.filter
-            .decide_batch_fingerprints(&self.scratch, &self.fp_scratch, out);
+        self.filter.decide_batch(&self.scratch, out);
         if self.contracts.len() == 1 {
             // Single tenant: the whole burst belongs to the default
             // contract — keep the prefetch-pipelined batched sketch path.
@@ -977,7 +977,7 @@ fn outcome(verdict: &Verdict) -> StageOutcome {
 
 impl PacketStage for EnclaveFilterStage {
     /// One enclave-thread entry covers the whole burst: the app computes
-    /// every verdict via [`FilterBackend::decide_batch`] before control
+    /// every verdict via [`HybridFilter::decide_batch`] before control
     /// returns to the untrusted side, amortizing the boundary crossing
     /// that a per-packet design would pay 64× per RX burst.
     fn process_batch(&mut self, pkts: &[Packet], out: &mut Vec<StageOutcome>) {

@@ -6,20 +6,15 @@
 //!
 //! - the exact-match rule table is keyed by *victim-submitted* rules,
 //!   authorized against RPKI before insertion — not attacker-chosen;
-//! - the verdict caches ([`HybridFilter`](crate::hybrid::HybridFilter)'s
-//!   promotion queue, [`SketchAcceleratedFilter`](crate::sketch_backend::SketchAcceleratedFilter)'s hot table) *are* fed
-//!   by observed traffic, and this hasher is deterministic, so an
-//!   adversary can in principle pre-compute colliding tuples. What that
-//!   buys them is bounded: correctness is untouched (uncached flows fall
-//!   back to the stateless hash path, and both caches are
-//!   capacity-bounded), so the worst case is degraded probe cost on the
-//!   colliding bucket chains — and only the sketch-gated backend makes
-//!   promotion selective (hot-threshold over an enclave-secret-seeded
-//!   count-min sketch, which collision-crafting cannot target); the
-//!   plain hybrid promotes every observed hash-path flow FIFO up to its
-//!   cap. Deployments where that probe-cost vector matters should prefer
-//!   [`SketchAcceleratedFilter`](crate::sketch_backend::SketchAcceleratedFilter) (which also charges an attacker
-//!   `hot_threshold` packets per promoted tuple) or shrink
+//! - the hybrid filter's verdict cache and promotion queue
+//!   ([`HybridFilter`](crate::hybrid::HybridFilter)) *are* fed by observed
+//!   traffic, and this hasher is deterministic, so an adversary can in
+//!   principle pre-compute colliding tuples. What that buys them is
+//!   bounded: correctness is untouched (uncached flows fall back to the
+//!   stateless hash path, and the cache is capacity-bounded), so the worst
+//!   case is degraded probe cost on the colliding bucket chains. The
+//!   hybrid promotes every observed hash-path flow FIFO up to its cap;
+//!   deployments where that probe-cost vector matters should shrink
 //!   `max_cached_flows`.
 //!
 //! What the hot path needs in exchange is constant, tiny per-probe cost: one

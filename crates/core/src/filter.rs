@@ -15,7 +15,7 @@
 //! # The batch invariant
 //!
 //! Statelessness is exactly what makes burst processing
-//! ([`FilterBackend::decide_batch`]) a pure optimization: since `f(p)`
+//! ([`StatelessFilter::decide_batch`]) a pure optimization: since `f(p)`
 //! ignores packet order, arrival time, and every other packet, the
 //! verdicts of a batch equal the verdicts of the same tuples decided one
 //! at a time, in any interleaving. Batching therefore amortizes per-packet
@@ -23,8 +23,21 @@
 //! crossings) without ever changing what a victim or neighbor AS observes
 //! in the audit logs — an operator cannot use burst boundaries to smuggle
 //! different filtering behavior past the §III-B verifiers.
+//!
+//! # The reference
+//!
+//! [`StatelessFilter`] is the reference execution of `f(p)`; the serving
+//! filter, [`HybridFilter`](crate::hybrid::HybridFilter), caches its
+//! hash-based verdicts. Every execution must equal this one in the
+//! semantic fields of a [`Verdict`] — the same **action** (what the audit
+//! logs observe) and the same **matched rule** (what drives `B_i`
+//! telemetry and strict-scope accounting), for every tuple, in any order
+//! and at any burst size. [`DecisionPath`] is execution information: a
+//! cache hit reports [`DecisionPath::Cached`] where the reference reports
+//! [`DecisionPath::HashBased`]. Executions may differ in cost, never in
+//! observable behavior; the `batch_decide_equals_single_decide` property
+//! test enforces both halves.
 
-use crate::backend::FilterBackend;
 use crate::rules::{RuleAction, RuleDecision};
 use crate::ruleset::{RuleId, RuleSet};
 use vif_crypto::sha256::Sha256;
@@ -33,17 +46,17 @@ use vif_dataplane::FiveTuple;
 /// How a verdict was *executed* (used by the cost model and telemetry).
 ///
 /// The path reports what this call actually computed — it is the one
-/// verdict field that may differ between backends for the same tuple.
-/// The semantic fields (`action`, `rule`) must be identical across all
-/// backends; see [`crate::backend`].
+/// verdict field that may differ between the reference filter and the
+/// hybrid for the same tuple. The semantic fields (`action`, `rule`) must
+/// be identical (module docs, "The reference").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecisionPath {
     /// A deterministic rule decided.
     Deterministic,
     /// A probabilistic rule decided via the SHA-256 hash of the flow.
     HashBased,
-    /// A hash-based verdict served from an exact-match cache (hybrid or
-    /// sketch-accelerated fast path) — no SHA-256 paid on this call.
+    /// A hash-based verdict served from the hybrid's exact-match cache —
+    /// no SHA-256 paid on this call.
     Cached,
     /// No rule matched; the default (ALLOW) applied.
     Default,
@@ -194,14 +207,15 @@ impl StatelessFilter {
         }
     }
 
-    /// Decides a burst of packets, appending one verdict per tuple to
-    /// `out` in order.
+    /// Decides a burst of packets, appending exactly one verdict per tuple
+    /// to `out` in order. Callers must pass `out` cleared: this appends
+    /// without clearing, so `out[i]` pairs with `tuples[i]` only when the
+    /// buffer starts empty.
     ///
     /// Identical verdicts to per-packet [`decide`](StatelessFilter::decide)
     /// (the batch invariant, module docs). This is the reference loop —
     /// the stateless filter keeps no cache, so there is nothing to
-    /// amortize beyond the single `reserve`; caching backends override
-    /// the burst path with more.
+    /// amortize beyond the single `reserve`.
     pub fn decide_batch(&self, tuples: &[FiveTuple], out: &mut Vec<Verdict>) {
         out.reserve(tuples.len());
         for t in tuples {
@@ -248,20 +262,6 @@ impl StatelessFilter {
         } else {
             RuleAction::Drop
         }
-    }
-}
-
-impl FilterBackend for StatelessFilter {
-    fn decide(&mut self, t: &FiveTuple) -> Verdict {
-        StatelessFilter::decide(self, t)
-    }
-
-    fn decide_batch(&mut self, tuples: &[FiveTuple], out: &mut Vec<Verdict>) {
-        StatelessFilter::decide_batch(self, tuples, out)
-    }
-
-    fn name(&self) -> &'static str {
-        "stateless"
     }
 }
 

@@ -12,8 +12,14 @@
 //! rebuild, Table II). Because the promoted verdict equals the hash
 //! verdict, the filter's observable behavior remains the stateless `f(p)`
 //! of §III-A — the cache is purely a performance optimization.
+//!
+//! [`HybridFilter`] is the one filter the enclave serves with. Its
+//! verdicts must equal the reference [`StatelessFilter`]'s in action and
+//! matched rule for every tuple, in any order and at any burst size; only
+//! the [`DecisionPath`] may differ (`Cached` on a hit, where the reference
+//! says `HashBased`), because the path is execution information, not
+//! behavior (see [the reference](crate::filter#the-reference)).
 
-use crate::backend::FilterBackend;
 use crate::fasthash::{FxHashMap, FxHashSet};
 use crate::filter::{DecisionPath, StatelessFilter, Verdict};
 use vif_dataplane::FiveTuple;
@@ -166,8 +172,8 @@ impl HybridFilter {
     /// rule (e.g. a longer-prefix deterministic drop) can change the
     /// reference verdict of an already-promoted flow, so every rule-set
     /// mutation must flush — otherwise the fast path would keep serving
-    /// stale verdicts and break the backend-equivalence invariant
-    /// ([`crate::backend`]).
+    /// stale verdicts and break the equivalence with the reference filter
+    /// ([module docs](crate::hybrid)).
     pub fn insert_rules<I: IntoIterator<Item = crate::rules::FilterRule>>(&mut self, rules: I) {
         self.inner.ruleset_mut().insert_batch(rules);
         self.flush_cache();
@@ -208,11 +214,15 @@ impl HybridFilter {
         self.pending.clear();
     }
 
-    /// Decides a burst, appending one verdict per tuple to `out` in order.
+    /// Decides a burst, appending exactly one verdict per tuple to `out` in
+    /// order. Callers must pass `out` cleared: this appends without
+    /// clearing, so `out[i]` pairs with `tuples[i]` only when the buffer
+    /// starts empty.
     ///
-    /// Verdict-equivalent to per-packet [`decide`](HybridFilter::decide);
-    /// the burst form reserves the promotion queue once per batch and keeps
-    /// the exact-match table hot in cache across the burst.
+    /// The verdicts equal per-packet [`decide`](HybridFilter::decide)'s
+    /// exactly, and the reference filter's in action and matched rule
+    /// (module docs); the burst form reserves the promotion queue once per
+    /// batch and keeps the exact-match table hot in cache across the burst.
     pub fn decide_batch(&mut self, tuples: &[FiveTuple], out: &mut Vec<Verdict>) {
         out.reserve(tuples.len());
         // Worst case every tuple is a new hash-decided flow; one reserve
@@ -231,36 +241,6 @@ impl HybridFilter {
             return 0.0;
         }
         self.stats.hash_decisions as f64 / total as f64
-    }
-}
-
-impl FilterBackend for HybridFilter {
-    fn decide(&mut self, t: &FiveTuple) -> Verdict {
-        HybridFilter::decide(self, t)
-    }
-
-    fn decide_batch(&mut self, tuples: &[FiveTuple], out: &mut Vec<Verdict>) {
-        HybridFilter::decide_batch(self, tuples, out)
-    }
-
-    fn decide_batch_fingerprints(
-        &mut self,
-        tuples: &[FiveTuple],
-        fps: &[crate::logs::PacketFingerprints],
-        out: &mut Vec<Verdict>,
-    ) {
-        // Deliberately the plain batch loop: the hybrid's only per-packet
-        // probe is the exact-match cache, whose fast hasher mixes the
-        // tuple words directly — already cheaper than routing through the
-        // 13-byte-key fingerprint — so the caller's fingerprints carry no
-        // re-derivation to skip here (contrast the sketch-accelerated
-        // backend, whose counting sketch is keyed on `fps[i].tuple`).
-        debug_assert_eq!(tuples.len(), fps.len(), "one fingerprint per tuple");
-        HybridFilter::decide_batch(self, tuples, out)
-    }
-
-    fn name(&self) -> &'static str {
-        "hybrid"
     }
 }
 

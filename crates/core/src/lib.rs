@@ -26,12 +26,11 @@
 //! 5. rule requests are authorized against RPKI so victims can only filter
 //!    traffic addressed to their own prefixes ([`rpki`], §VII).
 //!
-//! Execution strategy is separated from these semantics by the
-//! [`backend`] module: [`backend::FilterBackend`] abstracts *how* verdicts
-//! are computed — per packet or per RX burst (`decide_batch`) — over three
-//! verdict-equivalent engines ([`filter`], [`hybrid`],
-//! [`sketch_backend`]), so the data plane, the scale-out cluster, and the
-//! benches all share one batch-oriented seam.
+//! The enclave serves with one filter, [`hybrid::HybridFilter`]: the
+//! reference [`filter::StatelessFilter`] plus an exact-match cache of its
+//! hash-based verdicts (Appendix F). Both decide per packet (`decide`) or
+//! per RX burst (`decide_batch`), and the hybrid must equal the reference
+//! in every verdict's action and matched rule ([`filter`] module docs).
 //!
 //! The per-packet decide path is *compiled*: rule installs rebuild a
 //! flat, read-only [`classifier::CompiledClassifier`] (stride walk over
@@ -50,7 +49,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod classifier;
 pub mod cost;
 pub mod enclave_app;
@@ -65,12 +63,10 @@ pub mod rules;
 pub mod ruleset;
 pub mod scale;
 pub mod session;
-pub mod sketch_backend;
 pub mod verify;
 
 /// Convenient re-exports of the crate's primary types.
 pub mod prelude {
-    pub use crate::backend::FilterBackend;
     pub use crate::cost::FilterMode;
     pub use crate::enclave_app::{EnclaveFilterStage, FilterEnclaveApp, RuleEdit};
     pub use crate::filter::StatelessFilter;
@@ -85,7 +81,6 @@ pub mod prelude {
     pub use crate::ruleset::{RuleId, RuleSet};
     pub use crate::scale::{EnclaveCluster, PublishReport, ResyncReport};
     pub use crate::session::{FilteringSession, SessionConfig, SessionError};
-    pub use crate::sketch_backend::SketchAcceleratedFilter;
     pub use crate::verify::{BypassVerdict, NeighborVerifier, VictimVerifier};
     pub use vif_dataplane::{FiveTuple, Packet, Protocol};
     pub use vif_trie::Ipv4Prefix;

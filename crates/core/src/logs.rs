@@ -42,16 +42,15 @@ use vif_sketch::{CountMinSketch, SketchConfig, SketchDecodeError};
 /// [`tuple`](PacketFingerprints::tuple)
 /// ([`FiveTuple::tuple_fingerprint`]), the incoming per-source-IP log
 /// takes [`src_ip`](PacketFingerprints::src_ip)
-/// ([`FiveTuple::src_ip_fingerprint`]), and the sketch-accelerated
-/// backend's counting sketch reuses [`tuple`](PacketFingerprints::tuple)
-/// as well — the paper's "4 linear hash operations" are then genuinely the
-/// only per-packet hash work left (§V-A).
+/// ([`FiveTuple::src_ip_fingerprint`]) — the paper's "4 linear hash
+/// operations" are then genuinely the only per-packet hash work left
+/// (§V-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketFingerprints {
     /// Fingerprint of the big-endian source address (incoming log key).
     pub src_ip: u64,
-    /// Fingerprint of the canonical 13-byte tuple encoding (outgoing log,
-    /// steering, and heavy-hitter counting key).
+    /// Fingerprint of the canonical 13-byte tuple encoding (outgoing log
+    /// and steering key).
     pub tuple: u64,
 }
 

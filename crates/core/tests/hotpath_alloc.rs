@@ -2,14 +2,14 @@
 //!
 //! The compiled classifier exists so that deciding a packet touches no
 //! allocator: the stride walk reads flat arrays, the hash decision pads a
-//! single SHA-256 block on the stack, and the caching backends probe
-//! fast-hash tables. This test pins the guarantee with a counting global
-//! allocator: after warmup (buffers at capacity, caches promoted), whole
-//! `decide_batch` bursts across every shipped backend must perform **zero**
-//! heap allocations. The same counter then pins the whole always-on
-//! service (persistent workers, rings, TX, round barriers) and the
-//! per-worker mbuf caches: entire steady-state rounds allocate nothing,
-//! on any thread — and neither does a full ring, whether a burst is
+//! single SHA-256 block on the stack, and the hybrid filter probes a
+//! fast-hash table. This test pins the guarantee with a counting global
+//! allocator: after warmup (buffers at capacity, cache promoted), whole
+//! `decide_batch` bursts of the stateless and the hybrid filter must
+//! perform **zero** heap allocations. The same counter then pins the
+//! whole always-on service (persistent workers, rings, TX, round
+//! barriers): entire steady-state rounds allocate nothing, on any
+//! thread — and neither does a full ring, whether a burst is
 //! partially accepted or `offer` runs into a stalled worker. Last, it pins the on-lock half of an epoch publication:
 //! what the snapshot and the install allocate does not depend on the rule
 //! count.
@@ -20,9 +20,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use vif_core::backend::FilterBackend;
+use vif_core::filter::Verdict;
 use vif_core::prelude::*;
-use vif_core::sketch_backend::SketchAcceleratedFilter;
 
 /// Passes every call through to [`System`], counting allocation events
 /// and the bytes they ask for.
@@ -94,7 +93,7 @@ fn workload() -> (RuleSet, Vec<FiveTuple>) {
     let mut tuples = Vec::new();
     for i in 0..256u32 {
         // Half the sources sit outside 10/8 so they fall through to the
-        // probabilistic rule: the stateless backend then pays the
+        // probabilistic rule: the stateless filter then pays the
         // one-block SHA-256 on every burst, inside the measured window.
         let src = if i % 2 == 0 { 0x0a000000 } else { 0xc0000200 } + i * 65_537;
         tuples.push(FiveTuple::new(
@@ -113,6 +112,36 @@ fn workload() -> (RuleSet, Vec<FiveTuple>) {
     (RuleSet::from_rules(rules), tuples)
 }
 
+/// The two filters the decide-path half checks: the §III-A reference and
+/// the hybrid the enclave serves with.
+enum Filter {
+    Stateless(StatelessFilter),
+    Hybrid(HybridFilter),
+}
+
+impl Filter {
+    fn name(&self) -> &'static str {
+        match self {
+            Filter::Stateless(_) => "stateless",
+            Filter::Hybrid(_) => "hybrid",
+        }
+    }
+
+    fn decide(&mut self, t: &FiveTuple) -> Verdict {
+        match self {
+            Filter::Stateless(f) => f.decide(t),
+            Filter::Hybrid(f) => f.decide(t),
+        }
+    }
+
+    fn decide_batch(&mut self, tuples: &[FiveTuple], out: &mut Vec<Verdict>) {
+        match self {
+            Filter::Stateless(f) => f.decide_batch(tuples, out),
+            Filter::Hybrid(f) => f.decide_batch(tuples, out),
+        }
+    }
+}
+
 #[test]
 fn decide_batch_is_allocation_free_at_steady_state() {
     let (ruleset, tuples) = workload();
@@ -123,53 +152,45 @@ fn decide_batch_is_allocation_free_at_steady_state() {
     hybrid.decide_batch(&tuples, &mut sink);
     hybrid.apply_update_period();
 
-    let mut sketch = SketchAcceleratedFilter::new(stateless.clone(), 100_000);
-    for _ in 0..=SketchAcceleratedFilter::DEFAULT_HOT_THRESHOLD {
-        sink.clear();
-        sketch.decide_batch(&tuples, &mut sink);
-    }
-
-    let mut backends: Vec<(&str, Box<dyn FilterBackend>)> = vec![
-        ("stateless", Box::new(stateless)),
-        ("hybrid", Box::new(hybrid)),
-        ("sketch-accelerated", Box::new(sketch)),
-    ];
+    let mut filters = [Filter::Stateless(stateless), Filter::Hybrid(hybrid)];
 
     let mut out = Vec::with_capacity(tuples.len());
-    for (name, backend) in &mut backends {
-        // Warm this backend's output path once so every buffer is at
+    for filter in &mut filters {
+        // Warm this filter's output path once so every buffer is at
         // capacity (the verdict vec, the hybrid promotion queue, …).
         out.clear();
-        backend.decide_batch(&tuples, &mut out);
+        filter.decide_batch(&tuples, &mut out);
         assert_eq!(out.len(), tuples.len());
 
         let before = allocations();
         for _ in 0..10 {
             out.clear();
-            backend.decide_batch(&tuples, &mut out);
+            filter.decide_batch(&tuples, &mut out);
         }
         let after = allocations();
         assert_eq!(
             after - before,
             0,
-            "backend `{name}`: {} allocation(s) across 10 steady-state bursts",
+            "filter `{}`: {} allocation(s) across 10 steady-state bursts",
+            filter.name(),
             after - before
         );
         assert_eq!(out.len(), tuples.len());
     }
 
     // The per-packet path is equally clean (a burst of one).
-    for (name, backend) in &mut backends {
-        let warm = backend.decide(&tuples[0]);
+    for filter in &mut filters {
+        let warm = filter.decide(&tuples[0]);
         let before = allocations();
         for t in tuples.iter().take(64) {
-            let _ = backend.decide(t);
+            let _ = filter.decide(t);
         }
         let after = allocations();
         assert_eq!(
             after - before,
             0,
-            "backend `{name}`: decide() allocated (warm verdict was {warm:?})"
+            "filter `{}`: decide() allocated (warm verdict was {warm:?})",
+            filter.name()
         );
     }
 
@@ -332,39 +353,6 @@ fn decide_batch_is_allocation_free_at_steady_state() {
         "wire sizes recorded on every worker"
     );
     assert_eq!(snap.events_recorded, 7, "one flush event per barrier");
-
-    // --- per-worker mbuf caches -------------------------------------------
-    // The packet-buffer pool's fast path is a per-worker free list over
-    // preallocated slots: steady-state alloc/free cycles (including batch
-    // refill from and spill back to the shared free-index ring) never
-    // touch the heap.
-    let pool = vif_dataplane::MemPool::new(256);
-    let mut local = vif_dataplane::LocalMemPool::new(&pool, 32);
-    let template = vif_dataplane::Mbuf::header_only(tuples[0], 64);
-    let mut refs = Vec::with_capacity(64);
-    for _ in 0..64 {
-        refs.push(local.alloc(template.clone()).unwrap());
-    }
-    for r in refs.drain(..) {
-        local.free(r).unwrap();
-    }
-    let before = allocations();
-    for _ in 0..10 {
-        for _ in 0..64 {
-            refs.push(local.alloc(template.clone()).unwrap());
-        }
-        for r in refs.drain(..) {
-            local.free(r).unwrap();
-        }
-    }
-    let after = allocations();
-    assert_eq!(
-        after - before,
-        0,
-        "mbuf local cache: {} allocation(s) across 10 steady-state cycles",
-        after - before
-    );
-    assert_eq!(pool.in_use(), 0);
 
     // --- burst hand-offs under backpressure --------------------------------
     // A full ring is the loaded case, so it must not allocate either: a

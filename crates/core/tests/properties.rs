@@ -3,18 +3,46 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use vif_core::filter::Verdict;
-use vif_core::logs::{LogDirection, PacketFingerprints, PacketLogs};
+use vif_core::logs::{LogDirection, PacketLogs};
 use vif_core::prelude::*;
 use vif_core::rules::RuleAction;
 use vif_trie::Ipv4Prefix;
 
-/// One instance of every shipped backend over the same rule set/secret.
-fn all_backends(stateless: &StatelessFilter) -> Vec<Box<dyn FilterBackend>> {
-    vec![
-        Box::new(stateless.clone()),
-        Box::new(HybridFilter::new(stateless.clone(), 1000)),
-        Box::new(SketchAcceleratedFilter::new(stateless.clone(), 1000)),
-    ]
+/// The two filters over the same rule set/secret: the §III-A reference
+/// and the hybrid the enclave serves with.
+enum Filter {
+    Stateless(StatelessFilter),
+    Hybrid(HybridFilter),
+}
+
+impl Filter {
+    fn both(stateless: &StatelessFilter) -> [Filter; 2] {
+        [
+            Filter::Stateless(stateless.clone()),
+            Filter::Hybrid(HybridFilter::new(stateless.clone(), 1000)),
+        ]
+    }
+
+    fn name(&self) -> &'static str {
+        match self {
+            Filter::Stateless(_) => "stateless",
+            Filter::Hybrid(_) => "hybrid",
+        }
+    }
+
+    fn decide(&mut self, t: &FiveTuple) -> Verdict {
+        match self {
+            Filter::Stateless(f) => f.decide(t),
+            Filter::Hybrid(f) => f.decide(t),
+        }
+    }
+
+    fn decide_batch(&mut self, tuples: &[FiveTuple], out: &mut Vec<Verdict>) {
+        match self {
+            Filter::Stateless(f) => f.decide_batch(tuples, out),
+            Filter::Hybrid(f) => f.decide_batch(tuples, out),
+        }
+    }
 }
 
 fn arb_tuple() -> impl Strategy<Value = FiveTuple> {
@@ -200,11 +228,11 @@ proptest! {
         }
     }
 
-    /// The batch invariant, both halves: (1) for every backend,
+    /// The batch invariant, both halves: (1) for both filters,
     /// `decide_batch` produces exactly the verdicts (action, rule id,
     /// decision path) that per-packet `decide` produces — including
-    /// mid-stream, after the backend has accumulated caching state; and
-    /// (2) every backend agrees with the stateless reference on the
+    /// mid-stream, after the filter has accumulated caching state; and
+    /// (2) the hybrid agrees with the stateless reference on the
     /// semantic fields (action, matched rule) — only the execution path
     /// may differ (e.g. `Cached` vs `HashBased`).
     #[test]
@@ -214,8 +242,8 @@ proptest! {
         packets in vec(arb_tuple(), 1..120),
     ) {
         let stateless = StatelessFilter::new(RuleSet::from_rules(rules), [7u8; 32]);
-        let batchers = all_backends(&stateless);
-        let singles = all_backends(&stateless);
+        let batchers = Filter::both(&stateless);
+        let singles = Filter::both(&stateless);
         for (mut batcher, mut single) in batchers.into_iter().zip(singles) {
             // Drive both instances through identical warmup traffic so
             // caches/promotion queues hold state before the comparison.
@@ -227,14 +255,14 @@ proptest! {
             let mut got = Vec::new();
             batcher.decide_batch(&packets, &mut got);
             let want: Vec<Verdict> = packets.iter().map(|t| single.decide(t)).collect();
-            prop_assert_eq!(&got, &want, "backend {} batch != single", batcher.name());
+            prop_assert_eq!(&got, &want, "filter {} batch != single", batcher.name());
             // Semantic equivalence against the stateless reference.
             for (t, v) in packets.iter().zip(&got) {
                 let r = stateless.decide(t);
                 prop_assert_eq!(
                     (v.action, v.rule),
                     (r.action, r.rule),
-                    "backend {} diverged from stateless reference",
+                    "filter {} diverged from stateless reference",
                     batcher.name()
                 );
             }
@@ -374,42 +402,11 @@ proptest! {
         }
     }
 
-    /// The fingerprint-threading burst path is verdict-identical to both
-    /// the plain batch path and the per-packet path, for every backend:
-    /// pre-computed [`PacketFingerprints`] are a pure re-derivation of the
-    /// tuple, so consuming them (sketch-accelerated) or ignoring them
-    /// (stateless, hybrid) must change nothing observable.
-    #[test]
-    fn fingerprint_batch_equals_batch(
-        rules in vec(arb_rule(), 0..20),
-        warmup in vec(arb_tuple(), 0..40),
-        packets in vec(arb_tuple(), 1..120),
-    ) {
-        let stateless = StatelessFilter::new(RuleSet::from_rules(rules), [7u8; 32]);
-        let fps: Vec<PacketFingerprints> =
-            packets.iter().map(PacketFingerprints::of).collect();
-        for (mut with_fp, mut plain) in
-            all_backends(&stateless).into_iter().zip(all_backends(&stateless))
-        {
-            let mut sink = Vec::new();
-            let warm_fps: Vec<PacketFingerprints> =
-                warmup.iter().map(PacketFingerprints::of).collect();
-            with_fp.decide_batch_fingerprints(&warmup, &warm_fps, &mut sink);
-            sink.clear();
-            plain.decide_batch(&warmup, &mut sink);
-            let mut got = Vec::new();
-            with_fp.decide_batch_fingerprints(&packets, &fps, &mut got);
-            let mut want = Vec::new();
-            plain.decide_batch(&packets, &mut want);
-            prop_assert_eq!(&got, &want, "backend {} fp-batch != batch", plain.name());
-        }
-    }
-
     /// The audit-equivalence bar of the burst logging path: a
     /// `FilterEnclaveApp` fed one burst at a time produces **byte-identical**
     /// authenticated exports (payload and HMAC tag, both directions) to an
     /// identically-configured app processing the same packets one by one —
-    /// and `PacketLogs::log_batch` over every backend's verdicts matches
+    /// and `PacketLogs::log_batch` over both filters' verdicts matches
     /// sequential logging the same way. Burst boundaries are adversary-
     /// controlled; if they could perturb a single exported byte, the host
     /// could smuggle filtering differences past the §III-B verifiers.
@@ -457,12 +454,12 @@ proptest! {
             prop_assert_eq!(b.payload, s.payload, "{:?} payload diverged", dir);
             prop_assert_eq!(b.tag, s.tag, "{:?} tag diverged", dir);
         }
-        // The same bar for PacketLogs::log_batch under every backend's
+        // The same bar for PacketLogs::log_batch under both filters'
         // verdicts (the app above exercises only the hybrid).
         let stateless = StatelessFilter::new(RuleSet::from_rules(rules), [7u8; 32]);
-        for mut backend in all_backends(&stateless) {
+        for mut filter in Filter::both(&stateless) {
             let mut verdicts = Vec::new();
-            backend.decide_batch(&packets, &mut verdicts);
+            filter.decide_batch(&packets, &mut verdicts);
             let mut batch_logs = PacketLogs::new(seed);
             batch_logs.log_batch(&packets, &verdicts);
             let mut seq_logs = PacketLogs::new(seed);
@@ -476,7 +473,7 @@ proptest! {
                 prop_assert_eq!(
                     batch_logs.export(dir, &audit_key),
                     seq_logs.export(dir, &audit_key),
-                    "backend {} {:?} export diverged", backend.name(), dir
+                    "filter {} {:?} export diverged", filter.name(), dir
                 );
             }
         }

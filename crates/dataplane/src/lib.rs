@@ -5,11 +5,9 @@
 //!
 //! - [`packet`]: five-tuples, protocols, and lightweight packets — the
 //!   "5T + size" representation at the heart of the near-zero-copy design,
-//! - [`mbuf`]: message buffers and a fixed-capacity packet memory pool
-//!   (the untrusted host-side pool of Fig. 7),
 //! - [`ring`]: bounded rings with DPDK-style burst enqueue / dequeue —
 //!   a mutex ring that costs one lock per burst, not a lock-free queue
-//!   (the RX and TX rings of the service, the mbuf pool's free list),
+//!   (the RX and TX rings of the service),
 //! - [`nic`]: 10 GbE line-rate arithmetic including Ethernet preamble and
 //!   inter-frame gap (why 64 B line rate is 14.88 Mpps),
 //! - [`pktgen`]: a pktgen-dpdk-style traffic generator (constant bit rate,
@@ -48,7 +46,6 @@
 
 pub mod fault;
 pub mod lifecycle;
-pub mod mbuf;
 pub mod nic;
 pub mod packet;
 pub mod pktgen;
@@ -59,7 +56,6 @@ pub mod stage;
 
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use lifecycle::{SliceEvent, SliceLifecycle, SliceState};
-pub use mbuf::{LocalMemPool, Mbuf, MemPool};
 pub use nic::LineRate;
 pub use packet::{FiveTuple, Packet, Protocol};
 pub use pktgen::{FlowSet, RateShape, TrafficConfig, TrafficGenerator};

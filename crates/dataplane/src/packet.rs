@@ -170,8 +170,8 @@ impl fmt::Display for FiveTuple {
 /// A lightweight packet: flow id, wire size, arrival time.
 ///
 /// The data plane never inspects payloads (VIF filters on headers only), so
-/// packets carry no payload bytes; [`crate::mbuf::Mbuf`] models the
-/// host-side buffer when payload handling matters.
+/// packets carry no payload bytes: this is the ⟨5-tuple, size⟩ header the
+/// near-zero-copy design passes into the enclave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
     /// Flow identifier.

@@ -7,8 +7,8 @@
 //! enqueue or dequeue takes the lock once and moves every item that fits,
 //! so a 32-packet burst pays for one lock round-trip, not 32.
 
-use parking_lot::Mutex;
 use std::collections::VecDeque;
+use std::sync::{Mutex, MutexGuard};
 
 /// A bounded FIFO ring; every operation takes its one lock once.
 ///
@@ -45,6 +45,13 @@ impl<T> Ring<T> {
         }
     }
 
+    /// The one lock. A poisoned lock is taken over, not propagated: no
+    /// operation leaves the queue half-updated, and a worker that panics
+    /// must not take the rings it shares with the others down with it.
+    fn slots(&self) -> MutexGuard<'_, VecDeque<T>> {
+        self.slots.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Capacity of the ring.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -52,17 +59,17 @@ impl<T> Ring<T> {
 
     /// Current number of queued items.
     pub fn len(&self) -> usize {
-        self.slots.lock().len()
+        self.slots().len()
     }
 
     /// True if empty.
     pub fn is_empty(&self) -> bool {
-        self.slots.lock().is_empty()
+        self.slots().is_empty()
     }
 
     /// Enqueues one item; returns it back if the ring is full.
     pub fn enqueue(&self, item: T) -> Result<(), T> {
-        let mut slots = self.slots.lock();
+        let mut slots = self.slots();
         if slots.len() == self.capacity {
             return Err(item);
         }
@@ -72,7 +79,7 @@ impl<T> Ring<T> {
 
     /// Dequeues one item.
     pub fn dequeue(&self) -> Option<T> {
-        self.slots.lock().pop_front()
+        self.slots().pop_front()
     }
 
     /// Enqueues as many items from the front of `items` as fit; returns how
@@ -83,7 +90,7 @@ impl<T> Ring<T> {
     /// packets: the producer retries or accounts the leftovers as explicit
     /// drops. One lock, and no allocation even on a partial accept.
     pub fn enqueue_burst(&self, items: &mut Vec<T>) -> usize {
-        let mut slots = self.slots.lock();
+        let mut slots = self.slots();
         let n = (self.capacity - slots.len()).min(items.len());
         slots.extend(items.drain(..n));
         n
@@ -92,7 +99,7 @@ impl<T> Ring<T> {
     /// Dequeues up to `max` items into `out`; returns how many were moved.
     /// One lock.
     pub fn dequeue_burst(&self, out: &mut Vec<T>, max: usize) -> usize {
-        let mut slots = self.slots.lock();
+        let mut slots = self.slots();
         let n = max.min(slots.len());
         out.extend(slots.drain(..n));
         n

@@ -11,7 +11,7 @@
 //! The stage is *burst-oriented*: a burst flows through the stage whole,
 //! via [`PacketStage::process_batch`]. This mirrors how the real filter
 //! thread drains the RX ring with DPDK burst dequeues and is the hook that
-//! lets backends amortize per-packet overhead (enclave-thread transitions,
+//! lets a stage amortize per-packet overhead (enclave-thread transitions,
 //! hash/secret setup, trie-node cache misses) across a burst.
 //!
 //! Batching is *semantically invisible* by design. VIF's filter is a
@@ -22,7 +22,7 @@
 //! Because audit logs and bypass detection consume only per-flow verdict
 //! counts, batching can never change an audit outcome. The property test
 //! `batch_decide_equals_single_decide` in `vif-core` pins this invariant
-//! down for every backend.
+//! down for the stateless and the hybrid filter.
 
 use crate::packet::Packet;
 

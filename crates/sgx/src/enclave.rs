@@ -3,9 +3,8 @@
 use crate::attest::{AttestationRootKey, Quote, Report};
 use crate::epc::{EpcConfig, EpcUsage};
 use crate::measure::{EnclaveImage, Measurement};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use vif_crypto::hmac::HmacSha256;
 
 /// Cost of one ECall (host → enclave) transition in simulated nanoseconds.
@@ -35,6 +34,13 @@ impl TransitionCounters {
     pub fn transition_time_ns(&self) -> u64 {
         self.ecalls * ECALL_COST_NS + self.ocalls * OCALL_COST_NS
     }
+}
+
+/// Takes `m`'s lock, taking over a poisoned one: a closure that panics
+/// inside [`Enclave::ecall`] must not leave the enclave unusable for every
+/// later call (the service catches a panicking worker and carries on).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A simulated SGX-capable platform (one physical machine).
@@ -133,8 +139,8 @@ impl<T> Enclave<T> {
     ///
     /// Counts one ECall; returns the closure's result.
     pub fn ecall<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        self.counters.lock().ecalls += 1;
-        let mut guard = self.state.lock();
+        lock(&self.counters).ecalls += 1;
+        let mut guard = lock(&self.state);
         f(&mut guard)
     }
 
@@ -142,7 +148,7 @@ impl<T> Enclave<T> {
     /// intercept host calls made within an `ecall` closure, so enclave
     /// application code reports them explicitly).
     pub fn record_ocall(&self) {
-        self.counters.lock().ocalls += 1;
+        lock(&self.counters).ocalls += 1;
     }
 
     /// Accesses protected state from the enclave's own data-path thread
@@ -154,23 +160,23 @@ impl<T> Enclave<T> {
     /// (§V-A). Use [`ecall`](Enclave::ecall) for host-initiated control
     /// operations, and this for per-packet work that stays inside.
     pub fn in_enclave_thread<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        let mut guard = self.state.lock();
+        let mut guard = lock(&self.state);
         f(&mut guard)
     }
 
     /// Transition counters so far.
     pub fn counters(&self) -> TransitionCounters {
-        *self.counters.lock()
+        *lock(&self.counters)
     }
 
     /// EPC accounting handle.
     pub fn with_epc<R>(&self, f: impl FnOnce(&mut EpcUsage) -> R) -> R {
-        f(&mut self.epc.lock())
+        f(&mut lock(&self.epc))
     }
 
     /// Current EPC access-cost multiplier (see [`EpcUsage`]).
     pub fn epc_multiplier(&self) -> f64 {
-        self.epc.lock().access_multiplier()
+        lock(&self.epc).access_multiplier()
     }
 
     /// Produces an attestation quote binding `report_data` (e.g., the hash
@@ -195,7 +201,7 @@ impl<T> Enclave<T> {
     /// Tears down the enclave and returns its protected state (simulation
     /// convenience; real enclaves destroy state at `EREMOVE`).
     pub fn into_state(self) -> T {
-        self.state.into_inner()
+        self.state.into_inner().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -223,6 +229,22 @@ mod tests {
         assert_eq!(sum, 6);
         assert_eq!(e.counters().ecalls, 1);
         assert_eq!(e.counters().ocalls, 0);
+    }
+
+    #[test]
+    fn panicking_ecall_leaves_the_enclave_usable() {
+        let (p, _) = platform();
+        let e = p.launch(EnclaveImage::new("t", 1, vec![0; 128]), vec![1u32]);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            e.ecall(|v| {
+                v.push(2);
+                panic!("enclave entry fails mid-call");
+            })
+        }));
+        assert!(caught.is_err());
+        assert_eq!(e.ecall(|v| v.clone()), vec![1, 2]);
+        assert_eq!(e.in_enclave_thread(|v| v.len()), 2);
+        assert_eq!(e.counters().ecalls, 2);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! integration tests, and downstream users can depend on one crate.
 //!
 //! See the repository `README.md` for the architecture overview, the crate
-//! map, the [`FilterBackend`](vif_core::backend::FilterBackend) batch-path
-//! design, and how to run the `repro` experiment harness.
+//! map, the serving filter ([`HybridFilter`](vif_core::hybrid::HybridFilter))
+//! over its §III-A reference, and how to run the `repro` experiment harness.
 //!
 //! ## Quickstart
 //!
