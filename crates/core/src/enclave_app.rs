@@ -11,7 +11,7 @@ use crate::filter::{DecisionPath, StatelessFilter, Verdict};
 use crate::hybrid::HybridFilter;
 use crate::logs::{AuthenticatedSketch, LogDirection, PacketFingerprints, PacketLogs};
 use crate::rpki::{OwnerId, RpkiRegistry};
-use crate::rules::{FilterRule, RuleAction};
+use crate::rules::{FilterRule, RuleAction, RuleDecodeError};
 use crate::ruleset::{RuleId, RuleSet, RuleTables};
 use crate::session::{derive_session_keys, SessionError};
 use std::sync::Arc;
@@ -48,7 +48,7 @@ pub struct FilterStats {
 
 /// A queued rule mutation awaiting epoch publication.
 ///
-/// The deferred churn path ([`FilterEnclaveApp::receive_rules_deferred_for`],
+/// The one rule-churn path ([`FilterEnclaveApp::receive_rules_deferred_for`],
 /// [`FilterEnclaveApp::receive_rule_withdrawal_deferred_for`]) accepts and
 /// authorizes edits without touching the live rule set; they sit in this
 /// form until the cluster's publisher drains them with
@@ -317,57 +317,9 @@ impl FilterEnclaveApp {
 
     /// Receives an encrypted rule submission: decrypt with `contract`'s
     /// channel, decode, check the in-frame contract id against the slot,
-    /// authorize against RPKI, install, and return an authenticated
-    /// acknowledgement. The installed rule ids are recorded as owned by
-    /// the contract.
-    ///
-    /// # Errors
-    ///
-    /// See [`SessionError`]; nothing is installed on any failure.
-    pub fn receive_rules_for(
-        &mut self,
-        contract: ContractId,
-        frame: &[u8],
-        requester: &OwnerId,
-        rpki: &RpkiRegistry,
-    ) -> Result<Vec<u8>, SessionError> {
-        let idx = self.slot_index_or_err(contract)?;
-        let payload = self.contracts[idx]
-            .channel
-            .as_mut()
-            .ok_or(SessionError::NotEstablished)?
-            .open(frame)?;
-        let (frame_contract, rules) = Self::decode_rule_frame(&payload)?;
-        if frame_contract != contract {
-            return Err(SessionError::ContractMismatch {
-                expected: contract,
-                got: frame_contract,
-            });
-        }
-        let count = rules.len();
-        rpki.authorize(requester, &rules)?;
-        // insert_rules (not a raw ruleset insert) so the hybrid's
-        // exact-match cache is invalidated: a newly installed rule can
-        // change the reference verdict of an already-promoted flow.
-        let base = self.filter.inner().ruleset().len() as RuleId;
-        self.filter.insert_rules(rules);
-        let end = self.filter.inner().ruleset().len() as RuleId;
-        let slot = &mut self.contracts[idx];
-        slot.owned.extend(base..end);
-        let ack = slot
-            .channel
-            .as_mut()
-            .expect("opened above")
-            .seal(&(count as u32).to_le_bytes());
-        Ok(ack)
-    }
-
-    /// The deferred form of
-    /// [`receive_rules_for`](FilterEnclaveApp::receive_rules_for): decrypt,
-    /// decode, and authorize exactly as the immediate path does, but
-    /// **queue** the installs in `contract`'s own deferred queue instead of
-    /// mutating the live rule set — the rules take force only at the
-    /// contract's next epoch publication
+    /// authorize against RPKI, and **queue** the installs in `contract`'s
+    /// own deferred queue — the live rule set is never touched here; the
+    /// rules take force only at the contract's next epoch publication
     /// ([`take_publish_snapshot_for`](FilterEnclaveApp::take_publish_snapshot_for) /
     /// [`install_epoch_for`](FilterEnclaveApp::install_epoch_for)),
     /// so the data path never observes a rebuild in progress and publishing
@@ -384,87 +336,29 @@ impl FilterEnclaveApp {
         requester: &OwnerId,
         rpki: &RpkiRegistry,
     ) -> Result<Vec<u8>, SessionError> {
-        let idx = self.slot_index_or_err(contract)?;
-        let payload = self.contracts[idx]
-            .channel
-            .as_mut()
-            .ok_or(SessionError::NotEstablished)?
-            .open(frame)?;
-        let (frame_contract, rules) = Self::decode_rule_frame(&payload)?;
-        if frame_contract != contract {
-            return Err(SessionError::ContractMismatch {
-                expected: contract,
-                got: frame_contract,
-            });
-        }
-        let count = rules.len();
-        rpki.authorize(requester, &rules)?;
-        let slot = &mut self.contracts[idx];
-        slot.pending
-            .extend(rules.into_iter().map(RuleEdit::Install));
-        let ack = slot
-            .channel
-            .as_mut()
-            .expect("opened above")
-            .seal(&(count as u32).to_le_bytes());
-        Ok(ack)
+        self.queue_frame(contract, frame, |payload| {
+            let rules = Self::frame_entries(contract, payload, 29)?
+                .map(FilterRule::decode)
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(SessionError::RuleDecode)?;
+            rpki.authorize(requester, &rules)?;
+            Ok(rules.into_iter().map(RuleEdit::Install).collect())
+        })
     }
 
     /// Receives an encrypted rule withdrawal (§VI-B churn, the removal
     /// counterpart of
-    /// [`receive_rules_for`](FilterEnclaveApp::receive_rules_for)): decrypt,
-    /// withdraw each listed [`RuleId`], and return an authenticated
-    /// acknowledgement carrying the number of rules actually taken out of
-    /// force.
+    /// [`receive_rules_deferred_for`](FilterEnclaveApp::receive_rules_deferred_for)):
+    /// decrypt and decode, then queue the withdrawals for the contract's
+    /// next epoch publication. The acknowledgement carries the number of
+    /// ids *queued*: whether each is in force is known only at
+    /// publication.
     ///
-    /// Withdrawal is scoped to ownership: only ids the contract installed
-    /// over this same attested channel are unlinked; foreign or unknown ids
-    /// are skipped (withdrawal stays idempotent), so no tenant can take
+    /// Withdrawal is scoped to ownership, enforced when the queue is
+    /// drained ([`take_publish_snapshot_for`](FilterEnclaveApp::take_publish_snapshot_for)):
+    /// only ids the contract installed take effect; foreign or unknown ids
+    /// are dropped (withdrawal stays idempotent), so no tenant can take
     /// another's rules out of force.
-    ///
-    /// # Errors
-    ///
-    /// See [`SessionError`]; nothing is withdrawn on any failure.
-    pub fn receive_rule_withdrawal_for(
-        &mut self,
-        contract: ContractId,
-        frame: &[u8],
-    ) -> Result<Vec<u8>, SessionError> {
-        let idx = self.slot_index_or_err(contract)?;
-        let payload = self.contracts[idx]
-            .channel
-            .as_mut()
-            .ok_or(SessionError::NotEstablished)?
-            .open(frame)?;
-        let (frame_contract, ids) = Self::decode_id_frame(&payload)?;
-        if frame_contract != contract {
-            return Err(SessionError::ContractMismatch {
-                expected: contract,
-                got: frame_contract,
-            });
-        }
-        let owned_ids: Vec<RuleId> = ids
-            .into_iter()
-            .filter(|&id| self.contracts[idx].owns(id))
-            .collect();
-        let removed = self.filter.remove_rules(&owned_ids);
-        let ack = self.contracts[idx]
-            .channel
-            .as_mut()
-            .expect("opened above")
-            .seal(&(removed as u32).to_le_bytes());
-        Ok(ack)
-    }
-
-    /// The deferred form of
-    /// [`receive_rule_withdrawal_for`](FilterEnclaveApp::receive_rule_withdrawal_for):
-    /// decrypt and decode as the immediate path does, but queue the
-    /// withdrawals for the contract's next epoch publication instead of
-    /// unlinking the rules now. Because the edits have not been applied
-    /// yet, the acknowledgement carries the number of ids *queued* (the
-    /// immediate path acks the number actually in force — that count exists
-    /// only after publication; ownership is enforced when the queue is
-    /// drained for it).
     ///
     /// # Errors
     ///
@@ -474,91 +368,58 @@ impl FilterEnclaveApp {
         contract: ContractId,
         frame: &[u8],
     ) -> Result<Vec<u8>, SessionError> {
+        self.queue_frame(contract, frame, |payload| {
+            Ok(Self::frame_entries(contract, payload, 4)?
+                .map(|id| RuleEdit::Withdraw(u32::from_le_bytes(id.try_into().expect("4 bytes"))))
+                .collect())
+        })
+    }
+
+    /// The receive leg both request kinds share: open `frame` on
+    /// `contract`'s channel, `decode` the payload into edits, queue them
+    /// all and seal an acknowledgement carrying how many. A frame that
+    /// fails to open or decode queues nothing.
+    fn queue_frame(
+        &mut self,
+        contract: ContractId,
+        frame: &[u8],
+        decode: impl FnOnce(&[u8]) -> Result<Vec<RuleEdit>, SessionError>,
+    ) -> Result<Vec<u8>, SessionError> {
         let idx = self.slot_index_or_err(contract)?;
-        let payload = self.contracts[idx]
-            .channel
-            .as_mut()
-            .ok_or(SessionError::NotEstablished)?
-            .open(frame)?;
-        let (frame_contract, ids) = Self::decode_id_frame(&payload)?;
-        if frame_contract != contract {
-            return Err(SessionError::ContractMismatch {
-                expected: contract,
-                got: frame_contract,
-            });
-        }
-        let count = ids.len();
         let slot = &mut self.contracts[idx];
-        slot.pending.extend(ids.into_iter().map(RuleEdit::Withdraw));
-        let ack = slot
-            .channel
-            .as_mut()
-            .expect("opened above")
-            .seal(&(count as u32).to_le_bytes());
+        let channel = slot.channel.as_mut().ok_or(SessionError::NotEstablished)?;
+        let edits = decode(&channel.open(frame)?)?;
+        let ack = channel.seal(&(edits.len() as u32).to_le_bytes());
+        slot.pending.extend(edits);
         Ok(ack)
     }
 
-    /// Decodes a rule-submission payload: `contract: u32 LE`, `count: u32
-    /// LE`, then `count` 29-byte rule encodings.
-    fn decode_rule_frame(payload: &[u8]) -> Result<(ContractId, Vec<FilterRule>), SessionError> {
+    /// Splits a request payload — `contract: u32 LE`, `count: u32 LE`,
+    /// then `count` entries of `entry_len` bytes — into its entries, and
+    /// checks the in-frame contract id against the slot the frame arrived
+    /// on (a cross-tenant replay by the untrusted relay).
+    fn frame_entries(
+        contract: ContractId,
+        payload: &[u8],
+        entry_len: usize,
+    ) -> Result<std::slice::ChunksExact<'_, u8>, SessionError> {
+        let wrong_length = |n| SessionError::RuleDecode(RuleDecodeError::WrongLength(n));
         if payload.len() < 8 {
-            return Err(SessionError::BadAck);
+            return Err(wrong_length(payload.len()));
         }
-        let contract = u32::from_le_bytes(payload[..4].try_into().expect("4 bytes"));
+        let got = u32::from_le_bytes(payload[..4].try_into().expect("4 bytes"));
         let count = u32::from_le_bytes(payload[4..8].try_into().expect("4 bytes")) as usize;
         let body = &payload[8..];
-        if body.len() != count * 29 {
-            return Err(SessionError::RuleDecode(
-                crate::rules::RuleDecodeError::WrongLength(body.len()),
-            ));
+        if count.checked_mul(entry_len) != Some(body.len()) {
+            return Err(wrong_length(body.len()));
         }
-        let mut rules = Vec::with_capacity(count);
-        for chunk in body.chunks_exact(29) {
-            rules.push(FilterRule::decode(chunk).map_err(SessionError::RuleDecode)?);
+        if got != contract {
+            return Err(SessionError::ContractMismatch {
+                expected: contract,
+                got,
+            });
         }
-        Ok((contract, rules))
-    }
-
-    /// Decodes a withdrawal payload: `contract: u32 LE`, `count: u32 LE`,
-    /// then `count` 4-byte little-endian rule ids.
-    fn decode_id_frame(payload: &[u8]) -> Result<(ContractId, Vec<RuleId>), SessionError> {
-        if payload.len() < 8 {
-            return Err(SessionError::BadAck);
-        }
-        let contract = u32::from_le_bytes(payload[..4].try_into().expect("4 bytes"));
-        let count = u32::from_le_bytes(payload[4..8].try_into().expect("4 bytes")) as usize;
-        let body = &payload[8..];
-        if body.len() != count * 4 {
-            return Err(SessionError::RuleDecode(
-                crate::rules::RuleDecodeError::WrongLength(body.len()),
-            ));
-        }
-        Ok((
-            contract,
-            body.chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-                .collect(),
-        ))
-    }
-
-    /// Installs additional rules directly (control-plane ECall for tests
-    /// and master-driven provisioning; session-driven installs go through
-    /// [`receive_rules_for`](FilterEnclaveApp::receive_rules_for)). Existing rule
-    /// ids are preserved; the hybrid cache flushes as on any rule churn.
-    /// The new ids are recorded as owned by the default contract 0.
-    pub fn insert_rules<I: IntoIterator<Item = FilterRule>>(&mut self, rules: I) {
-        let base = self.filter.inner().ruleset().len() as RuleId;
-        self.filter.insert_rules(rules);
-        let end = self.filter.inner().ruleset().len() as RuleId;
-        self.contracts[0].owned.extend(base..end);
-    }
-
-    /// Withdraws rules directly (control-plane ECall for redistribution
-    /// and tests; session-driven churn goes through
-    /// [`receive_rule_withdrawal_for`](FilterEnclaveApp::receive_rule_withdrawal_for)).
-    /// Returns how many were in force.
-    pub fn remove_rules(&mut self, ids: &[crate::ruleset::RuleId]) -> usize {
-        self.filter.remove_rules(ids)
+        Ok(body.chunks_exact(entry_len))
     }
 
     /// Enables strict scope checking (cluster deployments).
@@ -665,11 +526,13 @@ impl FilterEnclaveApp {
         self.filter.inner().ruleset()
     }
 
-    /// Installs a new rule set (redistribution round). Resets the hybrid
-    /// cache — promoted exact-match entries derive from the old rules.
-    /// Returns the displaced rule set: a caller inside an ECall passes it
-    /// out, so that the last reference to an old epoch's tables is dropped
-    /// by the control plane, never while the enclave lock is held.
+    /// Installs a new rule set (a slice resync, or a Fig. 5 repartition of
+    /// [`PartitionedPool`](crate::scale::partitioned::PartitionedPool)).
+    /// Resets the hybrid cache — promoted exact-match entries derive from
+    /// the old rules. Returns the displaced rule set: a caller inside an
+    /// ECall passes it out, so that the last reference to an old epoch's
+    /// tables is dropped by the control plane, never while the enclave lock
+    /// is held.
     pub fn install_ruleset(&mut self, ruleset: RuleSet) -> RuleSet {
         self.filter.install_ruleset(ruleset)
     }
@@ -741,11 +604,12 @@ impl FilterEnclaveApp {
 
     /// Epoch-publication step 2 (a brief ECall): swap in the rule set the
     /// publisher built off the hot path as `contract`'s epoch `epoch`.
-    /// Identical observable semantics to a redistribution install — the
-    /// hybrid cache flushes and rule telemetry restarts — plus the epoch
-    /// move (the contract's, and one tick of the app-wide counter), so
-    /// concurrent readers can tell exactly which rule generation a burst
-    /// was decided under. `installed` — the ids the publisher assigned to
+    /// Observable semantics of
+    /// [`install_ruleset`](FilterEnclaveApp::install_ruleset) — the hybrid
+    /// cache flushes and rule telemetry restarts — plus the epoch move (the
+    /// contract's, and one tick of the app-wide counter), so concurrent
+    /// readers can tell exactly which rule generation a burst was decided
+    /// under. `installed` — the ids the publisher assigned to
     /// the contract's deferred installs, ascending — joins the contract's
     /// ownership set and `withdrawn` (ascending) leaves it.
     ///
@@ -913,7 +777,9 @@ impl FilterEnclaveApp {
         self.ruleset().counters().iter().map(|c| c.bytes).collect()
     }
 
-    /// Resets rule telemetry (after a redistribution round).
+    /// Resets rule telemetry (after a Fig. 5 repartition round of
+    /// [`PartitionedPool`](crate::scale::partitioned::PartitionedPool);
+    /// an epoch publication restarts it by itself).
     pub fn reset_rule_counters(&mut self) {
         self.filter_ruleset_mut().reset_counters();
     }

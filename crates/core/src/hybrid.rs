@@ -165,46 +165,19 @@ impl HybridFilter {
         promoted as usize
     }
 
-    /// Inserts new rules into the wrapped rule set and invalidates the
-    /// exact-match cache and promotion queue.
-    ///
-    /// Cached verdicts derive from the rule set at promotion time; a new
-    /// rule (e.g. a longer-prefix deterministic drop) can change the
-    /// reference verdict of an already-promoted flow, so every rule-set
-    /// mutation must flush — otherwise the fast path would keep serving
-    /// stale verdicts and break the equivalence with the reference filter
-    /// ([module docs](crate::hybrid)).
-    pub fn insert_rules<I: IntoIterator<Item = crate::rules::FilterRule>>(&mut self, rules: I) {
-        self.inner.ruleset_mut().insert_batch(rules);
-        self.flush_cache();
-    }
-
     /// Swaps in a whole new rule set and restarts the fast path: cached
     /// and pending verdicts derive from the old rules, and the execution
-    /// statistics describe them. The tables keep their capacity, so the
-    /// swap frees nothing; the displaced rule set is returned for the
-    /// caller to drop where it likes.
+    /// statistics describe them. The flush is what keeps the equivalence
+    /// with the reference filter ([module docs](crate::hybrid)): a new rule
+    /// (e.g. a longer-prefix deterministic drop) can change the reference
+    /// verdict of an already-promoted flow, and a withdrawn one can leave a
+    /// cached verdict pointing at nothing. The tables keep their capacity,
+    /// so the swap frees nothing; the displaced rule set is returned for
+    /// the caller to drop where it likes.
     pub fn install_ruleset(&mut self, ruleset: crate::ruleset::RuleSet) -> crate::ruleset::RuleSet {
         self.flush_cache();
         self.stats = HybridStats::default();
         self.inner.install_ruleset(ruleset)
-    }
-
-    /// Withdraws rules from the wrapped rule set (one classifier rebuild
-    /// via [`RuleSet::batch_edit`](crate::ruleset::RuleSet::batch_edit))
-    /// and invalidates the exact-match cache and promotion queue, for the
-    /// same staleness reason as [`insert_rules`](HybridFilter::insert_rules):
-    /// a cached verdict may derive from a rule that no longer exists.
-    /// Returns how many of the ids were actually in force.
-    pub fn remove_rules(&mut self, ids: &[crate::ruleset::RuleId]) -> usize {
-        let removed = self
-            .inner
-            .ruleset_mut()
-            .batch_edit(|edit| ids.iter().filter(|&&id| edit.remove(id)).count());
-        if removed > 0 {
-            self.flush_cache();
-        }
-        removed
     }
 
     /// Drops every cached and pending verdict (rule-set mutation, key
@@ -350,7 +323,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_rules_invalidates_stale_promotions() {
+    fn install_ruleset_invalidates_stale_promotions() {
         // A promoted hash-Allow verdict must not survive the arrival of a
         // longer-prefix deterministic drop rule covering the same flow.
         let mut h = hybrid(0.5);
@@ -362,12 +335,14 @@ mod tests {
         h.decide(&allowed);
         h.apply_update_period();
         assert_eq!(h.decide(&allowed).path, DecisionPath::Cached);
-        // The victim now submits a deterministic drop on the exact source.
-        let drop_rule = FilterRule::drop(FlowPattern::prefixes(
+        // The victim's next epoch adds a deterministic drop on the exact
+        // source.
+        let mut next = h.inner().ruleset().clone();
+        next.insert(FilterRule::drop(FlowPattern::prefixes(
             vif_trie::Ipv4Prefix::host(allowed.src_ip),
             "203.0.113.0/24".parse().unwrap(),
-        ));
-        h.insert_rules([drop_rule]);
+        )));
+        h.install_ruleset(next);
         // Cache flushed: the verdict now matches the stateless reference.
         let reference = h.inner().decide(&allowed);
         assert_eq!(reference.action, RuleAction::Drop);

@@ -74,9 +74,8 @@ impl DeploymentPlan {
     }
 }
 
-/// Report of one redistribution round (Fig. 5):
-/// [`EnclaveCluster::redistribute`] or
-/// [`PartitionedPool::repartition`](partitioned::PartitionedPool::repartition).
+/// Report of one Fig. 5 redistribution round of the rule-partitioned model
+/// ([`PartitionedPool::repartition`](partitioned::PartitionedPool::repartition)).
 #[derive(Debug, Clone)]
 pub struct RedistributionReport {
     /// Which enclave acted as master.
@@ -89,8 +88,7 @@ pub struct RedistributionReport {
     /// `B_i` the master collected. Identical rules installed under
     /// different global ids keep their own measurements.
     pub bytes_per_rule: Vec<u64>,
-    /// Greedy solve time (zero for a replicated round, which solves
-    /// nothing).
+    /// Greedy solve time.
     pub solve_time: std::time::Duration,
 }
 
@@ -142,7 +140,6 @@ pub struct EnclaveCluster {
     platform: SgxPlatform,
     image: EnclaveImage,
     secret: [u8; 32],
-    round: u64,
     /// Where each slice stands: the cluster reads `published` (who gets
     /// epochs, provisioning, telemetry) from it; the deployment's service
     /// and round drivers share it by handle and steer with it.
@@ -240,7 +237,6 @@ impl EnclaveCluster {
             platform,
             image,
             secret,
-            round: 0,
             lifecycle: Arc::new(SliceLifecycle::new(n)),
             publish_ack_loss: None,
             telemetry: None,
@@ -263,14 +259,9 @@ impl EnclaveCluster {
     }
 
     /// The rule set every slice replicates (the master's, as of the last
-    /// publication or redistribution).
+    /// publication).
     pub fn ruleset(&self) -> &RuleSet {
         &self.full_ruleset
-    }
-
-    /// Redistribution rounds completed.
-    pub fn round(&self) -> u64 {
-        self.round
     }
 
     /// The deployment's slice-lifecycle table, one entry per enclave (for
@@ -290,12 +281,11 @@ impl EnclaveCluster {
     }
 
     /// Excises slice `i` from the pool (posts `Excise`): no more epoch
-    /// publications, provisioning or redistribution installs, telemetry
-    /// ignored, not audited, and dispatch re-steers its flows onto the
-    /// survivors with the one public failover hash
-    /// ([`SliceLifecycle::steer`]). Idempotent. Excising the last live
-    /// slice is legal — what then refuses is every operation that needs a
-    /// live master.
+    /// publications or provisioning, telemetry ignored, not audited, and
+    /// dispatch re-steers its flows onto the survivors with the one public
+    /// failover hash ([`SliceLifecycle::steer`]). Idempotent. Excising the
+    /// last live slice is legal — what then refuses is every operation
+    /// that needs a live master.
     ///
     /// # Panics
     ///
@@ -431,29 +421,6 @@ impl EnclaveCluster {
         );
     }
 
-    /// Aggregates per-rule matched bytes positionally across every
-    /// enclave — the replicated cluster's `B_i` view, where every slice's
-    /// local rule order is an identity mapping onto the master's global
-    /// ids (ids are stable under churn: withdrawals tombstone, never
-    /// renumber). Sized to the largest report in case a replica lags
-    /// behind the master's churn. Victim-side control loops read this
-    /// between redistribution rounds to see which rules still match
-    /// traffic.
-    pub fn replicated_rule_bytes(&self) -> Vec<u64> {
-        let mut bytes_per_rule: Vec<u64> = Vec::new();
-        // An unpublished slice's counters are unreachable (and stale).
-        for i in self.live_slices() {
-            let report = self.enclaves[i].ecall(|app| app.rule_bandwidth_report());
-            if report.len() > bytes_per_rule.len() {
-                bytes_per_rule.resize(report.len(), 0);
-            }
-            for (global, bytes) in report.into_iter().enumerate() {
-                bytes_per_rule[global] += bytes;
-            }
-        }
-        bytes_per_rule
-    }
-
     /// Matched bytes per in-force rule `contract` owns, summed over the
     /// live slices — the victim-side view of which of its rules still
     /// bite. RSS steering lands each flow on exactly one slice, so a rule
@@ -487,11 +454,11 @@ impl EnclaveCluster {
     /// every slice and the cluster, the on-lock window is a pointer swap
     /// plus a cache restart (fresh counters ride in with the handle), and
     /// the displaced epoch is handed back out of the lock to be freed here.
-    /// Observable rule semantics match an immediate-churn +
-    /// [`redistribute`](EnclaveCluster::redistribute) round: edits apply
-    /// in queue order (installs take the next slot ids), every slice ends
-    /// on the identical rule set, hybrid caches flush, and rule telemetry
-    /// counters restart.
+    /// It is the only way a rule change reaches a slice: edits apply in
+    /// queue order (installs take the next slot ids), every live slice ends
+    /// on the identical rule set at the same epoch, hybrid caches flush,
+    /// and rule telemetry counters restart. No slice ever enforces rules
+    /// its epoch counter does not show.
     ///
     /// Other tenants' queued churn stays queued and their epochs do not
     /// move, and ownership is enforced where the queue is drained, inside
@@ -501,8 +468,9 @@ impl EnclaveCluster {
     /// mirroring idempotent-withdrawal semantics, so one tenant can never
     /// unlink another tenant's rules no matter what it queues. The default
     /// contract 0 owns every rule installed outside a tenant session
-    /// (launch-time rules, [`FilterEnclaveApp::insert_rules`]), so a
-    /// single-victim cluster publishes as `publish_contract(master, 0)`.
+    /// (launch-time rules, [`FilterEnclaveApp::queue_edits`]), so a
+    /// single-victim cluster — one slice or many — publishes as
+    /// `publish_contract(master, 0)`.
     ///
     /// Returns what was published; with an empty queue this still swaps
     /// (bumping the epoch) so callers can use it as a barrier.
@@ -667,49 +635,6 @@ impl EnclaveCluster {
             .collect()
     }
 
-    /// Runs the Fig. 5 master–slave exchange on the replicated pool: byte
-    /// telemetry is aggregated across the live replicas, then the
-    /// *master's* current rule set (the one the victims' sessions churn)
-    /// is re-installed on every live slave. Any slice keeps deciding any
-    /// flow, strict scoping stays off, and the pool size never changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `master` is out of range or not live.
-    pub fn redistribute(&mut self, master: usize) -> RedistributionReport {
-        assert!(master < self.enclaves.len(), "master index out of range");
-        self.assert_master_live(master);
-        self.round += 1;
-        // The master's rule set is authoritative: it is where the victim's
-        // session installs and withdrawals land.
-        let master_rules = self.master_epoch(master);
-        let mut bytes_per_rule = self.replicated_rule_bytes();
-        if bytes_per_rule.len() < master_rules.len() {
-            bytes_per_rule.resize(master_rules.len(), 0);
-        }
-
-        // An unpublished slice receives no installs.
-        for i in self.live_slices() {
-            let enclave = &self.enclaves[i];
-            if i == master {
-                enclave.ecall(|app| app.reset_rule_counters());
-            } else {
-                let replica = master_rules.clone();
-                drop(enclave.ecall(move |app| app.install_ruleset(replica)));
-            }
-        }
-        let installations = master_rules.active_len() * self.live_len();
-        self.full_ruleset = master_rules;
-
-        RedistributionReport {
-            master,
-            enclaves_used: self.live_len(),
-            installations,
-            bytes_per_rule,
-            solve_time: std::time::Duration::ZERO,
-        }
-    }
-
     /// Re-runs multi-tenant admission over the **surviving** pool: builds
     /// fresh [`contract_demands`](EnclaveCluster::contract_demands) from
     /// the master's counters and arbitrates them with `config.max_enclaves`
@@ -825,7 +750,7 @@ mod tests {
     }
 
     #[test]
-    fn replicated_redistribute_propagates_master_churn() {
+    fn replicated_publish_propagates_master_churn() {
         let root = AttestationRootKey::new([3u8; 32]);
         let platform = SgxPlatform::new(5, EpcConfig::paper_default(), &root);
         let image = EnclaveImage::new("vif", 1, vec![0; 64]);
@@ -838,25 +763,36 @@ mod tests {
                 assert_eq!(action, RuleAction::Drop);
             }
         }
+        // Rule 0 carried 6 × 100 bytes; the cluster routed per flow, so
+        // the total across replicas is exactly the offered bytes per rule.
+        let bytes = c.contract_rule_bytes(0);
+        assert_eq!(bytes.values().collect::<Vec<_>>(), vec![&600; 4]);
+        let spread = c
+            .enclaves()
+            .iter()
+            .filter(|e| e.ecall(|app| app.rule_bandwidth_report().iter().sum::<u64>()) > 0)
+            .count();
+        assert!(spread > 1, "all traffic landed on one replica");
         // The master churns: one rule withdrawn, one new rule installed
-        // (as the victim's session would do between rounds).
+        // (as the victim's session queues them between rounds).
         let new_rule = FilterRule::drop(FlowPattern::prefixes(
             "12.0.0.0/8".parse().unwrap(),
             victim(),
         ));
         c.enclaves()[0].ecall(move |app| {
-            app.remove_rules(&[0]);
-            app.insert_rules(vec![new_rule]);
+            app.queue_edits([RuleEdit::Withdraw(0), RuleEdit::Install(new_rule)]);
         });
-        let report = c.redistribute(0);
-        assert_eq!(c.round(), 1);
-        assert_eq!(report.enclaves_used, 3);
-        // 4 originals - 1 withdrawn + 1 new = 4 active rules × 3 slices.
-        assert_eq!(report.installations, 12);
-        // Aggregated bytes: rule 0 carried 6 × 100 bytes on each... the
-        // cluster routed per-flow, so totals across replicas are exactly
-        // offered bytes per rule.
-        assert_eq!(report.bytes_per_rule[0], 600);
+        let report = c.publish_contract(0, 0);
+        assert_eq!((report.withdrawals, report.installs), (1, 1));
+        assert_eq!(report.new_rule_ids, vec![4]);
+        // 4 originals - 1 withdrawn + 1 new = 4 active rules on 3 slices,
+        // every one on the master's epoch.
+        for e in c.enclaves() {
+            assert_eq!(
+                e.ecall(|app| (app.ruleset().active_len(), app.epoch_of(0))),
+                (4, 1)
+            );
+        }
         // Every replica now enforces the master's churned rule set: the
         // withdrawn rule no longer drops, the new rule drops everywhere.
         let withdrawn = attack_tuple(0, 1);
@@ -939,7 +875,7 @@ mod tests {
             }
         }
         // Telemetry aggregation ignores the dead slice's stale counters.
-        let live_bytes: u64 = c.replicated_rule_bytes().iter().sum();
+        let live_bytes: u64 = c.contract_rule_bytes(0).values().sum();
         let survivor_bytes: u64 = [0usize, 1]
             .iter()
             .map(|&i| {

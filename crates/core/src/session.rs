@@ -10,8 +10,9 @@
 //! 3. **Channel**: both sides derive an authenticated channel and the
 //!    audit key / sketch seed from the DH shared secret (HKDF).
 //! 4. **Rules**: the victim submits encoded rules over the channel; the
-//!    enclave authorizes them against RPKI and installs them, returning an
-//!    authenticated acknowledgement.
+//!    enclave authorizes them against RPKI and queues them, returning an
+//!    authenticated acknowledgement. They take force at the next epoch
+//!    publication, on every slice of the cluster at once.
 //!
 //! Every message travels through the *untrusted* filtering network; the
 //! protocol treats it as the adversary it is (tampering any message aborts
@@ -274,126 +275,75 @@ impl FilteringSession {
         self.attestation_latency_ns
     }
 
-    /// Encodes, transmits, authorizes, and installs filter rules.
+    /// Encodes, transmits, and RPKI-authorizes filter rules. The enclave
+    /// **queues** them: they take force at the cluster's next epoch
+    /// publication ([`EnclaveCluster::publish_contract`]), never stalling the
+    /// data path mid-round, and on every slice at once.
     ///
-    /// Returns the number of rules installed.
+    /// Returns the number of rules queued.
     ///
     /// # Errors
     ///
     /// [`SessionError::Rpki`] if any rule filters space the victim does not
     /// hold; channel/decoding errors if the untrusted relay tampered.
-    pub fn submit_rules(
-        &mut self,
-        rules: &[FilterRule],
-        rpki: &RpkiRegistry,
-    ) -> Result<usize, SessionError> {
-        let frame = self
-            .victim_channel
-            .seal(&Self::encode_rules(self.contract, rules));
-        let identity = self.identity;
-        let rpki = rpki.clone();
-        let contract = self.contract;
-        let ack = self
-            .enclave
-            .ecall(move |app| app.receive_rules_for(contract, &frame, &identity, &rpki))?;
-        // The enclave acks with the rule count over the channel.
-        let n = self.open_count_ack(&ack)?;
-        if n != rules.len() {
-            return Err(SessionError::BadAck);
-        }
-        Ok(n)
-    }
-
-    /// The deferred form of [`submit_rules`](FilteringSession::submit_rules):
-    /// the enclave decrypts and RPKI-authorizes the rules now but only
-    /// **queues** them — they take force at the cluster's next epoch
-    /// publication (`EnclaveCluster::publish_contract`), never stalling the data
-    /// path mid-round. Same wire format, same authorization; the ack counts
-    /// rules queued.
+    /// Nothing is queued on failure.
     ///
-    /// # Errors
-    ///
-    /// As [`submit_rules`](FilteringSession::submit_rules); nothing is
-    /// queued on failure.
+    /// [`EnclaveCluster::publish_contract`]: crate::scale::EnclaveCluster::publish_contract
     pub fn submit_rules_deferred(
         &mut self,
         rules: &[FilterRule],
         rpki: &RpkiRegistry,
     ) -> Result<usize, SessionError> {
-        let frame = self
-            .victim_channel
-            .seal(&Self::encode_rules(self.contract, rules));
-        let identity = self.identity;
-        let rpki = rpki.clone();
-        let contract = self.contract;
-        let ack = self
-            .enclave
-            .ecall(move |app| app.receive_rules_deferred_for(contract, &frame, &identity, &rpki))?;
-        let n = self.open_count_ack(&ack)?;
-        if n != rules.len() {
-            return Err(SessionError::BadAck);
-        }
-        Ok(n)
+        let (contract, identity) = (self.contract, self.identity);
+        self.request(
+            Self::encode_rules(contract, rules),
+            rules.len(),
+            |app, frame| app.receive_rules_deferred_for(contract, frame, &identity, rpki),
+        )
     }
 
-    /// Encodes, transmits, and applies a rule **withdrawal** — the removal
-    /// half of the §VI-B churn protocol. `ids` are the enclave-side
+    /// Encodes and transmits a rule **withdrawal** — the removal half of
+    /// the §VI-B churn protocol. `ids` are the enclave-side
     /// [`RuleId`](crate::ruleset::RuleId)s to take out of force (stable
     /// across prior churn: the enclave tombstones slots, never renumbers).
-    ///
-    /// Returns the number of rules the enclave actually withdrew (already
-    /// withdrawn or unknown ids are skipped, not errors — withdrawal is
-    /// idempotent so a victim can safely retry after a lost ack).
+    /// The enclave queues them for the next epoch publication, which
+    /// unlinks only ids the contract owns; unknown, foreign or already
+    /// withdrawn ids are skipped, not errors, so a victim can safely retry
+    /// after a lost ack. The ack counts ids *queued* (whether each was in
+    /// force is known only at publication), so the returned count equals
+    /// `ids.len()` on success.
     ///
     /// # Errors
     ///
     /// Channel errors if the untrusted relay tampered;
-    /// [`SessionError::BadAck`] on a malformed acknowledgement.
-    pub fn withdraw_rules(
-        &mut self,
-        ids: &[crate::ruleset::RuleId],
-    ) -> Result<usize, SessionError> {
-        let frame = self
-            .victim_channel
-            .seal(&Self::encode_ids(self.contract, ids));
-        let contract = self.contract;
-        let ack = self
-            .enclave
-            .ecall(move |app| app.receive_rule_withdrawal_for(contract, &frame))?;
-        let removed = self.open_count_ack(&ack)?;
-        if removed > ids.len() {
-            return Err(SessionError::BadAck);
-        }
-        Ok(removed)
-    }
-
-    /// The deferred form of
-    /// [`withdraw_rules`](FilteringSession::withdraw_rules): the enclave
-    /// queues the withdrawals for the next epoch publication instead of
-    /// unlinking them immediately. The ack counts ids *queued* (whether
-    /// each was in force is known only at publication), so the returned
-    /// count equals `ids.len()` on success.
-    ///
-    /// # Errors
-    ///
-    /// As [`withdraw_rules`](FilteringSession::withdraw_rules); nothing is
+    /// [`SessionError::BadAck`] on a malformed acknowledgement. Nothing is
     /// queued on failure.
     pub fn withdraw_rules_deferred(
         &mut self,
         ids: &[crate::ruleset::RuleId],
     ) -> Result<usize, SessionError> {
-        let frame = self
-            .victim_channel
-            .seal(&Self::encode_ids(self.contract, ids));
         let contract = self.contract;
-        let ack = self
-            .enclave
-            .ecall(move |app| app.receive_rule_withdrawal_deferred_for(contract, &frame))?;
-        let queued = self.open_count_ack(&ack)?;
-        if queued > ids.len() {
-            return Err(SessionError::BadAck);
+        self.request(Self::encode_ids(contract, ids), ids.len(), |app, frame| {
+            app.receive_rule_withdrawal_deferred_for(contract, frame)
+        })
+    }
+
+    /// Seals `payload` on the channel, hands the frame to the enclave's
+    /// `receive` ECall, and checks that the sealed acknowledgement counts
+    /// `expected` entries queued.
+    fn request(
+        &mut self,
+        payload: Vec<u8>,
+        expected: usize,
+        receive: impl FnOnce(&mut FilterEnclaveApp, &[u8]) -> Result<Vec<u8>, SessionError>,
+    ) -> Result<usize, SessionError> {
+        let frame = self.victim_channel.seal(&payload);
+        let ack = self.enclave.ecall(|app| receive(app, &frame))?;
+        let ack = self.victim_channel.open(&ack)?;
+        match ack.get(..4) {
+            Some(n) if n == (expected as u32).to_le_bytes() => Ok(expected),
+            _ => Err(SessionError::BadAck),
         }
-        Ok(queued)
     }
 
     /// Encodes a rule-submission payload
@@ -417,18 +367,6 @@ impl FilteringSession {
             payload.extend_from_slice(&id.to_le_bytes());
         }
         payload
-    }
-
-    /// Opens a sealed acknowledgement carrying one little-endian `u32`.
-    fn open_count_ack(&mut self, ack: &[u8]) -> Result<usize, SessionError> {
-        let ack_payload = self.victim_channel.open(ack)?;
-        Ok(u32::from_le_bytes(
-            ack_payload
-                .get(..4)
-                .ok_or(SessionError::BadAck)?
-                .try_into()
-                .expect("4 bytes"),
-        ) as usize)
     }
 
     /// A victim-side verifier bound to this session's keys.
@@ -456,7 +394,16 @@ impl FilteringSession {
 mod tests {
     use super::*;
     use crate::rules::FlowPattern;
+    use crate::ruleset::RuleSet;
+    use crate::scale::EnclaveCluster;
     use vif_sgx::{AttestationRootKey, EnclaveImage, EpcConfig, SgxPlatform};
+
+    fn platform() -> (SgxPlatform, EnclaveImage, AttestationRootKey) {
+        let root = AttestationRootKey::new([3u8; 32]);
+        let platform = SgxPlatform::new(7, EpcConfig::paper_default(), &root);
+        let image = EnclaveImage::new("vif-filter", 1, vec![0xAB; 1 << 20]);
+        (platform, image, root)
+    }
 
     fn setup() -> (
         Arc<Enclave<FilterEnclaveApp>>,
@@ -464,9 +411,7 @@ mod tests {
         VictimClient,
         RpkiRegistry,
     ) {
-        let root = AttestationRootKey::new([3u8; 32]);
-        let platform = SgxPlatform::new(7, EpcConfig::paper_default(), &root);
-        let image = EnclaveImage::new("vif-filter", 1, vec![0xAB; 1 << 20]);
+        let (platform, image, root) = platform();
         let expected = image.measurement();
         let enclave = Arc::new(platform.launch(image, FilterEnclaveApp::fresh([9u8; 32])));
         let ias = AttestationService::new(root);
@@ -484,6 +429,23 @@ mod tests {
         (enclave, ias, victim, rpki)
     }
 
+    /// The one-slice cluster around `session`'s enclave: what publishes
+    /// the session's queued churn.
+    fn one_slice(session: &FilteringSession) -> EnclaveCluster {
+        let (platform, image, _) = platform();
+        let keys = session.keys();
+        EnclaveCluster::launch_rss_with(
+            platform,
+            image,
+            Arc::clone(session.enclave()),
+            RuleSet::new(),
+            1,
+            [9u8; 32],
+            keys.sketch_seed,
+            keys.audit_key,
+        )
+    }
+
     fn rules() -> Vec<FilterRule> {
         vec![FilterRule::drop(FlowPattern::http_to(
             "203.0.113.0/24".parse().unwrap(),
@@ -496,9 +458,15 @@ mod tests {
         let mut session = victim
             .establish_contract(Arc::clone(&enclave), &ias, [0x11; 32], 0)
             .unwrap();
-        let n = session.submit_rules(&rules(), &rpki).unwrap();
+        let mut cluster = one_slice(&session);
+        let n = session.submit_rules_deferred(&rules(), &rpki).unwrap();
         assert_eq!(n, 1);
+        // Queued, not in force, until the epoch is published.
+        assert_eq!(enclave.ecall(|app| app.pending_installs_for(0)), 1);
+        assert_eq!(enclave.ecall(|app| app.ruleset().len()), 0);
+        assert_eq!(cluster.publish_contract(0, 0).new_rule_ids, vec![0]);
         assert_eq!(enclave.ecall(|app| app.ruleset().len()), 1);
+        assert_eq!(enclave.ecall(|app| app.pending_installs_for(0)), 0);
     }
 
     #[test]
@@ -508,7 +476,9 @@ mod tests {
         let mut session = victim
             .establish_contract(Arc::clone(&enclave), &ias, [0x77; 32], 0)
             .unwrap();
-        session.submit_rules(&rules(), &rpki).unwrap();
+        let mut cluster = one_slice(&session);
+        session.submit_rules_deferred(&rules(), &rpki).unwrap();
+        cluster.publish_contract(0, 0);
         let t = FiveTuple::new(
             7,
             u32::from_be_bytes([203, 0, 113, 4]),
@@ -520,22 +490,80 @@ mod tests {
             enclave.in_enclave_thread(|app| app.process(&t, 64)).action,
             crate::rules::RuleAction::Drop
         );
-        // Withdraw rule 0 over the channel; the drop stops applying.
-        assert_eq!(session.withdraw_rules(&[0]).unwrap(), 1);
+        // Withdraw rule 0 over the channel; the drop stops applying at the
+        // next epoch.
+        assert_eq!(session.withdraw_rules_deferred(&[0]).unwrap(), 1);
+        assert_eq!(cluster.publish_contract(0, 0).withdrawals, 1);
         assert_eq!(enclave.ecall(|app| app.ruleset().active_len()), 0);
         assert_eq!(
             enclave.in_enclave_thread(|app| app.process(&t, 64)).action,
             crate::rules::RuleAction::Allow
         );
-        // Idempotent: withdrawing again removes nothing, errors nothing.
-        assert_eq!(session.withdraw_rules(&[0, 42]).unwrap(), 0);
+        // Idempotent: withdrawing again queues, withdraws nothing, errors
+        // nothing (ids the contract no longer owns drop at the drain).
+        assert_eq!(session.withdraw_rules_deferred(&[0, 42]).unwrap(), 2);
+        let report = cluster.publish_contract(0, 0);
+        assert_eq!((report.edits, report.withdrawals), (0, 0));
     }
 
     #[test]
     fn withdrawal_requires_established_session() {
         let mut app = FilterEnclaveApp::fresh([9u8; 32]);
-        let err = app.receive_rule_withdrawal_for(0, &[0u8; 16]).unwrap_err();
+        let err = app
+            .receive_rule_withdrawal_deferred_for(0, &[0u8; 16])
+            .unwrap_err();
         assert_eq!(err, SessionError::NotEstablished);
+    }
+
+    #[test]
+    fn request_frame_shorter_than_its_header_is_a_decode_error() {
+        let (enclave, ias, victim, rpki) = setup();
+        let mut session = victim
+            .establish_contract(Arc::clone(&enclave), &ias, [0x78; 32], 0)
+            .unwrap();
+        let identity = session.identity;
+        let frame = session.victim_channel.seal(&[0u8; 5]);
+        let err = enclave
+            .ecall(move |app| app.receive_rules_deferred_for(0, &frame, &identity, &rpki))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SessionError::RuleDecode(RuleDecodeError::WrongLength(5))
+        );
+        let frame = session.victim_channel.seal(&[0u8; 5]);
+        let err = enclave
+            .ecall(move |app| app.receive_rule_withdrawal_deferred_for(0, &frame))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SessionError::RuleDecode(RuleDecodeError::WrongLength(5))
+        );
+        assert_eq!(enclave.ecall(|app| app.pending_edits()), 0);
+    }
+
+    #[test]
+    fn frame_for_another_contract_is_refused() {
+        // The relay replays a well-formed frame onto the wrong tenant's
+        // slot: the in-frame contract id gives it away.
+        let (enclave, ias, victim, rpki) = setup();
+        let mut session = victim
+            .establish_contract(Arc::clone(&enclave), &ias, [0x79; 32], 0)
+            .unwrap();
+        let identity = session.identity;
+        let frame = session
+            .victim_channel
+            .seal(&FilteringSession::encode_rules(3, &rules()));
+        let err = enclave
+            .ecall(move |app| app.receive_rules_deferred_for(0, &frame, &identity, &rpki))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SessionError::ContractMismatch {
+                expected: 0,
+                got: 3
+            }
+        );
+        assert_eq!(enclave.ecall(|app| app.pending_edits()), 0);
     }
 
     #[test]
@@ -602,9 +630,12 @@ mod tests {
         let foreign = vec![FilterRule::drop(FlowPattern::http_to(
             "198.51.100.0/24".parse().unwrap(),
         ))];
-        let err = session.submit_rules(&foreign, &rpki).unwrap_err();
+        let err = session.submit_rules_deferred(&foreign, &rpki).unwrap_err();
         assert!(matches!(err, SessionError::Rpki(_)));
-        assert_eq!(session.enclave().ecall(|app| app.ruleset().len()), 0);
+        assert_eq!(
+            session.enclave().ecall(|app| app.pending_installs_for(0)),
+            0
+        );
     }
 
     #[test]
@@ -613,7 +644,8 @@ mod tests {
         let mut session = victim
             .establish_contract(enclave, &ias, [0x55; 32], 0)
             .unwrap();
-        session.submit_rules(&rules(), &rpki).unwrap();
+        session.submit_rules_deferred(&rules(), &rpki).unwrap();
+        one_slice(&session).publish_contract(0, 0);
         // Process a packet and audit: an honest run is clean end to end.
         use vif_dataplane::{FiveTuple, Protocol};
         let t = FiveTuple::new(

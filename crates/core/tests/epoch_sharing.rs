@@ -75,10 +75,11 @@ fn every_live_slice_and_the_cluster_share_one_set_of_tables() {
     }
     assert!(Arc::ptr_eq(&slice_tables(&c, 2), &first_epoch));
 
-    // Rejoin and re-replication install by reference too.
+    // Rejoin and re-replication (an empty publication) install by
+    // reference too.
     c.rejoin_slice(0, 2);
     assert!(Arc::ptr_eq(&slice_tables(&c, 2), &second_epoch));
-    c.redistribute(0);
+    c.publish_contract(0, 0);
     for i in 0..3 {
         assert!(Arc::ptr_eq(&slice_tables(&c, i), c.ruleset().tables()));
     }
@@ -114,10 +115,8 @@ fn counters_belong_to_the_holder() {
     assert!(publisher.counters().iter().all(|k| k.packets == 0));
 
     // The cluster-wide views still add the holders up.
-    assert_eq!(c.replicated_rule_bytes(), vec![0, 500, 40]);
-    let by_rule = c.contract_rule_bytes(0);
-    assert_eq!(by_rule[&1], 500);
-    assert_eq!(by_rule[&2], 40);
+    let by_rule: Vec<(RuleId, u64)> = c.contract_rule_bytes(0).into_iter().collect();
+    assert_eq!(by_rule, [(0, 0), (1, 500), (2, 40)]);
 }
 
 #[test]
@@ -131,7 +130,8 @@ fn a_reader_of_the_old_tables_sees_a_frozen_epoch() {
     let report = c.publish_contract(0, 0);
     assert_eq!((report.withdrawals, report.installs), (1, 1));
     // Rule telemetry restarts with the epoch, on every slice.
-    assert_eq!(c.replicated_rule_bytes(), vec![0, 0, 0]);
+    let by_rule: Vec<(RuleId, u64)> = c.contract_rule_bytes(0).into_iter().collect();
+    assert_eq!(by_rule, [(1, 0), (2, 0)]);
 
     // The cluster moved on...
     assert_eq!(c.ruleset().classify(&hit(0)), None);

@@ -1,13 +1,15 @@
 //! Satellite property of the always-on service: for any worker count and
 //! mid-stream rule churn, the persistent-service path (one
-//! [`DataplaneService`], rounds as messages, churn via deferred queue +
-//! epoch publication) produces **identical** verdicts, per-round dataplane
-//! reports, forwarded packet sets, and audited log exports to the
-//! tear-down-per-round reference (a fresh one-round service every round,
-//! immediate session churn + replicated redistribute) on the same seed.
+//! [`DataplaneService`], rounds as messages) produces **identical**
+//! verdicts, per-round dataplane reports, forwarded packet sets, and
+//! audited log exports to the tear-down-per-round reference (a fresh
+//! one-round service every round) on the same seed. Both churn the one
+//! way rules change: the session's deferred queue, then one epoch
+//! publication.
 //!
 //! This is the contract that lets the scenario engine ride the service:
-//! epoch publication is an execution-strategy change, not a semantic one.
+//! keeping the workers alive across rounds and publications is an
+//! execution-strategy change, not a semantic one.
 
 use std::sync::{Arc, Mutex};
 use vif_core::cost::FilterMode;
@@ -179,8 +181,23 @@ fn service_config() -> ServiceConfig {
     }
 }
 
-/// Tear-down-per-round baseline: fresh service threads every round,
-/// immediate churn + replicated redistribute between rounds.
+/// Mid-stream churn between `round` and the next: queue through the
+/// session, publish one compiled epoch to every slice.
+fn churn(env: &mut Env, round: usize) {
+    if round >= 1 {
+        let stale: Vec<RuleId> = vec![0, 1];
+        env.session.withdraw_rules_deferred(&stale).unwrap();
+    }
+    env.session
+        .submit_rules_deferred(&churn_rules(env.victim_prefix, round), &env.rpki)
+        .unwrap();
+    let report = env.cluster.publish_contract(0, 0);
+    assert_eq!(report.installs, 4);
+    assert_eq!(report.withdrawals, if round >= 1 { 2 } else { 0 });
+}
+
+/// Tear-down-per-round baseline: fresh service threads every round, the
+/// churn published while no worker runs.
 fn run_baseline(n: usize, seed: u64) -> Vec<RoundRecord> {
     let mut env = build_env(n, seed);
     let mut records = Vec::new();
@@ -211,24 +228,15 @@ fn run_baseline(n: usize, seed: u64) -> Vec<RoundRecord> {
             state,
         });
 
-        // Mid-stream churn, immediate flavor: session install/withdraw
-        // against the master, then redistribute to every replica.
         if round + 1 < ROUNDS {
-            if round >= 1 {
-                let stale: Vec<RuleId> = vec![0, 1];
-                env.session.withdraw_rules(&stale).unwrap();
-            }
-            env.session
-                .submit_rules(&churn_rules(env.victim_prefix, round), &env.rpki)
-                .unwrap();
-            env.cluster.redistribute(0);
+            churn(&mut env, round);
         }
     }
     records
 }
 
-/// Always-on service path: ONE set of worker threads for all rounds,
-/// deferred churn + one epoch publication between rounds.
+/// Always-on service path: ONE set of worker threads for all rounds, the
+/// churn published while they run.
 fn run_service(n: usize, seed: u64) -> Vec<RoundRecord> {
     let mut env = build_env(n, seed);
     let stages: Vec<EnclaveFilterStage> = env
@@ -259,20 +267,9 @@ fn run_service(n: usize, seed: u64) -> Vec<RoundRecord> {
                     state,
                 });
 
-                // Mid-stream churn, epoch flavor: queue through the
-                // session, publish one compiled epoch to every slice —
-                // the workers above never stopped.
+                // The workers above never stop for the publication.
                 if round + 1 < ROUNDS {
-                    if round >= 1 {
-                        let stale: Vec<RuleId> = vec![0, 1];
-                        env.session.withdraw_rules_deferred(&stale).unwrap();
-                    }
-                    env.session
-                        .submit_rules_deferred(&churn_rules(env.victim_prefix, round), &env.rpki)
-                        .unwrap();
-                    let report = env.cluster.publish_contract(0, 0);
-                    assert_eq!(report.installs, 4);
-                    assert_eq!(report.withdrawals, if round >= 1 { 2 } else { 0 });
+                    churn(&mut env, round);
                 }
             }
             records
@@ -280,11 +277,11 @@ fn run_service(n: usize, seed: u64) -> Vec<RoundRecord> {
     )
 }
 
-/// The satellite property: deferred queue + epoch publication on one
-/// always-on service ≡ immediate churn + redistribute on a service torn
-/// down every round, for N ∈ {1, 2, 4} workers, on the same seed.
+/// The satellite property: one always-on service ≡ a service torn down
+/// every round, both churning through deferred queue + epoch publication,
+/// for N ∈ {1, 2, 4} workers, on the same seed.
 #[test]
-fn epoch_publication_equals_immediate_churn() {
+fn always_on_service_equals_torn_down_service() {
     for n in [1usize, 2, 4] {
         let seed = 0xe9_u64 ^ (n as u64);
         let baseline = run_baseline(n, seed);

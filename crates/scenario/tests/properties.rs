@@ -151,14 +151,15 @@ fn scenario_adversary_is_detected_with_round_latency() {
 }
 
 /// Live rule churn **while the sharded service is processing**: a control
-/// thread drives §VI-B installs/withdrawals plus replicated redistributes
-/// against the same enclaves the worker threads are filtering through.
+/// thread queues §VI-B installs/withdrawals through the session and
+/// publishes them as epochs to the same enclaves the worker threads are
+/// filtering through.
 /// The audit must stay clean — the enclave's logs describe what it
 /// actually did, and the verifiers observe what actually happened, so
 /// churn itself can never produce a false strike (the churn analogue of
 /// the `burst_logging_audit_equivalence` contract).
 #[test]
-fn mid_run_redistribute_keeps_audit_clean() {
+fn mid_run_publish_keeps_audit_clean() {
     const N: usize = 2;
     const RING_CAPACITY: usize = 1 << 14;
     let secret = [7u8; 32];
@@ -254,9 +255,8 @@ fn mid_run_redistribute_keeps_audit_clean() {
             ))
         })
         .collect();
-    session.submit_rules(&first_batch, &rpki).unwrap();
-    cluster.redistribute(0);
-    let mut installed: Vec<RuleId> = (0..4).collect();
+    session.submit_rules_deferred(&first_batch, &rpki).unwrap();
+    let mut installed: Vec<RuleId> = cluster.publish_contract(0, 0).new_rule_ids;
 
     let churn_rounds = std::thread::scope(|scope| {
         let dataplane = scope.spawn(|| {
@@ -282,11 +282,10 @@ fn mid_run_redistribute_keeps_audit_clean() {
             )
         });
         // Control thread (this one): churn rules through the session and
-        // propagate them with replicated redistributes while the workers
-        // are live. Verdicts flip mid-run; the audit must not care.
+        // publish them while the workers are live. Verdicts flip mid-run;
+        // the audit must not care.
         let mut rounds = 1u32;
         loop {
-            let base = cluster.enclaves()[0].ecall(|app| app.ruleset().len()) as RuleId;
             let batch: Vec<FilterRule> = (0..4u32)
                 .map(|i| {
                     FilterRule::drop(FlowPattern::prefixes(
@@ -295,13 +294,12 @@ fn mid_run_redistribute_keeps_audit_clean() {
                     ))
                 })
                 .collect();
-            session.submit_rules(&batch, &rpki).unwrap();
-            installed.extend(base..base + 4);
-            cluster.redistribute(0);
+            session.submit_rules_deferred(&batch, &rpki).unwrap();
+            installed.extend(cluster.publish_contract(0, 0).new_rule_ids);
             if installed.len() > 8 {
                 let drop_ids: Vec<RuleId> = installed.drain(..4).collect();
-                session.withdraw_rules(&drop_ids).unwrap();
-                cluster.redistribute(0);
+                session.withdraw_rules_deferred(&drop_ids).unwrap();
+                assert_eq!(cluster.publish_contract(0, 0).withdrawals, 4);
             }
             rounds += 1;
             if dataplane.is_finished() {

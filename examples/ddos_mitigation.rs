@@ -104,16 +104,30 @@ fn main() {
             .with_protocol(Protocol::Udp)
             .with_src_port(vif::core::rules::PortRange::exactly(53)),
     )];
-    let installed = session
-        .submit_rules(&rules, &rpki)
+    let queued = session
+        .submit_rules_deferred(&rules, &rpki)
         .expect("authorized rules");
+    // The attested enclave is a one-slice cluster; publishing its epoch is
+    // what puts the queued rules in force.
+    let keys = session.keys().clone();
+    let mut cluster = EnclaveCluster::launch_rss_with(
+        platform,
+        image,
+        Arc::clone(&enclave),
+        RuleSet::new(),
+        1,
+        [5u8; 32],
+        keys.sketch_seed,
+        keys.audit_key,
+    );
+    let installed = cluster.publish_contract(0, 0).installs;
+    assert_eq!(installed, queued);
     println!("rules: {installed} rule installed over the authenticated channel");
 
     // --- the always-on service + the audit around it ----------------------
     // One worker stage over the attested enclave; the round driver exports
     // and verifies the enclave's authenticated logs each round, and aborts
     // the contract at the first strike.
-    let keys = session.keys().clone();
     let mut driver = ClusterRoundDriver::new(
         vec![Arc::clone(&enclave)],
         keys.sketch_seed,

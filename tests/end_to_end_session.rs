@@ -38,6 +38,22 @@ fn launch(w: &World) -> Arc<Enclave<FilterEnclaveApp>> {
     )
 }
 
+/// The one-slice cluster around `session`'s enclave: what publishes the
+/// session's queued rules.
+fn one_slice(w: &World, session: &FilteringSession) -> EnclaveCluster {
+    let keys = session.keys();
+    EnclaveCluster::launch_rss_with(
+        w.platform.clone(),
+        w.image.clone(),
+        Arc::clone(session.enclave()),
+        RuleSet::new(),
+        1,
+        [9u8; 32],
+        keys.sketch_seed,
+        keys.audit_key,
+    )
+}
+
 fn client(w: &World) -> VictimClient {
     VictimClient::new(
         w.victim_identity,
@@ -65,7 +81,8 @@ fn establish_submit_filter_audit() {
         )
         .with_protocol(Protocol::Udp),
     )];
-    assert_eq!(session.submit_rules(&rules, &w.rpki).unwrap(), 1);
+    assert_eq!(session.submit_rules_deferred(&rules, &w.rpki).unwrap(), 1);
+    assert_eq!(one_slice(&w, &session).publish_contract(0, 0).installs, 1);
 
     // Traffic: attack (matches) + benign (does not).
     let attack = FiveTuple::new(
@@ -114,9 +131,13 @@ fn tampered_rule_frame_rejected_by_enclave() {
     let forged = vec![0u8; 64];
     let identity = w.victim_identity;
     let rpki = w.rpki.clone();
-    let result = enclave.ecall(move |app| app.receive_rules_for(0, &forged, &identity, &rpki));
+    let result =
+        enclave.ecall(move |app| app.receive_rules_deferred_for(0, &forged, &identity, &rpki));
     assert!(result.is_err());
-    assert_eq!(session.enclave().ecall(|app| app.ruleset().len()), 0);
+    assert_eq!(
+        session.enclave().ecall(|app| app.pending_installs_for(0)),
+        0
+    );
 }
 
 #[test]
@@ -166,6 +187,6 @@ fn control_plane_uses_ecalls_data_plane_does_not() {
     let rules = vec![FilterRule::drop(FlowPattern::http_to(
         "203.0.113.0/24".parse().unwrap(),
     ))];
-    session.submit_rules(&rules, &w.rpki).unwrap();
+    session.submit_rules_deferred(&rules, &w.rpki).unwrap();
     assert!(enclave.counters().ecalls > before);
 }
