@@ -10,6 +10,16 @@
 //! whether the contract continues — aborting permanently after
 //! [`RoundPolicy::max_strikes`] dirty rounds. A single enclave is the
 //! one-slice case.
+//!
+//! A round closes in two phases. Phase 1 gives every audited slice its
+//! first audit attempt (outgoing export → HMAC check → compare, then the
+//! same for the incoming log) as one task on `std::thread::scope`, on at
+//! most `available_parallelism()` threads, the caller running one share.
+//! Phase 1 only reads and compares. Phase 2 then walks the slices in index
+//! order on the caller and does everything with a side effect exactly as a
+//! serial loop would: retries, backoff, lifecycle votes, telemetry events,
+//! strikes, abort and rotation. The same inputs thus give the same
+//! outcomes and the same flight-recorder bytes however the tasks interleave.
 
 use crate::enclave_app::{ContractId, FilterEnclaveApp};
 use crate::logs::LogDirection;
@@ -106,7 +116,15 @@ pub enum ExportFault {
 
 /// Test/bench-only hook deciding whether a slice's export attempt is
 /// faulted: `(slice, round, attempt) -> ExportFault`.
-pub type ExportFaultHook = Box<dyn FnMut(usize, u64, u32) -> ExportFault + Send>;
+///
+/// The hook must be pure in its arguments. [`ClusterRoundDriver::close_round`]
+/// asks it about every audited slice's attempt 0 from the audit threads,
+/// concurrently and in no fixed order, with the driver's count of closed
+/// rounds as `round`. It then asks about retries (attempt ≥ 1) on the
+/// caller thread, slice by slice in index order, with the round the
+/// earlier trusted slices' exports named (see `close_round` for the one
+/// case where that differs and attempt 0 is asked again).
+pub type ExportFaultHook = Box<dyn Fn(usize, u64, u32) -> ExportFault + Send + Sync>;
 
 /// Contract state after a round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -394,6 +412,18 @@ impl ClusterRoundDriver {
     /// under [`RoundPolicy::export_retry`] with exponential virtual-clock
     /// backoff before the failure is acted on.
     ///
+    /// The close runs in two phases (see the module docs). Phase 1 makes
+    /// each audited slice's first attempt in parallel, on at most
+    /// `available_parallelism()` threads including the caller; a
+    /// one-slice cluster spawns none. Phase 2 consumes those results in
+    /// slice order and makes every retry on the caller. Phase 1 passes the
+    /// [`ExportFaultHook`] the number of rounds closed so far. An earlier
+    /// trusted slice can name another round (a rejoined slice's logs
+    /// count from 0); if the hook answers differently for that round, the
+    /// slice's attempt 0 is redone in phase 2, as a serial loop would have
+    /// made it. A result discarded by an earlier abort leaves no trace:
+    /// phase 1 only reads and compares.
+    ///
     /// Probation slices are audited like trusted ones — off the shadow
     /// traffic mirrored to them — but their verdicts never strike the
     /// contract: they are posted to the table as this tenant's *vote*. A
@@ -424,7 +454,7 @@ impl ClusterRoundDriver {
         let mut round = self.rounds_closed;
         let contract = self.contract;
         let backoff_before = self.backoff_ns;
-        'slices: for i in 0..self.enclaves.len() {
+        'slices: for (i, first) in self.first_attempts().into_iter().enumerate() {
             let state = self.lifecycle.state(i);
             let on_probation = state == SliceState::Probation;
             // Placeholder outcome of a slice that sat the round out.
@@ -439,31 +469,21 @@ impl ClusterRoundDriver {
                 slices.push(skipped(round));
                 continue 'slices;
             }
-            let enclave = Arc::clone(&self.enclaves[i]);
+            // Phase 1 asked the hook about the closed-rounds count. If an
+            // earlier trusted slice named another round and the hook answers
+            // differently for it, attempt 0 is redone here, as a serial
+            // loop would have made it.
+            let mut first = first.filter(|_| {
+                round == self.rounds_closed
+                    || self.fault(i, round, 0) == self.fault(i, self.rounds_closed, 0)
+            });
             let mut attempt = 0u32;
-            let (victim_report, neighbor_report) = loop {
-                let fault = match self.export_fault.as_mut() {
-                    Some(hook) => hook(i, round, attempt),
-                    None => ExportFault::None,
-                };
-                let audits = if fault == ExportFault::Timeout {
-                    Err(AuditError::ExportTimeout)
-                } else {
-                    let mut outgoing = enclave
-                        .ecall(move |app| app.export_log_for(contract, LogDirection::Outgoing));
-                    let incoming = enclave
-                        .ecall(move |app| app.export_log_for(contract, LogDirection::Incoming));
-                    if fault == ExportFault::Corrupt {
-                        if let Some(b) = outgoing.payload.first_mut() {
-                            *b ^= 0xff;
-                        }
-                    }
-                    self.victims[i]
-                        .audit(&outgoing)
-                        .and_then(|v| self.neighbors[i].audit(&incoming).map(|n| (v, n)))
-                };
+            let verdicts = loop {
+                let audits = first
+                    .take()
+                    .unwrap_or_else(|| self.audit_slice(i, self.fault(i, round, attempt)));
                 match audits {
-                    Ok(reports) => break reports,
+                    Ok(verdicts) => break verdicts,
                     Err(e) => {
                         if self.policy.export_retry.allows(attempt) {
                             // Exports are pure reads and audits are pure
@@ -528,12 +548,12 @@ impl ClusterRoundDriver {
             if !on_probation {
                 // A rejoined slice's fresh logs restart at round 0; only
                 // trusted slices name the cluster round.
-                round = victim_report.round;
+                round = verdicts.round;
             }
             let outcome = RoundOutcome {
                 round,
-                victim_verdict: victim_report.verdict,
-                neighbor_verdict: neighbor_report.verdict,
+                victim_verdict: verdicts.victim,
+                neighbor_verdict: verdicts.neighbor,
                 quarantined: false,
                 probation: on_probation,
             };
@@ -598,6 +618,88 @@ impl ClusterRoundDriver {
         Ok(outcome)
     }
 
+    /// Phase 1 of [`close_round`](ClusterRoundDriver::close_round): the
+    /// first audit attempt of every slice the lifecycle table marks
+    /// `audited`, indexed like the cluster (`None` for a slice sitting the
+    /// round out). The slices are split into at most
+    /// `available_parallelism()` shares on scoped threads; the caller runs
+    /// the first share itself, so a one-slice cluster spawns nothing.
+    fn first_attempts(&self) -> Vec<Option<Result<SliceVerdicts, AuditError>>> {
+        let mut results = vec![None; self.enclaves.len()];
+        let due: Vec<usize> = (0..self.enclaves.len())
+            .filter(|&i| self.lifecycle.state(i).audited())
+            .collect();
+        if due.is_empty() {
+            return results;
+        }
+        let round = self.rounds_closed;
+        let attempt = |i: usize| self.audit_slice(i, self.fault(i, round, 0));
+        let threads = std::thread::available_parallelism()
+            .map_or(1, usize::from)
+            .min(due.len());
+        std::thread::scope(|s| {
+            let mut shares = due.chunks(due.len().div_ceil(threads));
+            let own = shares.next().unwrap_or_default();
+            let spawned: Vec<_> = shares
+                .map(|share| {
+                    s.spawn(move || share.iter().map(|&i| (i, attempt(i))).collect::<Vec<_>>())
+                })
+                .collect();
+            for &i in own {
+                results[i] = Some(attempt(i));
+            }
+            for handle in spawned {
+                let share = handle
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p));
+                for (i, verdicts) in share {
+                    results[i] = Some(verdicts);
+                }
+            }
+        });
+        results
+    }
+
+    /// What the export fault hook decides for slice `i`'s `attempt` in
+    /// `round` (no fault without a hook).
+    fn fault(&self, i: usize, round: u64, attempt: u32) -> ExportFault {
+        self.export_fault
+            .as_ref()
+            .map_or(ExportFault::None, |hook| hook(i, round, attempt))
+    }
+
+    /// One audit attempt on slice `i`: export the outgoing log and audit
+    /// it, then the incoming log, so only one export is alive at a time.
+    /// Exports are `&self` enclave reads and audits pure comparisons, so
+    /// the attempt runs on any thread, and a result nobody consumes
+    /// leaves no trace.
+    fn audit_slice(&self, i: usize, fault: ExportFault) -> Result<SliceVerdicts, AuditError> {
+        if fault == ExportFault::Timeout {
+            return Err(AuditError::ExportTimeout);
+        }
+        let contract = self.contract;
+        let enclave = &self.enclaves[i];
+        let mut outgoing =
+            enclave.ecall(move |app| app.export_log_for(contract, LogDirection::Outgoing));
+        if fault == ExportFault::Corrupt {
+            if let Some(b) = outgoing.payload.first_mut() {
+                *b ^= 0xff;
+            }
+        }
+        let (round, victim) = self.victims[i]
+            .audit(&outgoing)
+            .map(|r| (r.round, r.verdict))?;
+        drop(outgoing);
+        let incoming =
+            enclave.ecall(move |app| app.export_log_for(contract, LogDirection::Incoming));
+        let neighbor = self.neighbors[i].audit(&incoming)?.verdict;
+        Ok(SliceVerdicts {
+            round,
+            victim,
+            neighbor,
+        })
+    }
+
     /// Posts this tenant's audit verdict on slice `i`.
     fn vote(&self, i: usize, verdict: SliceEvent) {
         self.lifecycle
@@ -622,6 +724,15 @@ impl ClusterRoundDriver {
             n.new_round();
         }
     }
+}
+
+/// What one audit attempt on a slice found.
+#[derive(Debug, Clone, Copy)]
+struct SliceVerdicts {
+    /// The round the outgoing export names.
+    round: u64,
+    victim: BypassVerdict,
+    neighbor: BypassVerdict,
 }
 
 #[cfg(test)]
@@ -954,6 +1065,115 @@ mod tests {
         assert_eq!(driver.state(), ContractState::Active);
     }
 
+    /// One close of a 4-slice cluster with a hub: slice 1 corrupt on
+    /// attempt 0, slice 3 timed out on attempts 0–1, slice 2 robbed of
+    /// its deliveries. Returns everything the close is observable by.
+    #[allow(clippy::type_complexity)]
+    fn faulted_close() -> (
+        ClusterRoundOutcome,
+        u64,
+        u64,
+        ContractState,
+        Vec<(EventKind, u32, u64)>,
+    ) {
+        let (enclaves, mut driver) = cluster_setup(4);
+        let hub = Arc::new(TelemetryHub::for_workers(4));
+        driver.set_telemetry(Arc::clone(&hub));
+        driver.set_export_fault(Box::new(|slice, _, attempt| match (slice, attempt) {
+            (1, 0) => ExportFault::Corrupt,
+            (3, 0..=1) => ExportFault::Timeout,
+            _ => ExportFault::None,
+        }));
+        cluster_round(&enclaves, &mut driver, 30, Some(2));
+        let outcome = driver.close_round().expect("retries recover every slice");
+        let events = hub
+            .events_last(64)
+            .iter()
+            .map(|e| (e.kind, e.slice, e.a))
+            .collect();
+        (
+            outcome,
+            driver.audit_retries_used(),
+            driver.backoff_ns(),
+            driver.state(),
+            events,
+        )
+    }
+
+    #[test]
+    fn close_round_keeps_serial_side_effect_order() {
+        let first = faulted_close();
+        let (outcome, retries, backoff, state, events) = first.clone();
+        assert_eq!(outcome.round, 0);
+        assert_eq!(outcome.dirty_slices(), vec![2]);
+        for (s, slice) in outcome.slices.iter().enumerate() {
+            assert!(!slice.quarantined && !slice.probation, "slice {s}");
+            let victim = if s == 2 {
+                BypassVerdict::DropDetected
+            } else {
+                BypassVerdict::Clean
+            };
+            assert_eq!(slice.victim_verdict, victim, "slice {s}");
+            assert_eq!(slice.neighbor_verdict, BypassVerdict::Clean, "slice {s}");
+        }
+        assert_eq!(retries, 3);
+        // Slice 1: 1 ms; slice 3: 1 ms + 2 ms.
+        assert_eq!(backoff, 4_000_000);
+        assert_eq!(state, ContractState::Aborted { strikes: 1 });
+        assert_eq!(
+            events,
+            vec![
+                (EventKind::AuditVerdict, 0, 0),
+                (EventKind::ExportRetry, 1, 0),
+                (EventKind::AuditVerdict, 1, 0),
+                (EventKind::AuditVerdict, 2, 1),
+                (EventKind::ExportRetry, 3, 0),
+                (EventKind::ExportRetry, 3, 1),
+                (EventKind::AuditVerdict, 3, 0),
+                (EventKind::Strike, 0, 1),
+                (EventKind::ContractAbort, 0, 1),
+            ]
+        );
+        for run in 1..20 {
+            assert_eq!(faulted_close(), first, "run {run}");
+        }
+    }
+
+    #[test]
+    fn abort_mid_cluster_leaves_no_trace_of_later_slices() {
+        let (enclaves, mut driver) = cluster_setup(3);
+        let hub = Arc::new(TelemetryHub::for_workers(3));
+        driver.set_telemetry(Arc::clone(&hub));
+        // Slice 1's export never arrives; the default policy aborts.
+        driver.set_export_fault(Box::new(|slice, _, _| {
+            if slice == 1 {
+                ExportFault::Timeout
+            } else {
+                ExportFault::None
+            }
+        }));
+        cluster_round(&enclaves, &mut driver, 20, None);
+        let err = driver.close_round().unwrap_err();
+        assert_eq!(err, AuditError::ExportTimeout);
+        assert_eq!(driver.state(), ContractState::Aborted { strikes: 1 });
+        let events = hub.events_last(64);
+        assert!(events
+            .iter()
+            .any(|e| e.kind == EventKind::AuditVerdict && e.slice == 0));
+        assert!(
+            !events
+                .iter()
+                .any(|e| e.kind == EventKind::AuditVerdict && e.slice == 2),
+            "{events:?}"
+        );
+        assert_eq!(driver.history().len(), 0);
+        // Every enclave rotated exactly once.
+        for (s, enclave) in enclaves.iter().enumerate() {
+            let export = enclave.ecall(|app| app.export_log_for(0, LogDirection::Outgoing));
+            assert_eq!(export.round, 1, "slice {s}");
+        }
+    }
+
     #[test]
     fn exhausted_retries_quarantine_slice_under_quarantine_policy() {
         let (enclaves, _) = cluster_setup(3);
@@ -1079,6 +1299,38 @@ mod tests {
         let outcome = driver.close_round().unwrap();
         assert!(!outcome.dirty());
         assert!(!outcome.slices[1].probation);
+    }
+
+    #[test]
+    fn fault_hook_sees_the_round_an_earlier_rejoined_slice_names() {
+        let (enclaves, mut driver) = cluster_setup(2);
+        let table = Arc::clone(driver.lifecycle());
+        driver.set_export_fault(Box::new(|slice, round, attempt| {
+            if (slice, round, attempt) == (1, 2, 0) {
+                ExportFault::Corrupt
+            } else {
+                ExportFault::None
+            }
+        }));
+        // Slice 0 sits round 0 out, so its logs count one round behind.
+        table.advance(0, SliceEvent::Excise).unwrap();
+        partial_round(&enclaves, &mut driver, 10, 0);
+        driver.close_round().unwrap();
+        table.settle_round(1);
+        rejoin(&enclaves, &mut driver, 0);
+        for _ in 0..PROBATION_ROUNDS {
+            cluster_round(&enclaves, &mut driver, 10, None);
+            driver.close_round().unwrap();
+            table.settle_round(1);
+        }
+        // Round 2 faulted slice 1 once.
+        assert_eq!(driver.audit_retries_used(), 1);
+        assert_eq!(table.state(0), SliceState::Live);
+        // Closing round 3, the trusted slice 0 names round 2, and slice 1
+        // is asked about round 2 again, as the serial loop always did.
+        cluster_round(&enclaves, &mut driver, 10, None);
+        assert!(!driver.close_round().unwrap().dirty());
+        assert_eq!(driver.audit_retries_used(), 2);
     }
 
     #[test]
