@@ -13,9 +13,11 @@
 //!   TX → barrier, burst 32, 2 workers) with no telemetry hub attached —
 //!   the baseline the overhead is priced against;
 //! - `record_on/32`: the identical round with a [`TelemetryHub`]
-//!   attached to the service — per-packet `WorkerScratch` recording in
-//!   the workers, counter merges and a flight-recorder event at every
-//!   flush barrier; the stages are the same plain enclave stages;
+//!   attached to the service. Each worker records only wire sizes, one
+//!   bucket add per packet into a stack histogram it merges at the flush
+//!   barrier; the counts are the service's one round tally, which the
+//!   handle adds to the hub at every barrier, together with a
+//!   flight-recorder event. The stages are the same plain enclave stages;
 //! - `flight_event`: one [`FlightRecorder::record`] (ring write, no
 //!   allocation) — the unit cost of a control-plane event;
 //! - `histogram_record`: one [`Histogram::record`] (log2 bucket add) —

@@ -16,8 +16,10 @@
 //!   TX thread — FIFO rings turn the token into a precise round barrier
 //!   with no stop-the-world. When the TX thread has seen one token per
 //!   worker, every packet of the round has been decided *and* delivered to
-//!   the sink, and the handle returns per-worker counters for exactly that
-//!   round.
+//!   the sink, and the handle reports exactly that round. It keeps one
+//!   round tally with a cell per (worker, contract): the per-worker report
+//!   is its rows, [`ServiceHandle::contract_deltas`] its columns, and an
+//!   attached telemetry hub adds both, so each packet is counted once.
 //!
 //! # Control channel
 //!
@@ -87,7 +89,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::Thread;
 use std::time::Duration;
-use vif_telemetry::{fault, EventKind, TelemetryHub, WorkerScratch};
+use vif_telemetry::{fault, EventKind, Histogram, TelemetryHub};
 
 /// One message on a worker's RX ring.
 #[derive(Debug, Clone, Copy)]
@@ -208,11 +210,6 @@ impl ContractMap {
         }
     }
 
-    /// Degraded-mode policy of a dense slot.
-    fn mode_of_slot(&self, slot: usize) -> DegradedMode {
-        self.modes[slot]
-    }
-
     /// Contract ids known to the map, dense-slot order (`0` first).
     pub fn contracts(&self) -> &[u32] {
         &self.ids
@@ -223,8 +220,13 @@ impl ContractMap {
         self.ids[self.slot_of(dst_ip)]
     }
 
-    /// Dense counter slot for `dst_ip`.
+    /// Dense counter slot for `dst_ip`. A map with only the default
+    /// contract skips the prefix scan, so the single-tenant hot path stays
+    /// lookup-free.
     fn slot_of(&self, dst_ip: u32) -> usize {
+        if self.ids.len() == 1 {
+            return 0;
+        }
         for &(net, len, slot) in &self.entries {
             if dst_ip & mask_of(len) == net {
                 return slot;
@@ -242,8 +244,8 @@ fn mask_of(prefix_len: u8) -> u32 {
     }
 }
 
-/// One contract's share of a flushed round — the tenant-sliced view of
-/// the same counters a [`ShardedReport`] aggregates per worker.
+/// One contract's share of a flushed round: a column of the same round
+/// tally whose rows are a [`ShardedReport`]'s workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ContractRoundDelta {
     /// The contract id.
@@ -259,6 +261,17 @@ pub struct ContractRoundDelta {
     /// Packets that bypassed filtering this round because their worker
     /// was dead or quarantined (see [`DegradedMode`]).
     pub uncovered: u64,
+}
+
+impl ContractRoundDelta {
+    /// Adds one tally cell of this contract's column.
+    fn add(&mut self, cell: ThreadedReport) {
+        self.received += cell.received;
+        self.forwarded += cell.forwarded;
+        self.filtered += cell.filtered;
+        self.overflow += cell.overflow;
+        self.uncovered += cell.uncovered;
+    }
 }
 
 /// Tuning knobs for a [`DataplaneService`].
@@ -290,19 +303,15 @@ impl Default for ServiceConfig {
 struct Shared {
     rx_rings: Vec<Ring<WorkerMsg>>,
     tx_ring: Ring<TxMsg>,
-    /// Cumulative per-worker forwarded/filtered counters. Written with
-    /// relaxed adds: every read that matters happens after the round
-    /// barrier, whose token travels through the rings and the round mutex
-    /// and therefore carries the happens-before edge.
-    forwarded: Vec<AtomicU64>,
-    filtered: Vec<AtomicU64>,
-    /// Tenant attribution of the worker-side counters: dst prefix →
-    /// contract, plus cumulative per-contract forwarded/filtered (dense
-    /// slot order, summed across workers). With a single (default)
-    /// contract the workers skip the per-packet lookup entirely.
+    /// Tenant attribution: dst prefix → dense contract slot.
     contracts: ContractMap,
-    c_forwarded: Vec<AtomicU64>,
-    c_filtered: Vec<AtomicU64>,
+    /// The workers' half of the round tally: cumulative (forwarded,
+    /// filtered) per (worker, contract slot) cell, indexed
+    /// [`cell`](Shared::cell)-wise. Written with relaxed adds: every read
+    /// that matters happens after the round barrier, whose token travels
+    /// through the rings and the round mutex and therefore carries the
+    /// happens-before edge.
+    decided: Vec<[AtomicU64; 2]>,
     /// Per-consumer parked flags (workers, then TX) for the sleep/wake
     /// protocol, plus a global count of park events for the idle test.
     worker_parked: Vec<AtomicBool>,
@@ -321,10 +330,10 @@ struct Shared {
     /// flag clears (every `flush_round` clears all stalls, so stalls show
     /// up as backpressure, never as a hung barrier).
     worker_stalled: Vec<AtomicBool>,
-    /// Optional telemetry hub. Workers batch into a stack
-    /// [`WorkerScratch`] and merge here at round barriers; the handle adds
-    /// offer-side counters and records control-plane events. `None` costs
-    /// one predictable branch per packet run.
+    /// Optional telemetry hub. The handle adds each flushed round's tally
+    /// rows and columns and records control-plane events; workers record
+    /// only wire sizes, into a stack [`Histogram`] merged at round
+    /// barriers. `None` costs one predictable branch per packet.
     telemetry: Option<Arc<TelemetryHub>>,
     /// Set once by the handle when its scope ends; consumers exit when
     /// they see it with an empty ring.
@@ -346,11 +355,8 @@ impl Shared {
         Shared {
             rx_rings: (0..n).map(|_| Ring::new(config.ring_capacity)).collect(),
             tx_ring: Ring::new(config.ring_capacity),
-            forwarded: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            filtered: (0..n).map(|_| AtomicU64::new(0)).collect(),
             contracts,
-            c_forwarded: (0..c).map(|_| AtomicU64::new(0)).collect(),
-            c_filtered: (0..c).map(|_| AtomicU64::new(0)).collect(),
+            decided: (0..n * c).map(|_| Default::default()).collect(),
             worker_parked: (0..n).map(|_| AtomicBool::new(false)).collect(),
             tx_parked: AtomicBool::new(false),
             park_events: AtomicU64::new(0),
@@ -364,6 +370,11 @@ impl Shared {
             round_done: Mutex::new(0),
             round_cv: Condvar::new(),
         }
+    }
+
+    /// Round-tally cell of worker `w` and the contract owning `dst_ip`.
+    fn cell(&self, w: usize, dst_ip: u32) -> usize {
+        w * self.contracts.contracts().len() + self.contracts.slot_of(dst_ip)
     }
 
     /// Producer-side half of the sleep/wake protocol: clear the consumer's
@@ -471,12 +482,13 @@ impl DataplaneService {
         self
     }
 
-    /// Attaches a telemetry hub: workers merge per-round packet counts and
-    /// wire-size histograms into it at each flush barrier, the handle adds
-    /// overflow/uncovered and per-contract deltas, and fault injections /
-    /// quarantines / flush barriers land in the hub's flight recorder.
-    /// Recording is zero-allocation in steady state and adds a few plain
-    /// integer ops per packet (gated by the `telemetry_overhead` bench).
+    /// Attaches a telemetry hub. At each flush barrier the handle adds the
+    /// round's per-worker rows and per-contract deltas, the views of its
+    /// one round tally, so the hub never counts a packet itself; workers
+    /// merge their wire-size histograms. Fault injections, quarantines and
+    /// flush barriers land in the hub's flight recorder. Recording is
+    /// zero-allocation in steady state and adds one histogram bucket add
+    /// per packet (gated by the `telemetry_overhead` bench).
     pub fn with_telemetry(mut self, hub: Arc<TelemetryHub>) -> Self {
         self.telemetry = Some(hub);
         self
@@ -558,19 +570,13 @@ impl DataplaneService {
                 n,
                 worker_threads,
                 tx_thread,
-                received: vec![0; n],
-                overflow: vec![0; n],
-                uncovered: vec![0; n],
                 lifecycle,
-                prev: vec![ThreadedReport::default(); n],
+                tally: vec![ThreadedReport::default(); n * c],
+                settled: vec![[0; 2]; n * c],
                 report: ShardedReport {
                     per_worker: vec![ThreadedReport::default(); n],
                     quarantined: vec![false; n],
                 },
-                c_received: vec![0; c],
-                c_overflow: vec![0; c],
-                c_uncovered: vec![0; c],
-                c_prev: vec![(0, 0); c],
                 staged: (0..n).map(|_| Vec::with_capacity(config.burst)).collect(),
                 shadows: (0..n).map(|_| Vec::with_capacity(config.burst)).collect(),
                 tx_out: Vec::with_capacity(config.burst),
@@ -629,28 +635,21 @@ pub struct ServiceHandle<'scope, 'env, R> {
     n: usize,
     worker_threads: Vec<Thread>,
     tx_thread: Thread,
-    /// Per-worker offer-side counters for the round in progress.
-    received: Vec<u64>,
-    overflow: Vec<u64>,
-    /// Per-worker uncovered counters for the round in progress: ring
-    /// residue drained from a dead worker's ring at the barrier.
-    uncovered: Vec<u64>,
     /// Where each worker's slice stands; read per packet, written only
     /// through [`SliceLifecycle::advance`].
     lifecycle: Arc<SliceLifecycle>,
-    /// Cumulative forwarded/filtered snapshot at the last flush, so each
-    /// round's report is a delta with no per-round counter reset on the
-    /// worker side.
-    prev: Vec<ThreadedReport>,
-    /// Reused report storage: flushing a round is allocation-free.
+    /// The round tally, one cell per (worker, contract slot) as in
+    /// `Shared::decided`: `received` and `overflow` counted by `offer`,
+    /// `uncovered` by the reaps, the decided half read from the workers'
+    /// cells at the barrier. Every report is a view of it.
+    tally: Vec<ThreadedReport>,
+    /// `Shared::decided` as read at the last flush, so each round's
+    /// forwarded/filtered is a delta with no reset on the worker side.
+    settled: Vec<[u64; 2]>,
+    /// Reused views of the last flushed round: its tally's rows (one per
+    /// worker) and columns (one per contract, dense slot order). Flushing
+    /// a round is allocation-free.
     report: ShardedReport,
-    /// Per-contract offer-side counters for the round in progress, the
-    /// cumulative (forwarded, filtered) snapshot at the last flush, and
-    /// reused per-contract delta storage (dense slot order).
-    c_received: Vec<u64>,
-    c_overflow: Vec<u64>,
-    c_uncovered: Vec<u64>,
-    c_prev: Vec<(u64, u64)>,
     contract_report: Vec<ContractRoundDelta>,
     /// Per-worker staging for one `burst`-sized chunk of an offer: the
     /// packets steered at each worker, and the shadow copies mirrored to
@@ -709,7 +708,6 @@ where
     /// the audit layer can compare the rejoined slice's logs against its
     /// would-be share.
     pub fn offer(&mut self, packets: &[Packet]) {
-        let multi = self.c_received.len() > 1;
         for chunk in packets.chunks(self.config.burst) {
             for pkt in chunk {
                 let w0 = (self.steer)(&pkt.tuple) % self.n;
@@ -719,13 +717,7 @@ where
                 } else {
                     self.lifecycle.steer(pkt.tuple.tuple_fingerprint(), w0)
                 };
-                self.received[w] += 1;
-                let slot = if multi {
-                    self.shared.contracts.slot_of(pkt.tuple.dst_ip)
-                } else {
-                    0
-                };
-                self.c_received[slot] += 1;
+                self.tally[self.shared.cell(w, pkt.tuple.dst_ip)].received += 1;
                 self.staged[w].push(WorkerMsg::Pkt(*pkt));
                 if home.shadowed() && w != w0 {
                     self.shadows[w0].push(WorkerMsg::Shadow(*pkt));
@@ -743,13 +735,7 @@ where
                     push_rx(self.shared, w, worker, &mut self.staged[w], live);
                     for msg in self.staged[w].drain(..) {
                         if let WorkerMsg::Pkt(p) = msg {
-                            let slot = if multi {
-                                self.shared.contracts.slot_of(p.tuple.dst_ip)
-                            } else {
-                                0
-                            };
-                            self.overflow[w] += 1;
-                            self.c_overflow[slot] += 1;
+                            self.tally[self.shared.cell(w, p.tuple.dst_ip)].overflow += 1;
                         }
                     }
                 }
@@ -977,61 +963,38 @@ where
         }
         drop(done);
 
+        // One pass over the tally: a worker's report is its row, a
+        // contract's delta its column, and the hub adds both.
+        let slots = self.contract_report.len();
+        let hub = self.shared.telemetry.as_deref();
+        for d in &mut self.contract_report {
+            *d = ContractRoundDelta {
+                contract: d.contract,
+                ..Default::default()
+            };
+        }
         for w in 0..self.n {
-            let fwd = self.shared.forwarded[w].load(Ordering::Relaxed);
-            let fil = self.shared.filtered[w].load(Ordering::Relaxed);
-            self.report.per_worker[w] = ThreadedReport {
-                received: self.received[w],
-                forwarded: fwd - self.prev[w].forwarded,
-                filtered: fil - self.prev[w].filtered,
-                overflow: self.overflow[w],
-                uncovered: self.uncovered[w],
-            };
-            self.report.quarantined[w] = !self.lifecycle.state(w).steered();
-            self.prev[w].forwarded = fwd;
-            self.prev[w].filtered = fil;
-            self.received[w] = 0;
-            self.overflow[w] = 0;
-            self.uncovered[w] = 0;
-        }
-        for slot in 0..self.c_received.len() {
-            let (fwd, fil) = if self.c_received.len() == 1 {
-                // Single contract: the worker loops skipped the dedicated
-                // contract counters, the totals are the contract.
-                let t = self.report.total();
-                let prev = self.c_prev[0];
-                (prev.0 + t.forwarded, prev.1 + t.filtered)
-            } else {
-                (
-                    self.shared.c_forwarded[slot].load(Ordering::Relaxed),
-                    self.shared.c_filtered[slot].load(Ordering::Relaxed),
-                )
-            };
-            self.contract_report[slot] = ContractRoundDelta {
-                contract: self.shared.contracts.contracts()[slot],
-                received: self.c_received[slot],
-                forwarded: fwd - self.c_prev[slot].0,
-                filtered: fil - self.c_prev[slot].1,
-                overflow: self.c_overflow[slot],
-                uncovered: self.c_uncovered[slot],
-            };
-            self.c_prev[slot] = (fwd, fil);
-            self.c_received[slot] = 0;
-            self.c_overflow[slot] = 0;
-            self.c_uncovered[slot] = 0;
-        }
-        if let Some(hub) = &self.shared.telemetry {
-            // Workers merged packets/verdicts/sizes at their flush tokens
-            // (ordered before the TX barrier we just waited on); the
-            // offer-side counters only the handle sees land here.
-            let mut received = 0u64;
-            for (w, d) in self.report.per_worker.iter().enumerate() {
-                received += d.received;
-                if w < hub.worker_count() {
-                    hub.worker(w).add_overflow(d.overflow);
-                    hub.worker(w).add_uncovered(d.uncovered);
-                }
+            let mut row = ThreadedReport::default();
+            for slot in 0..slots {
+                let i = w * slots + slot;
+                let decided = self.shared.decided[i]
+                    .each_ref()
+                    .map(|a| a.load(Ordering::Relaxed));
+                let mut cell = std::mem::take(&mut self.tally[i]);
+                cell.forwarded = decided[0] - self.settled[i][0];
+                cell.filtered = decided[1] - self.settled[i][1];
+                self.settled[i] = decided;
+                row += cell;
+                self.contract_report[slot].add(cell);
             }
+            self.report.per_worker[w] = row;
+            self.report.quarantined[w] = !self.lifecycle.state(w).steered();
+            if let Some(hub) = hub.filter(|hub| w < hub.worker_count()) {
+                hub.worker(w)
+                    .add_round(row.forwarded, row.filtered, row.overflow, row.uncovered);
+            }
+        }
+        if let Some(hub) = hub {
             for d in &self.contract_report {
                 if let Some(i) = hub.contract_index(d.contract) {
                     hub.contract(i).add_round(
@@ -1044,6 +1007,7 @@ where
                 }
             }
             hub.set_round(self.seq);
+            let received = self.report.total().received;
             hub.record_event(EventKind::FlushBarrier, 0, self.seq, received);
         }
         &self.report
@@ -1074,23 +1038,17 @@ where
         self.reap_ring(w);
     }
 
-    /// Drains a dead worker's ring. Packet residue is charged to the
-    /// per-worker and per-contract `uncovered` counters — and, under a
-    /// fail-open contract, delivered unfiltered to the sink (delivery is
-    /// policy; the accounting is identical either way).
+    /// Drains a dead worker's ring. Packet residue is charged to its tally
+    /// cell's `uncovered` counter — and, under a fail-open contract,
+    /// delivered unfiltered to the sink (delivery is policy; the
+    /// accounting is identical either way).
     fn reap_ring(&mut self, w: usize) {
-        let multi = self.c_received.len() > 1;
         while let Some(msg) = self.shared.rx_rings[w].dequeue() {
             let out = match msg {
                 WorkerMsg::Pkt(p) => {
-                    let slot = if multi {
-                        self.shared.contracts.slot_of(p.tuple.dst_ip)
-                    } else {
-                        0
-                    };
-                    self.uncovered[w] += 1;
-                    self.c_uncovered[slot] += 1;
-                    if self.shared.contracts.mode_of_slot(slot) != DegradedMode::FailOpen {
+                    self.tally[self.shared.cell(w, p.tuple.dst_ip)].uncovered += 1;
+                    let slot = self.shared.contracts.slot_of(p.tuple.dst_ip);
+                    if self.shared.contracts.modes[slot] != DegradedMode::FailOpen {
                         continue;
                     }
                     TxMsg::Pkt(w, p)
@@ -1180,11 +1138,11 @@ fn worker_loop<S: PacketStage>(
     // Forwarded packets (and a trailing barrier token) bound for TX: one
     // burst never forwards more than it dequeued.
     let mut tx_out: Vec<TxMsg> = Vec::with_capacity(config.burst);
-    // Reused per-contract (forwarded, filtered) scratch for one run.
-    let mut c_counts: Vec<(u64, u64)> = vec![(0, 0); shared.contracts.contracts().len()];
-    // Stack-resident telemetry scratch, merged into the hub only at round
-    // barriers (and at exit) so the packet path stays free of atomics.
-    let mut scratch = WorkerScratch::new();
+    // Reused per-contract-slot (forwarded, filtered) counts of one run.
+    let mut counts = vec![[0u64; 2]; shared.contracts.contracts().len()];
+    // Wire sizes for the telemetry hub, on the stack and merged only at
+    // round barriers (and at exit) so the packet path stays atomic-free.
+    let mut sizes = Histogram::new();
     let mut spins = 0u32;
     'outer: loop {
         // An injected stall freezes the dequeue side: the ring backs up
@@ -1228,16 +1186,16 @@ fn worker_loop<S: PacketStage>(
                         &mut stage,
                         &mut pkts,
                         &mut outcomes,
-                        &mut c_counts,
-                        &mut scratch,
+                        &mut counts,
+                        &mut sizes,
                         &mut tx_out,
                         &tx_thread,
                     );
                     shadow_run(&mut stage, &mut shadows, &mut outcomes);
-                    // Merge the round's telemetry before the token leaves:
+                    // Merge the round's sizes before the token leaves:
                     // the barrier's happens-before edge then covers it.
                     if let Some(hub) = &shared.telemetry {
-                        scratch.flush_into(hub.worker(w));
+                        hub.worker(w).merge_sizes(&mut sizes);
                     }
                     tx_out.push(TxMsg::Flush(seq));
                     push_tx(shared, &mut tx_out, &tx_thread);
@@ -1254,14 +1212,14 @@ fn worker_loop<S: PacketStage>(
                         &mut stage,
                         &mut pkts,
                         &mut outcomes,
-                        &mut c_counts,
-                        &mut scratch,
+                        &mut counts,
+                        &mut sizes,
                         &mut tx_out,
                         &tx_thread,
                     );
                     shadow_run(&mut stage, &mut shadows, &mut outcomes);
                     if let Some(hub) = &shared.telemetry {
-                        scratch.flush_into(hub.worker(w));
+                        hub.worker(w).merge_sizes(&mut sizes);
                     }
                     batch.drain(..=i);
                     while !batch.is_empty() {
@@ -1279,17 +1237,17 @@ fn worker_loop<S: PacketStage>(
             &mut stage,
             &mut pkts,
             &mut outcomes,
-            &mut c_counts,
-            &mut scratch,
+            &mut counts,
+            &mut sizes,
             &mut tx_out,
             &tx_thread,
         );
         shadow_run(&mut stage, &mut shadows, &mut outcomes);
     }
-    // Packets decided after the last barrier (e.g. right before shutdown
-    // or a clean crash) still reach the hub.
+    // Sizes of packets decided after the last barrier (right before
+    // shutdown) still reach the hub.
     if let Some(hub) = &shared.telemetry {
-        scratch.flush_into(hub.worker(w));
+        hub.worker(w).merge_sizes(&mut sizes);
     }
 }
 
@@ -1311,7 +1269,8 @@ fn shadow_run<S: PacketStage>(
 }
 
 /// Runs one packet run through the stage, pushing its forwarded packets to
-/// TX in one burst and charging the per-worker counters. Clears `pkts`.
+/// TX in one burst and adding its per-slot `counts` to worker `w`'s row of
+/// the round tally. Clears `pkts`.
 #[allow(clippy::too_many_arguments)] // worker-loop locals threaded by ref; grouping them would allocate
 fn process_run<S: PacketStage>(
     shared: &Shared,
@@ -1319,8 +1278,8 @@ fn process_run<S: PacketStage>(
     stage: &mut S,
     pkts: &mut Vec<Packet>,
     outcomes: &mut Vec<crate::stage::StageOutcome>,
-    c_counts: &mut [(u64, u64)],
-    scratch: &mut WorkerScratch,
+    counts: &mut [[u64; 2]],
+    sizes: &mut Histogram,
     tx_out: &mut Vec<TxMsg>,
     tx_thread: &Thread,
 ) {
@@ -1330,51 +1289,30 @@ fn process_run<S: PacketStage>(
     outcomes.clear();
     stage.process_batch(pkts, outcomes);
     debug_assert_eq!(outcomes.len(), pkts.len(), "one outcome per packet");
-    // Tenant attribution only pays per packet when there is more than the
-    // default contract; the single-tenant hot path stays lookup-free.
-    let multi = c_counts.len() > 1;
     // Telemetry costs one well-predicted branch per packet when detached.
     let telemetry = shared.telemetry.is_some();
-    let mut forwarded = 0u64;
-    let mut filtered = 0u64;
     for (pkt, outcome) in pkts.iter().zip(outcomes.iter()) {
-        let slot = if multi {
-            shared.contracts.slot_of(pkt.tuple.dst_ip)
-        } else {
-            0
-        };
+        let slot = shared.contracts.slot_of(pkt.tuple.dst_ip);
+        if telemetry {
+            sizes.record(pkt.wire_size as u64);
+        }
         match outcome.verdict {
-            StageVerdict::Drop => {
-                filtered += 1;
-                c_counts[slot].1 += 1;
-                if telemetry {
-                    scratch.record(pkt.wire_size as u64, false);
-                }
-            }
             StageVerdict::Forward => {
-                forwarded += 1;
-                c_counts[slot].0 += 1;
-                if telemetry {
-                    scratch.record(pkt.wire_size as u64, true);
-                }
+                counts[slot][0] += 1;
                 tx_out.push(TxMsg::Pkt(w, *pkt));
             }
+            StageVerdict::Drop => counts[slot][1] += 1,
         }
     }
     push_tx(shared, tx_out, tx_thread);
     // Relaxed is enough: round readers are ordered behind the flush token
-    // these adds precede (see `Shared::forwarded`).
-    shared.forwarded[w].fetch_add(forwarded, Ordering::Relaxed);
-    shared.filtered[w].fetch_add(filtered, Ordering::Relaxed);
-    if multi {
-        for (slot, counts) in c_counts.iter_mut().enumerate() {
-            if counts.0 > 0 {
-                shared.c_forwarded[slot].fetch_add(counts.0, Ordering::Relaxed);
+    // these adds precede (see `Shared::decided`).
+    let row = &shared.decided[w * counts.len()..][..counts.len()];
+    for (cell, count) in row.iter().zip(counts.iter_mut()) {
+        for (total, n) in cell.iter().zip(count.iter_mut()) {
+            if *n > 0 {
+                total.fetch_add(std::mem::take(n), Ordering::Relaxed);
             }
-            if counts.1 > 0 {
-                shared.c_filtered[slot].fetch_add(counts.1, Ordering::Relaxed);
-            }
-            *counts = (0, 0);
         }
     }
     pkts.clear();
@@ -1792,7 +1730,7 @@ mod tests {
 
     #[test]
     fn overflow_stays_exact_under_stalled_worker_backpressure() {
-        // Satellite: ShardedReport.overflow and per-contract c_overflow
+        // ShardedReport.overflow and the per-contract overflow deltas
         // must stay exact (no double-count, no loss) when producers outrun
         // a stalled worker — including across flush_round delta resets.
         use crate::packet::Protocol;
@@ -1959,6 +1897,110 @@ mod tests {
                     total.received
                 );
             },
+        );
+    }
+
+    #[test]
+    fn round_views_agree_under_faults() {
+        // Every report is a view of one round tally: the worker rows, the
+        // contract columns and the hub's counters must agree, and each
+        // must conserve packets, while a stall, an overflow storm and a
+        // fail-open crash put overflow and uncovered traffic in the mix.
+        use crate::packet::Protocol;
+        macro_rules! five {
+            ($r:expr) => {
+                [
+                    $r.received,
+                    $r.forwarded,
+                    $r.filtered,
+                    $r.overflow,
+                    $r.uncovered,
+                ]
+            };
+        }
+        fn sum(rows: impl IntoIterator<Item = [u64; 5]>) -> [u64; 5] {
+            rows.into_iter()
+                .fold([0; 5], |a, r| std::array::from_fn(|i| a[i] + r[i]))
+        }
+        fn conserves([received, decided @ ..]: [u64; 5]) -> bool {
+            decided.iter().sum::<u64>() == received
+        }
+        let (n, cap) = (3, 64);
+        let a_net = u32::from_be_bytes([203, 0, 0, 0]);
+        let b_net = u32::from_be_bytes([198, 18, 0, 0]);
+        let mut map = ContractMap::new();
+        map.assign(a_net, 16, 7);
+        map.assign(b_net, 16, 9);
+        map.set_degraded_mode(9, DegradedMode::FailOpen);
+        let hub = Arc::new(TelemetryHub::new(n, &[0, 7, 9], 64));
+        // Destinations cycle through contract 7, contract 9 and the
+        // default contract; steering by source spreads each over every
+        // worker, so every cell of the tally sees traffic.
+        let dst = [a_net | 1, b_net | 1, u32::from_be_bytes([10, 0, 0, 1])];
+        let t: Vec<Packet> = (0..600u64)
+            .map(|i| {
+                let dst = dst[i as usize / 3 % 3];
+                let tuple = FiveTuple::new(i as u32, dst, 9, 80, Protocol::Tcp);
+                Packet::new(tuple, 64 + (i % 4) as u16 * 100, 0, i)
+            })
+            .collect();
+        let stages: Vec<_> = (0..n).map(|_| parity_stage()).collect();
+        let delivered = AtomicU64::new(0);
+        let totals = DataplaneService::new(sized(cap, 32))
+            .with_contracts(map)
+            .with_telemetry(Arc::clone(&hub))
+            .run(
+                stages,
+                |_, _| {
+                    delivered.fetch_add(1, Ordering::Relaxed);
+                },
+                |t| t.src_ip as usize % n,
+                |svc| {
+                    let (mut totals, mut fail_open_uncovered) = ([0; 5], 0);
+                    for round in 0..4 {
+                        svc.stall_worker(0, true);
+                        svc.inject_overflow_storm(1, cap as u64);
+                        if round == 0 {
+                            svc.inject_crash(2);
+                        }
+                        let report = svc.round(&t).clone();
+                        let total = five!(report.total());
+                        let deltas = svc.contract_deltas();
+                        let columns = sum(deltas.iter().map(|d| five!(d)));
+                        assert_eq!(columns, total, "round {round}: rows and columns differ");
+                        assert!(deltas.iter().all(|d| conserves(five!(d))), "round {round}");
+                        assert!(
+                            report.per_worker.iter().all(|r| conserves(five!(r))),
+                            "round {round}"
+                        );
+                        assert_eq!(total[0], t.len() as u64, "round {round}");
+                        assert_eq!(deltas[2].contract, 9);
+                        fail_open_uncovered += deltas[2].uncovered;
+                        totals = sum([totals, total]);
+                    }
+                    assert!(totals[3] > 0, "no overflow in the mix");
+                    assert!(fail_open_uncovered > 0, "no fail-open uncovered traffic");
+                    assert_eq!(
+                        delivered.load(Ordering::Relaxed),
+                        totals[1] + fail_open_uncovered,
+                        "the sink saw forwarded plus fail-open residue"
+                    );
+                    totals
+                },
+            );
+        let snap = hub.snapshot(0);
+        let workers = sum(snap.workers.iter().map(|w| {
+            let received = w.packets + w.overflow + w.uncovered;
+            [received, w.forwarded, w.filtered, w.overflow, w.uncovered]
+        }));
+        let contracts = sum(snap.contracts.iter().map(|c| five!(c)));
+        assert_eq!(
+            workers, contracts,
+            "hub: worker sums differ from contract sums"
+        );
+        assert_eq!(
+            workers, totals,
+            "hub: counters differ from the round reports"
         );
     }
 

@@ -66,6 +66,11 @@ use vif_trie::Ipv4Prefix;
 /// Sentinel for "no worker's output is stolen" in the adversary atomic.
 const NO_DROP_WORKER: usize = usize::MAX;
 
+/// Per-worker RX ring capacity of the campaign's service. It exceeds the
+/// largest round's packet count, so runs are loss-free (ring overflow
+/// would audit as drop-before at tolerance 0).
+const RING_CAPACITY: usize = 1 << 15;
+
 /// One tenant's entry in a campaign: who it is, what traffic it will see,
 /// and what filtering capacity it asks the arbiter for.
 #[derive(Debug, Clone)]
@@ -229,9 +234,7 @@ impl CampaignHarness {
         contracts: Vec<(CampaignContract, Option<Ipv4Prefix>)>,
         config: CampaignConfig,
     ) -> Self {
-        let h = &config.harness;
-        assert!(h.workers > 0, "at least one worker");
-        assert!(h.ring_capacity > 0 && h.burst > 0, "degenerate ring/burst");
+        assert!(config.harness.workers > 0, "at least one worker");
         CampaignHarness {
             contracts,
             config,
@@ -565,8 +568,7 @@ impl CampaignHarness {
         let forwarded: Mutex<Vec<FiveTuple>> = Mutex::new(Vec::new());
         let adversary_drop = AtomicUsize::new(NO_DROP_WORKER);
         let mut service = DataplaneService::new(ServiceConfig {
-            ring_capacity: config.harness.ring_capacity,
-            burst: config.harness.burst,
+            ring_capacity: RING_CAPACITY,
             ..Default::default()
         })
         .with_contracts(contract_map)

@@ -18,12 +18,6 @@ pub struct ScenarioAdversary {
 pub struct ScenarioHarnessConfig {
     /// Filter workers (= enclave slices) of the always-on service.
     pub workers: usize,
-    /// Per-worker RX ring capacity. Must exceed the largest round's packet
-    /// count for loss-free runs (ring overflow audits as drop-before at
-    /// tolerance 0).
-    pub ring_capacity: usize,
-    /// Burst size of the RX/worker/TX loops.
-    pub burst: usize,
     /// Verifiers' per-bin audit tolerance.
     pub tolerance: u64,
     /// Dirty rounds tolerated before the victim aborts the contract.
@@ -41,8 +35,6 @@ impl Default for ScenarioHarnessConfig {
     fn default() -> Self {
         ScenarioHarnessConfig {
             workers: 2,
-            ring_capacity: 1 << 15,
-            burst: 32,
             tolerance: 0,
             max_strikes: u32::MAX,
             adversary: None,

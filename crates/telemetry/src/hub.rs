@@ -3,9 +3,13 @@
 //!
 //! The hub is built once (all storage pre-allocated) and shared by
 //! `Arc` across the service workers, the round driver, the cluster, and
-//! the harness. Hot-path writers never touch the hub per packet: they
-//! batch into a plain [`WorkerScratch`] on the stack and merge it into
-//! the hub's atomics once per round at the flush barrier, so steady-state
+//! the harness. Nothing touches the hub per packet. The service counts
+//! each packet once, in its own round tally, and at every flush barrier
+//! adds each worker's report row ([`WorkerTelemetry::add_round`]) and each
+//! contract's delta ([`ContractTelemetry::add_round`]) here, so the hub's
+//! counters are views of that one tally. The only thing a worker records
+//! itself is wire sizes, into a plain [`Histogram`] on its stack that it
+//! merges ([`WorkerTelemetry::merge_sizes`]) once per round. Steady-state
 //! recording is allocation-free and the atomic traffic is O(64) per
 //! worker per round.
 //!
@@ -23,11 +27,11 @@ use crate::hist::{AtomicHistogram, Histogram};
 use crate::recorder::{Event, EventKind, FlightRecorder};
 use crate::snapshot::{ContractSnapshot, SliceSnapshot, TelemetrySnapshot, WorkerSnapshot};
 
-/// Per-worker shared counters and histograms. Writers merge batched
-/// [`WorkerScratch`] deltas; readers snapshot with relaxed loads.
+/// Per-worker shared counters and histograms: the handle adds each flushed
+/// round's report row, the worker merges its wire sizes; readers snapshot
+/// with relaxed loads.
 #[derive(Debug, Default)]
 pub struct WorkerTelemetry {
-    packets: AtomicU64,
     forwarded: AtomicU64,
     filtered: AtomicU64,
     overflow: AtomicU64,
@@ -36,23 +40,24 @@ pub struct WorkerTelemetry {
 }
 
 impl WorkerTelemetry {
-    /// Adds ring-overflow drops charged to this worker.
-    pub fn add_overflow(&self, n: u64) {
-        if n > 0 {
-            self.overflow.fetch_add(n, Ordering::Relaxed);
-        }
+    /// Adds one flushed round's worth of this worker's counters.
+    pub fn add_round(&self, forwarded: u64, filtered: u64, overflow: u64, uncovered: u64) {
+        self.forwarded.fetch_add(forwarded, Ordering::Relaxed);
+        self.filtered.fetch_add(filtered, Ordering::Relaxed);
+        self.overflow.fetch_add(overflow, Ordering::Relaxed);
+        self.uncovered.fetch_add(uncovered, Ordering::Relaxed);
     }
 
-    /// Adds packets that bypassed filtering (dead/quarantined worker).
-    pub fn add_uncovered(&self, n: u64) {
-        if n > 0 {
-            self.uncovered.fetch_add(n, Ordering::Relaxed);
-        }
+    /// Merges a worker's local wire-size histogram and clears it. Cheap
+    /// no-op when it is empty.
+    pub fn merge_sizes(&self, sizes: &mut Histogram) {
+        self.sizes.merge_from(sizes);
+        sizes.clear();
     }
 
     /// Total packets processed (forwarded + filtered).
     pub fn packets(&self) -> u64 {
-        self.packets.load(Ordering::Relaxed)
+        self.forwarded() + self.filtered()
     }
 
     /// Packets forwarded to the victim.
@@ -78,62 +83,6 @@ impl WorkerTelemetry {
     /// Wire-size distribution of processed packets.
     pub fn sizes(&self) -> Histogram {
         self.sizes.load()
-    }
-}
-
-/// A worker's thread-local metric scratchpad: plain integers and a plain
-/// histogram on the stack. Recording into it is a few adds — no atomics,
-/// no locks, no heap — and [`flush_into`](WorkerScratch::flush_into)
-/// merges the whole round into the shared [`WorkerTelemetry`] at the
-/// flush barrier.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WorkerScratch {
-    packets: u64,
-    forwarded: u64,
-    filtered: u64,
-    sizes: Histogram,
-}
-
-impl WorkerScratch {
-    /// An empty scratchpad.
-    pub const fn new() -> Self {
-        WorkerScratch {
-            packets: 0,
-            forwarded: 0,
-            filtered: 0,
-            sizes: Histogram::new(),
-        }
-    }
-
-    /// Records one processed packet: its wire size and whether it was
-    /// forwarded (`true`) or filtered (`false`).
-    #[inline]
-    pub fn record(&mut self, wire_size: u64, forwarded: bool) {
-        self.packets += 1;
-        if forwarded {
-            self.forwarded += 1;
-        } else {
-            self.filtered += 1;
-        }
-        self.sizes.record(wire_size);
-    }
-
-    /// Packets recorded since the last flush.
-    pub fn packets(&self) -> u64 {
-        self.packets
-    }
-
-    /// Merges the scratchpad into the shared per-worker telemetry and
-    /// resets it. Cheap no-op when nothing was recorded.
-    pub fn flush_into(&mut self, w: &WorkerTelemetry) {
-        if self.packets == 0 {
-            return;
-        }
-        w.packets.fetch_add(self.packets, Ordering::Relaxed);
-        w.forwarded.fetch_add(self.forwarded, Ordering::Relaxed);
-        w.filtered.fetch_add(self.filtered, Ordering::Relaxed);
-        w.sizes.merge_from(&self.sizes);
-        *self = WorkerScratch::new();
     }
 }
 
@@ -476,18 +425,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scratch_flush_merges_and_resets() {
+    fn worker_counters_add_rounds_and_merge_sizes() {
         let hub = TelemetryHub::for_workers(2);
-        let mut s = WorkerScratch::new();
-        s.record(64, true);
-        s.record(1500, false);
-        s.record(64, true);
-        s.flush_into(hub.worker(0));
-        assert_eq!(s.packets(), 0, "flush resets the scratchpad");
+        let mut sizes = Histogram::new();
+        for v in [64, 1500, 64] {
+            sizes.record(v);
+        }
+        hub.worker(0).merge_sizes(&mut sizes);
+        assert_eq!(sizes.count(), 0, "merging clears the local histogram");
+        hub.worker(0).add_round(2, 1, 4, 5);
         let w = hub.worker(0);
         assert_eq!(w.packets(), 3);
-        assert_eq!(w.forwarded(), 2);
-        assert_eq!(w.filtered(), 1);
+        assert_eq!((w.forwarded(), w.filtered()), (2, 1));
+        assert_eq!((w.overflow(), w.uncovered()), (4, 5));
         assert_eq!(w.sizes().count(), 3);
         assert_eq!(w.sizes().max(), 1500);
         assert_eq!(hub.worker(1).packets(), 0);

@@ -19,10 +19,12 @@
 //! - [`TelemetryHub`] — the shared registry: per-worker
 //!   ([`WorkerTelemetry`]), per-slice ([`SliceTelemetry`]), and
 //!   per-contract ([`ContractTelemetry`]) counters, the round-latency
-//!   histogram, the virtual clock, and the recorder. Hot-path writers
-//!   batch into a stack-resident [`WorkerScratch`] and merge once per
-//!   round at the flush barrier, so steady-state recording allocates
-//!   nothing and the per-packet cost is a handful of plain adds.
+//!   histogram, the virtual clock, and the recorder. The dataplane counts
+//!   each packet once, in its round tally, and adds each flushed round's
+//!   per-worker rows and per-contract deltas to the hub, so both sets of
+//!   counters are views of one tally. Workers record only wire sizes, into
+//!   a stack [`Histogram`] merged once per round, so steady-state recording
+//!   allocates nothing and the per-packet cost is one bucket add.
 //! - [`TelemetrySnapshot`] — the aggregate view taken at a round
 //!   barrier, with Prometheus-style text
 //!   ([`to_prometheus`](TelemetrySnapshot::to_prometheus)) and
@@ -45,8 +47,7 @@ mod snapshot;
 
 pub use hist::{bucket_of, bucket_upper_bound, AtomicHistogram, Histogram, BUCKETS};
 pub use hub::{
-    ContractTelemetry, SliceTelemetry, TelemetryHub, WorkerScratch, WorkerTelemetry,
-    DEFAULT_EVENTS_CAPACITY,
+    ContractTelemetry, SliceTelemetry, TelemetryHub, WorkerTelemetry, DEFAULT_EVENTS_CAPACITY,
 };
 pub use recorder::{fault, Event, EventKind, FlightRecorder, EVENT_ENCODED_LEN};
 pub use snapshot::{ContractSnapshot, SliceSnapshot, TelemetrySnapshot, WorkerSnapshot};

@@ -529,11 +529,12 @@ mod tests {
         let hub = TelemetryHub::new(2, &[0, 7], 8);
         hub.set_time(2_000_000);
         hub.set_round(2);
-        let mut s = crate::hub::WorkerScratch::new();
-        s.record(64, true);
-        s.record(1500, false);
-        s.flush_into(hub.worker(0));
-        hub.worker(1).add_overflow(3);
+        let mut sizes = crate::hist::Histogram::new();
+        sizes.record(64);
+        sizes.record(1500);
+        hub.worker(0).merge_sizes(&mut sizes);
+        hub.worker(0).add_round(1, 1, 0, 0);
+        hub.worker(1).add_round(0, 0, 3, 0);
         hub.slice(0).unwrap().note_audit(true);
         hub.contract(1).add_round(2, 1, 1, 0, 0);
         hub.round_latency().record(1_000_000);
