@@ -163,6 +163,9 @@ pub struct FilterEnclaveApp {
     /// derives each packet's log/steering fingerprints exactly once here
     /// and threads them through filtering and the audited logs.
     fp_scratch: Vec<PacketFingerprints>,
+    /// Reused buffers gathering one contract's share of a burst.
+    group_fps: Vec<PacketFingerprints>,
+    group_verdicts: Vec<Verdict>,
     /// Per-contract state; slot 0 (the default contract) always exists.
     contracts: Vec<ContractSlot>,
     /// Epochs published into this enclave across all contracts.
@@ -184,6 +187,8 @@ impl FilterEnclaveApp {
             stats: FilterStats::default(),
             scratch: Vec::new(),
             fp_scratch: Vec::new(),
+            group_fps: Vec::new(),
+            group_verdicts: Vec::new(),
             contracts: vec![default_slot],
             publish_epoch: 0,
         }
@@ -450,9 +455,10 @@ impl FilterEnclaveApp {
     /// packet: verdicts are order-independent (§III-A) and the sketch/
     /// telemetry updates commute, so regrouping them around one
     /// [`HybridFilter::decide_batch`] call and one
-    /// [`PacketLogs::log_batch_fingerprints`] call changes cost, never
-    /// state — exports after a burst are byte-identical to per-packet
-    /// processing (the `burst_logging_audit_equivalence` property test).
+    /// [`PacketLogs::log_batch_fingerprints`] call per contract changes
+    /// cost, never state — exports after a burst are byte-identical to
+    /// per-packet processing (the `burst_logging_audit_equivalence`
+    /// property test).
     /// This is the in-enclave half of the pipeline's burst path — one
     /// enclave-thread entry covers the whole RX burst, and it is a
     /// **fingerprint-once** single pass: each 5-tuple is encoded once,
@@ -472,25 +478,28 @@ impl FilterEnclaveApp {
             self.fp_scratch.push(PacketFingerprints::of(t));
         }
         self.filter.decide_batch(&self.scratch, out);
-        if self.contracts.len() == 1 {
-            // Single tenant: the whole burst belongs to the default
-            // contract — keep the prefetch-pipelined batched sketch path.
-            self.contracts[0]
-                .logs
-                .log_batch_fingerprints(&self.fp_scratch, out);
-        } else {
-            // Multi-tenant: attribute each packet to the contract whose
-            // scope covers its destination, reusing the already-derived
-            // fingerprints (still fingerprint-once).
-            for (i, (t, _)) in pkts.iter().enumerate() {
-                let si = slot_for_dst(&self.contracts, t.dst_ip);
-                let fp = self.fp_scratch[i];
-                let logs = &mut self.contracts[si].logs;
-                logs.log_incoming_fingerprint(&fp);
-                if out[i].action == RuleAction::Allow {
-                    logs.log_outgoing_fingerprint(&fp);
+        // Each contract logs its share of the burst (the packets its scope
+        // covers) in one prefetch-pipelined batch, from the fingerprints
+        // derived above. A lone contract's share is the whole burst, as it
+        // lies; with several, each share is gathered into reused buffers.
+        let slots = self.contracts.len();
+        for si in 0..slots {
+            let (fps, verdicts) = if slots == 1 {
+                (&self.fp_scratch[..], &out[..])
+            } else {
+                self.group_fps.clear();
+                self.group_verdicts.clear();
+                for (i, (t, _)) in pkts.iter().enumerate() {
+                    if slot_for_dst(&self.contracts, t.dst_ip) == si {
+                        self.group_fps.push(self.fp_scratch[i]);
+                        self.group_verdicts.push(out[i]);
+                    }
                 }
-            }
+                (&self.group_fps[..], &self.group_verdicts[..])
+            };
+            self.contracts[si]
+                .logs
+                .log_batch_fingerprints(fps, verdicts);
         }
         for (i, (_, wire_bytes)) in pkts.iter().enumerate() {
             self.absorb_verdict(*wire_bytes, out[i]);
@@ -918,8 +927,8 @@ mod tests {
         assert_eq!(s.processed, 20);
         assert_eq!(s.forwarded, 10);
         assert_eq!(s.dropped, 10);
-        assert_eq!(a.logs_of(0).incoming().total(), 20);
-        assert_eq!(a.logs_of(0).outgoing().total(), 10);
+        assert_eq!(a.logs_of(0).sketch(LogDirection::Incoming).total(), 20);
+        assert_eq!(a.logs_of(0).sketch(LogDirection::Outgoing).total(), 10);
     }
 
     #[test]

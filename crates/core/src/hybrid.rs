@@ -105,7 +105,8 @@ impl HybridFilter {
         self.exact_cache.len()
     }
 
-    /// Flows queued for promotion at the next update period.
+    /// Flows queued for promotion at the next update period — never more
+    /// than [`max_cached_flows`](HybridFilter::max_cached_flows).
     pub fn pending_flows(&self) -> usize {
         self.pending.len()
     }
@@ -114,6 +115,13 @@ impl HybridFilter {
     /// stateless filter — only the execution path (and cost) differs:
     /// cache hits report [`DecisionPath::Cached`] so the cost model knows
     /// no SHA-256 was paid.
+    ///
+    /// A hash-decided flow is queued for promotion while the queue holds
+    /// fewer than `max_cached_flows` entries: no update period can promote
+    /// more than that, and a caller that runs none (the live service
+    /// between epoch installs) must not grow the queue without bound. A
+    /// flow left unqueued keeps taking the hash path and queues on a later
+    /// packet; verdicts never depend on the cache.
     pub fn decide(&mut self, t: &FiveTuple) -> Verdict {
         if let Some(cached) = self.exact_cache.get(t) {
             self.stats.exact_hits += 1;
@@ -124,7 +132,7 @@ impl HybridFilter {
         }
         let verdict = self.inner.decide(t);
         self.stats.hash_decisions += 1;
-        if verdict.path == DecisionPath::HashBased {
+        if verdict.path == DecisionPath::HashBased && self.pending.len() < self.max_cached_flows {
             self.pending.push((*t, verdict));
         }
         verdict
@@ -200,7 +208,8 @@ impl HybridFilter {
         out.reserve(tuples.len());
         // Worst case every tuple is a new hash-decided flow; one reserve
         // call replaces up to `tuples.len()` incremental grows.
-        self.pending.reserve(tuples.len());
+        let room = self.max_cached_flows.saturating_sub(self.pending.len());
+        self.pending.reserve(tuples.len().min(room));
         for t in tuples {
             out.push(self.decide(t));
         }
@@ -360,12 +369,18 @@ mod tests {
         for i in 0..50 {
             h.decide(&tuple(i));
         }
-        assert_eq!(h.pending_flows(), 50);
-        let promoted = h.apply_update_period();
-        // 10 promoted, the remaining 40 evicted — none silently lost.
-        assert_eq!(promoted, 10);
+        // The queue stops at the cache's capacity: no period could promote
+        // more than that.
+        assert_eq!(h.pending_flows(), 10);
+        assert_eq!(h.apply_update_period(), 10);
+        // With the cache full, queued new flows are evicted — none silently
+        // lost.
+        for i in 50..55 {
+            h.decide(&tuple(i));
+        }
+        h.apply_update_period();
         assert_eq!(h.stats().promoted_flows, 10);
-        assert_eq!(h.stats().pending_evicted, 40);
+        assert_eq!(h.stats().pending_evicted, 5);
         assert_eq!(h.pending_flows(), 0);
         // A flow already cached is neither promoted nor evicted when it
         // re-queues... it never re-queues (cache hit), but a duplicate in
@@ -376,7 +391,7 @@ mod tests {
         }
         assert_eq!(h.pending_flows(), 3);
         assert_eq!(h.apply_update_period(), 1);
-        assert_eq!(h.stats().pending_evicted, 40);
+        assert_eq!(h.stats().pending_evicted, 5);
         // Refill the cache to capacity (1 cached + 9 new = cap of 10).
         for i in 200..209 {
             h.decide(&tuple(i));
@@ -406,11 +421,12 @@ mod tests {
         }
         h.apply_update_period();
         assert_eq!(h.cached_flows(), 2);
-        // Evicted flows re-enter pending on their next packet.
+        // Flows left out re-enter pending on their next packet, up to the
+        // queue's bound of one cache's worth.
         for i in 0..5 {
             h.decide(&tuple(i));
         }
-        assert_eq!(h.pending_flows(), 3);
+        assert_eq!(h.pending_flows(), 2);
         h.flush_cache();
         for i in 2..4 {
             h.decide(&tuple(i));

@@ -71,7 +71,7 @@ pub mod prelude {
     pub use crate::enclave_app::{EnclaveFilterStage, FilterEnclaveApp, RuleEdit};
     pub use crate::filter::StatelessFilter;
     pub use crate::hybrid::HybridFilter;
-    pub use crate::logs::{AuthenticatedSketch, PacketLogs};
+    pub use crate::logs::{AuthenticatedSketch, LogDirection, PacketLogs};
     pub use crate::retry::RetryPolicy;
     pub use crate::rounds::{
         ClusterRoundDriver, ClusterRoundOutcome, ContractState, RoundOutcome, RoundPolicy,
@@ -81,7 +81,7 @@ pub mod prelude {
     pub use crate::ruleset::{RuleId, RuleSet};
     pub use crate::scale::{EnclaveCluster, PublishReport, ResyncReport};
     pub use crate::session::{FilteringSession, SessionConfig, SessionError};
-    pub use crate::verify::{BypassVerdict, NeighborVerifier, VictimVerifier};
+    pub use crate::verify::{BypassVerdict, Verifier};
     pub use vif_dataplane::{FiveTuple, Packet, Protocol};
     pub use vif_trie::Ipv4Prefix;
 }

@@ -15,24 +15,28 @@
 //!
 //! # The batch/sequential equivalence contract
 //!
-//! [`PacketLogs::log_batch`] (and its fingerprint-taking form,
-//! [`PacketLogs::log_batch_fingerprints`]) regroups a burst's log updates
+//! [`PacketLogs::log_batch_fingerprints`] regroups a burst's log updates
 //! around the prefetch-pipelined sketch path
 //! ([`CountMinSketch::add_batch_fingerprints`]) — but the resulting
 //! sketches, and therefore every [`export`](PacketLogs::export) payload and
 //! tag, are **bit-identical** to logging the same packets one at a time
 //! with [`log_incoming`](PacketLogs::log_incoming) /
 //! [`log_outgoing`](PacketLogs::log_outgoing) in any order. Sketch counter
-//! updates are commuting saturating sums, so burst boundaries can never
-//! leak into what a verifier's comparison sees; the workspace property
-//! test `burst_logging_audit_equivalence` pins the contract end to end
-//! (byte-equal exports across the batch and sequential paths).
+//! updates are commuting saturating sums, so neither burst boundaries nor
+//! the enclave's regrouping of a burst by contract can leak into what a
+//! verifier's comparison sees; the workspace property test
+//! `burst_logging_audit_equivalence` pins the contract end to end
+//! (byte-equal exports across the batch and sequential paths, for one
+//! contract and for several).
 
 use crate::filter::Verdict;
 use crate::rules::RuleAction;
+use crate::verify::BypassVerdict;
 use vif_crypto::hmac::{constant_time_eq, HmacSha256};
 use vif_dataplane::FiveTuple;
-use vif_sketch::{CountMinSketch, SketchConfig, SketchDecodeError};
+use vif_sketch::{
+    compare, CompareError, CountMinSketch, SketchComparison, SketchConfig, SketchDecodeError,
+};
 
 /// The two per-packet log keys, fingerprinted once.
 ///
@@ -44,7 +48,7 @@ use vif_sketch::{CountMinSketch, SketchConfig, SketchDecodeError};
 /// takes [`src_ip`](PacketFingerprints::src_ip)
 /// ([`FiveTuple::src_ip_fingerprint`]) — the paper's "4 linear hash
 /// operations" are then genuinely the only per-packet hash work left
-/// (§V-A).
+/// (§V-A). [`LogDirection::key`] picks a log's key out of the pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketFingerprints {
     /// Fingerprint of the big-endian source address (incoming log key).
@@ -65,7 +69,10 @@ impl PacketFingerprints {
     }
 }
 
-/// Which log a sketch export covers.
+/// Which log a sketch export covers — and the one place that says what a
+/// direction means: which fingerprint keys its log
+/// ([`key`](LogDirection::key)), which seed its sketch hashes with, and
+/// which rule judges its audit (the [`crate::verify`] module table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LogDirection {
     /// The incoming (pre-filter) per-source-IP log.
@@ -75,11 +82,62 @@ pub enum LogDirection {
 }
 
 impl LogDirection {
+    /// Position of this direction's sketch in [`PacketLogs`] (and of its
+    /// verifier wherever verifiers come in pairs): declaration order.
+    #[inline]
+    pub(crate) fn index(self) -> usize {
+        self as usize
+    }
+
     fn tag_byte(self) -> u8 {
         match self {
             LogDirection::Incoming => 0x01,
             LogDirection::Outgoing => 0x02,
         }
+    }
+
+    /// This log's key among a packet's fingerprints: the source IP for the
+    /// incoming log, the 5-tuple for the outgoing one.
+    #[inline]
+    pub fn key(self, fp: &PacketFingerprints) -> u64 {
+        match self {
+            LogDirection::Incoming => fp.src_ip,
+            LogDirection::Outgoing => fp.tuple,
+        }
+    }
+
+    /// This log's sketch configuration for a session seed.
+    pub(crate) fn config(self, seed: u64) -> SketchConfig {
+        match self {
+            LogDirection::Incoming => PacketLogs::incoming_config(seed),
+            LogDirection::Outgoing => PacketLogs::outgoing_config(seed),
+        }
+    }
+
+    /// The audit rule: compares the enclave's log of this direction with a
+    /// verifier's local sketch. The outgoing log is the reference and both
+    /// drops and injections count; for the incoming log the neighbor's
+    /// sketch is the reference and only drops count (module
+    /// [`crate::verify`]).
+    pub(crate) fn judge(
+        self,
+        enclave: &CountMinSketch,
+        local: &CountMinSketch,
+        tolerance: u64,
+    ) -> Result<(SketchComparison, BypassVerdict), CompareError> {
+        let comparison = match self {
+            LogDirection::Outgoing => compare(enclave, local)?,
+            LogDirection::Incoming => compare(local, enclave)?,
+        };
+        let dropped = comparison.drop_detected(tolerance);
+        let injected = self == LogDirection::Outgoing && comparison.injection_detected(tolerance);
+        let verdict = match (dropped, injected) {
+            (false, false) => BypassVerdict::Clean,
+            (true, false) => BypassVerdict::DropDetected,
+            (false, true) => BypassVerdict::InjectionDetected,
+            (true, true) => BypassVerdict::DropAndInjectionDetected,
+        };
+        Ok((comparison, verdict))
     }
 }
 
@@ -144,9 +202,9 @@ impl AuthenticatedSketch {
     }
 }
 
-/// The in-enclave packet logs.
+/// The in-enclave packet logs: one sketch per [`LogDirection`].
 ///
-/// Burst callers use [`log_batch`](PacketLogs::log_batch) /
+/// Burst callers use
 /// [`log_batch_fingerprints`](PacketLogs::log_batch_fingerprints); the
 /// per-packet [`log_incoming`](PacketLogs::log_incoming) /
 /// [`log_outgoing`](PacketLogs::log_outgoing) pair is the sequential
@@ -154,13 +212,13 @@ impl AuthenticatedSketch {
 /// docs: the batch/sequential equivalence contract).
 #[derive(Debug, Clone)]
 pub struct PacketLogs {
-    incoming: CountMinSketch,
-    outgoing: CountMinSketch,
+    /// The incoming and outgoing sketches, indexed by
+    /// [`LogDirection::index`].
+    sketches: [CountMinSketch; 2],
     round: u64,
-    /// Reused per-burst fingerprint buffers (incoming keys / allowed
-    /// tuple keys) — at steady state the burst path allocates nothing.
-    in_scratch: Vec<u64>,
-    out_scratch: Vec<u64>,
+    /// Reused per-burst key buffers, indexed like `sketches` — at steady
+    /// state the burst path allocates nothing.
+    keys: [Vec<u64>; 2],
 }
 
 impl PacketLogs {
@@ -169,11 +227,10 @@ impl PacketLogs {
     /// with verifiers so all parties hash identically.
     pub fn new(seed: u64) -> Self {
         PacketLogs {
-            incoming: CountMinSketch::new(Self::incoming_config(seed)),
-            outgoing: CountMinSketch::new(Self::outgoing_config(seed)),
+            sketches: [LogDirection::Incoming, LogDirection::Outgoing]
+                .map(|d| CountMinSketch::new(d.config(seed))),
             round: 0,
-            in_scratch: Vec::new(),
-            out_scratch: Vec::new(),
+            keys: [Vec::new(), Vec::new()],
         }
     }
 
@@ -195,104 +252,72 @@ impl PacketLogs {
 
     /// Enclave memory held by the two sketches (≈2 MB with paper config).
     pub fn memory_bytes(&self) -> usize {
-        self.incoming.memory_bytes() + self.outgoing.memory_bytes()
+        self.sketches.iter().map(CountMinSketch::memory_bytes).sum()
     }
 
     /// Logs an incoming packet (before filtering) under its source IP.
     #[inline]
     pub fn log_incoming(&mut self, t: &FiveTuple) {
-        self.incoming.add_fingerprint(t.src_ip_fingerprint(), 1);
+        self.log_one(LogDirection::Incoming, t);
     }
 
     /// Logs a forwarded packet (after an ALLOW verdict) under its 5-tuple.
     #[inline]
     pub fn log_outgoing(&mut self, t: &FiveTuple) {
-        self.outgoing.add_fingerprint(t.tuple_fingerprint(), 1);
+        self.log_one(LogDirection::Outgoing, t);
     }
 
-    /// [`log_incoming`](PacketLogs::log_incoming) over a pre-computed
-    /// fingerprint — the per-packet half of the fingerprint-once path,
-    /// used when a burst is split across per-contract logs.
     #[inline]
-    pub fn log_incoming_fingerprint(&mut self, fp: &PacketFingerprints) {
-        self.incoming.add_fingerprint(fp.src_ip, 1);
+    fn log_one(&mut self, direction: LogDirection, t: &FiveTuple) {
+        self.sketches[direction.index()]
+            .add_fingerprint(direction.key(&PacketFingerprints::of(t)), 1);
     }
 
-    /// [`log_outgoing`](PacketLogs::log_outgoing) over a pre-computed
-    /// fingerprint.
-    #[inline]
-    pub fn log_outgoing_fingerprint(&mut self, fp: &PacketFingerprints) {
-        self.outgoing.add_fingerprint(fp.tuple, 1);
-    }
-
-    /// Logs a whole burst: every packet into the incoming log, the
-    /// ALLOW-verdicted ones into the outgoing log — exactly what
-    /// per-packet [`log_incoming`](PacketLogs::log_incoming) +
-    /// [`log_outgoing`](PacketLogs::log_outgoing) over the same
-    /// `(tuple, verdict)` pairs produces, bit for bit (module docs), but
-    /// through the prefetch-pipelined sketch burst path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices' lengths differ.
-    pub fn log_batch(&mut self, tuples: &[FiveTuple], verdicts: &[Verdict]) {
-        assert_eq!(tuples.len(), verdicts.len(), "one verdict per tuple");
-        self.in_scratch.clear();
-        self.in_scratch
-            .extend(tuples.iter().map(FiveTuple::src_ip_fingerprint));
-        self.out_scratch.clear();
-        self.out_scratch.extend(
-            tuples
-                .iter()
-                .zip(verdicts)
-                .filter(|(_, v)| v.action == RuleAction::Allow)
-                .map(|(t, _)| t.tuple_fingerprint()),
-        );
-        self.incoming.add_batch_fingerprints(&self.in_scratch, 1);
-        self.outgoing.add_batch_fingerprints(&self.out_scratch, 1);
-    }
-
-    /// [`log_batch`](PacketLogs::log_batch) over pre-computed
-    /// [`PacketFingerprints`] — the fingerprint-once hot path, where the
-    /// caller already derived both keys for steering and filtering and the
-    /// logs re-hash nothing.
+    /// Logs a whole burst from its pre-computed [`PacketFingerprints`]:
+    /// every packet into the incoming log, the ALLOW-verdicted ones into
+    /// the outgoing log — exactly what per-packet
+    /// [`log_incoming`](PacketLogs::log_incoming) +
+    /// [`log_outgoing`](PacketLogs::log_outgoing) over the same packets
+    /// produces, bit for bit (module docs), but through the
+    /// prefetch-pipelined sketch burst path and without re-hashing a
+    /// packet.
     ///
     /// # Panics
     ///
     /// Panics if the slices' lengths differ.
     pub fn log_batch_fingerprints(&mut self, fps: &[PacketFingerprints], verdicts: &[Verdict]) {
         assert_eq!(fps.len(), verdicts.len(), "one verdict per packet");
-        self.in_scratch.clear();
-        self.in_scratch.extend(fps.iter().map(|f| f.src_ip));
-        self.out_scratch.clear();
-        self.out_scratch.extend(
+        self.log_keys(
+            LogDirection::Incoming,
+            fps.iter().map(|f| LogDirection::Incoming.key(f)),
+        );
+        self.log_keys(
+            LogDirection::Outgoing,
             fps.iter()
                 .zip(verdicts)
                 .filter(|(_, v)| v.action == RuleAction::Allow)
-                .map(|(f, _)| f.tuple),
+                .map(|(f, _)| LogDirection::Outgoing.key(f)),
         );
-        self.incoming.add_batch_fingerprints(&self.in_scratch, 1);
-        self.outgoing.add_batch_fingerprints(&self.out_scratch, 1);
     }
 
-    /// Read access to the incoming sketch (tests/verification).
-    pub fn incoming(&self) -> &CountMinSketch {
-        &self.incoming
+    /// Adds a burst's keys to one log through its reused key buffer.
+    fn log_keys(&mut self, direction: LogDirection, keys: impl Iterator<Item = u64>) {
+        let buf = &mut self.keys[direction.index()];
+        buf.clear();
+        buf.extend(keys);
+        self.sketches[direction.index()].add_batch_fingerprints(buf, 1);
     }
 
-    /// Read access to the outgoing sketch.
-    pub fn outgoing(&self) -> &CountMinSketch {
-        &self.outgoing
+    /// Read access to one log's sketch (tests/verification).
+    pub fn sketch(&self, direction: LogDirection) -> &CountMinSketch {
+        &self.sketches[direction.index()]
     }
 
     /// Exports one log with authentication. The tag is streamed over the
     /// header and payload (`AuthenticatedSketch::mac_over`) — the only
     /// payload-sized buffer built here is the encoded sketch itself.
     pub fn export(&self, direction: LogDirection, key: &[u8; 32]) -> AuthenticatedSketch {
-        let payload = match direction {
-            LogDirection::Incoming => self.incoming.encode(),
-            LogDirection::Outgoing => self.outgoing.encode(),
-        };
+        let payload = self.sketch(direction).encode();
         let tag = AuthenticatedSketch::mac_over(key, direction, self.round, &payload);
         AuthenticatedSketch {
             direction,
@@ -305,8 +330,9 @@ impl PacketLogs {
     /// Starts a new filtering round: clears both sketches and bumps the
     /// round counter (§III-B: short rounds let victims abort quickly).
     pub fn new_round(&mut self) {
-        self.incoming.clear();
-        self.outgoing.clear();
+        for sketch in &mut self.sketches {
+            sketch.clear();
+        }
         self.round += 1;
     }
 }
@@ -383,8 +409,8 @@ mod tests {
         logs.log_incoming(&tuple(1));
         logs.log_outgoing(&tuple(1));
         logs.new_round();
-        assert_eq!(logs.incoming().total(), 0);
-        assert_eq!(logs.outgoing().total(), 0);
+        assert_eq!(logs.sketch(LogDirection::Incoming).total(), 0);
+        assert_eq!(logs.sketch(LogDirection::Outgoing).total(), 0);
         assert_eq!(logs.round(), 1);
     }
 
@@ -397,7 +423,11 @@ mod tests {
         let b = FiveTuple::new(9, 42, 3, 4, Protocol::Tcp);
         logs.log_incoming(&a);
         logs.log_incoming(&b);
-        assert_eq!(logs.incoming().estimate(&9u32.to_be_bytes()), 2);
+        assert_eq!(
+            logs.sketch(LogDirection::Incoming)
+                .estimate(&9u32.to_be_bytes()),
+            2
+        );
     }
 
     #[test]
@@ -465,8 +495,6 @@ mod tests {
                 })
             })
             .collect();
-        let mut batched = PacketLogs::new(7);
-        batched.log_batch(&tuples, &verdicts);
         let mut fp_batched = PacketLogs::new(7);
         let fps: Vec<PacketFingerprints> = tuples.iter().map(PacketFingerprints::of).collect();
         fp_batched.log_batch_fingerprints(&fps, &verdicts);
@@ -479,7 +507,6 @@ mod tests {
         }
         for dir in [LogDirection::Incoming, LogDirection::Outgoing] {
             let want = sequential.export(dir, &key());
-            assert_eq!(batched.export(dir, &key()), want);
             assert_eq!(fp_batched.export(dir, &key()), want);
         }
     }

@@ -24,7 +24,7 @@
 use crate::enclave_app::{ContractId, FilterEnclaveApp};
 use crate::logs::LogDirection;
 use crate::retry::RetryPolicy;
-use crate::verify::{AuditError, BypassVerdict, NeighborVerifier, VictimVerifier};
+use crate::verify::{AuditError, BypassVerdict, Verifier};
 use std::sync::Arc;
 use vif_dataplane::{SliceEvent, SliceLifecycle, SliceState};
 use vif_sgx::Enclave;
@@ -181,8 +181,9 @@ impl ClusterRoundOutcome {
 /// whole enclave cluster (§IV).
 ///
 /// The driver exports and audits **every** enclave's incoming and outgoing
-/// logs each round, with one victim- and one neighbor-side verifier per
-/// slice (a single-enclave contract is the one-slice case). Packets are
+/// logs each round, with one [`Verifier`] per direction per slice: the
+/// victim's audits the outgoing log, the neighbor's the incoming one (a
+/// single-enclave contract is the one-slice case). Packets are
 /// attributed to slices by the public deterministic steering
 /// ([`vif_dataplane::shard_of`] for the RSS-sharded live pipeline), so
 /// verifiers recompute the attribution from traffic they already observe —
@@ -193,8 +194,8 @@ impl ClusterRoundOutcome {
 /// slice was bypassed or starved by misrouting.
 pub struct ClusterRoundDriver {
     enclaves: Vec<Arc<Enclave<FilterEnclaveApp>>>,
-    victims: Vec<VictimVerifier>,
-    neighbors: Vec<NeighborVerifier>,
+    /// Each slice's verifier pair, indexed by [`LogDirection::index`].
+    verifiers: Vec<[Verifier; 2]>,
     policy: RoundPolicy,
     strikes: u32,
     history: Vec<ClusterRoundOutcome>,
@@ -235,42 +236,17 @@ impl ClusterRoundDriver {
         tolerance: u64,
         policy: RoundPolicy,
     ) -> Self {
-        let n = enclaves.len();
-        Self::with_verifiers(
-            enclaves,
-            (0..n)
-                .map(|_| VictimVerifier::new(sketch_seed, audit_key, tolerance))
-                .collect(),
-            (0..n)
-                .map(|_| NeighborVerifier::new(sketch_seed, audit_key, tolerance))
-                .collect(),
-            policy,
-        )
-    }
-
-    /// Creates a driver over pre-built per-slice verifiers (e.g. carried
-    /// over from an attested session object).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `enclaves` is empty or the verifier lists have a
-    /// different length.
-    pub fn with_verifiers(
-        enclaves: Vec<Arc<Enclave<FilterEnclaveApp>>>,
-        victims: Vec<VictimVerifier>,
-        neighbors: Vec<NeighborVerifier>,
-        policy: RoundPolicy,
-    ) -> Self {
         assert!(!enclaves.is_empty(), "cluster must have enclaves");
-        assert!(
-            victims.len() == enclaves.len() && neighbors.len() == enclaves.len(),
-            "one verifier pair per slice"
-        );
         let n = enclaves.len();
+        let verifiers = (0..n)
+            .map(|_| {
+                [LogDirection::Incoming, LogDirection::Outgoing]
+                    .map(|d| Verifier::new(d, sketch_seed, audit_key, tolerance))
+            })
+            .collect();
         ClusterRoundDriver {
             enclaves,
-            victims,
-            neighbors,
+            verifiers,
             policy,
             strikes: 0,
             history: Vec::new(),
@@ -313,16 +289,21 @@ impl ClusterRoundDriver {
         self.enclaves.is_empty()
     }
 
+    /// Slice `i`'s verifier of `direction`'s log.
+    pub fn verifier_mut(&mut self, i: usize, direction: LogDirection) -> &mut Verifier {
+        &mut self.verifiers[i][direction.index()]
+    }
+
     /// Slice `i`'s victim-side verifier (observe packets received from
     /// slice `i` — attributed by steering — here).
-    pub fn victim_verifier_mut(&mut self, i: usize) -> &mut VictimVerifier {
-        &mut self.victims[i]
+    pub fn victim_verifier_mut(&mut self, i: usize) -> &mut Verifier {
+        self.verifier_mut(i, LogDirection::Outgoing)
     }
 
     /// Slice `i`'s neighbor-side verifier (observe packets handed over
     /// toward slice `i` here).
-    pub fn neighbor_verifier_mut(&mut self, i: usize) -> &mut NeighborVerifier {
-        &mut self.neighbors[i]
+    pub fn neighbor_verifier_mut(&mut self, i: usize) -> &mut Verifier {
+        self.verifier_mut(i, LogDirection::Incoming)
     }
 
     /// Current contract state.
@@ -362,16 +343,15 @@ impl ClusterRoundDriver {
         &mut self,
         i: usize,
         enclave: Arc<Enclave<FilterEnclaveApp>>,
-        victim: VictimVerifier,
-        neighbor: NeighborVerifier,
+        victim: Verifier,
+        neighbor: Verifier,
     ) {
         assert!(
             !self.lifecycle.state(i).audited(),
             "replace targets a slice out of the audit loop"
         );
         self.enclaves[i] = enclave;
-        self.victims[i] = victim;
-        self.neighbors[i] = neighbor;
+        self.verifiers[i] = [neighbor, victim]; // Incoming, Outgoing
     }
 
     /// Slice-rounds this tenant audited on probation (clean and failed
@@ -552,8 +532,8 @@ impl ClusterRoundDriver {
             }
             let outcome = RoundOutcome {
                 round,
-                victim_verdict: verdicts.victim,
-                neighbor_verdict: verdicts.neighbor,
+                victim_verdict: verdicts.by_direction[LogDirection::Outgoing.index()],
+                neighbor_verdict: verdicts.by_direction[LogDirection::Incoming.index()],
                 quarantined: false,
                 probation: on_probation,
             };
@@ -668,36 +648,36 @@ impl ClusterRoundDriver {
             .map_or(ExportFault::None, |hook| hook(i, round, attempt))
     }
 
-    /// One audit attempt on slice `i`: export the outgoing log and audit
-    /// it, then the incoming log, so only one export is alive at a time.
-    /// Exports are `&self` enclave reads and audits pure comparisons, so
-    /// the attempt runs on any thread, and a result nobody consumes
-    /// leaves no trace.
+    /// One audit attempt on slice `i`: export → verify → compare for the
+    /// outgoing log, then the same for the incoming one, so only one export
+    /// is alive at a time and the first failure ends the attempt. Exports
+    /// are `&self` enclave reads and audits pure comparisons, so the
+    /// attempt runs on any thread, and a result nobody consumes leaves no
+    /// trace.
     fn audit_slice(&self, i: usize, fault: ExportFault) -> Result<SliceVerdicts, AuditError> {
         if fault == ExportFault::Timeout {
             return Err(AuditError::ExportTimeout);
         }
         let contract = self.contract;
-        let enclave = &self.enclaves[i];
-        let mut outgoing =
-            enclave.ecall(move |app| app.export_log_for(contract, LogDirection::Outgoing));
-        if fault == ExportFault::Corrupt {
-            if let Some(b) = outgoing.payload.first_mut() {
-                *b ^= 0xff;
+        let mut found = SliceVerdicts {
+            round: 0,
+            by_direction: [BypassVerdict::Clean; 2],
+        };
+        for direction in [LogDirection::Outgoing, LogDirection::Incoming] {
+            let mut export =
+                self.enclaves[i].ecall(move |app| app.export_log_for(contract, direction));
+            if fault == ExportFault::Corrupt && direction == LogDirection::Outgoing {
+                if let Some(b) = export.payload.first_mut() {
+                    *b ^= 0xff;
+                }
             }
+            let report = self.verifiers[i][direction.index()].audit(&export)?;
+            if direction == LogDirection::Outgoing {
+                found.round = report.round;
+            }
+            found.by_direction[direction.index()] = report.verdict;
         }
-        let (round, victim) = self.victims[i]
-            .audit(&outgoing)
-            .map(|r| (r.round, r.verdict))?;
-        drop(outgoing);
-        let incoming =
-            enclave.ecall(move |app| app.export_log_for(contract, LogDirection::Incoming));
-        let neighbor = self.neighbors[i].audit(&incoming)?.verdict;
-        Ok(SliceVerdicts {
-            round,
-            victim,
-            neighbor,
-        })
+        Ok(found)
     }
 
     /// Posts this tenant's audit verdict on slice `i`.
@@ -717,11 +697,8 @@ impl ClusterRoundDriver {
                 enclave.ecall(move |app| app.new_round_for(contract));
             }
         }
-        for v in &mut self.victims {
+        for v in self.verifiers.iter_mut().flatten() {
             v.new_round();
-        }
-        for n in &mut self.neighbors {
-            n.new_round();
         }
     }
 }
@@ -731,8 +708,8 @@ impl ClusterRoundDriver {
 struct SliceVerdicts {
     /// The round the outgoing export names.
     round: u64,
-    victim: BypassVerdict,
-    neighbor: BypassVerdict,
+    /// Each direction's verdict, indexed by [`LogDirection::index`].
+    by_direction: [BypassVerdict; 2],
 }
 
 #[cfg(test)]
@@ -756,12 +733,7 @@ mod tests {
         ))]);
         let app = FilterEnclaveApp::new(rules, [1u8; 32], SEED, KEY);
         let enclave = Arc::new(platform.launch(EnclaveImage::new("vif", 1, vec![]), app));
-        let driver = ClusterRoundDriver::with_verifiers(
-            vec![Arc::clone(&enclave)],
-            vec![VictimVerifier::new(SEED, KEY, 0)],
-            vec![NeighborVerifier::new(SEED, KEY, 0)],
-            policy,
-        );
+        let driver = ClusterRoundDriver::new(vec![Arc::clone(&enclave)], SEED, KEY, 0, policy);
         (enclave, driver)
     }
 
@@ -880,10 +852,11 @@ mod tests {
     /// the enclave — every export then looks forged (tampered) to them.
     fn setup_tampered() -> (Arc<Enclave<FilterEnclaveApp>>, ClusterRoundDriver) {
         let (enclave, _) = setup(RoundPolicy::default());
-        let driver = ClusterRoundDriver::with_verifiers(
+        let driver = ClusterRoundDriver::new(
             vec![Arc::clone(&enclave)],
-            vec![VictimVerifier::new(SEED, [0xEE; 32], 0)],
-            vec![NeighborVerifier::new(SEED, [0xEE; 32], 0)],
+            SEED,
+            [0xEE; 32],
+            0,
             RoundPolicy::default(),
         );
         (enclave, driver)
@@ -1237,8 +1210,8 @@ mod tests {
         driver.replace_slice(
             i,
             Arc::clone(&enclaves[i]),
-            VictimVerifier::new(SEED, KEY, 0),
-            NeighborVerifier::new(SEED, KEY, 0),
+            Verifier::new(LogDirection::Outgoing, SEED, KEY, 0),
+            Verifier::new(LogDirection::Incoming, SEED, KEY, 0),
         );
         driver.lifecycle().advance(i, SliceEvent::Resync).unwrap();
     }

@@ -305,6 +305,7 @@ impl PartitionedPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::logs::LogDirection::Incoming;
     use crate::rules::{FilterRule, FlowPattern};
     use vif_dataplane::Protocol;
     use vif_sgx::{AttestationRootKey, EpcConfig};
@@ -433,7 +434,7 @@ mod tests {
         let logged: u64 = c
             .enclaves()
             .iter()
-            .map(|e| e.ecall(|a| a.logs_of(0).incoming().total()))
+            .map(|e| e.ecall(|a| a.logs_of(0).sketch(Incoming).total()))
             .sum();
         assert_eq!(logged, total - lb_dropped);
     }

@@ -19,9 +19,10 @@
 //! the handshake).
 
 use crate::enclave_app::{ContractId, FilterEnclaveApp};
+use crate::logs::LogDirection;
 use crate::rpki::{OwnerId, RpkiError, RpkiRegistry};
 use crate::rules::{FilterRule, RuleDecodeError};
-use crate::verify::{NeighborVerifier, VictimVerifier};
+use crate::verify::Verifier;
 use std::sync::Arc;
 use vif_crypto::channel::{ChannelError, SecureChannel};
 use vif_crypto::dh::{DhError, DhGroup, DhKeyPair};
@@ -370,16 +371,25 @@ impl FilteringSession {
     }
 
     /// A victim-side verifier bound to this session's keys.
-    pub fn victim_verifier(&self) -> VictimVerifier {
-        VictimVerifier::new(self.keys.sketch_seed, self.keys.audit_key, self.tolerance)
+    pub fn victim_verifier(&self) -> Verifier {
+        self.verifier(LogDirection::Outgoing)
     }
 
     /// A neighbor-side verifier bound to this session's keys.
     ///
     /// (In full generality each neighbor attests the enclave itself and
     /// derives its own key; they share the session audit key here.)
-    pub fn neighbor_verifier(&self) -> NeighborVerifier {
-        NeighborVerifier::new(self.keys.sketch_seed, self.keys.audit_key, self.tolerance)
+    pub fn neighbor_verifier(&self) -> Verifier {
+        self.verifier(LogDirection::Incoming)
+    }
+
+    fn verifier(&self, direction: LogDirection) -> Verifier {
+        Verifier::new(
+            direction,
+            self.keys.sketch_seed,
+            self.keys.audit_key,
+            self.tolerance,
+        )
     }
 
     /// Starts a new filtering round for this session's contract

@@ -1,17 +1,22 @@
 //! Bypass detection by the victim network and neighbor ASes (§III-B).
 //!
-//! Verifiers build local sketches over the traffic they observe with the
-//! same seeded hash family as the enclave and compare them against the
-//! enclave's authenticated logs:
+//! A [`Verifier`] builds a local sketch over the traffic it observes with
+//! the same seeded hash family as the enclave, and audits the enclave's
+//! authenticated log of its [`LogDirection`] against it. One verifier per
+//! direction; the direction decides everything else
+//! ([`LogDirection::key`] and the audit rule):
 //!
-//! | verifier   | local stream          | enclave log     | detects                     |
-//! |------------|-----------------------|-----------------|-----------------------------|
-//! | victim     | packets received      | outgoing (5T)   | drop-after / inject-after   |
-//! | neighbor   | packets handed over   | incoming (srcIP)| drop-before                 |
+//! | direction | held by  | local stream        | log key   | reference     | counts               | detects                    |
+//! |-----------|----------|---------------------|-----------|---------------|----------------------|----------------------------|
+//! | outgoing  | victim   | packets received    | 5-tuple   | enclave's log | drops and injections | drop-after / inject-after  |
+//! | incoming  | neighbor | packets handed over | source IP | neighbor's    | drops only           | drop-before                |
+//!
+//! The incoming log also counts other neighbors' traffic, so a neighbor
+//! treats only *missing* packets as evidence.
 
-use crate::logs::{AuthenticatedSketch, LogDirection, LogError, PacketLogs};
+use crate::logs::{AuthenticatedSketch, LogDirection, LogError, PacketFingerprints};
 use vif_dataplane::FiveTuple;
-use vif_sketch::{compare, CompareError, CountMinSketch, SketchComparison};
+use vif_sketch::{CompareError, CountMinSketch, SketchComparison};
 
 /// Outcome of a sketch audit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,133 +92,68 @@ impl From<CompareError> for AuditError {
     }
 }
 
-fn classify(comparison: &SketchComparison, tolerance: u64) -> BypassVerdict {
-    match (
-        comparison.drop_detected(tolerance),
-        comparison.injection_detected(tolerance),
-    ) {
-        (false, false) => BypassVerdict::Clean,
-        (true, false) => BypassVerdict::DropDetected,
-        (false, true) => BypassVerdict::InjectionDetected,
-        (true, true) => BypassVerdict::DropAndInjectionDetected,
-    }
-}
-
-/// The DDoS victim's verifier: sketches received traffic per 5-tuple and
-/// audits the enclave's *outgoing* log.
+/// One party's verifier for one log direction: the victim's
+/// ([`LogDirection::Outgoing`]) or a neighbor AS's
+/// ([`LogDirection::Incoming`]).
 #[derive(Debug, Clone)]
-pub struct VictimVerifier {
+pub struct Verifier {
+    direction: LogDirection,
     local: CountMinSketch,
     audit_key: [u8; 32],
     /// Per-bin tolerance absorbing benign loss between the filter and the
-    /// victim (see §III-B's discussion of intermediate ASes).
+    /// verifier (see §III-B's discussion of intermediate ASes).
     tolerance: u64,
 }
 
-impl VictimVerifier {
-    /// Creates a verifier. `sketch_seed` and `audit_key` come from the
-    /// attested session; `tolerance` is the per-bin slack.
-    pub fn new(sketch_seed: u64, audit_key: [u8; 32], tolerance: u64) -> Self {
-        VictimVerifier {
-            local: CountMinSketch::new(PacketLogs::outgoing_config(sketch_seed)),
+impl Verifier {
+    /// Creates a verifier of `direction`'s log. `sketch_seed` and
+    /// `audit_key` come from the attested session; `tolerance` is the
+    /// per-bin slack.
+    pub fn new(
+        direction: LogDirection,
+        sketch_seed: u64,
+        audit_key: [u8; 32],
+        tolerance: u64,
+    ) -> Self {
+        Verifier {
+            direction,
+            local: CountMinSketch::new(direction.config(sketch_seed)),
             audit_key,
             tolerance,
         }
     }
 
-    /// Records one packet received from the filtering network.
+    /// Records one packet: received from the filtering network (victim) or
+    /// handed to it (neighbor).
     pub fn observe(&mut self, t: &FiveTuple) {
-        self.observe_fingerprint(t.tuple_fingerprint());
+        self.observe_fingerprint(self.direction.key(&PacketFingerprints::of(t)));
     }
 
-    /// [`observe`](VictimVerifier::observe) with the packet's pre-computed
-    /// tuple fingerprint ([`FiveTuple::tuple_fingerprint`]) — verifiers
-    /// attribute packets to slices with the same fingerprint
+    /// [`observe`](Verifier::observe) with the packet's pre-computed log
+    /// key ([`LogDirection::key`] of its [`PacketFingerprints`]) —
+    /// verifiers attribute packets to slices with the tuple fingerprint
     /// ([`vif_dataplane::shard_of_fingerprint`]), so the fingerprint-once
-    /// pass hashes each received packet exactly once.
+    /// pass hashes each observed packet exactly once.
     #[inline]
-    pub fn observe_fingerprint(&mut self, tuple_fp: u64) {
-        self.local.add_fingerprint(tuple_fp, 1);
+    pub fn observe_fingerprint(&mut self, key: u64) {
+        self.local.add_fingerprint(key, 1);
     }
 
-    /// Audits the enclave's outgoing log against local observations.
+    /// Audits the enclave's log of this verifier's direction against the
+    /// local observations.
     ///
     /// # Errors
     ///
-    /// See [`AuditError`].
+    /// See [`AuditError`]; an export of the other direction is
+    /// [`AuditError::WrongDirection`].
     pub fn audit(&self, export: &AuthenticatedSketch) -> Result<AuditReport, AuditError> {
-        if export.direction != LogDirection::Outgoing {
+        if export.direction != self.direction {
             return Err(AuditError::WrongDirection);
         }
         let enclave_sketch = export.verify(&self.audit_key)?;
-        let comparison = compare(&enclave_sketch, &self.local)?;
-        Ok(AuditReport {
-            verdict: classify(&comparison, self.tolerance),
-            comparison,
-            round: export.round,
-        })
-    }
-
-    /// Clears local observations for a new round.
-    pub fn new_round(&mut self) {
-        self.local.clear();
-    }
-}
-
-/// A neighbor AS's verifier: sketches the traffic it delivered to the
-/// filtering network per source IP and audits the *incoming* log.
-#[derive(Debug, Clone)]
-pub struct NeighborVerifier {
-    local: CountMinSketch,
-    audit_key: [u8; 32],
-    tolerance: u64,
-}
-
-impl NeighborVerifier {
-    /// Creates a neighbor verifier (same parameters as the victim's).
-    pub fn new(sketch_seed: u64, audit_key: [u8; 32], tolerance: u64) -> Self {
-        NeighborVerifier {
-            local: CountMinSketch::new(PacketLogs::incoming_config(sketch_seed)),
-            audit_key,
-            tolerance,
-        }
-    }
-
-    /// Records one packet this neighbor handed to the filtering network.
-    pub fn observe(&mut self, t: &FiveTuple) {
-        self.observe_fingerprint(t.src_ip_fingerprint());
-    }
-
-    /// [`observe`](NeighborVerifier::observe) with the packet's
-    /// pre-computed source-IP fingerprint
-    /// ([`FiveTuple::src_ip_fingerprint`]).
-    #[inline]
-    pub fn observe_fingerprint(&mut self, src_ip_fp: u64) {
-        self.local.add_fingerprint(src_ip_fp, 1);
-    }
-
-    /// Audits the enclave's incoming log: counters for *this neighbor's*
-    /// sources lower than local counts indicate *drop-before-filter*.
-    ///
-    /// Note the asymmetry: the incoming log also counts other neighbors'
-    /// traffic, so only *missing* packets (local > enclave) are evidence —
-    /// excess is expected and ignored.
-    ///
-    /// # Errors
-    ///
-    /// See [`AuditError`].
-    pub fn audit(&self, export: &AuthenticatedSketch) -> Result<AuditReport, AuditError> {
-        if export.direction != LogDirection::Incoming {
-            return Err(AuditError::WrongDirection);
-        }
-        let enclave_sketch = export.verify(&self.audit_key)?;
-        // Reference = local (what was sent); observed = enclave log.
-        let comparison = compare(&self.local, &enclave_sketch)?;
-        let verdict = if comparison.drop_detected(self.tolerance) {
-            BypassVerdict::DropDetected
-        } else {
-            BypassVerdict::Clean
-        };
+        let (comparison, verdict) =
+            self.direction
+                .judge(&enclave_sketch, &self.local, self.tolerance)?;
         Ok(AuditReport {
             verdict,
             comparison,
@@ -230,6 +170,7 @@ impl NeighborVerifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::logs::PacketLogs;
     use vif_dataplane::Protocol;
 
     const SEED: u64 = 77;
@@ -242,8 +183,8 @@ mod tests {
     #[test]
     fn honest_run_is_clean_for_both_verifiers() {
         let mut logs = PacketLogs::new(SEED);
-        let mut victim = VictimVerifier::new(SEED, KEY, 0);
-        let mut neighbor = NeighborVerifier::new(SEED, KEY, 0);
+        let mut victim = Verifier::new(LogDirection::Outgoing, SEED, KEY, 0);
+        let mut neighbor = Verifier::new(LogDirection::Incoming, SEED, KEY, 0);
         for i in 0..500 {
             let t = tuple(i);
             neighbor.observe(&t);
@@ -264,7 +205,7 @@ mod tests {
     #[test]
     fn drop_after_filter_detected_by_victim() {
         let mut logs = PacketLogs::new(SEED);
-        let mut victim = VictimVerifier::new(SEED, KEY, 0);
+        let mut victim = Verifier::new(LogDirection::Outgoing, SEED, KEY, 0);
         for i in 0..100 {
             let t = tuple(i);
             logs.log_incoming(&t);
@@ -283,7 +224,7 @@ mod tests {
     #[test]
     fn injection_after_filter_detected_by_victim() {
         let mut logs = PacketLogs::new(SEED);
-        let mut victim = VictimVerifier::new(SEED, KEY, 0);
+        let mut victim = Verifier::new(LogDirection::Outgoing, SEED, KEY, 0);
         for i in 0..100 {
             let t = tuple(i);
             logs.log_incoming(&t);
@@ -303,7 +244,7 @@ mod tests {
     #[test]
     fn drop_and_injection_both_flagged() {
         let mut logs = PacketLogs::new(SEED);
-        let mut victim = VictimVerifier::new(SEED, KEY, 0);
+        let mut victim = Verifier::new(LogDirection::Outgoing, SEED, KEY, 0);
         for i in 0..100 {
             let t = tuple(i);
             logs.log_incoming(&t);
@@ -322,7 +263,7 @@ mod tests {
     #[test]
     fn drop_before_filter_detected_by_neighbor() {
         let mut logs = PacketLogs::new(SEED);
-        let mut neighbor = NeighborVerifier::new(SEED, KEY, 0);
+        let mut neighbor = Verifier::new(LogDirection::Incoming, SEED, KEY, 0);
         for i in 0..100 {
             let t = tuple(i);
             neighbor.observe(&t);
@@ -340,7 +281,7 @@ mod tests {
     #[test]
     fn other_neighbors_traffic_not_flagged_as_injection() {
         let mut logs = PacketLogs::new(SEED);
-        let mut neighbor = NeighborVerifier::new(SEED, KEY, 0);
+        let mut neighbor = Verifier::new(LogDirection::Incoming, SEED, KEY, 0);
         for i in 0..50 {
             let t = tuple(i);
             neighbor.observe(&t);
@@ -359,7 +300,7 @@ mod tests {
     #[test]
     fn tolerance_absorbs_benign_loss() {
         let mut logs = PacketLogs::new(SEED);
-        let mut victim = VictimVerifier::new(SEED, KEY, 2);
+        let mut victim = Verifier::new(LogDirection::Outgoing, SEED, KEY, 2);
         for i in 0..1000 {
             let t = tuple(i);
             logs.log_outgoing(&t);
@@ -376,18 +317,22 @@ mod tests {
     #[test]
     fn wrong_direction_rejected() {
         let logs = PacketLogs::new(SEED);
-        let victim = VictimVerifier::new(SEED, KEY, 0);
-        let err = victim
-            .audit(&logs.export(LogDirection::Incoming, &KEY))
-            .unwrap_err();
-        assert_eq!(err, AuditError::WrongDirection);
+        for (verifier, other) in [
+            (LogDirection::Outgoing, LogDirection::Incoming),
+            (LogDirection::Incoming, LogDirection::Outgoing),
+        ] {
+            let err = Verifier::new(verifier, SEED, KEY, 0)
+                .audit(&logs.export(other, &KEY))
+                .unwrap_err();
+            assert_eq!(err, AuditError::WrongDirection);
+        }
     }
 
     #[test]
     fn forged_export_rejected() {
         let mut logs = PacketLogs::new(SEED);
         logs.log_outgoing(&tuple(1));
-        let victim = VictimVerifier::new(SEED, KEY, 0);
+        let victim = Verifier::new(LogDirection::Outgoing, SEED, KEY, 0);
         let mut export = logs.export(LogDirection::Outgoing, &KEY);
         export.payload[33] ^= 0xFF;
         assert!(matches!(
@@ -400,7 +345,7 @@ mod tests {
     fn seed_mismatch_incomparable() {
         let mut logs = PacketLogs::new(SEED);
         logs.log_outgoing(&tuple(1));
-        let victim = VictimVerifier::new(SEED + 1, KEY, 0);
+        let victim = Verifier::new(LogDirection::Outgoing, SEED + 1, KEY, 0);
         let export = logs.export(LogDirection::Outgoing, &KEY);
         assert!(matches!(
             victim.audit(&export),

@@ -151,19 +151,14 @@ const LOG_KEY: [u8; 32] = [0x3c; 32];
 
 /// Honest exports of one round of 200 flows, and verifiers that watched
 /// the same flows: `(outgoing, incoming, victim, neighbor)`.
-type Honest = (
-    AuthenticatedSketch,
-    AuthenticatedSketch,
-    VictimVerifier,
-    NeighborVerifier,
-);
+type Honest = (AuthenticatedSketch, AuthenticatedSketch, Verifier, Verifier);
 
 fn honest_audit() -> &'static Honest {
     static HONEST: OnceLock<Honest> = OnceLock::new();
     HONEST.get_or_init(|| {
         let mut logs = PacketLogs::new(LOG_SEED);
-        let mut victim = VictimVerifier::new(LOG_SEED, LOG_KEY, 0);
-        let mut neighbor = NeighborVerifier::new(LOG_SEED, LOG_KEY, 0);
+        let mut victim = Verifier::new(LogDirection::Outgoing, LOG_SEED, LOG_KEY, 0);
+        let mut neighbor = Verifier::new(LogDirection::Incoming, LOG_SEED, LOG_KEY, 0);
         for i in 0..200u32 {
             let t = FiveTuple::new(0x0b00_0000 + i, 0xcb00_7101, 1024, 80, Protocol::Tcp);
             logs.log_incoming(&t);

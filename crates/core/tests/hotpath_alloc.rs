@@ -21,6 +21,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use vif_core::filter::Verdict;
+use vif_core::logs::LogDirection;
 use vif_core::prelude::*;
 
 /// Passes every call through to [`System`], counting allocation events
@@ -209,7 +210,10 @@ fn decide_batch_is_allocation_free_at_steady_state() {
     app.process_batch(&pkts, &mut verdicts);
     app.apply_update_period();
     app.process_batch(&pkts, &mut verdicts);
-    assert!(app.logs_of(0).incoming().total() > 0, "logging is enabled");
+    assert!(
+        app.logs_of(0).sketch(LogDirection::Incoming).total() > 0,
+        "logging is enabled"
+    );
     let before = allocations();
     for _ in 0..10 {
         app.process_batch(&pkts, &mut verdicts);
@@ -222,7 +226,48 @@ fn decide_batch_is_allocation_free_at_steady_state() {
         after - before
     );
     assert_eq!(verdicts.len(), pkts.len());
-    assert_eq!(app.logs_of(0).incoming().total(), 12 * pkts.len() as u64);
+    assert_eq!(
+        app.logs_of(0).sketch(LogDirection::Incoming).total(),
+        12 * pkts.len() as u64
+    );
+
+    // The same check with three contract slots: two scoped tenants beside
+    // the default slot, each burst split three ways by destination. The
+    // per-contract grouping reuses its buffers, so multi-tenant logging is
+    // allocation-free at steady state too.
+    let (ruleset, tuples) = workload();
+    let mut app = vif_core::enclave_app::FilterEnclaveApp::new(ruleset, [7u8; 32], 3, [2u8; 32]);
+    app.provision_contract(1, Some("203.0.113.0/25".parse().unwrap()), 4, [5u8; 32]);
+    app.provision_contract(2, Some("203.0.113.128/25".parse().unwrap()), 5, [6u8; 32]);
+    let dsts = [[203, 0, 113, 9], [203, 0, 113, 137], [198, 51, 100, 9]];
+    let pkts: Vec<(FiveTuple, u64)> = tuples
+        .iter()
+        .enumerate()
+        .map(|(i, t)| {
+            let mut t = *t;
+            t.dst_ip = u32::from_be_bytes(dsts[i % 3]);
+            (t, 64)
+        })
+        .collect();
+    app.process_batch(&pkts, &mut verdicts);
+    app.apply_update_period();
+    app.process_batch(&pkts, &mut verdicts);
+    let before = allocations();
+    for _ in 0..10 {
+        app.process_batch(&pkts, &mut verdicts);
+    }
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "three-slot enclave app burst logging path: {} allocation(s) across 10 steady-state bursts",
+        after - before
+    );
+    let logged: Vec<u64> = (0..3)
+        .map(|c| app.logs_of(c).sketch(LogDirection::Incoming).total())
+        .collect();
+    assert!(logged.iter().all(|&n| n > 0), "every slot logs: {logged:?}");
+    assert_eq!(logged.iter().sum::<u64>(), 12 * pkts.len() as u64);
 
     // --- service mode -----------------------------------------------------
     // The always-on dataplane holds the same guarantee end to end: once the

@@ -3,7 +3,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use vif_core::filter::Verdict;
-use vif_core::logs::{LogDirection, PacketLogs};
+use vif_core::logs::{LogDirection, PacketFingerprints, PacketLogs};
 use vif_core::prelude::*;
 use vif_core::rules::RuleAction;
 use vif_trie::Ipv4Prefix;
@@ -406,10 +406,14 @@ proptest! {
     /// `FilterEnclaveApp` fed one burst at a time produces **byte-identical**
     /// authenticated exports (payload and HMAC tag, both directions) to an
     /// identically-configured app processing the same packets one by one —
-    /// and `PacketLogs::log_batch` over both filters' verdicts matches
-    /// sequential logging the same way. Burst boundaries are adversary-
-    /// controlled; if they could perturb a single exported byte, the host
-    /// could smuggle filtering differences past the §III-B verifiers.
+    /// and `PacketLogs::log_batch_fingerprints` over both filters' verdicts
+    /// matches sequential logging the same way. Burst boundaries are
+    /// adversary-controlled; if they could perturb a single exported byte,
+    /// the host could smuggle filtering differences past the §III-B
+    /// verifiers. The app runs alone (one contract: every burst is one
+    /// group) and with two scoped contracts beside the default slot, which
+    /// splits each burst three ways by destination; every contract's
+    /// exports must match.
     #[test]
     fn burst_logging_audit_equivalence(
         rules in vec(arb_rule(), 0..15),
@@ -418,8 +422,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let audit_key = [9u8; 32];
-        let mk_app = || {
-            FilterEnclaveApp::new(
+        let mk_app = |scoped: bool| {
+            let mut app = FilterEnclaveApp::new(
                 RuleSet::from_rules(
                     packets.iter().take(3).map(|t| {
                         FilterRule::drop_fraction(FlowPattern::exact_tuple(*t), 0.5)
@@ -428,40 +432,61 @@ proptest! {
                 [7u8; 32],
                 seed,
                 audit_key,
-            )
-        };
-        let mut batched = mk_app();
-        let mut sequential = mk_app();
-        let mut verdicts = Vec::new();
-        let mut rest: &[FiveTuple] = &packets;
-        let mut i = 0usize;
-        while !rest.is_empty() {
-            let take = bursts[i % bursts.len()].min(rest.len());
-            let (burst, tail) = rest.split_at(take);
-            let pkts: Vec<(FiveTuple, u64)> = burst.iter().map(|t| (*t, 64)).collect();
-            batched.process_batch(&pkts, &mut verdicts);
-            for (j, t) in burst.iter().enumerate() {
-                let v = sequential.process(t, 64);
-                prop_assert_eq!(verdicts[j], v, "burst verdict != sequential");
+            );
+            if scoped {
+                // Two scoped tenants take a quarter of the address space
+                // each; the rest falls to the default slot.
+                app.provision_contract(1, Some(Ipv4Prefix::new(0, 2)), seed ^ 1, [10u8; 32]);
+                app.provision_contract(
+                    2,
+                    Some(Ipv4Prefix::new(0x4000_0000, 2)),
+                    seed ^ 2,
+                    [11u8; 32],
+                );
             }
-            rest = tail;
-            i += 1;
+            app
+        };
+        for scoped in [false, true] {
+            let mut batched = mk_app(scoped);
+            let mut sequential = mk_app(scoped);
+            let mut verdicts = Vec::new();
+            let mut rest: &[FiveTuple] = &packets;
+            let mut i = 0usize;
+            while !rest.is_empty() {
+                let take = bursts[i % bursts.len()].min(rest.len());
+                let (burst, tail) = rest.split_at(take);
+                let pkts: Vec<(FiveTuple, u64)> = burst.iter().map(|t| (*t, 64)).collect();
+                batched.process_batch(&pkts, &mut verdicts);
+                for (j, t) in burst.iter().enumerate() {
+                    let v = sequential.process(t, 64);
+                    prop_assert_eq!(verdicts[j], v, "burst verdict != sequential");
+                }
+                rest = tail;
+                i += 1;
+            }
+            prop_assert_eq!(batched.stats(), sequential.stats());
+            prop_assert_eq!(batched.contract_ids().len(), if scoped { 3 } else { 1 });
+            for contract in batched.contract_ids() {
+                for dir in [LogDirection::Incoming, LogDirection::Outgoing] {
+                    let b = batched.export_log_for(contract, dir);
+                    let s = sequential.export_log_for(contract, dir);
+                    prop_assert_eq!(
+                        b.payload, s.payload,
+                        "contract {} {:?} payload diverged", contract, dir
+                    );
+                    prop_assert_eq!(b.tag, s.tag, "contract {} {:?} tag diverged", contract, dir);
+                }
+            }
         }
-        prop_assert_eq!(batched.stats(), sequential.stats());
-        for dir in [LogDirection::Incoming, LogDirection::Outgoing] {
-            let b = batched.export_log_for(0, dir);
-            let s = sequential.export_log_for(0, dir);
-            prop_assert_eq!(b.payload, s.payload, "{:?} payload diverged", dir);
-            prop_assert_eq!(b.tag, s.tag, "{:?} tag diverged", dir);
-        }
-        // The same bar for PacketLogs::log_batch under both filters'
-        // verdicts (the app above exercises only the hybrid).
+        // The same bar for PacketLogs::log_batch_fingerprints under both
+        // filters' verdicts (the app above exercises only the hybrid).
+        let fps: Vec<PacketFingerprints> = packets.iter().map(PacketFingerprints::of).collect();
         let stateless = StatelessFilter::new(RuleSet::from_rules(rules), [7u8; 32]);
         for mut filter in Filter::both(&stateless) {
             let mut verdicts = Vec::new();
             filter.decide_batch(&packets, &mut verdicts);
             let mut batch_logs = PacketLogs::new(seed);
-            batch_logs.log_batch(&packets, &verdicts);
+            batch_logs.log_batch_fingerprints(&fps, &verdicts);
             let mut seq_logs = PacketLogs::new(seed);
             for (t, v) in packets.iter().zip(&verdicts) {
                 seq_logs.log_incoming(t);

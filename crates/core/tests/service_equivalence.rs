@@ -355,3 +355,60 @@ fn misrouting_steering_dirties_the_audit() {
     assert_eq!(total.overflow, 0);
     assert_eq!(total.forwarded + total.filtered, total.received);
 }
+
+/// The live service runs no update period between epoch installs, so the
+/// hybrid filter's promotion queue must bound itself. Many rounds of fresh
+/// flows under a 50 % probabilistic rule, with no churn, hash-decide more
+/// packets than the cache holds; the enclave's queue never holds more than
+/// one cache's worth.
+#[test]
+fn serving_path_bounds_the_promotion_queue() {
+    let victim: Ipv4Prefix = "203.0.113.0/24".parse().unwrap();
+    let rules = RuleSet::from_rules([FilterRule::drop_fraction(
+        FlowPattern::prefixes(Ipv4Prefix::default_route(), victim),
+        0.5,
+    )]);
+    let root = AttestationRootKey::new([0x42; 32]);
+    let platform = SgxPlatform::new(7, EpcConfig::paper_default(), &root);
+    let image = EnclaveImage::new("vif-pending", 1, vec![0x90; 1 << 12]);
+    let app = FilterEnclaveApp::new(rules, [5u8; 32], 3, [2u8; 32]);
+    let enclave = Arc::new(platform.launch(image, app));
+    let cap = enclave.ecall(|app| app.hybrid().max_cached_flows());
+    let per_round = 1usize << 16;
+    let rounds = cap / per_round + 2;
+    let dst = u32::from_be_bytes([203, 0, 113, 7]);
+    // A ring that holds a whole round: no packet overflows undecided.
+    let service = DataplaneService::new(ServiceConfig {
+        ring_capacity: per_round,
+        ..Default::default()
+    });
+    let peak = service.run(
+        vec![EnclaveFilterStage::new(
+            Arc::clone(&enclave),
+            FilterMode::SgxNearZeroCopy,
+        )],
+        |_, _| {},
+        |_: &FiveTuple| 0,
+        |svc| {
+            let mut peak = 0;
+            for r in 0..rounds {
+                let traffic: Vec<Packet> = (0..per_round)
+                    .map(|i| {
+                        let n = (r * per_round + i) as u32;
+                        let t = FiveTuple::new(0x0a00_0000 + n, dst, 1024, 80, Protocol::Udp);
+                        Packet::new(t, 64, u64::from(n), u64::from(n))
+                    })
+                    .collect();
+                svc.round(&traffic);
+                peak = peak.max(enclave.ecall(|app| app.hybrid().pending_flows()));
+            }
+            peak
+        },
+    );
+    let hashed = enclave.ecall(|app| app.hybrid().stats().hash_decisions);
+    assert!(
+        hashed > cap as u64,
+        "only {hashed} hash decisions, cap {cap}"
+    );
+    assert!(peak <= cap, "pending peaked at {peak} flows, cap {cap}");
+}

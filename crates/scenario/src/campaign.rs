@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use vif_core::cost::FilterMode;
 use vif_core::enclave_app::{ContractId, EnclaveFilterStage, FilterEnclaveApp};
-use vif_core::logs::PacketFingerprints;
+use vif_core::logs::{LogDirection, PacketFingerprints};
 use vif_core::rounds::{
     ClusterRoundDriver, ContractState, ExportFailurePolicy, ExportFault, RoundPolicy,
 };
@@ -712,19 +712,7 @@ impl CampaignHarness {
                             continue;
                         };
                         for pkt in &round.packets {
-                            let fp = PacketFingerprints::of(&pkt.tuple);
-                            let home = shard_of_fingerprint(fp.tuple, n);
-                            t.driver
-                                .neighbor_verifier_mut(pre.steer(fp.tuple, home))
-                                .observe_fingerprint(fp.src_ip);
-                            // A probation slice shadows its home shard; its
-                            // fresh neighbor verifier observes the handover
-                            // too (the live re-steered slice keeps its own).
-                            if pre.state(home).shadowed() {
-                                t.driver
-                                    .neighbor_verifier_mut(home)
-                                    .observe_fingerprint(fp.src_ip);
-                            }
+                            attribute(&mut t.driver, &pre, LogDirection::Incoming, &pkt.tuple);
                         }
                         merged.extend_from_slice(&round.packets);
                     }
@@ -855,6 +843,29 @@ impl CampaignHarness {
     }
 }
 
+/// Replays one packet's attribution into the `direction` verifiers of the
+/// slices that logged it: the one steering chose as the round started
+/// (`pre`), and a probation home shard, which logged a shadow copy (the
+/// stateless filter is deterministic, so it forwarded what was delivered).
+fn attribute(
+    driver: &mut ClusterRoundDriver,
+    pre: &SliceLifecycle,
+    direction: LogDirection,
+    tuple: &FiveTuple,
+) {
+    let fp = PacketFingerprints::of(tuple);
+    let home = shard_of_fingerprint(fp.tuple, driver.len());
+    let key = direction.key(&fp);
+    driver
+        .verifier_mut(pre.steer(fp.tuple, home), direction)
+        .observe_fingerprint(key);
+    if pre.state(home).shadowed() {
+        driver
+            .verifier_mut(home, direction)
+            .observe_fingerprint(key);
+    }
+}
+
 /// One tenant's end-of-round step: score deliveries, audit, react,
 /// publish its epoch.
 fn step_tenant(
@@ -884,19 +895,7 @@ fn step_tenant(
     t.hh_sketch.clear();
     let mut candidates: BTreeSet<u32> = BTreeSet::new();
     for tuple in t.received.drain(..) {
-        let fp = PacketFingerprints::of(&tuple);
-        let home = shard_of_fingerprint(fp.tuple, t.driver.len());
-        t.driver
-            .victim_verifier_mut(pre.steer(fp.tuple, home))
-            .observe_fingerprint(fp.tuple);
-        // The stateless filter is deterministic, so the shadow copy of
-        // every sink-delivered home-shard packet was forwarded (and
-        // logged outgoing) by a probation slice too.
-        if pre.state(home).shadowed() {
-            t.driver
-                .victim_verifier_mut(home)
-                .observe_fingerprint(fp.tuple);
-        }
+        attribute(&mut t.driver, pre, LogDirection::Outgoing, &tuple);
         if round.attack_sources.contains(&tuple.src_ip) {
             phase.delivered_attack += 1;
         } else {

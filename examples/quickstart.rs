@@ -32,7 +32,7 @@ fn main() {
 
     // --- traffic ---------------------------------------------------------
     // 1,000 HTTP flows toward the victim; the victim watches what arrives.
-    let mut victim_verifier = VictimVerifier::new(sketch_seed, audit_key, 0);
+    let mut victim_verifier = Verifier::new(LogDirection::Outgoing, sketch_seed, audit_key, 0);
     let mut forwarded = 0u32;
     let mut dropped = 0u32;
     for i in 0..1000u32 {

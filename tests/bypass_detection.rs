@@ -94,8 +94,8 @@ fn coin(state: &mut u64, p: f64) -> bool {
 /// and both verifiers audit the enclave's authenticated exports.
 fn run_with(adversary: Adversary) -> Run {
     let enclave = enclave();
-    let mut victim = VictimVerifier::new(SEED, KEY, 0);
-    let mut neighbor = NeighborVerifier::new(SEED, KEY, 0);
+    let mut victim = Verifier::new(LogDirection::Outgoing, SEED, KEY, 0);
+    let mut neighbor = Verifier::new(LogDirection::Incoming, SEED, KEY, 0);
     let mut rng = 8u64;
     let mut c = Counters::default();
     for pkt in traffic(4000) {
@@ -260,8 +260,11 @@ fn round_rotation_resets_audits() {
         Protocol::Tcp,
     );
     e.in_enclave_thread(|app| app.process(&t, 64));
-    assert!(e.ecall(|app| app.logs_of(0).incoming().total()) > 0);
+    assert!(e.ecall(|app| app.logs_of(0).sketch(LogDirection::Incoming).total()) > 0);
     e.ecall(|app| app.new_round());
-    assert_eq!(e.ecall(|app| app.logs_of(0).incoming().total()), 0);
+    assert_eq!(
+        e.ecall(|app| app.logs_of(0).sketch(LogDirection::Incoming).total()),
+        0
+    );
     assert_eq!(e.ecall(|app| app.logs_of(0).round()), 1);
 }

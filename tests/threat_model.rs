@@ -47,8 +47,8 @@ fn flow_from(neighbor_block: u32, i: u32) -> FiveTuple {
 #[test]
 fn goal1_neighbor_discrimination_detected_and_localized() {
     let enclave = enclave_with_half_drop();
-    let mut verifier_a = NeighborVerifier::new(SEED, KEY, 0);
-    let mut verifier_b = NeighborVerifier::new(SEED, KEY, 0);
+    let mut verifier_a = Verifier::new(LogDirection::Incoming, SEED, KEY, 0);
+    let mut verifier_b = Verifier::new(LogDirection::Incoming, SEED, KEY, 0);
 
     for i in 0..400u32 {
         // Neighbor A's traffic: the malicious IXP drops 30% of it before
@@ -105,7 +105,7 @@ fn goal1_enclave_rule_is_neighbor_blind() {
 #[test]
 fn goal2_resource_saving_bypass_detected() {
     let enclave = enclave_with_half_drop();
-    let mut victim = VictimVerifier::new(SEED, KEY, 0);
+    let mut victim = Verifier::new(LogDirection::Outgoing, SEED, KEY, 0);
     for i in 0..1000u32 {
         let t = flow_from(0x0a00_0000, i);
         if i % 5 == 0 {
@@ -129,7 +129,7 @@ fn goal2_resource_saving_bypass_detected() {
 #[test]
 fn goal2_wholesale_drop_detected_by_neighbor() {
     let enclave = enclave_with_half_drop();
-    let mut neighbor = NeighborVerifier::new(SEED, KEY, 0);
+    let mut neighbor = Verifier::new(LogDirection::Incoming, SEED, KEY, 0);
     for i in 0..1000u32 {
         let t = flow_from(0x0a00_0000, i);
         neighbor.observe(&t);
@@ -171,7 +171,7 @@ fn stale_log_replay_rejected() {
     // Present the round-0 export as if it covered round 1.
     let mut forged = stale.clone();
     forged.round = 1;
-    let victim = VictimVerifier::new(SEED, KEY, 0);
+    let victim = Verifier::new(LogDirection::Outgoing, SEED, KEY, 0);
     assert!(victim.audit(&forged).is_err(), "replayed export must fail");
 }
 
