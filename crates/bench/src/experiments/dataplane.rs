@@ -232,7 +232,7 @@ pub fn fig14(duration_ms: u64) -> String {
                     app.process(t, 0);
                 }
                 app.apply_update_period();
-                app.new_round();
+                app.new_round_for(0);
             });
             let traffic = saturating_traffic(&flows, size, duration_ms, 11);
             let mut stage = EnclaveFilterStage::new(enclave, FilterMode::SgxNearZeroCopy);

@@ -1,10 +1,10 @@
 //! The VIF filter application that lives inside an SGX enclave.
 //!
 //! [`FilterEnclaveApp`] is the protected state of a
-//! [`vif_sgx::Enclave`]`<FilterEnclaveApp>`: rules, packet logs, channel
-//! secrets, and counters. [`EnclaveFilterStage`] adapts it to the
-//! dataplane's [`PacketStage`] seam, standing in for the filter thread
-//! pinned to a CPU core in the paper's Fig. 6.
+//! [`vif_sgx::Enclave`]`<FilterEnclaveApp>`: rules with their per-rule
+//! byte counters, packet logs, and channel secrets. [`EnclaveFilterStage`]
+//! adapts it to the dataplane's [`PacketStage`] seam, standing in for the
+//! filter thread pinned to a CPU core in the paper's Fig. 6.
 
 use crate::cost::FilterMode;
 use crate::filter::{DecisionPath, StatelessFilter, Verdict};
@@ -31,20 +31,6 @@ use vif_trie::Ipv4Prefix;
 /// with: unscoped, it absorbs traffic no tenant's prefix claims, and a
 /// single-victim deployment is simply the one-contract case that names it.
 pub type ContractId = u32;
-
-/// Aggregate counters of an enclave filter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FilterStats {
-    /// Packets processed.
-    pub processed: u64,
-    /// Packets forwarded (ALLOW).
-    pub forwarded: u64,
-    /// Packets dropped (DROP).
-    pub dropped: u64,
-    /// Packets that matched none of this enclave's rules while strict
-    /// scoping was enabled — evidence of load-balancer misbehavior (§IV-B).
-    pub misrouted: u64,
-}
 
 /// A queued rule mutation awaiting epoch publication.
 ///
@@ -152,11 +138,6 @@ fn slot_for_dst(contracts: &[ContractSlot], dst_ip: u32) -> usize {
 #[derive(Debug)]
 pub struct FilterEnclaveApp {
     filter: HybridFilter,
-    /// When true, packets matching no rule are counted as misrouted
-    /// (multi-enclave deployments where the LB must send only matching
-    /// flows, §IV-B).
-    strict_scope: bool,
-    stats: FilterStats,
     /// Reused tuple buffer for the burst path (no per-burst allocation).
     scratch: Vec<FiveTuple>,
     /// Reused per-burst fingerprint buffer: the fingerprint-once pass
@@ -183,8 +164,6 @@ impl FilterEnclaveApp {
         default_slot.owned.extend(0..ruleset.len() as RuleId);
         FilterEnclaveApp {
             filter: HybridFilter::new(StatelessFilter::new(ruleset, secret), 500_000),
-            strict_scope: false,
-            stats: FilterStats::default(),
             scratch: Vec::new(),
             fp_scratch: Vec::new(),
             group_fps: Vec::new(),
@@ -427,11 +406,6 @@ impl FilterEnclaveApp {
         Ok(body.chunks_exact(entry_len))
     }
 
-    /// Enables strict scope checking (cluster deployments).
-    pub fn set_strict_scope(&mut self, strict: bool) {
-        self.strict_scope = strict;
-    }
-
     /// Processes one packet: logs it (into the logs of the contract whose
     /// scope covers the destination), decides it, logs the forwarding.
     pub fn process(&mut self, t: &FiveTuple, wire_bytes: u64) -> Verdict {
@@ -507,20 +481,12 @@ impl FilterEnclaveApp {
     }
 
     /// Post-verdict bookkeeping shared by the single and batch paths:
-    /// rule telemetry, strict-scope accounting, and stats counters (the
-    /// outgoing log is written by the caller — per packet in
-    /// [`process`](FilterEnclaveApp::process), batched in
-    /// [`process_batch`](FilterEnclaveApp::process_batch)).
+    /// credits the verdict's bytes to the rule it matched, the per-rule
+    /// `B_i` that victim policy and re-arbitration read. It is the only
+    /// tally the enclave keeps per packet; the service counts packets.
     fn absorb_verdict(&mut self, wire_bytes: u64, verdict: Verdict) {
         if let Some(rule) = verdict.rule {
             self.filter_ruleset_mut().record_hit(rule, wire_bytes);
-        } else if self.strict_scope {
-            self.stats.misrouted += 1;
-        }
-        self.stats.processed += 1;
-        match verdict.action {
-            RuleAction::Allow => self.stats.forwarded += 1,
-            RuleAction::Drop => self.stats.dropped += 1,
         }
     }
 
@@ -721,11 +687,6 @@ impl FilterEnclaveApp {
         self.publish_epoch = epoch;
     }
 
-    /// Counters.
-    pub fn stats(&self) -> FilterStats {
-        self.stats
-    }
-
     /// The packet logs of one contract.
     ///
     /// # Panics
@@ -764,13 +725,6 @@ impl FilterEnclaveApp {
             .export(direction, &self.contracts[idx].audit_key)
     }
 
-    /// Starts a new filtering round for every contract.
-    pub fn new_round(&mut self) {
-        for slot in &mut self.contracts {
-            slot.logs.new_round();
-        }
-    }
-
     /// Starts a new filtering round for one contract only — other tenants'
     /// in-flight sketches are untouched, so one victim's audit cadence
     /// cannot dirty another's round.
@@ -778,19 +732,6 @@ impl FilterEnclaveApp {
         if let Some(idx) = self.slot_index(contract) {
             self.contracts[idx].logs.new_round();
         }
-    }
-
-    /// Per-rule byte counts (`B_i`), reported to the master enclave during
-    /// rule recalculation (Fig. 5).
-    pub fn rule_bandwidth_report(&self) -> Vec<u64> {
-        self.ruleset().counters().iter().map(|c| c.bytes).collect()
-    }
-
-    /// Resets rule telemetry (after a Fig. 5 repartition round of
-    /// [`PartitionedPool`](crate::scale::partitioned::PartitionedPool);
-    /// an epoch publication restarts it by itself).
-    pub fn reset_rule_counters(&mut self) {
-        self.filter_ruleset_mut().reset_counters();
     }
 
     /// The enclave data working set: rule structures + sketches.
@@ -866,13 +807,6 @@ impl PacketStage for EnclaveFilterStage {
         out.extend(self.verdicts.iter().map(outcome));
     }
 
-    fn process(&mut self, pkt: &Packet) -> StageOutcome {
-        let verdict = self
-            .enclave
-            .in_enclave_thread(|app| app.process(&pkt.tuple, pkt.wire_size as u64));
-        outcome(&verdict)
-    }
-
     fn name(&self) -> &str {
         "vif-enclave-filter"
     }
@@ -917,16 +851,17 @@ mod tests {
     }
 
     #[test]
-    fn processing_updates_logs_and_stats() {
+    fn processing_updates_logs() {
         let mut a = app();
+        let mut dropped = 0;
         for i in 0..10 {
-            a.process(&attack_tuple(i), 64); // dropped
-            a.process(&benign_tuple(i), 64); // allowed
+            for t in [attack_tuple(i), benign_tuple(i)] {
+                if a.process(&t, 64).action == RuleAction::Drop {
+                    dropped += 1;
+                }
+            }
         }
-        let s = a.stats();
-        assert_eq!(s.processed, 20);
-        assert_eq!(s.forwarded, 10);
-        assert_eq!(s.dropped, 10);
+        assert_eq!(dropped, 10);
         assert_eq!(a.logs_of(0).sketch(LogDirection::Incoming).total(), 20);
         assert_eq!(a.logs_of(0).sketch(LogDirection::Outgoing).total(), 10);
     }
@@ -936,22 +871,10 @@ mod tests {
         let mut a = app();
         a.process(&attack_tuple(1), 1500);
         a.process(&attack_tuple(2), 500);
-        assert_eq!(a.rule_bandwidth_report(), vec![2000]);
-        a.reset_rule_counters();
-        assert_eq!(a.rule_bandwidth_report(), vec![0]);
-    }
-
-    #[test]
-    fn strict_scope_counts_misroutes() {
-        let mut a = app();
-        a.set_strict_scope(true);
-        // Traffic to a prefix none of our rules cover.
-        let stray = FiveTuple::new(1, 2, 3, 4, Protocol::Udp);
-        a.process(&stray, 64);
-        assert_eq!(a.stats().misrouted, 1);
-        // Matching traffic is not counted.
-        a.process(&attack_tuple(1), 64);
-        assert_eq!(a.stats().misrouted, 1);
+        // Unmatched traffic is credited to no rule.
+        a.process(&benign_tuple(1), 700);
+        let counters = a.ruleset().counters();
+        assert_eq!((counters[0].packets, counters[0].bytes), (2, 2000));
     }
 
     #[test]
@@ -960,15 +883,17 @@ mod tests {
         let platform = SgxPlatform::new(1, EpcConfig::paper_default(), &root);
         let enclave = Arc::new(platform.launch(EnclaveImage::new("vif", 1, vec![0; 1024]), app()));
         let mut stage = EnclaveFilterStage::new(Arc::clone(&enclave), FilterMode::SgxNearZeroCopy);
-        let drop_pkt = Packet::new(attack_tuple(1), 64, 0, 0);
-        let allow_pkt = Packet::new(benign_tuple(1), 64, 10, 1);
-        let out_drop = stage.process(&drop_pkt);
-        let out_allow = stage.process(&allow_pkt);
-        assert_eq!(out_drop.verdict, StageVerdict::Drop);
-        assert_eq!(out_allow.verdict, StageVerdict::Forward);
-        assert!(!out_drop.hashed && !out_allow.hashed, "deterministic rule");
+        let burst = [
+            Packet::new(attack_tuple(1), 64, 0, 0),
+            Packet::new(benign_tuple(1), 64, 10, 1),
+        ];
+        let mut out = Vec::new();
+        stage.process_batch(&burst, &mut out);
+        let verdicts: Vec<_> = out.iter().map(|o| o.verdict).collect();
+        assert_eq!(verdicts, [StageVerdict::Drop, StageVerdict::Forward]);
+        assert!(out.iter().all(|o| !o.hashed), "deterministic rule");
         // No per-packet ECalls on the data path.
-        assert_eq!(enclave.counters().ecalls, 0);
+        assert_eq!(enclave.ecalls(), 0);
     }
 
     #[test]

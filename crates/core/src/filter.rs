@@ -31,7 +31,7 @@
 //! hash-based verdicts. Every execution must equal this one in the
 //! semantic fields of a [`Verdict`] — the same **action** (what the audit
 //! logs observe) and the same **matched rule** (what drives `B_i`
-//! telemetry and strict-scope accounting), for every tuple, in any order
+//! telemetry and the Fig. 5 pool's misroute count), for every tuple, in any order
 //! and at any burst size. [`DecisionPath`] is execution information: a
 //! cache hit reports [`DecisionPath::Cached`] where the reference reports
 //! [`DecisionPath::HashBased`]. Executions may differ in cost, never in
@@ -223,18 +223,14 @@ impl StatelessFilter {
         }
     }
 
-    /// The Appendix A hash-based connection-preserving decision:
-    /// allow iff `H(5T ‖ secret) < p_allow · 2⁶⁴`.
+    /// `H(5T ‖ secret)` truncated to 64 bits: the input of the Appendix A
+    /// hash-based connection-preserving decision (allow iff it is below
+    /// `p_allow · 2⁶⁴`).
     ///
     /// The 45-byte `5-tuple ‖ secret` message fits one padded SHA-256
     /// block, so the hot path assembles it on the stack and runs a single
     /// compression ([`Sha256::digest_one_block`]) — no streaming-buffer
     /// copies, no hasher state, no allocation.
-    pub fn hash_decision(&self, t: &FiveTuple, p_allow: f64) -> RuleAction {
-        Self::threshold_action(self.hash_threshold(t), p_allow)
-    }
-
-    /// `H(5T ‖ secret)` truncated to 64 bits, via the one-block fast path.
     #[inline]
     fn hash_threshold(&self, t: &FiveTuple) -> u64 {
         let mut msg = [0u8; 45];
@@ -251,17 +247,6 @@ impl StatelessFilter {
         h.update(&self.secret);
         let digest = h.finalize();
         u64::from_le_bytes(digest[..8].try_into().expect("8 bytes"))
-    }
-
-    /// Compares a 64-bit hash value against `p_allow · 2⁶⁴` (recomputed
-    /// here; the data path compares against the install-time constant).
-    #[inline]
-    fn threshold_action(x: u64, p_allow: f64) -> RuleAction {
-        if (x as u128) < allow_threshold(p_allow) {
-            RuleAction::Allow
-        } else {
-            RuleAction::Drop
-        }
     }
 }
 

@@ -50,8 +50,8 @@ pub struct HybridFilter {
     inner: StatelessFilter,
     /// Promoted flows. The *full* verdict (action, matched rule) is
     /// cached so the fast path loses no audit/telemetry information —
-    /// rule byte counts (`B_i`, Fig. 5) and strict-scope accounting keep
-    /// working on cached flows. Keyed by the deterministic fast hasher
+    /// rule byte counts (`B_i`, Fig. 5) and the Fig. 5 pool's misroute
+    /// count keep working on cached flows. Keyed by the deterministic fast hasher
     /// ([`crate::fasthash`]): one multiply-xor round per tuple word
     /// instead of SipHash, the dominant cost of a cache hit.
     exact_cache: FxHashMap<FiveTuple, Verdict>,

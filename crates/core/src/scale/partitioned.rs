@@ -4,13 +4,13 @@
 //! The greedy allocator sizes the pool from per-rule bandwidth estimates
 //! and hands each enclave a slice of the rules. The balancer classifies
 //! each flow against the full rule map and routes it to an enclave that
-//! hosts the matching rule, so every enclave runs with strict scope: a flow
-//! that lands where no rule matches is counted as misrouted (§IV-B). A
-//! balancer that drops flows starves the enclaves' incoming logs, which the
-//! ordinary bypass audit catches (§III-B). [`PartitionedPool::repartition`]
-//! runs the Fig. 5 master–slave round: slaves upload `(R_i, B_i)`, the
-//! master re-solves the partition from the measured bytes, and every
-//! enclave installs its new slice.
+//! hosts the matching rule, so the pool counts, per enclave, every
+//! in-enclave verdict that matched none of that enclave's rules as
+//! misrouted (§IV-B). A balancer that drops flows starves the enclaves'
+//! incoming logs, which the ordinary bypass audit catches (§III-B).
+//! [`PartitionedPool::repartition`] runs the Fig. 5 master–slave round:
+//! slaves upload `(R_i, B_i)`, the master re-solves the partition from the
+//! measured bytes, and every enclave installs its new slice.
 //!
 //! This is a paper experiment, not a serving path: it has no slice
 //! lifecycle, no epoch publication and no quarantine. The live service
@@ -20,6 +20,7 @@ use super::RedistributionReport;
 use crate::enclave_app::FilterEnclaveApp;
 use crate::rules::RuleAction;
 use crate::ruleset::{RuleId, RuleSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use vif_dataplane::FiveTuple;
 use vif_optimizer::{greedy::GreedySolver, ilp::Instance, Allocation};
@@ -46,15 +47,6 @@ struct LoadBalancer {
     n_enclaves: usize,
 }
 
-/// Dispatch outcome for one flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Dispatch {
-    /// Deliver to enclave `i`.
-    To(usize),
-    /// The (malicious) LB dropped the flow.
-    Dropped,
-}
-
 impl LoadBalancer {
     /// Builds a balancer from an allocation over `ruleset`.
     fn new(
@@ -78,46 +70,36 @@ impl LoadBalancer {
         }
     }
 
-    /// Dispatches a flow that matched `rule` (or none) to an enclave.
+    /// Dispatches a flow that matched `rule` (or none) to an enclave, or
+    /// `None` when the (malicious) balancer drops it.
     ///
     /// Split rules hash the flow across their hosting enclaves
     /// proportionally to the allocated bandwidth shares, so a flow always
     /// lands on the same enclave (connection preserving).
-    fn dispatch(&self, rule: Option<RuleId>, t: &FiveTuple) -> Dispatch {
+    fn dispatch(&self, rule: Option<RuleId>, t: &FiveTuple) -> Option<usize> {
         let fp = fingerprint(&t.encode());
-        match self.behavior {
-            LoadBalancerBehavior::DropFraction(f) => {
-                if unit_hash(fp ^ 0xD0D0) < f {
-                    return Dispatch::Dropped;
-                }
-            }
-            LoadBalancerBehavior::MisrouteFraction(f) => {
-                if unit_hash(fp ^ 0xBAD) < f {
-                    // Send to a pseudo-random (likely wrong) enclave.
-                    return Dispatch::To((fp % self.n_enclaves as u64) as usize);
-                }
-            }
-            LoadBalancerBehavior::Honest => {}
-        }
+        let misroute = match self.behavior {
+            LoadBalancerBehavior::DropFraction(f) if unit_hash(fp ^ 0xD0D0) < f => return None,
+            LoadBalancerBehavior::MisrouteFraction(f) => unit_hash(fp ^ 0xBAD) < f,
+            _ => false,
+        };
         let hosts = rule
             .and_then(|r| self.assignment.get(r as usize))
-            .filter(|h| !h.is_empty());
-        match hosts {
+            .filter(|h| !misroute && !h.is_empty());
+        let Some(hosts) = hosts else {
             // Unmatched traffic goes to a hash-picked enclave (it will be
-            // default-allowed wherever it lands).
-            None => Dispatch::To((fp % self.n_enclaves as u64) as usize),
-            Some(hosts) => {
-                let total: f64 = hosts.iter().map(|(_, w)| w).sum();
-                let mut x = unit_hash(fp) * total;
-                for &(enclave, w) in hosts {
-                    if x < w {
-                        return Dispatch::To(enclave);
-                    }
-                    x -= w;
-                }
-                Dispatch::To(hosts.last().expect("non-empty").0)
+            // default-allowed wherever it lands), and so does a flow the
+            // balancer misroutes on purpose (likely the wrong enclave).
+            return Some((fp % self.n_enclaves as u64) as usize);
+        };
+        let mut x = unit_hash(fp) * hosts.iter().map(|(_, w)| w).sum::<f64>();
+        for &(enclave, w) in hosts {
+            if x < w {
+                return Some(enclave);
             }
+            x -= w;
         }
+        Some(hosts.last().expect("non-empty").0)
     }
 }
 
@@ -130,6 +112,11 @@ fn unit_hash(x: u64) -> f64 {
 /// module docs).
 pub struct PartitionedPool {
     enclaves: Vec<Arc<Enclave<FilterEnclaveApp>>>,
+    /// Per enclave: verdicts it returned that matched none of its rules
+    /// (a flow the balancer should not have sent there). Follows its
+    /// enclave: a shrinking repartition drops the retired enclaves'
+    /// counts.
+    misrouted: Vec<AtomicU64>,
     /// Per enclave: the *global* ids of the rules installed there, in the
     /// slice's local rule order. This is the master's source of truth for
     /// mapping slave telemetry back to global rules — matching by rule
@@ -170,6 +157,7 @@ impl PartitionedPool {
         let n = allocation.enclaves.len();
         let mut pool = PartitionedPool {
             enclaves: Vec::new(),
+            misrouted: Vec::new(),
             slices: Vec::new(),
             lb: LoadBalancer::new(ruleset.len(), &allocation, n, behavior),
             ruleset,
@@ -194,22 +182,22 @@ impl PartitionedPool {
     pub fn process(&self, t: &FiveTuple, wire_bytes: u64) -> (RuleAction, Option<usize>) {
         // The LB classifies against the full rule map it was programmed
         // with (it is untrusted but needs the mapping to route).
-        match self.lb.dispatch(self.ruleset.classify(t), t) {
-            Dispatch::Dropped => (RuleAction::Drop, None),
-            Dispatch::To(i) => {
-                let action =
-                    self.enclaves[i].in_enclave_thread(|app| app.process(t, wire_bytes).action);
-                (action, Some(i))
-            }
+        let Some(i) = self.lb.dispatch(self.ruleset.classify(t), t) else {
+            return (RuleAction::Drop, None);
+        };
+        let verdict = self.enclaves[i].in_enclave_thread(|app| app.process(t, wire_bytes));
+        if verdict.rule.is_none() {
+            self.misrouted[i].fetch_add(1, Ordering::Relaxed);
         }
+        (verdict.action, Some(i))
     }
 
     /// Total misrouted-packet count across enclaves (LB misbehavior
     /// evidence, §IV-B).
     pub fn misrouted_total(&self) -> u64 {
-        self.enclaves
+        self.misrouted
             .iter()
-            .map(|e| e.ecall(|app| app.stats().misrouted))
+            .map(|m| m.load(Ordering::Relaxed))
             .sum()
     }
 
@@ -232,11 +220,13 @@ impl PartitionedPool {
         // their own bytes instead of aliasing onto the first equal copy.
         let mut bytes_per_rule = vec![0u64; self.ruleset.len()];
         for (enclave, slice) in self.enclaves.iter().zip(&self.slices) {
-            let report = enclave.ecall(|app| app.rule_bandwidth_report());
-            debug_assert_eq!(report.len(), slice.len(), "slice mapping out of sync");
-            for (&global, bytes) in slice.iter().zip(report.iter()) {
-                bytes_per_rule[global as usize] += bytes;
-            }
+            enclave.ecall(|app| {
+                let counters = app.ruleset().counters();
+                debug_assert_eq!(counters.len(), slice.len(), "slice mapping out of sync");
+                for (&global, c) in slice.iter().zip(counters) {
+                    bytes_per_rule[global as usize] += c.bytes;
+                }
+            });
         }
 
         // Convert byte counts to relative bandwidth (Gb/s scale; absolute
@@ -261,6 +251,7 @@ impl PartitionedPool {
         // receiving rules — modeled by fresh launches).
         let n = allocation.enclaves.len();
         self.enclaves.truncate(n);
+        self.misrouted.truncate(n);
         self.install(&allocation);
         self.lb = LoadBalancer::new(self.ruleset.len(), &allocation, n, self.lb.behavior);
 
@@ -273,9 +264,9 @@ impl PartitionedPool {
         }
     }
 
-    /// Installs `allocation`'s slices with strict scope and fresh rule
-    /// counters, launching enclaves the pool does not have yet, and
-    /// records each slice's global-id mapping for the next round.
+    /// Installs `allocation`'s slices (each a fresh rule set, so its
+    /// counters start at zero), launching enclaves the pool does not have
+    /// yet, and records each slice's global-id mapping for the next round.
     fn install(&mut self, allocation: &Allocation) {
         self.slices = allocation
             .enclaves
@@ -285,18 +276,14 @@ impl PartitionedPool {
         for (i, ids) in self.slices.iter().enumerate() {
             let subset = self.ruleset.subset(ids);
             if i == self.enclaves.len() {
-                let mut app =
+                let app =
                     FilterEnclaveApp::new(subset, self.secret, self.sketch_seed, self.audit_key);
-                app.set_strict_scope(true);
                 self.enclaves
                     .push(Arc::new(self.platform.launch(self.image.clone(), app)));
+                self.misrouted.push(AtomicU64::new(0));
             } else {
                 // The displaced slice comes back out of the ECall.
-                drop(self.enclaves[i].ecall(|app| {
-                    let old = app.install_ruleset(subset);
-                    app.reset_rule_counters();
-                    old
-                }));
+                drop(self.enclaves[i].ecall(|app| app.install_ruleset(subset)));
             }
         }
     }
@@ -315,7 +302,8 @@ mod tests {
         "203.0.113.0/24".parse().unwrap()
     }
 
-    fn pool(k: usize, behavior: LoadBalancerBehavior) -> PartitionedPool {
+    /// A pool of `k` rules sized for `gbps` of uniformly estimated load.
+    fn pool(k: usize, gbps: f64, behavior: LoadBalancerBehavior) -> PartitionedPool {
         let root = AttestationRootKey::new([1u8; 32]);
         let platform = SgxPlatform::new(1, EpcConfig::paper_default(), &root);
         let image = EnclaveImage::new("vif", 1, vec![0; 256]);
@@ -329,7 +317,7 @@ mod tests {
             platform,
             image,
             ruleset,
-            vec![50.0 / k as f64; k],
+            vec![gbps / k as f64; k],
             [7u8; 32],
             99,
             [8u8; 32],
@@ -350,14 +338,14 @@ mod tests {
     #[test]
     fn pool_sized_by_bandwidth() {
         // 50 Gb/s over 10 Gb/s enclaves: at least 5 (λ=0.2 -> 6).
-        let c = pool(100, LoadBalancerBehavior::Honest);
+        let c = pool(100, 50.0, LoadBalancerBehavior::Honest);
         let n = c.enclaves().len();
         assert!(n >= 5, "only {n} enclaves");
     }
 
     #[test]
     fn honest_lb_no_misroutes_and_drops_matching_flows() {
-        let c = pool(50, LoadBalancerBehavior::Honest);
+        let c = pool(50, 50.0, LoadBalancerBehavior::Honest);
         for r in 0..50 {
             for f in 0..4 {
                 let (action, enclave) = c.process(&attack_tuple(r, f), 500);
@@ -370,7 +358,7 @@ mod tests {
 
     #[test]
     fn connection_preserving_dispatch() {
-        let c = pool(20, LoadBalancerBehavior::Honest);
+        let c = pool(20, 50.0, LoadBalancerBehavior::Honest);
         for r in 0..20 {
             let t = attack_tuple(r, 1);
             let (_, first) = c.process(&t, 64);
@@ -383,7 +371,7 @@ mod tests {
 
     #[test]
     fn misrouting_lb_detected() {
-        let c = pool(50, LoadBalancerBehavior::MisrouteFraction(0.5));
+        let c = pool(50, 50.0, LoadBalancerBehavior::MisrouteFraction(0.5));
         for r in 0..50 {
             for f in 0..10 {
                 c.process(&attack_tuple(r, f), 64);
@@ -391,33 +379,36 @@ mod tests {
         }
         assert!(
             c.misrouted_total() > 0,
-            "strict-scope enclaves should catch misrouted flows"
+            "the pool should catch misrouted flows"
         );
     }
 
     #[test]
     fn misrouting_lb_stays_malicious_after_repartition() {
-        let mut c = pool(50, LoadBalancerBehavior::MisrouteFraction(0.3));
+        // Sized for 100 Gb/s, re-solved for the measured (50 Gb/s-scaled)
+        // load: the repartition shrinks the pool, and the retired
+        // enclaves' misroute counts leave with them.
+        let mut c = pool(50, 100.0, LoadBalancerBehavior::MisrouteFraction(0.3));
         for r in 0..50 {
-            c.process(&attack_tuple(r, 0), 64);
-        }
-        c.repartition(0);
-        // Regression: the repartition used to reprogram an honest balancer.
-        let before = c.misrouted_total();
-        for r in 0..50 {
-            for f in 1..10 {
+            for f in 0..4 {
                 c.process(&attack_tuple(r, f), 64);
             }
         }
-        assert!(
-            c.misrouted_total() > before,
-            "fresh traffic after a repartition is still misrouted"
-        );
+        assert_eq!((c.enclaves().len(), c.misrouted_total()), (12, 47));
+        c.repartition(0);
+        assert_eq!((c.enclaves().len(), c.misrouted_total()), (7, 29));
+        // Regression: the repartition used to reprogram an honest balancer.
+        for r in 0..50 {
+            for f in 4..10 {
+                c.process(&attack_tuple(r, f), 64);
+            }
+        }
+        assert_eq!(c.misrouted_total(), 105);
     }
 
     #[test]
     fn dropping_lb_starves_enclave_logs() {
-        let c = pool(20, LoadBalancerBehavior::DropFraction(0.5));
+        let c = pool(20, 50.0, LoadBalancerBehavior::DropFraction(0.5));
         let mut lb_dropped = 0;
         let total = 400;
         for r in 0..20 {
@@ -441,7 +432,7 @@ mod tests {
 
     #[test]
     fn repartition_rebalances_by_measured_load() {
-        let mut c = pool(40, LoadBalancerBehavior::Honest);
+        let mut c = pool(40, 50.0, LoadBalancerBehavior::Honest);
         // Rule 0 carries almost all traffic.
         for f in 0..2000 {
             c.process(&attack_tuple(0, f), 1500);
@@ -522,16 +513,23 @@ mod tests {
 
     #[test]
     fn unmatched_traffic_default_allowed() {
-        let c = pool(10, LoadBalancerBehavior::Honest);
-        let benign = FiveTuple::new(
-            u32::from_be_bytes([9, 9, 9, 9]),
-            u32::from_be_bytes([203, 0, 113, 1]),
-            1,
-            80,
-            Protocol::Tcp,
-        );
-        let (action, enclave) = c.process(&benign, 64);
-        assert_eq!(action, RuleAction::Allow);
-        assert!(enclave.is_some());
+        let c = pool(10, 50.0, LoadBalancerBehavior::Honest);
+        // Even an honest balancer must put unmatched flows somewhere; each
+        // verdict there counts as misrouted, repeated flows included.
+        for _ in 0..2 {
+            for f in 0..20u8 {
+                let benign = FiveTuple::new(
+                    u32::from_be_bytes([9, 9, 9, f]),
+                    u32::from_be_bytes([203, 0, 113, 1]),
+                    1,
+                    80,
+                    Protocol::Tcp,
+                );
+                let (action, enclave) = c.process(&benign, 64);
+                assert_eq!(action, RuleAction::Allow);
+                assert!(enclave.is_some());
+            }
+        }
+        assert_eq!(c.misrouted_total(), 40);
     }
 }

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 use vif_core::prelude::*;
-use vif_core::ruleset::RuleTables;
+use vif_core::ruleset::{RuleCounters, RuleTables};
 use vif_sgx::{AttestationRootKey, EnclaveImage, EpcConfig, SgxPlatform};
 
 fn victim() -> Ipv4Prefix {
@@ -152,7 +152,7 @@ fn a_directly_installed_rule_set_restarts_its_telemetry() {
     let mut seen_traffic = rules;
     seen_traffic.record_hit(1, 1500);
     let displaced = app.install_published_for(0, seen_traffic, &[]);
-    assert_eq!(app.rule_bandwidth_report(), vec![0, 0]);
+    assert_eq!(app.ruleset().counters(), [RuleCounters::default(); 2]);
     assert_eq!(app.epoch_of(0), 1);
     assert!(Arc::ptr_eq(displaced.tables(), app.ruleset().tables()));
 }

@@ -405,7 +405,8 @@ proptest! {
     /// The audit-equivalence bar of the burst logging path: a
     /// `FilterEnclaveApp` fed one burst at a time produces **byte-identical**
     /// authenticated exports (payload and HMAC tag, both directions) to an
-    /// identically-configured app processing the same packets one by one —
+    /// identically-configured app processing the same packets one by one,
+    /// and the same per-rule byte counters (`B_i`) —
     /// and `PacketLogs::log_batch_fingerprints` over both filters' verdicts
     /// matches sequential logging the same way. Burst boundaries are
     /// adversary-controlled; if they could perturb a single exported byte,
@@ -446,6 +447,7 @@ proptest! {
             }
             app
         };
+        let wire = |t: &FiveTuple| 64 + u64::from(t.src_port % 1437);
         for scoped in [false, true] {
             let mut batched = mk_app(scoped);
             let mut sequential = mk_app(scoped);
@@ -455,16 +457,17 @@ proptest! {
             while !rest.is_empty() {
                 let take = bursts[i % bursts.len()].min(rest.len());
                 let (burst, tail) = rest.split_at(take);
-                let pkts: Vec<(FiveTuple, u64)> = burst.iter().map(|t| (*t, 64)).collect();
+                let pkts: Vec<(FiveTuple, u64)> = burst.iter().map(|t| (*t, wire(t))).collect();
                 batched.process_batch(&pkts, &mut verdicts);
                 for (j, t) in burst.iter().enumerate() {
-                    let v = sequential.process(t, 64);
+                    let v = sequential.process(t, wire(t));
                     prop_assert_eq!(verdicts[j], v, "burst verdict != sequential");
                 }
                 rest = tail;
                 i += 1;
             }
-            prop_assert_eq!(batched.stats(), sequential.stats());
+            // The per-rule `B_i` that serving reads.
+            prop_assert_eq!(batched.ruleset().counters(), sequential.ruleset().counters());
             prop_assert_eq!(batched.contract_ids().len(), if scoped { 3 } else { 1 });
             for contract in batched.contract_ids() {
                 for dir in [LogDirection::Incoming, LogDirection::Outgoing] {

@@ -167,7 +167,7 @@ impl FlowSet {
 }
 
 /// Draws one lognormal(μ, σ) sample via Box–Muller.
-pub fn lognormal_sample(rng: &mut impl Rng, mu: f64, sigma: f64) -> f64 {
+fn lognormal_sample(rng: &mut impl Rng, mu: f64, sigma: f64) -> f64 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen();
     let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();

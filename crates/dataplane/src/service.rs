@@ -330,8 +330,8 @@ struct Shared {
     /// flag clears (every `flush_round` clears all stalls, so stalls show
     /// up as backpressure, never as a hung barrier).
     worker_stalled: Vec<AtomicBool>,
-    /// Optional telemetry hub. The handle adds each flushed round's tally
-    /// rows and columns and records control-plane events; workers record
+    /// Optional telemetry hub. The handle adds each settled tally's rows
+    /// and columns and records control-plane events; workers record
     /// only wire sizes, into a stack [`Histogram`] merged at round
     /// barriers. `None` costs one predictable branch per packet.
     telemetry: Option<Arc<TelemetryHub>>,
@@ -482,8 +482,9 @@ impl DataplaneService {
         self
     }
 
-    /// Attaches a telemetry hub. At each flush barrier the handle adds the
-    /// round's per-worker rows and per-contract deltas, the views of its
+    /// Attaches a telemetry hub. At each flush barrier, and once more
+    /// after shutdown, the handle adds the per-worker rows and
+    /// per-contract deltas settled since the last time, the views of its
     /// one round tally, so the hub never counts a packet itself; workers
     /// merge their wire-size histograms. Fault injections, quarantines and
     /// flush barriers land in the hub's flight recorder. Recording is
@@ -610,6 +611,8 @@ impl DataplaneService {
                 h.join().expect("worker thread");
             }
             tx_handle.join().expect("tx thread");
+            // Packets decided after the last barrier still count.
+            handle.settle();
 
             match body_result {
                 Ok(v) => v,
@@ -963,8 +966,21 @@ where
         }
         drop(done);
 
-        // One pass over the tally: a worker's report is its row, a
-        // contract's delta its column, and the hub adds both.
+        self.settle();
+        if let Some(hub) = self.shared.telemetry.as_deref() {
+            hub.set_round(self.seq);
+            let received = self.report.total().received;
+            hub.record_event(EventKind::FlushBarrier, 0, self.seq, received);
+        }
+        &self.report
+    }
+
+    /// Settles the round tally accumulated since the last settle: one pass
+    /// over it makes each worker's report its row and each contract's
+    /// delta its column, and an attached hub adds both. Run by every
+    /// barrier and once more after shutdown, so packets decided after the
+    /// last barrier are counted too.
+    fn settle(&mut self) {
         let slots = self.contract_report.len();
         let hub = self.shared.telemetry.as_deref();
         for d in &mut self.contract_report {
@@ -1006,11 +1022,7 @@ where
                     );
                 }
             }
-            hub.set_round(self.seq);
-            let received = self.report.total().received;
-            hub.record_event(EventKind::FlushBarrier, 0, self.seq, received);
         }
-        &self.report
     }
 
     /// Takes slot `w`'s worker thread out of service: crashes it if it
@@ -2002,6 +2014,29 @@ mod tests {
             workers, totals,
             "hub: counters differ from the round reports"
         );
+    }
+
+    #[test]
+    fn hub_counts_packets_offered_after_the_last_flush() {
+        // The body returns without flushing: the workers still decide
+        // every offered packet before they exit, and the hub must count
+        // each of them, not only their wire sizes.
+        let n = 2;
+        let hub = Arc::new(TelemetryHub::new(n, &[0], 64));
+        let t = traffic(1_000, 5);
+        let stages: Vec<_> = (0..n).map(|_| parity_stage()).collect();
+        DataplaneService::new(ServiceConfig::default())
+            .with_telemetry(Arc::clone(&hub))
+            .run(stages, |_, _| {}, |t| shard_of(t, n), |svc| svc.offer(&t));
+        let snap = hub.snapshot(0);
+        for w in &snap.workers {
+            assert_eq!(w.packets, w.sizes.count(), "worker {}", w.worker);
+        }
+        let packets: u64 = snap.workers.iter().map(|w| w.packets).sum();
+        assert_eq!(packets, t.len() as u64);
+        assert_eq!(snap.contracts[0].received, t.len() as u64);
+        assert_eq!(snap.round, 0, "no round was flushed");
+        assert_eq!(snap.events_recorded, 0, "no barrier was recorded");
     }
 
     #[test]

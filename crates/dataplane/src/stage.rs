@@ -47,7 +47,7 @@ pub struct StageOutcome {
 
 /// A packet-processing stage (the filter in VIF's pipeline).
 ///
-/// The primary entry point is [`process_batch`](PacketStage::process_batch):
+/// The one entry point is [`process_batch`](PacketStage::process_batch):
 /// a worker hands each RX burst to the stage whole, so implementations can
 /// amortize fixed per-packet costs over the burst. Implementations must
 /// uphold the batch invariant (module docs): the verdict for a packet may
@@ -58,14 +58,6 @@ pub trait PacketStage {
     /// implementations append without clearing, so `out[i]` pairs with
     /// `pkts[i]` only when the buffer starts empty.
     fn process_batch(&mut self, pkts: &[Packet], out: &mut Vec<StageOutcome>);
-
-    /// Processes one packet (a burst of one).
-    fn process(&mut self, pkt: &Packet) -> StageOutcome {
-        let mut out = Vec::with_capacity(1);
-        self.process_batch(std::slice::from_ref(pkt), &mut out);
-        out.pop()
-            .expect("process_batch yields one outcome per packet")
-    }
 
     /// Human-readable stage name for reports.
     fn name(&self) -> &str {
@@ -79,9 +71,5 @@ where
 {
     fn process_batch(&mut self, pkts: &[Packet], out: &mut Vec<StageOutcome>) {
         out.extend(pkts.iter().map(self));
-    }
-
-    fn process(&mut self, pkt: &Packet) -> StageOutcome {
-        self(pkt)
     }
 }

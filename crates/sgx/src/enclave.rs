@@ -1,40 +1,11 @@
-//! Enclave launch, isolated execution, and transition accounting.
+//! Enclave launch, isolated execution, and ECall counting.
 
 use crate::attest::{AttestationRootKey, Quote, Report};
-use crate::epc::{EpcConfig, EpcUsage};
+use crate::epc::EpcConfig;
 use crate::measure::{EnclaveImage, Measurement};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use vif_crypto::hmac::HmacSha256;
-
-/// Cost of one ECall (host → enclave) transition in simulated nanoseconds.
-///
-/// Measured SGX world-switch costs are ≈8,000–14,000 cycles; at the paper's
-/// 3.4 GHz filter machine that is ≈3 µs. VIF's data plane pays this once at
-/// startup ("only one ECall to launch the filter thread", §V-A).
-pub const ECALL_COST_NS: u64 = 3_000;
-
-/// Cost of one OCall (enclave → host) transition in simulated nanoseconds.
-///
-/// VIF's filter thread makes zero OCalls; this constant exists so the cost
-/// model can quantify what the optimization saves.
-pub const OCALL_COST_NS: u64 = 3_200;
-
-/// Counters of world switches performed by an enclave.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TransitionCounters {
-    /// Host → enclave calls.
-    pub ecalls: u64,
-    /// Enclave → host calls.
-    pub ocalls: u64,
-}
-
-impl TransitionCounters {
-    /// Total simulated time spent in world switches, in nanoseconds.
-    pub fn transition_time_ns(&self) -> u64 {
-        self.ecalls * ECALL_COST_NS + self.ocalls * OCALL_COST_NS
-    }
-}
 
 /// Takes `m`'s lock, taking over a poisoned one: a closure that panics
 /// inside [`Enclave::ecall`] must not leave the enclave unusable for every
@@ -72,7 +43,8 @@ impl SgxPlatform {
         self.platform_id
     }
 
-    /// The EPC configuration of this platform.
+    /// The EPC configuration of this platform (the budget an enclave's
+    /// working set is held against).
     pub fn epc_config(&self) -> EpcConfig {
         self.epc
     }
@@ -82,19 +54,14 @@ impl SgxPlatform {
     /// The returned [`Enclave`] owns the state; the host can only reach it
     /// through [`Enclave::ecall`].
     pub fn launch<T>(&self, image: EnclaveImage, state: T) -> Enclave<T> {
-        let id = self.next_enclave_id.fetch_add(1, Ordering::Relaxed);
-        let mut epc = EpcUsage::new(self.epc);
-        // The image's code pages are resident for the enclave's lifetime.
-        epc.allocate(image.code_size());
         Enclave {
-            id,
+            id: self.next_enclave_id.fetch_add(1, Ordering::Relaxed),
             measurement: image.measurement(),
             image,
             platform_id: self.platform_id,
             platform_key: self.platform_key,
             state: Mutex::new(state),
-            epc: Mutex::new(epc),
-            counters: Mutex::new(TransitionCounters::default()),
+            ecalls: AtomicU64::new(0),
         }
     }
 }
@@ -102,11 +69,16 @@ impl SgxPlatform {
 /// A running enclave holding protected state `T`.
 ///
 /// Isolation is enforced by construction: `state` is private and only
-/// reachable through [`ecall`], which also counts the transition. This is
-/// the simulation analogue of the hardware guarantee that "a malicious
-/// filtering network cannot tamper" with the filter logic (§III).
+/// reachable through [`ecall`], which also counts the transition, or from
+/// the enclave's own data-path thread ([`in_enclave_thread`], no
+/// transition). This is the simulation analogue of the hardware guarantee
+/// that "a malicious filtering network cannot tamper" with the filter
+/// logic (§III). The ECall count is all the enclave keeps about itself:
+/// tests use it to pin §V-A's "one ECall to launch the filter thread",
+/// i.e. no ECall per packet.
 ///
 /// [`ecall`]: Enclave::ecall
+/// [`in_enclave_thread`]: Enclave::in_enclave_thread
 #[derive(Debug)]
 pub struct Enclave<T> {
     id: u64,
@@ -115,8 +87,7 @@ pub struct Enclave<T> {
     platform_id: u64,
     platform_key: [u8; 32],
     state: Mutex<T>,
-    epc: Mutex<EpcUsage>,
-    counters: Mutex<TransitionCounters>,
+    ecalls: AtomicU64,
 }
 
 impl<T> Enclave<T> {
@@ -139,16 +110,9 @@ impl<T> Enclave<T> {
     ///
     /// Counts one ECall; returns the closure's result.
     pub fn ecall<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        lock(&self.counters).ecalls += 1;
+        self.ecalls.fetch_add(1, Ordering::Relaxed);
         let mut guard = lock(&self.state);
         f(&mut guard)
-    }
-
-    /// Records an OCall made from inside the enclave (the simulation cannot
-    /// intercept host calls made within an `ecall` closure, so enclave
-    /// application code reports them explicitly).
-    pub fn record_ocall(&self) {
-        lock(&self.counters).ocalls += 1;
     }
 
     /// Accesses protected state from the enclave's own data-path thread
@@ -164,19 +128,9 @@ impl<T> Enclave<T> {
         f(&mut guard)
     }
 
-    /// Transition counters so far.
-    pub fn counters(&self) -> TransitionCounters {
-        *lock(&self.counters)
-    }
-
-    /// EPC accounting handle.
-    pub fn with_epc<R>(&self, f: impl FnOnce(&mut EpcUsage) -> R) -> R {
-        f(&mut lock(&self.epc))
-    }
-
-    /// Current EPC access-cost multiplier (see [`EpcUsage`]).
-    pub fn epc_multiplier(&self) -> f64 {
-        lock(&self.epc).access_multiplier()
+    /// ECalls made into this enclave so far.
+    pub fn ecalls(&self) -> u64 {
+        self.ecalls.load(Ordering::Relaxed)
     }
 
     /// Produces an attestation quote binding `report_data` (e.g., the hash
@@ -227,8 +181,10 @@ mod tests {
             v.iter().sum()
         });
         assert_eq!(sum, 6);
-        assert_eq!(e.counters().ecalls, 1);
-        assert_eq!(e.counters().ocalls, 0);
+        assert_eq!(e.ecalls(), 1);
+        // The enclave's own thread enters without a transition.
+        assert_eq!(e.in_enclave_thread(|v| v.len()), 3);
+        assert_eq!(e.ecalls(), 1);
     }
 
     #[test]
@@ -244,19 +200,7 @@ mod tests {
         assert!(caught.is_err());
         assert_eq!(e.ecall(|v| v.clone()), vec![1, 2]);
         assert_eq!(e.in_enclave_thread(|v| v.len()), 2);
-        assert_eq!(e.counters().ecalls, 2);
-    }
-
-    #[test]
-    fn transition_costs() {
-        let c = TransitionCounters {
-            ecalls: 2,
-            ocalls: 3,
-        };
-        assert_eq!(
-            c.transition_time_ns(),
-            2 * ECALL_COST_NS + 3 * OCALL_COST_NS
-        );
+        assert_eq!(e.ecalls(), 2);
     }
 
     #[test]
@@ -265,13 +209,6 @@ mod tests {
         let a = p.launch(EnclaveImage::new("t", 1, vec![]), ());
         let b = p.launch(EnclaveImage::new("t", 1, vec![]), ());
         assert_ne!(a.id(), b.id());
-    }
-
-    #[test]
-    fn code_pages_counted_in_epc() {
-        let (p, _) = platform();
-        let e = p.launch(EnclaveImage::new("t", 1, vec![0; 1 << 20]), ());
-        assert_eq!(e.with_epc(|epc| epc.allocated()), 1 << 20);
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //!
 //! - **Isolated execution** ([`enclave`]): an [`enclave::Enclave`] owns its
 //!   protected state; the untrusted host can reach it *only* through
-//!   explicit `ECall`s, which are counted and charged transition costs —
-//!   reproducing both the integrity guarantee and the performance
-//!   consideration behind VIF's "one ECall, zero OCalls" data-plane design
-//!   (§V-A).
+//!   explicit `ECall`s, which are counted — reproducing the integrity
+//!   guarantee and letting tests pin VIF's "one ECall, zero OCalls"
+//!   data-plane design (§V-A).
 //! - **EPC memory limits** ([`epc`]): the ~92 MB usable Enclave Page Cache
 //!   and a paging-cost model for working sets that exceed it — the
 //!   constraint that caps each filter at ≈3,000 rules (Fig. 3) and drives
@@ -62,7 +61,7 @@ pub mod prelude {
         AttestationError, AttestationLatencyModel, AttestationReport, AttestationRootKey,
         AttestationService, IasVerifier, Quote, Report,
     };
-    pub use crate::enclave::{Enclave, SgxPlatform, TransitionCounters};
+    pub use crate::enclave::{Enclave, SgxPlatform};
     pub use crate::epc::{EpcConfig, EpcUsage};
     pub use crate::measure::{EnclaveImage, Measurement};
 }

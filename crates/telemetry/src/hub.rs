@@ -5,9 +5,10 @@
 //! `Arc` across the service workers, the round driver, the cluster, and
 //! the harness. Nothing touches the hub per packet. The service counts
 //! each packet once, in its own round tally, and at every flush barrier
-//! adds each worker's report row ([`WorkerTelemetry::add_round`]) and each
-//! contract's delta ([`ContractTelemetry::add_round`]) here, so the hub's
-//! counters are views of that one tally. The only thing a worker records
+//! (and once more at shutdown) adds each worker's report row
+//! ([`WorkerTelemetry::add_round`]) and each contract's delta
+//! ([`ContractTelemetry::add_round`]) here, so the hub's counters are
+//! views of that one tally. The only thing a worker records
 //! itself is wire sizes, into a plain [`Histogram`] on its stack that it
 //! merges ([`WorkerTelemetry::merge_sizes`]) once per round. Steady-state
 //! recording is allocation-free and the atomic traffic is O(64) per

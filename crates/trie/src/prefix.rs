@@ -54,11 +54,6 @@ impl Ipv4Prefix {
         self.len
     }
 
-    /// True for the zero-length default route.
-    pub fn is_default(&self) -> bool {
-        self.len == 0
-    }
-
     /// The netmask for a given prefix length.
     pub fn mask(len: u8) -> u32 {
         if len == 0 {

@@ -261,7 +261,7 @@ fn round_rotation_resets_audits() {
     );
     e.in_enclave_thread(|app| app.process(&t, 64));
     assert!(e.ecall(|app| app.logs_of(0).sketch(LogDirection::Incoming).total()) > 0);
-    e.ecall(|app| app.new_round());
+    e.ecall(|app| app.new_round_for(0));
     assert_eq!(
         e.ecall(|app| app.logs_of(0).sketch(LogDirection::Incoming).total()),
         0

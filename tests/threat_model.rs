@@ -166,7 +166,7 @@ fn stale_log_replay_rejected() {
     let t = flow_from(0x0a00_0000, 1);
     enclave.in_enclave_thread(|app| app.process(&t, 64));
     let stale = enclave.ecall(|app| app.export_log_for(0, LogDirection::Outgoing));
-    enclave.ecall(|app| app.new_round());
+    enclave.ecall(|app| app.new_round_for(0));
 
     // Present the round-0 export as if it covered round 1.
     let mut forged = stale.clone();
