@@ -131,6 +131,11 @@ pub fn telemetry(quick: bool) -> String {
         vif_crypto::hex::encode(&Sha256::digest(snap.to_json().as_bytes())),
     ));
     out.push_str(&format!(
+        "snapshot prometheus: {} bytes, sha256 {}\n",
+        snap.to_prometheus().len(),
+        vif_crypto::hex::encode(&Sha256::digest(snap.to_prometheus().as_bytes())),
+    ));
+    out.push_str(&format!(
         "re-run from seed {seed}: {}\n",
         if reproduced {
             "byte-identical (snapshot + trace reproduce)"
