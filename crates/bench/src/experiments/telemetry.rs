@@ -6,8 +6,8 @@
 //!
 //! The run is executed **twice** from the same seed and the artifacts are
 //! compared byte-for-byte: the rendered report includes the SHA-256 of
-//! the binary trace and of the snapshot JSON, so two invocations (or two
-//! machines) can diff reproducibility with one line.
+//! the binary trace and of both snapshot expositions, so two invocations
+//! (or two machines) can diff reproducibility with one line.
 
 use std::sync::Arc;
 use vif_crypto::Sha256;
@@ -70,25 +70,25 @@ pub fn telemetry(quick: bool) -> String {
 
     out.push_str("Per-worker counters at the final round barrier:\n");
     out.push_str("worker   packets  forwarded   filtered  overflow  uncovered  p99 wire (B)\n");
-    for w in &snap.workers {
+    for (i, (w, sizes)) in snap.workers.iter().zip(&snap.worker_sizes).enumerate() {
         out.push_str(&format!(
             "{:>6} {:>9} {:>10} {:>10} {:>9} {:>10} {:>13}\n",
-            w.worker,
-            w.packets,
+            i,
+            w.forwarded + w.filtered,
             w.forwarded,
             w.filtered,
             w.overflow,
             w.uncovered,
-            w.sizes.percentile(99.0),
+            sizes.percentile(99.0),
         ));
     }
 
     out.push_str("\nPer-slice audit counters:\n");
     out.push_str("slice   audits  dirty  quarantines  probations  promotions  demotions\n");
-    for s in &snap.slices {
+    for (i, s) in snap.slices.iter().enumerate() {
         out.push_str(&format!(
             "{:>5} {:>8} {:>6} {:>12} {:>11} {:>11} {:>10}\n",
-            s.slice, s.audits, s.dirty, s.quarantines, s.probations, s.promotions, s.demotions,
+            i, s.audits, s.dirty, s.quarantines, s.probations, s.promotions, s.demotions,
         ));
     }
 

@@ -217,8 +217,8 @@ pub struct ClusterRoundDriver {
     /// Virtual-clock nanoseconds charged to retry backoff.
     backoff_ns: u64,
     /// Optional telemetry hub: audit verdicts, strikes, and export retries
-    /// land in its flight recorder and per-slice counters; closed rounds
-    /// feed its latency histogram.
+    /// land in its flight recorder (which counts the verdicts per slice);
+    /// closed rounds feed its latency histogram.
     telemetry: Option<Arc<TelemetryHub>>,
 }
 
@@ -368,9 +368,9 @@ impl ClusterRoundDriver {
 
     /// Attaches a telemetry hub: each closed round records per-slice
     /// [`EventKind::AuditVerdict`] events (plus strikes, export retries,
-    /// and aborts) in the hub's flight
-    /// recorder, bumps the per-slice audit counters, and feeds the round
-    /// latency histogram with the round's virtual duration including any
+    /// and aborts) in the hub's flight recorder, whose per-slice audit
+    /// counts are counts of those events, and feeds the round latency
+    /// histogram with the round's virtual duration including any
     /// export-retry backoff.
     pub fn set_telemetry(&mut self, hub: Arc<TelemetryHub>) {
         self.telemetry = Some(hub);
@@ -546,9 +546,6 @@ impl ClusterRoundDriver {
                     vbit | nbit,
                     u64::from(on_probation),
                 );
-                if let Some(s) = hub.slice(i) {
-                    s.note_audit(outcome.dirty());
-                }
             }
             if on_probation {
                 self.probation_rounds_used += 1;

@@ -391,10 +391,10 @@ fn decide_batch_is_allocation_free_at_steady_state() {
     // per-worker counters and size histograms, and every barrier left a
     // flush event on the flight recorder.
     let snap = hub.snapshot(16);
-    let recorded: u64 = snap.workers.iter().map(|w| w.packets).sum();
+    let recorded: u64 = snap.workers.iter().map(|w| w.forwarded + w.filtered).sum();
     assert_eq!(recorded, 7 * traffic.len() as u64, "all rounds recorded");
     assert!(
-        snap.workers.iter().all(|w| w.sizes.count() > 0),
+        snap.worker_sizes.iter().all(|sizes| sizes.count() > 0),
         "wire sizes recorded on every worker"
     );
     assert_eq!(snap.events_recorded, 7, "one flush event per barrier");

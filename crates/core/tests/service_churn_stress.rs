@@ -24,8 +24,8 @@ use vif_core::ruleset::{RuleId, RuleSet};
 use vif_core::scale::EnclaveCluster;
 use vif_core::session::{SessionConfig, VictimClient};
 use vif_dataplane::{
-    shard_of, shard_of_fingerprint, DataplaneService, FiveTuple, Packet, PacketStage, Protocol,
-    ServiceConfig, StageOutcome, StageVerdict, ThreadedReport,
+    shard_of, shard_of_fingerprint, DataplaneService, FiveTuple, Packet, PacketCounts, PacketStage,
+    Protocol, ServiceConfig, StageOutcome, StageVerdict,
 };
 use vif_sgx::{AttestationRootKey, AttestationService, EnclaveImage, EpcConfig, SgxPlatform};
 use vif_trie::Ipv4Prefix;
@@ -236,7 +236,7 @@ fn continuous_publish_churn_never_tears_a_burst() {
             |_, pkt| forwarded.lock().unwrap().push(pkt.tuple),
             |t: &FiveTuple| shard_of(t, WORKERS),
             |svc| {
-                let mut total = ThreadedReport::default();
+                let mut total = PacketCounts::default();
                 let mut window = |pkts: &[Packet]| total += svc.round(pkts).total();
                 for pkts in traffic.chunks(WINDOW) {
                     window(pkts);

@@ -60,8 +60,7 @@ pub use nic::LineRate;
 pub use packet::{FiveTuple, Packet, Protocol};
 pub use pktgen::{FlowSet, RateShape, TrafficConfig, TrafficGenerator};
 pub use ring::Ring;
-pub use service::{
-    ContractMap, ContractRoundDelta, DataplaneService, DegradedMode, ServiceConfig, ServiceHandle,
-};
-pub use sharded::{shard_of, shard_of_fingerprint, ShardedReport, ThreadedReport};
+pub use service::{ContractMap, DataplaneService, DegradedMode, ServiceConfig, ServiceHandle};
+pub use sharded::{shard_of, shard_of_fingerprint, ShardedReport};
 pub use stage::{PacketStage, StageOutcome, StageVerdict};
+pub use vif_telemetry::PacketCounts;

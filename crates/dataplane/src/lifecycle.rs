@@ -32,7 +32,7 @@
 use crate::sharded::shard_of_fingerprint;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use vif_telemetry::{EventKind, SliceTelemetry, TelemetryHub};
+use vif_telemetry::{EventKind, TelemetryHub};
 
 /// Consecutive rounds in which every auditing tenant's probation audit
 /// must come back clean before a rejoined slice is steered again.
@@ -229,7 +229,8 @@ impl SliceLifecycle {
 
     /// Attaches a telemetry hub: transitions record their flight-recorder
     /// event ([`EventKind::Quarantine`], `Probation`, `Promote`, `Demote`)
-    /// and per-slice counter once, however many tenants audit the slice.
+    /// once, however many tenants audit the slice; the hub's per-slice
+    /// counts are counts of these events.
     pub fn set_telemetry(&self, hub: Arc<TelemetryHub>) {
         self.ledger().telemetry = Some(hub);
     }
@@ -342,24 +343,15 @@ impl SliceLifecycle {
         ledger.log.push(t);
         if let Some(hub) = &ledger.telemetry {
             let record = |kind, a| hub.record_event(kind, slice as u32, a, 0);
-            let note = |counter: fn(&SliceTelemetry)| hub.slice(slice).map_or((), counter);
             match to {
-                Probation => {
-                    record(EventKind::Probation, attempts);
-                    note(SliceTelemetry::note_probation);
-                }
-                Live => {
-                    record(EventKind::Promote, streak);
-                    note(SliceTelemetry::note_promotion);
-                }
+                Probation => record(EventKind::Probation, attempts),
+                Live => record(EventKind::Promote, streak),
                 Quarantined | Unauditable => {
                     if demoted {
                         record(EventKind::Demote, attempts);
-                        note(SliceTelemetry::note_demotion);
                     }
                     // `a = 1` marks the export-failure origin.
                     record(EventKind::Quarantine, u64::from(to == Unauditable));
-                    note(SliceTelemetry::note_quarantine);
                 }
                 Mute | Crashed => {}
             }

@@ -17,9 +17,12 @@
 //!   with no stop-the-world. When the TX thread has seen one token per
 //!   worker, every packet of the round has been decided *and* delivered to
 //!   the sink, and the handle reports exactly that round. It keeps one
-//!   round tally with a cell per (worker, contract): the per-worker report
-//!   is its rows, [`ServiceHandle::contract_deltas`] its columns, and an
-//!   attached telemetry hub adds both, so each packet is counted once.
+//!   round tally, a [`PacketCounts`] cell per (worker, contract), and
+//!   every report is a view of it: the per-worker report is its rows,
+//!   [`ServiceHandle::contract_deltas`] its columns, and an attached
+//!   telemetry hub adds both to its running sums, so each packet is
+//!   counted once and the five counters are defined once, in
+//!   `vif_telemetry`.
 //!
 //! # Control channel
 //!
@@ -82,14 +85,14 @@
 use crate::lifecycle::{SliceEvent, SliceLifecycle, SliceState};
 use crate::packet::{FiveTuple, Packet};
 use crate::ring::Ring;
-use crate::sharded::{ShardedReport, ThreadedReport};
+use crate::sharded::ShardedReport;
 use crate::stage::{PacketStage, StageVerdict};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::Thread;
 use std::time::Duration;
-use vif_telemetry::{fault, EventKind, Histogram, TelemetryHub};
+use vif_telemetry::{fault, EventKind, Histogram, PacketCounts, TelemetryHub};
 
 /// One message on a worker's RX ring.
 #[derive(Debug, Clone, Copy)]
@@ -241,36 +244,6 @@ fn mask_of(prefix_len: u8) -> u32 {
         0
     } else {
         u32::MAX << (32 - prefix_len as u32)
-    }
-}
-
-/// One contract's share of a flushed round: a column of the same round
-/// tally whose rows are a [`ShardedReport`]'s workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ContractRoundDelta {
-    /// The contract id.
-    pub contract: u32,
-    /// Packets offered for this contract's destinations this round.
-    pub received: u64,
-    /// Packets forwarded this round.
-    pub forwarded: u64,
-    /// Packets filtered (dropped by rules) this round.
-    pub filtered: u64,
-    /// Packets lost to full RX rings this round.
-    pub overflow: u64,
-    /// Packets that bypassed filtering this round because their worker
-    /// was dead or quarantined (see [`DegradedMode`]).
-    pub uncovered: u64,
-}
-
-impl ContractRoundDelta {
-    /// Adds one tally cell of this contract's column.
-    fn add(&mut self, cell: ThreadedReport) {
-        self.received += cell.received;
-        self.forwarded += cell.forwarded;
-        self.filtered += cell.filtered;
-        self.overflow += cell.overflow;
-        self.uncovered += cell.uncovered;
     }
 }
 
@@ -482,14 +455,15 @@ impl DataplaneService {
         self
     }
 
-    /// Attaches a telemetry hub. At each flush barrier, and once more
-    /// after shutdown, the handle adds the per-worker rows and
-    /// per-contract deltas settled since the last time, the views of its
-    /// one round tally, so the hub never counts a packet itself; workers
-    /// merge their wire-size histograms. Fault injections, quarantines and
-    /// flush barriers land in the hub's flight recorder. Recording is
-    /// zero-allocation in steady state and adds one histogram bucket add
-    /// per packet (gated by the `telemetry_overhead` bench).
+    /// Attaches a telemetry hub, built for as many workers as
+    /// [`run`](DataplaneService::run) gets stages. At each flush barrier,
+    /// and once more after shutdown, the handle adds the per-worker rows
+    /// and per-contract deltas settled since the last time, the views of
+    /// its one round tally, so the hub never counts a packet itself;
+    /// workers merge their wire-size histograms. Fault injections,
+    /// quarantines and flush barriers land in the hub's flight recorder.
+    /// Recording is zero-allocation in steady state and adds one histogram
+    /// bucket add per packet (gated by the `telemetry_overhead` bench).
     pub fn with_telemetry(mut self, hub: Arc<TelemetryHub>) -> Self {
         self.telemetry = Some(hub);
         self
@@ -515,9 +489,10 @@ impl DataplaneService {
     ///
     /// # Panics
     ///
-    /// Panics if `stages` is empty or the configuration is degenerate, and
-    /// propagates panics from stages (`"worker thread"`), the sink
-    /// (`"tx thread"`), and `body`.
+    /// Panics if `stages` is empty, the configuration is degenerate, or a
+    /// shared lifecycle table or telemetry hub tracks another number of
+    /// workers, and propagates panics from stages (`"worker thread"`), the
+    /// sink (`"tx thread"`), and `body`.
     pub fn run<S, F, R, T>(
         &self,
         stages: Vec<S>,
@@ -545,6 +520,9 @@ impl DataplaneService {
             Arc::new(private)
         });
         assert_eq!(lifecycle.slices(), n, "one lifecycle entry per worker");
+        if let Some(hub) = &self.telemetry {
+            assert_eq!(hub.worker_count(), n, "one telemetry hub worker per worker");
+        }
         let config = self.config;
         let shared = Shared::new(n, &config, self.contracts.clone(), self.telemetry.clone());
         let c = shared.contracts.contracts().len();
@@ -572,10 +550,10 @@ impl DataplaneService {
                 worker_threads,
                 tx_thread,
                 lifecycle,
-                tally: vec![ThreadedReport::default(); n * c],
+                tally: vec![PacketCounts::default(); n * c],
                 settled: vec![[0; 2]; n * c],
                 report: ShardedReport {
-                    per_worker: vec![ThreadedReport::default(); n],
+                    per_worker: vec![PacketCounts::default(); n],
                     quarantined: vec![false; n],
                 },
                 staged: (0..n).map(|_| Vec::with_capacity(config.burst)).collect(),
@@ -585,10 +563,7 @@ impl DataplaneService {
                     .contracts
                     .contracts()
                     .iter()
-                    .map(|&contract| ContractRoundDelta {
-                        contract,
-                        ..Default::default()
-                    })
+                    .map(|&contract| (contract, PacketCounts::default()))
                     .collect(),
                 seq: 0,
             };
@@ -645,7 +620,7 @@ pub struct ServiceHandle<'scope, 'env, R> {
     /// `Shared::decided`: `received` and `overflow` counted by `offer`,
     /// `uncovered` by the reaps, the decided half read from the workers'
     /// cells at the barrier. Every report is a view of it.
-    tally: Vec<ThreadedReport>,
+    tally: Vec<PacketCounts>,
     /// `Shared::decided` as read at the last flush, so each round's
     /// forwarded/filtered is a delta with no reset on the worker side.
     settled: Vec<[u64; 2]>,
@@ -653,7 +628,7 @@ pub struct ServiceHandle<'scope, 'env, R> {
     /// worker) and columns (one per contract, dense slot order). Flushing
     /// a round is allocation-free.
     report: ShardedReport,
-    contract_report: Vec<ContractRoundDelta>,
+    contract_report: Vec<(u32, PacketCounts)>,
     /// Per-worker staging for one `burst`-sized chunk of an offer: the
     /// packets steered at each worker, and the shadow copies mirrored to
     /// each probation slice. Allocated once; every hand-off drains them.
@@ -982,15 +957,11 @@ where
     /// last barrier are counted too.
     fn settle(&mut self) {
         let slots = self.contract_report.len();
-        let hub = self.shared.telemetry.as_deref();
-        for d in &mut self.contract_report {
-            *d = ContractRoundDelta {
-                contract: d.contract,
-                ..Default::default()
-            };
+        for (_, delta) in &mut self.contract_report {
+            *delta = PacketCounts::default();
         }
         for w in 0..self.n {
-            let mut row = ThreadedReport::default();
+            let mut row = PacketCounts::default();
             for slot in 0..slots {
                 let i = w * slots + slot;
                 let decided = self.shared.decided[i]
@@ -1001,27 +972,13 @@ where
                 cell.filtered = decided[1] - self.settled[i][1];
                 self.settled[i] = decided;
                 row += cell;
-                self.contract_report[slot].add(cell);
+                self.contract_report[slot].1 += cell;
             }
             self.report.per_worker[w] = row;
             self.report.quarantined[w] = !self.lifecycle.state(w).steered();
-            if let Some(hub) = hub.filter(|hub| w < hub.worker_count()) {
-                hub.worker(w)
-                    .add_round(row.forwarded, row.filtered, row.overflow, row.uncovered);
-            }
         }
-        if let Some(hub) = hub {
-            for d in &self.contract_report {
-                if let Some(i) = hub.contract_index(d.contract) {
-                    hub.contract(i).add_round(
-                        d.received,
-                        d.forwarded,
-                        d.filtered,
-                        d.overflow,
-                        d.uncovered,
-                    );
-                }
-            }
+        if let Some(hub) = self.shared.telemetry.as_deref() {
+            hub.add_round(&self.report.per_worker, &self.contract_report);
         }
     }
 
@@ -1086,12 +1043,12 @@ where
         push_tx(self.shared, &mut self.tx_out, &self.tx_thread);
     }
 
-    /// The last flushed round's counters split per tenant contract
-    /// (dense order, default contract 0 first). Like
+    /// The last flushed round's counters split per tenant contract, as
+    /// `(contract id, delta)` in dense order, default contract 0 first. Like
     /// [`flush_round`](ServiceHandle::flush_round)'s report, the slice
     /// points at reused storage — clone entries to keep them past the
     /// next flush.
-    pub fn contract_deltas(&self) -> &[ContractRoundDelta] {
+    pub fn contract_deltas(&self) -> &[(u32, PacketCounts)] {
         &self.contract_report
     }
 
@@ -1207,7 +1164,7 @@ fn worker_loop<S: PacketStage>(
                     // Merge the round's sizes before the token leaves:
                     // the barrier's happens-before edge then covers it.
                     if let Some(hub) = &shared.telemetry {
-                        hub.worker(w).merge_sizes(&mut sizes);
+                        hub.merge_sizes(w, &mut sizes);
                     }
                     tx_out.push(TxMsg::Flush(seq));
                     push_tx(shared, &mut tx_out, &tx_thread);
@@ -1231,7 +1188,7 @@ fn worker_loop<S: PacketStage>(
                     );
                     shadow_run(&mut stage, &mut shadows, &mut outcomes);
                     if let Some(hub) = &shared.telemetry {
-                        hub.worker(w).merge_sizes(&mut sizes);
+                        hub.merge_sizes(w, &mut sizes);
                     }
                     batch.drain(..=i);
                     while !batch.is_empty() {
@@ -1259,7 +1216,7 @@ fn worker_loop<S: PacketStage>(
     // Sizes of packets decided after the last barrier (right before
     // shutdown) still reach the hub.
     if let Some(hub) = &shared.telemetry {
-        hub.worker(w).merge_sizes(&mut sizes);
+        hub.merge_sizes(w, &mut sizes);
     }
 }
 
@@ -1443,6 +1400,16 @@ mod tests {
     use crate::sharded::shard_of;
     use crate::stage::StageOutcome;
 
+    /// The last flushed round's delta of `contract`.
+    fn delta_of<R: FnMut(&FiveTuple) -> usize>(
+        svc: &ServiceHandle<'_, '_, R>,
+        contract: u32,
+    ) -> PacketCounts {
+        let deltas = svc.contract_deltas();
+        let (_, delta) = deltas.iter().find(|(c, _)| *c == contract).expect("mapped");
+        *delta
+    }
+
     fn traffic(count: usize, seed: u64) -> Vec<Packet> {
         let flows = FlowSet::random_toward_victim(64, 7, 3);
         TrafficGenerator::new(seed).generate(
@@ -1515,7 +1482,7 @@ mod tests {
             |t| shard_of(t, 1),
             |svc| {
                 let report = svc.flush_round();
-                assert_eq!(report.total(), ThreadedReport::default());
+                assert_eq!(report.total(), PacketCounts::default());
             },
         );
     }
@@ -1627,10 +1594,8 @@ mod tests {
                         t.push(mk(b_net, 2 * i as u32, 100 + i));
                     }
                     svc.round(&t);
-                    let deltas: Vec<_> = svc.contract_deltas().to_vec();
-                    let a = deltas.iter().find(|d| d.contract == 7).unwrap();
-                    let b = deltas.iter().find(|d| d.contract == 9).unwrap();
-                    let default = deltas.iter().find(|d| d.contract == 0).unwrap();
+                    let (a, b) = (delta_of(svc, 7), delta_of(svc, 9));
+                    let default = delta_of(svc, 0);
                     assert_eq!(a.received, 40);
                     assert_eq!(a.forwarded, 20);
                     assert_eq!(a.filtered, 20);
@@ -1645,18 +1610,7 @@ mod tests {
                         .map(|i| mk(b_net, 2 * i as u32, 200 + i))
                         .collect();
                     svc.round(&t2);
-                    let a2 = svc
-                        .contract_deltas()
-                        .iter()
-                        .find(|d| d.contract == 7)
-                        .cloned()
-                        .unwrap();
-                    let b2 = svc
-                        .contract_deltas()
-                        .iter()
-                        .find(|d| d.contract == 9)
-                        .cloned()
-                        .unwrap();
+                    let (a2, b2) = (delta_of(svc, 7), delta_of(svc, 9));
                     assert_eq!((a2.received, a2.forwarded, a2.filtered), (0, 0, 0));
                     assert_eq!((b2.received, b2.forwarded, b2.filtered), (8, 8, 0));
                 },
@@ -1675,11 +1629,7 @@ mod tests {
                     let t = traffic(500, round);
                     let total = svc.round(&t).total();
                     let deltas = svc.contract_deltas();
-                    assert_eq!(deltas.len(), 1);
-                    assert_eq!(deltas[0].contract, 0);
-                    assert_eq!(deltas[0].received, total.received);
-                    assert_eq!(deltas[0].forwarded, total.forwarded);
-                    assert_eq!(deltas[0].filtered, total.filtered);
+                    assert_eq!(deltas, [(0, total)]);
                 }
             },
         );
@@ -1801,9 +1751,7 @@ mod tests {
                         w0.overflow > 0,
                         "round {round}: no backpressure despite 4x capacity"
                     );
-                    let deltas: Vec<_> = svc.contract_deltas().to_vec();
-                    let a = deltas.iter().find(|d| d.contract == 7).unwrap();
-                    let b = deltas.iter().find(|d| d.contract == 9).unwrap();
+                    let (a, b) = (delta_of(svc, 7), delta_of(svc, 9));
                     // Per-contract overflow equals the worker's overflow
                     // exactly (only contract 7 traffic hits worker 0) and
                     // resets with the round delta — no carry, no loss.
@@ -1896,9 +1844,7 @@ mod tests {
                 );
                 assert_eq!((w1.received, w1.overflow), (to_b, 0));
                 assert_eq!(w1.forwarded + w1.filtered, to_b);
-                let deltas = svc.contract_deltas();
-                let a = deltas.iter().find(|d| d.contract == 7).unwrap();
-                let b = deltas.iter().find(|d| d.contract == 9).unwrap();
+                let (a, b) = (delta_of(svc, 7), delta_of(svc, 9));
                 assert_eq!((a.received, a.overflow), (to_a + 1, w0.overflow));
                 assert_eq!(a.forwarded + a.filtered + a.overflow, a.received);
                 assert_eq!((b.received, b.overflow), (to_b, 0));
@@ -1919,23 +1865,15 @@ mod tests {
         // must conserve packets, while a stall, an overflow storm and a
         // fail-open crash put overflow and uncovered traffic in the mix.
         use crate::packet::Protocol;
-        macro_rules! five {
-            ($r:expr) => {
-                [
-                    $r.received,
-                    $r.forwarded,
-                    $r.filtered,
-                    $r.overflow,
-                    $r.uncovered,
-                ]
-            };
+        fn sum<'a>(rows: impl IntoIterator<Item = &'a PacketCounts>) -> PacketCounts {
+            let mut total = PacketCounts::default();
+            for &row in rows {
+                total += row;
+            }
+            total
         }
-        fn sum(rows: impl IntoIterator<Item = [u64; 5]>) -> [u64; 5] {
-            rows.into_iter()
-                .fold([0; 5], |a, r| std::array::from_fn(|i| a[i] + r[i]))
-        }
-        fn conserves([received, decided @ ..]: [u64; 5]) -> bool {
-            decided.iter().sum::<u64>() == received
+        fn conserves(c: &PacketCounts) -> bool {
+            c.forwarded + c.filtered + c.overflow + c.uncovered == c.received
         }
         let (n, cap) = (3, 64);
         let a_net = u32::from_be_bytes([203, 0, 0, 0]);
@@ -1968,7 +1906,7 @@ mod tests {
                 },
                 |t| t.src_ip as usize % n,
                 |svc| {
-                    let (mut totals, mut fail_open_uncovered) = ([0; 5], 0);
+                    let (mut totals, mut fail_open_uncovered) = (PacketCounts::default(), 0);
                     for round in 0..4 {
                         svc.stall_worker(0, true);
                         svc.inject_overflow_storm(1, cap as u64);
@@ -1976,36 +1914,30 @@ mod tests {
                             svc.inject_crash(2);
                         }
                         let report = svc.round(&t).clone();
-                        let total = five!(report.total());
+                        let total = report.total();
                         let deltas = svc.contract_deltas();
-                        let columns = sum(deltas.iter().map(|d| five!(d)));
+                        let columns = sum(deltas.iter().map(|(_, d)| d));
                         assert_eq!(columns, total, "round {round}: rows and columns differ");
-                        assert!(deltas.iter().all(|d| conserves(five!(d))), "round {round}");
-                        assert!(
-                            report.per_worker.iter().all(|r| conserves(five!(r))),
-                            "round {round}"
-                        );
-                        assert_eq!(total[0], t.len() as u64, "round {round}");
-                        assert_eq!(deltas[2].contract, 9);
-                        fail_open_uncovered += deltas[2].uncovered;
-                        totals = sum([totals, total]);
+                        assert!(deltas.iter().all(|(_, d)| conserves(d)), "round {round}");
+                        assert!(report.per_worker.iter().all(conserves), "round {round}");
+                        assert_eq!(total.received, t.len() as u64, "round {round}");
+                        assert_eq!(deltas[2].0, 9);
+                        fail_open_uncovered += deltas[2].1.uncovered;
+                        totals += total;
                     }
-                    assert!(totals[3] > 0, "no overflow in the mix");
+                    assert!(totals.overflow > 0, "no overflow in the mix");
                     assert!(fail_open_uncovered > 0, "no fail-open uncovered traffic");
                     assert_eq!(
                         delivered.load(Ordering::Relaxed),
-                        totals[1] + fail_open_uncovered,
+                        totals.forwarded + fail_open_uncovered,
                         "the sink saw forwarded plus fail-open residue"
                     );
                     totals
                 },
             );
         let snap = hub.snapshot(0);
-        let workers = sum(snap.workers.iter().map(|w| {
-            let received = w.packets + w.overflow + w.uncovered;
-            [received, w.forwarded, w.filtered, w.overflow, w.uncovered]
-        }));
-        let contracts = sum(snap.contracts.iter().map(|c| five!(c)));
+        let workers = sum(&snap.workers);
+        let contracts = sum(snap.contracts.iter().map(|(_, c)| c));
         assert_eq!(
             workers, contracts,
             "hub: worker sums differ from contract sums"
@@ -2014,6 +1946,19 @@ mod tests {
             workers, totals,
             "hub: counters differ from the round reports"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "one telemetry hub worker per worker")]
+    fn a_hub_with_fewer_workers_than_the_service_is_refused() {
+        // Every worker merges its wire sizes into its own hub row, and
+        // every barrier adds one row per worker: a short hub is refused
+        // up front, not found missing by a worker thread mid-run.
+        let n = 2;
+        let stages: Vec<_> = (0..n).map(|_| parity_stage()).collect();
+        DataplaneService::new(ServiceConfig::default())
+            .with_telemetry(Arc::new(TelemetryHub::new(1, &[0], 16)))
+            .run(stages, |_, _| {}, |t| shard_of(t, n), |_| {});
     }
 
     #[test]
@@ -2029,12 +1974,12 @@ mod tests {
             .with_telemetry(Arc::clone(&hub))
             .run(stages, |_, _| {}, |t| shard_of(t, n), |svc| svc.offer(&t));
         let snap = hub.snapshot(0);
-        for w in &snap.workers {
-            assert_eq!(w.packets, w.sizes.count(), "worker {}", w.worker);
+        for (w, (c, sizes)) in snap.workers.iter().zip(&snap.worker_sizes).enumerate() {
+            assert_eq!(c.forwarded + c.filtered, sizes.count(), "worker {w}");
         }
-        let packets: u64 = snap.workers.iter().map(|w| w.packets).sum();
+        let packets: u64 = snap.workers.iter().map(|c| c.forwarded + c.filtered).sum();
         assert_eq!(packets, t.len() as u64);
-        assert_eq!(snap.contracts[0].received, t.len() as u64);
+        assert_eq!(snap.contracts[0].1.received, t.len() as u64);
         assert_eq!(snap.round, 0, "no round was flushed");
         assert_eq!(snap.events_recorded, 0, "no barrier was recorded");
     }
@@ -2074,13 +2019,7 @@ mod tests {
                     let report = svc.round(&t).clone();
                     assert_eq!(report.total().uncovered, 50);
                     assert_eq!(report.total().forwarded, 0);
-                    let delta = svc
-                        .contract_deltas()
-                        .iter()
-                        .find(|d| d.contract == 7)
-                        .cloned()
-                        .unwrap();
-                    assert_eq!(delta.uncovered, 50);
+                    assert_eq!(delta_of(svc, 7).uncovered, 50);
                     assert_eq!(*sunk.lock().unwrap(), 50, "fail-open must deliver");
                 },
             );

@@ -27,6 +27,8 @@
 //! module holds what the audit layer shares with it: the public steering
 //! hash and the per-worker round counters.
 
+use vif_telemetry::PacketCounts;
+
 /// RSS steering: the worker that owns `t`'s flow in an `n`-way shard.
 ///
 /// Deterministic in the five tuple (connection preserving) and public, so
@@ -59,38 +61,11 @@ pub fn shard_of_fingerprint(tuple_fp: u64, n: usize) -> usize {
     (tuple_fp % n as u64) as usize
 }
 
-/// One worker's counters for one flushed round.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ThreadedReport {
-    /// Packets steered to the worker by the RX stage.
-    pub received: u64,
-    /// Packets forwarded to the TX thread.
-    pub forwarded: u64,
-    /// Packets dropped by filter verdict.
-    pub filtered: u64,
-    /// Packets lost to RX-ring overflow (backpressure).
-    pub overflow: u64,
-    /// Packets that bypassed filtering because their worker was dead or
-    /// quarantined — the degraded-mode accountability counter. Zero on
-    /// every healthy run.
-    pub uncovered: u64,
-}
-
-impl std::ops::AddAssign for ThreadedReport {
-    fn add_assign(&mut self, rhs: Self) {
-        self.received += rhs.received;
-        self.forwarded += rhs.forwarded;
-        self.filtered += rhs.filtered;
-        self.overflow += rhs.overflow;
-        self.uncovered += rhs.uncovered;
-    }
-}
-
-/// Counters from a sharded round: one [`ThreadedReport`] per worker.
+/// Counters from a sharded round: one [`PacketCounts`] row per worker.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardedReport {
     /// Per-worker counters, indexed by worker id.
-    pub per_worker: Vec<ThreadedReport>,
+    pub per_worker: Vec<PacketCounts>,
     /// Per-worker quarantine flags: `true` once the service excised the
     /// worker's slice after a detected death (empty or all-false on
     /// healthy runs).
@@ -113,8 +88,8 @@ impl ShardedReport {
     }
 
     /// Aggregate counters across all workers.
-    pub fn total(&self) -> ThreadedReport {
-        let mut total = ThreadedReport::default();
+    pub fn total(&self) -> PacketCounts {
+        let mut total = PacketCounts::default();
         for &w in &self.per_worker {
             total += w;
         }

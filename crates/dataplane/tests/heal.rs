@@ -8,8 +8,8 @@
 use std::sync::Mutex;
 use vif_dataplane::lifecycle::PROBATION_ROUNDS;
 use vif_dataplane::{
-    shard_of, DataplaneService, FiveTuple, FlowSet, Packet, ServiceConfig, ServiceHandle,
-    SliceEvent, SliceLifecycle, SliceState, ThreadedReport, TrafficConfig, TrafficGenerator,
+    shard_of, DataplaneService, FiveTuple, FlowSet, Packet, PacketCounts, ServiceConfig,
+    ServiceHandle, SliceEvent, SliceLifecycle, SliceState, TrafficConfig, TrafficGenerator,
 };
 use vif_dataplane::{StageOutcome, StageVerdict};
 
@@ -146,7 +146,7 @@ fn conservation_holds_through_crash_probation_flap_and_restore() {
                 svc: &mut ServiceHandle<'_, '_, R>,
                 t: &[Packet],
                 label: &str,
-            ) -> ThreadedReport {
+            ) -> PacketCounts {
                 let r = svc.round(t).total();
                 assert_eq!(
                     r.forwarded + r.filtered + r.overflow + r.uncovered,

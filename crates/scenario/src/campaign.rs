@@ -766,8 +766,8 @@ impl CampaignHarness {
                         }
                         let uncovered = deltas
                             .iter()
-                            .find(|d| d.contract == t.contract)
-                            .map(|d| d.uncovered)
+                            .find(|(c, _)| *c == t.contract)
+                            .map(|(_, d)| d.uncovered)
                             .unwrap_or(0);
                         step_tenant(
                             t,

@@ -263,8 +263,8 @@ fn recover_rejoins_through_probation_and_readmits_the_bumped_contract() {
     // One recovery is one probation and one promotion on the record,
     // however many tenants audited the slice.
     let slice = run.hub.slice(DEAD).expect("slice telemetry");
-    assert_eq!((slice.quarantines(), slice.probations()), (1, 1));
-    assert_eq!((slice.promotions(), slice.demotions()), (1, 0));
+    assert_eq!((slice.quarantines, slice.probations), (1, 1));
+    assert_eq!((slice.promotions, slice.demotions), (1, 0));
     assert_eq!(run.events(EventKind::Quarantine), 1);
     assert_eq!(run.events(EventKind::Probation), 1);
     assert_eq!(run.events(EventKind::Promote), 1);
@@ -317,8 +317,8 @@ fn stale_rejoin_fails_probation_and_is_requarantined_with_backoff() {
     // Two failed attempts are two probations and two demotions on the
     // record — per slice, not per auditing tenant.
     let slice = run.hub.slice(DEAD).expect("slice telemetry");
-    assert_eq!((slice.probations(), slice.demotions()), (2, 2));
-    assert_eq!(slice.promotions(), 0);
+    assert_eq!((slice.probations, slice.demotions), (2, 2));
+    assert_eq!(slice.promotions, 0);
     assert_eq!(run.events(EventKind::Probation), 2);
     assert_eq!(run.events(EventKind::Demote), 2);
     assert_eq!(run.events(EventKind::Promote), 0);

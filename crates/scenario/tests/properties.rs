@@ -15,8 +15,8 @@ use vif_core::ruleset::{RuleId, RuleSet};
 use vif_core::scale::EnclaveCluster;
 use vif_core::session::{SessionConfig, VictimClient};
 use vif_dataplane::{
-    shard_of, shard_of_fingerprint, DataplaneService, FiveTuple, FlowSet, Packet, Protocol,
-    ServiceConfig, ThreadedReport, TrafficConfig, TrafficGenerator,
+    shard_of, shard_of_fingerprint, DataplaneService, FiveTuple, FlowSet, Packet, PacketCounts,
+    Protocol, ServiceConfig, TrafficConfig, TrafficGenerator,
 };
 use vif_scenario::{
     CampaignHarness, Scenario, ScenarioAdversary, ScenarioHarnessConfig, ScenarioReport,
@@ -273,7 +273,7 @@ fn mid_run_publish_keeps_audit_clean() {
                     // A window between two barriers is smaller than one
                     // worker's ring, so no scheduling of the worker
                     // threads can make a ring overflow.
-                    let mut total = ThreadedReport::default();
+                    let mut total = PacketCounts::default();
                     for window in traffic.chunks(RING_CAPACITY / 2) {
                         total += svc.round(window).total();
                     }

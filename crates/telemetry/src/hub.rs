@@ -3,215 +3,72 @@
 //!
 //! The hub is built once (all storage pre-allocated) and shared by
 //! `Arc` across the service workers, the round driver, the cluster, and
-//! the harness. Nothing touches the hub per packet. The service counts
-//! each packet once, in its own round tally, and at every flush barrier
-//! (and once more at shutdown) adds each worker's report row
-//! ([`WorkerTelemetry::add_round`]) and each contract's delta
-//! ([`ContractTelemetry::add_round`]) here, so the hub's counters are
-//! views of that one tally. The only thing a worker records
-//! itself is wire sizes, into a plain [`Histogram`] on its stack that it
-//! merges ([`WorkerTelemetry::merge_sizes`]) once per round. Steady-state
-//! recording is allocation-free and the atomic traffic is O(64) per
-//! worker per round.
+//! the harness. Nothing touches the hub per packet, and it counts each
+//! thing once:
+//!
+//! - **Packets.** The service counts each packet once, in its round
+//!   tally of [`PacketCounts`]. At every flush barrier (and once more at
+//!   shutdown) it hands the hub that round's per-worker rows and
+//!   per-contract deltas ([`TelemetryHub::add_round`]), which the hub
+//!   adds to one atomic mirror of the row per worker and per contract.
+//!   The only thing a worker records itself is wire sizes, into a plain
+//!   [`Histogram`] on its stack that it merges
+//!   ([`TelemetryHub::merge_sizes`]) once per round.
+//! - **Slice events.** [`TelemetryHub::record_event`] counts each event
+//!   it records per (slice, kind), under the recorder lock it already
+//!   takes, so a slice's audit, quarantine, probation, promotion and
+//!   demotion counts are views of the flight recorder that survive its
+//!   wraparound.
+//!
+//! Steady-state recording is allocation-free and the atomic traffic is
+//! O(64) per worker per round.
 //!
 //! Everything the hub aggregates is *deterministic* under a fixed seed:
-//! packet counts, wire sizes, and virtual-clock timestamps.
+//! packet counts, wire sizes, event counts and virtual-clock timestamps.
 //! Scheduling-dependent values (park events, spin counts, burst sizes)
 //! deliberately stay out — they live on the service handle —
-//! so a [`TelemetrySnapshot`](crate::TelemetrySnapshot) is byte-identical
-//! across re-runs of the same seed.
+//! so a [`TelemetrySnapshot`] is byte-identical across re-runs of the
+//! same seed.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use crate::hist::{AtomicHistogram, Histogram};
 use crate::recorder::{Event, EventKind, FlightRecorder};
-use crate::snapshot::{ContractSnapshot, SliceSnapshot, TelemetrySnapshot, WorkerSnapshot};
+use crate::snapshot::{PacketCounts, SliceSnapshot, TelemetrySnapshot};
 
-/// Per-worker shared counters and histograms: the handle adds each flushed
-/// round's report row, the worker merges its wire sizes; readers snapshot
-/// with relaxed loads.
+/// The hub's cumulative storage for one [`PacketCounts`] row: its atomic
+/// mirror, field for field.
 #[derive(Debug, Default)]
-pub struct WorkerTelemetry {
-    forwarded: AtomicU64,
-    filtered: AtomicU64,
-    overflow: AtomicU64,
-    uncovered: AtomicU64,
-    sizes: AtomicHistogram,
-}
+struct AtomicCounts([AtomicU64; 5]);
 
-impl WorkerTelemetry {
-    /// Adds one flushed round's worth of this worker's counters.
-    pub fn add_round(&self, forwarded: u64, filtered: u64, overflow: u64, uncovered: u64) {
-        self.forwarded.fetch_add(forwarded, Ordering::Relaxed);
-        self.filtered.fetch_add(filtered, Ordering::Relaxed);
-        self.overflow.fetch_add(overflow, Ordering::Relaxed);
-        self.uncovered.fetch_add(uncovered, Ordering::Relaxed);
-    }
-
-    /// Merges a worker's local wire-size histogram and clears it. Cheap
-    /// no-op when it is empty.
-    pub fn merge_sizes(&self, sizes: &mut Histogram) {
-        self.sizes.merge_from(sizes);
-        sizes.clear();
-    }
-
-    /// Total packets processed (forwarded + filtered).
-    pub fn packets(&self) -> u64 {
-        self.forwarded() + self.filtered()
-    }
-
-    /// Packets forwarded to the victim.
-    pub fn forwarded(&self) -> u64 {
-        self.forwarded.load(Ordering::Relaxed)
-    }
-
-    /// Packets filtered (dropped by rules).
-    pub fn filtered(&self) -> u64 {
-        self.filtered.load(Ordering::Relaxed)
-    }
-
-    /// Packets lost to full RX rings.
-    pub fn overflow(&self) -> u64 {
-        self.overflow.load(Ordering::Relaxed)
-    }
-
-    /// Packets that bypassed filtering during outages.
-    pub fn uncovered(&self) -> u64 {
-        self.uncovered.load(Ordering::Relaxed)
-    }
-
-    /// Wire-size distribution of processed packets.
-    pub fn sizes(&self) -> Histogram {
-        self.sizes.load()
-    }
-}
-
-/// Per-slice audit-plane counters (slice `i` is the enclave the round
-/// driver audits, mirrored 1:1 onto service worker `i`).
-#[derive(Debug, Default)]
-pub struct SliceTelemetry {
-    audits: AtomicU64,
-    dirty: AtomicU64,
-    quarantines: AtomicU64,
-    probations: AtomicU64,
-    promotions: AtomicU64,
-    demotions: AtomicU64,
-}
-
-impl SliceTelemetry {
-    /// Counts one completed round audit (`dirty` when the verdict failed
-    /// verification).
-    pub fn note_audit(&self, dirty: bool) {
-        self.audits.fetch_add(1, Ordering::Relaxed);
-        if dirty {
-            self.dirty.fetch_add(1, Ordering::Relaxed);
+impl AtomicCounts {
+    fn add(&self, c: &PacketCounts) {
+        let row = [c.received, c.forwarded, c.filtered, c.overflow, c.uncovered];
+        for (cell, v) in self.0.iter().zip(row) {
+            cell.fetch_add(v, Ordering::Relaxed);
         }
     }
 
-    /// Counts one quarantine transition.
-    pub fn note_quarantine(&self) {
-        self.quarantines.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one probation entry.
-    pub fn note_probation(&self) {
-        self.probations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one probation → live promotion.
-    pub fn note_promotion(&self) {
-        self.promotions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one probation → quarantine demotion.
-    pub fn note_demotion(&self) {
-        self.demotions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Round audits completed.
-    pub fn audits(&self) -> u64 {
-        self.audits.load(Ordering::Relaxed)
-    }
-
-    /// Audits that came back dirty.
-    pub fn dirty(&self) -> u64 {
-        self.dirty.load(Ordering::Relaxed)
-    }
-
-    /// Quarantine transitions.
-    pub fn quarantines(&self) -> u64 {
-        self.quarantines.load(Ordering::Relaxed)
-    }
-
-    /// Probation entries.
-    pub fn probations(&self) -> u64 {
-        self.probations.load(Ordering::Relaxed)
-    }
-
-    /// Probation promotions.
-    pub fn promotions(&self) -> u64 {
-        self.promotions.load(Ordering::Relaxed)
-    }
-
-    /// Probation demotions.
-    pub fn demotions(&self) -> u64 {
-        self.demotions.load(Ordering::Relaxed)
+    fn load(&self) -> PacketCounts {
+        let [received, forwarded, filtered, overflow, uncovered] =
+            self.0.each_ref().map(|cell| cell.load(Ordering::Relaxed));
+        PacketCounts {
+            received,
+            forwarded,
+            filtered,
+            overflow,
+            uncovered,
+        }
     }
 }
 
-/// Per-contract (tenant) cumulative counters, mirroring the service's
-/// `ContractRoundDelta` fields.
-#[derive(Debug, Default)]
-pub struct ContractTelemetry {
-    received: AtomicU64,
-    forwarded: AtomicU64,
-    filtered: AtomicU64,
-    overflow: AtomicU64,
-    uncovered: AtomicU64,
-}
-
-impl ContractTelemetry {
-    /// Adds one round's worth of contract deltas.
-    pub fn add_round(
-        &self,
-        received: u64,
-        forwarded: u64,
-        filtered: u64,
-        overflow: u64,
-        uncovered: u64,
-    ) {
-        self.received.fetch_add(received, Ordering::Relaxed);
-        self.forwarded.fetch_add(forwarded, Ordering::Relaxed);
-        self.filtered.fetch_add(filtered, Ordering::Relaxed);
-        self.overflow.fetch_add(overflow, Ordering::Relaxed);
-        self.uncovered.fetch_add(uncovered, Ordering::Relaxed);
-    }
-
-    /// Packets offered for this contract's destinations.
-    pub fn received(&self) -> u64 {
-        self.received.load(Ordering::Relaxed)
-    }
-
-    /// Packets forwarded.
-    pub fn forwarded(&self) -> u64 {
-        self.forwarded.load(Ordering::Relaxed)
-    }
-
-    /// Packets filtered.
-    pub fn filtered(&self) -> u64 {
-        self.filtered.load(Ordering::Relaxed)
-    }
-
-    /// Packets lost to ring overflow.
-    pub fn overflow(&self) -> u64 {
-        self.overflow.load(Ordering::Relaxed)
-    }
-
-    /// Packets that bypassed filtering during outages.
-    pub fn uncovered(&self) -> u64 {
-        self.uncovered.load(Ordering::Relaxed)
-    }
+/// The flight recorder and the per-slice event counts it feeds, kept
+/// under one lock.
+#[derive(Debug)]
+struct Book {
+    recorder: FlightRecorder,
+    slices: Vec<SliceSnapshot>,
 }
 
 /// Default flight-recorder capacity (events retained) when callers don't
@@ -227,12 +84,12 @@ pub struct TelemetryHub {
     clock: AtomicU64,
     /// Current global round, set at the flush barrier.
     round: AtomicU64,
-    workers: Vec<WorkerTelemetry>,
-    slices: Vec<SliceTelemetry>,
+    workers: Vec<AtomicCounts>,
+    worker_sizes: Vec<AtomicHistogram>,
     contract_ids: Vec<u32>,
-    contracts: Vec<ContractTelemetry>,
+    contracts: Vec<AtomicCounts>,
     round_latency: AtomicHistogram,
-    recorder: Mutex<FlightRecorder>,
+    book: Mutex<Book>,
 }
 
 impl TelemetryHub {
@@ -244,15 +101,18 @@ impl TelemetryHub {
         TelemetryHub {
             clock: AtomicU64::new(0),
             round: AtomicU64::new(0),
-            workers: (0..workers).map(|_| WorkerTelemetry::default()).collect(),
-            slices: (0..workers).map(|_| SliceTelemetry::default()).collect(),
+            workers: (0..workers).map(|_| AtomicCounts::default()).collect(),
+            worker_sizes: (0..workers).map(|_| AtomicHistogram::new()).collect(),
             contract_ids: contract_ids.to_vec(),
             contracts: contract_ids
                 .iter()
-                .map(|_| ContractTelemetry::default())
+                .map(|_| AtomicCounts::default())
                 .collect(),
             round_latency: AtomicHistogram::new(),
-            recorder: Mutex::new(FlightRecorder::new(events_capacity)),
+            book: Mutex::new(Book {
+                recorder: FlightRecorder::new(events_capacity),
+                slices: vec![SliceSnapshot::default(); workers],
+            }),
         }
     }
 
@@ -284,9 +144,16 @@ impl TelemetryHub {
         self.round.load(Ordering::Relaxed)
     }
 
+    /// The recorder and slice counts. Nothing panics while holding the
+    /// lock, so a poisoned one is taken over as is.
+    fn book(&self) -> MutexGuard<'_, Book> {
+        self.book.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Records one control-plane event, stamped from the virtual clock
-    /// and current round. Steady-state allocation-free (the recorder ring
-    /// is pre-sized; the mutex is uncontended off the packet path).
+    /// and current round, and counts it against its slice (see
+    /// [`SliceSnapshot`]). Steady-state allocation-free (the recorder
+    /// ring is pre-sized; the mutex is uncontended off the packet path).
     pub fn record_event(&self, kind: EventKind, slice: u32, a: u64, b: u64) {
         let ev = Event {
             t_ns: self.now_ns(),
@@ -296,8 +163,10 @@ impl TelemetryHub {
             a,
             b,
         };
-        if let Ok(mut rec) = self.recorder.lock() {
-            rec.record(ev);
+        let book = &mut *self.book();
+        book.recorder.record(ev);
+        if let Some(counts) = book.slices.get_mut(slice as usize) {
+            counts.count(&ev);
         }
     }
 
@@ -306,29 +175,39 @@ impl TelemetryHub {
         self.workers.len()
     }
 
-    /// Worker `w`'s shared metrics.
+    /// Adds one settled round of the service's tally: `workers` holds one
+    /// row per worker, `contracts` one `(contract id, delta)` per
+    /// contract. Deltas of contracts the hub does not label are not kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one row per hub worker.
+    pub fn add_round(&self, workers: &[PacketCounts], contracts: &[(u32, PacketCounts)]) {
+        assert_eq!(workers.len(), self.workers.len(), "one row per hub worker");
+        for (cell, row) in self.workers.iter().zip(workers) {
+            cell.add(row);
+        }
+        for (id, delta) in contracts {
+            if let Some(i) = self.contract_ids.iter().position(|c| c == id) {
+                self.contracts[i].add(delta);
+            }
+        }
+    }
+
+    /// Merges worker `w`'s local wire-size histogram and clears it. Cheap
+    /// no-op when it is empty.
     ///
     /// # Panics
     ///
     /// Panics if `w` is out of range.
-    pub fn worker(&self, w: usize) -> &WorkerTelemetry {
-        &self.workers[w]
+    pub fn merge_sizes(&self, w: usize, sizes: &mut Histogram) {
+        self.worker_sizes[w].merge_from(sizes);
+        sizes.clear();
     }
 
-    /// Slice `i`'s audit-plane counters, if tracked.
-    pub fn slice(&self, i: usize) -> Option<&SliceTelemetry> {
-        self.slices.get(i)
-    }
-
-    /// Dense index of `contract` in the hub's label set, if registered.
-    pub fn contract_index(&self, contract: u32) -> Option<usize> {
-        self.contract_ids.iter().position(|&c| c == contract)
-    }
-
-    /// Contract counters by dense index (see
-    /// [`contract_index`](TelemetryHub::contract_index)).
-    pub fn contract(&self, idx: usize) -> &ContractTelemetry {
-        &self.contracts[idx]
+    /// Slice `i`'s event counts, if tracked.
+    pub fn slice(&self, i: usize) -> Option<SliceSnapshot> {
+        self.book().slices.get(i).copied()
     }
 
     /// The shared end-to-end round-latency histogram (nanoseconds),
@@ -339,84 +218,50 @@ impl TelemetryHub {
 
     /// Total events ever recorded.
     pub fn events_recorded(&self) -> u64 {
-        self.recorder.lock().map(|r| r.recorded()).unwrap_or(0)
+        self.book().recorder.recorded()
     }
 
     /// Events lost to ring wraparound.
     pub fn events_dropped(&self) -> u64 {
-        self.recorder.lock().map(|r| r.dropped()).unwrap_or(0)
+        self.book().recorder.dropped()
     }
 
     /// The last `n` retained flight-recorder events, oldest first.
     pub fn events_last(&self, n: usize) -> Vec<Event> {
-        self.recorder.lock().map(|r| r.last(n)).unwrap_or_default()
+        self.book().recorder.last(n)
     }
 
     /// The full deterministic binary trace (see
     /// [`FlightRecorder::trace_bytes`]).
     pub fn trace_bytes(&self) -> Vec<u8> {
-        self.recorder
-            .lock()
-            .map(|r| r.trace_bytes())
-            .unwrap_or_default()
+        self.book().recorder.trace_bytes()
     }
 
     /// Aggregates everything into a deterministic [`TelemetrySnapshot`],
     /// carrying the last `events_tail` flight-recorder events. Allocates —
     /// call it at round barriers or at end of run, never per packet.
     pub fn snapshot(&self, events_tail: usize) -> TelemetrySnapshot {
-        let (events, events_recorded, events_dropped) = match self.recorder.lock() {
-            Ok(r) => (r.last(events_tail), r.recorded(), r.dropped()),
-            Err(_) => (Vec::new(), 0, 0),
-        };
+        let book = self.book();
         TelemetrySnapshot {
             t_ns: self.now_ns(),
             round: self.round(),
-            workers: self
-                .workers
+            workers: self.workers.iter().map(AtomicCounts::load).collect(),
+            worker_sizes: self
+                .worker_sizes
                 .iter()
-                .enumerate()
-                .map(|(i, w)| WorkerSnapshot {
-                    worker: i as u32,
-                    packets: w.packets(),
-                    forwarded: w.forwarded(),
-                    filtered: w.filtered(),
-                    overflow: w.overflow(),
-                    uncovered: w.uncovered(),
-                    sizes: w.sizes(),
-                })
+                .map(AtomicHistogram::load)
                 .collect(),
-            slices: self
-                .slices
-                .iter()
-                .enumerate()
-                .map(|(i, s)| SliceSnapshot {
-                    slice: i as u32,
-                    audits: s.audits(),
-                    dirty: s.dirty(),
-                    quarantines: s.quarantines(),
-                    probations: s.probations(),
-                    promotions: s.promotions(),
-                    demotions: s.demotions(),
-                })
-                .collect(),
+            slices: book.slices.clone(),
             contracts: self
                 .contract_ids
                 .iter()
-                .zip(self.contracts.iter())
-                .map(|(&id, c)| ContractSnapshot {
-                    contract: id,
-                    received: c.received(),
-                    forwarded: c.forwarded(),
-                    filtered: c.filtered(),
-                    overflow: c.overflow(),
-                    uncovered: c.uncovered(),
-                })
+                .zip(&self.contracts)
+                .map(|(&id, c)| (id, c.load()))
                 .collect(),
             round_latency: self.round_latency.load(),
-            events_recorded,
-            events_dropped,
-            events,
+            events_recorded: book.recorder.recorded(),
+            events_dropped: book.recorder.dropped(),
+            events: book.recorder.last(events_tail),
         }
     }
 }
@@ -432,16 +277,30 @@ mod tests {
         for v in [64, 1500, 64] {
             sizes.record(v);
         }
-        hub.worker(0).merge_sizes(&mut sizes);
+        hub.merge_sizes(0, &mut sizes);
         assert_eq!(sizes.count(), 0, "merging clears the local histogram");
-        hub.worker(0).add_round(2, 1, 4, 5);
-        let w = hub.worker(0);
-        assert_eq!(w.packets(), 3);
-        assert_eq!((w.forwarded(), w.filtered()), (2, 1));
-        assert_eq!((w.overflow(), w.uncovered()), (4, 5));
-        assert_eq!(w.sizes().count(), 3);
-        assert_eq!(w.sizes().max(), 1500);
-        assert_eq!(hub.worker(1).packets(), 0);
+        let row = PacketCounts {
+            received: 3,
+            forwarded: 2,
+            filtered: 1,
+            overflow: 4,
+            uncovered: 5,
+        };
+        hub.add_round(&[row, PacketCounts::default()], &[]);
+        hub.add_round(&[row, PacketCounts::default()], &[]);
+        let snap = hub.snapshot(0);
+        let mut twice = row;
+        twice += row;
+        assert_eq!(snap.workers, [twice, PacketCounts::default()]);
+        assert_eq!(snap.worker_sizes[0].count(), 3);
+        assert_eq!(snap.worker_sizes[0].max(), 1500);
+        assert_eq!(snap.worker_sizes[1].count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "one row per hub worker")]
+    fn a_round_without_a_row_per_worker_panics() {
+        TelemetryHub::for_workers(2).add_round(&[PacketCounts::default()], &[]);
     }
 
     #[test]
@@ -463,15 +322,55 @@ mod tests {
     }
 
     #[test]
+    fn slice_counts_are_event_counts_and_survive_wraparound() {
+        let hub = TelemetryHub::new(2, &[0], 4);
+        for verdict in [0, 1, 2, 3, 0, 0] {
+            hub.record_event(EventKind::AuditVerdict, 1, verdict, 0);
+        }
+        for kind in [
+            EventKind::Quarantine,
+            EventKind::Probation,
+            EventKind::Demote,
+            EventKind::Quarantine,
+            EventKind::Probation,
+            EventKind::Promote,
+        ] {
+            hub.record_event(kind, 1, 0, 0);
+        }
+        // Other kinds, and slices the hub does not track, count nowhere.
+        hub.record_event(EventKind::Rejoin, 1, 0, 0);
+        hub.record_event(EventKind::Quarantine, 9, 0, 0);
+        assert_eq!(hub.events_dropped(), 10, "the ring kept only 4 of 14");
+
+        let expected = SliceSnapshot {
+            audits: 6,
+            dirty: 3,
+            quarantines: 2,
+            probations: 2,
+            promotions: 1,
+            demotions: 1,
+        };
+        assert_eq!(hub.slice(1), Some(expected));
+        assert_eq!(hub.slice(0), Some(SliceSnapshot::default()));
+        assert_eq!(hub.slice(2), None);
+        let snap = hub.snapshot(0);
+        assert_eq!(snap.slices, [SliceSnapshot::default(), expected]);
+    }
+
+    #[test]
     fn snapshot_labels_contracts_by_id() {
         let hub = TelemetryHub::new(1, &[0, 7, 9], 16);
-        assert_eq!(hub.contract_index(7), Some(1));
-        assert_eq!(hub.contract_index(5), None);
-        hub.contract(1).add_round(10, 6, 4, 0, 0);
+        let delta = PacketCounts {
+            received: 10,
+            forwarded: 6,
+            filtered: 4,
+            ..Default::default()
+        };
+        hub.add_round(&[PacketCounts::default()], &[(7, delta), (5, delta)]);
         let snap = hub.snapshot(4);
-        assert_eq!(snap.contracts.len(), 3);
-        assert_eq!(snap.contracts[1].contract, 7);
-        assert_eq!(snap.contracts[1].received, 10);
-        assert_eq!(snap.contracts[2].received, 0);
+        let ids: Vec<u32> = snap.contracts.iter().map(|&(id, _)| id).collect();
+        assert_eq!(ids, [0, 7, 9]);
+        assert_eq!(snap.contracts[1].1, delta);
+        assert_eq!(snap.contracts[2].1, PacketCounts::default());
     }
 }

@@ -2,6 +2,12 @@
 //! [`TelemetryHub`](crate::TelemetryHub) with Prometheus-style text and
 //! machine-readable JSON expositions.
 //!
+//! A snapshot has three labeled row families: workers and contracts are
+//! [`PacketCounts`] rows, slices are [`SliceSnapshot`] rows. Each family
+//! has one column table (key, help text, accessor), and both expositions
+//! walk it, so a new counter is one table row. The key names the JSON
+//! field and the Prometheus family `vif_<label>_<key>_total`.
+//!
 //! Snapshots contain only seed-deterministic values (see the hub module
 //! docs), so comparing two snapshots with `==` — or diffing their
 //! [`to_json`](TelemetrySnapshot::to_json) bytes — is a reproducibility
@@ -9,62 +15,78 @@
 //! integer-only values; no float formatting, no map iteration order, no
 //! locale can perturb the bytes.
 
-use crate::hist::{bucket_upper_bound, Histogram, BUCKETS};
-use crate::recorder::Event;
+use std::fmt::Write;
+use std::ops::AddAssign;
 
-/// One worker's aggregated dataplane metrics.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerSnapshot {
-    /// Worker index.
-    pub worker: u32,
-    /// Packets processed (forwarded + filtered).
-    pub packets: u64,
-    /// Packets forwarded to the victim.
+use crate::hist::{bucket_upper_bound, Histogram, BUCKETS};
+use crate::recorder::{Event, EventKind};
+
+/// The five packet counters, defined once. The service's round tally is
+/// a grid of these, one per (worker, contract); a worker's round report
+/// is a row of it, a contract's round delta a column, and the hub and
+/// the snapshot keep the running sums of both.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PacketCounts {
+    /// Packets offered (steered to the worker, or addressed to the
+    /// contract's destinations).
+    pub received: u64,
+    /// Packets forwarded toward the victim.
     pub forwarded: u64,
-    /// Packets filtered (dropped by rules).
+    /// Packets dropped by filter verdict.
     pub filtered: u64,
-    /// Packets lost to full RX rings.
+    /// Packets lost to full RX rings (backpressure).
     pub overflow: u64,
-    /// Packets that bypassed filtering during outages.
+    /// Packets that bypassed filtering because their worker was dead or
+    /// quarantined — the degraded-mode accountability counter. Zero on
+    /// every healthy run.
     pub uncovered: u64,
-    /// Wire-size distribution of processed packets (bytes).
-    pub sizes: Histogram,
 }
 
-/// One audit slice's control-plane counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
+impl AddAssign for PacketCounts {
+    fn add_assign(&mut self, rhs: Self) {
+        self.received += rhs.received;
+        self.forwarded += rhs.forwarded;
+        self.filtered += rhs.filtered;
+        self.overflow += rhs.overflow;
+        self.uncovered += rhs.uncovered;
+    }
+}
+
+/// One audit slice's counts of the events recorded against it: each
+/// counter counts one [`EventKind`], so the counts are views of the
+/// flight recorder that survive its wraparound.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SliceSnapshot {
-    /// Slice index.
-    pub slice: u32,
-    /// Round audits completed.
+    /// Round audits: [`EventKind::AuditVerdict`] events.
     pub audits: u64,
-    /// Audits that came back dirty.
+    /// Dirty audits: `AuditVerdict` events with non-zero verdict bits.
     pub dirty: u64,
-    /// Quarantine transitions.
+    /// [`EventKind::Quarantine`] events.
     pub quarantines: u64,
-    /// Probation entries.
+    /// [`EventKind::Probation`] events.
     pub probations: u64,
-    /// Probation → live promotions.
+    /// [`EventKind::Promote`] events (probation → live).
     pub promotions: u64,
-    /// Probation → quarantine demotions.
+    /// [`EventKind::Demote`] events (probation → quarantine).
     pub demotions: u64,
 }
 
-/// One tenant contract's cumulative dataplane counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ContractSnapshot {
-    /// The contract id.
-    pub contract: u32,
-    /// Packets offered for this contract's destinations.
-    pub received: u64,
-    /// Packets forwarded.
-    pub forwarded: u64,
-    /// Packets filtered.
-    pub filtered: u64,
-    /// Packets lost to ring overflow.
-    pub overflow: u64,
-    /// Packets that bypassed filtering during outages.
-    pub uncovered: u64,
+impl SliceSnapshot {
+    /// Counts one event recorded against this slice.
+    pub(crate) fn count(&mut self, ev: &Event) {
+        let n = match ev.kind {
+            EventKind::AuditVerdict => {
+                self.dirty += u64::from(ev.a != 0);
+                &mut self.audits
+            }
+            EventKind::Quarantine => &mut self.quarantines,
+            EventKind::Probation => &mut self.probations,
+            EventKind::Promote => &mut self.promotions,
+            EventKind::Demote => &mut self.demotions,
+            _ => return,
+        };
+        *n += 1;
+    }
 }
 
 /// Everything the hub knows, aggregated at a round barrier.
@@ -78,12 +100,15 @@ pub struct TelemetrySnapshot {
     pub t_ns: u64,
     /// Global round at the snapshot.
     pub round: u64,
-    /// Per-worker metrics, worker order.
-    pub workers: Vec<WorkerSnapshot>,
-    /// Per-slice audit counters, slice order.
+    /// Per-worker packet counts, worker order.
+    pub workers: Vec<PacketCounts>,
+    /// Per-worker wire-size distributions of processed packets (bytes),
+    /// worker order.
+    pub worker_sizes: Vec<Histogram>,
+    /// Per-slice event counts, slice order.
     pub slices: Vec<SliceSnapshot>,
-    /// Per-contract counters, hub label order.
-    pub contracts: Vec<ContractSnapshot>,
+    /// Per-contract `(contract id, packet counts)`, hub label order.
+    pub contracts: Vec<(u32, PacketCounts)>,
     /// End-to-end round-latency distribution (nanoseconds).
     pub round_latency: Histogram,
     /// Total flight-recorder events ever recorded.
@@ -94,29 +119,73 @@ pub struct TelemetrySnapshot {
     pub events: Vec<Event>,
 }
 
-/// Writes one Prometheus metric family header.
-fn prom_head(out: &mut String, name: &str, help: &str, kind: &str) {
-    out.push_str("# HELP ");
-    out.push_str(name);
-    out.push(' ');
-    out.push_str(help);
-    out.push_str("\n# TYPE ");
-    out.push_str(name);
-    out.push(' ');
-    out.push_str(kind);
-    out.push('\n');
+/// One exposed counter of a row family: its key (the JSON field, and
+/// the Prometheus family `vif_<label>_<key>_total`), its help text, and
+/// how to read it off a row.
+struct Column<R> {
+    key: &'static str,
+    help: &'static str,
+    read: fn(&R) -> u64,
 }
 
-/// Writes `name{label="value"} v`.
-fn prom_line(out: &mut String, name: &str, label: &str, value: u32, v: u64) {
-    out.push_str(name);
-    out.push('{');
-    out.push_str(label);
-    out.push_str("=\"");
-    out.push_str(&value.to_string());
-    out.push_str("\"} ");
-    out.push_str(&v.to_string());
-    out.push('\n');
+const fn col<R>(key: &'static str, help: &'static str, read: fn(&R) -> u64) -> Column<R> {
+    Column { key, help, read }
+}
+
+// One row per exposed counter, in exposition order.
+#[rustfmt::skip]
+const WORKER_COLUMNS: [Column<PacketCounts>; 5] = [
+    col("packets", "Packets processed per worker", |c| c.forwarded + c.filtered),
+    col("forwarded", "Packets forwarded per worker", |c| c.forwarded),
+    col("filtered", "Packets filtered per worker", |c| c.filtered),
+    col("overflow", "Ring-overflow drops per worker", |c| c.overflow),
+    col("uncovered", "Packets bypassing filtering during outages per worker", |c| c.uncovered),
+];
+
+#[rustfmt::skip]
+const SLICE_COLUMNS: [Column<SliceSnapshot>; 6] = [
+    col("audits", "Round audits per slice", |s| s.audits),
+    col("dirty", "Dirty audits per slice", |s| s.dirty),
+    col("quarantines", "Quarantine transitions per slice", |s| s.quarantines),
+    col("probations", "Probation entries per slice", |s| s.probations),
+    col("promotions", "Probation promotions per slice", |s| s.promotions),
+    col("demotions", "Probation demotions per slice", |s| s.demotions),
+];
+
+#[rustfmt::skip]
+const CONTRACT_COLUMNS: [Column<PacketCounts>; 5] = [
+    col("received", "Packets offered per contract", |c| c.received),
+    col("forwarded", "Packets forwarded per contract", |c| c.forwarded),
+    col("filtered", "Packets filtered per contract", |c| c.filtered),
+    col("overflow", "Ring-overflow drops per contract", |c| c.overflow),
+    col("uncovered", "Packets bypassing filtering during outages per contract", |c| c.uncovered),
+];
+
+/// Rows labeled by their index.
+fn indexed<R>(rows: &[R]) -> impl Iterator<Item = (u32, &R)> + Clone {
+    rows.iter().enumerate().map(|(i, r)| (i as u32, r))
+}
+
+/// Writes one Prometheus metric family header.
+fn prom_head(out: &mut String, name: &str, help: &str, kind: &str) {
+    let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+}
+
+/// Writes one counter family per column, each with a
+/// `vif_<label>_<key>_total{<label>="id"} v` line per row.
+fn prom_family<'a, R: 'a>(
+    out: &mut String,
+    label: &str,
+    columns: &[Column<R>],
+    rows: impl Iterator<Item = (u32, &'a R)> + Clone,
+) {
+    for col in columns {
+        let name = format!("vif_{label}_{}_total", col.key);
+        prom_head(out, &name, col.help, "counter");
+        for (id, row) in rows.clone() {
+            let _ = writeln!(out, "{name}{{{label}=\"{id}\"}} {}", (col.read)(row));
+        }
+    }
 }
 
 /// Appends a histogram in Prometheus histogram exposition (cumulative
@@ -125,37 +194,50 @@ fn prom_line(out: &mut String, name: &str, label: &str, value: u32, v: u64) {
 fn prom_histogram(out: &mut String, name: &str, help: &str, h: &Histogram) {
     prom_head(out, name, help, "histogram");
     let mut cum = 0u64;
-    for b in 0..BUCKETS {
-        let n = h.buckets()[b];
-        if n == 0 {
-            continue;
-        }
-        cum += n;
-        out.push_str(name);
-        out.push_str("_bucket{le=\"");
-        out.push_str(&bucket_upper_bound(b).to_string());
-        out.push_str("\"} ");
-        out.push_str(&cum.to_string());
-        out.push('\n');
+    for b in (0..BUCKETS).filter(|&b| h.buckets()[b] > 0) {
+        cum += h.buckets()[b];
+        let _ = writeln!(
+            out,
+            "{name}_bucket{{le=\"{}\"}} {cum}",
+            bucket_upper_bound(b)
+        );
     }
-    out.push_str(name);
-    out.push_str("_bucket{le=\"+Inf\"} ");
-    out.push_str(&h.count().to_string());
-    out.push('\n');
-    out.push_str(name);
-    out.push_str("_sum ");
-    out.push_str(&h.sum().to_string());
-    out.push('\n');
-    out.push_str(name);
-    out.push_str("_count ");
-    out.push_str(&h.count().to_string());
-    out.push('\n');
+    let (count, sum) = (h.count(), h.sum());
+    let _ = writeln!(
+        out,
+        "{name}_bucket{{le=\"+Inf\"}} {count}\n{name}_sum {sum}\n{name}_count {count}"
+    );
+}
+
+/// Appends `"<label>s":[{"<label>":id,"<key>":v,…},…]`, with `tail`
+/// writing any fields that follow the columns of row `i`.
+fn json_family<'a, R: 'a>(
+    out: &mut String,
+    label: &str,
+    columns: &[Column<R>],
+    rows: impl Iterator<Item = (u32, &'a R)>,
+    tail: impl Fn(&mut String, usize),
+) {
+    let _ = write!(out, "\"{label}s\":[");
+    for (i, (id, row)) in rows.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{{\"{label}\":{id}");
+        for col in columns {
+            let _ = write!(out, ",\"{}\":{}", col.key, (col.read)(row));
+        }
+        tail(out, i);
+        out.push('}');
+    }
+    out.push(']');
 }
 
 /// Appends a histogram's JSON object: exact count/sum/min/max plus
 /// bucket-resolution p50/p90/p99 (all integers, deterministic).
 fn json_histogram(out: &mut String, h: &Histogram) {
-    out.push_str(&format!(
+    let _ = write!(
+        out,
         "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
         h.count(),
         h.sum(),
@@ -164,284 +246,48 @@ fn json_histogram(out: &mut String, h: &Histogram) {
         h.percentile(50.0),
         h.percentile(90.0),
         h.percentile(99.0),
-    ));
+    );
 }
 
 impl TelemetrySnapshot {
+    fn contract_rows(&self) -> impl Iterator<Item = (u32, &PacketCounts)> + Clone {
+        self.contracts.iter().map(|(id, c)| (*id, c))
+    }
+
     /// Prometheus-style text exposition: counters labeled per worker,
     /// per slice, and per contract, plus the round-latency histogram.
     /// Stable output: same snapshot ⇒ same bytes.
     pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "# vif telemetry round={} t_ns={}\n",
-            self.round, self.t_ns
-        ));
-
-        prom_head(
+        let mut out = format!("# vif telemetry round={} t_ns={}\n", self.round, self.t_ns);
+        prom_family(&mut out, "worker", &WORKER_COLUMNS, indexed(&self.workers));
+        prom_family(&mut out, "slice", &SLICE_COLUMNS, indexed(&self.slices));
+        prom_family(
             &mut out,
-            "vif_worker_packets_total",
-            "Packets processed per worker",
-            "counter",
+            "contract",
+            &CONTRACT_COLUMNS,
+            self.contract_rows(),
         );
-        for w in &self.workers {
-            prom_line(
-                &mut out,
-                "vif_worker_packets_total",
-                "worker",
-                w.worker,
-                w.packets,
-            );
-        }
-        prom_head(
-            &mut out,
-            "vif_worker_forwarded_total",
-            "Packets forwarded per worker",
-            "counter",
-        );
-        for w in &self.workers {
-            prom_line(
-                &mut out,
-                "vif_worker_forwarded_total",
-                "worker",
-                w.worker,
-                w.forwarded,
-            );
-        }
-        prom_head(
-            &mut out,
-            "vif_worker_filtered_total",
-            "Packets filtered per worker",
-            "counter",
-        );
-        for w in &self.workers {
-            prom_line(
-                &mut out,
-                "vif_worker_filtered_total",
-                "worker",
-                w.worker,
-                w.filtered,
-            );
-        }
-        prom_head(
-            &mut out,
-            "vif_worker_overflow_total",
-            "Ring-overflow drops per worker",
-            "counter",
-        );
-        for w in &self.workers {
-            prom_line(
-                &mut out,
-                "vif_worker_overflow_total",
-                "worker",
-                w.worker,
-                w.overflow,
-            );
-        }
-        prom_head(
-            &mut out,
-            "vif_worker_uncovered_total",
-            "Packets bypassing filtering during outages per worker",
-            "counter",
-        );
-        for w in &self.workers {
-            prom_line(
-                &mut out,
-                "vif_worker_uncovered_total",
-                "worker",
-                w.worker,
-                w.uncovered,
-            );
-        }
-
-        prom_head(
-            &mut out,
-            "vif_slice_audits_total",
-            "Round audits per slice",
-            "counter",
-        );
-        for s in &self.slices {
-            prom_line(
-                &mut out,
-                "vif_slice_audits_total",
-                "slice",
-                s.slice,
-                s.audits,
-            );
-        }
-        prom_head(
-            &mut out,
-            "vif_slice_dirty_total",
-            "Dirty audits per slice",
-            "counter",
-        );
-        for s in &self.slices {
-            prom_line(&mut out, "vif_slice_dirty_total", "slice", s.slice, s.dirty);
-        }
-        prom_head(
-            &mut out,
-            "vif_slice_quarantines_total",
-            "Quarantine transitions per slice",
-            "counter",
-        );
-        for s in &self.slices {
-            prom_line(
-                &mut out,
-                "vif_slice_quarantines_total",
-                "slice",
-                s.slice,
-                s.quarantines,
-            );
-        }
-        prom_head(
-            &mut out,
-            "vif_slice_probations_total",
-            "Probation entries per slice",
-            "counter",
-        );
-        for s in &self.slices {
-            prom_line(
-                &mut out,
-                "vif_slice_probations_total",
-                "slice",
-                s.slice,
-                s.probations,
-            );
-        }
-        prom_head(
-            &mut out,
-            "vif_slice_promotions_total",
-            "Probation promotions per slice",
-            "counter",
-        );
-        for s in &self.slices {
-            prom_line(
-                &mut out,
-                "vif_slice_promotions_total",
-                "slice",
-                s.slice,
-                s.promotions,
-            );
-        }
-        prom_head(
-            &mut out,
-            "vif_slice_demotions_total",
-            "Probation demotions per slice",
-            "counter",
-        );
-        for s in &self.slices {
-            prom_line(
-                &mut out,
-                "vif_slice_demotions_total",
-                "slice",
-                s.slice,
-                s.demotions,
-            );
-        }
-
-        prom_head(
-            &mut out,
-            "vif_contract_received_total",
-            "Packets offered per contract",
-            "counter",
-        );
-        for c in &self.contracts {
-            prom_line(
-                &mut out,
-                "vif_contract_received_total",
-                "contract",
-                c.contract,
-                c.received,
-            );
-        }
-        prom_head(
-            &mut out,
-            "vif_contract_forwarded_total",
-            "Packets forwarded per contract",
-            "counter",
-        );
-        for c in &self.contracts {
-            prom_line(
-                &mut out,
-                "vif_contract_forwarded_total",
-                "contract",
-                c.contract,
-                c.forwarded,
-            );
-        }
-        prom_head(
-            &mut out,
-            "vif_contract_filtered_total",
-            "Packets filtered per contract",
-            "counter",
-        );
-        for c in &self.contracts {
-            prom_line(
-                &mut out,
-                "vif_contract_filtered_total",
-                "contract",
-                c.contract,
-                c.filtered,
-            );
-        }
-        prom_head(
-            &mut out,
-            "vif_contract_overflow_total",
-            "Ring-overflow drops per contract",
-            "counter",
-        );
-        for c in &self.contracts {
-            prom_line(
-                &mut out,
-                "vif_contract_overflow_total",
-                "contract",
-                c.contract,
-                c.overflow,
-            );
-        }
-        prom_head(
-            &mut out,
-            "vif_contract_uncovered_total",
-            "Packets bypassing filtering during outages per contract",
-            "counter",
-        );
-        for c in &self.contracts {
-            prom_line(
-                &mut out,
-                "vif_contract_uncovered_total",
-                "contract",
-                c.contract,
-                c.uncovered,
-            );
-        }
-
         prom_histogram(
             &mut out,
             "vif_round_latency_ns",
             "End-to-end audited round latency (virtual nanoseconds)",
             &self.round_latency,
         );
-
-        prom_head(
-            &mut out,
-            "vif_events_recorded_total",
-            "Flight-recorder events recorded",
-            "counter",
-        );
-        out.push_str(&format!(
-            "vif_events_recorded_total {}\n",
-            self.events_recorded
-        ));
-        prom_head(
-            &mut out,
-            "vif_events_dropped_total",
-            "Flight-recorder events lost to wraparound",
-            "counter",
-        );
-        out.push_str(&format!(
-            "vif_events_dropped_total {}\n",
-            self.events_dropped
-        ));
+        for (name, help, v) in [
+            (
+                "vif_events_recorded_total",
+                "Flight-recorder events recorded",
+                self.events_recorded,
+            ),
+            (
+                "vif_events_dropped_total",
+                "Flight-recorder events lost to wraparound",
+                self.events_dropped,
+            ),
+        ] {
+            prom_head(&mut out, name, help, "counter");
+            let _ = writeln!(out, "{name} {v}");
+        }
         out
     }
 
@@ -449,63 +295,47 @@ impl TelemetrySnapshot {
     /// order and integer-only values so the bytes are deterministic:
     /// same seed ⇒ identical JSON across runs.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"t_ns\":{},\"round\":{},",
-            self.t_ns, self.round
-        ));
-
-        out.push_str("\"workers\":[");
-        for (i, w) in self.workers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"worker\":{},\"packets\":{},\"forwarded\":{},\"filtered\":{},\"overflow\":{},\"uncovered\":{},\"sizes\":",
-                w.worker, w.packets, w.forwarded, w.filtered, w.overflow, w.uncovered,
-            ));
-            json_histogram(&mut out, &w.sizes);
-            out.push('}');
-        }
-        out.push_str("],");
-
-        out.push_str("\"slices\":[");
-        for (i, s) in self.slices.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"slice\":{},\"audits\":{},\"dirty\":{},\"quarantines\":{},\"probations\":{},\"promotions\":{},\"demotions\":{}}}",
-                s.slice, s.audits, s.dirty, s.quarantines, s.probations, s.promotions, s.demotions,
-            ));
-        }
-        out.push_str("],");
-
-        out.push_str("\"contracts\":[");
-        for (i, c) in self.contracts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"contract\":{},\"received\":{},\"forwarded\":{},\"filtered\":{},\"overflow\":{},\"uncovered\":{}}}",
-                c.contract, c.received, c.forwarded, c.filtered, c.overflow, c.uncovered,
-            ));
-        }
-        out.push_str("],");
-
-        out.push_str("\"round_latency\":");
+        let mut out = format!("{{\"t_ns\":{},\"round\":{},", self.t_ns, self.round);
+        let sizes = |out: &mut String, i: usize| {
+            out.push_str(",\"sizes\":");
+            json_histogram(out, &self.worker_sizes[i]);
+        };
+        json_family(
+            &mut out,
+            "worker",
+            &WORKER_COLUMNS,
+            indexed(&self.workers),
+            sizes,
+        );
+        out.push(',');
+        json_family(
+            &mut out,
+            "slice",
+            &SLICE_COLUMNS,
+            indexed(&self.slices),
+            |_, _| {},
+        );
+        out.push(',');
+        json_family(
+            &mut out,
+            "contract",
+            &CONTRACT_COLUMNS,
+            self.contract_rows(),
+            |_, _| {},
+        );
+        out.push_str(",\"round_latency\":");
         json_histogram(&mut out, &self.round_latency);
-        out.push_str(&format!(
-            ",\"events_recorded\":{},\"events_dropped\":{},",
+        let _ = write!(
+            out,
+            ",\"events_recorded\":{},\"events_dropped\":{},\"events\":[",
             self.events_recorded, self.events_dropped
-        ));
-
-        out.push_str("\"events\":[");
+        );
         for (i, e) in self.events.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 "{{\"t_ns\":{},\"round\":{},\"kind\":\"{}\",\"slice\":{},\"a\":{},\"b\":{}}}",
                 e.t_ns,
                 e.round,
@@ -513,7 +343,7 @@ impl TelemetrySnapshot {
                 e.slice,
                 e.a,
                 e.b,
-            ));
+            );
         }
         out.push_str("]}");
         out
@@ -522,6 +352,7 @@ impl TelemetrySnapshot {
 
 #[cfg(test)]
 mod tests {
+    use super::PacketCounts;
     use crate::hub::TelemetryHub;
     use crate::recorder::EventKind;
 
@@ -532,11 +363,21 @@ mod tests {
         let mut sizes = crate::hist::Histogram::new();
         sizes.record(64);
         sizes.record(1500);
-        hub.worker(0).merge_sizes(&mut sizes);
-        hub.worker(0).add_round(1, 1, 0, 0);
-        hub.worker(1).add_round(0, 0, 3, 0);
-        hub.slice(0).unwrap().note_audit(true);
-        hub.contract(1).add_round(2, 1, 1, 0, 0);
+        hub.merge_sizes(0, &mut sizes);
+        let row = |forwarded, filtered, overflow| PacketCounts {
+            forwarded,
+            filtered,
+            overflow,
+            ..Default::default()
+        };
+        let delta = PacketCounts {
+            received: 2,
+            forwarded: 1,
+            filtered: 1,
+            ..Default::default()
+        };
+        hub.add_round(&[row(1, 1, 0), row(0, 0, 3)], &[(7, delta)]);
+        hub.record_event(EventKind::AuditVerdict, 0, 1, 0);
         hub.round_latency().record(1_000_000);
         hub.record_event(EventKind::FlushBarrier, 0, 2, 2);
         hub

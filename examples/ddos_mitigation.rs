@@ -21,8 +21,8 @@ use std::sync::{Arc, Mutex};
 use vif::core::logs::PacketFingerprints;
 use vif::core::prelude::*;
 use vif::dataplane::{
-    shard_of, shard_of_fingerprint, DataplaneService, FlowSet, ServiceConfig, ServiceHandle,
-    ThreadedReport, TrafficConfig, TrafficGenerator,
+    shard_of, shard_of_fingerprint, DataplaneService, FlowSet, PacketCounts, ServiceConfig,
+    ServiceHandle, TrafficConfig, TrafficGenerator,
 };
 use vif::sgx::{AttestationRootKey, AttestationService, EnclaveImage, EpcConfig, SgxPlatform};
 
@@ -32,8 +32,8 @@ use vif::sgx::{AttestationRootKey, AttestationService, EnclaveImage, EpcConfig, 
 fn offer_round<R: FnMut(&FiveTuple) -> usize>(
     svc: &mut ServiceHandle<'_, '_, R>,
     packets: &[Packet],
-) -> ThreadedReport {
-    let mut total = ThreadedReport::default();
+) -> PacketCounts {
+    let mut total = PacketCounts::default();
     for chunk in packets.chunks(ServiceConfig::default().ring_capacity / 2) {
         total += svc.round(chunk).total();
     }

@@ -21,8 +21,8 @@ use vif::core::enclave_app::{EnclaveFilterStage, FilterEnclaveApp};
 use vif::core::rules::{FilterRule, FlowPattern};
 use vif::core::ruleset::RuleSet;
 use vif::dataplane::{
-    shard_of, DataplaneService, FiveTuple, FlowSet, Packet, Protocol, ServiceConfig, ServiceHandle,
-    ThreadedReport, TrafficConfig, TrafficGenerator,
+    shard_of, DataplaneService, FiveTuple, FlowSet, Packet, PacketCounts, Protocol, ServiceConfig,
+    ServiceHandle, TrafficConfig, TrafficGenerator,
 };
 use vif::interdomain::prelude::*;
 use vif::sgx::{AttestationRootKey, EnclaveImage, EpcConfig, SgxPlatform};
@@ -33,8 +33,8 @@ use vif::sgx::{AttestationRootKey, EnclaveImage, EpcConfig, SgxPlatform};
 fn offer_round<R: FnMut(&FiveTuple) -> usize>(
     svc: &mut ServiceHandle<'_, '_, R>,
     packets: &[Packet],
-) -> ThreadedReport {
-    let mut total = ThreadedReport::default();
+) -> PacketCounts {
+    let mut total = PacketCounts::default();
     for chunk in packets.chunks(ServiceConfig::default().ring_capacity / 2) {
         total += svc.round(chunk).total();
     }
