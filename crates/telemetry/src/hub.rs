@@ -10,7 +10,8 @@
 //!   tally of [`PacketCounts`]. At every flush barrier (and once more at
 //!   shutdown) it hands the hub that round's per-worker rows and
 //!   per-contract deltas ([`TelemetryHub::add_round`]), which the hub
-//!   adds to one atomic mirror of the row per worker and per contract.
+//!   adds, under its one lock, to a cumulative row per worker and per
+//!   contract.
 //!   The only thing a worker records itself is wire sizes, into a plain
 //!   [`Histogram`] on its stack that it merges
 //!   ([`TelemetryHub::merge_sizes`]) once per round.
@@ -20,8 +21,9 @@
 //!   demotion counts are views of the flight recorder that survive its
 //!   wraparound.
 //!
-//! Steady-state recording is allocation-free and the atomic traffic is
-//! O(64) per worker per round.
+//! Steady-state recording is allocation-free: one uncontended lock per
+//! round for the packet rows, and O(64) atomic adds per worker per round
+//! for the size histogram.
 //!
 //! Everything the hub aggregates is *deterministic* under a fixed seed:
 //! packet counts, wire sizes, event counts and virtual-clock timestamps.
@@ -37,36 +39,13 @@ use crate::hist::{AtomicHistogram, Histogram};
 use crate::recorder::{Event, EventKind, FlightRecorder};
 use crate::snapshot::{PacketCounts, SliceSnapshot, TelemetrySnapshot};
 
-/// The hub's cumulative storage for one [`PacketCounts`] row: its atomic
-/// mirror, field for field.
-#[derive(Debug, Default)]
-struct AtomicCounts([AtomicU64; 5]);
-
-impl AtomicCounts {
-    fn add(&self, c: &PacketCounts) {
-        let row = [c.received, c.forwarded, c.filtered, c.overflow, c.uncovered];
-        for (cell, v) in self.0.iter().zip(row) {
-            cell.fetch_add(v, Ordering::Relaxed);
-        }
-    }
-
-    fn load(&self) -> PacketCounts {
-        let [received, forwarded, filtered, overflow, uncovered] =
-            self.0.each_ref().map(|cell| cell.load(Ordering::Relaxed));
-        PacketCounts {
-            received,
-            forwarded,
-            filtered,
-            overflow,
-            uncovered,
-        }
-    }
-}
-
-/// The flight recorder and the per-slice event counts it feeds, kept
-/// under one lock.
+/// Everything the hub adds up off the packet path, kept under one lock:
+/// the cumulative packet rows, the flight recorder, and the per-slice
+/// event counts it feeds.
 #[derive(Debug)]
 struct Book {
+    workers: Vec<PacketCounts>,
+    contracts: Vec<PacketCounts>,
     recorder: FlightRecorder,
     slices: Vec<SliceSnapshot>,
 }
@@ -84,10 +63,8 @@ pub struct TelemetryHub {
     clock: AtomicU64,
     /// Current global round, set at the flush barrier.
     round: AtomicU64,
-    workers: Vec<AtomicCounts>,
     worker_sizes: Vec<AtomicHistogram>,
     contract_ids: Vec<u32>,
-    contracts: Vec<AtomicCounts>,
     round_latency: AtomicHistogram,
     book: Mutex<Book>,
 }
@@ -101,15 +78,12 @@ impl TelemetryHub {
         TelemetryHub {
             clock: AtomicU64::new(0),
             round: AtomicU64::new(0),
-            workers: (0..workers).map(|_| AtomicCounts::default()).collect(),
             worker_sizes: (0..workers).map(|_| AtomicHistogram::new()).collect(),
             contract_ids: contract_ids.to_vec(),
-            contracts: contract_ids
-                .iter()
-                .map(|_| AtomicCounts::default())
-                .collect(),
             round_latency: AtomicHistogram::new(),
             book: Mutex::new(Book {
+                workers: vec![PacketCounts::default(); workers],
+                contracts: vec![PacketCounts::default(); contract_ids.len()],
                 recorder: FlightRecorder::new(events_capacity),
                 slices: vec![SliceSnapshot::default(); workers],
             }),
@@ -144,8 +118,8 @@ impl TelemetryHub {
         self.round.load(Ordering::Relaxed)
     }
 
-    /// The recorder and slice counts. Nothing panics while holding the
-    /// lock, so a poisoned one is taken over as is.
+    /// The packet rows, recorder and slice counts. Nothing panics while
+    /// holding the lock, so a poisoned one is taken over as is.
     fn book(&self) -> MutexGuard<'_, Book> {
         self.book.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -172,7 +146,7 @@ impl TelemetryHub {
 
     /// Number of workers (== slices) the hub tracks.
     pub fn worker_count(&self) -> usize {
-        self.workers.len()
+        self.worker_sizes.len()
     }
 
     /// Adds one settled round of the service's tally: `workers` holds one
@@ -183,13 +157,14 @@ impl TelemetryHub {
     ///
     /// Panics unless there is one row per hub worker.
     pub fn add_round(&self, workers: &[PacketCounts], contracts: &[(u32, PacketCounts)]) {
-        assert_eq!(workers.len(), self.workers.len(), "one row per hub worker");
-        for (cell, row) in self.workers.iter().zip(workers) {
-            cell.add(row);
+        assert_eq!(workers.len(), self.worker_count(), "one row per hub worker");
+        let book = &mut *self.book();
+        for (sum, &row) in book.workers.iter_mut().zip(workers) {
+            *sum += row;
         }
-        for (id, delta) in contracts {
-            if let Some(i) = self.contract_ids.iter().position(|c| c == id) {
-                self.contracts[i].add(delta);
+        for &(id, delta) in contracts {
+            if let Some(i) = self.contract_ids.iter().position(|&c| c == id) {
+                book.contracts[i] += delta;
             }
         }
     }
@@ -245,7 +220,7 @@ impl TelemetryHub {
         TelemetrySnapshot {
             t_ns: self.now_ns(),
             round: self.round(),
-            workers: self.workers.iter().map(AtomicCounts::load).collect(),
+            workers: book.workers.clone(),
             worker_sizes: self
                 .worker_sizes
                 .iter()
@@ -255,8 +230,8 @@ impl TelemetryHub {
             contracts: self
                 .contract_ids
                 .iter()
-                .zip(&self.contracts)
-                .map(|(&id, c)| (id, c.load()))
+                .copied()
+                .zip(book.contracts.iter().copied())
                 .collect(),
             round_latency: self.round_latency.load(),
             events_recorded: book.recorder.recorded(),
@@ -370,6 +345,7 @@ mod tests {
         let snap = hub.snapshot(4);
         let ids: Vec<u32> = snap.contracts.iter().map(|&(id, _)| id).collect();
         assert_eq!(ids, [0, 7, 9]);
+        assert_eq!(snap.contracts[0].1, PacketCounts::default());
         assert_eq!(snap.contracts[1].1, delta);
         assert_eq!(snap.contracts[2].1, PacketCounts::default());
     }
