@@ -12,7 +12,9 @@
 //! `README.md` for how the experiments map onto the crates.
 //!
 //! The throughput and latency figures run the calibrated testbed model of
-//! [`model`] in virtual time; the serving crates carry no part of it.
+//! [`model`] in virtual time, and the §IV / Fig. 5 rule-partitioned pool
+//! and the §VI-D deployment sizing are [`partitioned`]; the serving crates
+//! carry no part of either.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,5 +22,6 @@
 pub mod experiments;
 pub mod harness;
 pub mod model;
+pub mod partitioned;
 
 pub use harness::{run_experiment, ExperimentId, ALL_EXPERIMENTS};

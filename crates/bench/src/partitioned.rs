@@ -1,5 +1,6 @@
-//! The §IV / Fig. 5 model: rule-partitioned enclaves behind an untrusted
-//! load balancer.
+//! The paper's scale-out experiments (§IV, Fig. 5, §VI-D): rule-partitioned
+//! enclaves behind an untrusted load balancer, and the server-count
+//! arithmetic of a deployment.
 //!
 //! The greedy allocator sizes the pool from per-rule bandwidth estimates
 //! and hands each enclave a slice of the rules. The balancer classifies
@@ -14,18 +15,83 @@
 //!
 //! This is a paper experiment, not a serving path: it has no slice
 //! lifecycle, no epoch publication and no quarantine. The live service
-//! runs the replicated pool ([`EnclaveCluster`](super::EnclaveCluster)).
+//! runs the replicated pool ([`EnclaveCluster`](vif_core::scale::EnclaveCluster)),
+//! where every slice holds every rule.
 
-use super::RedistributionReport;
-use crate::enclave_app::FilterEnclaveApp;
-use crate::rules::RuleAction;
-use crate::ruleset::{RuleId, RuleSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use vif_core::enclave_app::FilterEnclaveApp;
+use vif_core::rules::RuleAction;
+use vif_core::ruleset::{RuleId, RuleSet};
 use vif_dataplane::FiveTuple;
 use vif_optimizer::{greedy::GreedySolver, ilp::Instance, Allocation};
 use vif_sgx::{Enclave, EnclaveImage, SgxPlatform};
 use vif_sketch::hash::fingerprint;
+
+/// The §VI-D back-of-envelope deployment plan: how many commodity SGX
+/// servers an IXP needs for a target filtering capacity.
+///
+/// # Example
+///
+/// ```
+/// use vif_bench::partitioned::DeploymentPlan;
+/// // The paper's example: 500 Gb/s needs 50 servers ≈ US$ 100K.
+/// let plan = DeploymentPlan::for_capacity_gbps(500.0);
+/// assert_eq!(plan.servers, 50);
+/// assert_eq!(plan.capex_usd, 100_000);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeploymentPlan {
+    /// Commodity SGX servers required (one ≈10 Gb/s enclave each, §V-B).
+    pub servers: usize,
+    /// One-time hardware cost at ≈US$ 2,000 per server (§VI-D).
+    pub capex_usd: u64,
+    /// Rack units at ~40 servers per rack.
+    pub racks: usize,
+}
+
+impl DeploymentPlan {
+    /// Per-server filtering capacity demonstrated in §V-B, Gb/s.
+    pub const GBPS_PER_SERVER: f64 = 10.0;
+    /// Commodity server cost assumed in §VI-D, US$.
+    pub const USD_PER_SERVER: u64 = 2_000;
+
+    /// Sizes a deployment for `capacity_gbps` of filtering.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity_gbps` is not positive and finite.
+    pub fn for_capacity_gbps(capacity_gbps: f64) -> Self {
+        assert!(
+            capacity_gbps.is_finite() && capacity_gbps > 0.0,
+            "capacity must be positive"
+        );
+        let servers = (capacity_gbps / Self::GBPS_PER_SERVER).ceil() as usize;
+        DeploymentPlan {
+            servers,
+            capex_usd: servers as u64 * Self::USD_PER_SERVER,
+            racks: servers.div_ceil(40),
+        }
+    }
+}
+
+/// Report of one Fig. 5 redistribution round of the rule-partitioned model
+/// ([`PartitionedPool::repartition`]).
+#[derive(Debug, Clone)]
+pub struct RedistributionReport {
+    /// Which enclave acted as master.
+    pub master: usize,
+    /// Enclaves in use after the round.
+    pub enclaves_used: usize,
+    /// Total `(rule, enclave)` installations after the round.
+    pub installations: usize,
+    /// Measured bytes per *global* rule id this round — the aggregated
+    /// `B_i` the master collected. Identical rules installed under
+    /// different global ids keep their own measurements.
+    pub bytes_per_rule: Vec<u64>,
+    /// Greedy solve time.
+    pub solve_time: std::time::Duration,
+}
 
 /// How the untrusted load balancer behaves (failure injection for tests).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -274,7 +340,7 @@ impl PartitionedPool {
             .map(|shares| shares.iter().map(|s| s.rule as RuleId).collect())
             .collect();
         for (i, ids) in self.slices.iter().enumerate() {
-            let subset = self.ruleset.subset(ids);
+            let subset = subset(&self.ruleset, ids);
             if i == self.enclaves.len() {
                 let app =
                     FilterEnclaveApp::new(subset, self.secret, self.sketch_seed, self.audit_key);
@@ -289,17 +355,38 @@ impl PartitionedPool {
     }
 }
 
+/// Extracts the sub-ruleset with the given ids: the share the master
+/// sends one slave (Fig. 5). Withdrawn ids are skipped — a tombstone never
+/// resurrects through redistribution.
+fn subset(ruleset: &RuleSet, ids: &[RuleId]) -> RuleSet {
+    RuleSet::from_rules(
+        ids.iter()
+            .filter(|&&id| !ruleset.is_removed(id))
+            .map(|&id| *ruleset.rule(id)),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::logs::LogDirection::Incoming;
-    use crate::rules::{FilterRule, FlowPattern};
+    use vif_core::logs::LogDirection::Incoming;
+    use vif_core::rules::{FilterRule, FlowPattern};
     use vif_dataplane::Protocol;
     use vif_sgx::{AttestationRootKey, EpcConfig};
     use vif_trie::Ipv4Prefix;
 
     fn victim() -> Ipv4Prefix {
         "203.0.113.0/24".parse().unwrap()
+    }
+
+    fn tuple(src: [u8; 4], dst: [u8; 4], sp: u16, dp: u16, proto: Protocol) -> FiveTuple {
+        FiveTuple::new(
+            u32::from_be_bytes(src),
+            u32::from_be_bytes(dst),
+            sp,
+            dp,
+            proto,
+        )
     }
 
     /// A pool of `k` rules sized for `gbps` of uniformly estimated load.
@@ -531,5 +618,59 @@ mod tests {
             }
         }
         assert_eq!(c.misrouted_total(), 40);
+    }
+
+    #[test]
+    fn deployment_plan_matches_paper_example() {
+        let plan = DeploymentPlan::for_capacity_gbps(500.0);
+        assert_eq!(plan.servers, 50);
+        assert_eq!(plan.capex_usd, 100_000);
+        assert!(plan.racks <= 2, "paper: one or two server racks");
+        // Mitigating the record 1.7 Tb/s attack across a few IXPs:
+        let record = DeploymentPlan::for_capacity_gbps(1700.0 / 4.0);
+        assert!(record.servers <= 50);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn deployment_plan_rejects_zero() {
+        DeploymentPlan::for_capacity_gbps(0.0);
+    }
+
+    #[test]
+    fn subset_preserves_semantics() {
+        let mut rs = RuleSet::new();
+        let a = rs.insert(FilterRule::drop(FlowPattern::prefixes(
+            "10.0.0.0/8".parse().unwrap(),
+            victim(),
+        )));
+        let _b = rs.insert(FilterRule::drop(FlowPattern::prefixes(
+            "11.0.0.0/8".parse().unwrap(),
+            victim(),
+        )));
+        let sub = subset(&rs, &[a]);
+        assert_eq!(sub.len(), 1);
+        let t10 = tuple([10, 0, 0, 1], [203, 0, 113, 1], 1, 2, Protocol::Udp);
+        let t11 = tuple([11, 0, 0, 1], [203, 0, 113, 1], 1, 2, Protocol::Udp);
+        assert!(sub.classify(&t10).is_some());
+        assert!(sub.classify(&t11).is_none());
+    }
+
+    #[test]
+    fn subset_skips_withdrawn_rules() {
+        let mut rs = RuleSet::new();
+        let a = rs.insert(FilterRule::drop(FlowPattern::prefixes(
+            "10.0.0.0/8".parse().unwrap(),
+            victim(),
+        )));
+        let b = rs.insert(FilterRule::drop(FlowPattern::prefixes(
+            "11.0.0.0/8".parse().unwrap(),
+            victim(),
+        )));
+        rs.remove(a);
+        let sub = subset(&rs, &[a, b]);
+        assert_eq!(sub.active_len(), 1);
+        let t10 = tuple([10, 0, 0, 1], [203, 0, 113, 1], 1, 2, Protocol::Udp);
+        assert!(sub.classify(&t10).is_none(), "tombstone must not resurrect");
     }
 }

@@ -501,8 +501,8 @@ impl FilterEnclaveApp {
         self.filter.inner().ruleset()
     }
 
-    /// Installs a new rule set (a slice resync, or a Fig. 5 repartition of
-    /// [`PartitionedPool`](crate::scale::partitioned::PartitionedPool)).
+    /// Installs a new rule set (a slice resync, or one enclave's share of
+    /// a Fig. 5 repartition).
     /// Resets the hybrid cache — promoted exact-match entries derive from
     /// the old rules. Returns the displaced rule set: a caller inside an
     /// ECall passes it out, so that the last reference to an old epoch's

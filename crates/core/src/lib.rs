@@ -20,9 +20,8 @@
 //! 4. capacity scales across a pool of replicated enclave slices fed by
 //!    RSS steering, with failover, quarantine and probation decided by the
 //!    audits ([`scale`], [`rounds`], §IV); the paper's rule-partitioned
-//!    model behind an untrusted load balancer, with greedy rule
-//!    redistribution and in-enclave misroute detection, is
-//!    [`scale::partitioned`],
+//!    Fig. 5 pool is an experiment beside the figure models
+//!    (`vif_bench::partitioned`),
 //! 5. rule requests are authorized against RPKI so victims can only filter
 //!    traffic addressed to their own prefixes ([`rpki`], §VII).
 //!

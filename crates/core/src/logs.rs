@@ -350,6 +350,35 @@ mod tests {
         [0xAB; 32]
     }
 
+    /// Per row: the bin of a sketch that holds one packet.
+    fn bins(sketch: &CountMinSketch) -> Vec<usize> {
+        sketch
+            .counters()
+            .chunks(sketch.config().width)
+            .map(|row| row.iter().position(|&c| c == 1).expect("one packet"))
+            .collect()
+    }
+
+    #[test]
+    fn both_sketches_hash_with_the_session_seed() {
+        // A sketch hashed with a fixed seed lets the host aim packets at
+        // bins it can predict; each direction must follow the seed.
+        let t = tuple(0x0a00_0001);
+        let [a, b] = [7u64, 8].map(|seed| {
+            let mut logs = PacketLogs::new(seed);
+            logs.log_incoming(&t);
+            logs.log_outgoing(&t);
+            logs
+        });
+        for d in [LogDirection::Incoming, LogDirection::Outgoing] {
+            let (in_a, in_b) = (bins(a.sketch(d)), bins(b.sketch(d)));
+            assert_eq!(in_a.len(), a.sketch(d).config().depth);
+            for (row, (x, y)) in in_a.iter().zip(&in_b).enumerate() {
+                assert_ne!(x, y, "{d:?} row {row}: the seed does not move the bin");
+            }
+        }
+    }
+
     #[test]
     fn export_verify_roundtrip() {
         let mut logs = PacketLogs::new(7);

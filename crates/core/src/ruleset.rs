@@ -414,17 +414,6 @@ impl RuleSet {
             + tables.index.exact.len() * exact_entry
             + tables.index.rules.len() * rule_entry
     }
-
-    /// Extracts the sub-ruleset with the given ids (rule redistribution:
-    /// the master sends each slave its share, Fig. 5). Withdrawn ids are
-    /// skipped — a tombstone never resurrects through redistribution.
-    pub fn subset(&self, ids: &[RuleId]) -> RuleSet {
-        RuleSet::from_rules(
-            ids.iter()
-                .filter(|&&id| !self.is_removed(id))
-                .map(|&id| *self.rule(id)),
-        )
-    }
 }
 
 /// Mutation scope handed out by [`RuleSet::batch_edit`]: inserts and
@@ -642,25 +631,6 @@ mod tests {
     }
 
     #[test]
-    fn subset_preserves_semantics() {
-        let mut rs = RuleSet::new();
-        let a = rs.insert(FilterRule::drop(FlowPattern::prefixes(
-            "10.0.0.0/8".parse().unwrap(),
-            victim(),
-        )));
-        let _b = rs.insert(FilterRule::drop(FlowPattern::prefixes(
-            "11.0.0.0/8".parse().unwrap(),
-            victim(),
-        )));
-        let sub = rs.subset(&[a]);
-        assert_eq!(sub.len(), 1);
-        let t10 = tuple([10, 0, 0, 1], [203, 0, 113, 1], 1, 2, Protocol::Udp);
-        let t11 = tuple([11, 0, 0, 1], [203, 0, 113, 1], 1, 2, Protocol::Udp);
-        assert!(sub.classify(&t10).is_some());
-        assert!(sub.classify(&t11).is_none());
-    }
-
-    #[test]
     fn removal_unlinks_rule_and_falls_back() {
         let mut rs = RuleSet::new();
         let wide = rs.insert(FilterRule::drop(FlowPattern::prefixes(
@@ -794,24 +764,6 @@ mod tests {
             assert!(!edit.remove(99)); // out of range: no-op
         });
         assert_eq!(rs.rebuilds(), before);
-    }
-
-    #[test]
-    fn subset_skips_withdrawn_rules() {
-        let mut rs = RuleSet::new();
-        let a = rs.insert(FilterRule::drop(FlowPattern::prefixes(
-            "10.0.0.0/8".parse().unwrap(),
-            victim(),
-        )));
-        let b = rs.insert(FilterRule::drop(FlowPattern::prefixes(
-            "11.0.0.0/8".parse().unwrap(),
-            victim(),
-        )));
-        rs.remove(a);
-        let sub = rs.subset(&[a, b]);
-        assert_eq!(sub.active_len(), 1);
-        let t10 = tuple([10, 0, 0, 1], [203, 0, 113, 1], 1, 2, Protocol::Udp);
-        assert!(sub.classify(&t10).is_none(), "tombstone must not resurrect");
     }
 
     #[test]

@@ -1,22 +1,12 @@
-//! Scale-out: many enclaves behind an untrusted balancer (§IV).
+//! Scale-out: the replicated serving pool (§IV).
 //!
-//! **Serving.** [`EnclaveCluster`] is the pool the live service runs: `n`
-//! enclave slices that each hold the **full** rule set, with every flow
-//! steered by a public hash of its five tuple
-//! ([`vif_dataplane::shard_of`], failing over through
-//! [`SliceLifecycle::steer`]). Verifiers recompute the steering, so no
-//! slice counts misroutes. The master (slice 0) takes the victims'
-//! sessions, and epoch publication, provisioning, quarantine and rejoin
-//! keep every live slice on the master's rules.
-//!
-//! **The Fig. 5 model.** [`partitioned::PartitionedPool`] is the paper's
-//! rule-partitioned alternative: the greedy allocator gives each enclave a
-//! slice of the rules, an untrusted load balancer routes by matched rule,
-//! the pool counts each enclave's unmatched verdicts as misrouted (§IV-B),
-//! and a master–slave round repartitions from measured bytes. It is a
-//! paper experiment, not a serving path.
-
-pub mod partitioned;
+//! [`EnclaveCluster`] is the pool the live service runs: `n` enclave
+//! slices that each hold the **full** rule set, with every flow steered by
+//! a public hash of its five tuple ([`vif_dataplane::shard_of`], failing
+//! over through [`SliceLifecycle::steer`]). Verifiers recompute the
+//! steering, so no slice counts misroutes. The master (slice 0) takes the
+//! victims' sessions, and epoch publication, provisioning, quarantine and
+//! rejoin keep every live slice on the master's rules.
 
 use crate::enclave_app::{ContractId, FilterEnclaveApp, PublishSnapshot, RuleEdit};
 use crate::retry::RetryPolicy;
@@ -26,71 +16,6 @@ use std::sync::Arc;
 use vif_dataplane::{SliceEvent, SliceLifecycle, SliceState};
 use vif_sgx::{Enclave, EnclaveImage, SgxPlatform};
 use vif_telemetry::{EventKind, TelemetryHub};
-
-/// The §VI-D back-of-envelope deployment plan: how many commodity SGX
-/// servers an IXP needs for a target filtering capacity.
-///
-/// # Example
-///
-/// ```
-/// use vif_core::scale::DeploymentPlan;
-/// // The paper's example: 500 Gb/s needs 50 servers ≈ US$ 100K.
-/// let plan = DeploymentPlan::for_capacity_gbps(500.0);
-/// assert_eq!(plan.servers, 50);
-/// assert_eq!(plan.capex_usd, 100_000);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeploymentPlan {
-    /// Commodity SGX servers required (one ≈10 Gb/s enclave each, §V-B).
-    pub servers: usize,
-    /// One-time hardware cost at ≈US$ 2,000 per server (§VI-D).
-    pub capex_usd: u64,
-    /// Rack units at ~40 servers per rack.
-    pub racks: usize,
-}
-
-impl DeploymentPlan {
-    /// Per-server filtering capacity demonstrated in §V-B, Gb/s.
-    pub const GBPS_PER_SERVER: f64 = 10.0;
-    /// Commodity server cost assumed in §VI-D, US$.
-    pub const USD_PER_SERVER: u64 = 2_000;
-
-    /// Sizes a deployment for `capacity_gbps` of filtering.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity_gbps` is not positive and finite.
-    pub fn for_capacity_gbps(capacity_gbps: f64) -> Self {
-        assert!(
-            capacity_gbps.is_finite() && capacity_gbps > 0.0,
-            "capacity must be positive"
-        );
-        let servers = (capacity_gbps / Self::GBPS_PER_SERVER).ceil() as usize;
-        DeploymentPlan {
-            servers,
-            capex_usd: servers as u64 * Self::USD_PER_SERVER,
-            racks: servers.div_ceil(40),
-        }
-    }
-}
-
-/// Report of one Fig. 5 redistribution round of the rule-partitioned model
-/// ([`PartitionedPool::repartition`](partitioned::PartitionedPool::repartition)).
-#[derive(Debug, Clone)]
-pub struct RedistributionReport {
-    /// Which enclave acted as master.
-    pub master: usize,
-    /// Enclaves in use after the round.
-    pub enclaves_used: usize,
-    /// Total `(rule, enclave)` installations after the round.
-    pub installations: usize,
-    /// Measured bytes per *global* rule id this round — the aggregated
-    /// `B_i` the master collected. Identical rules installed under
-    /// different global ids keep their own measurements.
-    pub bytes_per_rule: Vec<u64>,
-    /// Greedy solve time.
-    pub solve_time: std::time::Duration,
-}
 
 /// Report of one epoch publication ([`EnclaveCluster::publish_contract`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -606,10 +531,11 @@ impl EnclaveCluster {
     }
 
     /// Builds the per-contract demand signals the admission arbiter
-    /// consumes: each contract's owned, in-force rules on the master,
-    /// with per-rule bandwidth from the measured byte counters over
-    /// `window_secs` of traffic. Freshly installed rules that have not
-    /// matched traffic yet demand `floor_gbps` each so admission is
+    /// consumes: each contract the master holds, with one bandwidth per
+    /// owned, in-force rule from its matched bytes summed over the live
+    /// slices ([`contract_rule_bytes`](EnclaveCluster::contract_rule_bytes))
+    /// across `window_secs` of traffic. Freshly installed rules that have
+    /// not matched traffic yet demand `floor_gbps` each so admission is
     /// conservative rather than free.
     pub fn contract_demands(
         &self,
@@ -619,25 +545,20 @@ impl EnclaveCluster {
     ) -> Vec<vif_optimizer::ContractDemand> {
         let ids = self.enclaves[master].ecall(|app| app.contract_ids());
         ids.into_iter()
-            .map(|contract| {
-                let per_rule =
-                    self.enclaves[master].ecall(move |app| app.contract_rule_bytes(contract));
-                vif_optimizer::ContractDemand {
-                    contract,
-                    rule_bandwidths_gbps: per_rule
-                        .into_iter()
-                        .map(|(_, bytes)| {
-                            (bytes as f64 * 8.0 / 1e9 / window_secs.max(1e-9)).max(floor_gbps)
-                        })
-                        .collect(),
-                }
+            .map(|contract| vif_optimizer::ContractDemand {
+                contract,
+                rule_bandwidths_gbps: self
+                    .contract_rule_bytes(contract)
+                    .into_values()
+                    .map(|bytes| (bytes as f64 * 8.0 / 1e9 / window_secs.max(1e-9)).max(floor_gbps))
+                    .collect(),
             })
             .collect()
     }
 
     /// Re-runs multi-tenant admission over the **surviving** pool: builds
     /// fresh [`contract_demands`](EnclaveCluster::contract_demands) from
-    /// the master's counters and arbitrates them with `config.max_enclaves`
+    /// the live slices' counters and arbitrates them with `config.max_enclaves`
     /// clamped to the live slice count — the budget step of rule failover
     /// after quarantine shrinks the pool. Contracts admitted under the
     /// full pool may come back `Rejected`; the caller (the scenario
@@ -701,23 +622,6 @@ mod tests {
             80,
             Protocol::Udp,
         )
-    }
-
-    #[test]
-    fn deployment_plan_matches_paper_example() {
-        let plan = DeploymentPlan::for_capacity_gbps(500.0);
-        assert_eq!(plan.servers, 50);
-        assert_eq!(plan.capex_usd, 100_000);
-        assert!(plan.racks <= 2, "paper: one or two server racks");
-        // Mitigating the record 1.7 Tb/s attack across a few IXPs:
-        let record = DeploymentPlan::for_capacity_gbps(1700.0 / 4.0);
-        assert!(record.servers <= 50);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn deployment_plan_rejects_zero() {
-        DeploymentPlan::for_capacity_gbps(0.0);
     }
 
     #[test]
@@ -1071,6 +975,28 @@ mod tests {
             shrunk.verdicts
         );
         assert!(shrunk.allocation.enclaves.len() <= 2);
+    }
+
+    #[test]
+    fn contract_demands_sum_every_live_slice() {
+        // RSS puts each flow on one slice: rule 0's flows that hash off the
+        // master still demand their bandwidth from the arbiter.
+        let c = rss_cluster(2, 4);
+        let off_master: Vec<FiveTuple> = (0..64)
+            .map(|f| attack_tuple(0, f))
+            .filter(|t| vif_dataplane::shard_of(t, 4) != 0)
+            .collect();
+        for t in &off_master {
+            assert_ne!(dispatch(&c, t, 1_000).1, 0);
+        }
+        let bytes = off_master.len() as f64 * 1_000.0;
+        let demands = c.contract_demands(0, 1.0, 0.0);
+        assert_eq!(demands.len(), 1);
+        assert_eq!(
+            demands[0].rule_bandwidths_gbps,
+            vec![bytes * 8.0 / 1e9, 0.0],
+            "one second of rule 0's off-master bytes, nothing on rule 1"
+        );
     }
 
     /// Every slice down is a legal state (the service can lose every

@@ -415,6 +415,26 @@ mod tests {
         (platform, image, root)
     }
 
+    #[test]
+    fn sketch_seed_is_not_the_audit_key() {
+        // The audit key is the first 32 bytes of the session KDF and the
+        // sketch seed the next 8: a seed cut from the key would hand the
+        // host key bytes wherever the seed travels.
+        let cases: [(&[u8], [u8; 32]); 3] = [
+            (b"shared secret", [0u8; 32]),
+            (&[0x5a; 48], [1u8; 32]),
+            (b"another secret", [0xff; 32]),
+        ];
+        for (secret, nonce) in cases {
+            let okm = kdf::hkdf(b"vif-session-v1", secret, &nonce, 40);
+            let keys = derive_session_keys(secret, &nonce);
+            assert_eq!(keys.audit_key[..], okm[..32]);
+            let seed = u64::from_le_bytes(okm[32..40].try_into().unwrap());
+            assert_eq!(keys.sketch_seed, seed);
+            assert_ne!(keys.sketch_seed.to_le_bytes()[..], keys.audit_key[..8]);
+        }
+    }
+
     fn setup() -> (
         Arc<Enclave<FilterEnclaveApp>>,
         AttestationService,

@@ -24,8 +24,8 @@ use vif::dataplane::{
     shard_of, DataplaneService, FiveTuple, FlowSet, Packet, PacketCounts, Protocol, ServiceConfig,
     ServiceHandle, TrafficConfig, TrafficGenerator,
 };
-use vif::interdomain::prelude::*;
 use vif::sgx::{AttestationRootKey, EnclaveImage, EpcConfig, SgxPlatform};
+use vif_interdomain::prelude::*;
 
 /// Offers `packets` at most half a ring per flush. A ring that fills
 /// counts the packet as `overflow` — lost before the filter — so a round
@@ -211,4 +211,4 @@ fn main() {
     }
 }
 
-use vif::interdomain::poison::LocalizeOutcome;
+use vif_interdomain::poison::LocalizeOutcome;

@@ -3,16 +3,17 @@
 //! Shows the paper's rule-partitioned pool end to end: greedy rule
 //! distribution, connection-preserving dispatch through the untrusted load
 //! balancer, detection of a misbehaving load balancer, and a Fig. 5
-//! master–slave repartition round after the traffic mix shifts. (The live
-//! service runs the replicated `EnclaveCluster` instead.)
+//! master–slave repartition round after the traffic mix shifts. The pool is
+//! a paper experiment (`vif_bench::partitioned`); the live service runs the
+//! replicated `EnclaveCluster` instead.
 //!
 //! ```text
 //! cargo run --release --example scaling_enclaves
 //! ```
 
 use vif::core::prelude::*;
-use vif::core::scale::partitioned::{LoadBalancerBehavior, PartitionedPool};
 use vif::sgx::{AttestationRootKey, EnclaveImage, EpcConfig, SgxPlatform};
+use vif_bench::partitioned::{LoadBalancerBehavior, PartitionedPool};
 
 fn attack_tuple(rule: u32, flow: u32) -> FiveTuple {
     FiveTuple::new(

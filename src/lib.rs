@@ -1,8 +1,13 @@
 //! # vif — Verifiable In-network Filtering for DDoS defense
 //!
 //! Facade crate for the VIF reproduction (Gong et al., ICDCS 2019). It
-//! re-exports every workspace crate under a single namespace so examples,
-//! integration tests, and downstream users can depend on one crate.
+//! re-exports the crates of the serving system — the enclave filter and
+//! its cluster, the dataplane, the scenario engine, telemetry and their
+//! substrates — under a single namespace, so examples, integration tests
+//! and downstream users can depend on one crate. The paper-experiment
+//! crates (`vif_interdomain`'s routing models, `vif_optimizer`'s solvers,
+//! `vif_bench`'s figure models) are not part of it: depend on them
+//! directly.
 //!
 //! See the repository `README.md` for the architecture overview, the crate
 //! map, the serving filter ([`HybridFilter`](vif_core::hybrid::HybridFilter))
@@ -25,8 +30,6 @@
 pub use vif_core as core;
 pub use vif_crypto as crypto;
 pub use vif_dataplane as dataplane;
-pub use vif_interdomain as interdomain;
-pub use vif_optimizer as optimizer;
 pub use vif_scenario as scenario;
 pub use vif_sgx as sgx;
 pub use vif_sketch as sketch;
