@@ -94,12 +94,15 @@ pub fn ablation_conn(flows: usize) -> String {
         ]);
     }
 
-    // Hybrid: first pass hashes, then flows are promoted.
+    // Hybrid: two passes hash (the second admits each flow), then flows
+    // are promoted.
     {
         let filter = StatelessFilter::new(RuleSet::from_rules([rule]), [9u8; 32]);
         let mut hybrid = HybridFilter::new(filter, flows * 2);
-        for t in fs.flows() {
-            hybrid.decide(t);
+        for _ in 0..2 {
+            for t in fs.flows() {
+                hybrid.decide(t);
+            }
         }
         hybrid.apply_update_period();
         let start = std::time::Instant::now();

@@ -225,10 +225,13 @@ pub fn fig14(duration_ms: u64) -> String {
             let ruleset = RuleSet::from_rules([rule]);
             let enclave = launch_filter(ruleset);
             let flows = FlowSet::random_toward_victim(2000, super::victim_ip(), 5);
-            // Pre-promote (1 - ratio) of the flows to exact-match entries.
+            // Pre-promote (1 - ratio) of the flows to exact-match entries:
+            // each is shown twice, since a flow is admitted on its second
+            // sight.
             let promote = ((1.0 - ratio) * flows.len() as f64).round() as usize;
             enclave.in_enclave_thread(|app| {
                 for t in flows.flows().iter().take(promote) {
+                    app.process(t, 0);
                     app.process(t, 0);
                 }
                 app.apply_update_period();

@@ -13,9 +13,10 @@
 //!   bounded: correctness is untouched (uncached flows fall back to the
 //!   stateless hash path, and the cache is capacity-bounded), so the worst
 //!   case is degraded probe cost on the colliding bucket chains. The
-//!   hybrid promotes every observed hash-path flow FIFO up to its cap;
-//!   deployments where that probe-cost vector matters should shrink
-//!   `max_cached_flows`.
+//!   hybrid promotes, FIFO up to its cap, only the hash-path flows it has
+//!   seen twice (its second-sight tags are keyed by this hasher too), so
+//!   a flood must repeat every tuple to reach the table; deployments where
+//!   that probe-cost vector matters should shrink `max_cached_flows`.
 //!
 //! What the hot path needs in exchange is constant, tiny per-probe cost: one
 //! multiply-xor round per word of key (an FxHash-style mix, as used by

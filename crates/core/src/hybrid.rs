@@ -7,11 +7,36 @@
 //!   one lookup per packet, but a bigger table and update churn.
 //!
 //! The paper's hybrid takes both: new flows are decided hash-based and
-//! queued; at every rule-update period (e.g., 5 s) the queued flows are
-//! promoted to exact-match rules in one batch (amortizing the table
-//! rebuild, Table II). Because the promoted verdict equals the hash
+//! queued (here from their second packet on, see below); at every
+//! rule-update period (e.g., 5 s) the queued flows are promoted to
+//! exact-match rules in one batch (amortizing the table rebuild,
+//! Table II). Because the promoted verdict equals the hash
 //! verdict, the filter's observable behavior remains the stateless `f(p)`
 //! of §III-A — the cache is purely a performance optimization.
+//!
+//! # Admission on second sight
+//!
+//! A flow is queued for promotion only on its second hash-decided packet.
+//! A fixed table of 65,536 32-bit tags (256 KB, allocated zeroed, so its
+//! pages cost nothing until the hash path runs) sits in front of the
+//! queue: each hash-decided packet hashes its tuple once, picks a slot from
+//! the high bits and swaps its tag (the low 32 bits, forced odd so an empty
+//! slot matches nothing) into it, and the flow is queued only if the slot
+//! already held that tag. The table is never cleared — not by update
+//! periods, flushes or rule installs — because a tag only says "seen
+//! recently"; it never decides a verdict.
+//!
+//! What it bounds: under a spoofed flood of never-repeating tuples each
+//! packet costs one SHA-256 and one tag write, and nothing reaches the
+//! queue or the exact-match table (a junk admission needs a slot *and*
+//! tag match, about 2⁻³¹ per packet). A spoofer that sends every tuple
+//! twice is back to the promote-everything behaviour, still bounded by
+//! `max_cached_flows`. Two live flows that share a slot can keep each
+//! other out of the cache by overwriting each other's tag (of 2,000 flows
+//! seen round-robin, about 2 % do), and under a flood the tags turn over
+//! every ~65 K packets, so a flow sparser than that is kept out too; such
+//! a flow pays the stateless price on every packet, never a wrong
+//! verdict.
 //!
 //! [`HybridFilter`] is the one filter the enclave serves with. Its
 //! verdicts must equal the reference [`StatelessFilter`]'s in action and
@@ -20,9 +45,42 @@
 //! says `HashBased`), because the path is execution information, not
 //! behavior (see [the reference](crate::filter#the-reference)).
 
-use crate::fasthash::{FxHashMap, FxHashSet};
+use crate::fasthash::{FxBuildHasher, FxHashMap, FxHashSet};
 use crate::filter::{DecisionPath, StatelessFilter, Verdict};
+use std::hash::BuildHasher;
 use vif_dataplane::FiveTuple;
+
+/// Slots in the second-sight table ([module docs](self)): 2¹⁶ tags.
+const SEEN_SLOTS_LOG2: u32 = 16;
+
+/// The second-sight doorkeeper in front of the promotion queue: one
+/// 32-bit tag per slot, an empty slot reads 0 and no tag is even.
+#[derive(Clone)]
+struct SeenTags(Box<[u32]>);
+
+impl SeenTags {
+    fn new() -> Self {
+        // `vec![0; n]` asks the allocator for zeroed memory: pages no
+        // packet writes are never touched.
+        SeenTags(vec![0u32; 1 << SEEN_SLOTS_LOG2].into_boxed_slice())
+    }
+
+    /// Records a sighting of `t`; true when its slot already held its
+    /// tag, i.e. `t` was the last flow seen in that slot.
+    #[inline]
+    fn resighted(&mut self, t: &FiveTuple) -> bool {
+        let h = FxBuildHasher.hash_one(t);
+        let slot = (h >> (64 - SEEN_SLOTS_LOG2)) as usize;
+        let tag = h as u32 | 1;
+        std::mem::replace(&mut self.0[slot], tag) == tag
+    }
+}
+
+impl std::fmt::Debug for SeenTags {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "SeenTags({} slots)", self.0.len())
+    }
+}
 
 /// Statistics of the hybrid execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -56,6 +114,8 @@ pub struct HybridFilter {
     /// instead of SipHash, the dominant cost of a cache hit.
     exact_cache: FxHashMap<FiveTuple, Verdict>,
     pending: Vec<(FiveTuple, Verdict)>,
+    /// Admits a hash-decided flow to `pending` on its second sight.
+    seen: SeenTags,
     stats: HybridStats,
     /// Cap on cached flows (exact-match table memory is EPC-bounded).
     max_cached_flows: usize,
@@ -70,6 +130,7 @@ impl HybridFilter {
             inner,
             exact_cache: FxHashMap::default(),
             pending: Vec::new(),
+            seen: SeenTags::new(),
             stats: HybridStats::default(),
             max_cached_flows,
         }
@@ -116,12 +177,13 @@ impl HybridFilter {
     /// cache hits report [`DecisionPath::Cached`] so the cost model knows
     /// no SHA-256 was paid.
     ///
-    /// A hash-decided flow is queued for promotion while the queue holds
-    /// fewer than `max_cached_flows` entries: no update period can promote
-    /// more than that, and a caller that runs none (the live service
-    /// between epoch installs) must not grow the queue without bound. A
-    /// flow left unqueued keeps taking the hash path and queues on a later
-    /// packet; verdicts never depend on the cache.
+    /// A hash-decided flow is queued for promotion from its second sight
+    /// on ([module docs](self)), while the queue holds fewer than
+    /// `max_cached_flows` entries: no update period can promote more than
+    /// that, and a caller that runs none (the live service between epoch
+    /// installs) must not grow the queue without bound. A flow left
+    /// unqueued keeps taking the hash path and queues on a later packet;
+    /// verdicts never depend on the cache.
     pub fn decide(&mut self, t: &FiveTuple) -> Verdict {
         if let Some(cached) = self.exact_cache.get(t) {
             self.stats.exact_hits += 1;
@@ -132,10 +194,20 @@ impl HybridFilter {
         }
         let verdict = self.inner.decide(t);
         self.stats.hash_decisions += 1;
-        if verdict.path == DecisionPath::HashBased && self.pending.len() < self.max_cached_flows {
-            self.pending.push((*t, verdict));
+        if verdict.path == DecisionPath::HashBased {
+            self.admit(t, verdict);
         }
         verdict
+    }
+
+    /// Queues a hash-decided flow seen for the second time. Out of line,
+    /// so that the cache-hit and deterministic paths of
+    /// [`decide`](HybridFilter::decide) compile as if it were not there.
+    #[inline(never)]
+    fn admit(&mut self, t: &FiveTuple, verdict: Verdict) {
+        if self.seen.resighted(t) && self.pending.len() < self.max_cached_flows {
+            self.pending.push((*t, verdict));
+        }
     }
 
     /// Runs one rule-update period: promotes queued flows to exact-match
@@ -149,9 +221,10 @@ impl HybridFilter {
     /// *evicted* (discarded, counted in
     /// [`HybridStats::pending_evicted`]), never silently lost. Evicted
     /// flows keep taking the hash path, re-enter `pending` on their next
-    /// packet, and compete again at the next period, so a later cache
-    /// flush lets them in. Flows already cached (duplicates within the
-    /// queue) are neither promoted nor counted as evicted.
+    /// packet (their second-sight tags outlive the period), and compete
+    /// again at the next period, so a later cache flush lets them in.
+    /// Flows already cached (duplicates within the queue) are neither
+    /// promoted nor counted as evicted.
     pub fn apply_update_period(&mut self) -> usize {
         let mut promoted = 0u64;
         let cap = self.max_cached_flows;
@@ -189,7 +262,9 @@ impl HybridFilter {
     }
 
     /// Drops every cached and pending verdict (rule-set mutation, key
-    /// rotation). Flows fall back to the hash path until re-promoted.
+    /// rotation). Flows fall back to the hash path until re-promoted. The
+    /// second-sight tags stay: they decide no verdict, so a flow seen
+    /// before the flush queues again on its next packet.
     pub fn flush_cache(&mut self) {
         self.exact_cache.clear();
         self.pending.clear();
@@ -206,8 +281,8 @@ impl HybridFilter {
     /// batch and keeps the exact-match table hot in cache across the burst.
     pub fn decide_batch(&mut self, tuples: &[FiveTuple], out: &mut Vec<Verdict>) {
         out.reserve(tuples.len());
-        // Worst case every tuple is a new hash-decided flow; one reserve
-        // call replaces up to `tuples.len()` incremental grows.
+        // Worst case every tuple is a hash-decided flow seen before; one
+        // reserve call replaces up to `tuples.len()` incremental grows.
         let room = self.max_cached_flows.saturating_sub(self.pending.len());
         self.pending.reserve(tuples.len().min(room));
         for t in tuples {
@@ -258,8 +333,11 @@ mod tests {
         let baseline: Vec<RuleAction> = (0..200)
             .map(|i| h.inner().decide(&tuple(i)).action)
             .collect();
-        for i in 0..200 {
-            assert_eq!(h.decide(&tuple(i)).action, baseline[i as usize]);
+        // Two sightings: the second queues the flow for promotion.
+        for _ in 0..2 {
+            for i in 0..200 {
+                assert_eq!(h.decide(&tuple(i)).action, baseline[i as usize]);
+            }
         }
         let promoted = h.apply_update_period();
         assert_eq!(promoted, 200);
@@ -273,8 +351,10 @@ mod tests {
     #[test]
     fn hash_ratio_decreases_after_promotion() {
         let mut h = hybrid(0.5);
-        for i in 0..100 {
-            h.decide(&tuple(i));
+        for _ in 0..2 {
+            for i in 0..100 {
+                h.decide(&tuple(i));
+            }
         }
         assert!((h.hash_ratio() - 1.0).abs() < 1e-12);
         h.apply_update_period();
@@ -294,8 +374,10 @@ mod tests {
         );
         let rs = RuleSet::from_rules(vec![FilterRule::drop_fraction(pattern, 0.5)]);
         let mut h = HybridFilter::new(StatelessFilter::new(rs, [3u8; 32]), 10);
-        for i in 0..50 {
-            h.decide(&tuple(i));
+        for _ in 0..2 {
+            for i in 0..50 {
+                h.decide(&tuple(i));
+            }
         }
         h.apply_update_period();
         assert!(h.cached_flows() <= 10);
@@ -342,6 +424,7 @@ mod tests {
             .find(|t| h.inner().decide(t).action == RuleAction::Allow)
             .expect("some flow is hash-allowed");
         h.decide(&allowed);
+        h.decide(&allowed);
         h.apply_update_period();
         assert_eq!(h.decide(&allowed).path, DecisionPath::Cached);
         // The victim's next epoch adds a deterministic drop on the exact
@@ -366,8 +449,10 @@ mod tests {
         );
         let rs = RuleSet::from_rules(vec![FilterRule::drop_fraction(pattern, 0.5)]);
         let mut h = HybridFilter::new(StatelessFilter::new(rs, [3u8; 32]), 10);
-        for i in 0..50 {
-            h.decide(&tuple(i));
+        for _ in 0..2 {
+            for i in 0..50 {
+                h.decide(&tuple(i));
+            }
         }
         // The queue stops at the cache's capacity: no period could promote
         // more than that.
@@ -375,8 +460,10 @@ mod tests {
         assert_eq!(h.apply_update_period(), 10);
         // With the cache full, queued new flows are evicted — none silently
         // lost.
-        for i in 50..55 {
-            h.decide(&tuple(i));
+        for _ in 0..2 {
+            for i in 50..55 {
+                h.decide(&tuple(i));
+            }
         }
         h.apply_update_period();
         assert_eq!(h.stats().promoted_flows, 10);
@@ -393,8 +480,10 @@ mod tests {
         assert_eq!(h.apply_update_period(), 1);
         assert_eq!(h.stats().pending_evicted, 5);
         // Refill the cache to capacity (1 cached + 9 new = cap of 10).
-        for i in 200..209 {
-            h.decide(&tuple(i));
+        for _ in 0..2 {
+            for i in 200..209 {
+                h.decide(&tuple(i));
+            }
         }
         h.apply_update_period();
         assert_eq!(h.cached_flows(), 10);
@@ -416,8 +505,10 @@ mod tests {
         );
         let rs = RuleSet::from_rules(vec![FilterRule::drop_fraction(pattern, 0.5)]);
         let mut h = HybridFilter::new(StatelessFilter::new(rs, [3u8; 32]), 2);
-        for i in 0..5 {
-            h.decide(&tuple(i));
+        for _ in 0..2 {
+            for i in 0..5 {
+                h.decide(&tuple(i));
+            }
         }
         h.apply_update_period();
         assert_eq!(h.cached_flows(), 2);
@@ -434,6 +525,31 @@ mod tests {
         h.apply_update_period();
         assert_eq!(h.cached_flows(), 2);
         assert_eq!(h.decide(&tuple(2)).path, DecisionPath::Cached);
+    }
+
+    #[test]
+    fn never_repeating_flows_are_not_admitted() {
+        let mut h = hybrid(0.5);
+        for i in 0..100_000 {
+            h.decide(&tuple(i));
+        }
+        assert_eq!(h.stats().hash_decisions, 100_000);
+        assert_eq!(h.pending_flows(), 0);
+        assert_eq!(h.cached_flows(), 0);
+        assert_eq!(h.apply_update_period(), 0);
+        // Flows decided twice are admitted and served exactly, with the
+        // reference's verdict.
+        let repeating = 100_000..100_100;
+        for i in repeating.clone() {
+            h.decide(&tuple(i));
+            h.decide(&tuple(i));
+        }
+        assert_eq!(h.apply_update_period(), 100);
+        for i in repeating {
+            let (v, r) = (h.decide(&tuple(i)), h.inner().decide(&tuple(i)));
+            assert_eq!(v.path, DecisionPath::Cached);
+            assert_eq!((v.action, v.rule), (r.action, r.rule));
+        }
     }
 
     #[test]

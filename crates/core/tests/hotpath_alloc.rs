@@ -6,7 +6,9 @@
 //! fast-hash table. This test pins the guarantee with a counting global
 //! allocator: after warmup (buffers at capacity, cache promoted), whole
 //! `decide_batch` bursts of the stateless and the hybrid filter must
-//! perform **zero** heap allocations. The same counter then pins the
+//! perform **zero** heap allocations, and so must the enclave's bursts of
+//! never-repeating spoofed flows, which the hybrid never queues for
+//! promotion. The same counter then pins the
 //! whole always-on service (persistent workers, rings, TX, round
 //! barriers): entire steady-state rounds allocate nothing, on any
 //! thread — and neither does a full ring, whether a burst is
@@ -150,7 +152,11 @@ fn decide_batch_is_allocation_free_at_steady_state() {
 
     let mut hybrid = HybridFilter::new(stateless.clone(), 100_000);
     let mut sink = Vec::new();
-    hybrid.decide_batch(&tuples, &mut sink);
+    // Two sightings admit every hash-path flow; the period promotes them.
+    for _ in 0..2 {
+        sink.clear();
+        hybrid.decide_batch(&tuples, &mut sink);
+    }
     hybrid.apply_update_period();
 
     let mut filters = [Filter::Stateless(stateless), Filter::Hybrid(hybrid)];
@@ -204,12 +210,12 @@ fn decide_batch_is_allocation_free_at_steady_state() {
     let mut app = vif_core::enclave_app::FilterEnclaveApp::new(ruleset, [7u8; 32], 3, [2u8; 32]);
     let pkts: Vec<(FiveTuple, u64)> = tuples.iter().map(|t| (*t, 64)).collect();
     let mut verdicts = Vec::new();
-    // Warm: promote the hash-path flows, then one burst to bring every
-    // scratch buffer (tuples, fingerprints, log keys, verdicts) to
-    // capacity.
+    // Warm: two bursts bring every scratch buffer (tuples, fingerprints,
+    // log keys, verdicts) to capacity and show the hash-path flows twice,
+    // so the update period promotes them.
+    app.process_batch(&pkts, &mut verdicts);
     app.process_batch(&pkts, &mut verdicts);
     app.apply_update_period();
-    app.process_batch(&pkts, &mut verdicts);
     assert!(
         app.logs_of(0).sketch(LogDirection::Incoming).total() > 0,
         "logging is enabled"
@@ -250,8 +256,8 @@ fn decide_batch_is_allocation_free_at_steady_state() {
         })
         .collect();
     app.process_batch(&pkts, &mut verdicts);
-    app.apply_update_period();
     app.process_batch(&pkts, &mut verdicts);
+    app.apply_update_period();
     let before = allocations();
     for _ in 0..10 {
         app.process_batch(&pkts, &mut verdicts);
@@ -268,6 +274,36 @@ fn decide_batch_is_allocation_free_at_steady_state() {
         .collect();
     assert!(logged.iter().all(|&n| n > 0), "every slot logs: {logged:?}");
     assert_eq!(logged.iter().sum::<u64>(), 12 * pkts.len() as u64);
+
+    // A spoofed flood: bursts of tuples that never repeat, each one
+    // hash-decided by the probabilistic rule. No flow is seen twice, so
+    // none is queued for promotion, and the burst path allocates nothing
+    // however long the flood runs.
+    let (ruleset, _) = workload();
+    let mut app = vif_core::enclave_app::FilterEnclaveApp::new(ruleset, [7u8; 32], 3, [2u8; 32]);
+    let dst = u32::from_be_bytes([203, 0, 113, 9]);
+    let spoofed: Vec<(FiveTuple, u64)> = (0..11 * 256u32)
+        .map(|i| {
+            let t = FiveTuple::new(0xc000_0000 + i, dst, 4096, 443, Protocol::Udp);
+            (t, 64)
+        })
+        .collect();
+    let mut bursts = spoofed.chunks(256);
+    app.process_batch(bursts.next().expect("a warm burst"), &mut verdicts);
+    let before = allocations();
+    for burst in bursts {
+        app.process_batch(burst, &mut verdicts);
+    }
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "never-repeating flows: {} allocation(s) across 10 bursts",
+        after - before
+    );
+    let stats = app.hybrid().stats();
+    assert_eq!(stats.hash_decisions, spoofed.len() as u64);
+    assert_eq!(app.hybrid().pending_flows(), 0);
 
     // --- service mode -----------------------------------------------------
     // The always-on dataplane holds the same guarantee end to end: once the

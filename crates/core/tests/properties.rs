@@ -2,7 +2,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use vif_core::filter::Verdict;
+use vif_core::filter::{DecisionPath, Verdict};
 use vif_core::logs::{LogDirection, PacketFingerprints, PacketLogs};
 use vif_core::prelude::*;
 use vif_core::rules::RuleAction;
@@ -41,6 +41,13 @@ impl Filter {
         match self {
             Filter::Stateless(f) => f.decide_batch(tuples, out),
             Filter::Hybrid(f) => f.decide_batch(tuples, out),
+        }
+    }
+
+    /// The hybrid's rule-update period; the reference has none.
+    fn update_period(&mut self) {
+        if let Filter::Hybrid(f) = self {
+            f.apply_update_period();
         }
     }
 }
@@ -245,19 +252,27 @@ proptest! {
         let batchers = Filter::both(&stateless);
         let singles = Filter::both(&stateless);
         for (mut batcher, mut single) in batchers.into_iter().zip(singles) {
-            // Drive both instances through identical warmup traffic so
-            // caches/promotion queues hold state before the comparison.
+            // Drive both instances through identical warmup traffic, seen
+            // twice so the hybrid admits it, and one update period, so the
+            // cache, the promotion queue and the second-sight tags hold
+            // state before the comparison.
             let mut sink = Vec::new();
-            batcher.decide_batch(&warmup, &mut sink);
-            for t in &warmup {
-                let _ = single.decide(t);
+            for _ in 0..2 {
+                batcher.decide_batch(&warmup, &mut sink);
+                for t in &warmup {
+                    let _ = single.decide(t);
+                }
             }
+            batcher.update_period();
+            single.update_period();
+            // The warmup flows again (cached verdicts), then fresh ones.
+            let probes: Vec<FiveTuple> = warmup.iter().chain(&packets).copied().collect();
             let mut got = Vec::new();
-            batcher.decide_batch(&packets, &mut got);
-            let want: Vec<Verdict> = packets.iter().map(|t| single.decide(t)).collect();
+            batcher.decide_batch(&probes, &mut got);
+            let want: Vec<Verdict> = probes.iter().map(|t| single.decide(t)).collect();
             prop_assert_eq!(&got, &want, "filter {} batch != single", batcher.name());
             // Semantic equivalence against the stateless reference.
-            for (t, v) in packets.iter().zip(&got) {
+            for (t, v) in probes.iter().zip(&got) {
                 let r = stateless.decide(t);
                 prop_assert_eq!(
                     (v.action, v.rule),
@@ -507,7 +522,8 @@ proptest! {
         }
     }
 
-    /// Hybrid promotion never changes a verdict.
+    /// Hybrid promotion never changes a verdict, and a flow seen twice
+    /// before an update period is served from the cache after it.
     #[test]
     fn hybrid_verdicts_stable(
         frac in 0.0f64..=1.0,
@@ -521,14 +537,21 @@ proptest! {
             RuleSet::from_rules([FilterRule::drop_fraction(pattern, frac)]),
             [3u8; 32],
         );
-        let baseline: Vec<RuleAction> = flows.iter().map(|t| inner.decide(t).action).collect();
+        let baseline: Vec<Verdict> = flows.iter().map(|t| inner.decide(t)).collect();
         let mut hybrid = HybridFilter::new(inner, 1000);
         for (t, want) in flows.iter().zip(&baseline) {
-            prop_assert_eq!(&hybrid.decide(t).action, want);
+            // Back to back, so no other flow's tag can displace this one's.
+            for _ in 0..2 {
+                prop_assert_eq!(hybrid.decide(t).action, want.action);
+            }
         }
         hybrid.apply_update_period();
         for (t, want) in flows.iter().zip(&baseline) {
-            prop_assert_eq!(&hybrid.decide(t).action, want);
+            let got = hybrid.decide(t);
+            prop_assert_eq!(got.action, want.action);
+            if want.path == DecisionPath::HashBased {
+                prop_assert_eq!(got.path, DecisionPath::Cached);
+            }
         }
     }
 
