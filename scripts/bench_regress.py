@@ -60,8 +60,10 @@ The baselines hold one overwritten row per bench; ``BENCH_history.jsonl``
 ``{date, commit, group, bench, ns_per_iter}`` line per bench a
 hot-path-touching PR measured, before and after, appended and never
 rewritten (``commit`` is a short hash, or ``pr<N>`` for the rows a
-PR writes about itself). Beside the latest baseline, each compared bench
-also prints its drift against its **oldest** history row, so a bench that
+PR writes about itself). Rows with a ``workload`` field in place of
+``group`` record ``vifbench`` runs and are skipped here. Beside the
+latest baseline, each compared bench also prints its drift against its
+**oldest** history row, so a bench that
 lost 10 % in each of five PRs reads 1.6x here while every single gate
 stayed green. Informational: history never fails the check, and rows of
 retired benches stay in the file as the record of what they cost.
@@ -104,6 +106,8 @@ def load_history():
     if os.path.exists(path):
         with open(path) as f:
             for row in map(json.loads, filter(str.strip, f)):
+                if "group" not in row:
+                    continue  # a vifbench workload row, not a bench row
                 key = (row["group"], row["bench"])
                 oldest.setdefault(key, (row["ns_per_iter"], row["commit"]))
     return oldest
