@@ -359,10 +359,25 @@ fn misrouting_steering_dirties_the_audit() {
 /// The live service runs no update period between epoch installs, so the
 /// hybrid filter's promotion queue must bound itself. Many rounds of fresh
 /// flows under a 50 % probabilistic rule, with no churn, hash-decide more
-/// packets than the cache holds; none of those flows comes back, so none
-/// is seen twice and the enclave's queue stays empty.
+/// flows than the cache holds. When none of them comes back, none is seen
+/// twice and the enclave's queue stays empty; when every flow sends two
+/// packets back to back, every flow qualifies and the queue fills up to
+/// the cap, and no further.
 #[test]
 fn serving_path_bounds_the_promotion_queue() {
+    let (peak, cap) = pending_peak(1);
+    assert_eq!(peak, 0, "pending peaked at {peak} flows, cap {cap}");
+    let (peak, cap) = pending_peak(2);
+    assert!(
+        0 < peak && peak <= cap,
+        "pending peaked at {peak} flows, cap {cap}"
+    );
+}
+
+/// Serves fresh flows, each sending `copies` packets back to back, until
+/// more distinct flows were hash-decided than the cache holds; returns
+/// the enclave's peak promotion-queue length and the cache's capacity.
+fn pending_peak(copies: usize) -> (usize, usize) {
     let victim: Ipv4Prefix = "203.0.113.0/24".parse().unwrap();
     let rules = RuleSet::from_rules([FilterRule::drop_fraction(
         FlowPattern::prefixes(Ipv4Prefix::default_route(), victim),
@@ -375,7 +390,8 @@ fn serving_path_bounds_the_promotion_queue() {
     let enclave = Arc::new(platform.launch(image, app));
     let cap = enclave.ecall(|app| app.hybrid().max_cached_flows());
     let per_round = 1usize << 16;
-    let rounds = cap / per_round + 2;
+    let flows_per_round = per_round / copies;
+    let rounds = cap / flows_per_round + 2;
     let dst = u32::from_be_bytes([203, 0, 113, 7]);
     // A ring that holds a whole round: no packet overflows undecided.
     let service = DataplaneService::new(ServiceConfig {
@@ -394,7 +410,7 @@ fn serving_path_bounds_the_promotion_queue() {
             for r in 0..rounds {
                 let traffic: Vec<Packet> = (0..per_round)
                     .map(|i| {
-                        let n = (r * per_round + i) as u32;
+                        let n = (r * flows_per_round + i / copies) as u32;
                         let t = FiveTuple::new(0x0a00_0000 + n, dst, 1024, 80, Protocol::Udp);
                         Packet::new(t, 64, u64::from(n), u64::from(n))
                     })
@@ -407,8 +423,8 @@ fn serving_path_bounds_the_promotion_queue() {
     );
     let hashed = enclave.ecall(|app| app.hybrid().stats().hash_decisions);
     assert!(
-        hashed > cap as u64,
+        hashed > (cap * copies) as u64,
         "only {hashed} hash decisions, cap {cap}"
     );
-    assert_eq!(peak, 0, "pending peaked at {peak} flows, cap {cap}");
+    (peak, cap)
 }

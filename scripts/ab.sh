@@ -63,7 +63,13 @@ run() { # <side> <checkout> <seed>
     # Each side runs from the root of its own checkout.
     line=$(cd "$2" && ./vifbench/target/release/vifbench --workload "$workload" \
         --seed "$3" --seconds "$seconds" --trace 0 --out "$root/target/ab/out" | tail -n 1) || true
-    printf '{"side": "%s", "seed": %s, "result": %s}\n' "$1" "$3" "${line:-null}" >>"$results"
+    # A run that failed or printed something else last counts as failed
+    # (`null`), so one bad run cannot spoil the summary of the others.
+    if ! printf '%s' "$line" | python3 -c 'import json, sys; sys.exit(not isinstance(json.load(sys.stdin), dict))' 2>/dev/null; then
+        echo "  $1 seed $3: no JSON result line" >&2
+        line=null
+    fi
+    printf '{"side": "%s", "seed": %s, "result": %s}\n' "$1" "$3" "$line" >>"$results"
 }
 
 for ((i = 0; i < pairs; i++)); do
