@@ -84,19 +84,20 @@ pub struct CostModel {
     /// Discount on memory stalls outside SGX (no EPC crypto engine).
     pub native_stall_factor: f64,
     /// SHA-256 over the 5-tuple for hash-based connection-preserving
-    /// filtering (Appendix A): one compression of a single stack-padded
-    /// block (`Sha256::digest_one_block` — the 45-byte `5T ‖ secret`
-    /// message fits one block), so the cost is a constant, not a
-    /// streaming function of message length. The threshold compare the
-    /// digest feeds is an install-time `u128` constant
+    /// filtering (Appendix A): one compression of a single block (the
+    /// 45-byte `5T ‖ secret` message fits one), whose fixed part each
+    /// filter builds once from its secret (`vif_crypto::sha256::BlockTail`)
+    /// and whose first four words are the tuple's fields, so the cost is a
+    /// constant, not a streaming function of message length. The threshold
+    /// compare the digest feeds is an install-time `u128` constant
     /// (`RuleSet::allow_threshold`) — no per-packet float math rides on
     /// top of the hash.
     ///
     /// This models the paper's testbed (Fig. 14) and is deliberately
     /// **not** re-measured when this tree's kernel changes: on the
-    /// development VM the real one-block digest is ~73 ns on the SHA
-    /// extensions (323 ns on the scalar rounds before them) against the
-    /// model's 28.
+    /// development VM the real per-packet digest is ~65 ns on the SHA
+    /// extensions (~85 ns through `Sha256::digest_one_block`, 323 ns on the
+    /// scalar rounds before the SHA extensions) against the model's 28.
     pub sha256_ns: f64,
 }
 

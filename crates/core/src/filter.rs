@@ -12,6 +12,14 @@
 //! packet of a TCP/UDP flow shares one verdict, and the realized drop rate
 //! converges to the requested fraction across flows.
 //!
+//! The 45-byte `5-tuple ‖ secret` message fits one padded SHA-256 block,
+//! and everything in it but the tuple is fixed for a filter's life. So
+//! [`StatelessFilter::new`] builds the block's fixed part once from the
+//! secret (a [`BlockTail`]), and a packet hands its tuple fields to the
+//! compression as the first four message words, by value: no message is
+//! assembled in memory per packet. [`StatelessFilter::decide_reference`]
+//! keeps the streaming hasher as the oracle.
+//!
 //! # The batch invariant
 //!
 //! Statelessness is exactly what makes burst processing
@@ -40,7 +48,7 @@
 
 use crate::rules::{RuleAction, RuleDecision};
 use crate::ruleset::{RuleId, RuleSet};
-use vif_crypto::sha256::Sha256;
+use vif_crypto::sha256::{BlockTail, Sha256};
 use vif_dataplane::FiveTuple;
 
 /// How a verdict was *executed* (used by the cost model and telemetry).
@@ -105,12 +113,24 @@ pub struct StatelessFilter {
     /// Enclave-internal secret seeding the hash-based decisions. Generated
     /// inside the enclave so the host cannot predict flow verdicts.
     secret: [u8; 32],
+    /// The fixed part of the Appendix-A block, built from `secret` in
+    /// [`new`](StatelessFilter::new): message words 4..16 hold the
+    /// secret's last 29 bytes and the padding.
+    tail: BlockTail,
+    /// The secret's first three bytes, the low 24 bits of message word 3
+    /// (the protocol byte is its top 8).
+    word3: u32,
 }
 
 impl StatelessFilter {
     /// Creates a filter over a rule set with the enclave secret.
     pub fn new(ruleset: RuleSet, secret: [u8; 32]) -> Self {
-        StatelessFilter { ruleset, secret }
+        StatelessFilter {
+            ruleset,
+            secret,
+            tail: BlockTail::new(&secret[3..]),
+            word3: u32::from_be_bytes([0, secret[0], secret[1], secret[2]]),
+        }
     }
 
     /// The underlying rule set.
@@ -138,10 +158,10 @@ impl StatelessFilter {
     /// Decides a packet. Pure: `decide(t)` never depends on prior calls.
     ///
     /// Runs entirely on the compiled hot path — the compiled classifier,
-    /// the one-block SHA-256, and the rule's **pre-computed** allow
-    /// threshold ([`RuleSet::allow_threshold`], compiled at install time
-    /// instead of re-deriving `p_allow · 2⁶⁴` per hash-decided packet) —
-    /// and performs no heap allocation.
+    /// the per-filter SHA-256 block template, and the rule's
+    /// **pre-computed** allow threshold ([`RuleSet::allow_threshold`],
+    /// compiled at install time instead of re-deriving `p_allow · 2⁶⁴` per
+    /// hash-decided packet) — and performs no heap allocation.
     pub fn decide(&self, t: &FiveTuple) -> Verdict {
         self.verdict_for(
             t,
@@ -228,16 +248,21 @@ impl StatelessFilter {
     /// `p_allow · 2⁶⁴`).
     ///
     /// The 45-byte `5-tuple ‖ secret` message fits one padded SHA-256
-    /// block, so the hot path assembles it on the stack and runs a single
-    /// compression ([`Sha256::digest_one_block`]) — no streaming-buffer
-    /// copies, no hasher state, no allocation.
+    /// block whose last twelve words are fixed for the filter's life, so
+    /// [`new`](StatelessFilter::new) builds them once and each packet
+    /// passes only the first four words ([`BlockTail::digest_u64`]).
+    /// [`FiveTuple::encode`] is big-endian, so those words are the tuple's
+    /// fields themselves: `src_ip`, `dst_ip`, the two ports, and the
+    /// protocol byte above the secret's first three bytes. No message is
+    /// assembled in memory and nothing is allocated.
     #[inline]
     fn hash_threshold(&self, t: &FiveTuple) -> u64 {
-        let mut msg = [0u8; 45];
-        msg[..13].copy_from_slice(&t.encode());
-        msg[13..].copy_from_slice(&self.secret);
-        let digest = Sha256::digest_one_block(&msg);
-        u64::from_le_bytes(digest[..8].try_into().expect("8 bytes"))
+        self.tail.digest_u64([
+            t.src_ip,
+            t.dst_ip,
+            u32::from(t.src_port) << 16 | u32::from(t.dst_port),
+            u32::from(t.protocol.number()) << 24 | self.word3,
+        ])
     }
 
     /// The same hash via the streaming hasher (reference path only).
@@ -254,6 +279,7 @@ impl StatelessFilter {
 mod tests {
     use super::*;
     use crate::rules::{FilterRule, FlowPattern};
+    use proptest::prelude::*;
     use vif_dataplane::Protocol;
 
     fn victim_pattern() -> FlowPattern {
@@ -307,6 +333,45 @@ mod tests {
             assert_eq!(f.hash_threshold(&t), want, "{t:?}");
             assert_eq!(f.hash_threshold_streaming(&t), want, "{t:?}");
         }
+    }
+
+    proptest! {
+        /// The per-filter block template with the tuple's words as the
+        /// head hashes what the streaming hasher hashes, for any tuple and
+        /// any secret: every protocol number and every secret byte lands
+        /// in its place in words 3..16.
+        #[test]
+        fn hash_threshold_equals_streaming(
+            (src, dst, sport, dport, proto) in any::<(u32, u32, u16, u16, u8)>(),
+            secret in any::<[u8; 32]>(),
+        ) {
+            let f = StatelessFilter::new(RuleSet::from_rules(vec![]), secret);
+            let t = FiveTuple::new(src, dst, sport, dport, Protocol::Other(proto));
+            prop_assert_eq!(f.hash_threshold(&t), f.hash_threshold_streaming(&t));
+        }
+    }
+
+    #[test]
+    fn the_block_template_follows_the_secret() {
+        // The template is built in `new` from the secret: a filter made
+        // with another secret hashes differently, while a rule install
+        // keeps the secret and with it the template.
+        let t = tuple(5);
+        let mut f = filter(vec![]);
+        let before = f.hash_threshold(&t);
+        let mut other = [7u8; 32];
+        other[31] = 8;
+        let resecreted = StatelessFilter::new(f.ruleset().clone(), other);
+        assert_ne!(resecreted.hash_threshold(&t), before);
+        assert_eq!(
+            resecreted.hash_threshold(&t),
+            resecreted.hash_threshold_streaming(&t)
+        );
+        f.install_ruleset(RuleSet::from_rules(vec![
+            FilterRule::drop(victim_pattern()),
+        ]));
+        assert_eq!(f.hash_threshold(&t), before);
+        assert_eq!(f.secret(), &[7u8; 32]);
     }
 
     #[test]

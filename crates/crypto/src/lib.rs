@@ -8,7 +8,8 @@
 //! crates permitted for this reproduction provide these primitives, so this
 //! crate implements them from scratch:
 //!
-//! - [`sha256`]: FIPS 180-4 SHA-256 (streaming + one-shot),
+//! - [`sha256`]: FIPS 180-4 SHA-256 (streaming, one-shot, and a one-block
+//!   message with a fixed tail built once),
 //! - [`hmac`]: RFC 2104 HMAC-SHA-256 with constant-time verification,
 //! - [`kdf`]: RFC 5869 HKDF (extract/expand),
 //! - [`bignum`]: fixed-purpose big unsigned integers (Knuth Algorithm D
@@ -30,10 +31,13 @@
 //! # `unsafe` policy
 //!
 //! The crate is `deny(unsafe_code)` with exactly one `allow`: the call in
-//! `sha256::compress_blocks` that enters the SHA-extension kernel. That
-//! kernel is itself a *safe* `#[target_feature]` fn — it moves words in and
-//! out of vector registers by value and touches no pointer — so the only
-//! thing the `unsafe` asserts is that the CPU has the features, and the
+//! `sha256::compress` that enters the SHA-extension kernel. Every hasher
+//! goes through that one call: the kernel is generic over where its message
+//! words come from (the blocks of a byte slice, or the fixed-tail block of
+//! [`sha256::BlockTail`] with its head in registers). That kernel is itself
+//! a *safe* `#[target_feature]` fn — it moves words in and out of vector
+//! registers by value and touches no raw pointer — so the only thing the
+//! `unsafe` asserts is that the CPU has the features, and the
 //! `is_x86_feature_detected!` check on the line above it is that proof.
 //! It is the same audited-helper exception `vif_sketch` makes for
 //! `_mm_prefetch`. Selection is automatic (no cargo feature, no

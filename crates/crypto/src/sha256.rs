@@ -1,16 +1,20 @@
 //! FIPS 180-4 SHA-256.
 //!
 //! Streaming implementation with the usual `update`/`finalize` interface,
-//! a one-shot [`Sha256::digest`] helper, and a single-block fast path
-//! ([`Sha256::digest_one_block`]) for fixed-size short messages. Used by
-//! the enclave measurement (`MRENCLAVE`), HMAC, HKDF, the hash-based
+//! a one-shot [`Sha256::digest`] helper, a single-block path
+//! ([`Sha256::digest_one_block`]) for short messages, and a single block
+//! with a fixed tail built once ([`BlockTail`]) for messages whose first 16
+//! bytes are all that change from call to call. Used by the enclave
+//! measurement (`MRENCLAVE`), HMAC, HKDF, the hash-based
 //! connection-preserving filter (paper Appendix A — its 45-byte
-//! `5-tuple ‖ secret` message takes the one-block path) and the count-min
-//! sketch's keyed hash seeding.
+//! `5-tuple ‖ secret` message is a `BlockTail` per filter with the tuple as
+//! the head) and the count-min sketch's keyed hash seeding.
 //!
 //! All of them run one compression entry, which uses the x86 SHA
 //! extensions when the CPU has them and the scalar rounds otherwise
-//! ([`kernel`] says which); the bytes are the same either way.
+//! ([`kernel`] says which); the bytes are the same either way. The entry is
+//! generic over where the message words come from: the blocks of a byte
+//! slice, or a head passed by value in registers and a tail in memory.
 
 /// Number of bytes in a SHA-256 digest.
 pub const DIGEST_LEN: usize = 32;
@@ -86,9 +90,9 @@ impl Sha256 {
     /// Identical output to [`digest`](Sha256::digest), but skips the
     /// streaming machinery entirely: the padded block is assembled on the
     /// stack and compressed once — no hasher state, no buffered copies,
-    /// no length bookkeeping. This is the per-packet fast path for the
-    /// hash-based filter decision (Appendix A), whose
-    /// `5-tuple ‖ secret` message is 45 bytes.
+    /// no length bookkeeping. A message whose tail stays fixed across
+    /// calls, such as the Appendix-A `5-tuple ‖ secret`, is cheaper still
+    /// as a [`BlockTail`], which builds the block's fixed part once.
     ///
     /// # Panics
     ///
@@ -105,7 +109,7 @@ impl Sha256 {
         block[data.len()] = 0x80;
         block[BLOCK_LEN - 8..].copy_from_slice(&((data.len() as u64) * 8).to_be_bytes());
         let mut state = H0;
-        compress_blocks(&mut state, &block);
+        compress(&mut state, &block[..]);
         state_bytes(&state)
     }
 
@@ -123,11 +127,11 @@ impl Sha256 {
             if self.buffered < BLOCK_LEN {
                 return;
             }
-            compress_blocks(&mut self.state, &self.buffer);
+            compress(&mut self.state, &self.buffer[..]);
         }
         let (blocks, tail) = data.split_at(data.len() - data.len() % BLOCK_LEN);
         if !blocks.is_empty() {
-            compress_blocks(&mut self.state, blocks);
+            compress(&mut self.state, blocks);
         }
         self.buffer[..tail.len()].copy_from_slice(tail);
         self.buffered = tail.len();
@@ -147,9 +151,89 @@ impl Sha256 {
             2 * BLOCK_LEN
         };
         pad[end - 8..end].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
-        compress_blocks(&mut self.state, &pad[..end]);
+        compress(&mut self.state, &pad[..end]);
         state_bytes(&self.state)
     }
+}
+
+/// The fixed part of a one-block message whose first 16 bytes change from
+/// call to call: the bytes after them, the padding and the bit length, as
+/// the block's last twelve message words, built once.
+///
+/// [`digest_u64`](BlockTail::digest_u64) then takes the four varying head
+/// words by value and compresses the block without assembling it in
+/// memory: the first message quad is built from the head in registers and
+/// the other three are read from here. This is the per-packet hash of the
+/// Appendix-A decision, whose `5-tuple ‖ secret` message is 45 bytes: the
+/// tuple and the secret's first three bytes make the head, and the
+/// secret's other 29 bytes are the tail.
+///
+/// # Example
+///
+/// ```
+/// use vif_crypto::sha256::{BlockTail, Sha256};
+/// let tail = BlockTail::new(b"rest of the message");
+/// let head = *b"16-byte head ...";
+/// let words = std::array::from_fn(|i| u32::from_be_bytes(head[4 * i..4 * i + 4].try_into().unwrap()));
+/// let digest = Sha256::digest(b"16-byte head ...rest of the message");
+/// assert_eq!(tail.digest_u64(words), u64::from_le_bytes(digest[..8].try_into().unwrap()));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockTail {
+    words: [u32; 12],
+}
+
+impl BlockTail {
+    /// Bytes in the varying head of the message.
+    pub const HEAD_LEN: usize = 16;
+
+    /// Longest `rest`: the head and the rest together fit one padded block.
+    pub const REST_MAX: usize = Sha256::ONE_BLOCK_MAX - Self::HEAD_LEN;
+
+    /// The tail of the padded block for the message `head ‖ rest`, where
+    /// the head is any [`HEAD_LEN`](BlockTail::HEAD_LEN) bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rest` exceeds [`REST_MAX`](BlockTail::REST_MAX) bytes.
+    pub fn new(rest: &[u8]) -> Self {
+        assert!(
+            rest.len() <= Self::REST_MAX,
+            "BlockTail: message exceeds one padded block"
+        );
+        const LEN: usize = BLOCK_LEN - BlockTail::HEAD_LEN;
+        let mut bytes = [0u8; LEN];
+        bytes[..rest.len()].copy_from_slice(rest);
+        bytes[rest.len()] = 0x80;
+        let bits = ((Self::HEAD_LEN + rest.len()) as u64) * 8;
+        bytes[LEN - 8..].copy_from_slice(&bits.to_be_bytes());
+        BlockTail {
+            words: std::array::from_fn(|i| {
+                u32::from_be_bytes(bytes[4 * i..4 * i + 4].try_into().expect("4 bytes"))
+            }),
+        }
+    }
+
+    /// SHA-256 of `head ‖ rest`, where `head` is the message's first 16
+    /// bytes as four big-endian words, returned as its first eight digest
+    /// bytes read as a little-endian `u64`.
+    #[inline]
+    pub fn digest_u64(&self, head: [u32; 4]) -> u64 {
+        compress(&self.words, Head::from(head))
+    }
+
+    /// [`digest_u64`](BlockTail::digest_u64) on the scalar rounds, whatever
+    /// the CPU offers: the oracle the dispatching kernel is tested against.
+    pub fn digest_u64_portable(&self, head: [u32; 4]) -> u64 {
+        portable::compress(&self.words, Head::from(head))
+    }
+}
+
+/// The first eight bytes of the digest of `state`, read as a little-endian
+/// `u64`.
+#[inline]
+fn prefix_u64(state: &[u32; 8]) -> u64 {
+    u64::from(state[0].swap_bytes()) | u64::from(state[1].swap_bytes()) << 32
 }
 
 /// The big-endian serialisation of the eight state words.
@@ -161,7 +245,7 @@ fn state_bytes(state: &[u32; 8]) -> [u8; DIGEST_LEN] {
     out
 }
 
-/// Whether [`ni::compress_blocks`] may run here: every target feature it
+/// Whether [`ni::compress`] may run here: every target feature it
 /// is compiled with (`sse2` is part of the x86-64 baseline). Detection is
 /// cached by `std` — one relaxed load per call.
 #[cfg(target_arch = "x86_64")]
@@ -189,41 +273,139 @@ pub fn kernel() -> &'static str {
     }
 }
 
-/// The FIPS 180-4 compression function over every 64-byte block of
-/// `blocks` in turn — the one entry every hasher in this crate goes
-/// through. `blocks.len()` is a multiple of [`BLOCK_LEN`].
+/// One call into a compression kernel. The kernel starts from
+/// [`start`](Message::start), runs the rounds over each block of
+/// [`blocks`](Message::blocks) in turn (a block given as the map from a
+/// word index `0..16` to that big-endian message word) and hands the final
+/// state to [`finish`](Message::finish).
+///
+/// A call crosses into the kernel as two arguments: the message itself,
+/// two registers wide, and [`Mem`](Message::Mem), one pointer to what the
+/// call reads or writes in memory. So a byte message passes its slice and
+/// the state it updates, and a head-and-tail block passes its four head
+/// words by value, with no store and reload on the way to the first
+/// message quad, and the fixed tail by reference.
+trait Message {
+    type Mem<'m>;
+    type Out;
+    fn start(mem: &Self::Mem<'_>) -> [u32; 8];
+    fn blocks(self, mem: &Self::Mem<'_>) -> impl Iterator<Item = impl Fn(usize) -> u32>;
+    fn finish(mem: Self::Mem<'_>, state: [u32; 8]) -> Self::Out;
+}
+
+/// Every 64-byte block of a byte message in turn (the length is a multiple
+/// of [`BLOCK_LEN`]), absorbed into a state in memory.
+impl Message for &[u8] {
+    type Mem<'m> = &'m mut [u32; 8];
+    type Out = ();
+
+    #[inline]
+    fn start(state: &Self::Mem<'_>) -> [u32; 8] {
+        **state
+    }
+
+    #[inline]
+    fn blocks(self, _: &Self::Mem<'_>) -> impl Iterator<Item = impl Fn(usize) -> u32> {
+        debug_assert_eq!(self.len() % BLOCK_LEN, 0);
+        self.as_chunks::<BLOCK_LEN>().0.iter().map(|block| {
+            |j: usize| {
+                u32::from_be_bytes([
+                    block[4 * j],
+                    block[4 * j + 1],
+                    block[4 * j + 2],
+                    block[4 * j + 3],
+                ])
+            }
+        })
+    }
+
+    #[inline]
+    fn finish(state: &mut [u32; 8], out: [u32; 8]) {
+        *state = out;
+    }
+}
+
+/// The four head words of a one-block message, two to a `u64` with the
+/// earlier word in the low half (two scalar fields, not an array, so the
+/// pair is passed in two registers); the block's other twelve words are a
+/// [`BlockTail`]'s. The digest starts from the initial state and hands
+/// back [`prefix_u64`].
+#[derive(Clone, Copy)]
+struct Head {
+    w01: u64,
+    w23: u64,
+}
+
+impl From<[u32; 4]> for Head {
+    #[inline]
+    fn from([w0, w1, w2, w3]: [u32; 4]) -> Self {
+        Head {
+            w01: u64::from(w0) | u64::from(w1) << 32,
+            w23: u64::from(w2) | u64::from(w3) << 32,
+        }
+    }
+}
+
+impl Message for Head {
+    type Mem<'m> = &'m [u32; 12];
+    type Out = u64;
+
+    #[inline]
+    fn start(_: &Self::Mem<'_>) -> [u32; 8] {
+        H0
+    }
+
+    #[inline]
+    fn blocks(self, tail: &Self::Mem<'_>) -> impl Iterator<Item = impl Fn(usize) -> u32> {
+        let tail = *tail;
+        std::iter::once(move |j: usize| {
+            if j < 4 {
+                let pair = if j < 2 { self.w01 } else { self.w23 };
+                (pair >> (32 * (j % 2))) as u32
+            } else {
+                tail[j - 4]
+            }
+        })
+    }
+
+    #[inline]
+    fn finish(_: &[u32; 12], state: [u32; 8]) -> u64 {
+        prefix_u64(&state)
+    }
+}
+
+/// The FIPS 180-4 compression function over the blocks of `msg` — the one
+/// entry every hasher in this crate goes through.
 #[inline]
-fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
-    debug_assert_eq!(blocks.len() % BLOCK_LEN, 0);
+fn compress<M: Message>(mem: M::Mem<'_>, msg: M) -> M::Out {
     #[cfg(target_arch = "x86_64")]
     if ni_available() {
-        // SAFETY: `ni::compress_blocks` is a safe fn whose only
-        // requirement is the CPU features it is compiled for, and
-        // `ni_available` on the line above just confirmed each of them.
+        // SAFETY: `ni::compress` is a safe fn whose only requirement is
+        // the CPU features it is compiled for, and `ni_available` on the
+        // line above just confirmed each of them.
         #[allow(unsafe_code)]
-        unsafe {
-            ni::compress_blocks(state, blocks)
-        };
-        return;
+        return unsafe { ni::compress(mem, msg) };
     }
-    portable::compress_blocks(state, blocks);
+    portable::compress(mem, msg)
 }
 
 /// The scalar rounds: the path on CPUs without the SHA extensions, and the
 /// oracle the hardware kernel is tested against.
 mod portable {
-    use super::{BLOCK_LEN, K};
+    use super::{Message, K};
 
-    pub(super) fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
-        for block in blocks.chunks_exact(BLOCK_LEN) {
-            compress(state, block);
+    pub(super) fn compress<M: Message>(mem: M::Mem<'_>, msg: M) -> M::Out {
+        let mut state = M::start(&mem);
+        for block in msg.blocks(&mem) {
+            compress_one(&mut state, block);
         }
+        M::finish(mem, state)
     }
 
-    fn compress(state: &mut [u32; 8], block: &[u8]) {
+    fn compress_one(state: &mut [u32; 8], block: impl Fn(usize) -> u32) {
         let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        for (i, wi) in w[..16].iter_mut().enumerate() {
+            *wi = block(i);
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
@@ -271,10 +453,11 @@ mod portable {
 /// target features, and words enter and leave vector registers by value
 /// (`_mm_set_epi32` / `_mm_extract_epi32`), so the module holds no
 /// `unsafe` — the one obligation, that the CPU has the features, sits
-/// with the caller.
+/// with the caller. There is one round loop, [`compress`](ni::compress),
+/// generic over the [`Message`].
 #[cfg(target_arch = "x86_64")]
 mod ni {
-    use super::{BLOCK_LEN, K};
+    use super::{Message, K};
     use std::arch::x86_64::{
         __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32,
         _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
@@ -283,28 +466,25 @@ mod ni {
     /// Words `4i..4i + 4` of `words`, word `4i` in the low lane.
     #[inline]
     #[target_feature(enable = "sse2")]
-    fn quad(words: impl Fn(usize) -> u32, i: usize) -> __m128i {
+    fn quad(words: &impl Fn(usize) -> u32, i: usize) -> __m128i {
         let w = |j| words(4 * i + j) as i32;
         _mm_set_epi32(w(3), w(2), w(1), w(0))
     }
 
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-    pub(super) fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
-        let [a, b, c, d, e, f, g, h] = state.map(|w| w as i32);
+    pub(super) fn compress<M: Message>(mem: M::Mem<'_>, msg: M) -> M::Out {
+        let [a, b, c, d, e, f, g, h] = M::start(&mem).map(|w| w as i32);
         let mut abef = _mm_set_epi32(a, b, e, f);
         let mut cdgh = _mm_set_epi32(c, d, g, h);
-        for block in blocks.chunks_exact(BLOCK_LEN) {
+        for block in msg.blocks(&mem) {
             let (abef_in, cdgh_in) = (abef, cdgh);
-            let be = |j: usize| {
-                u32::from_be_bytes([
-                    block[4 * j],
-                    block[4 * j + 1],
-                    block[4 * j + 2],
-                    block[4 * j + 3],
-                ])
-            };
             // The last four schedule quads, oldest first.
-            let mut w = [quad(be, 0), quad(be, 1), quad(be, 2), quad(be, 3)];
+            let mut w = [
+                quad(&block, 0),
+                quad(&block, 1),
+                quad(&block, 2),
+                quad(&block, 3),
+            ];
             for i in 0..16 {
                 let wi = if i < 4 {
                     w[i]
@@ -317,14 +497,14 @@ mod ni {
                     w = [w[1], w[2], w[3], next];
                     next
                 };
-                let wk = _mm_add_epi32(wi, quad(|j| K[j], i));
+                let wk = _mm_add_epi32(wi, quad(&|j| K[j], i));
                 cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
                 abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0E>(wk));
             }
             abef = _mm_add_epi32(abef, abef_in);
             cdgh = _mm_add_epi32(cdgh, cdgh_in);
         }
-        *state = [
+        let state = [
             _mm_extract_epi32::<3>(abef),
             _mm_extract_epi32::<2>(abef),
             _mm_extract_epi32::<3>(cdgh),
@@ -335,6 +515,7 @@ mod ni {
             _mm_extract_epi32::<0>(cdgh),
         ]
         .map(|w| w as u32);
+        M::finish(mem, state)
     }
 }
 
@@ -352,10 +533,15 @@ pub(crate) mod tests {
     /// where the CPU has one) and the scalar rounds called directly, so a
     /// box without the SHA extensions still tests the portable path and a
     /// box with them tests both.
-    pub(crate) const KERNELS: [(&str, Kernel); 2] = [
-        ("dispatch", compress_blocks),
-        ("portable", portable::compress_blocks),
-    ];
+    pub(crate) const KERNELS: [(&str, Kernel); 2] = [("dispatch", dispatch), ("portable", scalar)];
+
+    fn dispatch(state: &mut [u32; 8], blocks: &[u8]) {
+        compress(state, blocks);
+    }
+
+    fn scalar(state: &mut [u32; 8], blocks: &[u8]) {
+        portable::compress(state, blocks);
+    }
 
     /// SHA-256 of `data` on `kernel` alone: the padded message is built
     /// here and handed over in one call, independent of `Sha256`.
@@ -429,7 +615,7 @@ pub(crate) mod tests {
     #[test]
     fn streaming_equals_oneshot_for_all_split_points() {
         let data: Vec<u8> = (0..255u8).collect();
-        let reference = digest_with(portable::compress_blocks, &data);
+        let reference = digest_with(scalar, &data);
         for split in 0..data.len() {
             let mut h = Sha256::new();
             h.update(&data[..split]);
@@ -446,7 +632,7 @@ pub(crate) mod tests {
         for n in 0..=data.len() {
             assert_eq!(
                 Sha256::digest(&data[..n]),
-                digest_with(portable::compress_blocks, &data[..n]),
+                digest_with(scalar, &data[..n]),
                 "length {n}"
             );
         }
@@ -477,6 +663,26 @@ pub(crate) mod tests {
         let _ = Sha256::digest_one_block(&[0u8; 56]);
     }
 
+    #[test]
+    fn block_tail_matches_streaming_for_every_length() {
+        let head = [0x0102_0304, 0xa5a5_5a5a, 0xffff_0000, 0x1100_aabb];
+        let head_bytes: Vec<u8> = head.iter().flat_map(|w: &u32| w.to_be_bytes()).collect();
+        let data: Vec<u8> = (0..BlockTail::REST_MAX as u8).map(|i| i ^ 0x3C).collect();
+        for n in 0..=BlockTail::REST_MAX {
+            let digest = Sha256::digest(&[&head_bytes[..], &data[..n]].concat());
+            let want = u64::from_le_bytes(digest[..8].try_into().unwrap());
+            let tail = BlockTail::new(&data[..n]);
+            assert_eq!(tail.digest_u64(head), want, "length {n}");
+            assert_eq!(tail.digest_u64_portable(head), want, "length {n}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one padded block")]
+    fn block_tail_rejects_long_messages() {
+        let _ = BlockTail::new(&[0u8; BlockTail::REST_MAX + 1]);
+    }
+
     proptest! {
         /// The hardware kernel, fed through `update` at random split
         /// points, produces the scalar rounds' digest.
@@ -498,7 +704,7 @@ pub(crate) mod tests {
                 from = cut;
             }
             h.update(&data[from..]);
-            prop_assert_eq!(h.finalize(), digest_with(portable::compress_blocks, &data));
+            prop_assert_eq!(h.finalize(), digest_with(scalar, &data));
         }
     }
 }

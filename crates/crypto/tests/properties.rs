@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use vif_crypto::bignum::BigUint;
 use vif_crypto::channel::SecureChannel;
 use vif_crypto::hmac::HmacSha256;
-use vif_crypto::sha256::Sha256;
+use vif_crypto::sha256::{BlockTail, Sha256};
 use vif_crypto::{hex, kdf};
 
 proptest! {
@@ -35,6 +35,23 @@ proptest! {
     #[test]
     fn sha256_one_block_equivalence(data in vec(any::<u8>(), 0..=55)) {
         prop_assert_eq!(Sha256::digest_one_block(&data), Sha256::digest(&data));
+    }
+
+    /// A fixed tail with four head words digests `head ‖ rest` — the first
+    /// eight digest bytes, read little-endian — on the dispatching kernel
+    /// (the SHA extensions where the CPU has them) and on the scalar
+    /// rounds alike, for every head and every rest that fits one block.
+    #[test]
+    fn sha256_block_tail_equivalence(
+        head in any::<[u32; 4]>(),
+        rest in vec(any::<u8>(), 0..=BlockTail::REST_MAX),
+    ) {
+        let mut msg: Vec<u8> = head.iter().flat_map(|w| w.to_be_bytes()).collect();
+        msg.extend_from_slice(&rest);
+        let want = u64::from_le_bytes(Sha256::digest(&msg)[..8].try_into().unwrap());
+        let tail = BlockTail::new(&rest);
+        prop_assert_eq!(tail.digest_u64(head), want);
+        prop_assert_eq!(tail.digest_u64_portable(head), want);
     }
 
     /// HMAC verifies its own tags and rejects any single-bit flip.

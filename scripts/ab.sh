@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Paired A/B runs of one vifbench workload: a git revision against the
+# Paired A/B runs of vifbench workloads: a git revision against the
 # working tree.
 #
-#   scripts/ab.sh <rev> <workload> <pairs> [seconds] [first-seed]
+#   scripts/ab.sh <rev> <workload|all> <pairs> [seconds] [first-seed]
 #
 # Exports <rev> with `git archive` into target/ab/<commit>/ and builds its
 # vifbench there, builds the working tree's vifbench, then runs <pairs>
@@ -10,11 +10,14 @@
 # (default 10 s, seeds first-seed, first-seed + 1, ...; default 7). Within a
 # pair both sides run the same seed; which side runs first alternates from
 # pair to pair, so slow drift on the host lands on both sides alike.
+# `all` runs the pairs of every workload in BENCHMARK.json, one workload
+# after the other, from the same two builds.
 #
-# It prints every pair's end-to-end metrics (the `end_to_end` names of
-# BENCHMARK.json), each side's median and interquartile range, and on how
-# many pairs the working tree came out better, plus each side's failed
-# share. Each run's result line is kept in target/ab/<workload>-<time>.jsonl.
+# For each workload it prints every pair's end-to-end metrics (the
+# `end_to_end` names of BENCHMARK.json), each side's median and
+# interquartile range, and on how many pairs the working tree came out
+# better, plus each side's failed share. Each run's result line is kept in
+# target/ab/<workload>-<time>.jsonl.
 #
 # It only reports: it gates nothing and exits 0 whatever the numbers say.
 # Building the working tree's vifbench rewrites vifbench/Cargo.lock; the
@@ -22,17 +25,21 @@
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
-    sed -n '2,12p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,14p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 fi
 rev=$1
-workload=$2
 pairs=$3
 seconds=${4:-10}
 first_seed=${5:-7}
 
 root=$(git rev-parse --show-toplevel)
 cd "$root"
+if [ "$2" = all ]; then
+    workloads=$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+else
+    workloads=$2
+fi
 commit=$(git rev-parse --short "$rev^{commit}")
 base="$root/target/ab/$commit"
 mkdir -p "$root/target/ab"
@@ -56,8 +63,6 @@ echo "building vifbench in the working tree" >&2
 build "$root"
 cp "$lock" vifbench/Cargo.lock
 
-results="$root/target/ab/$workload-$(date +%Y%m%dT%H%M%S).jsonl"
-: >"$results"
 run() { # <side> <checkout> <seed>
     local line
     # Each side runs from the root of its own checkout.
@@ -72,19 +77,8 @@ run() { # <side> <checkout> <seed>
     printf '{"side": "%s", "seed": %s, "result": %s}\n' "$1" "$3" "$line" >>"$results"
 }
 
-for ((i = 0; i < pairs; i++)); do
-    seed=$((first_seed + i))
-    echo "pair $((i + 1))/$pairs, seed $seed" >&2
-    if ((i % 2 == 0)); then
-        run base "$base" "$seed"
-        run change "$root" "$seed"
-    else
-        run change "$root" "$seed"
-        run base "$base" "$seed"
-    fi
-done
-
-python3 - "$results" "$commit" "$workload" <<'EOF'
+summarize() { # <results> <workload>
+    python3 - "$1" "$commit" "$2" <<'EOF'
 import json, statistics, sys
 
 path, commit, workload = sys.argv[1:4]
@@ -131,3 +125,22 @@ for side in ("base", "change"):
     print(f"\nfailed share, {side}: {f}/{a}" + (f" = {f / a:.4f}" if a else ""))
 print(f"\nresults: {path}")
 EOF
+}
+
+for workload in $workloads; do
+    results="$root/target/ab/$workload-$(date +%Y%m%dT%H%M%S).jsonl"
+    : >"$results"
+    for ((i = 0; i < pairs; i++)); do
+        seed=$((first_seed + i))
+        echo "$workload: pair $((i + 1))/$pairs, seed $seed" >&2
+        if ((i % 2 == 0)); then
+            run base "$base" "$seed"
+            run change "$root" "$seed"
+        else
+            run change "$root" "$seed"
+            run base "$base" "$seed"
+        fi
+    done
+    summarize "$results" "$workload"
+    echo
+done
