@@ -29,7 +29,7 @@ use crate::filter::allow_threshold;
 use crate::rules::{FilterRule, RuleDecision};
 use crate::ruleset::RuleId;
 use vif_dataplane::{FiveTuple, Protocol};
-use vif_trie::{CompiledTrie, Ipv4Prefix};
+use vif_trie::{CompiledTrie, Ipv4Prefix, NodeRecycler};
 
 /// One coarse rule, flattened for the hot path: the full `FlowPattern`
 /// constraint set as plain words, plus the rule id to report on a match.
@@ -124,10 +124,14 @@ impl CompiledClassifier {
     /// Compiles the coarse side of a rule set: `coarse` lists the coarse
     /// rules in force as `(source prefix, rule id)`, sorted — each prefix's
     /// run is its bucket in precedence order; `rules` is the full rule
-    /// array the ids index into.
+    /// array the ids index into. The trie's node arrays are taken from,
+    /// and on drop handed back to, `recycler`
+    /// ([`CompiledTrie::from_entries_recycled`]) — how one rule lineage's
+    /// epochs reuse each other's arrays.
     pub fn compile(
         coarse: impl IntoIterator<Item = (Ipv4Prefix, RuleId)>,
         rules: &[FilterRule],
+        recycler: &NodeRecycler,
     ) -> Self {
         let mut candidates = Vec::new();
         let mut buckets: Vec<(Ipv4Prefix, CandSpan)> = Vec::new();
@@ -138,7 +142,7 @@ impl CompiledClassifier {
             }
             candidates.push(CompiledCandidate::compile(id, &rules[id as usize]));
         }
-        let trie = CompiledTrie::from_entries(COARSE_STRIDE, buckets);
+        let trie = CompiledTrie::from_entries_recycled(COARSE_STRIDE, buckets, recycler);
         let thresholds = rules
             .iter()
             .map(|r| match r.decision() {

@@ -32,7 +32,7 @@ use crate::rules::FilterRule;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use vif_dataplane::FiveTuple;
-use vif_trie::{Ipv4Prefix, MultiBitTrie};
+use vif_trie::{Ipv4Prefix, MultiBitTrie, NodeRecycler};
 
 /// Identifier of a rule within a [`RuleSet`] (insertion index).
 pub type RuleId = u32;
@@ -82,6 +82,9 @@ pub struct RuleTables {
     compiled: CompiledClassifier,
     /// Compiles in this epoch's lineage (see [`RuleSet::rebuilds`]).
     rebuilds: u64,
+    /// The lineage's spare trie node arrays: the last retired epoch's,
+    /// refilled by the next compile instead of allocated afresh.
+    nodes: NodeRecycler,
 }
 
 /// The authoritative rule structures — what a mutation copies and edits
@@ -160,11 +163,13 @@ impl Default for RuleSet {
 impl RuleSet {
     /// Creates an empty rule set.
     pub fn new() -> Self {
+        let nodes = NodeRecycler::new();
         RuleSet {
             tables: Arc::new(RuleTables {
                 index: RuleIndex::default(),
-                compiled: CompiledClassifier::compile([], &[]),
+                compiled: CompiledClassifier::compile([], &[], &nodes),
                 rebuilds: 0,
+                nodes,
             }),
             counters: Vec::new(),
         }
@@ -304,13 +309,16 @@ impl RuleSet {
         };
         let out = f(&mut edit);
         if let Some(index) = edit.draft {
-            let compiled = CompiledClassifier::compile(index.coarse.iter().copied(), &index.rules);
+            let nodes = self.tables.nodes.clone();
+            let compiled =
+                CompiledClassifier::compile(index.coarse.iter().copied(), &index.rules, &nodes);
             self.counters
                 .resize(index.rules.len(), RuleCounters::default());
             self.tables = Arc::new(RuleTables {
                 index,
                 compiled,
                 rebuilds: self.tables.rebuilds + 1,
+                nodes,
             });
         }
         out

@@ -32,9 +32,21 @@
 //!
 //! [`lookup`]: MultiBitTrie::lookup
 //! [`lookup_path`]: MultiBitTrie::lookup_path
+//!
+//! The two node arrays are `node_count · fanout` entries each — megabytes
+//! for a few thousand host prefixes at stride 8 — and a rule epoch
+//! recompiles them while the previous epoch is still being served. A trie
+//! compiled through a [`NodeRecycler`]
+//! ([`from_entries_recycled`](CompiledTrie::from_entries_recycled)) hands
+//! large arrays back to the recycler when it is dropped, and the next
+//! compile through it refills them in place: the two epochs' arrays
+//! alternate between the same two allocations instead of coming from, and
+//! going back to, the allocator on every epoch.
 
 use crate::prefix::Ipv4Prefix;
 use crate::trie::{MultiBitTrie, RuleMatch};
+use std::fmt;
+use std::sync::{Arc, Mutex};
 
 /// Sentinel for "no child" / "no entry list" in the flat arrays.
 const NONE: u32 = u32::MAX;
@@ -64,6 +76,120 @@ pub struct CompiledTrie<T> {
     path_data: Vec<(u8, u32)>,
     /// The stored values, indexed by `path_data`'s value indices.
     values: Vec<T>,
+    /// Where `children` and `slots` go when the trie is dropped.
+    recycler: Option<NodeRecycler>,
+}
+
+/// A trie's two node arrays, detached for the next compile.
+#[derive(Default)]
+struct NodeArrays {
+    children: Vec<u32>,
+    slots: Vec<u32>,
+}
+
+impl NodeArrays {
+    fn capacity(&self) -> usize {
+        self.children.capacity().min(self.slots.capacity())
+    }
+}
+
+/// Node arrays with fewer entries than this (4 MiB of `u32` each) are
+/// released when their trie drops, not kept. A kept pair is what steadies
+/// a large lineage: a fresh multi-megabyte pair per epoch is placed wherever
+/// glibc's dynamic mmap and trim thresholds happen to put it, which swung
+/// a 3,000-rule churn's peak RSS by 12 MB from run to run. A few hundred
+/// kilobytes cost little to allocate afresh, and keeping those too left the
+/// thresholds low enough that a two-tenant service's 1 MB audit buffers
+/// were trimmed and faulted back every round (its audit read 24 % slower,
+/// with half again as many page faults).
+const RECYCLE_MIN: usize = 1 << 20;
+
+/// Keeps the node arrays of the last dropped [`CompiledTrie`] compiled
+/// through it, for the next compile through it to refill (see the
+/// [module docs](self)); arrays under 2²⁰ entries are not kept. Clones
+/// share the one spare pair; when two tries' arrays come back before a
+/// compile takes them, the larger pair is kept.
+#[derive(Clone)]
+pub struct NodeRecycler {
+    spare: Arc<Mutex<NodeArrays>>,
+    /// Smaller arrays are released, not kept.
+    min_entries: usize,
+}
+
+impl Default for NodeRecycler {
+    fn default() -> Self {
+        Self::keeping_from(RECYCLE_MIN)
+    }
+}
+
+impl NodeRecycler {
+    /// A recycler holding no arrays yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn keeping_from(min_entries: usize) -> Self {
+        NodeRecycler {
+            spare: Arc::default(),
+            min_entries,
+        }
+    }
+
+    /// Entries each spare array holds without reallocating (0 when none
+    /// is held).
+    pub fn spare_capacity(&self) -> usize {
+        self.lock().capacity()
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, NodeArrays> {
+        self.spare.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn take(&self) -> NodeArrays {
+        std::mem::take(&mut *self.lock())
+    }
+
+    fn keep(&self, arrays: NodeArrays) {
+        if arrays.capacity() < self.min_entries {
+            return;
+        }
+        let mut spare = self.lock();
+        if arrays.capacity() > spare.capacity() {
+            *spare = arrays;
+        }
+    }
+}
+
+impl fmt::Debug for NodeRecycler {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("NodeRecycler")
+            .field("spare_capacity", &self.spare_capacity())
+            .finish()
+    }
+}
+
+impl<T> Drop for CompiledTrie<T> {
+    fn drop(&mut self) {
+        if let Some(recycler) = &self.recycler {
+            recycler.keep(NodeArrays {
+                children: std::mem::take(&mut self.children),
+                slots: std::mem::take(&mut self.slots),
+            });
+        }
+    }
+}
+
+/// `spare` emptied and refilled with `len` × [`NONE`]. A spare too small is
+/// replaced by an exact allocation with 1/64 headroom, so that an epoch a
+/// few nodes larger than the last does not reallocate again, and so that
+/// the array never carries `Vec`'s doubling slack.
+fn refill(mut spare: Vec<u32>, len: usize) -> Vec<u32> {
+    spare.clear();
+    if spare.capacity() < len {
+        spare = Vec::with_capacity(len + len / 64);
+    }
+    spare.resize(len, NONE);
+    spare
 }
 
 impl<T: Clone> MultiBitTrie<T> {
@@ -96,6 +222,31 @@ impl<T: Clone> CompiledTrie<T> {
     ///
     /// Panics unless `stride` is one of 1, 2, 4, 8 (must divide 32).
     pub fn from_entries<I: IntoIterator<Item = (Ipv4Prefix, T)>>(stride: u8, entries: I) -> Self {
+        Self::build(stride, entries, NodeArrays::default())
+    }
+
+    /// [`from_entries`](CompiledTrie::from_entries) into the node arrays
+    /// `recycler` holds, if any; the trie hands its arrays back to
+    /// `recycler` when dropped (see the [module docs](self)).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `stride` is one of 1, 2, 4, 8 (must divide 32).
+    pub fn from_entries_recycled<I: IntoIterator<Item = (Ipv4Prefix, T)>>(
+        stride: u8,
+        entries: I,
+        recycler: &NodeRecycler,
+    ) -> Self {
+        let mut trie = Self::build(stride, entries, recycler.take());
+        trie.recycler = Some(recycler.clone());
+        trie
+    }
+
+    fn build<I: IntoIterator<Item = (Ipv4Prefix, T)>>(
+        stride: u8,
+        entries: I,
+        spare: NodeArrays,
+    ) -> Self {
         assert!(
             matches!(stride, 1 | 2 | 4 | 8),
             "stride must be 1, 2, 4 or 8"
@@ -106,21 +257,39 @@ impl<T: Clone> CompiledTrie<T> {
             (addr >> (32 - stride_bits - consumed)) as usize & (fanout - 1)
         };
 
+        let (prefixes, values): (Vec<Ipv4Prefix>, Vec<T>) = entries.into_iter().unzip();
+
+        // Count the nodes first, so the node arrays are sized once (or a
+        // spare pair refilled) rather than doubled and copied as nodes are
+        // linked: every node but the root is one distinct `(depth, leading
+        // depth bits)` of a prefix longer than that depth.
+        let mut keys: Vec<u64> = prefixes
+            .iter()
+            .flat_map(|p| {
+                (stride_bits..p.len() as u32)
+                    .step_by(stride_bits as usize)
+                    .map(move |depth| u64::from(depth) << 32 | u64::from(p.addr() >> (32 - depth)))
+            })
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let node_count = 1 + keys.len();
+        drop(keys);
+
         // Link the nodes (in creation order, root first) and note where
         // each prefix terminates; `terms` is indexed like `values`.
-        let mut values = Vec::new();
-        let mut terms: Vec<Termination> = Vec::new();
-        let mut children = vec![NONE; fanout];
-        for (prefix, value) in entries {
-            values.push(value);
+        let mut terms: Vec<Termination> = Vec::with_capacity(prefixes.len());
+        let mut children = refill(spare.children, node_count * fanout);
+        let mut linked = 1u32;
+        for prefix in &prefixes {
             let plen = prefix.len() as u32;
             let mut node = 0usize;
             let mut consumed = 0u32;
             while plen > consumed + stride_bits {
                 let link = node * fanout + slot_of(prefix.addr(), consumed);
                 if children[link] == NONE {
-                    children[link] = (children.len() / fanout) as u32;
-                    children.resize(children.len() + fanout, NONE);
+                    children[link] = linked;
+                    linked += 1;
                 }
                 node = children[link] as usize;
                 consumed += stride_bits;
@@ -139,6 +308,8 @@ impl<T: Clone> CompiledTrie<T> {
                 len: prefix.len(),
             });
         }
+        debug_assert_eq!(linked as usize, node_count);
+        drop(prefixes);
 
         // Controlled prefix expansion, recording *every* terminating prefix
         // per slot (MultiBitTrie's expanded nodes keep only the longest —
@@ -152,7 +323,7 @@ impl<T: Clone> CompiledTrie<T> {
         // without comparing or hashing list contents.
         let mut order: Vec<u32> = (0..terms.len() as u32).collect();
         order.sort_unstable_by_key(|&v| (terms[v as usize].node, terms[v as usize].len));
-        let mut slots = vec![NONE; children.len()];
+        let mut slots = refill(spare.slots, children.len());
         let mut shorter = vec![NONE; terms.len()];
         let mut list_of = vec![NONE; terms.len()];
         let mut lists: Vec<(u32, u32)> = Vec::new();
@@ -196,6 +367,7 @@ impl<T: Clone> CompiledTrie<T> {
             lists,
             path_data,
             values,
+            recycler: None,
         }
     }
 
@@ -466,5 +638,79 @@ mod tests {
         assert_eq!(c.lists.len(), 1);
         assert_eq!(c.path_data.len(), 1);
         assert!(c.memory_bytes() > 0);
+    }
+
+    #[test]
+    fn a_dropped_tries_arrays_are_refilled_by_the_next_compile() {
+        let recycler = NodeRecycler::new();
+        // 4,096 host prefixes in 0.0.0.0/12: one node at depth 8, 16 at
+        // depth 16 and 4,096 at depth 24 — just over `RECYCLE_MIN` entries.
+        let hosts = (0..4096u32).map(|i| (Ipv4Prefix::new(i << 8 | 1, 32), i));
+        let first = CompiledTrie::from_entries_recycled(8, hosts, &recycler);
+        assert_eq!(first.node_count(), 1 + 1 + 16 + 4096);
+        assert!(first.children.len() >= RECYCLE_MIN);
+        assert_eq!(recycler.spare_capacity(), 0);
+        let (children, slots) = (first.children.as_ptr(), first.slots.as_ptr());
+        drop(first);
+        assert!(recycler.spare_capacity() >= 4114 * 256);
+
+        let second = CompiledTrie::from_entries_recycled(8, [(p("10.0.0.0/8"), 7u32)], &recycler);
+        assert_eq!(
+            (second.children.as_ptr(), second.slots.as_ptr()),
+            (children, slots)
+        );
+        assert_eq!(recycler.spare_capacity(), 0);
+        assert_eq!(second.node_count(), 1);
+        let walked: Vec<u32> = second.path(ip(10, 3, 1, 1)).map(|m| *m.value).collect();
+        assert_eq!(walked, vec![7]);
+
+        // A trie compiled without the recycler gives it nothing back.
+        drop(CompiledTrie::from_entries(8, [(p("10.0.0.0/8"), 7u32)]));
+        assert_eq!(recycler.spare_capacity(), 0);
+        drop(second);
+        assert!(recycler.spare_capacity() >= 4114 * 256);
+    }
+
+    #[test]
+    fn small_arrays_are_released_not_kept() {
+        let recycler = NodeRecycler::new();
+        let hosts = (0..64u8).map(|i| (Ipv4Prefix::new(ip(10, i, 1, 1), 32), u32::from(i)));
+        drop(CompiledTrie::from_entries_recycled(8, hosts, &recycler));
+        assert_eq!(recycler.spare_capacity(), 0);
+    }
+
+    fn compiled_from(
+        stride: u8,
+        prefixes: &[(u32, u8)],
+        recycler: &NodeRecycler,
+    ) -> CompiledTrie<u32> {
+        let mut t = MultiBitTrie::new(stride);
+        for (i, &(addr, len)) in prefixes.iter().enumerate() {
+            t.insert(Ipv4Prefix::new(addr, len), i as u32);
+        }
+        CompiledTrie::from_entries_recycled(stride, t.iter().map(|(p, v)| (*p, *v)), recycler)
+    }
+
+    proptest::proptest! {
+        /// A compile into another prefix set's arrays — larger or smaller,
+        /// at any stride — builds exactly the arrays a fresh compile
+        /// builds: no stale link or list survives the refill.
+        #[test]
+        fn recycled_compile_equals_fresh(
+            first in proptest::collection::vec((proptest::prelude::any::<u32>(), 0u8..=32), 0..150),
+            second in proptest::collection::vec((proptest::prelude::any::<u32>(), 0u8..=32), 0..150),
+            stride in proptest::sample::select(vec![1u8, 2, 4, 8]),
+        ) {
+            // Keeps every pair, so that small sets exercise the refill.
+            let recycler = NodeRecycler::keeping_from(0);
+            drop(compiled_from(stride, &first, &recycler));
+            let recycled = compiled_from(stride, &second, &recycler);
+            let fresh = compiled_from(stride, &second, &NodeRecycler::new());
+            proptest::prop_assert_eq!(&recycled.children, &fresh.children);
+            proptest::prop_assert_eq!(&recycled.slots, &fresh.slots);
+            proptest::prop_assert_eq!(&recycled.lists, &fresh.lists);
+            proptest::prop_assert_eq!(&recycled.path_data, &fresh.path_data);
+            proptest::prop_assert_eq!(&recycled.values, &fresh.values);
+        }
     }
 }

@@ -41,6 +41,6 @@ pub mod compiled;
 pub mod prefix;
 pub mod trie;
 
-pub use compiled::{CompiledPath, CompiledTrie};
+pub use compiled::{CompiledPath, CompiledTrie, NodeRecycler};
 pub use prefix::{Ipv4Prefix, PrefixParseError};
 pub use trie::{MultiBitTrie, RuleMatch};
