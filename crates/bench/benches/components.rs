@@ -58,6 +58,8 @@ fn bench_sketch(c: &mut Criterion) {
     group.bench_function("estimate_paper_config", |b| {
         b.iter(|| black_box(s.estimate(black_box(b"10.1.2.3"))));
     });
+    // Named when counters were 64-bit (1 MiB); the name stays so its
+    // `BENCH_history.jsonl` trajectory stays one series.
     group.bench_function("encode_1mb_sketch", |b| {
         b.iter(|| black_box(s.encode().len()));
     });

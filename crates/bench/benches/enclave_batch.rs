@@ -26,7 +26,7 @@ const BURSTS: [usize; 3] = [1, 32, 256];
 /// `classifier_throughput` workload shape), so bursts mix deterministic,
 /// hash-path, and default verdicts like mixed attack traffic does. The
 /// flow pool is a 64 K-flow cloud — the paper's DDoS regime, where the
-/// per-flow sketch keys scatter across the full 2 MB of log counters and
+/// per-flow sketch keys scatter across the full 1 MiB of log counters and
 /// the audited logging misses, not the arithmetic, set the per-packet
 /// price (a small pool would leave both sketches cache-resident and hide
 /// exactly the cost this bench exists to track).

@@ -4,7 +4,7 @@
 //! PR 3 compiled classification down to tens of nanoseconds; the remaining
 //! per-packet cost of §V-A's audit design is the two count-min-sketch log
 //! updates ("only 4 linear hash function operations"), whose real price on
-//! the paper's 1 MB sketches is the dependent counter-line miss, not the
+//! the paper's 512 KiB sketches is the dependent counter-line miss, not the
 //! arithmetic. This bench sweeps burst sizes {1, 32, 256} over the paper
 //! sketch configuration with three update strategies:
 //!

@@ -73,7 +73,9 @@ pub fn fig3b() -> String {
         .iter()
         .map(|&k| {
             let (ruleset, _) = host_rules(k, 42);
-            let logs_mb = 2.0; // two 1 MB sketches
+            // The paper's two 1 MB sketches of 64-bit counters (the
+            // serving sketches' 32-bit counters take half that).
+            let logs_mb = 2.0;
             let mb = ruleset.memory_bytes() as f64 / (1 << 20) as f64 + logs_mb;
             let over = if mb > 92.0 { " > EPC(92)" } else { "" };
             vec![k.to_string(), format!("{mb:.1}{over}")]

@@ -46,6 +46,7 @@
 use std::collections::VecDeque;
 use vif_core::cost::FilterMode;
 use vif_core::enclave_app::EnclaveFilterStage;
+use vif_core::logs::PacketLogs;
 use vif_dataplane::nic::{LineRate, WIRE_OVERHEAD_BYTES};
 use vif_dataplane::{Packet, PacketStage, StageOutcome, StageVerdict};
 use vif_sgx::epc::{EpcConfig, EpcUsage};
@@ -422,14 +423,21 @@ pub fn run(
 ///
 /// The enclave's working set is read once, before the run: no figure
 /// publishes rules mid-run, and the sketches are fixed-size, so it cannot
-/// change while the traffic flows.
+/// change while the traffic flows. It is the paper's: the rule structures
+/// plus, per contract, two sketches of 64-bit counters, twice the bytes of
+/// the serving sketches' 32-bit counters (as Fig. 3b's `logs_mb`).
 pub fn run_enclave(
     traffic: &[Packet],
     stage: &mut EnclaveFilterStage,
     cost: &CostModel,
 ) -> PipelineReport {
     let mode = stage.mode();
-    let table_bytes = stage.enclave().in_enclave_thread(|app| app.table_bytes());
+    let paper_logs = 2
+        * (PacketLogs::incoming_config(0).memory_bytes()
+            + PacketLogs::outgoing_config(0).memory_bytes());
+    let table_bytes = stage.enclave().in_enclave_thread(|app| {
+        app.ruleset().memory_bytes() + app.contract_ids().len() * paper_logs
+    });
     let epc = EpcConfig::paper_default();
     run(
         traffic,

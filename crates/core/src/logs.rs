@@ -22,12 +22,22 @@
 //! tag, are **bit-identical** to logging the same packets one at a time
 //! with [`log_incoming`](PacketLogs::log_incoming) /
 //! [`log_outgoing`](PacketLogs::log_outgoing) in any order. Sketch counter
-//! updates are commuting saturating sums, so neither burst boundaries nor
+//! updates are commuting sums mod 2³², so neither burst boundaries nor
 //! the enclave's regrouping of a burst by contract can leak into what a
 //! verifier's comparison sees; the workspace property test
 //! `burst_logging_audit_equivalence` pins the contract end to end
 //! (byte-equal exports across the batch and sequential paths, for one
 //! contract and for several).
+//!
+//! # The audit reads the payload in place
+//!
+//! An export's payload is [`CountMinSketch::encode`]'s bytes: a 32-byte
+//! header and the 32-bit counters, 512 KiB for the paper's sketch.
+//! [`AuthenticatedSketch::verify`] checks the tag over the bytes as
+//! received, then parses the header into a [`SketchView`] that borrows
+//! them; the audit compares its counters against the verifier's local
+//! sketch in one pass. No payload-sized buffer is built on the verify
+//! side.
 
 use crate::filter::Verdict;
 use crate::rules::RuleAction;
@@ -35,7 +45,8 @@ use crate::verify::BypassVerdict;
 use vif_crypto::hmac::{constant_time_eq, HmacSha256};
 use vif_dataplane::FiveTuple;
 use vif_sketch::{
-    compare, CompareError, CountMinSketch, SketchComparison, SketchConfig, SketchDecodeError,
+    compare_views, CompareError, CountMinSketch, SketchComparison, SketchConfig, SketchDecodeError,
+    SketchView,
 };
 
 /// The two per-packet log keys, fingerprinted once.
@@ -121,13 +132,14 @@ impl LogDirection {
     /// [`crate::verify`]).
     pub(crate) fn judge(
         self,
-        enclave: &CountMinSketch,
+        enclave: &SketchView<'_>,
         local: &CountMinSketch,
         tolerance: u64,
     ) -> Result<(SketchComparison, BypassVerdict), CompareError> {
+        let local = local.view();
         let comparison = match self {
-            LogDirection::Outgoing => compare(enclave, local)?,
-            LogDirection::Incoming => compare(local, enclave)?,
+            LogDirection::Outgoing => compare_views(enclave, &local)?,
+            LogDirection::Incoming => compare_views(&local, enclave)?,
         };
         let dropped = comparison.drop_detected(tolerance);
         let injected = self == LogDirection::Outgoing && comparison.injection_detected(tolerance);
@@ -146,7 +158,7 @@ impl LogDirection {
 pub enum LogError {
     /// HMAC verification failed: forged or corrupted export.
     BadTag,
-    /// The sketch payload failed to decode.
+    /// The sketch payload failed to parse.
     Malformed(SketchDecodeError),
 }
 
@@ -168,7 +180,8 @@ pub struct AuthenticatedSketch {
     pub direction: LogDirection,
     /// Filtering round the log covers.
     pub round: u64,
-    /// Encoded sketch bytes ([`CountMinSketch::encode`]).
+    /// Encoded sketch bytes ([`CountMinSketch::encode`]): 32-bit counters,
+    /// 512 KiB for the paper's sketch.
     pub payload: Vec<u8>,
     /// HMAC over direction ‖ round ‖ payload.
     pub tag: [u8; 32],
@@ -176,7 +189,7 @@ pub struct AuthenticatedSketch {
 
 impl AuthenticatedSketch {
     /// HMAC over `direction ‖ round ‖ payload`, streamed: the header and
-    /// the ~1 MB sketch payload are absorbed directly by the hasher — no
+    /// the 512 KiB sketch payload are absorbed directly by the hasher — no
     /// concatenated copy of the payload is materialized on either the
     /// export or the verify side.
     fn mac_over(key: &[u8; 32], direction: LogDirection, round: u64, payload: &[u8]) -> [u8; 32] {
@@ -187,18 +200,21 @@ impl AuthenticatedSketch {
         h.finalize()
     }
 
-    /// Verifies the export and decodes the sketch.
+    /// Verifies the export's tag over the payload as received, then reads
+    /// the header: a [`SketchView`] of the payload, with nothing decoded
+    /// or copied. No header field is read before the tag checks out.
     ///
     /// # Errors
     ///
     /// [`LogError::BadTag`] on authentication failure;
-    /// [`LogError::Malformed`] if the payload is not a valid sketch.
-    pub fn verify(&self, key: &[u8; 32]) -> Result<CountMinSketch, LogError> {
+    /// [`LogError::Malformed`] if the payload is not a valid sketch
+    /// ([`SketchView::parse`]).
+    pub fn verify(&self, key: &[u8; 32]) -> Result<SketchView<'_>, LogError> {
         let expected = Self::mac_over(key, self.direction, self.round, &self.payload);
         if !constant_time_eq(&expected, &self.tag) {
             return Err(LogError::BadTag);
         }
-        CountMinSketch::decode(&self.payload).map_err(LogError::Malformed)
+        SketchView::parse(&self.payload).map_err(LogError::Malformed)
     }
 }
 
@@ -223,7 +239,7 @@ pub struct PacketLogs {
 
 impl PacketLogs {
     /// Creates logs with the paper's sketch configuration (2 rows × 64 K
-    /// bins × 64-bit counters ≈ 1 MB per sketch). `seed` must be shared
+    /// bins × 32-bit counters = 512 KiB per sketch). `seed` must be shared
     /// with verifiers so all parties hash identically.
     pub fn new(seed: u64) -> Self {
         PacketLogs {
@@ -250,7 +266,7 @@ impl PacketLogs {
         self.round
     }
 
-    /// Enclave memory held by the two sketches (≈2 MB with paper config).
+    /// Enclave memory held by the two sketches (1 MiB with paper config).
     pub fn memory_bytes(&self) -> usize {
         self.sketches.iter().map(CountMinSketch::memory_bytes).sum()
     }
@@ -490,7 +506,11 @@ mod tests {
     fn export_tag_known_answer() {
         // "Byte-identical exports" rests on this constant, not on two
         // paths agreeing with each other: seed 7, round 1, 100 tuples
-        // logged both ways, key 0xAB…AB.
+        // logged both ways, key 0xAB…AB. Derived apart from `encode` and
+        // `mac_over`: the 64-bit format's payload of the same logs, each
+        // counter narrowed to its low four bytes (no count reaches 2³²),
+        // MACed as one `0x02 ‖ round ‖ payload` buffer by
+        // `HmacSha256::mac`.
         let mut logs = PacketLogs::new(7);
         logs.new_round();
         for i in 0..100 {
@@ -499,11 +519,41 @@ mod tests {
         }
         let export = logs.export(LogDirection::Outgoing, &key());
         assert_eq!(export.round, 1);
+        assert_eq!(export.payload.len(), 32 + 2 * 65_536 * 4);
         assert_eq!(
             vif_crypto::hex::encode(&export.tag),
-            "9ab181adc9c1c0a40f094a6db20cae86cda5798d0bfcc778732d6fd1552dc13c"
+            "66300ee68980d5fa50024c758c7eb25b86eabb97676fec3eb6a8caa01d81cbab"
         );
         assert!(export.verify(&key()).is_ok());
+    }
+
+    #[test]
+    fn audit_refuses_a_total_past_the_counter_range() {
+        use crate::verify::{AuditError, Verifier};
+        // 2³² + 1 packets of one flow wrap its bins around to 1, where a
+        // verifier that saw one packet has 1 too: bin by bin the two
+        // sketches agree. The exact total does not wrap, so the audit
+        // refuses the export instead of calling it clean.
+        let (direction, t) = (LogDirection::Outgoing, tuple(5));
+        let key_of = direction.key(&PacketFingerprints::of(&t));
+        let mut wrapped = CountMinSketch::new(direction.config(7));
+        wrapped.add_fingerprint(key_of, (1 << 32) + 1);
+        let payload = wrapped.encode();
+        let export = AuthenticatedSketch {
+            direction,
+            round: 0,
+            tag: AuthenticatedSketch::mac_over(&key(), direction, 0, &payload),
+            payload,
+        };
+        let mut victim = Verifier::new(direction, 7, key(), 0);
+        victim.observe(&t);
+        let mut one = CountMinSketch::new(direction.config(7));
+        one.add_fingerprint(key_of, 1);
+        assert_eq!(wrapped.counters(), one.counters(), "the bins wrapped");
+        assert_eq!(
+            victim.audit(&export).unwrap_err(),
+            AuditError::Compare(CompareError::CounterOverflow)
+        );
     }
 
     #[test]
@@ -541,9 +591,9 @@ mod tests {
     }
 
     #[test]
-    fn memory_about_two_megabytes() {
+    fn memory_about_one_megabyte() {
         let logs = PacketLogs::new(1);
         let mb = logs.memory_bytes() as f64 / (1 << 20) as f64;
-        assert!((1.9..2.1).contains(&mb), "{mb} MB");
+        assert!((0.9..1.1).contains(&mb), "{mb} MB");
     }
 }

@@ -54,10 +54,11 @@ impl AuditReport {
 /// Errors during an audit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AuditError {
-    /// The export failed authentication or decoding.
+    /// The export failed authentication or its header did not parse.
     Log(LogError),
     /// The exported sketch is incomparable with the local one
-    /// (mismatched dimensions or hash seed).
+    /// (mismatched dimensions or hash seed), or either sketch counted more
+    /// than its 32-bit counters hold.
     Compare(CompareError),
     /// The export covers a different direction than this verifier audits.
     WrongDirection,
@@ -140,7 +141,10 @@ impl Verifier {
     }
 
     /// Audits the enclave's log of this verifier's direction against the
-    /// local observations.
+    /// local observations: checks the tag over the payload as received,
+    /// reads the header, and compares the counters straight out of the
+    /// payload with the local sketch in one pass. Allocates nothing
+    /// unless some bin differs.
     ///
     /// # Errors
     ///
@@ -150,10 +154,10 @@ impl Verifier {
         if export.direction != self.direction {
             return Err(AuditError::WrongDirection);
         }
-        let enclave_sketch = export.verify(&self.audit_key)?;
-        let (comparison, verdict) =
-            self.direction
-                .judge(&enclave_sketch, &self.local, self.tolerance)?;
+        let enclave = export.verify(&self.audit_key)?;
+        let (comparison, verdict) = self
+            .direction
+            .judge(&enclave, &self.local, self.tolerance)?;
         Ok(AuditReport {
             verdict,
             comparison,

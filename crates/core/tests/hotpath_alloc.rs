@@ -14,7 +14,8 @@
 //! thread — and neither does a full ring, whether a burst is
 //! partially accepted or `offer` runs into a stalled worker. Last, it pins the on-lock half of an epoch publication:
 //! what the snapshot and the install allocate does not depend on the rule
-//! count.
+//! count, and it pins the verify side of an audit: checking a clean
+//! round's export against a verifier's sketch allocates nothing.
 //!
 //! Kept to a single `#[test]` on purpose: the test harness runs multiple
 //! tests concurrently, and any other thread's allocations would pollute
@@ -204,7 +205,7 @@ fn decide_batch_is_allocation_free_at_steady_state() {
     // The full audited burst path — fingerprint-once pass, filter batch,
     // prefetch-pipelined sketch logging, telemetry — with logging enabled:
     // `FilterEnclaveApp::process_batch` must also be allocation-free at
-    // steady state (the ~2 MB of sketch counters are written in place; the
+    // steady state (the 1 MiB of sketch counters is written in place; the
     // burst fingerprints live in reused scratch buffers).
     let (ruleset, tuples) = workload();
     let mut app = vif_core::enclave_app::FilterEnclaveApp::new(ruleset, [7u8; 32], 3, [2u8; 32]);
@@ -510,4 +511,32 @@ fn decide_batch_is_allocation_free_at_steady_state() {
         "on-lock publication bytes depend on the rule count"
     );
     assert_eq!(large, 0, "on-lock publication allocated");
+
+    // --- the audit of a clean round ---------------------------------------
+    // The verifier checks the tag over the payload as received and compares
+    // the counters straight out of it: no decoded copy, and no discrepancy
+    // list when every bin agrees.
+    let (_, tuples) = workload();
+    let mut logs = vif_core::logs::PacketLogs::new(3);
+    let directions = [LogDirection::Incoming, LogDirection::Outgoing];
+    let mut verifiers = directions.map(|d| Verifier::new(d, 3, [2u8; 32], 0));
+    for t in &tuples {
+        logs.log_incoming(t);
+        logs.log_outgoing(t);
+        for v in &mut verifiers {
+            v.observe(t);
+        }
+    }
+    for (direction, v) in directions.into_iter().zip(&verifiers) {
+        let export = logs.export(direction, &[2u8; 32]);
+        let before = allocated_bytes();
+        let report = v.audit(&export).expect("authentic export");
+        let bytes = allocated_bytes() - before;
+        assert_eq!(report.verdict, BypassVerdict::Clean, "{direction:?}");
+        assert_eq!(
+            report.comparison.totals(),
+            (tuples.len() as u64, tuples.len() as u64)
+        );
+        assert_eq!(bytes, 0, "{direction:?} audit of a clean round allocated");
+    }
 }

@@ -3,9 +3,11 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use vif_core::filter::{DecisionPath, Verdict};
-use vif_core::logs::{LogDirection, PacketFingerprints, PacketLogs};
+use vif_core::logs::{LogDirection, LogError, PacketFingerprints, PacketLogs};
 use vif_core::prelude::*;
 use vif_core::rules::RuleAction;
+use vif_core::verify::AuditError;
+use vif_sketch::{compare, CountMinSketch};
 use vif_trie::Ipv4Prefix;
 
 /// The two filters over the same rule set/secret: the §III-A reference
@@ -519,6 +521,81 @@ proptest! {
                     "filter {} {:?} export diverged", filter.name(), dir
                 );
             }
+        }
+    }
+
+    /// The audit reads the enclave's counters straight out of the
+    /// authenticated payload; its oracle decodes the payload into a sketch
+    /// and runs `compare` in the direction's order. For arbitrary logged
+    /// and observed streams over a shared flow pool, both directions and
+    /// any tolerance, the two agree on the verdict, the maxima, the totals
+    /// and the discrepancy list. A flip of any one payload or tag byte
+    /// fails authentication.
+    #[test]
+    fn streamed_audit_equals_decode_then_compare(
+        pool in vec(arb_tuple(), 1..40),
+        logged in vec((any::<prop::sample::Index>(), 1usize..4), 0..100),
+        observed in vec((any::<prop::sample::Index>(), 1usize..4), 0..100),
+        tolerance in 0u64..4,
+        seed in any::<u64>(),
+        flip in (any::<prop::sample::Index>(), 1u8..=255, any::<bool>()),
+    ) {
+        let key = [3u8; 32];
+        let stream = |picks: &[(prop::sample::Index, usize)]| -> Vec<FiveTuple> {
+            picks
+                .iter()
+                .flat_map(|(i, n)| std::iter::repeat_n(pool[i.index(pool.len())], *n))
+                .collect()
+        };
+        let (logged, observed) = (stream(&logged), stream(&observed));
+        let mut logs = PacketLogs::new(seed);
+        for t in &logged {
+            logs.log_incoming(t);
+            logs.log_outgoing(t);
+        }
+        for (direction, config) in [
+            (LogDirection::Incoming, PacketLogs::incoming_config(seed)),
+            (LogDirection::Outgoing, PacketLogs::outgoing_config(seed)),
+        ] {
+            let mut verifier = Verifier::new(direction, seed, key, tolerance);
+            let mut local = CountMinSketch::new(config);
+            for t in &observed {
+                verifier.observe(t);
+                local.add_fingerprint(direction.key(&PacketFingerprints::of(t)), 1);
+            }
+            let export = logs.export(direction, &key);
+            let report = verifier.audit(&export).expect("authentic export");
+
+            let enclave = CountMinSketch::decode(&export.payload).expect("honest payload");
+            let oracle = match direction {
+                LogDirection::Outgoing => compare(&enclave, &local),
+                LogDirection::Incoming => compare(&local, &enclave),
+            }
+            .expect("same configuration");
+            let dropped = oracle.drop_detected(tolerance);
+            let injected =
+                direction == LogDirection::Outgoing && oracle.injection_detected(tolerance);
+            let verdict = match (dropped, injected) {
+                (false, false) => BypassVerdict::Clean,
+                (true, false) => BypassVerdict::DropDetected,
+                (false, true) => BypassVerdict::InjectionDetected,
+                (true, true) => BypassVerdict::DropAndInjectionDetected,
+            };
+            prop_assert_eq!(report.verdict, verdict, "{:?}", direction);
+            prop_assert_eq!(report.comparison.max_missing(), oracle.max_missing());
+            prop_assert_eq!(report.comparison.max_excess(), oracle.max_excess());
+            prop_assert_eq!(report.comparison.discrepancies(), oracle.discrepancies());
+            prop_assert_eq!(&report.comparison, &oracle);
+
+            let (at, mask, in_tag) = flip;
+            let mut forged = export.clone();
+            let bytes: &mut [u8] = if in_tag { &mut forged.tag } else { &mut forged.payload };
+            bytes[at.index(bytes.len())] ^= mask;
+            prop_assert_eq!(
+                verifier.audit(&forged).unwrap_err(),
+                AuditError::Log(LogError::BadTag),
+                "{:?}", direction
+            );
         }
     }
 

@@ -525,6 +525,9 @@ impl CampaignHarness {
             .unwrap_or(0);
         // Virtual nanoseconds per round (campaign-wide max): the telemetry
         // clock ticks off it; seconds feed re-arbitration's demand window.
+        // Every epoch publication restarts the rule byte counters that
+        // window divides, so it spans the rounds since the last one:
+        // `counted_from` is the first round the counters hold.
         let round_ns_max = tenants
             .iter()
             .map(|t| t.scenario.round_ns())
@@ -532,6 +535,9 @@ impl CampaignHarness {
             .unwrap_or(1)
             .max(1);
         let round_secs = round_ns_max as f64 / 1e9;
+        let mut counted_from = 0u64;
+        let demand_window =
+            |counted_from: u64, round: u64| (round + 1 - counted_from).max(1) as f64 * round_secs;
 
         // --- fault/recovery bookkeeping ---------------------------------
         let mut stall_until = vec![0u64; n];
@@ -728,7 +734,7 @@ impl CampaignHarness {
                         pre.state(w).steered() && lifecycle.state(w) == SliceState::Quarantined
                     });
                     if shrank && lifecycle.state(0).published() {
-                        let window_secs = (global_round + 1) as f64 * round_secs;
+                        let window_secs = demand_window(counted_from, global_round);
                         let arb = cluster.rearbitrate(0, window_secs, 0.1, config.arbiter);
                         for t in tenants.iter() {
                             if let Some(AdmissionVerdict::Rejected { reason }) =
@@ -769,7 +775,7 @@ impl CampaignHarness {
                             .find(|(c, _)| *c == t.contract)
                             .map(|(_, d)| d.uncovered)
                             .unwrap_or(0);
-                        step_tenant(
+                        let published = step_tenant(
                             t,
                             policy.as_mut(),
                             global_round as usize,
@@ -778,6 +784,9 @@ impl CampaignHarness {
                             uncovered,
                             adversary,
                         );
+                        if published {
+                            counted_from = global_round + 1;
+                        }
                         closed += 1;
                     }
 
@@ -785,7 +794,7 @@ impl CampaignHarness {
                     // grows the pool back: re-admit failover-rejected
                     // contracts that fit again.
                     for _promoted in lifecycle.settle_round(closed) {
-                        let window_secs = (global_round + 1) as f64 * round_secs;
+                        let window_secs = demand_window(counted_from, global_round);
                         let arb = cluster.rearbitrate(0, window_secs, 0.1, config.arbiter);
                         failover_rejected.retain(|r| {
                             if matches!(
@@ -867,7 +876,8 @@ fn attribute(
 }
 
 /// One tenant's end-of-round step: score deliveries, audit, react,
-/// publish its epoch.
+/// publish its epoch. Returns true if it published one (which restarts
+/// every rule's byte counters on every slice).
 fn step_tenant(
     t: &mut Tenant,
     policy: &mut dyn VictimPolicy,
@@ -876,7 +886,7 @@ fn step_tenant(
     pre: &SliceLifecycle,
     uncovered: u64,
     adversary: Option<ScenarioAdversary>,
-) {
+) -> bool {
     let round = &t.rounds[round_idx];
     let phase = &mut t.phases[round.phase];
     phase.rounds += 1;
@@ -999,8 +1009,10 @@ fn step_tenant(
         }
         // Publication resets every rule's byte counters on every slice.
         t.prev_rule_bytes = BTreeMap::new();
+        true
     } else {
         t.prev_rule_bytes = cur_rule_bytes;
+        false
     }
 }
 

@@ -9,9 +9,9 @@ use std::sync::{Arc, Mutex};
 use vif_core::rounds::ContractState;
 use vif_dataplane::shard_of;
 use vif_scenario::{
-    CampaignConfig, CampaignContract, CampaignHarness, CampaignReport, FaultKind, FaultPlan,
-    LegitProfile, Phase, PhaseKind, PolicyAction, PolicyObservation, Scenario, ScenarioAdversary,
-    ScenarioHarnessConfig, ThresholdPolicy, VictimPolicy,
+    ArbiterConfig, CampaignConfig, CampaignContract, CampaignHarness, CampaignReport, FaultKind,
+    FaultPlan, LegitProfile, Phase, PhaseKind, PolicyAction, PolicyObservation, Scenario,
+    ScenarioAdversary, ScenarioHarnessConfig, ThresholdPolicy, VictimPolicy,
 };
 use vif_trie::Ipv4Prefix;
 
@@ -385,4 +385,96 @@ fn rule_matched_only_off_the_master_is_never_idle_nor_withdrawn() {
         "one install per attack source, never a re-install"
     );
     assert_eq!(r.dirty_rounds, 0);
+}
+
+/// Regression: re-arbitration after a crash must read each rule's demand
+/// over the rounds its byte counters actually cover. Every epoch
+/// publication restarts the counters, so dividing the bytes by the whole
+/// run spreads a few rounds of traffic over many and under-reads the
+/// demand: a tenant whose biting rules no longer fit the shrunken pool
+/// was kept admitted.
+#[test]
+fn rearbitration_reads_demand_since_the_counters_restarted() {
+    const CALM: u32 = 10;
+    const CRASH_ROUND: u64 = 16;
+    let scenario = Scenario {
+        name: "late-assault".into(),
+        seed: 31,
+        victim: Ipv4Prefix::new(u32::from_be_bytes([203, 0, 0, 0]), 16),
+        legit: LegitProfile {
+            sources: 8,
+            gbps: 0.2,
+        },
+        // Ten quiet rounds, then four sources at 12 Gb/s each. One
+        // install a round covers them in rounds 10–13, so the last
+        // publication restarts the counters after round 13: at the crash
+        // in round 16 they hold three rounds of a run of seventeen.
+        phases: vec![
+            Phase {
+                name: "calm".into(),
+                kind: PhaseKind::Ramp {
+                    from_gbps: 0.0,
+                    to_gbps: 0.0,
+                },
+                rounds: CALM,
+                attack_gbps: 0.0,
+                attack_sources: 0,
+                zipf_exponent: 0.0,
+            },
+            Phase {
+                name: "assault".into(),
+                kind: PhaseKind::Ramp {
+                    from_gbps: 48.0,
+                    to_gbps: 48.0,
+                },
+                rounds: 7,
+                attack_gbps: 48.0,
+                attack_sources: 4,
+                zipf_exponent: 0.0,
+            },
+        ],
+        round_ms: 1,
+        packet_size: 1024,
+    };
+    let report = CampaignHarness::new(
+        vec![CampaignContract {
+            contract: 1,
+            scenario,
+            demand_gbps_per_rule: vec![0.5; 4],
+        }],
+        CampaignConfig {
+            harness: ScenarioHarnessConfig {
+                workers: 3,
+                ..Default::default()
+            },
+            // λ = 0: the pool's aggregate bandwidth is the admission
+            // bound, 10 Gb/s a slice.
+            arbiter: ArbiterConfig {
+                lambda: 0.0,
+                ..Default::default()
+            },
+        },
+    )
+    .with_faults(FaultPlan::new().at(CRASH_ROUND, FaultKind::WorkerCrash { worker: 2 }))
+    .run(vec![Box::new(ThresholdPolicy {
+        install_threshold: 100,
+        idle_rounds: u32::MAX,
+        max_installs_per_round: 1,
+    })]);
+
+    let r = report.report(1).expect("admitted at launch");
+    assert_eq!(r.rules_installed, 4, "one drop per attack source");
+    assert_eq!(r.quarantined_slices, vec![2]);
+    // Over the three rounds the counters hold, the four rules bite at
+    // about 8 Gb/s each on the two survivors: more than their 20 Gb/s.
+    // Over the whole run they would read under 2 Gb/s each.
+    assert_eq!(
+        report
+            .failover_rejected
+            .iter()
+            .map(|c| c.contract)
+            .collect::<Vec<_>>(),
+        vec![1],
+        "the biting rules no longer fit the two surviving slices"
+    );
 }

@@ -13,9 +13,29 @@
 //! for queries. Both are **bit-identical** to looping the single-key
 //! [`add_fingerprint`](CountMinSketch::add_fingerprint) /
 //! [`estimate_fingerprint`](CountMinSketch::estimate_fingerprint) — counter
-//! updates are saturating sums, which commute — and the property test
+//! updates are sums mod 2³², which commute — and the property test
 //! `sketch_batch_equals_sequential` pins full counter-array equality, so
 //! batching can never change an audit outcome.
+//!
+//! # 32-bit wrapping counters
+//!
+//! Counters are `u32` and wrap mod 2³²; the sketch keeps the exact `u64`
+//! total beside them. Every packet adds to exactly one bin per row, so no
+//! bin ever holds more than the total: while the total stays within
+//! `u32::MAX` no counter has wrapped and every counter equals the `u64`
+//! count it stands for. [`compare`](crate::compare()) refuses sketches
+//! past that bound ([`CompareError::CounterOverflow`]), and the paper's
+//! sketch takes half the memory a 64-bit one would: 512 KiB.
+//!
+//! # The wire format
+//!
+//! [`CountMinSketch::encode`] writes a 32-byte header, `width ‖ depth ‖
+//! seed ‖ total` as little-endian `u64`s, then the counter array row-major
+//! as little-endian `u32`s. [`SketchView::parse`] reads that format in
+//! place: an audit compares the counters straight out of the received
+//! bytes and never decodes them into a second array.
+//!
+//! [`CompareError::CounterOverflow`]: crate::CompareError::CounterOverflow
 
 use crate::hash::{fingerprint, reduce_fingerprint, LinearHash};
 
@@ -64,8 +84,9 @@ pub struct SketchConfig {
 }
 
 impl SketchConfig {
-    /// The paper's configuration (§V-A): 2 linear hash rows, 64 K bins,
-    /// 64-bit counters — about 1 MB of enclave memory per sketch instance.
+    /// The paper's configuration (§V-A): 2 linear hash rows, 64 K bins —
+    /// 512 KiB of enclave memory per sketch instance with this crate's
+    /// 32-bit counters (the paper's 64-bit counters took 1 MiB).
     pub fn paper_default(seed: u64) -> Self {
         SketchConfig {
             width: 65_536,
@@ -83,13 +104,23 @@ impl SketchConfig {
         }
     }
 
-    /// Memory consumed by the counter array in bytes (64-bit counters).
+    /// Memory consumed by the counter array in bytes (32-bit counters).
     pub fn memory_bytes(&self) -> usize {
-        self.width * self.depth * 8
+        self.width * self.depth * COUNTER_BYTES
     }
 }
 
-/// Errors from [`CountMinSketch::decode`].
+/// Bytes of one counter, in memory and on the wire.
+const COUNTER_BYTES: usize = 4;
+
+/// Bytes of the encoded header: `width ‖ depth ‖ seed ‖ total`, each a
+/// little-endian `u64`.
+const HEADER_BYTES: usize = 32;
+
+/// Most counters a decoded header may advertise (2²⁸, 1 GiB of counters).
+const MAX_COUNTERS: usize = 1 << 28;
+
+/// Errors from [`SketchView::parse`] and [`CountMinSketch::decode`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SketchDecodeError {
     /// Byte buffer too short or not the advertised size.
@@ -111,10 +142,12 @@ impl std::fmt::Display for SketchDecodeError {
 
 impl std::error::Error for SketchDecodeError {}
 
-/// A count-min sketch with 64-bit counters.
+/// A count-min sketch with 32-bit wrapping counters and an exact `u64`
+/// total (module docs).
 ///
-/// Supports point updates, point queries (upper-bound estimates), merging,
-/// and a stable byte encoding for authenticated export out of the enclave.
+/// Supports point updates, point queries (upper-bound estimates while the
+/// total stays within `u32::MAX`), merging, and a stable byte encoding for
+/// authenticated export out of the enclave.
 ///
 /// # Example
 ///
@@ -131,7 +164,7 @@ pub struct CountMinSketch {
     /// Pre-reduced hash rows, stored ready to evaluate — the per-op
     /// wrapper conversion the hot path used to pay is gone.
     rows: Vec<LinearHash>,
-    counters: Vec<u64>,
+    counters: Vec<u32>,
     total: u64,
     /// `width - 1` when the width is a power of two (the paper's 64 K
     /// bins), else 0: the bin reduction is then a single AND instead of a
@@ -157,7 +190,7 @@ impl CountMinSketch {
         let rows = (0..config.depth)
             .map(|r| LinearHash::from_seed(config.seed, r))
             .collect();
-        let counters = vec![0u64; config.width * config.depth];
+        let counters = vec![0u32; config.width * config.depth];
         CountMinSketch {
             mask: width_mask(config.width),
             config,
@@ -207,7 +240,8 @@ impl CountMinSketch {
         &self.config
     }
 
-    /// Sum of all added counts (exact, not an estimate).
+    /// Sum of all added counts: exact, not an estimate, and not reduced
+    /// mod 2³² like the counters (it saturates at `u64::MAX`).
     pub fn total(&self) -> u64 {
         self.total
     }
@@ -224,7 +258,8 @@ impl CountMinSketch {
         self.add_fingerprint(x, count);
     }
 
-    /// Adds `count` occurrences of a pre-computed 64-bit fingerprint.
+    /// Adds `count` occurrences of a pre-computed 64-bit fingerprint: each
+    /// row's bin grows by `count` mod 2³², the total by `count` exactly.
     ///
     /// The data-plane fast path fingerprints the 5-tuple once and feeds both
     /// sketches, matching the paper's "4 linear hash operations per packet".
@@ -240,7 +275,7 @@ impl CountMinSketch {
         let xr = reduce_fingerprint(x);
         for r in 0..self.rows.len() {
             let bin = self.bin_of(self.rows[r].value_reduced(xr));
-            self.counters[r * w + bin] = self.counters[r * w + bin].saturating_add(count);
+            self.counters[r * w + bin] = self.counters[r * w + bin].wrapping_add(count as u32);
         }
         self.total = self.total.saturating_add(count);
     }
@@ -253,7 +288,7 @@ impl CountMinSketch {
     /// overlapping misses across the whole burst.
     ///
     /// Bit-identical to `for &x in fps { self.add_fingerprint(x, count) }`
-    /// (saturating counter sums commute), allocation-free (fixed stack
+    /// (counter sums mod 2³² commute), allocation-free (fixed stack
     /// scratch), and falls back to the sequential loop for depths beyond
     /// the pipelined bound (the paper's depth is 2).
     pub fn add_batch_fingerprints(&mut self, fps: &[u64], count: u64) {
@@ -264,13 +299,14 @@ impl CountMinSketch {
             }
             return;
         }
+        let step = count as u32;
         let mut bins = [0usize; BURST_LANES * MAX_PIPELINED_DEPTH];
         for chunk in fps.chunks(BURST_LANES) {
             self.pipeline_chunk_bins(chunk, &mut bins);
             for r in 0..d {
                 for i in 0..chunk.len() {
                     let idx = bins[r * BURST_LANES + i];
-                    self.counters[idx] = self.counters[idx].saturating_add(count);
+                    self.counters[idx] = self.counters[idx].wrapping_add(step);
                 }
             }
         }
@@ -281,7 +317,8 @@ impl CountMinSketch {
             .saturating_add(count.saturating_mul(fps.len() as u64));
     }
 
-    /// Upper-bound estimate of the count of `key`.
+    /// Upper-bound estimate of the count of `key` (exact bound while the
+    /// total stays within `u32::MAX`; module docs).
     #[inline]
     pub fn estimate(&self, key: &[u8]) -> u64 {
         self.estimate_fingerprint(fingerprint(key))
@@ -297,7 +334,7 @@ impl CountMinSketch {
             .enumerate()
             .map(|(r, row)| self.counters[r * w + self.bin_of(row.value_reduced(xr))])
             .min()
-            .unwrap_or(0)
+            .map_or(0, u64::from)
     }
 
     /// Appends the [`estimate_fingerprint`] of every fingerprint in `fps`
@@ -321,13 +358,14 @@ impl CountMinSketch {
                 let min = (0..d)
                     .map(|r| self.counters[bins[r * BURST_LANES + i]])
                     .min()
-                    .unwrap_or(0);
+                    .map_or(0, u64::from);
                 out.push(min);
             }
         }
     }
 
-    /// Merges another sketch into this one (counter-wise saturating sum).
+    /// Merges another sketch into this one (counter-wise sum mod 2³², exact
+    /// total).
     ///
     /// # Errors
     ///
@@ -338,7 +376,7 @@ impl CountMinSketch {
             return Err(SketchDecodeError::Malformed);
         }
         for (a, b) in self.counters.iter_mut().zip(other.counters.iter()) {
-            *a = a.saturating_add(*b);
+            *a = a.wrapping_add(*b);
         }
         self.total = self.total.saturating_add(other.total);
         Ok(())
@@ -350,14 +388,26 @@ impl CountMinSketch {
         self.total = 0;
     }
 
-    /// Raw view of the counter array (row-major).
-    pub fn counters(&self) -> &[u64] {
+    /// Raw view of the counter array (row-major, each counter mod 2³²).
+    pub fn counters(&self) -> &[u32] {
         &self.counters
     }
 
-    /// Stable byte encoding: header (width, depth, seed, total) followed by
-    /// little-endian counters. Used for authenticated export (HMAC computed
-    /// by the enclave over exactly these bytes).
+    /// This sketch as a [`SketchView`]: what [`compare_views`] reads.
+    ///
+    /// [`compare_views`]: crate::compare_views
+    pub fn view(&self) -> SketchView<'_> {
+        SketchView {
+            config: self.config.clone(),
+            total: self.total,
+            counters: Counters::Array(&self.counters),
+        }
+    }
+
+    /// Stable byte encoding (module docs: the wire format): the header,
+    /// then the counter array as little-endian `u32`s. Used for
+    /// authenticated export (HMAC computed by the enclave over exactly
+    /// these bytes).
     pub fn encode(&self) -> Vec<u8> {
         let header = [
             self.config.width as u64,
@@ -366,56 +416,124 @@ impl CountMinSketch {
             self.total,
         ];
         // One pre-sized buffer filled through fixed-width zips, which the
-        // compiler turns into a vector copy.
-        let mut out = vec![0u8; (header.len() + self.counters.len()) * 8];
-        let (head, body) = out.split_at_mut(header.len() * 8);
-        for (words, dst) in [(&header[..], head), (&self.counters[..], body)] {
-            for (bytes, word) in dst.chunks_exact_mut(8).zip(words) {
-                bytes.copy_from_slice(&word.to_le_bytes());
-            }
+        // compiler turns into vector copies.
+        let mut out = vec![0u8; HEADER_BYTES + self.counters.len() * COUNTER_BYTES];
+        let (head, body) = out.split_at_mut(HEADER_BYTES);
+        for (bytes, word) in head.chunks_exact_mut(8).zip(header) {
+            bytes.copy_from_slice(&word.to_le_bytes());
+        }
+        for (bytes, counter) in body.chunks_exact_mut(COUNTER_BYTES).zip(&self.counters) {
+            bytes.copy_from_slice(&counter.to_le_bytes());
         }
         out
     }
 
-    /// Decodes a sketch from [`encode`]'s byte format.
+    /// Decodes a sketch from [`encode`]'s byte format into an owned sketch
+    /// ([`SketchView::parse`], then a copy of the counters).
     ///
     /// # Errors
     ///
-    /// [`SketchDecodeError::Malformed`] if the buffer length is inconsistent,
-    /// [`SketchDecodeError::ImplausibleDimensions`] if the header is absurd.
+    /// As [`SketchView::parse`].
     ///
     /// [`encode`]: CountMinSketch::encode
     pub fn decode(bytes: &[u8]) -> Result<Self, SketchDecodeError> {
-        if bytes.len() < 32 {
-            return Err(SketchDecodeError::Malformed);
+        let view = SketchView::parse(bytes)?;
+        let mut sketch = CountMinSketch::new(view.config.clone());
+        sketch.total = view.total;
+        for (counter, value) in sketch.counters.iter_mut().zip(view.counters()) {
+            *counter = value;
         }
-        let rd = |i: usize| u64::from_le_bytes(bytes[i * 8..(i + 1) * 8].try_into().unwrap());
-        let width = rd(0) as usize;
-        let depth = rd(1) as usize;
-        let seed = rd(2);
-        let total = rd(3);
-        if width == 0 || depth == 0 || width.saturating_mul(depth) > (1 << 28) {
-            return Err(SketchDecodeError::ImplausibleDimensions);
-        }
-        let expected = 32 + width * depth * 8;
-        if bytes.len() != expected {
-            return Err(SketchDecodeError::Malformed);
-        }
-        let mut counters = vec![0u64; width * depth];
-        for (counter, word) in counters.iter_mut().zip(bytes[32..].chunks_exact(8)) {
-            *counter = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
-        }
-        let config = SketchConfig { width, depth, seed };
-        let rows = (0..depth).map(|r| LinearHash::from_seed(seed, r)).collect();
-        Ok(CountMinSketch {
-            mask: width_mask(width),
-            config,
-            rows,
-            counters,
-            total,
-        })
+        Ok(sketch)
     }
 }
+
+/// Where a [`SketchView`]'s counters live.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Counters<'a> {
+    /// A sketch's own array.
+    Array(&'a [u32]),
+    /// An encoded payload's counter bytes, four little-endian bytes each.
+    Encoded(&'a [u8]),
+}
+
+/// A sketch read in place: its configuration, exact total and counters,
+/// either borrowed from a [`CountMinSketch`] ([`CountMinSketch::view`]) or
+/// parsed out of [`CountMinSketch::encode`]'s bytes
+/// ([`SketchView::parse`]) without copying them. Comparisons take views
+/// ([`compare_views`](crate::compare_views)), so an audit reads the
+/// enclave's counters straight out of the authenticated payload.
+#[derive(Debug, Clone)]
+pub struct SketchView<'a> {
+    config: SketchConfig,
+    total: u64,
+    pub(crate) counters: Counters<'a>,
+}
+
+impl<'a> SketchView<'a> {
+    /// Reads the header of an encoded sketch and checks that the bytes
+    /// hold exactly the counters it advertises. Allocates nothing and
+    /// copies no counter.
+    ///
+    /// # Errors
+    ///
+    /// [`SketchDecodeError::Malformed`] if the bytes are shorter than the
+    /// header; [`SketchDecodeError::ImplausibleDimensions`] if the header
+    /// advertises a zero dimension or more than 2²⁸ counters;
+    /// [`SketchDecodeError::Malformed`] if the length is not the header's
+    /// plus the advertised counters'.
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, SketchDecodeError> {
+        let Some((head, body)) = bytes.split_first_chunk::<HEADER_BYTES>() else {
+            return Err(SketchDecodeError::Malformed);
+        };
+        let word = |i: usize| u64::from_le_bytes(head[i * 8..(i + 1) * 8].try_into().unwrap());
+        let (width, depth, seed, total) = (word(0) as usize, word(1) as usize, word(2), word(3));
+        if width == 0 || depth == 0 || width.saturating_mul(depth) > MAX_COUNTERS {
+            return Err(SketchDecodeError::ImplausibleDimensions);
+        }
+        if body.len() != width * depth * COUNTER_BYTES {
+            return Err(SketchDecodeError::Malformed);
+        }
+        Ok(SketchView {
+            config: SketchConfig { width, depth, seed },
+            total,
+            counters: Counters::Encoded(body),
+        })
+    }
+
+    /// The sketch configuration.
+    pub fn config(&self) -> &SketchConfig {
+        &self.config
+    }
+
+    /// The exact total ([`CountMinSketch::total`]).
+    pub fn total(&self) -> u64 {
+        self.total
+    }
+
+    /// The counters, row-major.
+    pub fn counters(&self) -> impl Iterator<Item = u32> + 'a {
+        let (array, encoded): (&[u32], &[u8]) = match self.counters {
+            Counters::Array(a) => (a, &[]),
+            Counters::Encoded(e) => (&[], e),
+        };
+        array.iter().copied().chain(
+            encoded
+                .chunks_exact(COUNTER_BYTES)
+                .map(|b| u32::from_le_bytes(b.try_into().unwrap())),
+        )
+    }
+}
+
+/// Equal configuration, total and counters, wherever the counters live.
+impl PartialEq for SketchView<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.config == other.config
+            && self.total == other.total
+            && self.counters().eq(other.counters())
+    }
+}
+
+impl Eq for SketchView<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -522,7 +640,8 @@ mod tests {
 
     #[test]
     fn wire_format_known_answer() {
-        // `width ‖ depth ‖ seed ‖ total ‖ counters`, all little-endian u64.
+        // `width ‖ depth ‖ seed ‖ total` as little-endian u64, then the
+        // counters as little-endian u32.
         let mut s = CountMinSketch::new(SketchConfig {
             width: 8,
             depth: 2,
@@ -532,19 +651,41 @@ mod tests {
             s.add(&i.to_le_bytes(), i * 0x0101_0101 + 1);
         }
         let bytes = s.encode();
-        assert_eq!(bytes.len(), 32 + 16 * 8);
+        assert_eq!(bytes.len(), 32 + 16 * 4);
         assert_eq!(bytes[..32], WIRE_HEADER);
-        assert_eq!(bytes[32..40], WIRE_FIRST_COUNTER);
-        assert_eq!(bytes[bytes.len() - 8..], WIRE_LAST_COUNTER);
+        assert_eq!(bytes[32..36], WIRE_FIRST_COUNTER);
+        assert_eq!(bytes[bytes.len() - 4..], WIRE_LAST_COUNTER);
         assert_eq!(CountMinSketch::decode(&bytes).unwrap(), s);
     }
 
+    // The total is Σ (i · 0x01010101 + 1) over i < 64 = 2016 · 0x01010101
+    // + 64 = 0x7_e7e7_e820, exact. The first and last bins held
+    // 0x1_4343_434b and 0x1_5e5e_5e68 as exact u64 sums (the 64-bit
+    // format's pinned bytes); a u32 counter holds them mod 2³², their low
+    // four bytes.
     const WIRE_HEADER: [u8; 32] = [
         8, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23,
-        0x01, 32, 232, 231, 231, 7, 0, 0, 0,
+        0x01, 0x20, 0xe8, 0xe7, 0xe7, 0x07, 0, 0, 0,
     ];
-    const WIRE_FIRST_COUNTER: [u8; 8] = [75, 67, 67, 67, 1, 0, 0, 0];
-    const WIRE_LAST_COUNTER: [u8; 8] = [104, 94, 94, 94, 1, 0, 0, 0];
+    const WIRE_FIRST_COUNTER: [u8; 4] = [0x4b, 0x43, 0x43, 0x43];
+    const WIRE_LAST_COUNTER: [u8; 4] = [0x68, 0x5e, 0x5e, 0x5e];
+
+    #[test]
+    fn view_parses_in_place_and_equals_the_sketch_it_encodes() {
+        let mut s = small();
+        for i in 0..300u64 {
+            s.add(&i.to_le_bytes(), i % 5 + 1);
+        }
+        let bytes = s.encode();
+        let view = SketchView::parse(&bytes).unwrap();
+        assert!(matches!(view.counters, Counters::Encoded(_)));
+        assert_eq!(view, s.view());
+        assert_eq!((view.config(), view.total()), (s.config(), s.total()));
+        assert!(view.counters().eq(s.counters().iter().copied()));
+        let mut other = small();
+        other.add(b"x", 1);
+        assert_ne!(view, other.view());
+    }
 
     #[test]
     fn decode_rejects_garbage() {
@@ -570,10 +711,12 @@ mod tests {
     }
 
     #[test]
-    fn paper_default_memory_is_one_megabyte() {
+    fn paper_default_memory_is_half_a_megabyte() {
         let cfg = SketchConfig::paper_default(0);
-        assert_eq!(cfg.memory_bytes(), 2 * 65_536 * 8); // 1 MiB
-        assert_eq!(cfg.memory_bytes(), 1 << 20);
+        assert_eq!(cfg.memory_bytes(), 2 * 65_536 * 4); // 512 KiB
+        assert_eq!(cfg.memory_bytes(), 1 << 19);
+        let s = CountMinSketch::new(cfg);
+        assert_eq!(s.encode().len(), 32 + s.memory_bytes());
     }
 
     #[test]
@@ -587,11 +730,21 @@ mod tests {
     }
 
     #[test]
-    fn saturating_counters_do_not_wrap() {
+    fn counters_wrap_and_the_total_stays_exact() {
         let mut s = small();
+        s.add(b"k", u64::from(u32::MAX));
+        assert_eq!(s.estimate(b"k"), u64::from(u32::MAX));
+        s.add(b"k", 3);
+        // Every bin of `k` wrapped past 2³² to 2; the total did not.
+        assert_eq!(s.estimate(b"k"), 2);
+        assert_eq!(s.total(), u64::from(u32::MAX) + 3);
+        // A count of 2³² + 5 adds 5 to each bin and 2³² + 5 to the total.
+        s.add(b"k", (1 << 32) + 5);
+        assert_eq!(s.estimate(b"k"), 7);
+        assert_eq!(s.total(), u64::from(u32::MAX) + 3 + (1 << 32) + 5);
+        // The total saturates instead of wrapping.
         s.add(b"k", u64::MAX);
-        s.add(b"k", u64::MAX);
-        assert_eq!(s.estimate(b"k"), u64::MAX);
+        assert_eq!(s.total(), u64::MAX);
     }
 
     #[test]
@@ -647,16 +800,23 @@ mod tests {
     }
 
     #[test]
-    fn batch_total_saturates_like_sequential() {
-        let mut batch = small();
-        let mut seq = small();
-        let fps = [1u64, 2, 3];
-        batch.add_batch_fingerprints(&fps, u64::MAX / 2);
-        for &x in &fps {
-            seq.add_fingerprint(x, u64::MAX / 2);
+    fn batch_wraps_like_sequential() {
+        let fps = [1u64, 2, 3, 1];
+        for count in [u64::from(u32::MAX), (1 << 32) + 5, u64::MAX / 3] {
+            let mut batch = small();
+            let mut seq = small();
+            batch.add_batch_fingerprints(&fps, count);
+            for &x in &fps {
+                seq.add_fingerprint(x, count);
+            }
+            assert_eq!(batch, seq, "count {count:#x}");
+            let total = count.saturating_mul(4);
+            assert_eq!(batch.total(), total, "count {count:#x}");
+            // Fingerprint 1 was added twice: its bins hold 2 · count mod 2³²
+            // (or more, where another fingerprint shares a bin).
+            let twice = u64::from((count as u32).wrapping_mul(2));
+            assert!(batch.counters().iter().any(|&c| u64::from(c) == twice));
         }
-        assert_eq!(batch.total(), seq.total());
-        assert_eq!(batch.total(), u64::MAX);
     }
 
     #[test]

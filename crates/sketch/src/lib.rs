@@ -7,8 +7,11 @@
 //! ASes can detect *drop-before-filter*) and a **per-5-tuple** sketch of the
 //! *outgoing* stream (so the victim can detect *drop-after-filter* and
 //! *inject-after-filter*). The paper's configuration — 2 independent linear
-//! hash rows, 64 K bins, 64-bit counters, ≈1 MB per sketch — is the default
-//! here ([`SketchConfig::paper_default`]).
+//! hash rows, 64 K bins — is the default here
+//! ([`SketchConfig::paper_default`]). The paper's 64-bit counters took
+//! ≈1 MB per sketch; here counters are 32 bits and wrap mod 2³², beside an
+//! exact 64-bit total, so a sketch takes 512 KiB and a comparison refuses
+//! any sketch whose total could have wrapped a counter (module [`cms`]).
 //!
 //! Both the enclave and the verifiers (victim network, neighbor ASes) build
 //! sketches over the streams they observe using the *same seeded hash
@@ -39,5 +42,5 @@ pub mod cms;
 pub mod compare;
 pub mod hash;
 
-pub use cms::{CountMinSketch, SketchConfig, SketchDecodeError};
-pub use compare::{compare, CompareError, Discrepancy, SketchComparison};
+pub use cms::{CountMinSketch, SketchConfig, SketchDecodeError, SketchView};
+pub use compare::{compare, compare_views, CompareError, Discrepancy, SketchComparison};

@@ -41,7 +41,10 @@
 //! large arrays back to the recycler when it is dropped, and the next
 //! compile through it refills them in place: the two epochs' arrays
 //! alternate between the same two allocations instead of coming from, and
-//! going back to, the allocator on every epoch.
+//! going back to, the allocator on every epoch. A trie remembers which
+//! entries it wrote (its child links and the slot runs of the nodes where
+//! prefixes end), so the refill resets only those: it touches a few
+//! cache lines per node rather than rewriting both arrays whole.
 
 use crate::prefix::Ipv4Prefix;
 use crate::trie::{MultiBitTrie, RuleMatch};
@@ -76,15 +79,29 @@ pub struct CompiledTrie<T> {
     path_data: Vec<(u8, u32)>,
     /// The stored values, indexed by `path_data`'s value indices.
     values: Vec<T>,
+    /// The entries of `children` and `slots` that are not `NONE`.
+    written: Written,
     /// Where `children` and `slots` go when the trie is dropped.
     recycler: Option<NodeRecycler>,
 }
 
-/// A trie's two node arrays, detached for the next compile.
+/// Where a trie's node arrays hold anything but `NONE`.
+#[derive(Debug, Clone, Default)]
+struct Written {
+    /// Indices into `children` of the child links.
+    links: Vec<u32>,
+    /// Per node where prefixes end, the run of `slots` that holds all of
+    /// that node's lists.
+    runs: Vec<(u32, u32)>,
+}
+
+/// A trie's two node arrays, detached for the next compile, with what it
+/// wrote into them.
 #[derive(Default)]
 struct NodeArrays {
     children: Vec<u32>,
     slots: Vec<u32>,
+    written: Written,
 }
 
 impl NodeArrays {
@@ -93,20 +110,18 @@ impl NodeArrays {
     }
 }
 
-/// Node arrays with fewer entries than this (4 MiB of `u32` each) are
+/// Node arrays with fewer entries than this (256 KiB of `u32` each) are
 /// released when their trie drops, not kept. A kept pair is what steadies
-/// a large lineage: a fresh multi-megabyte pair per epoch is placed wherever
-/// glibc's dynamic mmap and trim thresholds happen to put it, which swung
-/// a 3,000-rule churn's peak RSS by 12 MB from run to run. A few hundred
-/// kilobytes cost little to allocate afresh, and keeping those too left the
-/// thresholds low enough that a two-tenant service's 1 MB audit buffers
-/// were trimmed and faulted back every round (its audit read 24 % slower,
-/// with half again as many page faults).
-const RECYCLE_MIN: usize = 1 << 20;
+/// a lineage: a fresh pair per epoch is placed wherever glibc's dynamic
+/// mmap and trim thresholds happen to put it, which swung a 3,000-rule
+/// churn's peak RSS by 12 MB from run to run, and must be written whole
+/// wherever it lands, cache-cold or not, where a kept pair is reset only
+/// where the last epoch wrote it. A 262-rule table's pair is 600 KiB each.
+const RECYCLE_MIN: usize = 1 << 16;
 
 /// Keeps the node arrays of the last dropped [`CompiledTrie`] compiled
 /// through it, for the next compile through it to refill (see the
-/// [module docs](self)); arrays under 2²⁰ entries are not kept. Clones
+/// [module docs](self)); arrays under 2¹⁶ entries are not kept. Clones
 /// share the one spare pair; when two tries' arrays come back before a
 /// compile takes them, the larger pair is kept.
 #[derive(Clone)]
@@ -174,19 +189,30 @@ impl<T> Drop for CompiledTrie<T> {
             recycler.keep(NodeArrays {
                 children: std::mem::take(&mut self.children),
                 slots: std::mem::take(&mut self.slots),
+                written: std::mem::take(&mut self.written),
             });
         }
     }
 }
 
-/// `spare` emptied and refilled with `len` × [`NONE`]. A spare too small is
-/// replaced by an exact allocation with 1/64 headroom, so that an epoch a
-/// few nodes larger than the last does not reallocate again, and so that
-/// the array never carries `Vec`'s doubling slack.
-fn refill(mut spare: Vec<u32>, len: usize) -> Vec<u32> {
-    spare.clear();
+/// `spare` refilled with `len` × [`NONE`], given that `written` covers
+/// every entry of it that is not `NONE`: those are reset and the rest is
+/// kept as it is. A spare too small is replaced by an exact allocation with
+/// 1/64 headroom, so that an epoch a few nodes larger than the last does
+/// not reallocate again, and so that the array never carries `Vec`'s
+/// doubling slack.
+fn refill(
+    mut spare: Vec<u32>,
+    written: impl IntoIterator<Item = std::ops::Range<usize>>,
+    len: usize,
+) -> Vec<u32> {
     if spare.capacity() < len {
         spare = Vec::with_capacity(len + len / 64);
+    } else {
+        for run in written {
+            spare[run].fill(NONE);
+        }
+        spare.truncate(len);
     }
     spare.resize(len, NONE);
     spare
@@ -279,7 +305,22 @@ impl<T: Clone> CompiledTrie<T> {
         // Link the nodes (in creation order, root first) and note where
         // each prefix terminates; `terms` is indexed like `values`.
         let mut terms: Vec<Termination> = Vec::with_capacity(prefixes.len());
-        let mut children = refill(spare.children, node_count * fanout);
+        let Written {
+            mut links,
+            mut runs,
+        } = spare.written;
+        let mut children = refill(
+            spare.children,
+            links.iter().map(|&i| i as usize..i as usize + 1),
+            node_count * fanout,
+        );
+        let mut slots = refill(
+            spare.slots,
+            runs.iter().map(|&(lo, hi)| lo as usize..hi as usize),
+            children.len(),
+        );
+        links.clear();
+        runs.clear();
         let mut linked = 1u32;
         for prefix in &prefixes {
             let plen = prefix.len() as u32;
@@ -289,6 +330,7 @@ impl<T: Clone> CompiledTrie<T> {
                 let link = node * fanout + slot_of(prefix.addr(), consumed);
                 if children[link] == NONE {
                     children[link] = linked;
+                    links.push(link as u32);
                     linked += 1;
                 }
                 node = children[link] as usize;
@@ -323,7 +365,6 @@ impl<T: Clone> CompiledTrie<T> {
         // without comparing or hashing list contents.
         let mut order: Vec<u32> = (0..terms.len() as u32).collect();
         order.sort_unstable_by_key(|&v| (terms[v as usize].node, terms[v as usize].len));
-        let mut slots = refill(spare.slots, children.len());
         let mut shorter = vec![NONE; terms.len()];
         let mut list_of = vec![NONE; terms.len()];
         let mut lists: Vec<(u32, u32)> = Vec::new();
@@ -339,6 +380,7 @@ impl<T: Clone> CompiledTrie<T> {
                 hi = hi.max(run.end);
                 slots[run].fill(v);
             }
+            runs.push((lo as u32, hi as u32));
             // Swap occupants for list ids, numbered by first appearance.
             for slot in &mut slots[lo..hi] {
                 if *slot == NONE {
@@ -367,6 +409,7 @@ impl<T: Clone> CompiledTrie<T> {
             lists,
             path_data,
             values,
+            written: Written { links, runs },
             recycler: None,
         }
     }
@@ -644,7 +687,7 @@ mod tests {
     fn a_dropped_tries_arrays_are_refilled_by_the_next_compile() {
         let recycler = NodeRecycler::new();
         // 4,096 host prefixes in 0.0.0.0/12: one node at depth 8, 16 at
-        // depth 16 and 4,096 at depth 24 — just over `RECYCLE_MIN` entries.
+        // depth 16 and 4,096 at depth 24 — over `RECYCLE_MIN` entries.
         let hosts = (0..4096u32).map(|i| (Ipv4Prefix::new(i << 8 | 1, 32), i));
         let first = CompiledTrie::from_entries_recycled(8, hosts, &recycler);
         assert_eq!(first.node_count(), 1 + 1 + 16 + 4096);
@@ -693,8 +736,9 @@ mod tests {
 
     proptest::proptest! {
         /// A compile into another prefix set's arrays — larger or smaller,
-        /// at any stride — builds exactly the arrays a fresh compile
-        /// builds: no stale link or list survives the refill.
+        /// at any stride, and again into the arrays that compile wrote —
+        /// builds exactly the arrays a fresh compile builds: no stale link
+        /// or list survives the refill.
         #[test]
         fn recycled_compile_equals_fresh(
             first in proptest::collection::vec((proptest::prelude::any::<u32>(), 0u8..=32), 0..150),
@@ -711,6 +755,13 @@ mod tests {
             proptest::prop_assert_eq!(&recycled.lists, &fresh.lists);
             proptest::prop_assert_eq!(&recycled.path_data, &fresh.path_data);
             proptest::prop_assert_eq!(&recycled.values, &fresh.values);
+            // Back into the arrays a recycled compile wrote: the reset
+            // must clear what that compile wrote, not what the first did.
+            drop(recycled);
+            let again = compiled_from(stride, &first, &recycler);
+            let fresh = compiled_from(stride, &first, &NodeRecycler::new());
+            proptest::prop_assert_eq!(&again.children, &fresh.children);
+            proptest::prop_assert_eq!(&again.slots, &fresh.slots);
         }
     }
 }

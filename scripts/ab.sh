@@ -15,8 +15,10 @@
 #
 # For each workload it prints every pair's end-to-end metrics (the
 # `end_to_end` names of BENCHMARK.json), each side's median and
-# interquartile range, and on how many pairs the working tree came out
-# better, plus each side's failed share. Each run's result line is kept in
+# interquartile range, on how many pairs the working tree came out
+# better, and the median per-pair ratio change / base with a 95 %
+# bootstrap interval (pairs resampled with a fixed seed), plus each side's
+# failed share. Each run's result line is kept in
 # target/ab/<workload>-<time>.jsonl.
 #
 # It only reports: it gates nothing and exits 0 whatever the numbers say.
@@ -79,7 +81,7 @@ run() { # <side> <checkout> <seed>
 
 summarize() { # <results> <workload>
     python3 - "$1" "$commit" "$2" <<'EOF'
-import json, statistics, sys
+import json, random, statistics, sys
 
 path, commit, workload = sys.argv[1:4]
 decl = json.load(open("BENCHMARK.json"))
@@ -95,6 +97,15 @@ for line in open(path):
 seeds = sorted(set(runs["base"]) & set(runs["change"]))
 present = [(n, b) for n, b in metrics
            if any(n in runs["base"][s] and n in runs["change"][s] for s in seeds)]
+
+def ratio_interval(ratios, resamples=2000, seed=1):
+    """Median per-pair ratio and its 95 % percentile-bootstrap interval:
+    the pairs are resampled with replacement, with a fixed seed."""
+    rng = random.Random(seed)
+    medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
+                     for _ in range(resamples))
+    return (statistics.median(ratios), medians[int(0.025 * resamples)],
+            medians[int(0.975 * resamples) - 1])
 
 def quartiles(xs):
     if len(xs) < 2:
@@ -120,6 +131,11 @@ for name, better in present:
     delta = (cq[1] - bq[1]) / bq[1] * 100 if bq[1] else float("nan")
     print(f"  change wins {wins}/{len(pairs)}; median {delta:+.1f} %; "
           f"|median shift| {'>' if abs(cq[1] - bq[1]) > bq[2] - bq[0] else '<='} base IQR")
+    ratios = [c / b for b, c, _ in pairs if b]
+    if ratios:
+        mid, lo, hi = ratio_interval(ratios)
+        print(f"  ratio change/base: median {mid:.4f}, 95 % bootstrap CI {lo:.4f} .. {hi:.4f}"
+              f" ({len(ratios)} pairs)")
 for side in ("base", "change"):
     f, a = failed[side]
     print(f"\nfailed share, {side}: {f}/{a}" + (f" = {f / a:.4f}" if a else ""))
