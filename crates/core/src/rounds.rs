@@ -11,15 +11,20 @@
 //! [`RoundPolicy::max_strikes`] dirty rounds. A single enclave is the
 //! one-slice case.
 //!
-//! A round closes in two phases. Phase 1 gives every audited slice its
-//! first audit attempt (outgoing export → HMAC check → compare, then the
-//! same for the incoming log) as one task on `std::thread::scope`, on at
-//! most `available_parallelism()` threads, the caller running one share.
-//! Phase 1 only reads and compares. Phase 2 then walks the slices in index
-//! order on the caller and does everything with a side effect exactly as a
-//! serial loop would: retries, backoff, lifecycle votes, telemetry events,
-//! strikes, abort and rotation. The same inputs thus give the same
-//! outcomes and the same flight-recorder bytes however the tasks interleave.
+//! A round closes in two phases. Phase 1 makes every audited slice's
+//! first audit attempt. Its unit of work is one log, a `(slice,
+//! direction)` pair: export → HMAC check → compare. The units are split
+//! over at most `available_parallelism()` threads on `std::thread::scope`,
+//! the caller running one share. A slice's two exports enter its enclave
+//! through [`Enclave::ecall_shared`], so they run side by side and a
+//! one-slice round uses two cores. Each slice's two results then combine
+//! as the serial attempt would have ended: the outgoing log's error first,
+//! then the incoming log's. Phase 1 only reads and compares. Phase 2 then
+//! walks the slices in index order on the caller and does everything with
+//! a side effect exactly as a serial loop would: retries, backoff,
+//! lifecycle votes, telemetry events, strikes, abort and rotation. The
+//! same inputs thus give the same outcomes and the same flight-recorder
+//! bytes however the tasks interleave.
 
 use crate::enclave_app::{ContractId, FilterEnclaveApp};
 use crate::logs::LogDirection;
@@ -119,11 +124,11 @@ pub enum ExportFault {
 ///
 /// The hook must be pure in its arguments. [`ClusterRoundDriver::close_round`]
 /// asks it about every audited slice's attempt 0 from the audit threads,
-/// concurrently and in no fixed order, with the driver's count of closed
-/// rounds as `round`. It then asks about retries (attempt ≥ 1) on the
-/// caller thread, slice by slice in index order, with the round the
-/// earlier trusted slices' exports named (see `close_round` for the one
-/// case where that differs and attempt 0 is asked again).
+/// once per log, concurrently and in no fixed order, with the driver's
+/// count of closed rounds as `round`. It then asks about retries
+/// (attempt ≥ 1) on the caller thread, slice by slice in index order, with
+/// the round the earlier trusted slices' exports named (see `close_round`
+/// for the one case where that differs and attempt 0 is asked again).
 pub type ExportFaultHook = Box<dyn Fn(usize, u64, u32) -> ExportFault + Send + Sync>;
 
 /// Contract state after a round.
@@ -393,10 +398,10 @@ impl ClusterRoundDriver {
     /// backoff before the failure is acted on.
     ///
     /// The close runs in two phases (see the module docs). Phase 1 makes
-    /// each audited slice's first attempt in parallel, on at most
-    /// `available_parallelism()` threads including the caller; a
-    /// one-slice cluster spawns none. Phase 2 consumes those results in
-    /// slice order and makes every retry on the caller. Phase 1 passes the
+    /// each audited slice's first attempt, one log per task, in parallel
+    /// on at most `available_parallelism()` threads including the caller.
+    /// Phase 2 consumes those results in slice order and makes every retry
+    /// on the caller. Phase 1 passes the
     /// [`ExportFaultHook`] the number of rounds closed so far. An earlier
     /// trusted slice can name another round (a rejoined slice's logs
     /// count from 0); if the hook answers differently for that round, the
@@ -532,8 +537,8 @@ impl ClusterRoundDriver {
             }
             let outcome = RoundOutcome {
                 round,
-                victim_verdict: verdicts.by_direction[LogDirection::Outgoing.index()],
-                neighbor_verdict: verdicts.by_direction[LogDirection::Incoming.index()],
+                victim_verdict: verdicts.victim,
+                neighbor_verdict: verdicts.neighbor,
                 quarantined: false,
                 probation: on_probation,
             };
@@ -598,42 +603,48 @@ impl ClusterRoundDriver {
     /// Phase 1 of [`close_round`](ClusterRoundDriver::close_round): the
     /// first audit attempt of every slice the lifecycle table marks
     /// `audited`, indexed like the cluster (`None` for a slice sitting the
-    /// round out). The slices are split into at most
-    /// `available_parallelism()` shares on scoped threads; the caller runs
-    /// the first share itself, so a one-slice cluster spawns nothing.
+    /// round out). The slices' logs, outgoing before incoming, are split
+    /// into at most `available_parallelism()` contiguous shares on scoped
+    /// threads; the caller runs the first share itself. On two cores a
+    /// one-slice cluster audits its two logs side by side, and a cluster of
+    /// two or more slices splits by slice as a whole.
     fn first_attempts(&self) -> Vec<Option<Result<SliceVerdicts, AuditError>>> {
         let mut results = vec![None; self.enclaves.len()];
-        let due: Vec<usize> = (0..self.enclaves.len())
+        let logs: Vec<(usize, LogDirection)> = (0..self.enclaves.len())
             .filter(|&i| self.lifecycle.state(i).audited())
+            .flat_map(|i| [(i, LogDirection::Outgoing), (i, LogDirection::Incoming)])
             .collect();
-        if due.is_empty() {
+        if logs.is_empty() {
             return results;
         }
         let round = self.rounds_closed;
-        let attempt = |i: usize| self.audit_slice(i, self.fault(i, round, 0));
+        let audit = |&(i, direction): &(usize, LogDirection)| {
+            self.audit_log(i, direction, self.fault(i, round, 0))
+        };
         let threads = std::thread::available_parallelism()
             .map_or(1, usize::from)
-            .min(due.len());
-        std::thread::scope(|s| {
-            let mut shares = due.chunks(due.len().div_ceil(threads));
+            .min(logs.len());
+        let found = std::thread::scope(|s| {
+            let mut shares = logs.chunks(logs.len().div_ceil(threads));
             let own = shares.next().unwrap_or_default();
             let spawned: Vec<_> = shares
-                .map(|share| {
-                    s.spawn(move || share.iter().map(|&i| (i, attempt(i))).collect::<Vec<_>>())
-                })
+                .map(|share| s.spawn(move || share.iter().map(audit).collect::<Vec<_>>()))
                 .collect();
-            for &i in own {
-                results[i] = Some(attempt(i));
-            }
+            let mut found: Vec<_> = own.iter().map(audit).collect();
             for handle in spawned {
-                let share = handle
-                    .join()
-                    .unwrap_or_else(|p| std::panic::resume_unwind(p));
-                for (i, verdicts) in share {
-                    results[i] = Some(verdicts);
-                }
+                found.extend(
+                    handle
+                        .join()
+                        .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+                );
             }
+            found
         });
+        let mut found = found.into_iter();
+        for &(i, _) in logs.iter().step_by(2) {
+            let mut next = || found.next().expect("one audit per log");
+            results[i] = Some(SliceVerdicts::combine(next(), next()));
+        }
         results
     }
 
@@ -645,36 +656,40 @@ impl ClusterRoundDriver {
             .map_or(ExportFault::None, |hook| hook(i, round, attempt))
     }
 
-    /// One audit attempt on slice `i`: export → verify → compare for the
-    /// outgoing log, then the same for the incoming one, so only one export
-    /// is alive at a time and the first failure ends the attempt. Exports
-    /// are `&self` enclave reads and audits pure comparisons, so the
-    /// attempt runs on any thread, and a result nobody consumes leaves no
-    /// trace.
+    /// One audit attempt on slice `i` (phase 2's retry path): both logs in
+    /// series, combined as phase 1 combines them.
     fn audit_slice(&self, i: usize, fault: ExportFault) -> Result<SliceVerdicts, AuditError> {
+        SliceVerdicts::combine(
+            self.audit_log(i, LogDirection::Outgoing, fault),
+            self.audit_log(i, LogDirection::Incoming, fault),
+        )
+    }
+
+    /// Audits slice `i`'s `direction` log: export → verify → compare.
+    /// Returns the round the export names and the verdict. The export is a
+    /// shared enclave entry and the audit a pure comparison, so the call
+    /// runs on any thread beside the slice's other log, and a result
+    /// nobody consumes leaves no trace. A [`ExportFault::Corrupt`] attempt
+    /// flips a byte of the outgoing export only.
+    fn audit_log(
+        &self,
+        i: usize,
+        direction: LogDirection,
+        fault: ExportFault,
+    ) -> Result<(u64, BypassVerdict), AuditError> {
         if fault == ExportFault::Timeout {
             return Err(AuditError::ExportTimeout);
         }
         let contract = self.contract;
-        let mut found = SliceVerdicts {
-            round: 0,
-            by_direction: [BypassVerdict::Clean; 2],
-        };
-        for direction in [LogDirection::Outgoing, LogDirection::Incoming] {
-            let mut export =
-                self.enclaves[i].ecall(move |app| app.export_log_for(contract, direction));
-            if fault == ExportFault::Corrupt && direction == LogDirection::Outgoing {
-                if let Some(b) = export.payload.first_mut() {
-                    *b ^= 0xff;
-                }
+        let mut export =
+            self.enclaves[i].ecall_shared(move |app| app.export_log_for(contract, direction));
+        if fault == ExportFault::Corrupt && direction == LogDirection::Outgoing {
+            if let Some(b) = export.payload.first_mut() {
+                *b ^= 0xff;
             }
-            let report = self.verifiers[i][direction.index()].audit(&export)?;
-            if direction == LogDirection::Outgoing {
-                found.round = report.round;
-            }
-            found.by_direction[direction.index()] = report.verdict;
         }
-        Ok(found)
+        let report = self.verifiers[i][direction.index()].audit(&export)?;
+        Ok((report.round, report.verdict))
     }
 
     /// Posts this tenant's audit verdict on slice `i`.
@@ -705,8 +720,28 @@ impl ClusterRoundDriver {
 struct SliceVerdicts {
     /// The round the outgoing export names.
     round: u64,
-    /// Each direction's verdict, indexed by [`LogDirection::index`].
-    by_direction: [BypassVerdict; 2],
+    /// The outgoing log's verdict.
+    victim: BypassVerdict,
+    /// The incoming log's verdict.
+    neighbor: BypassVerdict,
+}
+
+impl SliceVerdicts {
+    /// Combines a slice's two log audits with serial precedence: the
+    /// outgoing log's error wins, then the incoming log's, as an attempt
+    /// that audits outgoing first and stops at the first failure reports.
+    fn combine(
+        outgoing: Result<(u64, BypassVerdict), AuditError>,
+        incoming: Result<(u64, BypassVerdict), AuditError>,
+    ) -> Result<SliceVerdicts, AuditError> {
+        let (round, victim) = outgoing?;
+        let (_, neighbor) = incoming?;
+        Ok(SliceVerdicts {
+            round,
+            victim,
+            neighbor,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -1035,26 +1070,18 @@ mod tests {
         assert_eq!(driver.state(), ContractState::Active);
     }
 
-    /// One close of a 4-slice cluster with a hub: slice 1 corrupt on
-    /// attempt 0, slice 3 timed out on attempts 0–1, slice 2 robbed of
-    /// its deliveries. Returns everything the close is observable by.
-    #[allow(clippy::type_complexity)]
-    fn faulted_close() -> (
+    /// Everything a close is observable by: the outcome, the retries and
+    /// backoff used, the contract state and the recorded events.
+    type ObservedClose = (
         ClusterRoundOutcome,
         u64,
         u64,
         ContractState,
         Vec<(EventKind, u32, u64)>,
-    ) {
-        let (enclaves, mut driver) = cluster_setup(4);
-        let hub = Arc::new(TelemetryHub::for_workers(4));
-        driver.set_telemetry(Arc::clone(&hub));
-        driver.set_export_fault(Box::new(|slice, _, attempt| match (slice, attempt) {
-            (1, 0) => ExportFault::Corrupt,
-            (3, 0..=1) => ExportFault::Timeout,
-            _ => ExportFault::None,
-        }));
-        cluster_round(&enclaves, &mut driver, 30, Some(2));
+    );
+
+    /// Closes `driver`'s round and returns what it is observable by.
+    fn observe_close(driver: &mut ClusterRoundDriver, hub: &TelemetryHub) -> ObservedClose {
         let outcome = driver.close_round().expect("retries recover every slice");
         let events = hub
             .events_last(64)
@@ -1068,6 +1095,22 @@ mod tests {
             driver.state(),
             events,
         )
+    }
+
+    /// One close of a 4-slice cluster with a hub: slice 1 corrupt on
+    /// attempt 0, slice 3 timed out on attempts 0–1, slice 2 robbed of
+    /// its deliveries.
+    fn faulted_close() -> ObservedClose {
+        let (enclaves, mut driver) = cluster_setup(4);
+        let hub = Arc::new(TelemetryHub::for_workers(4));
+        driver.set_telemetry(Arc::clone(&hub));
+        driver.set_export_fault(Box::new(|slice, _, attempt| match (slice, attempt) {
+            (1, 0) => ExportFault::Corrupt,
+            (3, 0..=1) => ExportFault::Timeout,
+            _ => ExportFault::None,
+        }));
+        cluster_round(&enclaves, &mut driver, 30, Some(2));
+        observe_close(&mut driver, &hub)
     }
 
     #[test]
@@ -1106,6 +1149,57 @@ mod tests {
         );
         for run in 1..20 {
             assert_eq!(faulted_close(), first, "run {run}");
+        }
+    }
+
+    /// One close of a one-slice cluster with a hub, whose two logs phase 1
+    /// audits side by side: attempt 0 corrupts the outgoing export,
+    /// attempt 1 times out, and the incoming log is dirty throughout (the
+    /// neighbor saw 5 packets the enclave never logged).
+    fn faulted_one_slice_close() -> ObservedClose {
+        let (enclave, mut driver) = setup(RoundPolicy::default());
+        let hub = Arc::new(TelemetryHub::for_workers(1));
+        driver.set_telemetry(Arc::clone(&hub));
+        driver.set_export_fault(Box::new(|_, _, attempt| match attempt {
+            0 => ExportFault::Corrupt,
+            1 => ExportFault::Timeout,
+            _ => ExportFault::None,
+        }));
+        honest_round(&enclave, &mut driver, 30);
+        for i in 0..5 {
+            driver.neighbor_verifier_mut(0).observe(&benign(50_000 + i));
+        }
+        observe_close(&mut driver, &hub)
+    }
+
+    #[test]
+    fn one_slice_close_keeps_serial_side_effect_order() {
+        let first = faulted_one_slice_close();
+        let (outcome, retries, backoff, state, events) = first.clone();
+        assert_eq!(outcome.round, 0);
+        assert_eq!(outcome.slices.len(), 1);
+        assert_eq!(outcome.slices[0].victim_verdict, BypassVerdict::Clean);
+        assert_eq!(
+            outcome.slices[0].neighbor_verdict,
+            BypassVerdict::DropDetected
+        );
+        // Attempt 0's corrupt outgoing export wins over the dirty incoming
+        // verdict audited beside it: a retry, not a verdict.
+        assert_eq!(retries, 2);
+        assert_eq!(backoff, 3_000_000);
+        assert_eq!(state, ContractState::Aborted { strikes: 1 });
+        assert_eq!(
+            events,
+            vec![
+                (EventKind::ExportRetry, 0, 0),
+                (EventKind::ExportRetry, 0, 1),
+                (EventKind::AuditVerdict, 0, 2),
+                (EventKind::Strike, 0, 1),
+                (EventKind::ContractAbort, 0, 1),
+            ]
+        );
+        for run in 1..20 {
+            assert_eq!(faulted_one_slice_close(), first, "run {run}");
         }
     }
 

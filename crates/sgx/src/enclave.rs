@@ -4,14 +4,20 @@ use crate::attest::{AttestationRootKey, Quote, Report};
 use crate::epc::EpcConfig;
 use crate::measure::{EnclaveImage, Measurement};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use vif_crypto::hmac::HmacSha256;
 
-/// Takes `m`'s lock, taking over a poisoned one: a closure that panics
-/// inside [`Enclave::ecall`] must not leave the enclave unusable for every
-/// later call (the service catches a panicking worker and carries on).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
+/// Takes `m`'s exclusive lock, taking over a poisoned one: a closure that
+/// panics inside [`Enclave::ecall`] must not leave the enclave unusable for
+/// every later call (the service catches a panicking worker and carries
+/// on).
+fn lock<T>(m: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    m.write().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Takes `m`'s shared lock, taking over a poisoned one as [`lock`] does.
+fn lock_shared<T>(m: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    m.read().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A simulated SGX-capable platform (one physical machine).
@@ -60,7 +66,7 @@ impl SgxPlatform {
             image,
             platform_id: self.platform_id,
             platform_key: self.platform_key,
-            state: Mutex::new(state),
+            state: RwLock::new(state),
             ecalls: AtomicU64::new(0),
         }
     }
@@ -77,7 +83,16 @@ impl SgxPlatform {
 /// tests use it to pin §V-A's "one ECall to launch the filter thread",
 /// i.e. no ECall per packet.
 ///
+/// [`ecall`] and [`in_enclave_thread`] hold the state exclusively, so the
+/// packet path and every mutating ECall exclude each other and every
+/// reader. [`ecall_shared`] enters for a read only, and any number of
+/// those run at once. That models SGX's thread control structures: an
+/// enclave built with several TCSs admits one concurrent ECall per TCS,
+/// and ECalls that only read enclave state need nothing more to run side
+/// by side (an audit exports a slice's two logs this way).
+///
 /// [`ecall`]: Enclave::ecall
+/// [`ecall_shared`]: Enclave::ecall_shared
 /// [`in_enclave_thread`]: Enclave::in_enclave_thread
 #[derive(Debug)]
 pub struct Enclave<T> {
@@ -86,7 +101,7 @@ pub struct Enclave<T> {
     image: EnclaveImage,
     platform_id: u64,
     platform_key: [u8; 32],
-    state: Mutex<T>,
+    state: RwLock<T>,
     ecalls: AtomicU64,
 }
 
@@ -106,13 +121,26 @@ impl<T> Enclave<T> {
         &self.image
     }
 
-    /// Enters the enclave, giving the closure access to protected state.
+    /// Enters the enclave, giving the closure exclusive access to
+    /// protected state.
     ///
     /// Counts one ECall; returns the closure's result.
     pub fn ecall<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
         self.ecalls.fetch_add(1, Ordering::Relaxed);
         let mut guard = lock(&self.state);
         f(&mut guard)
+    }
+
+    /// Enters the enclave for a read only: the closure sees protected
+    /// state through `&T`, alongside any other `ecall_shared`, and waits
+    /// out (and holds off) [`ecall`](Enclave::ecall) and
+    /// [`in_enclave_thread`](Enclave::in_enclave_thread).
+    ///
+    /// Counts one ECall; returns the closure's result.
+    pub fn ecall_shared<R>(&self, f: impl FnOnce(&T) -> R) -> R {
+        self.ecalls.fetch_add(1, Ordering::Relaxed);
+        let guard = lock_shared(&self.state);
+        f(&guard)
     }
 
     /// Accesses protected state from the enclave's own data-path thread
@@ -201,6 +229,76 @@ mod tests {
         assert_eq!(e.ecall(|v| v.clone()), vec![1, 2]);
         assert_eq!(e.in_enclave_thread(|v| v.len()), 2);
         assert_eq!(e.ecalls(), 2);
+    }
+
+    /// Bound on every wait below: a regression fails the test instead of
+    /// hanging it.
+    const WAIT: std::time::Duration = std::time::Duration::from_secs(10);
+
+    #[test]
+    fn shared_ecalls_run_at_the_same_time() {
+        use std::sync::mpsc::channel;
+        let (p, _) = platform();
+        let e = p.launch(EnclaveImage::new("t", 1, vec![]), 7u32);
+        let (to_a, at_a) = channel();
+        let (to_b, at_b) = channel();
+        // Each closure announces itself, then waits inside the enclave for
+        // the other's announcement: both return only if both were inside
+        // at once.
+        let e = &e;
+        let met = std::thread::scope(|s| {
+            let a = s.spawn(move || {
+                e.ecall_shared(|v| {
+                    to_b.send(*v).unwrap();
+                    at_a.recv_timeout(WAIT).is_ok()
+                })
+            });
+            let b = s.spawn(move || {
+                e.ecall_shared(|v| {
+                    to_a.send(*v).unwrap();
+                    at_b.recv_timeout(WAIT).is_ok()
+                })
+            });
+            [a.join().unwrap(), b.join().unwrap()]
+        });
+        assert_eq!(met, [true, true], "the shared entries serialized");
+        assert_eq!(e.ecalls(), 2);
+    }
+
+    #[test]
+    fn exclusive_ecall_waits_out_shared_ones() {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        let (p, _) = platform();
+        let e = p.launch(EnclaveImage::new("t", 1, vec![]), 0u32);
+        let (held_tx, held) = channel();
+        let (release_tx, release) = channel::<()>();
+        let (entered_tx, entered) = channel();
+        let e = &e;
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                e.ecall_shared(|v| {
+                    held_tx.send(*v).unwrap();
+                    release.recv_timeout(WAIT).unwrap();
+                })
+            });
+            held.recv_timeout(WAIT).unwrap();
+            s.spawn(move || {
+                e.ecall(|v| {
+                    *v += 1;
+                    entered_tx.send(()).unwrap();
+                })
+            });
+            // While the reader is inside, the writer must not get in.
+            assert_eq!(
+                entered.recv_timeout(std::time::Duration::from_millis(100)),
+                Err(RecvTimeoutError::Timeout),
+                "an exclusive ECall entered beside a shared one"
+            );
+            release_tx.send(()).unwrap();
+            entered.recv_timeout(WAIT).unwrap();
+        });
+        assert_eq!(e.ecall_shared(|v| *v), 1);
+        assert_eq!(e.ecalls(), 3);
     }
 
     #[test]
