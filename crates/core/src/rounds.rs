@@ -15,9 +15,12 @@
 //! first audit attempt. Its unit of work is one log, a `(slice,
 //! direction)` pair: export → HMAC check → compare. The units are split
 //! over at most `available_parallelism()` threads on `std::thread::scope`,
-//! the caller running one share. A slice's two exports enter its enclave
-//! through [`Enclave::ecall_shared`], so they run side by side and a
-//! one-slice round uses two cores. Each slice's two results then combine
+//! the caller running one share. A lone audited slice's two logs go to two
+//! threads: its exports enter the enclave through
+//! [`Enclave::ecall_shared`], so they run side by side and a one-slice
+//! round uses two cores. Two or more slices split by slice, a share never
+//! parting a slice's logs, so their schedule is the same on any number of
+//! cores from the slice count up. Each slice's two results then combine
 //! as the serial attempt would have ended: the outgoing log's error first,
 //! then the incoming log's. Phase 1 only reads and compares. Phase 2 then
 //! walks the slices in index order on the caller and does everything with
@@ -398,8 +401,9 @@ impl ClusterRoundDriver {
     /// backoff before the failure is acted on.
     ///
     /// The close runs in two phases (see the module docs). Phase 1 makes
-    /// each audited slice's first attempt, one log per task, in parallel
-    /// on at most `available_parallelism()` threads including the caller.
+    /// each audited slice's first attempt in parallel, on at most
+    /// `available_parallelism()` threads including the caller: a lone
+    /// slice's two logs side by side, more slices split by slice.
     /// Phase 2 consumes those results in slice order and makes every retry
     /// on the caller. Phase 1 passes the
     /// [`ExportFaultHook`] the number of rounds closed so far. An earlier
@@ -605,9 +609,11 @@ impl ClusterRoundDriver {
     /// `audited`, indexed like the cluster (`None` for a slice sitting the
     /// round out). The slices' logs, outgoing before incoming, are split
     /// into at most `available_parallelism()` contiguous shares on scoped
-    /// threads; the caller runs the first share itself. On two cores a
-    /// one-slice cluster audits its two logs side by side, and a cluster of
-    /// two or more slices splits by slice as a whole.
+    /// threads; the caller runs the first share itself. A lone audited
+    /// slice puts its two logs side by side on two cores. Two or more
+    /// slices split by slice, one share never parting a slice's logs, so
+    /// their schedule does not depend on how many cores there are beyond
+    /// the slice count.
     fn first_attempts(&self) -> Vec<Option<Result<SliceVerdicts, AuditError>>> {
         let mut results = vec![None; self.enclaves.len()];
         let logs: Vec<(usize, LogDirection)> = (0..self.enclaves.len())
@@ -621,11 +627,9 @@ impl ClusterRoundDriver {
         let audit = |&(i, direction): &(usize, LogDirection)| {
             self.audit_log(i, direction, self.fault(i, round, 0))
         };
-        let threads = std::thread::available_parallelism()
-            .map_or(1, usize::from)
-            .min(logs.len());
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
         let found = std::thread::scope(|s| {
-            let mut shares = logs.chunks(logs.len().div_ceil(threads));
+            let mut shares = logs.chunks(logs_per_share(logs.len() / 2, cores));
             let own = shares.next().unwrap_or_default();
             let spawned: Vec<_> = shares
                 .map(|share| s.spawn(move || share.iter().map(audit).collect::<Vec<_>>()))
@@ -712,6 +716,18 @@ impl ClusterRoundDriver {
         for v in self.verifiers.iter_mut().flatten() {
             v.new_round();
         }
+    }
+}
+
+/// How many logs each of phase 1's shares takes when `slices` slices are
+/// audited on `cores` cores. A lone slice's two logs go to two shares if
+/// there are two cores. Two or more slices split by slice into at most
+/// `cores` shares of whole slices, so the schedule is the same on every
+/// machine with at least as many cores as slices. `slices` is at least 1.
+fn logs_per_share(slices: usize, cores: usize) -> usize {
+    match slices {
+        1 if cores > 1 => 1,
+        _ => 2 * slices.div_ceil(cores.min(slices)),
     }
 }
 
@@ -1170,6 +1186,28 @@ mod tests {
             driver.neighbor_verifier_mut(0).observe(&benign(50_000 + i));
         }
         observe_close(&mut driver, &hub)
+    }
+
+    #[test]
+    fn phase_one_shares_keep_slices_whole() {
+        // A lone slice: its two logs side by side from two cores up.
+        assert_eq!(logs_per_share(1, 1), 2);
+        for cores in 2..=8 {
+            assert_eq!(logs_per_share(1, cores), 1);
+        }
+        // Two slices on two cores or more: one slice per share; three on
+        // two: two slices, then one.
+        assert_eq!(logs_per_share(2, 2), 2);
+        assert_eq!(logs_per_share(2, 8), 2);
+        assert_eq!(logs_per_share(3, 2), 4);
+        for slices in 2..=6 {
+            for cores in 1..=8 {
+                let per_share = logs_per_share(slices, cores);
+                assert_eq!(per_share % 2, 0, "{slices} slices, {cores} cores");
+                assert!((2 * slices).div_ceil(per_share) <= cores);
+            }
+            assert_eq!(logs_per_share(slices, slices), logs_per_share(slices, 64));
+        }
     }
 
     #[test]

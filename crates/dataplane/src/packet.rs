@@ -50,17 +50,6 @@ impl fmt::Display for Protocol {
     }
 }
 
-/// The initial accumulator of [`vif_sketch::hash::fingerprint`], before
-/// the key length is folded in.
-const FINGERPRINT_SEED: u64 = 0x2d358dccaa6c78a5;
-
-/// One lane of [`vif_sketch::hash::fingerprint`]'s multiply-xor mix.
-#[inline]
-fn fingerprint_mix(acc: u64, lane: u64) -> u64 {
-    let m = u128::from(acc ^ lane) * 0x8bb84b93962eacc9u128;
-    (m as u64) ^ ((m >> 64) as u64)
-}
-
 /// The classic 5-tuple flow identifier.
 ///
 /// This is exactly what VIF's near-zero-copy design copies into the enclave
@@ -131,27 +120,17 @@ impl FiveTuple {
     /// log, and the heavy-hitter counting sketch all consume this same
     /// value, so a burst derives it once per packet instead of re-encoding
     /// at every consumer.
-    ///
-    /// Computed from the fields in registers: the two little-endian
-    /// 8-byte lanes that [`vif_sketch::hash::fingerprint`] reads from the
-    /// 13 bytes, mixed the same way, give the same value without building
-    /// the array.
     #[inline]
     pub fn tuple_fingerprint(&self) -> u64 {
-        let w0 = u64::from(self.src_ip.swap_bytes()) | u64::from(self.dst_ip.swap_bytes()) << 32;
-        let w1 = u64::from(self.src_port.swap_bytes())
-            | u64::from(self.dst_port.swap_bytes()) << 16
-            | u64::from(self.protocol.number()) << 32;
-        fingerprint_mix(fingerprint_mix(FINGERPRINT_SEED ^ 13, w0), w1)
+        vif_sketch::hash::fingerprint(&self.encode())
     }
 
     /// The 64-bit fingerprint of the big-endian source address — the
     /// incoming (per-source-IP) packet log's key, derived once per packet
     /// alongside [`tuple_fingerprint`](FiveTuple::tuple_fingerprint).
-    /// Equal to [`vif_sketch::hash::fingerprint`] over those 4 bytes.
     #[inline]
     pub fn src_ip_fingerprint(&self) -> u64 {
-        fingerprint_mix(FINGERPRINT_SEED ^ 4, u64::from(self.src_ip.swap_bytes()))
+        vif_sketch::hash::fingerprint(&self.src_ip.to_be_bytes())
     }
 
     /// The reverse direction of this flow.

@@ -9,7 +9,6 @@ use vif_dataplane::{
     ServiceConfig, SliceEvent, SliceLifecycle, SliceState, StageOutcome, StageVerdict,
     TrafficConfig, TrafficGenerator,
 };
-use vif_sketch::hash::fingerprint;
 
 proptest! {
     /// A ring is a capacity-bounded `VecDeque` under any mix of burst and
@@ -56,21 +55,6 @@ proptest! {
             prop_assert_eq!(ring.len(), model.len());
             prop_assert_eq!(ring.is_empty(), model.is_empty());
         }
-    }
-
-    /// The register-computed fingerprints equal the byte-keyed oracle
-    /// over the canonical encodings, for every tuple.
-    #[test]
-    fn fingerprints_equal_the_byte_form(
-        src_ip in any::<u32>(),
-        dst_ip in any::<u32>(),
-        src_port in any::<u16>(),
-        dst_port in any::<u16>(),
-        proto in any::<u8>(),
-    ) {
-        let t = FiveTuple::new(src_ip, dst_ip, src_port, dst_port, Protocol::from(proto));
-        prop_assert_eq!(t.tuple_fingerprint(), fingerprint(&t.encode()));
-        prop_assert_eq!(t.src_ip_fingerprint(), fingerprint(&t.src_ip.to_be_bytes()));
     }
 
     /// Line-rate arithmetic: pps × (size + overhead) × 8 == rate.
