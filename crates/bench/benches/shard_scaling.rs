@@ -13,7 +13,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
-use vif_bench::experiments::dataplane::{shard_stages, SHARD_BURST, SHARD_WORKER_COUNTS};
+use vif_bench::experiments::dataplane::{shard_stages, SHARD_WORKER_COUNTS};
 use vif_bench::experiments::victim_ip;
 use vif_dataplane::{
     shard_of, DataplaneService, FlowSet, Packet, ServiceConfig, TrafficConfig, TrafficGenerator,
@@ -43,7 +43,6 @@ fn bench(c: &mut Criterion) {
                 |(traffic, stages)| {
                     let service = DataplaneService::new(ServiceConfig {
                         ring_capacity: 16_384,
-                        burst: SHARD_BURST,
                         ..Default::default()
                     });
                     let forwarded = service.run(

@@ -36,7 +36,6 @@ use vif_telemetry::{Event, EventKind, FlightRecorder, Histogram, TelemetryHub};
 
 const WORKERS: usize = 2;
 const ROUND_PACKETS: usize = 2_048;
-const BURST: usize = 32;
 
 fn workload() -> (RuleSet, Vec<Packet>) {
     let (rs, flows) = host_rules(256, 42);
@@ -77,7 +76,6 @@ fn bench(c: &mut Criterion) {
         .collect();
     let service = DataplaneService::new(ServiceConfig {
         ring_capacity: 1 << 12,
-        burst: BURST,
         ..Default::default()
     });
     service.run(
@@ -102,7 +100,6 @@ fn bench(c: &mut Criterion) {
         .collect();
     let service = DataplaneService::new(ServiceConfig {
         ring_capacity: 1 << 12,
-        burst: BURST,
         ..Default::default()
     })
     .with_telemetry(Arc::clone(&hub));

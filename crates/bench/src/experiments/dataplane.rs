@@ -338,9 +338,6 @@ fn batch_row<F>(
 /// Worker counts swept by the shard-scaling experiment and bench.
 pub const SHARD_WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// Burst size used on the sharded live path (the DPDK RX burst).
-pub const SHARD_BURST: usize = 32;
-
 /// Launches an RSS-sharded cluster over the Fig. 14 hash-filter rule and
 /// returns one [`EnclaveFilterStage`] per slice.
 pub fn shard_stages(workers: usize) -> Vec<EnclaveFilterStage> {
@@ -387,7 +384,6 @@ pub fn shard(duration_ms: u64) -> String {
             let start = std::time::Instant::now();
             let service = DataplaneService::new(ServiceConfig {
                 ring_capacity: 16_384,
-                burst: SHARD_BURST,
                 ..Default::default()
             });
             let total = service.run(

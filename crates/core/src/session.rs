@@ -391,13 +391,6 @@ impl FilteringSession {
             self.tolerance,
         )
     }
-
-    /// Starts a new filtering round for this session's contract
-    /// (control-plane ECall). Other tenants' rounds are untouched.
-    pub fn new_round(&self) {
-        let contract = self.contract;
-        self.enclave.ecall(move |app| app.new_round_for(contract));
-    }
 }
 
 #[cfg(test)]

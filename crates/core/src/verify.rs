@@ -40,8 +40,6 @@ pub struct AuditReport {
     pub verdict: BypassVerdict,
     /// Bin-level comparison detail.
     pub comparison: SketchComparison,
-    /// The audited round.
-    pub round: u64,
 }
 
 impl AuditReport {
@@ -62,6 +60,14 @@ pub enum AuditError {
     Compare(CompareError),
     /// The export covers a different direction than this verifier audits.
     WrongDirection,
+    /// The export is authentic but covers another round than the one this
+    /// verifier observed: a replayed or withheld log.
+    Stale {
+        /// The round this verifier observed.
+        expected: u64,
+        /// The round the export covers.
+        got: u64,
+    },
     /// The enclave never delivered an export within the round's audit
     /// window (fault-injected or real): there is nothing to audit, which
     /// is treated exactly like an unauditable export.
@@ -74,6 +80,9 @@ impl std::fmt::Display for AuditError {
             AuditError::Log(e) => write!(f, "log error: {e}"),
             AuditError::Compare(e) => write!(f, "comparison error: {e}"),
             AuditError::WrongDirection => write!(f, "export direction mismatch"),
+            AuditError::Stale { expected, got } => {
+                write!(f, "stale export: round {got}, expected {expected}")
+            }
             AuditError::ExportTimeout => write!(f, "audit export timed out"),
         }
     }
@@ -100,6 +109,9 @@ impl From<CompareError> for AuditError {
 pub struct Verifier {
     direction: LogDirection,
     local: CountMinSketch,
+    /// The round `local` covers: 0 at the session's start, advanced by
+    /// [`new_round`](Verifier::new_round) in step with the enclave's log.
+    round: u64,
     audit_key: [u8; 32],
     /// Per-bin tolerance absorbing benign loss between the filter and the
     /// verifier (see §III-B's discussion of intermediate ASes).
@@ -119,6 +131,7 @@ impl Verifier {
         Verifier {
             direction,
             local: CountMinSketch::new(direction.config(sketch_seed)),
+            round: 0,
             audit_key,
             tolerance,
         }
@@ -142,6 +155,7 @@ impl Verifier {
 
     /// Audits the enclave's log of this verifier's direction against the
     /// local observations: checks the tag over the payload as received,
+    /// checks that the export covers the round this verifier observed,
     /// reads the header, and compares the counters straight out of the
     /// payload with the local sketch in one pass. Allocates nothing
     /// unless some bin differs.
@@ -149,25 +163,33 @@ impl Verifier {
     /// # Errors
     ///
     /// See [`AuditError`]; an export of the other direction is
-    /// [`AuditError::WrongDirection`].
+    /// [`AuditError::WrongDirection`], an authentic export of another
+    /// round [`AuditError::Stale`].
     pub fn audit(&self, export: &AuthenticatedSketch) -> Result<AuditReport, AuditError> {
         if export.direction != self.direction {
             return Err(AuditError::WrongDirection);
         }
         let enclave = export.verify(&self.audit_key)?;
+        if export.round != self.round {
+            return Err(AuditError::Stale {
+                expected: self.round,
+                got: export.round,
+            });
+        }
         let (comparison, verdict) = self
             .direction
             .judge(&enclave, &self.local, self.tolerance)?;
         Ok(AuditReport {
             verdict,
             comparison,
-            round: export.round,
         })
     }
 
-    /// Clears local observations for a new round.
+    /// Clears local observations and expects the next round's export, as
+    /// the enclave's log does when it rotates.
     pub fn new_round(&mut self) {
         self.local.clear();
+        self.round += 1;
     }
 }
 
@@ -316,6 +338,50 @@ mod tests {
             .audit(&logs.export(LogDirection::Outgoing, &KEY))
             .unwrap();
         assert_eq!(report.verdict, BypassVerdict::Clean);
+    }
+
+    #[test]
+    fn replayed_export_of_an_earlier_round_is_stale() {
+        let mut logs = PacketLogs::new(SEED);
+        let mut victim = Verifier::new(LogDirection::Outgoing, SEED, KEY, 0);
+        let mut neighbor = Verifier::new(LogDirection::Incoming, SEED, KEY, 0);
+        let mut replay = None;
+        // Round 0 carries flows 0..80; round 1 carries flows 0..100, all
+        // past the filter, and the host drops 80..100 after it.
+        for (round, flows) in [(0, 80), (1, 100)] {
+            for i in 0..flows {
+                let t = tuple(i);
+                neighbor.observe(&t);
+                logs.log_incoming(&t);
+                logs.log_outgoing(&t);
+                if i < 80 {
+                    victim.observe(&t);
+                }
+            }
+            if round == 0 {
+                replay = Some(logs.export(LogDirection::Outgoing, &KEY));
+                logs.new_round();
+                victim.new_round();
+                neighbor.new_round();
+            }
+        }
+        let honest = logs.export(LogDirection::Outgoing, &KEY);
+        assert_eq!(
+            victim.audit(&honest).unwrap().verdict,
+            BypassVerdict::DropDetected
+        );
+        let incoming = logs.export(LogDirection::Incoming, &KEY);
+        assert_eq!(
+            neighbor.audit(&incoming).unwrap().verdict,
+            BypassVerdict::Clean
+        );
+        // Round 0's export holds exactly what the victim received in round
+        // 1 and its tag checks out: only its round gives it away.
+        let stale = AuditError::Stale {
+            expected: 1,
+            got: 0,
+        };
+        assert_eq!(victim.audit(&replay.unwrap()).unwrap_err(), stale);
     }
 
     #[test]

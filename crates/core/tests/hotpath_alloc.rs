@@ -343,7 +343,6 @@ fn decide_batch_is_allocation_free_at_steady_state() {
     let delivered = AtomicU64::new(0);
     let service = vif_dataplane::DataplaneService::new(vif_dataplane::ServiceConfig {
         ring_capacity: 1 << 12,
-        burst: 32,
         ..Default::default()
     });
     let (before, after, received) = service.run(
@@ -396,7 +395,6 @@ fn decide_batch_is_allocation_free_at_steady_state() {
         .collect();
     let service = vif_dataplane::DataplaneService::new(vif_dataplane::ServiceConfig {
         ring_capacity: 1 << 12,
-        burst: 32,
         ..Default::default()
     })
     .with_telemetry(std::sync::Arc::clone(&hub));
@@ -458,7 +456,6 @@ fn decide_batch_is_allocation_free_at_steady_state() {
     };
     let service = vif_dataplane::DataplaneService::new(vif_dataplane::ServiceConfig {
         ring_capacity: 256,
-        burst: 32,
         ..Default::default()
     });
     let (bytes, overflow) = service.run(

@@ -228,7 +228,6 @@ fn continuous_publish_churn_never_tears_a_burst() {
 
         let service = DataplaneService::new(ServiceConfig {
             ring_capacity: RING_CAPACITY,
-            burst: 32,
             ..Default::default()
         });
         let report = service.run(

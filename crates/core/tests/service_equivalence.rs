@@ -176,7 +176,6 @@ fn close_round(
 fn service_config() -> ServiceConfig {
     ServiceConfig {
         ring_capacity: 1 << 14,
-        burst: 32,
         ..Default::default()
     }
 }

@@ -39,7 +39,7 @@
 //! # Hand-offs
 //!
 //! Every ring hop moves a burst under one lock. `offer` walks its packets
-//! in [`ServiceConfig::burst`]-sized chunks, stages each chunk per target
+//! in 32-packet chunks (the service's burst), stages each chunk per target
 //! worker, and hands each worker its share with one burst enqueue and at
 //! most one wakeup; a worker dequeues a burst, decides it, and pushes the
 //! forwarded packets to TX with one burst enqueue; the TX thread dequeues
@@ -247,14 +247,15 @@ fn mask_of(prefix_len: u8) -> u32 {
     }
 }
 
+/// Burst size of every ring hand-off: `offer`'s chunks and the worker/TX
+/// dequeue loops (the DPDK RX burst).
+const BURST: usize = 32;
+
 /// Tuning knobs for a [`DataplaneService`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
     /// Per-worker RX ring capacity (also the shared TX ring capacity).
     pub ring_capacity: usize,
-    /// Burst size of every ring hand-off: `offer`'s chunks and the
-    /// worker/TX dequeue loops.
-    pub burst: usize,
     /// Empty polls a consumer spins (yielding) before it parks.
     pub spin_limit: u32,
     /// Upper bound on one park: a missed wakeup costs at most this long.
@@ -265,7 +266,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             ring_capacity: 16_384,
-            burst: 32,
             spin_limit: 256,
             park_timeout: Duration::from_millis(1),
         }
@@ -507,10 +507,7 @@ impl DataplaneService {
     {
         let n = stages.len();
         assert!(n > 0, "at least one worker stage");
-        assert!(
-            self.config.ring_capacity > 0 && self.config.burst > 0,
-            "degenerate ring/burst"
-        );
+        assert!(self.config.ring_capacity > 0, "degenerate ring");
         assert!(self.config.spin_limit > 0, "spin_limit must be positive");
         let lifecycle = self.lifecycle.clone().unwrap_or_else(|| {
             let private = SliceLifecycle::new(n);
@@ -556,9 +553,9 @@ impl DataplaneService {
                     per_worker: vec![PacketCounts::default(); n],
                     quarantined: vec![false; n],
                 },
-                staged: (0..n).map(|_| Vec::with_capacity(config.burst)).collect(),
-                shadows: (0..n).map(|_| Vec::with_capacity(config.burst)).collect(),
-                tx_out: Vec::with_capacity(config.burst),
+                staged: (0..n).map(|_| Vec::with_capacity(BURST)).collect(),
+                shadows: (0..n).map(|_| Vec::with_capacity(BURST)).collect(),
+                tx_out: Vec::with_capacity(BURST),
                 contract_report: shared
                     .contracts
                     .contracts()
@@ -671,8 +668,8 @@ where
     }
 
     /// Steers `packets` onto the per-worker rings (the caller thread is
-    /// the RX stage), one [`ServiceConfig::burst`]-sized chunk at a time:
-    /// each worker's share of a chunk goes over in one burst enqueue with
+    /// the RX stage), one 32-packet chunk at a time: each worker's share
+    /// of a chunk goes over in one burst enqueue with
     /// at most one wakeup. A live worker's ring is retried while it keeps
     /// taking packets; whatever is left once an attempt and 64 re-tries in
     /// a row take nothing counts as that worker's `overflow`. A ring whose
@@ -686,7 +683,7 @@ where
     /// the audit layer can compare the rejoined slice's logs against its
     /// would-be share.
     pub fn offer(&mut self, packets: &[Packet]) {
-        for chunk in packets.chunks(self.config.burst) {
+        for chunk in packets.chunks(BURST) {
             for pkt in chunk {
                 let w0 = (self.steer)(&pkt.tuple) % self.n;
                 let home = self.lifecycle.state(w0);
@@ -1036,7 +1033,7 @@ where
                 WorkerMsg::Crash | WorkerMsg::Noise | WorkerMsg::Shadow(_) => continue,
             };
             self.tx_out.push(out);
-            if self.tx_out.len() == self.config.burst {
+            if self.tx_out.len() == BURST {
                 push_tx(self.shared, &mut self.tx_out, &self.tx_thread);
             }
         }
@@ -1100,13 +1097,13 @@ fn worker_loop<S: PacketStage>(
         tx_thread: tx_thread.clone(),
     };
     let ring = &shared.rx_rings[w];
-    let mut batch: Vec<WorkerMsg> = Vec::with_capacity(config.burst);
-    let mut pkts: Vec<Packet> = Vec::with_capacity(config.burst);
-    let mut shadows: Vec<Packet> = Vec::with_capacity(config.burst);
-    let mut outcomes = Vec::with_capacity(config.burst);
+    let mut batch: Vec<WorkerMsg> = Vec::with_capacity(BURST);
+    let mut pkts: Vec<Packet> = Vec::with_capacity(BURST);
+    let mut shadows: Vec<Packet> = Vec::with_capacity(BURST);
+    let mut outcomes = Vec::with_capacity(BURST);
     // Forwarded packets (and a trailing barrier token) bound for TX: one
     // burst never forwards more than it dequeued.
-    let mut tx_out: Vec<TxMsg> = Vec::with_capacity(config.burst);
+    let mut tx_out: Vec<TxMsg> = Vec::with_capacity(BURST);
     // Reused per-contract-slot (forwarded, filtered) counts of one run.
     let mut counts = vec![[0u64; 2]; shared.contracts.contracts().len()];
     // Wire sizes for the telemetry hub, on the stack and merged only at
@@ -1126,7 +1123,7 @@ fn worker_loop<S: PacketStage>(
             }
         }
         batch.clear();
-        if ring.dequeue_burst(&mut batch, config.burst) == 0 {
+        if ring.dequeue_burst(&mut batch, BURST) == 0 {
             if shared.shutdown.load(Ordering::Acquire) && ring.is_empty() {
                 break;
             }
@@ -1345,14 +1342,14 @@ fn tx_loop<F: FnMut(usize, &Packet)>(
         worker: None,
         tx_thread: this,
     };
-    let mut batch: Vec<TxMsg> = Vec::with_capacity(config.burst);
+    let mut batch: Vec<TxMsg> = Vec::with_capacity(BURST);
     // Barrier tokens arrive strictly in round order (FIFO rings), so a
     // plain count suffices: every `n` tokens completes the next round.
     let mut tokens = 0u64;
     let mut spins = 0u32;
     loop {
         batch.clear();
-        if shared.tx_ring.dequeue_burst(&mut batch, config.burst) == 0 {
+        if shared.tx_ring.dequeue_burst(&mut batch, BURST) == 0 {
             // Exit requires the shutdown flag: injected clean crashes can
             // zero `workers_live` while the service is still serving
             // rounds on handle-delivered barrier tokens.
@@ -1896,7 +1893,7 @@ mod tests {
             .collect();
         let stages: Vec<_> = (0..n).map(|_| parity_stage()).collect();
         let delivered = AtomicU64::new(0);
-        let totals = DataplaneService::new(sized(cap, 32))
+        let totals = DataplaneService::new(sized(cap))
             .with_contracts(map)
             .with_telemetry(Arc::clone(&hub))
             .run(
@@ -2184,10 +2181,9 @@ mod tests {
         assert_eq!(msg, "body exploded");
     }
 
-    fn sized(ring_capacity: usize, burst: usize) -> ServiceConfig {
+    fn sized(ring_capacity: usize) -> ServiceConfig {
         ServiceConfig {
             ring_capacity,
-            burst,
             ..Default::default()
         }
     }
@@ -2196,7 +2192,7 @@ mod tests {
     fn accounting_adds_up_per_worker() {
         let t = traffic(8_000, 2);
         let stages: Vec<_> = (0..4).map(|_| parity_stage()).collect();
-        let report = DataplaneService::new(sized(16_384, 32)).run(
+        let report = DataplaneService::new(sized(16_384)).run(
             stages,
             |_, _| {},
             |t| shard_of(t, 4),
@@ -2222,7 +2218,7 @@ mod tests {
         // Every packet must land on the worker shard_of names.
         let seen = std::sync::Mutex::new(Vec::new());
         let stages: Vec<_> = (0..n).map(|_| parity_stage()).collect();
-        DataplaneService::new(sized(16_384, 32)).run(
+        DataplaneService::new(sized(16_384)).run(
             stages,
             |w, p: &Packet| seen.lock().unwrap().push((w, p.tuple)),
             |t| shard_of(t, n),
@@ -2248,7 +2244,7 @@ mod tests {
         let t = traffic(1_000, 2);
         let stages: Vec<_> = (0..2).map(|_| parity_stage()).collect();
         // Everything to (out-of-range) worker 5 → clamped to 5 % 2 = 1.
-        let report = DataplaneService::new(sized(4_096, 16)).run(
+        let report = DataplaneService::new(sized(4_096)).run(
             stages,
             |_, _| {},
             |_| 5usize,
@@ -2275,7 +2271,7 @@ mod tests {
         };
         let t = traffic(10_000, 1);
         let seen = std::sync::Mutex::new(Vec::new());
-        let total = DataplaneService::new(sized(16_384, 32))
+        let total = DataplaneService::new(sized(16_384))
             .run(
                 vec![stage],
                 |_, p: &Packet| seen.lock().unwrap().push(p.id),
@@ -2300,7 +2296,7 @@ mod tests {
             hashed: false,
         };
         let t = traffic(2_000, 1);
-        let total = DataplaneService::new(sized(256, 8))
+        let total = DataplaneService::new(sized(256))
             .run(vec![stage], |_, _| {}, |_| 0, |svc| svc.round(&t).clone())
             .total();
         assert_eq!(total.forwarded, 2_000 - total.overflow);
@@ -2311,7 +2307,7 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn empty_stage_set_rejected() {
         let stages: Vec<fn(&Packet) -> StageOutcome> = Vec::new();
-        DataplaneService::new(sized(64, 8)).run(stages, |_, _| {}, |_| 0, |_| {});
+        DataplaneService::new(sized(64)).run(stages, |_, _| {}, |_| 0, |_| {});
     }
 
     #[test]
@@ -2333,7 +2329,7 @@ mod tests {
             })
             .collect();
         let t = traffic(2_000, 2);
-        DataplaneService::new(sized(64, 8)).run(
+        DataplaneService::new(sized(64)).run(
             stages,
             |_, _| {},
             |t| shard_of(t, 2),
@@ -2350,7 +2346,7 @@ mod tests {
         // TX ring: the tx_live flag is cleared on unwind and they bail.
         let stages: Vec<_> = (0..2).map(|_| parity_stage()).collect();
         let t = traffic(5_000, 2);
-        DataplaneService::new(sized(64, 8)).run(
+        DataplaneService::new(sized(64)).run(
             stages,
             |_, _| panic!("sink died"),
             |t| shard_of(t, 2),

@@ -72,7 +72,6 @@ proptest! {
     #[test]
     fn sharded_equals_single_worker(
         workers in prop::sample::select(vec![1usize, 2, 4]),
-        burst in prop::sample::select(vec![8usize, 32]),
         seed in 0u64..32,
     ) {
         let flows = FlowSet::random_toward_victim(32, 9, seed);
@@ -94,7 +93,6 @@ proptest! {
         // dependent, everything else is deterministic.
         let service = DataplaneService::new(ServiceConfig {
             ring_capacity: 4096,
-            burst,
             ..Default::default()
         });
         let one_seen = std::sync::Mutex::new(Vec::new());

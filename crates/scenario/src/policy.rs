@@ -153,7 +153,6 @@ mod tests {
         ClusterRoundOutcome {
             round: 0,
             slices: vec![RoundOutcome {
-                round: 0,
                 victim_verdict: BypassVerdict::Clean,
                 neighbor_verdict: BypassVerdict::Clean,
                 quarantined: false,

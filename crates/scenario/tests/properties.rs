@@ -262,7 +262,6 @@ fn mid_run_publish_keeps_audit_clean() {
         let dataplane = scope.spawn(|| {
             DataplaneService::new(ServiceConfig {
                 ring_capacity: RING_CAPACITY,
-                burst: 32,
                 ..Default::default()
             })
             .run(

@@ -6,8 +6,9 @@
 //! all be either impossible by construction or detectable by audit.
 
 use std::sync::Arc;
-use vif::core::logs::LogDirection;
+use vif::core::logs::{LogDirection, LogError};
 use vif::core::prelude::*;
+use vif::core::verify::AuditError;
 use vif::sgx::{AttestationRootKey, Enclave, EnclaveImage, EpcConfig, SgxPlatform};
 
 const SEED: u64 = 909;
@@ -159,20 +160,36 @@ fn malicious_victim_cannot_filter_third_parties() {
 }
 
 /// Replay resistance: the operator cannot satisfy round N's audit with
-/// round N-1's (clean) log export.
+/// round N-1's (clean) log export, whether it relabels the round or not.
 #[test]
 fn stale_log_replay_rejected() {
     let enclave = enclave_with_half_drop();
+    let mut victim = Verifier::new(LogDirection::Outgoing, SEED, KEY, 0);
     let t = flow_from(0x0a00_0000, 1);
-    enclave.in_enclave_thread(|app| app.process(&t, 64));
+    if enclave.in_enclave_thread(|app| app.process(&t, 64)).action == RuleAction::Allow {
+        victim.observe(&t);
+    }
     let stale = enclave.ecall(|app| app.export_log_for(0, LogDirection::Outgoing));
+    assert!(!victim.audit(&stale).unwrap().bypass_detected());
+    // The enclave and the victim's verifier move to round 1 together.
     enclave.ecall(|app| app.new_round_for(0));
+    victim.new_round();
 
-    // Present the round-0 export as if it covered round 1.
+    // Present the round-0 export as if it covered round 1: the tag fails.
     let mut forged = stale.clone();
     forged.round = 1;
-    let victim = Verifier::new(LogDirection::Outgoing, SEED, KEY, 0);
-    assert!(victim.audit(&forged).is_err(), "replayed export must fail");
+    assert_eq!(
+        victim.audit(&forged).unwrap_err(),
+        AuditError::Log(LogError::BadTag)
+    );
+    // Present it as it is: authentic, but of the wrong round.
+    assert_eq!(
+        victim.audit(&stale).unwrap_err(),
+        AuditError::Stale {
+            expected: 1,
+            got: 0
+        }
+    );
 }
 
 /// Clock manipulation is powerless: verdicts do not change when the host
